@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench examples experiments clean
+.PHONY: install test test-fast bench ledger examples experiments clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -15,6 +15,10 @@ test-fast:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The one performance benchmark (benchmarks/ledger/README.md).
+ledger:
+	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/ledger -q
 
 examples:
 	for script in examples/*.py; do \

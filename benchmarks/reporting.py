@@ -4,24 +4,16 @@ pytest captures stdout, so each benchmark also writes its rows to
 ``benchmarks/_results/<name>.txt`` — the files EXPERIMENTS.md is
 compiled from.
 
-Benchmarks that run with ``observe=True`` additionally persist their
-metrics snapshot (see docs/OBSERVABILITY.md) into the repo-root
-``BENCH_obs.json`` via :func:`record_obs`, one key per benchmark, so the
-performance trajectory of the simulator itself is tracked across PRs.
+Performance numbers do not come from here: the ledger
+(``benchmarks/ledger``, declared in the repo-root ``BENCHMARK.json``) is
+the one benchmark that measures speed.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.obs import merge_into_file
-
 RESULTS_DIR = Path(__file__).parent / "_results"
-OBS_FILE = Path(__file__).parent.parent / "BENCH_obs.json"
-PERF_FILE = Path(__file__).parent.parent / "BENCH_perf.json"
-TRACE_FILE = Path(__file__).parent.parent / "BENCH_trace.json"
-LIVE_FILE = Path(__file__).parent.parent / "BENCH_live.json"
-CACHE_FILE = Path(__file__).parent.parent / "BENCH_cache.json"
 
 
 def record(name: str, lines: list[str]) -> None:
@@ -30,66 +22,3 @@ def record(name: str, lines: list[str]) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text, encoding="utf-8")
     print(f"\n== {name} ==")
     print(text)
-
-
-def record_obs(name: str, snapshot: dict) -> None:
-    """Merge one benchmark's observability snapshot into BENCH_obs.json."""
-    merge_into_file(OBS_FILE, name, snapshot)
-    print(f"\n== {name}: snapshot -> {OBS_FILE.name} ==")
-
-
-def record_perf(name: str, payload: dict) -> None:
-    """Merge one wall-clock performance measurement into BENCH_perf.json.
-
-    Unlike BENCH_obs.json (deterministic simulation metrics), these are
-    machine-dependent wall-clock numbers — q/s, events/wall-second,
-    cache hit rates.  CI compares them against the committed baseline in
-    ``benchmarks/perf_baseline.json`` and fails on a >20% q/s
-    regression; see EXPERIMENTS.md for how to read and refresh them.
-    """
-    merge_into_file(PERF_FILE, name, payload)
-    print(f"\n== {name}: perf -> {PERF_FILE.name} ==")
-
-
-def record_trace(name: str, payload: dict) -> None:
-    """Merge one trace-throughput measurement into BENCH_trace.json.
-
-    Same contract as :func:`record_perf`, but for the trace pipeline
-    (records/sec serial vs parallel).  CI compares the speedup ratio —
-    not raw records/sec — against ``benchmarks/trace_baseline.json``
-    via ``check_perf_regression.py trace``; ratios of two measurements
-    on the same host need no interpreter calibration.
-    """
-    merge_into_file(TRACE_FILE, name, payload)
-    print(f"\n== {name}: trace perf -> {TRACE_FILE.name} ==")
-
-
-def record_live(name: str, payload: dict) -> None:
-    """Merge one live-backend measurement into BENCH_live.json.
-
-    Same contract as :func:`record_perf`, but for the live asyncio
-    backend (docs/BACKENDS.md): real loopback sockets, so every number
-    is wall-clock and machine-dependent.  CI gates ``loopback_qps``
-    against the deliberately conservative floor in
-    ``benchmarks/live_baseline.json`` via ``check_perf_regression.py
-    live`` — a sanity floor, not a ratchet; latency percentiles are
-    recorded for trend-watching but never gated (the gate's
-    larger-is-better rule would read a latency *improvement* as a
-    regression).
-    """
-    merge_into_file(LIVE_FILE, name, payload)
-    print(f"\n== {name}: live perf -> {LIVE_FILE.name} ==")
-
-
-def record_cache(name: str, payload: dict) -> None:
-    """Merge one resolver-cache measurement into BENCH_cache.json.
-
-    Same contract as :func:`record_perf`, but for the cache policy
-    sweep (docs/RECURSIVE.md): the hit-ratio metrics are seeded and
-    deterministic (gated tightly), while ``lookups_per_sec`` is
-    wall-clock and machine-dependent, so ``benchmarks/
-    cache_baseline.json`` holds only a deliberately conservative floor
-    for it.  CI gates via ``check_perf_regression.py cache``.
-    """
-    merge_into_file(CACHE_FILE, name, payload)
-    print(f"\n== {name}: cache perf -> {CACHE_FILE.name} ==")

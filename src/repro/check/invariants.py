@@ -24,7 +24,7 @@ rescans full querier state every :data:`SCAN_EVERY` sends, and runs a
 final verification before the report.  The checker only *reads*
 engine state — it schedules no events of its own — so a checked run
 is byte-identical to an unchecked one, scheduler accounting included.
-The live backend verifies once after its tasks drain.  Violations
+The live backend verifies once after its queriers drain.  Violations
 raise :class:`InvariantViolation` with every failed check listed.
 """
 
@@ -50,33 +50,19 @@ def _terminal_states(result) -> list[str]:
     return states
 
 
-def _iter_pending(querier):
-    """Yield every QueryResult awaiting a response, whichever backend's
-    querier this is (sim transport maps or the live id map)."""
-    if hasattr(querier, "_udp_pending"):            # sim Querier
-        yield from querier._udp_pending.values()
-        for channel in querier._tcp_channels.values():
-            yield from channel.pending.values()
-        for _conn, pending in querier._quic_conns.values():
-            yield from pending.values()
-    elif hasattr(querier, "_pending"):              # LiveQuerier
-        for result, _fut in querier._pending.values():
-            yield result
-
-
 _COUNTERS = ("sent", "unanswered_at_close", "timeouts", "retransmits",
              "tcp_fallbacks", "reconnects", "recovered", "malformed",
              "failed_over")
 
 
 def _check_querier(querier, errors: list[str]) -> None:
-    name = getattr(querier, "name", "querier")
+    name = querier.name
     for counter in _COUNTERS:
-        value = getattr(querier, counter, 0)
+        value = getattr(querier, counter)
         if value < 0:
             errors.append(f"{name}: counter {counter} is negative "
                           f"({value})")
-    backlog = getattr(querier, "backlog_depth", lambda: 0)()
+    backlog = querier.backlog_depth()
     if backlog < 0:
         errors.append(f"{name}: negative backlog depth ({backlog})")
     pending = querier.pending_count()
@@ -115,7 +101,7 @@ def _check_querier(querier, errors: list[str]) -> None:
             f"unanswered_at_close={querier.unanswered_at_close}")
 
     seen: set[int] = set()
-    for result in _iter_pending(querier):
+    for result in querier.pending_results():
         if _terminal_states(result):
             errors.append(
                 f"{name}: pending map holds a finished result for "
@@ -132,7 +118,7 @@ def _check_pinning(queriers, errors: list[str]) -> None:
     """Every emulated source's results live on exactly one querier."""
     owner: dict[str, str] = {}
     for querier in queriers:
-        name = getattr(querier, "name", "querier")
+        name = querier.name
         for result in querier.results:
             src = result.record.src
             first = owner.setdefault(src, name)
@@ -152,14 +138,13 @@ def verify_queriers(queriers, *, sticky: bool = True,
 
     Shared by both backends: the sim engine's periodic/final scans and
     the live backend's post-drain verification call this on their
-    querier lists (sim :class:`Querier` and :class:`LiveQuerier` both
-    expose the accounting surface it reads).  Pinning is only checked
-    when *sticky* and no querier crashed and not *supervised* —
-    failover legitimately re-homes sources."""
+    querier lists (the same :class:`Querier` on either substrate).
+    Pinning is only checked when *sticky* and no querier crashed and
+    not *supervised* — failover legitimately re-homes sources."""
     errors: list[str] = []
     for querier in queriers:
         _check_querier(querier, errors)
-    crashed = any(getattr(q, "crashed", False) for q in queriers)
+    crashed = any(q.crashed for q in queriers)
     if sticky and not supervised and not crashed:
         _check_pinning(queriers, errors)
     if expected_results is not None:

@@ -15,8 +15,8 @@ bounded LRU) x Zipf skew, reporting per cell
 
 The sweep drives :class:`~repro.server.cache.DnsCache` directly with a
 seeded Zipf lookup stream — no simulated network — so a full grid runs
-in well under a second and the benchmark gate
-(``benchmarks/test_bench_cache.py``) can pin its arithmetic.  The
+in well under a second and a tier-1 test
+(``tests/experiments/test_cachepolicy.py``) can pin its arithmetic.  The
 headline acceptance bar: **bounded LRU at capacity >= working-set size
 stays within 5% of unbounded** while capping memory.
 

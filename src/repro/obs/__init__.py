@@ -22,11 +22,10 @@ span kinds, and the JSON schema are documented in
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observer import Observer, group_metrics
-from repro.obs.report import merge_into_file, to_canonical_json
+from repro.obs.report import to_canonical_json
 from repro.obs.tracer import Tracer, TraceSpan
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Observer",
-    "Tracer", "TraceSpan", "group_metrics", "merge_into_file",
-    "to_canonical_json",
+    "Tracer", "TraceSpan", "group_metrics", "to_canonical_json",
 ]

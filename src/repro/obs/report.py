@@ -1,4 +1,4 @@
-"""Snapshot export: canonical JSON for run reports and BENCH files.
+"""Snapshot export: canonical JSON for run reports.
 
 The canonical form is what the reproducibility guarantee is stated
 over: same seed + same config => byte-identical ``to_canonical_json``
@@ -17,20 +17,3 @@ def to_canonical_json(snapshot: dict, indent: int | None = None) -> str:
     if indent is not None:
         return json.dumps(snapshot, sort_keys=True, indent=indent)
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-
-
-def merge_into_file(path, name: str, snapshot: dict) -> dict:
-    """Merge *snapshot* under key *name* into the JSON file at *path*
-    (created if missing, repaired if unreadable), returning the merged
-    document.  This is how benchmarks accumulate the run-over-run
-    observability trajectory in ``BENCH_obs.json``."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(document, dict):
-            document = {}
-    except (OSError, ValueError):
-        document = {}
-    document[name] = snapshot
-    path.write_text(to_canonical_json(document, indent=2) + "\n",
-                    encoding="utf-8")
-    return document

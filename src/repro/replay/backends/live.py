@@ -10,15 +10,17 @@ same views, answer cache, and response-building rules the simulated
 :class:`~repro.server.authoritative.AuthoritativeServer` runs, so the
 two backends answer identically by construction.
 
-Queriers (:class:`LiveQuerier`) drive trace timing with the §2.6 ΔT
+The client side is the simulator's own
+:class:`~repro.replay.querier.Querier` — message ids, retransmission,
+TC fallback, reconnect, cookies and result accounting exist once, in
+``replay/querier.py`` — running over an asyncio implementation of the
+host seam it talks through (:class:`_LoopHost`: a loop-clock scheduler,
+one shared UDP socket, LRU-capped stream connections).  What is
+live-only is what is about wall-clock I/O: the server's sockets, and
+:class:`LiveQuerier`'s feed loop, which paces records with the §2.6 ΔT
 rule (:class:`~repro.replay.timing.ReplayTimer`) against the event
-loop's monotonic clock, emulate per-source stickiness by partitioning
-sources across querier tasks (CRC-32, like the sim's split-input
-rule), reuse one TCP connection per source, and match responses to
-queries by message id.  TCP uses the same
-:class:`~repro.netsim.framing.LengthPrefixFramer` as the simulated
-transports, so partial reads and pipelined queries on one connection
-are reassembled by the identical incremental parser.
+loop's monotonic clock and bounds the queries in flight.  Same-source
+records stick to one querier (CRC-32, like the sim's split-input rule).
 
 The report is the ordinary :class:`~repro.replay.engine.ReplayReport`
 with the same metric schema as the sim backend; wall-clock-derived
@@ -37,22 +39,19 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from repro.dns.constants import Flag
-from repro.dns.message import Message
-from repro.dns.wire import WireError
 from repro.netsim.framing import LengthPrefixFramer, frame_message
+from repro.netsim.jitter import NullSendPath
 from repro.netsim.resources import ResourceMeter
 from repro.obs import Observer
 from repro.replay.backends.base import ReplayBackend
-from repro.replay.querier import (QueryResult, attach_cookie,
-                                  learn_cookie)
-from repro.replay.timing import ReplayTimer
+from repro.replay.querier import Querier, QuerierConfig, QueryResult
 from repro.server.responder import DnsResponder
-from repro.trace.pipeline import TracePipeline
-from repro.trace.record import Trace
+from repro.trace.pipeline import as_trace
 
 _READ_CHUNK = 65536
 _UDP_BUF = 1 << 22      # ask for 4 MiB; the kernel clamps to rmem_max
+_TCP_CONNECTION_CAP = 64    # open stream connections per querier
+_SHUTDOWN_GRACE = 1.0       # server drain window per connection at close
 
 
 def _grow_udp_buffers(transport) -> None:
@@ -88,9 +87,7 @@ class LiveReplayConfig:
     bind_attempts: int = 8
     speed: float = 1.0
     query_timeout: float = 5.0
-    max_inflight: int = 256       # per querier task
-    tcp_connection_cap: int = 64  # per querier; LRU beyond this
-    shutdown_grace: float = 1.0   # drain window per connection at close
+    max_inflight: int = 256       # per querier
     run_deadline: float | None = None
 
 
@@ -255,7 +252,7 @@ class LiveDnsServer:
             self.meter.count_out(self.now(), len(framed))
             writer.write(framed)
 
-    async def aclose(self, grace: float = 1.0) -> None:
+    async def aclose(self, grace: float = _SHUTDOWN_GRACE) -> None:
         """Graceful shutdown: stop accepting, flush every reply already
         queued on open connections (in-flight queries are answered
         synchronously as their bytes arrive, so draining the write
@@ -277,378 +274,214 @@ class LiveDnsServer:
         self._tcp_server = None
 
 
-class _ClientDatagramProtocol(asyncio.DatagramProtocol):
-    def __init__(self, querier: "LiveQuerier"):
-        self.querier = querier
+class _LoopScheduler:
+    """``host.scheduler`` on the event loop's clock: the ``now`` /
+    ``after`` / ``at`` / ``obs`` slice of the simulator's scheduler the
+    querier uses.  Times are seconds since ``epoch``, as the sim's are
+    seconds since zero; the handles returned have ``cancel()``."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 obs: Observer | None):
+        self._loop = loop
+        self.epoch = loop.time()
+        self.obs = obs
+
+    @property
+    def now(self) -> float:
+        return self._loop.time() - self.epoch
+
+    def after(self, delay: float, fn, *args):
+        return self._loop.call_later(delay, fn, *args)
+
+    def at(self, time: float, fn, *args):
+        return self._loop.call_at(time + self.epoch, fn, *args)
+
+
+class _LoopUdpSocket(asyncio.DatagramProtocol):
+    """``host.udp_socket()``: a datagram endpoint connected to the
+    host's server, so the destination the seam passes is implied."""
+
+    def __init__(self, host: "_LoopHost"):
+        self.host = host
+        self.transport = None
+        self.on_datagram = None     # set by the querier before it sends
 
     def connection_made(self, transport) -> None:
-        pass
+        self.transport = transport
+
+    def sendto(self, payload: bytes, dst: str, dport: int) -> None:
+        # A retransmit timer may outlive the socket when the run
+        # deadline cuts a replay short.
+        if not self.transport.is_closing():
+            self.transport.sendto(payload)
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self.querier._on_response_wire(data)
+        self.on_datagram(data, addr[0], addr[1])
 
     def error_received(self, exc) -> None:
-        self.querier.socket_errors += 1
+        self.host.socket_errors += 1
 
 
-@dataclass
-class _LiveChannel:
-    """One per-source TCP connection with its reader pump."""
+class _LoopTcpConnection(asyncio.Protocol):
+    """``host.tcp_connect()``: usable at once like the simulated
+    connection — bytes sent during the handshake go out when it
+    completes — and reporting the same state names."""
 
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    pump: asyncio.Task | None = None
+    def __init__(self, host: "_LoopHost"):
+        self.host = host
+        self.state = "SYN_SENT"
+        self.nagle = True         # seam slot; asyncio sets TCP_NODELAY
+        self.on_data = None       # set by the querier on connect
+        self.on_closed = None
+        self._transport = None
+        self._unsent: list[bytes] = []
+
+    async def open(self, addr: str, port: int) -> None:
+        try:
+            await asyncio.get_running_loop().create_connection(
+                lambda: self, addr, port)
+        except OSError:
+            self.host.socket_errors += 1
+            self.connection_lost(None)
+
+    def connection_made(self, transport) -> None:
+        if self.state == "CLOSED":          # closed while connecting
+            transport.abort()
+            return
+        self._transport = transport
+        self.state = "ESTABLISHED"
+        transport.writelines(self._unsent)
+        self._unsent.clear()
+
+    def data_received(self, data: bytes) -> None:
+        self.on_data(data)
+
+    def connection_lost(self, exc) -> None:
+        if exc is not None:
+            self.host.socket_errors += 1
+        self.state = "CLOSED"
+        self.host.streams.pop(self, None)
+        callback, self.on_closed = self.on_closed, None
+        if callback is not None:
+            callback()
+
+    def send(self, data: bytes) -> None:
+        if self.state == "CLOSED":
+            raise RuntimeError("send on CLOSED connection")
+        self.host.streams[self] = self.host.streams.pop(self)  # LRU
+        if self._transport is None:
+            self._unsent.append(data)
+        else:
+            self._transport.write(data)
+
+    def close(self) -> None:
+        """Active close; ``on_closed`` fires once the transport is
+        down (after the handshake, if one is still in progress)."""
+        if self.state == "CLOSED":
+            return
+        self.state = "CLOSED"
+        self.host.streams.pop(self, None)
+        if self._transport is not None:
+            self._transport.close()
+
+    def evict(self) -> None:
+        """Close without telling the owner.  Losing a connection to
+        the cap or to shutdown is not a channel death: nothing pending
+        on it may be re-sent (each reconnect would evict again), so
+        its stragglers run into their timeouts."""
+        self.on_closed = None
+        self.close()
 
 
-class LiveQuerier:
-    """One asyncio replay worker: ΔT-paced sends, id-matched responses.
+class _LoopHost:
+    """The querier's host seam (:mod:`repro.replay.querier`) on asyncio
+    sockets.  One per querier: a single UDP socket shared by all its
+    emulated sources, and at most :data:`_TCP_CONNECTION_CAP` stream
+    connections, least recently used closed first."""
 
-    Duck-types the slice of :class:`~repro.replay.querier.Querier` the
-    report and metrics assembly read (results, resilience counters,
-    ``pending_count``), so :class:`~repro.replay.engine.ReplayReport`
-    works unchanged."""
-
-    def __init__(self, name: str, server_addr: str, server_port: int, *,
-                 fast: bool = False, speed: float = 1.0,
-                 query_timeout: float = 5.0, max_inflight: int = 256,
-                 tcp_connection_cap: int = 64, resilience=None,
-                 cookies: bool = False,
-                 observer: Observer | None = None):
+    def __init__(self, name: str, scheduler: _LoopScheduler,
+                 server: tuple[str, int]):
         self.name = name
-        self.server_addr = server_addr
-        self.server_port = server_port
-        self.fast = fast
-        self.speed = speed
-        self.query_timeout = query_timeout
-        self.max_inflight = max(1, max_inflight)
-        self.tcp_connection_cap = max(1, tcp_connection_cap)
-        self.resilience = resilience
-        self.cookies = cookies
-        self._server_cookies: dict[str, bytes] = {}
-        self.observer = observer
-        self.results: list[QueryResult] = []
-        self.sent = 0
-        self.unanswered_at_close = 0
-        self.timeouts = 0
-        self.retransmits = 0
-        self.tcp_fallbacks = 0
-        self.reconnects = 0
-        self.recovered = 0
-        self.malformed = 0
-        self.failed_over = 0
+        self.scheduler = scheduler
+        self.sendpath = NullSendPath()
         self.socket_errors = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._epoch = 0.0
-        self._udp_transport = None
-        self._channels: dict[str, _LiveChannel] = {}
-        self._pending: dict[int, tuple[QueryResult, asyncio.Future]] = {}
-        self._msg_seq = 0
+        self.streams: dict[_LoopTcpConnection, None] = {}   # LRU order
+        self._server = server
+        self._udp: _LoopUdpSocket | None = None
+        self._handshakes: set[asyncio.Task] = set()
 
-    # -- driving ------------------------------------------------------------
-
-    async def replay(self, records, epoch: float) -> None:
+    async def start(self) -> None:
         loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._epoch = epoch
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _ClientDatagramProtocol(self),
-            remote_addr=(self.server_addr, self.server_port))
+        transport, self._udp = await loop.create_datagram_endpoint(
+            lambda: _LoopUdpSocket(self), remote_addr=self._server)
         _grow_udp_buffers(transport)
-        self._udp_transport = transport
-        timer = ReplayTimer()
-        inflight = asyncio.Semaphore(self.max_inflight)
-        tasks: list[asyncio.Task] = []
+
+    def udp_socket(self) -> _LoopUdpSocket:
+        return self._udp
+
+    def tcp_connect(self, addr: str, port: int) -> _LoopTcpConnection:
+        conn = _LoopTcpConnection(self)
+        task = asyncio.get_running_loop().create_task(
+            conn.open(addr, port))
+        self._handshakes.add(task)
+        task.add_done_callback(self._handshakes.discard)
+        self.streams[conn] = None
+        while len(self.streams) > _TCP_CONNECTION_CAP:
+            next(iter(self.streams)).evict()
+        return conn
+
+    async def aclose(self) -> None:
+        if self._udp is not None:
+            self._udp.transport.close()
+        for conn in list(self.streams):
+            conn.evict()
+        handshakes = list(self._handshakes)
+        for task in handshakes:
+            task.cancel()
+        await asyncio.gather(*handshakes, return_exceptions=True)
+
+
+class LiveQuerier(Querier):
+    """The one :class:`~repro.replay.querier.Querier`, fed in wall-clock
+    time.  The protocol is inherited whole; what is added is what the
+    simulator's controller and distributor do on the DES: pace the
+    records (ΔT against the loop clock), bound the queries in flight,
+    and wait for the last one to settle."""
+
+    @property
+    def socket_errors(self) -> int:
+        return self.host.socket_errors
+
+    async def replay(self, records, live: LiveReplayConfig,
+                     fast: bool) -> None:
+        clock = self.host.scheduler
+        window = max(1, live.max_inflight)
+        slots = asyncio.Semaphore(window)
+        self.on_settled = lambda _result: slots.release()
+        self.give_up_after = live.query_timeout
+        await self.host.start()
         try:
             for record in records:
-                now = loop.time()
-                if self.fast:
-                    scheduled = now - epoch
-                else:
-                    scaled = record.time / self.speed
-                    if not timer.synchronized:
-                        timer.sync(scaled, now)
-                    delay = timer.delay_for(scaled, now)
-                    scheduled = (now + delay) - epoch
+                due = now = clock.now
+                if not fast:
+                    scaled = record.time / live.speed
+                    if not self.timer.synchronized:
+                        self.timer.sync(scaled, now)
+                    delay = self.timer.delay_for(scaled, now)
+                    due = now + delay
                     if delay > 0:
                         await asyncio.sleep(delay)
                 # Bounding in-flight queries also backpressures pacing
                 # once the server falls behind, like the sim's bounded
-                # distributor->querier queues.
-                await inflight.acquire()
-                task = loop.create_task(self._query(record, scheduled))
-                task.add_done_callback(lambda _t: inflight.release())
-                tasks.append(task)
-            if tasks:
-                failures = [r for r in await asyncio.gather(
-                    *tasks, return_exceptions=True)
-                    if isinstance(r, Exception)]
-                self.socket_errors += len(failures)
+                # distributor->querier queues.  A free slot is taken
+                # without yielding to the loop, which keeps the window
+                # full in fast mode.
+                await slots.acquire()
+                self.send(record, due)
+            for _ in range(window):     # all slots back: all settled
+                await slots.acquire()
         finally:
-            await self._aclose()
-
-    async def _query(self, record, scheduled: float) -> None:
-        msg_id = self._next_msg_id()
-        message = record.to_message()
-        message.msg_id = msg_id
-        if self.cookies:
-            attach_cookie(message, record.src, self._server_cookies)
-        wire = message.to_wire()
-        now = self._loop.time() - self._epoch
-        result = QueryResult(record=record, send_time=now,
-                             scheduled_time=scheduled)
-        self.results.append(result)
-        self.sent += 1
-        obs = self.observer
-        if obs is not None:
-            obs.metrics.counter("replay.queries_sent").inc()
-            obs.metrics.counter(f"replay.queries_{record.proto}").inc()
-            obs.metrics.histogram("replay.timing_error").record(
-                now - scheduled)
-            obs.tracer.emit("querier.send", scheduled, now,
-                            detail=record.proto)
-        try:
-            if record.proto == "udp":
-                await self._query_udp(record, wire, msg_id, result)
-            else:
-                await self._query_stream(record, wire, msg_id, result)
-        finally:
-            self._pending.pop(msg_id, None)
-
-    # -- UDP ----------------------------------------------------------------
-
-    async def _query_udp(self, record, wire: bytes, msg_id: int,
-                         result: QueryResult) -> None:
-        fut = self._new_pending(msg_id, result)
-        policy = self.resilience
-        while True:
-            try:
-                self._udp_transport.sendto(wire)
-            except OSError:
-                self.socket_errors += 1
-            wait = (policy.wait_for(result.attempts)
-                    if policy is not None else self.query_timeout)
-            try:
-                message, size = await asyncio.wait_for(
-                    asyncio.shield(fut), wait)
-            except asyncio.TimeoutError:
-                if policy is not None \
-                        and result.attempts <= policy.max_retries:
-                    # Same datagram, same message id (RFC 1035 §4.2.1):
-                    # a late answer to any attempt still matches.
-                    result.attempts += 1
-                    self.retransmits += 1
-                    self._count("replay.retransmits")
-                    continue
-                self._strand(result)
-                return
-            if (policy is not None and policy.tcp_fallback
-                    and message.flags & Flag.TC and not result.fell_back):
-                result.fell_back = True
-                self.tcp_fallbacks += 1
-                self._count("replay.tcp_fallbacks")
-                await self._fallback_tcp(record, wire, msg_id, result)
-                return
-            self._note_recovered(result)
-            self._complete(result, message, size)
-            return
-
-    async def _fallback_tcp(self, record, wire: bytes, msg_id: int,
-                            result: QueryResult) -> None:
-        """The UDP answer was truncated: retry over the source's TCP
-        channel (RFC 7766), keeping the original send_time so the
-        measured latency includes the fallback."""
-        fut = self._new_pending(msg_id, result)
-        if not await self._send_framed(record.src, frame_message(wire),
-                                       result):
-            return
-        wait = (self.resilience.wait_for(result.attempts)
-                if self.resilience is not None else self.query_timeout)
-        try:
-            message, size = await asyncio.wait_for(
-                asyncio.shield(fut), wait)
-        except asyncio.TimeoutError:
-            self._strand(result)
-            return
-        self._note_recovered(result)
-        self._complete(result, message, size)
-
-    # -- TCP ----------------------------------------------------------------
-
-    async def _query_stream(self, record, wire: bytes, msg_id: int,
-                            result: QueryResult) -> None:
-        fut = self._new_pending(msg_id, result)
-        if not await self._send_framed(record.src, frame_message(wire),
-                                       result):
-            return
-        wait = (self.resilience.wait_for(result.attempts)
-                if self.resilience is not None else self.query_timeout)
-        try:
-            message, size = await asyncio.wait_for(
-                asyncio.shield(fut), wait)
-        except asyncio.TimeoutError:
-            self._strand(result)
-            return
-        self._note_recovered(result)
-        self._complete(result, message, size)
-
-    async def _send_framed(self, src: str, framed: bytes,
-                           result: QueryResult) -> bool:
-        """Write on the source's connection, reconnecting once when the
-        policy allows it; False means the query could not be sent and
-        has been accounted."""
-        for attempt in (1, 2):
-            try:
-                channel = await self._channel_for(src)
-                channel.writer.write(framed)
-                await channel.writer.drain()
-                return True
-            except OSError:
-                self.socket_errors += 1
-                self._drop_channel(src)
-                if (self.resilience is not None
-                        and self.resilience.reconnect and attempt == 1):
-                    result.attempts += 1
-                    self.reconnects += 1
-                    self._count("replay.reconnects")
-                    continue
-                self._strand(result)
-                return False
-        return False
-
-    async def _channel_for(self, src: str) -> _LiveChannel:
-        channel = self._channels.pop(src, None)
-        if channel is not None and not channel.writer.is_closing():
-            self._channels[src] = channel      # refresh LRU position
-            return channel
-        if channel is not None:
-            self._close_channel(channel)
-        reader, writer = await asyncio.open_connection(
-            self.server_addr, self.server_port)
-        channel = _LiveChannel(reader=reader, writer=writer)
-        channel.pump = asyncio.get_running_loop().create_task(
-            self._pump_channel(channel))
-        self._channels[src] = channel
-        while len(self._channels) > self.tcp_connection_cap:
-            # Evict the least-recently-used source's connection; its
-            # straggler responses, if any, resolve as timeouts.
-            oldest = next(iter(self._channels))
-            self._drop_channel(oldest)
-        return channel
-
-    async def _pump_channel(self, channel: _LiveChannel) -> None:
-        framer = LengthPrefixFramer(self._on_response_wire)
-        try:
-            while True:
-                data = await channel.reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                framer.feed(data)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            self.socket_errors += 1
-
-    def _drop_channel(self, src: str) -> None:
-        channel = self._channels.pop(src, None)
-        if channel is not None:
-            self._close_channel(channel)
-
-    def _close_channel(self, channel: _LiveChannel) -> None:
-        if not channel.writer.is_closing():
-            channel.writer.close()
-
-    # -- matching / accounting ----------------------------------------------
-
-    def _new_pending(self, msg_id: int,
-                     result: QueryResult) -> asyncio.Future:
-        fut = self._loop.create_future()
-        self._pending[msg_id] = (result, fut)
-        return fut
-
-    def _on_response_wire(self, payload: bytes) -> None:
-        try:
-            message = Message.from_wire(payload)
-        except WireError:
-            self.malformed += 1
-            self._count("replay.malformed_responses")
-            return
-        entry = self._pending.get(message.msg_id)
-        if entry is None:
-            return
-        result, fut = entry
-        if result.response_time is None and not fut.done():
-            fut.set_result((message, len(payload)))
-
-    def _next_msg_id(self) -> int:
-        for _ in range(0x10000):
-            self._msg_seq = (self._msg_seq + 1) & 0xFFFF
-            if self._msg_seq not in self._pending:
-                return self._msg_seq
-        raise RuntimeError(f"{self.name}: 65536 queries pending; "
-                           "no free message id")
-
-    def _strand(self, result: QueryResult) -> None:
-        """The wait is over and no answer came.  With a resilience
-        policy this is a timeout (the policy is exhausted); without
-        one it is the live analogue of the sim's unanswered-at-close
-        stranding — either way the query never wedges the replay."""
-        if self.resilience is not None:
-            result.timed_out = True
-            self.timeouts += 1
-            self._count("replay.timeouts")
-        else:
-            self.unanswered_at_close += 1
-
-    def _note_recovered(self, result: QueryResult) -> None:
-        if result.attempts > 1 or result.fell_back:
-            self.recovered += 1
-            self._count("replay.recovered")
-
-    def _complete(self, result: QueryResult, message: Message,
-                  size: int) -> None:
-        result.response_time = self._loop.time() - self._epoch
-        result.response_size = size
-        result.rcode = message.rcode
-        if self.cookies:
-            learn_cookie(message, result.record.src,
-                         self._server_cookies)
-        obs = self.observer
-        if obs is not None:
-            obs.metrics.counter("replay.responses").inc()
-            obs.metrics.histogram("replay.latency").record(
-                result.response_time - result.send_time)
-            obs.tracer.emit("querier.response", result.send_time,
-                            result.response_time,
-                            detail=result.record.proto)
-
-    def _count(self, name: str) -> None:
-        if self.observer is not None:
-            self.observer.metrics.counter(name).inc()
-
-    # -- teardown / stats ---------------------------------------------------
-
-    async def _aclose(self) -> None:
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            self._udp_transport = None
-        for channel in self._channels.values():
-            self._close_channel(channel)
-        for channel in self._channels.values():
-            if channel.pump is not None:
-                with contextlib.suppress(asyncio.CancelledError,
-                                         Exception):
-                    await asyncio.wait_for(channel.pump, 1.0)
-        self._channels.clear()
-
-    def latencies(self) -> list[float]:
-        return [r.latency for r in self.results if r.latency is not None]
-
-    def answered_fraction(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.answered) \
-            / len(self.results)
-
-    def pending_count(self) -> int:
-        return len(self._pending)
+            await self.host.aclose()
 
 
 class _LiveClock:
@@ -722,7 +555,7 @@ class LiveBackend(ReplayBackend):
         self.observer = (Observer(trace_capacity=config.trace_capacity)
                          if config.observe else None)
         self.host = _LiveHost()
-        self._wall = {"loop": None, "epoch": 0.0}
+        self.clock: _LoopScheduler | None = None
         self.responder = DnsResponder(
             zones=zones, views=views,
             udp_payload_limit=udp_payload_limit,
@@ -735,36 +568,24 @@ class LiveBackend(ReplayBackend):
         self.deadline_hit = False
 
     def _wall_now(self) -> float:
-        loop = self._wall["loop"]
-        if loop is None:
-            return 0.0
-        return loop.time() - self._wall["epoch"]
+        return self.clock.now if self.clock is not None else 0.0
 
     # -- running ------------------------------------------------------------
-
-    def _materialize(self, trace) -> Trace:
-        if isinstance(trace, TracePipeline):
-            if self.observer is not None:
-                trace = trace.with_observer(self.observer)
-            return trace.collect()
-        if isinstance(trace, Trace):
-            return trace
-        return Trace(list(trace))
 
     def run(self, trace, *, extra_time=None, until=None,
             resume_from=None):
         """Replay *trace* over loopback sockets and report.
 
-        *extra_time* has no live meaning (the run drains by awaiting
-        every query task, each bounded by its timeout) and is accepted
-        for API parity.  *until* truncates the trace at that timestamp,
-        matching the sim's stop-the-clock semantics."""
+        *extra_time* has no live meaning (the run drains by waiting
+        for every query to settle, each bounded by its timeout) and is
+        accepted for API parity.  *until* truncates the trace at that
+        timestamp, matching the sim's stop-the-clock semantics."""
         if resume_from is not None:
             raise ValueError(
                 "checkpoint/resume requires backend='sim': checkpoints "
                 "capture simulator state (docs/BACKENDS.md)")
         del extra_time
-        records = self._materialize(trace).sorted().records
+        records = as_trace(trace, self.observer).sorted().records
         if until is None:
             until = self.config.until
         if until is not None:
@@ -781,8 +602,7 @@ class LiveBackend(ReplayBackend):
     async def _replay(self, records):
         from repro.replay.engine import ReplayReport
         loop = asyncio.get_running_loop()
-        self._wall["loop"] = loop
-        self._wall["epoch"] = loop.time()
+        self.clock = clock = _LoopScheduler(loop, self.observer)
         meter = self.host.meter
         live = self.live
         server = LiveDnsServer(
@@ -795,43 +615,37 @@ class LiveBackend(ReplayBackend):
         n = config.client_instances * config.queriers_per_instance
         self.queriers = [
             LiveQuerier(
-                f"live-querier-{i}", live.host, server.port,
-                fast=config.fast, speed=live.speed,
-                query_timeout=live.query_timeout,
-                max_inflight=live.max_inflight,
-                tcp_connection_cap=live.tcp_connection_cap,
-                resilience=config.resilience, cookies=config.cookies,
-                observer=self.observer)
+                _LoopHost(f"live-client-{i}", clock,
+                          (live.host, server.port)),
+                live.host, name=f"live-querier-{i}",
+                config=QuerierConfig(dns_port=server.port,
+                                     resilience=config.resilience,
+                                     cookies=config.cookies))
             for i in range(n)]
         parts = self._partition(records, n)
         cpu_start = time.process_time()
-        epoch = loop.time()
-        self._wall["epoch"] = epoch
+        clock.epoch = loop.time()
         try:
-            gathered = asyncio.gather(
-                *(querier.replay(part, epoch)
-                  for querier, part in zip(self.queriers, parts)
-                  if part),
-                return_exceptions=True)
-            if live.run_deadline is not None:
-                try:
-                    await asyncio.wait_for(gathered, live.run_deadline)
-                except asyncio.TimeoutError:
-                    self.deadline_hit = True
-            else:
-                await gathered
+            await asyncio.wait_for(
+                asyncio.gather(*(
+                    querier.replay(part, live, config.fast)
+                    for querier, part in zip(self.queriers, parts)
+                    if part)),
+                live.run_deadline)
+        except asyncio.TimeoutError:
+            self.deadline_hit = True
         finally:
-            await server.aclose(live.shutdown_grace)
-        elapsed = loop.time() - epoch
+            await server.aclose()
+        elapsed = clock.now
         meter.charge_cpu(time.process_time() - cpu_start)
         meter.memory = self._rss_bytes()
         meter.take_sample(elapsed)
         self._record_volatile(elapsed, server)
         if config.check and not self.deadline_hit:
             # Same invariants as the sim's ReplayConfig(check=True)
-            # scans, verified once after the tasks drain (a deadline
-            # hit cancels tasks mid-flight, so accounting is allowed
-            # to be incomplete then).
+            # scans, verified once after the queriers drain (a
+            # deadline hit cancels the feeds mid-flight, so accounting
+            # is allowed to be incomplete then).
             from repro.check.invariants import (verify_queriers,
                                                 verify_responder)
             verify_queriers(self.queriers,

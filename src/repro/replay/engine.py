@@ -37,8 +37,7 @@ from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
                                   ResilienceConfig)
 from repro.replay.supervisor import (ReplayCheckpoint, Supervisor,
                                      SupervisionConfig)
-from repro.trace.pipeline import TracePipeline
-from repro.trace.record import Trace
+from repro.trace.pipeline import as_trace
 
 
 @dataclass
@@ -347,18 +346,6 @@ class ReplayEngine:
 
     # -- running ------------------------------------------------------------
 
-    def _materialize_feed(self, trace) -> Trace:
-        """Coerce a replay feed (Trace | TracePipeline | iterable of
-        records) into a Trace, running pipelines under this engine's
-        observer so their counters land in the same snapshot."""
-        if isinstance(trace, TracePipeline):
-            if self.config.observe and self.sim.observer is not None:
-                trace = trace.with_observer(self.sim.observer)
-            return trace.collect()
-        if isinstance(trace, Trace):
-            return trace
-        return Trace(list(trace))
-
     def run(self, trace, *,
             resume_from: ReplayCheckpoint | None = None) -> ReplayReport:
         """Replay *trace* to completion (plus a drain window).
@@ -385,7 +372,9 @@ class ReplayEngine:
 
     def _run(self, trace, extra_time: float, until: float | None,
              resume_from: ReplayCheckpoint | None) -> ReplayReport:
-        records = self._materialize_feed(trace).sorted().records
+        records = as_trace(
+            trace, self.sim.observer if self.config.observe else None
+        ).sorted().records
         checker = None
         if self.config.check:
             from repro.check.invariants import InvariantChecker

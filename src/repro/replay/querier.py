@@ -29,6 +29,15 @@ Configuration rides in a single keyword-only :class:`QuerierConfig`.
 ``tls_port``, ``quic_port``, ``nagle`` passed directly — warned for
 one release and has been removed; passing it now raises ``TypeError``.)
 
+This is the only client protocol implementation: the querier talks to
+the world through a narrow host seam — ``host.scheduler`` (``now``,
+``after``, ``at``, ``obs``), ``host.sendpath``, ``host.udp_socket()``
+(``sendto``, ``on_datagram``), ``host.tcp_connect()`` (``send``,
+``close``, ``state``, ``nagle``, ``on_data``, ``on_closed``) and
+``host.name`` — which the simulator's :class:`~repro.netsim.host.Host`
+implements on the DES and :mod:`repro.replay.backends.live` implements
+on asyncio sockets (docs/BACKENDS.md).
+
 Supervision hooks (see :mod:`repro.replay.supervisor`): a querier can
 :meth:`crash`, after which it marks every awaiting-response query
 ``failed_over``, stops sending, and parks records routed to it as
@@ -37,7 +46,9 @@ Supervision hooks (see :mod:`repro.replay.supervisor`): a querier can
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.dns.constants import DNS_PORT, Flag
 from repro.dns.message import Message
@@ -132,17 +143,19 @@ class _Inflight:
             self.timer = None
 
 
-@dataclass
-class _TcpChannel:
-    """One per-source TCP/TLS connection with its framer and pending map."""
+@dataclass(eq=False)
+class _Channel:
+    """One socket or connection and the queries awaiting a response on
+    it.  Every transport keeps the same two tables keyed by message id,
+    so a channel's pending keys are exactly the ids its next query must
+    avoid."""
 
-    conn: object
-    session: object                      # TcpConnection or TlsConnection
-    framer: LengthPrefixFramer
-    key: tuple = ()
+    session: object      # UdpSocket, TcpConnection, TlsConnection or QUIC
+    conn: object = None  # the TcpConnection under a stream session
+    key: tuple = ()      # (src, proto) of a stream channel
     pending: dict[int, QueryResult] = field(default_factory=dict)
     inflight: dict[int, _Inflight] = field(default_factory=dict)
-    established: bool = False
+    established: bool = True
     backlog: list[bytes] = field(default_factory=list)
 
 
@@ -239,17 +252,27 @@ class Querier:
         # whole backlog at once.
         self._backlog = 0
         self._send_timers: dict[int, object] = {}
-        self._udp_socks: dict[str, object] = {}      # src -> UdpSocket
-        self._udp_pending: dict[tuple[str, int], QueryResult] = {}
-        self._udp_inflight: dict[tuple[str, int], _Inflight] = {}
-        self._tcp_channels: dict[tuple[str, str], _TcpChannel] = {}
+        # One channel per socket.  The simulated host opens a socket
+        # per source; a host may instead hand every source the same
+        # one (thousands of emulated sources over one real socket), so
+        # the sources of a socket share its channel and its id space.
+        self._udp_channels: dict[str, _Channel] = {}       # by src
+        self._udp_by_socket: dict[object, _Channel] = {}
+        self._tcp_channels: dict[tuple[str, str], _Channel] = {}
         # One QUIC client per emulated source: per-source sockets AND
         # per-source session-ticket state (a source's 0-RTT eligibility
         # must not leak to other sources).
         self._quic_clients: dict[str, QuicClient] = {}
-        # src -> (connection, pending {msg_id: result})
-        self._quic_conns: dict[str, tuple[object, dict]] = {}
-        self._quic_timers: dict[tuple[str, int], object] = {}
+        self._quic_conns: dict[str, _Channel] = {}         # by src
+        # Called with each result as it becomes terminal (see _settle):
+        # how a feeder bounds the queries it keeps in flight.
+        self.on_settled: Callable[[QueryResult], None] | None = None
+        # How long a query without a resilience policy may wait before
+        # it is given up as unanswered.  None on the DES, where a run
+        # ends at a known time and what is still open is accounted at
+        # close; a wall-clock driver sets it so that a lost reply can
+        # neither wedge the replay nor be accepted arbitrarily late.
+        self.give_up_after: float | None = None
         self._msg_seq = 0
         self._last_scheduled: float | None = None
         # Online invariant hook (repro.check.invariants): when the
@@ -280,7 +303,7 @@ class Querier:
                     if self._last_scheduled is not None else None)
         self._last_scheduled = target
         if delay <= 0.0:
-            self._send(record, scheduled=now)
+            self.send(record, scheduled=now)
             return
         slop = self.sendpath.timer_slop(delay, interval=interval)
         self._backlog += 1
@@ -293,7 +316,7 @@ class Querier:
         if self.crashed:
             self._orphans.append(record)
             return
-        self._send(record, scheduled=self.host.scheduler.now)
+        self.send(record, scheduled=self.host.scheduler.now)
 
     def backlog_depth(self) -> int:
         """Records delivered by the distributor whose ΔT-scheduled
@@ -306,9 +329,12 @@ class Querier:
         """A ΔT timer fired: leave the backlog, send."""
         self._backlog -= 1
         self._send_timers.pop(id(record), None)
-        self._send(record, scheduled)
+        self.send(record, scheduled)
 
-    def _send(self, record: QueryRecord, scheduled: float) -> None:
+    def send(self, record: QueryRecord, scheduled: float) -> None:
+        """Send *record* now (through the send path's occupancy);
+        *scheduled* is when it was due.  Entry point for a feeder that
+        paces the trace itself."""
         if self.crashed:
             # A send scheduled before the crash: the record was never
             # on the wire, so it is re-dispatchable, not failed_over.
@@ -333,13 +359,13 @@ class Querier:
                            "socket; no free message id")
 
     def _taken_ids(self, record: QueryRecord):
+        """The ids pending on the channel *record* will go out on."""
         if record.proto == "udp":
-            return {mid for (src, mid) in self._udp_pending
-                    if src == record.src}
-        if record.proto == "quic":
-            entry = self._quic_conns.get(record.src)
-            return entry[1].keys() if entry is not None else ()
-        channel = self._tcp_channels.get((record.src, record.proto))
+            channel = self._udp_channel_for(record.src)
+        elif record.proto == "quic":
+            channel = self._quic_conns.get(record.src)
+        else:
+            channel = self._tcp_channels.get((record.src, record.proto))
         return channel.pending.keys() if channel is not None else ()
 
     def _send_now(self, record: QueryRecord, scheduled: float) -> None:
@@ -401,38 +427,25 @@ class Querier:
             self._orphans.append(event.args[0])
         self._send_timers.clear()
         self._backlog = 0
-        for key, result in list(self._udp_pending.items()):
-            self._fail_over_result(result)
-        for inflight in self._udp_inflight.values():
-            inflight.cancel()
-        self._udp_pending.clear()
-        self._udp_inflight.clear()
-        for key, channel in list(self._tcp_channels.items()):
+        for channel in self._channels():
             for result in channel.pending.values():
                 self._fail_over_result(result)
             for inflight in channel.inflight.values():
                 inflight.cancel()
             channel.pending.clear()
             channel.inflight.clear()
+        for channel in self._tcp_channels.values():
             # Abandon, don't "recover": the process owning the socket
             # is gone.
-            session = channel.session
-            session.on_closed = None
-            if session is not channel.conn:
-                channel.conn.on_closed = None
+            channel.session.on_closed = None
+            channel.conn.on_closed = None
             channel.conn.close()
         self._tcp_channels.clear()
-        for src, (conn, pending) in list(self._quic_conns.items()):
-            for msg_id, result in pending.items():
-                self._cancel_quic_timer(src, msg_id)
-                self._fail_over_result(result)
-            pending.clear()
-            conn.on_closed = None
+        for channel in self._quic_conns.values():
+            channel.session.on_closed = None
         self._quic_conns.clear()
 
     def _fail_over_result(self, result: QueryResult) -> None:
-        if result.response_time is not None:
-            return
         result.failed_over = True
         self.failed_over += 1
         self._count("replay.failed_over")
@@ -442,116 +455,151 @@ class Querier:
         orphans, self._orphans = self._orphans, []
         return orphans
 
-    # -- resilience bookkeeping ---------------------------------------------------
+    # -- pending tables and the terminal transition -----------------------------------
 
     def _count(self, name: str) -> None:
         obs = self.host.scheduler.obs
         if obs is not None:
             obs.metrics.counter(name).inc()
 
-    def _timeout_result(self, result: QueryResult) -> None:
-        """The retry policy is exhausted: account, never strand."""
-        result.timed_out = True
-        self.timeouts += 1
-        self._count("replay.timeouts")
+    def _expect(self, channel: _Channel, msg_id: int, result: QueryResult,
+                wire: bytes, on_timeout, *args) -> None:
+        """Enter *result* in *channel*'s tables under *msg_id* and, when
+        anything bounds its wait, start the clock: *on_timeout* fires
+        with *args* unless the entry is resolved first."""
+        channel.pending[msg_id] = result
+        wait = (self.resilience.wait_for(result.attempts)
+                if self.resilience is not None else self.give_up_after)
+        if wait is not None:
+            inflight = channel.inflight[msg_id] = _Inflight(wire=wire)
+            inflight.timer = self.host.scheduler.after(
+                wait, on_timeout, *args)
 
-    def _note_recovered(self, result: QueryResult) -> None:
-        if result.attempts > 1 or result.fell_back:
-            self.recovered += 1
-            self._count("replay.recovered")
+    def _resolve(self, channel: _Channel,
+                 msg_id: int) -> QueryResult | None:
+        """Take *msg_id* out of *channel*'s tables and stop its clock;
+        returns the result that was pending under it, if any."""
+        inflight = channel.inflight.pop(msg_id, None)
+        if inflight is not None:
+            inflight.cancel()
+        return channel.pending.pop(msg_id, None)
 
-    def _note_malformed(self) -> None:
-        self.malformed += 1
-        self._count("replay.malformed_responses")
+    def _settle(self, result: QueryResult, message: Message | None = None,
+                size: int = 0) -> None:
+        """The one place a result becomes terminal.  With *message* it
+        is answered; without, the wait is over and no answer came — a
+        timeout when a resilience policy was exhausted, unanswered at
+        close when there is none.  Either way it never strands."""
+        if message is not None:
+            if result.attempts > 1 or result.fell_back:
+                self.recovered += 1
+                self._count("replay.recovered")
+            result.response_time = self.host.scheduler.now
+            result.response_size = size
+            result.rcode = message.rcode
+            if self.cookies:
+                learn_cookie(message, result.record.src,
+                             self._server_cookies)
+            obs = self.host.scheduler.obs
+            if obs is not None:
+                obs.metrics.counter("replay.responses").inc()
+                obs.metrics.histogram("replay.latency").record(
+                    result.response_time - result.send_time)
+                obs.tracer.emit("querier.response", result.send_time,
+                                result.response_time,
+                                detail=result.record.proto)
+        elif self.resilience is not None:
+            result.timed_out = True
+            self.timeouts += 1
+            self._count("replay.timeouts")
+        else:
+            self.unanswered_at_close += 1
+        if self.on_settled is not None:
+            self.on_settled(result)
+
+    def _give_up_all(self, channel: _Channel) -> None:
+        """*channel* is gone: nothing pending on it can be answered."""
+        for msg_id in list(channel.pending):
+            self._settle(self._resolve(channel, msg_id))
+
+    def _decode(self, wire: bytes) -> Message | None:
+        """Parse a response; None when the process is dead or the wire
+        is malformed (counted, never swallowed)."""
+        if self.crashed:
+            return None
+        try:
+            return Message.from_wire(wire)
+        except WireError:
+            self.malformed += 1
+            self._count("replay.malformed_responses")
+            return None
 
     # -- UDP ---------------------------------------------------------------------------
 
-    def _udp_socket_for(self, src: str):
-        sock = self._udp_socks.get(src)
-        if sock is None:
+    def _udp_channel_for(self, src: str) -> _Channel:
+        channel = self._udp_channels.get(src)
+        if channel is None:
             sock = self.host.udp_socket()
-            # Bind the original source identity into the callback so a
-            # response is matched against the right source's queries.
-            sock.on_datagram = (
-                lambda payload, _addr, _port, src=src:
-                self._on_udp_response(src, payload))
-            self._udp_socks[src] = sock
-        return sock
+            channel = self._udp_by_socket.get(sock)
+            if channel is None:
+                channel = self._udp_by_socket[sock] = _Channel(sock)
+                sock.on_datagram = (
+                    lambda payload, _addr, _port, channel=channel:
+                    self._on_udp_response(channel, payload))
+            self._udp_channels[src] = channel
+        return channel
 
     def _send_udp(self, record: QueryRecord, wire: bytes, msg_id: int,
                   result: QueryResult) -> None:
-        sock = self._udp_socket_for(record.src)
-        key = (record.src, msg_id)
-        self._udp_pending[key] = result
-        if self.resilience is not None:
-            inflight = _Inflight(wire=wire)
-            self._udp_inflight[key] = inflight
-            inflight.timer = self.host.scheduler.after(
-                self.resilience.wait_for(result.attempts),
-                self._udp_timeout, key)
-        sock.sendto(wire, self.server_addr, self.dns_port)
+        channel = self._udp_channel_for(record.src)
+        self._expect(channel, msg_id, result, wire,
+                     self._udp_timeout, channel, msg_id)
+        channel.session.sendto(wire, self.server_addr, self.dns_port)
 
-    def _udp_timeout(self, key: tuple[str, int]) -> None:
-        result = self._udp_pending.get(key)
-        inflight = self._udp_inflight.get(key)
-        if result is None or inflight is None:
-            return
-        if result.attempts <= self.resilience.max_retries:
+    def _udp_timeout(self, channel: _Channel, msg_id: int) -> None:
+        result = channel.pending[msg_id]
+        policy = self.resilience
+        if policy is not None and result.attempts <= policy.max_retries:
             # Retransmit the same datagram — same message id, so a late
             # response to any attempt still matches (RFC 1035 §4.2.1).
             result.attempts += 1
             self.retransmits += 1
             self._count("replay.retransmits")
+            inflight = channel.inflight[msg_id]
             inflight.timer = self.host.scheduler.after(
-                self.resilience.wait_for(result.attempts),
-                self._udp_timeout, key)
-            self._udp_socket_for(key[0]).sendto(
-                inflight.wire, self.server_addr, self.dns_port)
+                policy.wait_for(result.attempts),
+                self._udp_timeout, channel, msg_id)
+            channel.session.sendto(inflight.wire, self.server_addr,
+                                   self.dns_port)
             return
-        del self._udp_pending[key]
-        del self._udp_inflight[key]
-        self._timeout_result(result)
+        self._settle(self._resolve(channel, msg_id))
 
-    def _on_udp_response(self, src: str, payload: bytes) -> None:
-        if self.crashed:
+    def _on_udp_response(self, channel: _Channel, payload: bytes) -> None:
+        message = self._decode(payload)
+        if message is None:
             return
-        try:
-            message = Message.from_wire(payload)
-        except WireError:
-            self._note_malformed()
-            return
-        key = (src, message.msg_id)
-        result = self._udp_pending.get(key)
-        if result is None or result.response_time is not None:
+        msg_id = message.msg_id
+        result = channel.pending.get(msg_id)
+        if result is None:
             return
         if (self.resilience is not None and self.resilience.tcp_fallback
                 and message.flags & Flag.TC and not result.fell_back):
-            self._fall_back_to_tcp(key, result)
+            self._fall_back_to_tcp(channel, msg_id, result)
             return
-        del self._udp_pending[key]
-        inflight = self._udp_inflight.pop(key, None)
-        if inflight is not None:
-            inflight.cancel()
-        self._note_recovered(result)
-        self._complete(result, message, len(payload))
+        self._resolve(channel, msg_id)
+        self._settle(result, message, len(payload))
 
-    def _fall_back_to_tcp(self, key: tuple[str, int],
+    def _fall_back_to_tcp(self, udp: _Channel, msg_id: int,
                           result: QueryResult) -> None:
         """The UDP answer was truncated: retry this query over the
         source's TCP channel (RFC 7766), keeping the original
         send_time so the measured latency includes the fallback."""
-        src, msg_id = key
-        del self._udp_pending[key]
-        inflight = self._udp_inflight.pop(key, None)
-        if inflight is not None:
-            inflight.cancel()
-        wire = inflight.wire if inflight is not None else None
-        if wire is None:
-            return
+        wire = udp.inflight[msg_id].wire
+        self._resolve(udp, msg_id)
         result.fell_back = True
         self.tcp_fallbacks += 1
         self._count("replay.tcp_fallbacks")
-        channel = self._channel_for(src, "tcp")
+        channel = self._channel_for(result.record.src, "tcp")
         if msg_id in channel.pending:
             # The id is busy on the TCP channel: re-id the query (the
             # id lives in the first two wire bytes).
@@ -560,46 +608,40 @@ class Querier:
                 self.check.on_msg_id(self, result.record.with_(
                     proto="tcp"), msg_id, scan=False)
             wire = msg_id.to_bytes(2, "big") + wire[2:]
-        self._enqueue_stream(channel, "tcp", wire, msg_id, result)
+        self._enqueue_stream(channel, wire, msg_id, result)
 
     # -- TCP / TLS --------------------------------------------------------------------------
 
-    def _channel_for(self, src: str, proto: str) -> _TcpChannel:
+    def _channel_for(self, src: str, proto: str) -> _Channel:
         key = (src, proto)
         channel = self._tcp_channels.get(key)
         if channel is not None and channel.conn.state in (
                 "ESTABLISHED", "SYN_SENT", "SYN_RCVD"):
             return channel
         if channel is not None:
-            self._reap_channel(key, channel)
+            # Dead without a close callback: reap, never reconnect.
+            del self._tcp_channels[key]
+            self._give_up_all(channel)
         channel = self._open_channel(proto, key)
         self._tcp_channels[key] = channel
         return channel
 
-    def _open_channel(self, proto: str, key: tuple) -> _TcpChannel:
-        if proto == "tcp":
-            conn = self.host.tcp_connect(self.server_addr, self.dns_port)
-            conn.nagle = self.nagle
-            channel = _TcpChannel(conn=conn, session=conn,
-                                  framer=None, key=key, established=True)
-            channel.framer = LengthPrefixFramer(
-                lambda wire, ch=channel: self._on_stream_response(ch, wire))
-            conn.on_data = channel.framer.feed
-            conn.on_closed = lambda: self._on_channel_closed(key)
-            return channel
-        conn = self.host.tcp_connect(self.server_addr, self.tls_port)
+    def _open_channel(self, proto: str, key: tuple) -> _Channel:
+        tls = proto == "tls"
+        conn = self.host.tcp_connect(
+            self.server_addr, self.tls_port if tls else self.dns_port)
         conn.nagle = self.nagle
-        tls = TlsConnection.client(conn)
-        channel = _TcpChannel(conn=conn, session=tls, framer=None,
-                              key=key, established=False)
-        channel.framer = LengthPrefixFramer(
-            lambda wire, ch=channel: self._on_stream_response(ch, wire))
-        tls.on_data = channel.framer.feed
-        tls.on_established = lambda: self._flush_tls(channel)
-        tls.on_closed = lambda: self._on_channel_closed(key)
+        session = TlsConnection.client(conn) if tls else conn
+        channel = _Channel(session, conn=conn, key=key,
+                           established=not tls)
+        session.on_data = LengthPrefixFramer(
+            lambda wire: self._on_stream_response(channel, wire)).feed
+        session.on_closed = lambda: self._on_channel_closed(channel)
+        if tls:
+            session.on_established = lambda: self._flush_tls(channel)
         return channel
 
-    def _flush_tls(self, channel: _TcpChannel) -> None:
+    def _flush_tls(self, channel: _Channel) -> None:
         channel.established = True
         for framed in channel.backlog:
             channel.session.send(framed)
@@ -607,38 +649,29 @@ class Querier:
 
     def _send_stream(self, record: QueryRecord, wire: bytes, msg_id: int,
                      result: QueryResult) -> None:
-        channel = self._channel_for(record.src, record.proto)
-        self._enqueue_stream(channel, record.proto, wire, msg_id, result)
+        self._enqueue_stream(self._channel_for(record.src, record.proto),
+                             wire, msg_id, result)
 
-    def _enqueue_stream(self, channel: _TcpChannel, proto: str,
-                        wire: bytes, msg_id: int,
+    def _enqueue_stream(self, channel: _Channel, wire: bytes, msg_id: int,
                         result: QueryResult) -> None:
-        channel.pending[msg_id] = result
         framed = frame_message(wire)
-        if self.resilience is not None:
-            inflight = _Inflight(wire=framed)
-            channel.inflight[msg_id] = inflight
-            # The timer resolves the channel by key when it fires: a
-            # reconnect may have moved this query to a fresh channel.
-            inflight.timer = self.host.scheduler.after(
-                self.resilience.wait_for(result.attempts),
-                self._stream_timeout, channel.key, msg_id)
-        if proto == "tls" and not channel.established:
-            channel.backlog.append(framed)
-        else:
+        # The timer resolves the channel by key when it fires: a
+        # reconnect may have moved this query to a fresh channel.
+        self._expect(channel, msg_id, result, framed,
+                     self._stream_timeout, channel.key, msg_id)
+        if channel.established:
             channel.session.send(framed)
+        else:
+            channel.backlog.append(framed)
 
     def _stream_timeout(self, key: tuple, msg_id: int) -> None:
         channel = self._tcp_channels.get(key)
         if channel is None:
             return
-        result = channel.pending.pop(msg_id, None)
+        result = self._resolve(channel, msg_id)
         if result is None:
             return
-        inflight = channel.inflight.pop(msg_id, None)
-        if inflight is not None:
-            inflight.cancel()
-        self._timeout_result(result)
+        self._settle(result)
         if channel.conn.state != "ESTABLISHED":
             # Connect timeout: the handshake is wedged (the fabric's
             # TCP has no segment retransmission), so abandon the
@@ -646,44 +679,34 @@ class Querier:
             # whatever else is pending on the channel.
             channel.conn.close()
 
-    def _on_stream_response(self, channel: _TcpChannel,
-                            wire: bytes) -> None:
-        if self.crashed:
+    def _on_stream_response(self, channel: _Channel, wire: bytes) -> None:
+        message = self._decode(wire)
+        if message is None:
             return
-        try:
-            message = Message.from_wire(wire)
-        except WireError:
-            self._note_malformed()
-            return
-        result = channel.pending.pop(message.msg_id, None)
+        result = self._resolve(channel, message.msg_id)
         if result is not None:
-            inflight = channel.inflight.pop(message.msg_id, None)
-            if inflight is not None:
-                inflight.cancel()
-            self._note_recovered(result)
-            self._complete(result, message, len(wire))
+            self._settle(result, message, len(wire))
 
-    def _on_channel_closed(self, key: tuple) -> None:
-        channel = self._tcp_channels.pop(key, None)
-        if channel is None:
-            return
+    def _on_channel_closed(self, channel: _Channel) -> None:
+        if self._tcp_channels.get(channel.key) is not channel:
+            return      # already reaped, and maybe replaced, at a send
+        del self._tcp_channels[channel.key]
         if self.resilience is not None and channel.pending:
-            self._recover_channel(key, channel)
+            self._recover_channel(channel)
         else:
-            self.unanswered_at_close += len(channel.pending)
+            self._give_up_all(channel)
 
-    def _recover_channel(self, key: tuple, channel: _TcpChannel) -> None:
+    def _recover_channel(self, channel: _Channel) -> None:
         """The channel died with queries outstanding: re-send each of
         them once on a fresh channel; queries that already spent their
         reconnect are accounted as timed out."""
-        fresh: _TcpChannel | None = None
+        key = channel.key
+        fresh: _Channel | None = None
         for msg_id, result in list(channel.pending.items()):
-            inflight = channel.inflight.pop(msg_id, None)
-            if (not self.resilience.reconnect or inflight is None
-                    or inflight.resent):
-                if inflight is not None:
-                    inflight.cancel()
-                self._timeout_result(result)
+            inflight = channel.inflight.pop(msg_id)
+            inflight.cancel()
+            if not self.resilience.reconnect or inflight.resent:
+                self._settle(result)
                 continue
             if fresh is None:
                 fresh = self._channel_for(*key)
@@ -694,125 +717,57 @@ class Querier:
             fresh.pending[msg_id] = result
             fresh.inflight[msg_id] = inflight
             # Restart the per-query clock for the fresh attempt.
-            inflight.cancel()
             inflight.timer = self.host.scheduler.after(
                 self.resilience.wait_for(result.attempts),
                 self._stream_timeout, key, msg_id)
-            if key[1] == "tls" and not fresh.established:
-                fresh.backlog.append(inflight.wire)
-            else:
+            if fresh.established:
                 fresh.session.send(inflight.wire)
+            else:
+                fresh.backlog.append(inflight.wire)
         channel.pending.clear()
-
-    def _reap_channel(self, key: tuple, channel: _TcpChannel) -> None:
-        self._tcp_channels.pop(key, None)
-        if self.resilience is not None:
-            for msg_id, result in channel.pending.items():
-                inflight = channel.inflight.pop(msg_id, None)
-                if inflight is not None:
-                    inflight.cancel()
-                self._timeout_result(result)
-            channel.pending.clear()
-        else:
-            self.unanswered_at_close += len(channel.pending)
 
     # -- QUIC ------------------------------------------------------------------------------
 
     def _send_quic(self, record: QueryRecord, wire: bytes, msg_id: int,
                    result: QueryResult) -> None:
-        client = self._quic_clients.get(record.src)
+        src = record.src
+        client = self._quic_clients.get(src)
         if client is None:
-            client = QuicClient(self.host)
-            self._quic_clients[record.src] = client
+            client = self._quic_clients[src] = QuicClient(self.host)
         framed = frame_message(wire)
-        entry = self._quic_conns.get(record.src)
-        if entry is not None and not entry[0].closed:
-            conn, pending = entry
-            pending[msg_id] = result
-            self._arm_quic_timer(record.src, msg_id)
+        channel = self._quic_conns.get(src)
+        if channel is not None and not channel.session.closed:
+            self._expect(channel, msg_id, result, framed,
+                         self._quic_timeout, src, msg_id)
+            conn = channel.session
             conn.send_stream(conn.open_stream(), framed)
             return
-        pending = {msg_id: result}
         # Reconnect: with a session ticket the request rides 0-RTT in
         # the Initial; the source's first connection pays the handshake.
         conn = client.connect(self.server_addr, self.quic_port,
                               zero_rtt_payloads=[framed])
+        channel = self._quic_conns[src] = _Channel(conn)
+        # Each response arrives whole on its own stream.
         conn.on_stream_data = (
-            lambda stream_id, data, p=pending, s=record.src:
-            self._on_quic_response(s, p, data))
-        conn.on_closed = lambda src=record.src: self._reap_quic(src)
-        self._quic_conns[record.src] = (conn, pending)
-        self._arm_quic_timer(record.src, msg_id)
-
-    def _arm_quic_timer(self, src: str, msg_id: int) -> None:
-        if self.resilience is None:
-            return
-        self._quic_timers[(src, msg_id)] = self.host.scheduler.after(
-            self.resilience.wait_for(1), self._quic_timeout, src, msg_id)
-
-    def _cancel_quic_timer(self, src: str, msg_id: int) -> None:
-        timer = self._quic_timers.pop((src, msg_id), None)
-        if timer is not None:
-            timer.cancel()
+            lambda _stream_id, data: LengthPrefixFramer(
+                lambda wire: self._on_stream_response(channel, wire)
+            ).feed(data))
+        conn.on_closed = lambda: self._reap_quic(src)
+        self._expect(channel, msg_id, result, framed,
+                     self._quic_timeout, src, msg_id)
 
     def _quic_timeout(self, src: str, msg_id: int) -> None:
-        self._quic_timers.pop((src, msg_id), None)
-        entry = self._quic_conns.get(src)
-        if entry is None:
+        channel = self._quic_conns.get(src)
+        if channel is None:
             return
-        result = entry[1].pop(msg_id, None)
-        if result is not None and result.response_time is None:
-            self._timeout_result(result)
-
-    def _on_quic_response(self, src: str, pending: dict,
-                          framed: bytes) -> None:
-        framer = LengthPrefixFramer(
-            lambda wire: self._match_quic(src, pending, wire))
-        framer.feed(framed)
-
-    def _match_quic(self, src: str, pending: dict, wire: bytes) -> None:
-        if self.crashed:
-            return
-        try:
-            message = Message.from_wire(wire)
-        except WireError:
-            self._note_malformed()
-            return
-        result = pending.pop(message.msg_id, None)
+        result = self._resolve(channel, msg_id)
         if result is not None:
-            self._cancel_quic_timer(src, message.msg_id)
-            self._complete(result, message, len(wire))
+            self._settle(result)
 
     def _reap_quic(self, src: str) -> None:
-        entry = self._quic_conns.pop(src, None)
-        if entry is None:
-            return
-        if self.resilience is not None:
-            for msg_id, result in entry[1].items():
-                self._cancel_quic_timer(src, msg_id)
-                self._timeout_result(result)
-            entry[1].clear()
-        else:
-            self.unanswered_at_close += len(entry[1])
-
-    # -- completion ------------------------------------------------------------------------------
-
-    def _complete(self, result: QueryResult, message: Message,
-                  size: int) -> None:
-        result.response_time = self.host.scheduler.now
-        result.response_size = size
-        result.rcode = message.rcode
-        if self.cookies:
-            learn_cookie(message, result.record.src,
-                         self._server_cookies)
-        obs = self.host.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter("replay.responses").inc()
-            obs.metrics.histogram("replay.latency").record(
-                result.response_time - result.send_time)
-            obs.tracer.emit("querier.response", result.send_time,
-                            result.response_time,
-                            detail=result.record.proto)
+        channel = self._quic_conns.pop(src, None)
+        if channel is not None:
+            self._give_up_all(channel)
 
     # -- checkpointing (repro.replay.supervisor) -------------------------------------------------
 
@@ -870,12 +825,23 @@ class Querier:
         return sum(1 for r in self.results if r.answered) \
             / len(self.results)
 
+    def _channels(self):
+        return chain(self._udp_by_socket.values(),
+                     self._tcp_channels.values(),
+                     self._quic_conns.values())
+
+    def pending_results(self):
+        """Every result awaiting a response, across every transport."""
+        for channel in self._channels():
+            yield from channel.pending.values()
+
     def pending_count(self) -> int:
         """Queries currently awaiting a response across every
         transport — zero after a drained resilient run (nothing may
         strand)."""
-        return (len(self._udp_pending)
-                + sum(len(ch.pending)
-                      for ch in self._tcp_channels.values())
-                + sum(len(entry[1])
-                      for entry in self._quic_conns.values()))
+        return sum(len(channel.pending) for channel in self._channels())
+
+    def has_open_streams(self) -> bool:
+        """Whether any stream or QUIC connection state exists (it
+        cannot be captured in a checkpoint)."""
+        return bool(self._tcp_channels or self._quic_conns)

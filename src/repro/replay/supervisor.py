@@ -502,7 +502,7 @@ class Checkpointer:
         for querier in engine.queriers:
             if querier.pending_count() or querier._orphans:
                 return False
-            if querier._tcp_channels or querier._quic_conns:
+            if querier.has_open_streams():
                 return False   # open stream state is not capturable
             for event in querier._send_timers.values():
                 if event.time < now + self.guard:

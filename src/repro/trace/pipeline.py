@@ -999,11 +999,15 @@ class TracePipeline:
         return merged
 
 
-def as_trace(feed) -> Trace:
+def as_trace(feed, observer=None) -> Trace:
     """Coerce a replay feed — Trace, TracePipeline, or record iterable
-    — into a Trace.  The replay engines accept any of the three."""
+    — into a Trace.  The replay engines accept any of the three; a
+    pipeline runs under *observer*, when given, so its counters land
+    in the replay's own snapshot."""
     if isinstance(feed, Trace):
         return feed
     if isinstance(feed, TracePipeline):
+        if observer is not None:
+            feed = feed.with_observer(observer)
         return feed.collect()
     return Trace(list(feed))

@@ -141,8 +141,20 @@ def test_detects_finished_result_left_pending():
     engine = corrupted_engine()
     querier = engine.queriers[0]
     result = querier.results[0]
-    querier._udp_pending[(result.record.src, 9999)] = result
+    querier._udp_channels[result.record.src].pending[9999] = result
     with pytest.raises(InvariantViolation, match="finished result"):
+        verify_queriers(engine.queriers)
+
+
+def test_detects_result_pending_on_two_channels():
+    engine = corrupted_engine()
+    querier = engine.queriers[0]
+    first, second = list(querier._udp_channels.values())[:2]
+    assert first is not second
+    result = querier.results[0]
+    result.response_time = None        # reopened, then double-booked
+    first.pending[9998] = second.pending[9999] = result
+    with pytest.raises(InvariantViolation, match="two sockets at once"):
         verify_queriers(engine.queriers)
 
 
@@ -180,7 +192,7 @@ def test_on_msg_id_rejects_collisions_and_bad_ids():
     querier = engine.queriers[0]
     checker = querier.check
     record = querier.results[0].record
-    querier._udp_pending[(record.src, 1234)] = querier.results[0]
+    querier._udp_channels[record.src].pending[1234] = querier.results[0]
     with pytest.raises(InvariantViolation, match="collides"):
         checker.on_msg_id(querier, record, 1234, scan=False)
     with pytest.raises(InvariantViolation, match="outside"):

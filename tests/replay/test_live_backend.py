@@ -8,14 +8,19 @@ work.  Plus the config-surface rejections that keep sim-only features
 """
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.dns.message import Message
 from repro.netsim.framing import LengthPrefixFramer, frame_message
-from repro.replay import ReplayConfig
+from repro.replay import ReplayConfig, ResilienceConfig
 from repro.replay.backends import (LiveBackend, LiveDnsServer,
                                    LiveReplayConfig, get_backend)
+from repro.replay.backends import live as live_module
 from repro.server.responder import DnsResponder
 from repro.trace.record import QueryRecord, Trace
 
@@ -261,3 +266,127 @@ def test_live_rejects_unreplayable_protocols():
                                qname="www.example.com.", proto="tls")])
     with pytest.raises(ValueError, match="SetProtocol"):
         backend.run(trace)
+
+
+# -- the one querier, over real sockets ---------------------------------------
+#
+# The protocol is the sim's Querier (tests/replay/test_querier_hostile.py
+# drives it against a hostile responder); these pin what the asyncio host
+# adapter and the feed loop add.
+
+
+def one_querier_config(resilience=None, fast=False, queriers=1,
+                       **live_kwargs) -> ReplayConfig:
+    live_kwargs.setdefault("run_deadline", 30.0)
+    return ReplayConfig(backend="live", client_instances=1,
+                        queriers_per_instance=queriers, fast=fast,
+                        resilience=resilience, check=True,
+                        live=LiveReplayConfig(**live_kwargs))
+
+
+def udp_trace(n: int, gap: float = 0.0, sources: int = 1) -> Trace:
+    return Trace([QueryRecord(time=i * gap, src=f"10.9.0.{i % sources}",
+                              qname="www.example.com.", proto="udp")
+                  for i in range(n)])
+
+
+def test_server_close_with_query_outstanding_is_resent_once(monkeypatch):
+    """The stream dies under a query: the same reconnect-and-resend the
+    sim does (once, on a fresh connection), not only a retried write."""
+    real = LiveDnsServer._answer_stream
+    seen = []
+
+    def flaky(self, writer, wire, peer):
+        seen.append(wire)
+        if len(seen) == 1:
+            writer.close()              # take the query, hang up
+        else:
+            real(self, writer, wire, peer)
+
+    monkeypatch.setattr(LiveDnsServer, "_answer_stream", flaky)
+    backend = LiveBackend([make_example_zone()], config=one_querier_config(
+        resilience=ResilienceConfig(timeout=2.0, max_retries=1)))
+    report = backend.run(Trace([QueryRecord(
+        time=0.0, src="10.9.0.1", qname="www.example.com.",
+        proto="tcp")]))
+    (querier,) = backend.queriers
+    assert report.answered_fraction() == 1.0
+    assert querier.reconnects == 1
+    assert report.results[0].attempts == 2
+    assert seen[0] == seen[1]
+    assert backend.server.established == 2
+
+
+def test_unresilient_reply_after_query_timeout_is_unanswered(monkeypatch):
+    """Without a policy, ``query_timeout`` is the query's whole life: an
+    answer that arrives later is ignored, not counted (the undefended
+    cells of experiments/attack.py depend on it)."""
+    real = live_module._ServerDatagramProtocol.datagram_received
+
+    def slow(self, data, addr):
+        asyncio.get_running_loop().call_later(0.3, real, self, data, addr)
+
+    monkeypatch.setattr(live_module._ServerDatagramProtocol,
+                        "datagram_received", slow)
+    backend = LiveBackend([make_example_zone()], config=one_querier_config(
+        query_timeout=0.1))
+    # The first reply lands at 0.3 s, after its query was given up and
+    # while the querier is still waiting to send the second.
+    report = backend.run(udp_trace(2, gap=0.6))
+    (querier,) = backend.queriers
+    assert not backend.deadline_hit
+    assert [r.answered for r in report.results] == [False, False]
+    assert querier.unanswered_at_close == 2
+    assert querier.pending_count() == 0
+    assert backend.responder.responses_sent >= 1
+
+
+def test_fast_mode_keeps_exactly_max_inflight_outstanding(monkeypatch):
+    """Closed loop: against a server that never replies, each querier
+    sends its window and blocks — no more, no fewer."""
+    monkeypatch.setattr(live_module._ServerDatagramProtocol,
+                        "datagram_received",
+                        lambda self, data, addr: None)
+    backend = LiveBackend([make_example_zone()], config=one_querier_config(
+        fast=True, queriers=2, max_inflight=4, run_deadline=0.5))
+    backend.run(udp_trace(80, sources=8))
+    assert backend.deadline_hit
+    assert [q.sent for q in backend.queriers] == [4, 4]
+
+
+_CAPPED_TCP_RUN = """
+from repro.replay import ReplayConfig
+from repro.replay.backends import LiveBackend, LiveReplayConfig
+from repro.trace.record import QueryRecord, Trace
+from tests.server.helpers import make_example_zone
+
+trace = Trace([QueryRecord(time=i * 0.002,
+                           src=f"10.9.{i % 200 // 100}.{i % 100}",
+                           qname="www.example.com.", proto="tcp")
+               for i in range(2000)])
+backend = LiveBackend([make_example_zone()], config=ReplayConfig(
+    backend="live", client_instances=1, queriers_per_instance=2,
+    check=True, live=LiveReplayConfig(speed=4.0, run_deadline=60.0)))
+report = backend.run(trace)
+print(report.answered_fraction(), backend.server.established)
+"""
+
+
+def test_tcp_sources_beyond_connection_cap_replay_cleanly():
+    """200 TCP sources cycling over two queriers, each capped at 64 open
+    connections, so every query evicts a connection: eviction is quiet
+    (no reconnect-resend, nothing pending lost), every query is
+    answered, and the interpreter exits without asyncio complaining
+    about tasks it had to destroy."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root)]))
+    done = subprocess.run([sys.executable, "-c", _CAPPED_TCP_RUN],
+                          cwd=root, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    answered, established = done.stdout.split()
+    assert float(answered) == 1.0
+    assert int(established) == 2000     # each source evicted before its turn
+    assert "Task was destroyed" not in done.stderr
+    assert "Traceback" not in done.stderr

@@ -134,17 +134,15 @@ def test_wrapped_msg_id_skips_pending_ids():
                       qname="a.example.com.", proto="udp")
     querier.handle_record_fast(rec)
     sim.run_until_idle()
-    first_key = next(iter(querier._udp_pending))
-    assert first_key[1] == 1
+    channel = querier._udp_channels["172.16.0.1"]
+    assert list(channel.pending) == [1]
     # Simulate the 0xFFFF wrap landing exactly on the pending id.
     querier._msg_seq = 0
     querier.handle_record_fast(QueryRecord(
         time=0.0, src="172.16.0.1", qname="b.example.com.",
         proto="udp"))
     sim.run_until_idle()
-    assert len(querier._udp_pending) == 2
-    ids = sorted(mid for (_src, mid) in querier._udp_pending)
-    assert ids == [1, 2]
+    assert sorted(channel.pending) == [1, 2]
 
 
 def test_wrap_only_skips_same_source():
@@ -157,9 +155,10 @@ def test_wrap_only_skips_same_source():
         time=0.0, src="172.16.0.2", qname="b.example.com.",
         proto="udp"))
     sim.run_until_idle()
-    # Different source: id 1 is free to reuse there.
-    assert sorted(querier._udp_pending) == [("172.16.0.1", 1),
-                                            ("172.16.0.2", 1)]
+    # Different source, different socket: id 1 is free to reuse there.
+    assert {src: list(channel.pending)
+            for src, channel in querier._udp_channels.items()} == {
+        "172.16.0.1": [1], "172.16.0.2": [1]}
 
 
 # -- malformed responses ----------------------------------------------------
