@@ -16,7 +16,12 @@ turns the promises into machine-checked invariants:
   with an id pending on the same socket/channel (a collision would
   complete the wrong :class:`QueryResult`);
 * **non-negative accounting** — counters, backlogs, and pending maps
-  never go below zero, and no result sits in two pending maps at once.
+  never go below zero, and no result sits in two pending maps at once;
+* **wire fast path == full codec** — the querier sends memoised bytes
+  and matches responses on the 12-byte header; every query it sends
+  must equal what the full encoder makes of its record, and every
+  response it accepts must decode, with the header fields it acted on
+  equal to the decoded message's (so no extended rcode went unseen).
 
 Enable with ``ReplayConfig(check=True)`` (shaped like ``observe=``):
 the sim engine then verifies each message-id allocation inline,
@@ -29,6 +34,10 @@ raise :class:`InvariantViolation` with every failed check listed.
 """
 
 from __future__ import annotations
+
+from repro.dns.constants import Flag
+from repro.dns.message import Message
+from repro.dns.wire import WireError
 
 # How often (in message-id allocations, i.e. sends) the attached
 # checker rescans full querier state mid-run.
@@ -286,6 +295,40 @@ class InvariantChecker:
                 f"{querier.name}: message id {msg_id} allocated for "
                 f"{record.qname!r} collides with a query pending on "
                 f"the same {record.proto} socket")
+
+    # -- wire fast path vs full codec ---------------------------------------
+
+    def on_query_wire(self, querier, record, msg_id: int,
+                      wire: bytes) -> None:
+        """*wire* is about to carry *record* under *msg_id*: it must be
+        what the full encoder makes of the record.  (With cookies on the
+        COOKIE option is not in the record, and the querier builds the
+        message with the full encoder anyway.)"""
+        if querier.cookies:
+            return
+        expected = record.with_(msg_id=msg_id).to_message().to_wire()
+        if wire != expected:
+            raise InvariantViolation(
+                f"{querier.name}: query bytes for {record.qname!r} id "
+                f"{msg_id} differ from the full encoder's: "
+                f"{wire.hex()} != {expected.hex()}")
+
+    def on_response(self, querier, wire: bytes, header: tuple) -> None:
+        """The querier accepted *wire* on its *header* ``(msg_id, qr,
+        tc, rcode)`` alone: the body must parse and say the same."""
+        try:
+            message = Message.from_wire(wire)
+        except WireError as exc:
+            raise InvariantViolation(
+                f"{querier.name}: accepted a response on its header "
+                f"whose body does not parse ({exc}): {wire.hex()}") from exc
+        decoded = (message.msg_id, message.is_response,
+                   bool(message.flags & Flag.TC), message.rcode)
+        if decoded != header:
+            raise InvariantViolation(
+                f"{querier.name}: header read (id, qr, tc, rcode) = "
+                f"{header} but the decoded message says {decoded} "
+                "(a non-zero extended rcode lives in the OPT TTL)")
 
     # -- scans --------------------------------------------------------------
 

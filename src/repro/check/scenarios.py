@@ -66,9 +66,12 @@ def conformance_feed(trace, parallel: bool = False) -> TracePipeline:
 
 def run_sim_variant(*, answer_cache: bool = True,
                     timer_wheel: bool = True, parallel: bool = False,
-                    check: bool = False):
+                    check: bool = True):
     """One sim replay of the conformance scenario; returns the
-    :class:`~repro.replay.engine.ReplayReport`."""
+    :class:`~repro.replay.engine.ReplayReport`.  Checked by default —
+    the report bytes are the same either way, and the goldens and the
+    matrix then hold the querier's wire-level fast path to the full
+    codec on every message."""
     zone, trace = conformance_zone_and_trace()
     world = authoritative_world(
         [zone], mode="direct", client_instances=INSTANCES,
@@ -111,7 +114,8 @@ def run_sim_for_live():
     zone, trace = conformance_zone_and_trace()
     world = authoritative_world(
         [zone], mode="direct", client_instances=INSTANCES,
-        queriers_per_instance=QUERIERS, observe=False, seed=SEED)
+        queriers_per_instance=QUERIERS, observe=False, seed=SEED,
+        check=True)
     return world.run(trace, extra_time=EXTRA_TIME).report
 
 

@@ -89,6 +89,27 @@ def set_edns_option(options: bytes, code: int, data: bytes) -> bytes:
     return out
 
 
+HEADER_SIZE = 12
+
+
+def read_header(wire: bytes) -> tuple[int, bool, bool, int]:
+    """``(msg_id, qr, tc, rcode)`` from the fixed 12-byte header, without
+    touching the body — all a client needs to match a response to its
+    query, notice truncation and record the outcome.
+
+    *rcode* is the header's 4 bits.  The upper 8 bits of an extended
+    rcode ride in the OPT TTL (RFC 6891 §6.1.3), which only a full
+    :meth:`Message.from_wire` sees; nothing in this tree sets
+    ``Edns.ext_rcode`` non-zero, so for every response these servers
+    produce the two agree (``ReplayConfig(check=True)`` enforces it)."""
+    if len(wire) < HEADER_SIZE:
+        raise WireError(f"{len(wire)}-byte message: shorter than the "
+                        f"{HEADER_SIZE}-byte header")
+    high = wire[2]                  # QR, opcode(4), AA, TC, RD
+    return (wire[0] << 8 | wire[1], bool(high & 0x80), bool(high & 0x02),
+            wire[3] & 0x0F)
+
+
 @dataclass
 class Message:
     """A DNS message; mutable while being assembled, then encoded."""
@@ -108,12 +129,13 @@ class Message:
     @classmethod
     def make_query(cls, qname: Name | str, qtype: int,
                    msg_id: int = 0, rd: bool = False,
-                   edns: Edns | None = None) -> "Message":
+                   edns: Edns | None = None,
+                   qclass: int = RRClass.IN) -> "Message":
         if isinstance(qname, str):
             qname = Name.from_text(qname)
         flags = Flag.RD if rd else Flag(0)
         return cls(msg_id=msg_id, flags=flags, edns=edns,
-                   question=Question(qname, qtype))
+                   question=Question(qname, qtype, qclass))
 
     def make_response(self) -> "Message":
         """A skeleton response echoing id, question, opcode, RD, and EDNS."""

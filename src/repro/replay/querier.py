@@ -50,8 +50,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 
-from repro.dns.constants import DNS_PORT, Flag
-from repro.dns.message import Message
+from repro.dns.constants import DNS_PORT, EDNS_COOKIE
+from repro.dns.message import (Edns, Message, get_edns_option, read_header,
+                               set_edns_option)
 from repro.dns.wire import WireError
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
@@ -59,6 +60,7 @@ from repro.netsim.jitter import SendPathModel
 from repro.netsim.quic import QuicClient
 from repro.netsim.tls import TlsConnection
 from repro.replay.timing import ReplayTimer
+from repro.server.overload import client_cookie
 from repro.trace.record import QueryRecord
 
 TLS_PORT = 853
@@ -161,13 +163,10 @@ class _Channel:
 
 def attach_cookie(message, src: str,
                   server_cookies: dict[str, bytes]) -> None:
-    """RFC 7873 client side, shared by both backends' queriers: put a
-    COOKIE option on *message* — the deterministic client cookie for
-    the emulated *src*, plus the server cookie previously learned from
-    that source's responses (none on first contact)."""
-    from repro.dns.constants import EDNS_COOKIE
-    from repro.dns.message import Edns, set_edns_option
-    from repro.server.overload import client_cookie
+    """RFC 7873 client side: put a COOKIE option on *message* — the
+    deterministic client cookie for the emulated *src*, plus the server
+    cookie previously learned from that source's responses (none on
+    first contact)."""
     if message.edns is None:
         message.edns = Edns()
     cookie = client_cookie(src)
@@ -182,8 +181,6 @@ def learn_cookie(message, src: str,
                  server_cookies: dict[str, bytes]) -> None:
     """Remember the server cookie echoed in a response so *src*'s next
     query can prove it received this one (RFC 7873 §5.3)."""
-    from repro.dns.constants import EDNS_COOKIE
-    from repro.dns.message import get_edns_option
     if message.edns is None:
         return
     data = get_edns_option(message.edns.options, EDNS_COOKIE)
@@ -246,12 +243,14 @@ class Querier:
         self.crashed = False
         self.failed_over = 0
         self._orphans: list[QueryRecord] = []
-        # Records handed over by the distributor whose ΔT send has not
-        # fired yet — the D->Q queue depth bounded by supervision —
-        # and their timer events, so crash() can cancel and orphan the
-        # whole backlog at once.
-        self._backlog = 0
+        # Timer events of the records handed over by the distributor
+        # whose ΔT send has not fired yet — the D->Q queue bounded by
+        # supervision — in arrival order, so crash() can cancel and
+        # orphan the whole backlog at once.  Keyed by a per-querier
+        # sequence number: a trace may hand over one record object many
+        # times, and each hand-over is its own send.
         self._send_timers: dict[int, object] = {}
+        self._send_seq = 0
         # One channel per socket.  The simulated host opens a socket
         # per source; a host may instead hand every source the same
         # one (thousands of emulated sources over one real socket), so
@@ -306,9 +305,9 @@ class Querier:
             self.send(record, scheduled=now)
             return
         slop = self.sendpath.timer_slop(delay, interval=interval)
-        self._backlog += 1
-        self._send_timers[id(record)] = self.host.scheduler.after(
-            max(0.0, delay + slop), self._send_later, record, target)
+        self._send_seq = seq = self._send_seq + 1
+        self._send_timers[seq] = self.host.scheduler.after(
+            max(0.0, delay + slop), self._send_later, record, target, seq)
 
     def handle_record_fast(self, record: QueryRecord) -> None:
         """Fast mode: no timer events, send immediately (§2.6: 'disable
@@ -321,14 +320,14 @@ class Querier:
     def backlog_depth(self) -> int:
         """Records delivered by the distributor whose ΔT-scheduled
         send has not fired yet (the D->Q queue)."""
-        return self._backlog
+        return len(self._send_timers)
 
     # -- sending ------------------------------------------------------------------
 
-    def _send_later(self, record: QueryRecord, scheduled: float) -> None:
+    def _send_later(self, record: QueryRecord, scheduled: float,
+                    seq: int) -> None:
         """A ΔT timer fired: leave the backlog, send."""
-        self._backlog -= 1
-        self._send_timers.pop(id(record), None)
+        del self._send_timers[seq]
         self.send(record, scheduled)
 
     def send(self, record: QueryRecord, scheduled: float) -> None:
@@ -368,18 +367,27 @@ class Querier:
             channel = self._tcp_channels.get((record.src, record.proto))
         return channel.pending.keys() if channel is not None else ()
 
+    def _query_wire(self, record: QueryRecord, msg_id: int) -> bytes:
+        """The one place query bytes are made.  A question that repeats
+        is encoded once (:meth:`QueryRecord.query_wire`); only the
+        COOKIE option, which varies per source and over time, needs a
+        :class:`Message` built per send."""
+        if not self.cookies:
+            return record.query_wire(msg_id)
+        message = record.to_message()
+        message.msg_id = msg_id
+        attach_cookie(message, record.src, self._server_cookies)
+        return message.to_wire()
+
     def _send_now(self, record: QueryRecord, scheduled: float) -> None:
         if self.crashed:
             self._orphans.append(record)
             return
         msg_id = self._next_msg_id(self._taken_ids(record))
+        wire = self._query_wire(record, msg_id)
         if self.check is not None:
             self.check.on_msg_id(self, record, msg_id)
-        message = record.to_message()
-        message.msg_id = msg_id
-        if self.cookies:
-            attach_cookie(message, record.src, self._server_cookies)
-        wire = message.to_wire()
+            self.check.on_query_wire(self, record, msg_id, wire)
         now = self.host.scheduler.now
         result = QueryResult(record=record, send_time=now,
                              scheduled_time=scheduled)
@@ -426,7 +434,6 @@ class Querier:
             event.cancel()
             self._orphans.append(event.args[0])
         self._send_timers.clear()
-        self._backlog = 0
         for channel in self._channels():
             for result in channel.pending.values():
                 self._fail_over_result(result)
@@ -484,22 +491,23 @@ class Querier:
             inflight.cancel()
         return channel.pending.pop(msg_id, None)
 
-    def _settle(self, result: QueryResult, message: Message | None = None,
-                size: int = 0) -> None:
-        """The one place a result becomes terminal.  With *message* it
-        is answered; without, the wait is over and no answer came — a
-        timeout when a resilience policy was exhausted, unanswered at
-        close when there is none.  Either way it never strands."""
-        if message is not None:
+    def _settle(self, result: QueryResult, rcode: int | None = None,
+                size: int = 0, body: Message | None = None) -> None:
+        """The one place a result becomes terminal.  With *rcode* it is
+        answered (*body* is the decoded response when cookies are on,
+        to learn the server cookie from); without, the wait is over and
+        no answer came — a timeout when a resilience policy was
+        exhausted, unanswered at close when there is none.  Either way
+        it never strands."""
+        if rcode is not None:
             if result.attempts > 1 or result.fell_back:
                 self.recovered += 1
                 self._count("replay.recovered")
             result.response_time = self.host.scheduler.now
             result.response_size = size
-            result.rcode = message.rcode
-            if self.cookies:
-                learn_cookie(message, result.record.src,
-                             self._server_cookies)
+            result.rcode = rcode
+            if body is not None:
+                learn_cookie(body, result.record.src, self._server_cookies)
             obs = self.host.scheduler.obs
             if obs is not None:
                 obs.metrics.counter("replay.responses").inc()
@@ -522,17 +530,32 @@ class Querier:
         for msg_id in list(channel.pending):
             self._settle(self._resolve(channel, msg_id))
 
-    def _decode(self, wire: bytes) -> Message | None:
-        """Parse a response; None when the process is dead or the wire
-        is malformed (counted, never swallowed)."""
+    def _decode(self, wire: bytes) \
+            -> tuple[int, bool, int, Message | None] | None:
+        """Read a response: ``(msg_id, tc, rcode, body)``, or None when
+        the process is dead or the wire is no response — shorter than a
+        header, or QR clear (a reflected query) — which is counted in
+        ``malformed``, never swallowed.
+
+        Matching needs the 12-byte header only
+        (:func:`repro.dns.message.read_header`, whose docstring covers
+        the extended rcode); *body* is the decoded message when cookies
+        are on, else None.  Under ``check=True`` the invariant checker
+        decodes every accepted response and compares."""
         if self.crashed:
             return None
         try:
-            return Message.from_wire(wire)
-        except WireError:
+            header = msg_id, is_response, tc, rcode = read_header(wire)
+            body = Message.from_wire(wire) if self.cookies else None
+        except WireError:       # no whole header, or (cookies) a bad body
+            is_response = False
+        if not is_response:
             self.malformed += 1
             self._count("replay.malformed_responses")
             return None
+        if self.check is not None:
+            self.check.on_response(self, wire, header)
+        return msg_id, tc, rcode, body
 
     # -- UDP ---------------------------------------------------------------------------
 
@@ -575,19 +598,19 @@ class Querier:
         self._settle(self._resolve(channel, msg_id))
 
     def _on_udp_response(self, channel: _Channel, payload: bytes) -> None:
-        message = self._decode(payload)
-        if message is None:
+        response = self._decode(payload)
+        if response is None:
             return
-        msg_id = message.msg_id
+        msg_id, tc, rcode, body = response
         result = channel.pending.get(msg_id)
         if result is None:
             return
-        if (self.resilience is not None and self.resilience.tcp_fallback
-                and message.flags & Flag.TC and not result.fell_back):
+        if (tc and self.resilience is not None
+                and self.resilience.tcp_fallback and not result.fell_back):
             self._fall_back_to_tcp(channel, msg_id, result)
             return
         self._resolve(channel, msg_id)
-        self._settle(result, message, len(payload))
+        self._settle(result, rcode, len(payload), body)
 
     def _fall_back_to_tcp(self, udp: _Channel, msg_id: int,
                           result: QueryResult) -> None:
@@ -604,10 +627,11 @@ class Querier:
             # The id is busy on the TCP channel: re-id the query (the
             # id lives in the first two wire bytes).
             msg_id = self._next_msg_id(channel.pending.keys())
+            wire = msg_id.to_bytes(2, "big") + wire[2:]
             if self.check is not None:
                 self.check.on_msg_id(self, result.record.with_(
                     proto="tcp"), msg_id, scan=False)
-            wire = msg_id.to_bytes(2, "big") + wire[2:]
+                self.check.on_query_wire(self, result.record, msg_id, wire)
         self._enqueue_stream(channel, wire, msg_id, result)
 
     # -- TCP / TLS --------------------------------------------------------------------------
@@ -680,12 +704,13 @@ class Querier:
             channel.conn.close()
 
     def _on_stream_response(self, channel: _Channel, wire: bytes) -> None:
-        message = self._decode(wire)
-        if message is None:
+        response = self._decode(wire)
+        if response is None:
             return
-        result = self._resolve(channel, message.msg_id)
+        msg_id, _tc, rcode, body = response
+        result = self._resolve(channel, msg_id)
         if result is not None:
-            self._settle(result, message, len(wire))
+            self._settle(result, rcode, len(wire), body)
 
     def _on_channel_closed(self, channel: _Channel) -> None:
         if self._tcp_channels.get(channel.key) is not channel:

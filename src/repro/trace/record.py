@@ -9,12 +9,28 @@ back into a wire-format query by a querier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.dns.constants import RRClass, RRType
 from repro.dns.message import Edns, Message
 from repro.dns.name import Name
 
 PROTOCOLS = ("udp", "tcp", "tls", "quic")
+# Distinct questions whose encoded form is kept (see _query_tail): a
+# bound on memory, not a tuning knob — a trace of any length costs at
+# most this many short byte strings.
+QUERY_WIRE_MEMO = 4096
+
+
+@lru_cache(maxsize=QUERY_WIRE_MEMO)
+def _query_tail(qname: str, qtype: int, qclass: int, rd: bool, do: bool,
+                edns_payload: int) -> bytes:
+    """The encoded query minus its two id bytes, keyed on every field
+    the bytes depend on: a question that repeats in a trace is parsed
+    and encoded once, and each send only prepends its message id (§2.5:
+    the generator does almost no per-query work)."""
+    return QueryRecord(0.0, "", qname, qtype, qclass, rd=rd, do=do,
+                       edns_payload=edns_payload).to_message().to_wire()[2:]
 
 
 @dataclass(frozen=True)
@@ -48,7 +64,14 @@ class QueryRecord:
             edns = Edns(payload=self.edns_payload or 4096, do=self.do)
         return Message.make_query(Name.from_text(self.qname), self.qtype,
                                   msg_id=self.msg_id, rd=self.rd,
-                                  edns=edns)
+                                  edns=edns, qclass=self.qclass)
+
+    def query_wire(self, msg_id: int) -> bytes:
+        """``with_(msg_id=msg_id).to_message().to_wire()``, encoding
+        each distinct question once."""
+        return msg_id.to_bytes(2, "big") + _query_tail(
+            self.qname, self.qtype, self.qclass, self.rd, self.do,
+            self.edns_payload)
 
     @classmethod
     def from_message(cls, message: Message, time: float, src: str,

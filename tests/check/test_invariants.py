@@ -64,14 +64,20 @@ def test_checked_run_passes_and_scans():
 
 def test_checked_run_is_byte_identical_to_unchecked():
     """check=True must not move a single byte of the report: the
-    checker reads state, it never schedules events."""
-    def run(check):
+    checker reads state (and, per message, compares the querier's
+    wire-level fast path with the full codec), it never schedules
+    events."""
+    def run(check, protos):
         sim = build_world()
         engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
             client_instances=2, queriers_per_instance=2, seed=4,
             observe=True, check=check))
-        return engine.run(synthetic_trace(0.02, duration=1.0, seed=4))
-    assert run(True).to_json(indent=2) == run(False).to_json(indent=2)
+        return engine.run(Trace([
+            r.with_(proto=protos[i % len(protos)]) for i, r in
+            enumerate(synthetic_trace(0.02, duration=1.0, seed=4))]))
+    for protos in (("udp",), ("udp", "tcp", "tls")):
+        assert run(True, protos).to_json(indent=2) \
+            == run(False, protos).to_json(indent=2)
 
 
 def test_checked_run_with_resilience_and_loss():

@@ -1,12 +1,14 @@
 """Tests for repro.dns.message: header, sections, EDNS, truncation."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.dns.constants import Flag, Opcode, Rcode, RRClass, RRType
-from repro.dns.message import Edns, Message, Question
+from repro.dns.message import Edns, Message, Question, read_header
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, SOA
 from repro.dns.rrset import RRset
+from repro.dns.wire import WireError
 
 
 def make_answer():
@@ -145,6 +147,30 @@ def test_compression_shrinks_messages():
     # Uncompressed, "example.com." appears 4 times (16B each); compressed
     # output must be far smaller than that.
     assert len(wire) < 110
+
+
+def test_make_query_carries_the_class():
+    query = Message.make_query("version.bind.", RRType.TXT,
+                               qclass=RRClass.CH)
+    assert Message.from_wire(query.to_wire()).question.qclass == RRClass.CH
+
+
+def test_read_header_reads_id_qr_tc_rcode():
+    response = make_answer()
+    assert read_header(response.to_wire()) == (4660, True, False, 0)
+    response.flags |= Flag.TC
+    response.rcode = Rcode.NXDOMAIN
+    assert read_header(response.to_wire()) == (4660, True, True, 3)
+    query = Message.make_query("example.com.", RRType.NS, msg_id=7)
+    assert read_header(query.to_wire()) == (7, False, False, 0)
+
+
+def test_read_header_needs_twelve_bytes():
+    wire = make_answer().to_wire()
+    assert read_header(wire[:12]) == read_header(wire)
+    for size in (0, 2, 11):
+        with pytest.raises(WireError):
+            read_header(wire[:size])
 
 
 def test_to_text_smoke():

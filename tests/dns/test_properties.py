@@ -6,12 +6,13 @@ project's test-strategy (DESIGN.md §6).
 
 from hypothesis import given, settings, strategies as st
 
-from repro.check.fuzzing import dns_messages
-from repro.dns.constants import RRType
-from repro.dns.message import Message
+from repro.check.fuzzing import dns_messages, hostile_wire
+from repro.dns.constants import Flag, RRType
+from repro.dns.message import HEADER_SIZE, Message, read_header
 from repro.dns.name import Name
 from repro.dns.rdata import A, CNAME, NS, TXT
 from repro.dns.rrset import RRset
+from repro.dns.wire import WireError
 from repro.dns.zone import LookupStatus, Zone, make_soa
 
 ORIGIN = Name.from_text("prop.test.")
@@ -115,6 +116,49 @@ def test_message_wire_round_trip(message):
     else:
         assert back.edns.do == message.edns.do
         assert back.edns.payload == message.edns.payload
+
+
+# The header reader is what the querier matches responses with; the
+# full decoder is its reference.  max_examples comes from the loaded
+# profile, so the CI fuzz job's seeded sweep can deepen these.
+
+def header_of(message):
+    return (message.msg_id, message.is_response,
+            bool(message.flags & Flag.TC), message.rcode)
+
+
+@settings(deadline=None)
+@given(dns_messages(), st.sets(st.sampled_from(list(Flag))),
+       st.integers(0, 15))
+def test_header_reader_agrees_with_full_decode(message, flags, rcode):
+    message.flags = Flag(sum(flags))
+    message.rcode = rcode
+    wire = message.to_wire()
+    assert read_header(wire) == header_of(message)
+    assert read_header(wire) == header_of(Message.from_wire(wire))
+    # Nothing past the header is looked at.
+    assert read_header(wire[:HEADER_SIZE]) == read_header(wire)
+
+
+@settings(deadline=None)
+@given(hostile_wire())
+def test_header_reader_raises_only_wire_error(blob):
+    try:
+        msg_id, qr, tc, rcode = read_header(blob)
+    except WireError:
+        assert len(blob) < HEADER_SIZE
+        return
+    assert len(blob) >= HEADER_SIZE
+    assert 0 <= msg_id <= 0xFFFF and 0 <= rcode <= 15
+    try:
+        message = Message.from_wire(blob)
+    except WireError:
+        return
+    # Whatever the full decoder accepts, the two agree on — up to the
+    # extended rcode bits a mutated OPT TTL may carry, which only the
+    # full decoder sees (check=True turns those into a violation).
+    assert (msg_id, qr, tc, rcode) == (*header_of(message)[:3],
+                                       message.rcode & 0xF)
 
 
 @settings(max_examples=60, deadline=None)

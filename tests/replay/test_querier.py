@@ -134,3 +134,37 @@ def test_fast_mode_ignores_trace_time():
     querier.handle_record_fast(rec(1000.0))
     sim.run_until_idle()
     assert querier.results[0].send_time < 1.0
+
+
+# -- one record object handed over many times (Trace([record] * n)) ---------
+
+
+def test_crash_orphans_every_parked_send_of_a_repeated_record():
+    sim, querier, server = build()
+    record = rec(1.0)
+    querier.handle_record(record)
+    querier.handle_record(record)
+    assert querier.backlog_depth() == 2
+    querier.crash()
+    # Both at crash time, while the supervisor can still re-dispatch
+    # them — not one now and one when its timer fires.
+    assert querier.take_orphans() == [record, record]
+    assert querier.backlog_depth() == 0
+    sim.run_until_idle()
+    assert querier.take_orphans() == []
+    assert querier.sent == 0
+
+
+def test_checkpoint_keeps_every_parked_send_of_a_repeated_record():
+    sim, querier, server = build()
+    record = rec(1.0)
+    querier.handle_record(record)
+    querier.handle_record(record)
+    state = querier.state_dict()
+    assert len(state["backlog"]) == 2
+    sim, resumed, server = build()
+    resumed.load_state(state)
+    assert resumed.backlog_depth() == 2
+    sim.run_until_idle()
+    assert [r.answered for r in resumed.results] == [True, True]
+    assert resumed.backlog_depth() == 0

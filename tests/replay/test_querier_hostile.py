@@ -2,11 +2,12 @@
 
 A scripted server on the simulator misbehaves per query — wrong ids,
 duplicate answers, replies after the final timeout, TC on every UDP
-answer, malformed wire, connections closed with queries outstanding —
-and whatever it does, the querier's accounting must conserve queries:
-every send has one result, no result is in two terminal states, and a
-resilient querier ends with empty pending tables.  The live backend
-runs this same :class:`Querier`, so it inherits the result.
+answer, malformed wire, the query reflected back, connections closed
+with queries outstanding — and whatever it does, the querier's
+accounting must conserve queries: every send has one result, no result
+is in two terminal states, and a resilient querier ends with empty
+pending tables.  The live backend runs this same :class:`Querier`, so
+it inherits the result.
 """
 
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ POLICY = ResilienceConfig(timeout=0.2, max_retries=2, backoff=2.0)
 # Later than the policy ever waits: 0.2 + 0.4 + 0.8.
 LATE = 2.0
 ACTIONS = ("answer", "drop", "wrong_id", "duplicate", "late",
-           "truncated", "malformed", "close")
+           "truncated", "malformed", "reflect", "close")
 
 
 class HostileServer:
@@ -59,6 +60,8 @@ class HostileServer:
             return [(0.0, good[:2] + bytes([good[2] | 0x02]) + good[3:])]
         if action == "malformed":
             return [(0.0, good[:2] + b"\xff" * 5)]
+        if action == "reflect":
+            return [(0.0, wire)]
         if action == "close":
             return None
         return []                       # drop
@@ -108,7 +111,10 @@ proto_lists = st.lists(st.sampled_from(("udp", "tcp")), min_size=1,
                        max_size=10)
 
 
-@settings(max_examples=60, deadline=None)
+# max_examples comes from the loaded profile (tests/conftest.py), so
+# the CI fuzz job's seeded sweep can deepen these.
+
+@settings(deadline=None)
 @given(script=scripts, protos=proto_lists)
 def test_resilient_querier_conserves_queries(script, protos):
     _server, querier, settled = run_hostile(script, protos, POLICY)
@@ -122,7 +128,7 @@ def test_resilient_querier_conserves_queries(script, protos):
     assert querier.unanswered_at_close == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(script=scripts, protos=proto_lists)
 def test_unresilient_querier_conserves_queries(script, protos):
     _server, querier, settled = run_hostile(script, protos, None)
@@ -147,6 +153,19 @@ def test_tc_on_every_udp_answer_falls_back_once_per_query():
     assert all(r.answered and r.fell_back for r in querier.results)
     assert server.seen == 12
     assert querier.pending_count() == 0
+
+
+def test_reflected_query_is_not_an_answer():
+    """A server or middlebox that echoes the query datagram back has
+    not answered it: QR is clear, so the echo is counted as malformed
+    and the query runs out its policy."""
+    _server, querier, _ = run_hostile(["reflect"], ["udp", "tcp"], POLICY)
+    assert not any(r.answered for r in querier.results)
+    assert [r.timed_out for r in querier.results] == [True, True]
+    assert [r.rcode for r in querier.results] == [None, None]
+    # Three UDP attempts and one stream query, each echoed once.
+    assert querier.malformed == 4
+    verify_queriers([querier])
 
 
 def test_reply_after_final_timeout_is_ignored():

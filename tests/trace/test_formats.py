@@ -137,6 +137,21 @@ def test_trace_to_pcap_and_back():
         assert parsed.msg_id == orig.msg_id
 
 
+def test_qclass_survives_text_to_record_to_wire():
+    """A captured ``version.bind. CH TXT`` is replayed as CH, not IN."""
+    from repro.dns.constants import RRClass
+    from repro.dns.message import Message
+    captured = Trace([QueryRecord(time=1.0, src="192.168.1.1",
+                                  qname="version.bind.", qtype=RRType.TXT,
+                                  qclass=RRClass.CH)])
+    record = text_to_trace(trace_to_text(captured)).records[0]
+    for wire in (record.to_message().to_wire(), record.query_wire(7)):
+        question = Message.from_wire(wire).question
+        assert (question.qclass, question.qtype) == (RRClass.CH, RRType.TXT)
+    assert record.query_wire(7) != record.with_(
+        qclass=RRClass.IN).query_wire(7)
+
+
 def test_pcap_to_trace_skips_responses_and_garbage():
     from repro.dns.message import Message
     query = Message.make_query("a.example.", RRType.A, msg_id=5)
