@@ -34,6 +34,9 @@ experiments:
 	$(PYTHON) -m repro.experiments.quic
 	$(PYTHON) -m repro.experiments.attack
 	$(PYTHON) -m repro.experiments.zone_growth
+	$(PYTHON) -m repro.experiments.resilience
+	$(PYTHON) -m repro.experiments.failover
+	$(PYTHON) -m repro.experiments.cachepolicy
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache .hypothesis

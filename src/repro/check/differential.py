@@ -4,8 +4,8 @@ Two comparison regimes, matching docs/VERIFICATION.md's determinism
 scope:
 
 * **sim vs sim** (:func:`diff_sim_matrix`) — every point of the
-  conformance config matrix (answer cache on/off x timer wheel/heap x
-  serial/parallel pipeline) must produce a **byte-identical**
+  conformance config matrix (answer cache on/off x serial/parallel
+  pipeline) must produce a **byte-identical**
   ``ReplayReport.to_json``; optionally also identical to the committed
   golden, turning the matrix into a cross-release regression;
 * **sim vs live** (:func:`diff_sim_live`) — real sockets cannot

@@ -9,8 +9,8 @@ on what "the conformance scenario" means:
   (~270 records over 1.5 s) — big enough to exercise UDP/TCP mix,
   timing jitter, and the answer cache, small enough to run in CI;
 * a **config matrix** over the axes the determinism contract spans:
-  answer cache on/off x timer wheel/heap x serial/parallel trace
-  pipeline — all eight must produce byte-identical reports;
+  answer cache on/off x serial/parallel trace pipeline — all four
+  must produce byte-identical reports;
 * a **wire corpus** of query/response pairs through the shared
   :class:`DnsResponder` (exact match, wildcard, CNAME, delegation,
   NXDOMAIN, NODATA, REFUSED, EDNS/DO, UDP truncation + TCP full
@@ -65,8 +65,7 @@ def conformance_feed(trace, parallel: bool = False) -> TracePipeline:
 
 
 def run_sim_variant(*, answer_cache: bool = True,
-                    timer_wheel: bool = True, parallel: bool = False,
-                    check: bool = True):
+                    parallel: bool = False, check: bool = True):
     """One sim replay of the conformance scenario; returns the
     :class:`~repro.replay.engine.ReplayReport`.  Checked by default —
     the report bytes are the same either way, and the goldens and the
@@ -76,8 +75,7 @@ def run_sim_variant(*, answer_cache: bool = True,
     world = authoritative_world(
         [zone], mode="direct", client_instances=INSTANCES,
         queriers_per_instance=QUERIERS, observe=True, seed=SEED,
-        answer_cache=answer_cache, timer_wheel=timer_wheel,
-        check=check)
+        answer_cache=answer_cache, check=check)
     feed = conformance_feed(trace, parallel=parallel)
     return world.run(feed, extra_time=EXTRA_TIME).report
 
@@ -85,11 +83,9 @@ def run_sim_variant(*, answer_cache: bool = True,
 # Every point of the determinism matrix must reproduce the same bytes.
 SIM_MATRIX: list[tuple[str, dict]] = [
     (f"cache={'on' if cache else 'off'},"
-     f"timers={'wheel' if wheel else 'heap'},"
      f"pipeline={'parallel' if parallel else 'serial'}",
-     dict(answer_cache=cache, timer_wheel=wheel, parallel=parallel))
+     dict(answer_cache=cache, parallel=parallel))
     for cache in (True, False)
-    for wheel in (True, False)
     for parallel in (False, True)
 ]
 

@@ -51,12 +51,11 @@ class ExperimentConfig:
     # experiments).  None = accounting-only CPU (the paper's §5 regime,
     # far from saturation).
     server_workers: int | None = None
-    # Hot-path machinery toggles.  Both default on; turning either off
-    # must leave every deterministic report byte-identical (the A/B
-    # determinism tests pin this), so they exist purely for those tests
-    # and for perf attribution.
+    # Precompiled-answer cache.  Off is the miss path every query can
+    # take; it must leave every deterministic report byte-identical
+    # (the A/B determinism tests pin this), so the toggle exists purely
+    # for those tests and for perf attribution.
     answer_cache: bool = True
-    timer_wheel: bool = True
     # Symmetric per-packet loss on every client uplink (the §2.1
     # "control response times" axis: lossy what-ifs).  Pair with
     # ReplayConfig.resilience so degradation is measured, not silent.
@@ -102,8 +101,7 @@ class AuthoritativeExperiment:
             return
         # Observer attaches before any host/server exists so that
         # construction-time instrumentation is captured too.
-        self.sim = Simulator(observe=self.config.replay.observe,
-                             timer_wheel=self.config.timer_wheel)
+        self.sim = Simulator(observe=self.config.replay.observe)
         half_rtt = self.config.rtt / 4  # two uplinks each way
         self.server_host = self.sim.add_host(
             "server", [SERVER_ADDR], LinkParams(delay=half_rtt),
@@ -165,8 +163,7 @@ class RecursiveExperiment:
                 "RecursiveExperiment requires backend='sim': the "
                 "recursive pipeline rides the simulated proxies "
                 "(docs/BACKENDS.md)")
-        self.sim = Simulator(observe=self.config.replay.observe,
-                             timer_wheel=self.config.timer_wheel)
+        self.sim = Simulator(observe=self.config.replay.observe)
         half_rtt = self.config.rtt / 4
         self.meta_host = self.sim.add_host(
             "meta", [META_ADDR], LinkParams(delay=0.0001),

@@ -98,7 +98,6 @@ def authoritative_world(zones, *, rtt: float = 0.001,
                         supervision=None,
                         controllers: int = 1,
                         answer_cache: bool = True,
-                        timer_wheel: bool = True,
                         check: bool = False,
                         overload=None,
                         cookies: bool = False,
@@ -122,7 +121,7 @@ def authoritative_world(zones, *, rtt: float = 0.001,
         rtt=rtt, tcp_idle_timeout=tcp_idle_timeout, nagle=nagle,
         sample_interval=sample_interval, server_workers=server_workers,
         client_loss=client_loss, answer_cache=answer_cache,
-        timer_wheel=timer_wheel, overload=overload,
+        overload=overload,
         replay=ReplayConfig(client_instances=client_instances,
                             queriers_per_instance=queriers_per_instance,
                             mode=mode, seed=seed,

@@ -1,19 +1,10 @@
 """Simulated clock and event scheduler.
 
-A deterministic event loop with two timer stores:
-
-* a **hashed timer wheel** for near-future events — the dominant timer
-  classes (packet delivery, delayed ACKs, TCP idle/TIME_WAIT, UDP
-  retransmission, querier timeouts) all land within the wheel horizon,
-  where scheduling is an O(1) list append instead of an O(log n) heap
-  sift;
-* a **min-heap** for far-future events (beyond the wheel horizon),
-  which are rare.
-
-Event execution order is the total order ``(time, seq)`` regardless of
-which store held an event — ties break by insertion order, so every
-seeded run is byte-identical to a pure-heap run (``Scheduler(wheel=
-False)`` keeps the old single-heap configuration for A/B tests).
+A deterministic event loop over one timer store: a binary min-heap of
+``(time, seq, Event)`` entries.  Events run in the total order
+``(time, seq)`` — ties break by insertion order — so every seeded run
+is reproducible byte for byte.  DESIGN.md section 5 records why there
+is no second store and when that is worth measuring again.
 """
 
 from __future__ import annotations
@@ -27,13 +18,6 @@ from typing import Any, Callable
 # a power of two minus one; used as a bitmask over events_processed).
 _HEAP_SAMPLE_MASK = 0xFF
 
-# Timer-wheel geometry.  granularity * nslots is the horizon: events
-# further out go to the heap.  1/64 s slots over 8192 slots give a
-# 128 s horizon, covering TIME_WAIT (60 s), server idle timeouts
-# (~20 s), and every retransmission/backoff timer the replay uses.
-WHEEL_GRANULARITY = 1.0 / 64.0
-WHEEL_SLOTS = 8192
-
 
 class Event:
     """A scheduled callback; cancel() prevents it from firing.
@@ -43,129 +27,37 @@ class Event:
     remain, the simulation is considered idle.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "daemon",
-                 "_sched")
+    __slots__ = ("time", "fn", "args", "cancelled", "daemon")
 
-    def __init__(self, time: float, seq: int,
-                 fn: Callable[..., Any], args: tuple,
-                 daemon: bool = False, sched: "Scheduler | None" = None):
+    def __init__(self, time: float, fn: Callable[..., Any], args: tuple,
+                 daemon: bool = False):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.daemon = daemon
-        self._sched = sched
 
     def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            # _sched is dropped when the event is popped, so a late
-            # cancel() of an already-fired event never double-counts.
-            sched = self._sched
-            if sched is not None:
-                sched._pending -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class TimerWheel:
-    """Hashed timer wheel holding ``(time, seq, Event)`` entries.
-
-    Invariant: every stored entry's tick lies in ``[cursor, cursor +
-    nslots)``, so each slot chain holds entries of exactly one tick and
-    is drained whole (sorted via a small heap) when the cursor reaches
-    it.  Entries for ticks the cursor has already passed (callbacks
-    scheduling within the current tick) go straight onto the ``due``
-    heap, which is always consulted first.
-    """
-
-    __slots__ = ("granularity", "inv_granularity", "nslots", "mask",
-                 "slots", "cursor", "due", "count")
-
-    def __init__(self, granularity: float = WHEEL_GRANULARITY,
-                 nslots: int = WHEEL_SLOTS):
-        if nslots <= 0 or nslots & (nslots - 1):
-            raise ValueError("nslots must be a power of two")
-        self.granularity = granularity
-        self.inv_granularity = 1.0 / granularity
-        self.nslots = nslots
-        self.mask = nslots - 1
-        self.slots: list[list] = [[] for _ in range(nslots)]
-        self.cursor = 0      # next tick not yet drained into `due`
-        self.due: list = []  # heap of entries already past the cursor
-        self.count = 0       # entries across due + all slots
-
-    def insert(self, entry: tuple, now: float) -> bool:
-        """Accept *entry* if its time is within the horizon; False
-        sends it to the caller's far-future heap."""
-        tick = int(entry[0] * self.inv_granularity)
-        cursor = self.cursor
-        if self.count == 0:
-            # Empty wheel: snap the window forward so a long idle jump
-            # (run(until=...) with no events) cannot strand the cursor
-            # far behind `now` and push everything to the heap.
-            now_tick = int(now * self.inv_granularity)
-            if now_tick > cursor:
-                self.cursor = cursor = now_tick
-        if tick < cursor:
-            heapq.heappush(self.due, entry)
-        elif tick - cursor < self.nslots:
-            self.slots[tick & self.mask].append(entry)
-        else:
-            return False
-        self.count += 1
-        return True
-
-    def peek(self, limit_tick: int | None) -> tuple | None:
-        """Earliest entry with tick <= *limit_tick* (None = no limit),
-        advancing the cursor over empty slots.  Does not pop."""
-        due = self.due
-        if due:
-            return due[0]
-        if self.count == 0:
-            return None
-        cursor = self.cursor
-        mask = self.mask
-        slots = self.slots
-        end = cursor + self.nslots  # all entries live inside the window
-        if limit_tick is not None and limit_tick + 1 < end:
-            end = limit_tick + 1
-        while cursor < end:
-            bucket = slots[cursor & mask]
-            if bucket:
-                slots[cursor & mask] = []
-                heapq.heapify(bucket)
-                self.due = bucket
-                self.cursor = cursor + 1
-                return bucket[0]
-            cursor += 1
-        self.cursor = cursor
-        return None
-
-    def pop(self) -> tuple:
-        """Pop the entry :meth:`peek` returned from the due heap."""
-        self.count -= 1
-        return heapq.heappop(self.due)
+        self.cancelled = True
 
 
 class Scheduler:
     """The simulation event loop."""
 
-    def __init__(self, wheel: bool = True) -> None:
+    # Read only by the frozen ledger (benchmarks/ledger/workloads.py),
+    # which sums it with heap_scheduled.
+    wheel_scheduled = 0
+
+    def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple] = []   # (time, seq, Event) far-future
-        self._wheel: TimerWheel | None = TimerWheel() if wheel else None
+        # (time, seq, Event): the (time, seq) prefix is unique, so
+        # Events themselves are never compared.
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
         self.events_processed = 0
         self._live = 0  # pending non-daemon events (cancelled included
         #                 until popped; they drain in time order)
-        self._size = 0      # all unpopped events (cancelled included)
-        self._pending = 0   # unpopped, non-cancelled events (O(1) pending)
-        # Routing statistics (reported as volatile gauges when observed).
-        self.wheel_scheduled = 0
-        self.heap_scheduled = 0
+        self.heap_scheduled = 0  # events ever scheduled
         # Observability handle (repro.obs.Observer); None means off and
         # every instrumented component skips its recording code.
         self.obs = None
@@ -176,17 +68,9 @@ class Scheduler:
         """Schedule *fn(*args)* at absolute simulated *time*."""
         if time < self.now:
             time = self.now
-        seq = next(self._seq)
-        event = Event(time, seq, fn, args, daemon=daemon, sched=self)
-        entry = (time, seq, event)
-        wheel = self._wheel
-        if wheel is not None and wheel.insert(entry, self.now):
-            self.wheel_scheduled += 1
-        else:
-            heapq.heappush(self._heap, entry)
-            self.heap_scheduled += 1
-        self._size += 1
-        self._pending += 1
+        event = Event(time, fn, args, daemon)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
+        self.heap_scheduled += 1
         if not daemon:
             self._live += 1
         return event
@@ -197,16 +81,12 @@ class Scheduler:
         return self.at(self.now + max(0.0, delay), fn, *args,
                        daemon=daemon)
 
-    def pending(self) -> int:
-        """Live (non-cancelled) scheduled events — O(1): maintained as
-        a counter, never by scanning the timer stores."""
-        return self._pending
-
     def run(self, until: float | None = None,
             max_events: int | None = None) -> None:
-        """Process events until the stores drain, *until* is reached,
+        """Process events until the heap drains, *until* is reached,
         or *max_events* have run.  The clock is left at the last event
-        time (or at *until* if that came first)."""
+        time, or at *until* if that came first and lies ahead of it:
+        the clock never moves backwards."""
         if self.obs is None:
             self._run(until, max_events)
             return
@@ -221,56 +101,29 @@ class Scheduler:
              obs=None) -> None:
         processed = 0
         heap = self._heap
-        wheel = self._wheel
+        heappop = heapq.heappop
         heap_depth = obs.metrics.histogram("scheduler.heap_depth") \
             if obs is not None else None
-        while self._size:
+        while heap:
             if max_events is not None and processed >= max_events:
                 return
             if until is None and self._live == 0:
                 return  # only daemon events remain: idle
-            entry = heap[0] if heap else None
-            from_wheel = False
-            if wheel is not None and wheel.count:
-                if entry is not None:
-                    limit = int(entry[0] * wheel.inv_granularity)
-                elif until is not None:
-                    limit = int(until * wheel.inv_granularity)
-                else:
-                    limit = None
-                candidate = wheel.peek(limit)
-                if candidate is not None and (entry is None
-                                              or candidate < entry):
-                    entry = candidate
-                    from_wheel = True
-            if entry is None:
-                # Only wheel events beyond `until` remain.
-                if until is not None and until > self.now:
-                    self.now = until
-                return
-            event_time = entry[0]
+            event_time, _, event = heap[0]
             if until is not None and event_time > until:
-                self.now = until
-                return
-            if from_wheel:
-                wheel.pop()
-            else:
-                heapq.heappop(heap)
-            self._size -= 1
-            event = entry[2]
+                break
+            heappop(heap)
             if not event.daemon:
                 self._live -= 1
             if event.cancelled:
                 continue
-            self._pending -= 1
-            event._sched = None  # popped: late cancel() must not recount
             self.now = event_time
             event.fn(*event.args)
             self.events_processed += 1
             processed += 1
             if heap_depth is not None and \
                     (self.events_processed & _HEAP_SAMPLE_MASK) == 0:
-                heap_depth.record(float(self._size))
+                heap_depth.record(float(len(heap)))
         if until is not None and until > self.now:
             self.now = until
 
@@ -279,16 +132,10 @@ class Scheduler:
         metrics.gauge("scheduler.sim_time").set(self.now)
         metrics.gauge("scheduler.events_processed").set(
             float(self.events_processed))
-        metrics.gauge("scheduler.pending_events").set(float(self._size))
+        metrics.gauge("scheduler.pending_events").set(
+            float(len(self._heap)))
         # Wall-clock-derived gauges are volatile: excluded from the
         # deterministic snapshot, available via include_volatile=True.
-        # Wheel/heap routing counts are volatile too — they are an
-        # implementation detail that must not make a wheel run's
-        # snapshot differ from a pure-heap run's.
-        metrics.gauge("scheduler.wheel_events", volatile=True).set(
-            float(self.wheel_scheduled))
-        metrics.gauge("scheduler.heap_events", volatile=True).set(
-            float(self.heap_scheduled))
         metrics.gauge("scheduler.wall_time", volatile=True).set(
             self.wall_time)
         if self.wall_time > 0:

@@ -17,9 +17,8 @@ class Simulator:
     operation.  An existing observer can be shared via ``observer=``.
     """
 
-    def __init__(self, observe: bool = False, observer=None,
-                 timer_wheel: bool = True) -> None:
-        self.scheduler = Scheduler(wheel=timer_wheel)
+    def __init__(self, observe: bool = False, observer=None) -> None:
+        self.scheduler = Scheduler()
         self.network = Network(self.scheduler)
         self.hosts: dict[str, Host] = {}
         # Named replay-layer actors (queriers, distributors) that fault

@@ -162,9 +162,9 @@ class MetricsRegistry:
 
     def counter(self, name: str, volatile: bool = False) -> Counter:
         """*volatile* counters track implementation details (answer-
-        cache hits, wheel routing) that legitimately differ between
-        configurations which must otherwise produce byte-identical
-        snapshots; like volatile gauges they only appear with
+        cache hits) that legitimately differ between configurations
+        which must otherwise produce byte-identical snapshots; like
+        volatile gauges they only appear with
         ``include_volatile=True``."""
         if volatile:
             self._volatile.add(name)

@@ -386,9 +386,10 @@ class _LoopTcpConnection(asyncio.Protocol):
 
     def evict(self) -> None:
         """Close without telling the owner.  Losing a connection to
-        the cap or to shutdown is not a channel death: nothing pending
-        on it may be re-sent (each reconnect would evict again), so
-        its stragglers run into their timeouts."""
+        the cap or to shutdown is not a channel death: the cap only
+        takes connections with nothing pending, and at shutdown
+        nothing pending may be re-sent, so stragglers run into their
+        timeouts."""
         self.on_closed = None
         self.close()
 
@@ -396,8 +397,10 @@ class _LoopTcpConnection(asyncio.Protocol):
 class _LoopHost:
     """The querier's host seam (:mod:`repro.replay.querier`) on asyncio
     sockets.  One per querier: a single UDP socket shared by all its
-    emulated sources, and at most :data:`_TCP_CONNECTION_CAP` stream
-    connections, least recently used closed first."""
+    emulated sources, and its stream connections, least recently used
+    first, each mapped to the querier's channel on it — what
+    :meth:`LiveQuerier._open_channel` reads to hold them to
+    :data:`_TCP_CONNECTION_CAP`."""
 
     def __init__(self, name: str, scheduler: _LoopScheduler,
                  server: tuple[str, int]):
@@ -405,7 +408,7 @@ class _LoopHost:
         self.scheduler = scheduler
         self.sendpath = NullSendPath()
         self.socket_errors = 0
-        self.streams: dict[_LoopTcpConnection, None] = {}   # LRU order
+        self.streams: dict[_LoopTcpConnection, object] = {}  # LRU order
         self._server = server
         self._udp: _LoopUdpSocket | None = None
         self._handshakes: set[asyncio.Task] = set()
@@ -425,9 +428,7 @@ class _LoopHost:
             conn.open(addr, port))
         self._handshakes.add(task)
         task.add_done_callback(self._handshakes.discard)
-        self.streams[conn] = None
-        while len(self.streams) > _TCP_CONNECTION_CAP:
-            next(iter(self.streams)).evict()
+        self.streams[conn] = None   # the querier fills in its channel
         return conn
 
     async def aclose(self) -> None:
@@ -451,6 +452,24 @@ class LiveQuerier(Querier):
     @property
     def socket_errors(self) -> int:
         return self.host.socket_errors
+
+    def _open_channel(self, proto: str, key: tuple):
+        """Make room under :data:`_TCP_CONNECTION_CAP` first, closing
+        the least recently used connections *with nothing pending*.  A
+        connection with a query outstanding is never closed for the
+        cap — that query could only wait out ``query_timeout`` — so
+        when the server is further behind than the cap a querier holds
+        up to ``max(_TCP_CONNECTION_CAP, max_inflight)`` connections."""
+        streams = self.host.streams
+        excess = len(streams) + 1 - _TCP_CONNECTION_CAP
+        if excess > 0:
+            idle = [conn for conn, channel in streams.items()
+                    if not channel.pending]
+            for conn in idle[:excess]:
+                conn.evict()
+        channel = super()._open_channel(proto, key)
+        streams[channel.conn] = channel
+        return channel
 
     async def replay(self, records, live: LiveReplayConfig,
                      fast: bool) -> None:

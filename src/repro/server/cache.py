@@ -13,9 +13,10 @@ The cache is production-shaped, configured by :class:`CacheConfig`:
   one LRU order (dict insertion order, touch-on-hit); inserting past
   capacity evicts the least recently used entry;
 * **bucketed expiry index** — entries are indexed by reclaim deadline
-  into coarse time buckets (the :mod:`repro.netsim.clock` wheel
-  pattern: O(1) insert, drain-by-cursor), so expired entries are
-  reclaimed incrementally on writes instead of by full scans;
+  into coarse time buckets (a dict of per-tick key lists plus a heap
+  of occupied ticks: O(1) insert into an existing bucket, drain in
+  tick order), so expired entries are reclaimed incrementally on
+  writes instead of by full scans;
 * **serve-stale** (RFC 8767) — with ``serve_stale`` expired positive
   entries are retained for ``stale_ttl`` seconds and can be served (at
   ``stale_answer_ttl``) when every upstream has failed;
@@ -168,7 +169,8 @@ class DnsCache:
         # order (hits re-insert at the end when the cache is bounded).
         self._entries: dict[tuple[int, Name, int],
                             _PositiveEntry | NegativeEntry] = {}
-        # Expiry index: reclaim-deadline buckets (clock-wheel pattern).
+        # Expiry index: reclaim-deadline tick -> keys, and a heap of the
+        # occupied ticks so reclaim drains them in order.
         self._buckets: dict[int, list[tuple[int, Name, int]]] = {}
         self._tick_heap: list[int] = []
         # Refresh-ahead state: hot-set (key -> hits) and in-flight

@@ -14,7 +14,7 @@ Tiers:
   byte-compare against the committed files under ``tests/golden/``
   (seconds; the cross-release regression gate);
 * ``conformance`` — the full bar: golden verify, the sim config
-  matrix (cache on/off x wheel/heap x serial/parallel pipeline, all
+  matrix (cache on/off x serial/parallel pipeline, all
   byte-identical to the golden), sim-vs-live tolerance bands over
   real loopback sockets, and a seeded fuzz run with zero
   responder/parser crashes;

@@ -1,7 +1,7 @@
 """The differential runner: sim-vs-sim byte-identity and the
 sim-vs-live tolerance-band comparator.
 
-The full 8-point matrix and the socket-driving live diff belong to
+The full 4-point matrix and the socket-driving live diff belong to
 `ldp-verify --tier conformance` (and its CI job); here a matrix
 subset pins the mechanism against the committed golden, and the band
 comparator is unit-tested on fabricated reports so every band fires.
@@ -19,23 +19,21 @@ from repro.check.scenarios import SIM_MATRIX, run_sim_variant
 
 
 def test_matrix_covers_all_three_axes():
-    assert len(SIM_MATRIX) == 8
+    assert len(SIM_MATRIX) == 4
     labels = [label for label, _ in SIM_MATRIX]
-    assert len(set(labels)) == 8
-    for axis in ("cache=on", "cache=off", "timers=wheel", "timers=heap",
+    assert len(set(labels)) == 4
+    for axis in ("cache=on", "cache=off",
                  "pipeline=serial", "pipeline=parallel"):
-        assert sum(axis in label for label in labels) == 4
+        assert sum(axis in label for label in labels) == 2
 
 
 @pytest.mark.slow
 def test_matrix_corner_matches_committed_golden():
-    """The far corner of the config matrix (cache off, heap timers,
-    parallel pipeline) reproduces the committed golden byte-for-byte —
-    the same check `ldp-verify --tier conformance` runs over all
-    eight points."""
+    """The far corner of the config matrix (cache off, parallel
+    pipeline) reproduces the committed golden byte-for-byte — the same
+    check `ldp-verify --tier conformance` runs over all four points."""
     golden = (GOLDEN_DIR / SIM_REPORT).read_text(encoding="utf-8")
-    report = run_sim_variant(answer_cache=False, timer_wheel=False,
-                             parallel=True)
+    report = run_sim_variant(answer_cache=False, parallel=True)
     assert report.to_json(indent=2) + "\n" == golden
 
 
@@ -52,11 +50,11 @@ def test_diff_sim_matrix_flags_divergence(monkeypatch):
         def to_json(self, indent=None):
             return self.payload
 
-    outputs = iter(["same"] * 7 + ["DIFFERENT"])
+    outputs = iter(["same"] * 3 + ["DIFFERENT"])
     monkeypatch.setattr(scenarios, "run_sim_variant",
                         lambda **kw: _Stub(next(outputs)))
     results = diff_sim_matrix(golden="same\n")
-    assert [r.ok for r in results] == [True] * 7 + [False]
+    assert [r.ok for r in results] == [True] * 3 + [False]
     assert any("differ" in f for f in results[-1].failures)
     assert any("golden" in f for f in results[-1].failures)
 

@@ -1,10 +1,11 @@
 """Tests for the event scheduler."""
 
-import random
-import timeit
+import itertools
 
-from repro.netsim.clock import (WHEEL_GRANULARITY, WHEEL_SLOTS,
-                                Scheduler, TimerWheel)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.netsim.clock import Scheduler
 
 
 def test_events_fire_in_time_order():
@@ -117,102 +118,8 @@ def test_daemon_events_run_within_bounded_window():
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-# -- timer wheel --------------------------------------------------------
-
-WHEEL_HORIZON = WHEEL_GRANULARITY * WHEEL_SLOTS
-
-
-def run_order(wheel: bool, schedule) -> list:
-    """Execute *schedule(sched)* and return the observed firing order."""
-    sched = Scheduler(wheel=wheel)
-    fired = []
-    schedule(sched, fired)
-    sched.run_until_idle()
-    return fired
-
-
-def test_wheel_and_heap_schedulers_fire_identically():
-    """The same randomized schedule fires in the same order (and at
-    the same times) with and without the wheel."""
-    def schedule(sched, fired):
-        rng = random.Random(42)
-        for i in range(500):
-            # Mix of sub-horizon, exact-tick, and beyond-horizon times.
-            t = rng.choice([
-                rng.uniform(0.0, 1.0),
-                rng.randrange(200) * WHEEL_GRANULARITY,
-                rng.uniform(WHEEL_HORIZON, 3 * WHEEL_HORIZON),
-            ])
-            sched.at(t, lambda i=i: fired.append((sched.now, i)))
-
-    assert run_order(True, schedule) == run_order(False, schedule)
-
-
-def test_wheel_far_future_events_fall_back_to_heap():
-    sched = Scheduler(wheel=True)
-    fired = []
-    sched.at(2 * WHEEL_HORIZON, fired.append, "far")
-    sched.at(0.5, fired.append, "near")
-    assert sched.heap_scheduled == 1
-    assert sched.wheel_scheduled == 1
-    sched.run_until_idle()
-    assert fired == ["near", "far"]
-    assert sched.now == 2 * WHEEL_HORIZON
-
-
-def test_wheel_same_tick_preserves_insertion_order():
-    """Events landing in one wheel slot still tie-break by seq."""
-    sched = Scheduler(wheel=True)
-    fired = []
-    base = 100 * WHEEL_GRANULARITY
-    # Same tick, distinct times, inserted in reverse time order.
-    sched.at(base + WHEEL_GRANULARITY * 0.75, fired.append, "late")
-    sched.at(base + WHEEL_GRANULARITY * 0.25, fired.append, "early")
-    sched.at(base + WHEEL_GRANULARITY * 0.25, fired.append, "early2")
-    sched.run_until_idle()
-    assert fired == ["early", "early2", "late"]
-
-
-def test_wheel_callback_scheduling_within_current_tick():
-    """A callback scheduling another event inside the already-drained
-    tick must still fire it (the `due` path), in order."""
-    sched = Scheduler(wheel=True)
-    fired = []
-
-    def first():
-        fired.append("first")
-        sched.after(0.0, fired.append, "nested")
-
-    sched.at(0.5, first)
-    sched.at(0.5 + WHEEL_GRANULARITY, fired.append, "next-tick")
-    sched.run_until_idle()
-    assert fired == ["first", "nested", "next-tick"]
-
-
-def test_wheel_idle_jump_does_not_strand_cursor():
-    """After a long quiet gap, new near-future events still take the
-    wheel fast path (the empty-wheel cursor snap)."""
-    sched = Scheduler(wheel=True)
-    fired = []
-    sched.at(1.0, fired.append, "a")
-    sched.run_until_idle()
-    sched.run(until=10 * WHEEL_HORIZON)
-    sched.after(1.0, fired.append, "b")
-    assert sched.heap_scheduled == 0
-    sched.run_until_idle()
-    assert fired == ["a", "b"]
-
-
-def test_wheel_insert_rejects_beyond_horizon():
-    wheel = TimerWheel()
-    assert wheel.insert((WHEEL_HORIZON + 1.0, 0, None), 0.0) is False
-    assert wheel.count == 0
-    assert wheel.insert((1.0, 1, None), 0.0) is True
-    assert wheel.count == 1
-
-
-def test_run_until_with_only_wheel_events_beyond_until():
-    sched = Scheduler(wheel=True)
+def test_run_until_leaves_later_events_pending():
+    sched = Scheduler()
     fired = []
     sched.at(5.0, fired.append, "later")
     sched.run(until=1.0)
@@ -222,50 +129,136 @@ def test_run_until_with_only_wheel_events_beyond_until():
     assert fired == ["later"]
 
 
-# -- pending(): O(1) live counter --------------------------------------
-
-
-def test_pending_counts_live_events_only():
+def test_run_until_in_the_past_keeps_the_clock():
+    """run(until=t) with t behind the clock must not move it back,
+    also when an event is still pending beyond t."""
     sched = Scheduler()
-    events = [sched.at(float(i), lambda: None) for i in range(10)]
-    assert sched.pending() == 10
-    events[3].cancel()
-    events[7].cancel()
-    assert sched.pending() == 8
-    events[3].cancel()  # double-cancel must not double-count
-    assert sched.pending() == 8
+    fired = []
+    sched.at(10.0, fired.append, "far")
+    sched.run(until=4.0)
+    sched.run(until=2.0)
+    assert sched.now == 4.0
+    sched.after(1.0, lambda: fired.append(sched.now))
     sched.run_until_idle()
-    assert sched.pending() == 0
+    assert fired == [5.0, "far"]
 
 
-def test_cancel_after_fire_does_not_underflow_pending():
-    sched = Scheduler()
-    event = sched.at(1.0, lambda: None)
-    sched.at(2.0, lambda: None)
-    sched.run(until=1.5)
-    assert sched.pending() == 1
-    event.cancel()  # already fired: must be a no-op
-    assert sched.pending() == 1
-    sched.run_until_idle()
-    assert sched.pending() == 0
+# -- model-based: random scripts against a reference scheduler ----------
 
 
-def test_pending_is_o1_under_mass_cancellation():
-    """pending() must not scan the timer stores: with 10k cancelled
-    events still buried in them, a pending() call costs the same as
-    with an almost-empty scheduler.  An O(heap) implementation is
-    ~1000x slower here; the 20x bound leaves room for timer noise."""
-    small = Scheduler()
-    small.at(1.0, lambda: None)
+class ModelEvent:
+    def __init__(self, time, order, fn, daemon):
+        self.time, self.order, self.fn, self.daemon = time, order, fn, daemon
+        self.cancelled = False
 
-    big = Scheduler()
-    for event in [big.at(float(i % 97) + 1.0, lambda: None)
-                  for i in range(10_000)]:
-        event.cancel()
-    big.at(1.0, lambda: None)
-    assert big.pending() == 1
+    def cancel(self):
+        self.cancelled = True
 
-    calls = 2_000
-    t_small = timeit.timeit(small.pending, number=calls)
-    t_big = timeit.timeit(big.pending, number=calls)
-    assert t_big < t_small * 20
+
+class ModelScheduler:
+    """The Scheduler contract over a list re-sorted by (time, insertion)
+    on every insert: no heap, no live counter."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.queue = []
+        self.inserted = 0
+
+    def at(self, time, fn, daemon=False):
+        event = ModelEvent(max(time, self.now), self.inserted, fn, daemon)
+        self.inserted += 1
+        self.queue.append(event)
+        self.queue.sort(key=lambda e: (e.time, e.order))
+        return event
+
+    def after(self, delay, fn, daemon=False):
+        return self.at(self.now + max(0.0, delay), fn, daemon)
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while self.queue:
+            if max_events is not None and fired >= max_events:
+                return
+            if until is None and all(e.daemon for e in self.queue):
+                return
+            if until is not None and self.queue[0].time > until:
+                break
+            event = self.queue.pop(0)
+            if not event.cancelled:
+                self.now = event.time
+                event.fn()
+                self.events_processed += 1
+                fired += 1
+        if until is not None:
+            self.now = max(self.now, until)
+
+    def run_until_idle(self):
+        self.run()
+
+
+def play(sched, script) -> list:
+    """Drive *sched* through *script*; return everything observable:
+    each firing with its time, and (now, events_processed) per step."""
+    log = []
+    handles = []
+    labels = itertools.count()
+
+    def schedule(method, when, daemon, on_fire):
+        label = next(labels)
+
+        def fire():
+            log.append(("fire", label, sched.now))
+            for action in on_fire:
+                act(action)
+
+        handles.append(method(when, fire, daemon=daemon))
+
+    def act(action):
+        if isinstance(action, tuple):   # re-entrant scheduling
+            schedule(sched.after, *action)
+        elif handles:                   # cancel: pending, fired or cancelled
+            handles[action % len(handles)].cancel()
+
+    for op, *args in script:
+        if op == "at":
+            schedule(sched.at, *args[0])
+        elif op == "act":
+            act(args[0])
+        elif op == "run":
+            delta, max_events = args
+            sched.run(until=None if delta is None else sched.now + delta,
+                      max_events=max_events)
+        else:
+            sched.run_until_idle()
+        log.append(("step", sched.now, sched.events_processed))
+    return log
+
+
+# Ties, a microsecond, packet- and second-scale delays, and timers
+# beyond TCP idle and TIME_WAIT.
+OFFSETS = (0.0, 1e-6, 1 / 64, 1.0, 100.0, 300.0)
+offsets = st.sampled_from(OFFSETS)
+cancels = st.integers(0, 63)
+# (delay or absolute time, daemon, actions run when it fires)
+event_specs = st.recursive(
+    st.tuples(offsets, st.booleans(), st.just(())),
+    lambda inner: st.tuples(
+        offsets, st.booleans(),
+        st.lists(inner | cancels, max_size=3).map(tuple)),
+    max_leaves=6)
+scripts = st.lists(st.one_of(
+    st.tuples(st.just("at"), event_specs),
+    st.tuples(st.just("act"), event_specs | cancels),
+    st.tuples(st.just("run"),
+              st.none() | st.sampled_from((-1.0, -1e-6) + OFFSETS),
+              st.none() | st.integers(0, 4)),
+    st.just(("idle",))), max_size=30)
+
+
+# max_examples comes from the loaded profile, so the CI fuzz job's
+# seeded sweep can deepen this.
+@settings(deadline=None)
+@given(scripts)
+def test_scheduler_matches_reference_model(script):
+    assert play(Scheduler(), script) == play(ModelScheduler(), script)

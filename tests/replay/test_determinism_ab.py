@@ -1,12 +1,12 @@
 """Determinism A/B: the hot-path machinery must be invisible.
 
-The answer cache and the timer wheel exist purely for wall-clock speed;
-DESIGN.md's determinism contract says a seeded run's *simulated*
-behaviour — every report metric, every query-log entry, every latency —
-must be byte-identical whether they are on or off.  These tests pin
-that on a seeded B-Root analogue replay (mixed protocols, many clients,
-unique query names), which exercises UDP and stream paths, cache hits
-and misses, and both timer stores.
+The answer cache exists purely for wall-clock speed; DESIGN.md's
+determinism contract says a seeded run's *simulated* behaviour — every
+report metric, every query-log entry, every latency — must be
+byte-identical whether it is on or off.  These tests pin that on a
+seeded B-Root analogue replay (mixed protocols, many clients, unique
+query names), which exercises UDP and stream paths and cache hits and
+misses.
 """
 
 from repro.experiments.harness import (authoritative_world,
@@ -15,7 +15,7 @@ from repro.experiments.harness import (authoritative_world,
 from repro.workloads.broot import broot16
 
 
-def run_broot(answer_cache: bool = True, timer_wheel: bool = True):
+def run_broot(answer_cache: bool = True):
     internet = root_zone_world(tlds=4, slds_per_tld=4, seed=3)
     zone = wildcard_root_zone(internet)
     trace = broot16(internet, duration=2.0, mean_rate=150, clients=40)
@@ -23,8 +23,7 @@ def run_broot(answer_cache: bool = True, timer_wheel: bool = True):
                                 client_instances=2,
                                 queriers_per_instance=3,
                                 observe=True,
-                                answer_cache=answer_cache,
-                                timer_wheel=timer_wheel, seed=11)
+                                answer_cache=answer_cache, seed=11)
     result = world.run(trace, extra_time=2.0)
     return world, result.report
 
@@ -46,25 +45,9 @@ def test_report_identical_with_answer_cache_on_and_off():
     assert world_on.server.refused == world_off.server.refused
 
 
-def test_report_identical_with_timer_wheel_and_pure_heap():
-    world_wheel, wheel = run_broot(timer_wheel=True)
-    world_heap, heap = run_broot(timer_wheel=False)
-    sched_wheel = world_wheel.sim.scheduler
-    sched_heap = world_heap.sim.scheduler
-    # Both configurations really ran their own store.
-    assert sched_wheel.wheel_scheduled > 0
-    assert sched_heap.wheel_scheduled == 0
-    assert sched_heap.heap_scheduled > 0
-    assert wheel.metrics() == heap.metrics()
-    assert wheel.to_json() == heap.to_json()
-    assert world_wheel.server.query_log == world_heap.server.query_log
-
-
 def test_latencies_identical_across_all_four_configurations():
-    reports = [run_broot(answer_cache=ac, timer_wheel=tw)[1]
-               for ac in (True, False) for tw in (True, False)]
-    reference = [(r.send_time, r.response_time, r.rcode)
-                 for r in reports[0].results]
-    for report in reports[1:]:
-        assert [(r.send_time, r.response_time, r.rcode)
-                for r in report.results] == reference
+    def latencies(answer_cache):
+        return [(r.send_time, r.response_time, r.rcode)
+                for r in run_broot(answer_cache)[1].results]
+
+    assert latencies(True) == latencies(False)

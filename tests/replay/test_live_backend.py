@@ -131,7 +131,8 @@ def test_ephemeral_bind_retries_past_tcp_collision(monkeypatch):
         return port
 
     assert asyncio.run(go()) is not None
-    assert calls["n"] == 2
+    # More than two when a redrawn port really is taken on TCP.
+    assert calls["n"] >= 2
 
 
 def test_bind_attempts_exhausted_raises(monkeypatch):
@@ -354,6 +355,50 @@ def test_fast_mode_keeps_exactly_max_inflight_outstanding(monkeypatch):
     assert [q.sent for q in backend.queriers] == [4, 4]
 
 
+def test_connection_with_a_query_pending_is_not_evicted(monkeypatch):
+    """The server falls more sources behind than the connection cap:
+    the cap must not close a connection under its outstanding query,
+    which could then only wait out ``query_timeout`` unanswered."""
+    real = LiveDnsServer._answer_stream
+    sources = live_module._TCP_CONNECTION_CAP + 16
+    held = []
+
+    def hold(self, writer, wire, peer):
+        held.append((writer, wire, peer))
+        if len(held) >= sources:        # every source has one outstanding
+            for args in held:
+                real(self, *args)
+            held.clear()
+
+    monkeypatch.setattr(LiveDnsServer, "_answer_stream", hold)
+    backend = LiveBackend([make_example_zone()], config=one_querier_config(
+        query_timeout=2.0))
+    report = backend.run(Trace([
+        QueryRecord(time=i * 0.001, src=f"10.9.1.{i}",
+                    qname="www.example.com.", proto="tcp")
+        for i in range(sources)]))
+    (querier,) = backend.queriers
+    assert not backend.deadline_hit
+    assert report.answered_fraction() == 1.0
+    assert querier.unanswered_at_close == 0
+    assert backend.server.established == sources
+
+
+def test_idle_connections_beyond_the_cap_close_least_recently_used():
+    """One query outstanding at a time, so every other connection is
+    idle at each connect: with more sources than the cap, cycling, each
+    source's connection is closed before its next turn."""
+    sources = live_module._TCP_CONNECTION_CAP + 16
+    backend = LiveBackend([make_example_zone()], config=one_querier_config(
+        fast=True, max_inflight=1))
+    report = backend.run(Trace([
+        QueryRecord(time=0.0, src=f"10.9.1.{i % sources}",
+                    qname="www.example.com.", proto="tcp")
+        for i in range(2 * sources)]))
+    assert report.answered_fraction() == 1.0
+    assert backend.server.established == 2 * sources
+
+
 _CAPPED_TCP_RUN = """
 from repro.replay import ReplayConfig
 from repro.replay.backends import LiveBackend, LiveReplayConfig
@@ -374,8 +419,8 @@ print(report.answered_fraction(), backend.server.established)
 
 def test_tcp_sources_beyond_connection_cap_replay_cleanly():
     """200 TCP sources cycling over two queriers, each capped at 64 open
-    connections, so every query evicts a connection: eviction is quiet
-    (no reconnect-resend, nothing pending lost), every query is
+    connections, so a query evicts an idle connection: eviction is
+    quiet (no reconnect-resend, nothing pending lost), every query is
     answered, and the interpreter exits without asyncio complaining
     about tasks it had to destroy."""
     root = Path(__file__).resolve().parents[2]
@@ -387,6 +432,8 @@ def test_tcp_sources_beyond_connection_cap_replay_cleanly():
     assert done.returncode == 0, done.stderr
     answered, established = done.stdout.split()
     assert float(answered) == 1.0
-    assert int(established) == 2000     # each source evicted before its turn
+    # Each source is evicted before its next turn, unless the host is
+    # so loaded that its connection stayed busy (and so open) all round.
+    assert 200 <= int(established) <= 2000
     assert "Task was destroyed" not in done.stderr
     assert "Traceback" not in done.stderr
