@@ -17,9 +17,9 @@ tests/dns and tests/trace:
   "first two bytes are garbage" territory.
 
 :func:`run_fuzz` drives the never-crash targets (message parser,
-responder, trace readers, wire round-trip) outside pytest for
-``ldp-verify``: seeded, example-budgeted, no example database, so a
-CI conformance run is reproducible from its printed seed.
+responder plain and precompiled, trace readers, wire round-trip)
+outside pytest for ``ldp-verify``: seeded, example-budgeted, no example
+database, so a CI conformance run is reproducible from its printed seed.
 
 This module requires ``hypothesis`` (a test/CI dependency, not a
 runtime one); importing it without raises with a hint instead of a
@@ -119,7 +119,10 @@ def wire_messages():
 
 def _mutate_wire(draw, wire: bytearray) -> bytearray:
     """Apply one targeted mutation to a wire message in place."""
-    kind = draw(st.integers(0, 5))
+    kind = draw(st.integers(0, 6))
+    if kind == 6 and len(wire) >= 12:           # qname past 255 bytes
+        return wire[:12] + (b"\x3f" + b"x" * 63) * draw(
+            st.integers(4, 5)) + wire[12:]
     if kind == 0 and wire:                      # truncate mid-structure
         return wire[:draw(st.integers(0, len(wire) - 1))]
     if kind == 1 and wire:                      # flip bits somewhere
@@ -251,19 +254,39 @@ def _target_message_parser(blob: bytes) -> None:
     message.to_wire()       # anything parsed must re-encode cleanly
 
 
-def _make_responder():
+def _make_responder(answer_cache: bool = False):
     from repro.check.scenarios import conformance_wire_zone
     from repro.server.responder import DnsResponder
     return DnsResponder(zones=[conformance_wire_zone()],
-                        answer_cache=False)
+                        answer_cache=answer_cache)
 
 
-def _target_responder(responder):
+def _target_responder(responder, plain=None):
+    """Never crashes; given the *plain* engine too, *responder* (cache
+    on) asked twice — miss path, then full-question hit — equals it."""
     def target(args) -> None:
         blob, proto = args
-        out = responder.reply_wire(proto, blob, "192.0.2.77", 4242)
+        def ask(server):
+            return server.reply_wire(proto, blob, "192.0.2.77", 4242)
+        out = ask(responder)
         assert out is None or isinstance(out, bytes)
+        if plain is not None:
+            assert out == ask(responder) == ask(plain)
     return target
+
+
+def plain_queries():
+    """Well-formed queries at and below the wire corpus zone's names —
+    the shape ``read_question`` accepts, so a run reaches the templates."""
+    return st.builds(
+        lambda labels, qtype, msg_id, rd, edns: Message.make_query(
+            Name(labels + [b"conf", b"example"]), qtype, msg_id, rd,
+            edns).to_wire(),
+        st.lists(st.sampled_from((b"sub", b"ns", b"www", b"WWW", b"wild",
+                                  b"x" * 63)) | _labels, max_size=3),
+        _QTYPES, st.integers(0, 0xFFFF), st.booleans(),
+        st.none() | st.builds(Edns, payload=st.sampled_from(
+            (512, 1232, 4096)), do=st.booleans()))
 
 
 def _target_trace_binary(blob: bytes) -> None:
@@ -302,6 +325,10 @@ def fuzz_targets() -> dict:
         "responder": (st.tuples(hostile_wire(),
                                 st.sampled_from(("udp", "tcp"))),
                       _target_responder(_make_responder())),
+        "responder_precompiled": (
+            st.tuples(hostile_wire() | plain_queries(),
+                      st.sampled_from(("udp", "tcp"))),
+            _target_responder(_make_responder(True), _make_responder())),
         "trace_binary": (hostile_trace_binary(), _target_trace_binary),
         "trace_text": (hostile_trace_lines(), _target_trace_text),
         "wire_round_trip": (dns_messages(), _target_wire_round_trip),

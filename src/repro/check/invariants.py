@@ -21,7 +21,10 @@ turns the promises into machine-checked invariants:
   and matches responses on the 12-byte header; every query it sends
   must equal what the full encoder makes of its record, and every
   response it accepts must decode, with the header fields it acted on
-  equal to the decoded message's (so no extended rcode went unseen).
+  equal to the decoded message's (so no extended rcode went unseen);
+  and every response a server's miss path makes with the answer cache on
+  (question read off the wire, sections spliced from a template) must be
+  what the plain engine — full decode, lookup, full encode — makes.
 
 Enable with ``ReplayConfig(check=True)`` (shaped like ``observe=``):
 the sim engine then verifies each message-id allocation inline,
@@ -271,8 +274,13 @@ class InvariantChecker:
         self.id_checks = 0
 
     def attach(self) -> None:
+        from repro.server.responder import DnsResponder
         for querier in self.engine.queriers:
             querier.check = self
+        for host in self.engine.sim.hosts.values():
+            for app in host.apps:
+                if isinstance(app, DnsResponder):
+                    app.check = self
 
     # -- send-time hook -----------------------------------------------------
 
@@ -329,6 +337,18 @@ class InvariantChecker:
                 f"{querier.name}: header read (id, qr, tc, rcode) = "
                 f"{header} but the decoded message says {decoded} "
                 "(a non-zero extended rcode lives in the OPT TTL)")
+
+    def on_server_response(self, responder, wire: bytes, src: str,
+                           stream: bool, entry) -> None:
+        """*entry* is what *responder*'s miss path made of *wire* with
+        its wire-level forms allowed: the plain engine, run with no side
+        effects, must make the same bytes."""
+        expected = responder._compile(wire, src, stream, None)
+        if expected is None or expected[0].body != entry.body:
+            raise InvariantViolation(
+                f"server: precompiled response to {wire.hex()} differs "
+                f"from the plain engine's: {entry.body.hex()} != "
+                f"{expected[0].body.hex() if expected else None}")
 
     # -- scans --------------------------------------------------------------
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dns.constants import (DEFAULT_EDNS_PAYLOAD, EDNS_DO, Flag, Opcode,
-                                 Rcode, RRClass, RRType)
+from repro.dns.constants import (DEFAULT_EDNS_PAYLOAD, EDNS_DO, MAX_LABEL,
+                                 MAX_NAME_WIRE, Flag, Opcode, Rcode, RRClass,
+                                 RRType)
 from repro.dns.name import Name
 from repro.dns.rdata import Rdata
 from repro.dns.rrset import RRset
@@ -110,6 +111,45 @@ def read_header(wire: bytes) -> tuple[int, bool, bool, int]:
             wire[3] & 0x0F)
 
 
+def read_question(wire: bytes):
+    """``(rd, qname, qtype, qclass, question_end, (payload, do) | None)``
+    for a plain query — the server-side inverse of
+    :meth:`QueryRecord.query_wire` — and None for everything else.  Plain
+    means exactly: QR clear, opcode QUERY, QDCOUNT 1, ANCOUNT = NSCOUNT
+    = 0, an uncompressed qname of at most 255 wire bytes, then nothing or
+    one root-owned, option-less, version-0, ext-rcode-0 OPT that ends
+    the message.  A pointer in the qname, trailing bytes, a second
+    additional record, any EDNS option (so cookies too) are
+    :meth:`Message.from_wire`'s to judge; where this answers, the decoder
+    does not raise and agrees on every field."""
+    size = len(wire)
+    if (size < HEADER_SIZE or wire[2] & 0xF8
+            or wire[4:10] != b"\x00\x01\x00\x00\x00\x00"):
+        return None
+    labels = []
+    pos = HEADER_SIZE
+    while pos < size and wire[pos]:
+        length = wire[pos]
+        if length > MAX_LABEL or pos > HEADER_SIZE + MAX_NAME_WIRE:
+            return None                 # a pointer, or too long a name
+        labels.append(wire[pos + 1:pos + 1 + length])
+        pos += 1 + length
+    end = pos + 5
+    if end > size or end - 4 - HEADER_SIZE > MAX_NAME_WIRE:
+        return None
+    edns, opt = None, wire[end:]
+    if (wire[10:12] == b"\x00\x01" and len(opt) == 11
+            and opt[:3] == b"\x00\x00\x29"
+            and opt[5:7] == opt[9:] == b"\x00\x00"):
+        edns = (opt[3] << 8 | opt[4], bool(opt[7] & 0x80))
+    elif opt or wire[10:12] != b"\x00\x00":
+        return None
+    labels = tuple(labels)
+    qname = Name._trusted(labels, tuple(label.lower() for label in labels))
+    return (bool(wire[2] & 0x01), qname, wire[pos + 1] << 8 | wire[pos + 2],
+            wire[pos + 3] << 8 | wire[pos + 4], end, edns)
+
+
 @dataclass
 class Message:
     """A DNS message; mutable while being assembled, then encoded."""
@@ -166,11 +206,12 @@ class Message:
 
     # -- wire format ---------------------------------------------------
 
-    def to_wire(self, max_size: int = 0) -> bytes:
+    def to_wire(self, max_size: int = 0, notes: list | None = None) -> bytes:
         """Encode.  If *max_size* > 0 and the message exceeds it, the
         answer/authority/additional sections are dropped and TC set,
-        mimicking UDP truncation behaviour of real servers."""
-        wire = self._encode()
+        mimicking UDP truncation behaviour of real servers.  *notes* is
+        :class:`WireWriter`'s, filled by the untruncated encoding."""
+        wire = self._encode(notes)
         if max_size and len(wire) > max_size:
             truncated = Message(
                 msg_id=self.msg_id, opcode=self.opcode, rcode=self.rcode,
@@ -179,8 +220,8 @@ class Message:
             wire = truncated._encode()
         return wire
 
-    def _encode(self) -> bytes:
-        writer = WireWriter()
+    def _encode(self, notes: list | None = None) -> bytes:
+        writer = WireWriter(notes)
         writer.u16(self.msg_id)
         flags_word = (int(self.flags)
                       | ((int(self.opcode) & 0xF) << 11)

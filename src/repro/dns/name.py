@@ -41,17 +41,30 @@ def _validate_labels(labels: tuple[bytes, ...]) -> None:
 class Name:
     """An absolute domain name."""
 
-    __slots__ = ("labels", "_key", "_hash")
+    __slots__ = ("labels", "folded", "_hash")
 
     labels: tuple[bytes, ...]
+    # Lower-cased labels: what equality, hashing and compression match on.
+    folded: tuple[bytes, ...]
 
     def __init__(self, labels: Iterable[bytes] = ()):
         labels = tuple(bytes(label) for label in labels)
         _validate_labels(labels)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_key",
+        object.__setattr__(self, "folded",
                             tuple(label.lower() for label in labels))
-        object.__setattr__(self, "_hash", hash(self._key))
+        object.__setattr__(self, "_hash", hash(self.folded))
+
+    @classmethod
+    def _trusted(cls, labels: tuple[bytes, ...],
+                 key: tuple[bytes, ...]) -> "Name":
+        """A name from labels known valid (a slice of a name, or read
+        off the wire within the limits) and their lower-cased *key*."""
+        name = object.__new__(cls)
+        object.__setattr__(name, "labels", labels)
+        object.__setattr__(name, "folded", key)
+        object.__setattr__(name, "_hash", hash(key))
+        return name
 
     def __setattr__(self, *_args):  # pragma: no cover - defensive
         raise AttributeError("Name is immutable")
@@ -143,14 +156,14 @@ class Name:
         """The name with the leftmost label removed; root's parent errors."""
         if not self.labels:
             raise NameError_("root has no parent")
-        return Name(self.labels[1:])
+        return Name._trusted(self.labels[1:], self.folded[1:])
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if *self* equals or is below *other*."""
-        olen = len(other._key)
+        olen = len(other.folded)
         if olen == 0:
             return True
-        return self._key[-olen:] == other._key if len(self._key) >= olen else False
+        return self.folded[-olen:] == other.folded if len(self.folded) >= olen else False
 
     def relativize(self, origin: "Name") -> tuple[bytes, ...]:
         """Labels of *self* with the *origin* suffix stripped."""
@@ -173,12 +186,13 @@ class Name:
         """The suffix of *self* keeping the last *depth* labels."""
         if depth > len(self.labels):
             raise NameError_(f"depth {depth} exceeds {len(self.labels)} labels")
-        return Name(self.labels[len(self.labels) - depth:])
+        cut = len(self.labels) - depth
+        return Name._trusted(self.labels[cut:], self.folded[cut:])
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield self, then each parent up to and including the root."""
-        for depth in range(len(self.labels), -1, -1):
-            yield Name(self.labels[len(self.labels) - depth:])
+        for cut in range(len(self.labels) + 1):
+            yield Name._trusted(self.labels[cut:], self.folded[cut:])
 
     def is_wild(self) -> bool:
         return bool(self.labels) and self.labels[0] == b"*"
@@ -187,10 +201,10 @@ class Name:
 
     def canonical_key(self) -> tuple[bytes, ...]:
         """Reversed lowercase labels: sorts in DNSSEC canonical order."""
-        return tuple(reversed(self._key))
+        return tuple(reversed(self.folded))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Name) and self._key == other._key
+        return isinstance(other, Name) and self.folded == other.folded
 
     def __lt__(self, other: "Name") -> bool:
         if not isinstance(other, Name):

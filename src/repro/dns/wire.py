@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.dns.constants import MAX_NAME_WIRE
 from repro.dns.name import Name
 
 
@@ -36,9 +37,13 @@ def compression_pointer(offset: int) -> bytes:
 class WireWriter:
     """Accumulates a DNS message, compressing names as they are written."""
 
-    def __init__(self) -> None:
+    def __init__(self, notes: list | None = None) -> None:
         self._buf = bytearray()
         self._offsets: dict[tuple[bytes, ...], int] = {}
+        # A list receives, per name written, (start offset, lower-cased
+        # labels, offset of the pointer it ended in or -1): what
+        # server/answercache.py needs to move a body behind another qname.
+        self._notes = notes
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -70,20 +75,26 @@ class WireWriter:
         """Write *name*, emitting a compression pointer when a suffix of
         it has already been written at a pointer-reachable offset."""
         labels = name.labels
-        key = tuple(label.lower() for label in labels)
+        key = name.folded
+        start = len(self._buf)
+        pointer_at = -1
         for i in range(len(labels)):
             suffix = key[i:]
             offset = self._offsets.get(suffix) if compress else None
             if offset is not None:
+                pointer_at = len(self._buf)
                 self.u16(POINTER_FLAG | offset)
-                return
+                break
             here = len(self._buf)
             if here <= MAX_POINTER_OFFSET:
                 self._offsets.setdefault(suffix, here)
             label = labels[i]
             self._buf.append(len(label))
             self._buf += label
-        self._buf.append(0)
+        else:
+            self._buf.append(0)
+        if self._notes is not None:
+            self._notes.append((start, key, pointer_at))
 
 
 class WireReader:
@@ -129,6 +140,7 @@ class WireReader:
     def name(self) -> Name:
         """Read a possibly-compressed name starting at the cursor."""
         labels: list[bytes] = []
+        size = 1                # the root byte
         pos = self.pos
         jumped = False
         seen: set[int] = set()
@@ -159,6 +171,9 @@ class WireReader:
                 break
             if pos + 1 + length > len(self.data):
                 raise WireError("label runs past end of message")
+            size += 1 + length
+            if size > MAX_NAME_WIRE:    # Name() would raise NameError_
+                raise WireError(f"name longer than {MAX_NAME_WIRE} bytes")
             labels.append(self.data[pos + 1:pos + 1 + length])
             pos += 1 + length
         return Name(labels)

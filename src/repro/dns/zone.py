@@ -35,13 +35,19 @@ class LookupStatus(enum.Enum):
     CNAME = "cname"
 
 
-@dataclass
+@dataclass(eq=False)
 class LookupResult:
+    """What a lookup found.  Read-only for callers: a *shared* result
+    (a referral at one cut, a denial between the same NSEC owners) is
+    one object for every such query until the next :meth:`Zone.add`, so
+    a server can key encoded bytes on it (hence identity eq/hash)."""
+
     status: LookupStatus
     answers: list[RRset] = field(default_factory=list)
     authority: list[RRset] = field(default_factory=list)
     additional: list[RRset] = field(default_factory=list)
     wildcard: bool = False
+    shared: bool = False
 
 
 class Zone:
@@ -55,7 +61,10 @@ class Zone:
         self._sigs: dict[tuple[Name, int], RRset] = {}
         # Names that exist only because something lives below them.
         self._non_terminals: set[Name] = set()
-        self._sorted_names: list[Name] | None = None
+        # (canonical key, name) pairs in canonical order, built lazily.
+        self._sorted_names: list[tuple[tuple, Name]] | None = None
+        # One result per cut / per covering NSEC owners, until add().
+        self._shared: dict[tuple, LookupResult] = {}
         # Monotonic mutation counter: consumers that memoize derived
         # data (the server's precompiled answer cache) compare it to
         # detect zone changes in O(1).
@@ -86,6 +95,7 @@ class Zone:
                     existing.add(rdata)
         self._register_ancestors(rrset.name)
         self._sorted_names = None
+        self._shared.clear()
         self.version += 1
 
     def _register_ancestors(self, name: Name) -> None:
@@ -208,15 +218,20 @@ class Zone:
     # -- internals ---------------------------------------------------------
 
     def _delegation(self, cut: Name, dnssec: bool) -> LookupResult:
+        result = self._shared.get((cut, dnssec))
+        if result is not None:
+            return result
         ns_rrset = self._nodes[cut][RRType.NS]
         result = LookupResult(LookupStatus.DELEGATION,
                               authority=[ns_rrset],
-                              additional=self.glue_for(ns_rrset))
+                              additional=self.glue_for(ns_rrset),
+                              shared=True)
         if dnssec:
             ds = self.get_rrset(cut, RRType.DS)
             if ds is not None:
                 result.authority.append(ds)
                 self._attach_sig(result.authority, cut, RRType.DS)
+        self._shared[(cut, dnssec)] = result
         return result
 
     MAX_CNAME_CHASE = 8
@@ -309,34 +324,38 @@ class Zone:
         return result
 
     def _nxdomain(self, qname: Name, dnssec: bool) -> LookupResult:
-        result = LookupResult(LookupStatus.NXDOMAIN)
+        # The denial depends on qname only through its NSEC owners.
+        owners = self._covering_nsec_owners(qname) if dnssec else ()
+        result = self._shared.get((dnssec, *owners))
+        if result is not None:
+            return result
+        result = LookupResult(LookupStatus.NXDOMAIN, shared=True)
         if self.soa is not None:
             result.authority.append(self.soa)
             if dnssec:
                 self._attach_sig(result.authority, self.origin, RRType.SOA)
-        if dnssec:
-            for owner in self._covering_nsec_owners(qname):
-                nsec = self.get_rrset(owner, RRType.NSEC)
-                if nsec is not None and nsec not in result.authority:
-                    result.authority.append(nsec)
-                    self._attach_sig(result.authority, owner, RRType.NSEC)
+        for owner in owners:
+            nsec = self.get_rrset(owner, RRType.NSEC)
+            if nsec is not None and nsec not in result.authority:
+                result.authority.append(nsec)
+                self._attach_sig(result.authority, owner, RRType.NSEC)
+        self._shared[(dnssec, *owners)] = result
         return result
 
-    def _covering_nsec_owners(self, qname: Name) -> list[Name]:
+    def _covering_nsec_owners(self, qname: Name) -> tuple[Name, ...]:
         """Owners of the NSEC records proving *qname*'s non-existence:
         the canonical predecessor and the wildcard-denial predecessor."""
         if self._sorted_names is None:
-            self._sorted_names = sorted(self._nodes,
-                                        key=lambda n: n.canonical_key())
+            self._sorted_names = sorted((n.canonical_key(), n)
+                                        for n in self._nodes)
         names = self._sorted_names
         if not names:
-            return []
-        owners = []
-        for target in (qname, self.origin.prepend(b"*")):
-            index = bisect.bisect_left(
-                [n.canonical_key() for n in names], target.canonical_key())
-            owners.append(names[max(0, index - 1)])
-        return owners
+            return ()
+        # A 1-tuple sorts just before the pair with the same key.
+        return tuple(
+            names[max(0, bisect.bisect_left(
+                names, (target.canonical_key(),)) - 1)][1]
+            for target in (qname, self.origin.prepend(b"*")))
 
     def _attach_sig(self, section: list[RRset], owner: Name, covered: int,
                     rename_to: Name | None = None) -> None:

@@ -26,13 +26,41 @@ Invalidation is O(1) per lookup: the cache remembers the view
 selector's ``generation`` (any view/zone-set change flushes everything)
 and each entry carries the answering zone's ``version`` (any mutation
 of that zone drops its entries lazily).
+
+**Section templates** are the same idea one level down, for names seen
+once.  A referral or a denial depends not on the qname but on the zone's
+*shared* :class:`LookupResult` (one per cut, one per pair of covering
+NSEC owners), so what the full encoder wrote after the question is kept
+per ``(result, rd, EDNS/DO, matched suffix)`` and a later query gets
+``id + stored header + its own question bytes + stored tail``, every
+compression pointer in the tail moved by the difference in qname length.
+Why that equals the full encoder's bytes: after the question the encoder
+depends on the qname only through which suffixes of the names it writes
+there the qname has already registered; that set is suffix-closed, so
+the *longest* qname suffix in it — the matched suffix, the same label
+tuple for both queries — decides it.  A pointer then targets either the
+matched suffix, which ends the qname, or a name after the question; both
+move with the qname's length, nothing points into the qname before the
+matched suffix (that is what longest means), and the writer registers a
+suffix at its first occurrence only.  Templates are keyed on the result
+object, so :meth:`Zone.add`, which drops its shared results, orphans
+them; they hold for any source, view or size limit (applied when
+splicing); the store is FIFO-bounded at :data:`TEMPLATE_STORE`; and
+``ReplayConfig(check=True)`` compares every response made this way with
+the plain engine's bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dns.name import Name
+from repro.dns.wire import MAX_POINTER_OFFSET
+
+# Templates kept per AnswerCache, FIFO beyond: a sweep of hostile qnames
+# cannot grow the store past this.
+TEMPLATE_STORE = 1024
 
 
 @dataclass(frozen=True)
@@ -55,8 +83,28 @@ class CachedAnswer:
     cookie_verified: bool = False
 
 
+class _Template(NamedTuple):
+    """What the full encoder wrote around one reference question."""
+
+    head: bytes             # flags and counts
+    end: int                # where the reference question ended
+    tail: bytes             # everything behind it
+    pointers: tuple         # offsets of the compression pointers in tail
+    suffixes: frozenset     # of every name written in tail
+
+    def tail_behind(self, end: int) -> bytes:
+        if end == self.end:
+            return self.tail
+        tail = bytearray(self.tail)
+        for at in self.pointers:
+            moved = (tail[at] << 8 | tail[at + 1]) + end - self.end
+            tail[at], tail[at + 1] = moved >> 8, moved & 0xFF
+        return bytes(tail)
+
+
 class AnswerCache:
-    """Bounded map of (source, transport class, query tail) -> answer."""
+    """Bounded map of (source, transport class, query tail) -> answer,
+    and the bounded store of section templates behind it."""
 
     def __init__(self, views, max_entries: int = 100_000):
         self._views = views
@@ -65,6 +113,10 @@ class AnswerCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        # (result, rd, do, matched suffix) -> what was encoded for it.
+        self.templates: dict[tuple, _Template] = {}
+        self.template_hits = 0
+        self.template_builds = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,3 +157,59 @@ class AnswerCache:
             # Deterministic FIFO eviction: drop the oldest insertion.
             del entries[next(iter(entries))]
         entries[(src, stream, wire[2:])] = entry
+
+    # -- section templates: *plain* is read_question()'s tuple for the
+    # query *wire*, *result* a shared LookupResult ----------------------
+
+    def spliced(self, result, plain: tuple, wire: bytes,
+                limit: int) -> bytes | None:
+        """The response to *wire* after its id, from a template — or
+        None when there is none yet, when a longer qname suffix matches
+        than the template was built for, or when the message would pass
+        *limit* (0: none; truncation is the full encoder's job) or the
+        reach of a pointer."""
+        rd, qname, _, _, end, edns = plain
+        do = edns[1] if edns else None
+        key = qname.folded
+        for i in range(len(key) + 1):
+            template = self.templates.get((result, rd, do, key[i:]))
+            if template is not None:
+                break
+        else:
+            return None
+        size = end + len(template.tail)
+        if (size > MAX_POINTER_OFFSET or (limit and size > limit)
+                or any(key[j:] in template.suffixes for j in range(i))):
+            return None
+        self.template_hits += 1
+        return template.head + wire[12:end] + template.tail_behind(end)
+
+    def learn(self, result, plain: tuple, wire: bytes, full: bytes,
+              notes: list) -> None:
+        """Keep *full*, the untruncated reference encoding of the
+        response to *wire* with the writer's *notes*, as a template —
+        unless one is kept or the shift argument does not hold here."""
+        rd, qname, _, _, end, edns = plain
+        body = [note for note in notes if note[0] >= end]
+        suffixes = frozenset(name[i:] for _, name, _ in body
+                             for i in range(len(name)))
+        key = qname.folded
+        matched = next((key[i:] for i in range(len(key))
+                        if key[i:] in suffixes), ())
+        store, store_key = self.templates, (
+            result, rd, edns[1] if edns else None, matched)
+        # Pointers must target the matched suffix (it starts at floor;
+        # end - 5 is the qname's root byte) or a name behind the question.
+        floor = end - 5 - sum(1 + len(label) for label in matched)
+        pointers = tuple(at - end for _, _, at in body if at >= 0)
+        targets = [(full[end + at] << 8 | full[end + at + 1])
+                   & MAX_POINTER_OFFSET for at in pointers]
+        if (store_key in store or len(full) > MAX_POINTER_OFFSET
+                or full[12:end] != wire[12:end]
+                or any(t < floor or end - 5 <= t < end for t in targets)):
+            return
+        if len(store) >= TEMPLATE_STORE:
+            del store[next(iter(store))]
+        store[store_key] = _Template(full[2:12], end, full[end:], pointers,
+                                     suffixes)
+        self.template_builds += 1

@@ -157,6 +157,8 @@ class AuthoritativeServer(DnsResponder):
         if self.answer_cache is not None:
             state["cache_hits"] = self.answer_cache.hits
             state["cache_misses"] = self.answer_cache.misses
+            state["template_hits"] = self.answer_cache.template_hits
+            state["template_builds"] = self.answer_cache.template_builds
         return state
 
     def load_state(self, state: dict) -> None:
@@ -183,6 +185,9 @@ class AuthoritativeServer(DnsResponder):
         if self.answer_cache is not None and "cache_hits" in state:
             self.answer_cache.hits = state["cache_hits"]
             self.answer_cache.misses = state["cache_misses"]
+            self.answer_cache.template_hits = state.get("template_hits", 0)
+            self.answer_cache.template_builds = \
+                state.get("template_builds", 0)
 
     # -- transports -----------------------------------------------------
 
@@ -209,7 +214,7 @@ class AuthoritativeServer(DnsResponder):
         self._serve_udp(payload, src, sport)
 
     def _serve_udp(self, payload: bytes, src: str, sport: int) -> None:
-        wire = self._reply_wire("udp", payload, src, sport)
+        wire = self.reply_wire("udp", payload, src, sport)
         if wire is not None:
             if self.worker_pool is not None:
                 ready = self.worker_pool.admit(
@@ -252,7 +257,7 @@ class AuthoritativeServer(DnsResponder):
                 self._buffer_while_paused(lambda: on_message(wire))
                 return
             self.host.meter.charge_cpu(self.host.meter.cost.tcp_query)
-            out = self._reply_wire("tcp", wire, conn.raddr, conn.rport)
+            out = self.reply_wire("tcp", wire, conn.raddr, conn.rport)
             if out is not None and conn.state == "ESTABLISHED":
                 conn.send(frame_message(out))
 
@@ -270,7 +275,7 @@ class AuthoritativeServer(DnsResponder):
                 self._buffer_while_paused(lambda: on_message(wire))
                 return
             self.host.meter.charge_cpu(self.host.meter.cost.tls_query)
-            out = self._reply_wire("tls", wire, conn.raddr, conn.rport)
+            out = self.reply_wire("tls", wire, conn.raddr, conn.rport)
             if out is not None and conn.state == "ESTABLISHED":
                 tls.send(frame_message(out))
 
@@ -292,7 +297,7 @@ class AuthoritativeServer(DnsResponder):
                 lambda: self._quic_reply(conn, stream_id, wire))
             return
         self.host.meter.charge_cpu(self.host.meter.cost.tls_query)
-        out = self._reply_wire("quic", wire, conn.peer_addr,
+        out = self.reply_wire("quic", wire, conn.peer_addr,
                                conn.peer_port)
         if out is not None:
             conn.send_stream(stream_id, frame_message(out))

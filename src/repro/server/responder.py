@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.dns.constants import Flag, Opcode, Rcode
-from repro.dns.message import Message
+from repro.dns.message import Edns, Message, read_question
 from repro.dns.name import Name
 from repro.dns.wire import WireError
 from repro.dns.zone import LookupStatus, Zone
@@ -103,6 +103,8 @@ class DnsResponder:
         self.admission_processed = 0
         self.admission_shed = 0
         self.admission_refused = 0
+        # ReplayConfig(check=True): InvariantChecker.on_server_response.
+        self.check = None
 
     # -- backend hooks ----------------------------------------------------
 
@@ -123,93 +125,57 @@ class DnsResponder:
         """Wire-format response for a wire-format query, via the
         precompiled-answer cache when possible.  Returns the bytes to
         send (UDP entries are size-limited/truncated, stream entries
-        full-size), or None when no response is due."""
+        full-size), or None when no response is due.
+
+        A hit and a miss differ only in where the entry comes from; the
+        bookkeeping is replayed from it either way, so a cached run is
+        observably identical to an uncached one.  A hit still charges
+        the rate limiter: the cookie option is in the cache key bytes,
+        so the stored ``cookie_verified`` is what re-validation finds."""
         stream = proto != "udp"
         cache = self.answer_cache
-        if cache is not None:
-            entry = cache.get(src, stream, wire)
-            if entry is not None:
-                return self._replay_cached(entry, wire, src, sport,
-                                           proto)
-        result = self._respond(wire, src, sport, proto)
-        if result is None:
-            return None
-        response, query, zone, view_selected = result
-        verified = False
-        if self._cookie_jar is not None:
-            # Validate + attach the cookie echo before encoding: the
-            # echoed option is part of the cached response bytes.
-            verified = self._cookie_jar.process(query, response, src)
-            if verified:
-                self.cookies_validated += 1
-                self._count("server.cookies_validated")
-        full = response.to_wire()
-        out = full
-        if not stream:
-            if query.edns is not None:
-                limit = min(self.udp_payload_limit,
-                            max(512, query.edns.payload))
-            else:
-                limit = 512
-            if len(full) > limit:
-                out = response.to_wire(max_size=limit)
-        decision = self._rrl_gate(src, response.rcode,
-                                  query.question.qname,
-                                  query.question.qtype, zone, verified,
-                                  stream)
-        if self.log_queries:
-            self.query_log.append(QueryLogEntry(
-                time=self._now(), qname=query.question.qname,
-                qtype=query.question.qtype, src=src, sport=sport,
-                proto=proto, rcode=response.rcode,
-                response_size=0 if decision == "drop" else len(full)))
-        if cache is not None and query.opcode == Opcode.QUERY:
-            # Cached regardless of the RRL outcome: the cache stores
-            # the *answer*, and RRL re-decides on every hit.
-            cache.put(src, stream, wire, CachedAnswer(
-                body=out[2:], rcode=response.rcode, full_size=len(full),
-                qname=query.question.qname, qtype=query.question.qtype,
-                view_selected=view_selected, refused=zone is None,
-                zone=zone,
-                zone_version=zone.version if zone is not None else 0,
-                cookie_verified=verified))
-        return self._finish(decision, wire, response.rcode, out)
-
-    # Internal transports predate the public name; both spellings stay
-    # bound to the same method.
-    _reply_wire = reply_wire
-
-    def _replay_cached(self, entry: CachedAnswer, wire: bytes, src: str,
-                       sport: int, proto: str) -> bytes | None:
-        """Replay the bookkeeping of a full answer path, then return
-        the stored bytes with the query's message id patched in.  A
-        cache hit still charges the rate limiter: the cookie option is
-        part of the cache key bytes, so the stored ``cookie_verified``
-        is exactly what re-validation would conclude."""
+        obs = self._obs()
+        start = self._now() if obs is not None else 0.0
+        entry = cache.get(src, stream, wire) if cache is not None else None
+        hit = entry is not None
+        cacheable, templated = True, False
+        if not hit:
+            made = self._compile(wire, src, stream, cache)
+            if made is None:
+                return None
+            entry, cacheable, templated = made
+            if self.check is not None and cache is not None:
+                self.check.on_server_response(self, wire, src, stream,
+                                              entry)
         self.queries_handled += 1
         if entry.refused:
             self.refused += 1
         if entry.cookie_verified:
             self.cookies_validated += 1
-            self._count("server.cookies_validated")
-        obs = self._obs()
         if obs is not None:
-            now = self._now()
             metrics = obs.metrics
-            metrics.counter("server.answer_cache_hits",
-                            volatile=True).inc()
+            if cache is not None:
+                metrics.counter("server.answer_cache_hits" if hit
+                                else "server.answer_cache_misses",
+                                volatile=True).inc()
+            if templated:
+                metrics.counter("server.answer_template_hits",
+                                volatile=True).inc()
             metrics.counter("server.queries").inc()
             metrics.counter(f"server.queries_{proto}").inc()
-            metrics.counter("server.view_selections"
-                            if entry.view_selected
-                            else "server.view_misses").inc()
+            if cacheable:
+                metrics.counter("server.view_selections"
+                                if entry.view_selected
+                                else "server.view_misses").inc()
             if entry.refused:
                 metrics.counter("server.refused").inc()
-            obs.tracer.emit("server.handle", now, now, detail=proto)
+            if entry.cookie_verified:
+                metrics.counter("server.cookies_validated").inc()
+            obs.tracer.emit("server.handle", start, self._now(),
+                            detail=proto)
         decision = self._rrl_gate(src, entry.rcode, entry.qname,
                                   entry.qtype, entry.zone,
-                                  entry.cookie_verified,
-                                  stream=proto != "udp")
+                                  entry.cookie_verified, stream)
         if self.log_queries:
             self.query_log.append(QueryLogEntry(
                 time=self._now(), qname=entry.qname,
@@ -217,8 +183,75 @@ class DnsResponder:
                 rcode=entry.rcode,
                 response_size=(0 if decision == "drop"
                                else entry.full_size)))
+        if not hit and cacheable and cache is not None:
+            # Cached regardless of the RRL outcome: the cache stores
+            # the *answer*, and RRL re-decides on every hit.
+            cache.put(src, stream, wire, entry)
         return self._finish(decision, wire, entry.rcode,
                             wire[:2] + entry.body)
+
+    def _compile(self, wire: bytes, src: str, stream: bool,
+                 cache: AnswerCache | None) \
+            -> tuple[CachedAnswer, bool, bool] | None:
+        """``(entry, cacheable, templated)`` for the query *wire*, None
+        when no response is due; no counter, span or log side effect.
+        With *cache* the first and last step take their wire-level forms
+        where they apply (docs/BACKENDS.md): a plain query's question is
+        read off the wire, a shared lookup result answered from *cache*'s
+        section templates.  With None this is the plain engine — full
+        decode, lookup, full encode — that ``answer_cache=False`` serves
+        and ``check=True`` holds those forms to.  Cookies need the full
+        decoder (the jar reads the option) and a per-client body."""
+        query = plain = None
+        if cache is not None and self._cookie_jar is None:
+            plain = read_question(wire)
+        if plain is not None:
+            rd, qname, qtype, qclass, _, edns = plain
+        else:
+            try:
+                query = Message.from_wire(wire)
+            except WireError:
+                return None
+            if query.is_response or query.question is None:
+                return None
+            qname, qtype = query.question.qname, query.question.qtype
+            edns = query.edns and (query.edns.payload, query.edns.do)
+        cacheable = query is None or query.opcode == Opcode.QUERY
+        zone, view_selected, result = (
+            self._resolve(qname, qtype, bool(edns and edns[1]), src)
+            if cacheable else (None, False, None))
+        limit = 0 if stream else 512
+        if edns and not stream:
+            limit = min(self.udp_payload_limit, max(512, edns[0]))
+        shared = plain is not None and result is not None and result.shared
+        body = cache.spliced(result, plain, wire, limit) if shared else None
+        templated = body is not None
+        verified = False
+        if templated:
+            rcode, full_size = body[1] & 0xF, 2 + len(body)
+        else:
+            if query is None:
+                query = Message.make_query(
+                    qname, qtype, rd=rd, qclass=qclass,
+                    edns=Edns(*edns) if edns else None)
+            response = self._fill(query.make_response(), result, cacheable)
+            if self._cookie_jar is not None:
+                # Validate + attach the cookie echo before encoding: the
+                # echoed option is part of the cached response bytes.
+                verified = self._cookie_jar.process(query, response, src)
+            notes = [] if shared else None
+            out = full = response.to_wire(notes=notes)
+            if limit and len(full) > limit:
+                out = response.to_wire(max_size=limit)
+            if shared and out is full:  # truncated: the TCP retry will
+                cache.learn(result, plain, wire, full, notes)
+            body, rcode, full_size = out[2:], response.rcode, len(full)
+        return CachedAnswer(
+            body=body, rcode=rcode, full_size=full_size, qname=qname,
+            qtype=qtype, view_selected=view_selected,
+            refused=cacheable and zone is None, zone=zone,
+            zone_version=zone.version if zone is not None else 0,
+            cookie_verified=verified), cacheable, templated
 
     # -- overload control -------------------------------------------------
 
@@ -288,75 +321,44 @@ class DnsResponder:
         self.admission_processed += 1
         return self.admission_queue.popleft()
 
-    def _respond(self, wire: bytes, src: str, sport: int, proto: str) \
-            -> tuple[Message, Message, Zone | None, bool] | None:
-        try:
-            query = Message.from_wire(wire)
-        except WireError:
-            return None
-        if query.is_response or query.question is None:
-            return None
-        self.queries_handled += 1
-        obs = self._obs()
-        if obs is not None and self.answer_cache is not None:
-            obs.metrics.counter("server.answer_cache_misses",
-                                volatile=True).inc()
-        handle_start = self._now()
-        response, zone, view_selected = self._answer(query, src)
-        if obs is not None:
-            obs.metrics.counter("server.queries").inc()
-            obs.metrics.counter(f"server.queries_{proto}").inc()
-            obs.tracer.emit("server.handle", handle_start,
-                            self._now(), detail=proto)
-        return response, query, zone, view_selected
-
     def handle_query(self, query: Message, src: str) -> Message:
         """Pure query->response logic (transport-independent)."""
-        return self._answer(query, src)[0]
+        plain = query.opcode == Opcode.QUERY
+        result = self._resolve(
+            query.question.qname, query.question.qtype, query.dnssec_ok,
+            src)[2] if plain else None
+        return self._fill(query.make_response(), result, plain)
 
-    def _answer(self, query: Message, src: str) \
-            -> tuple[Message, Zone | None, bool]:
-        """(response, answering zone or None, view matched?) — the
-        extra fields feed the answer cache's invalidation stamps."""
-        response = query.make_response()
-        if query.opcode != Opcode.QUERY:
+    def _resolve(self, qname: Name, qtype: int, do: bool, src: str):
+        """``(answering zone or None, view matched?, lookup result or
+        None)`` for a question from *src*."""
+        view = self.views.match(src)
+        zone = view.zone_for(qname) if view is not None else None
+        if zone is None:
+            return None, view is not None, None
+        return zone, True, zone.lookup(qname, qtype,
+                                       dnssec=do and zone.is_signed())
+
+    @staticmethod
+    def _fill(response: Message, result, implemented: bool) -> Message:
+        """*response* completed from a lookup result (None: no zone
+        answers, REFUSED)."""
+        if not implemented:
             # NOTIFY/UPDATE/etc. are not implemented, like a pure
             # authoritative-only server.
             response.rcode = Rcode.NOTIMP
-            return response, None, False
-        question = query.question
-        view = self.views.match(src)
-        obs = self._obs()
-        if obs is not None:
-            obs.metrics.counter("server.view_selections"
-                                if view is not None
-                                else "server.view_misses").inc()
-        zone = view.zone_for(question.qname) if view is not None else None
-        if zone is None:
-            self.refused += 1
-            if obs is not None:
-                obs.metrics.counter("server.refused").inc()
+        elif result is None:
             response.rcode = Rcode.REFUSED
-            return response, None, view is not None
-        dnssec = query.dnssec_ok and zone.is_signed()
-        result = zone.lookup(question.qname, question.qtype, dnssec=dnssec)
-        if result.status in (LookupStatus.SUCCESS, LookupStatus.CNAME):
-            response.flags |= Flag.AA
+        else:
+            if result.status != LookupStatus.DELEGATION:
+                # A referral is not authoritative data: AA stays clear.
+                response.flags |= Flag.AA
+            if result.status == LookupStatus.NXDOMAIN:
+                response.rcode = Rcode.NXDOMAIN
             response.answer.extend(result.answers)
             response.authority.extend(result.authority)
             response.additional.extend(result.additional)
-        elif result.status == LookupStatus.DELEGATION:
-            # A referral: not authoritative data, AA stays clear.
-            response.authority.extend(result.authority)
-            response.additional.extend(result.additional)
-        elif result.status == LookupStatus.NXDOMAIN:
-            response.flags |= Flag.AA
-            response.rcode = Rcode.NXDOMAIN
-            response.authority.extend(result.authority)
-        elif result.status == LookupStatus.NODATA:
-            response.flags |= Flag.AA
-            response.authority.extend(result.authority)
-        return response, zone, True
+        return response
 
     # -- instrumentation --------------------------------------------------
 

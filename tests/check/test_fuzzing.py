@@ -69,17 +69,19 @@ def test_query_records_are_valid(record):
 
 
 def test_fuzz_targets_cover_the_five_surfaces():
+    # ... the responder twice: never-crash, and precompiled == plain.
     assert set(fuzz_targets()) == {"message_parser", "responder",
+                                   "responder_precompiled",
                                    "trace_binary", "trace_text",
                                    "wire_round_trip"}
 
 
 def test_run_fuzz_small_budget_zero_crashes():
-    report = run_fuzz(max_examples=50, seed=7)
+    report = run_fuzz(max_examples=60, seed=7)
     assert isinstance(report, FuzzReport)
     assert report.seed == 7
     assert set(report.examples) == set(fuzz_targets())
-    assert report.total_examples == 50
+    assert report.total_examples == 60
     assert report.elapsed >= 0.0
 
 

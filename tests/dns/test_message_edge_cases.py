@@ -90,3 +90,27 @@ def test_all_rrsets_aggregation():
     assert len(message.all_rrsets()) == 3
     assert message.find_rrset(message.answer, name, RRType.A) is not None
     assert message.find_rrset(message.answer, name, RRType.MX) is None
+
+
+def overlong_query() -> bytes:
+    """Five 63-byte labels: a 321-byte qname in a 337-byte datagram."""
+    return (b"\x12\x34\x00\x00\x00\x01" + bytes(6)
+            + (b"\x3f" + b"x" * 63) * 5 + b"\x00\x00\x01\x00\x01")
+
+
+def test_overlong_qname_is_a_wire_error():
+    """It used to escape as NameError_, which no transport catches."""
+    from repro.dns.message import read_header, read_question
+    wire = overlong_query()
+    with pytest.raises(WireError, match="longer than 255"):
+        Message.from_wire(wire)
+    assert read_question(wire) is None
+    assert read_header(wire) == (0x1234, False, False, 0)
+    # 255 bytes exactly still parse; one more byte, reached through a
+    # compression pointer, does not.
+    longest = (b"\x3f" + b"x" * 63) * 3 + b"\x3d" + b"y" * 61 + b"\x00"
+    fits = wire[:12] + longest + b"\x00\x01\x00\x01"
+    assert Message.from_wire(fits).question.qname.wire_length() == 255
+    answer = b"\x01z\xc0\x0c" + b"\x00\x01\x00\x01" + bytes(4) + b"\x00\x00"
+    with pytest.raises(WireError, match="longer than 255"):
+        Message.from_wire(fits[:7] + b"\x01" + fits[8:] + answer)

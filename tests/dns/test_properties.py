@@ -171,3 +171,27 @@ def test_zone_file_round_trip_preserves_lookups(zone):
         assert got is not None
         assert sorted(r.to_wire() for r in got.rdatas) == \
             sorted(r.to_wire() for r in rrset.rdatas)
+
+
+@settings(deadline=None)
+@given(st.lists(st.binary(min_size=1, max_size=20), max_size=8),
+       st.data())
+def test_sliced_names_equal_rebuilt_ones(labels, data):
+    """``split``/``parent``/``ancestors`` slice an already-valid name
+    through the private constructor: the result is indistinguishable
+    from ``Name(labels)``."""
+    name = Name(labels)
+    depth = data.draw(st.integers(0, len(labels)))
+    sliced = [name.split(depth)] + list(name.ancestors())
+    rebuilt = [Name(labels[len(labels) - depth:])] + [
+        Name(labels[cut:]) for cut in range(len(labels) + 1)]
+    if labels:
+        sliced.append(name.parent())
+        rebuilt.append(Name(labels[1:]))
+    other = Name([b"M"])
+    for got, want in zip(sliced, rebuilt, strict=True):
+        assert got == want and hash(got) == hash(want)
+        assert got.labels == want.labels and got.folded == want.folded
+        assert got.canonical_key() == want.canonical_key()
+        assert got.to_text() == want.to_text()
+        assert (got < other, other < got) == (want < other, other < want)
