@@ -86,6 +86,13 @@ class Name:
         """
         if text in (".", ""):
             return cls(())
+        if "\\" not in text:
+            # No escapes (nearly every name): the labels are the text
+            # between the dots; cls() rejects an empty one.
+            labels = text.encode("latin-1").split(b".")
+            if not labels[-1]:
+                labels.pop()        # the trailing dot
+            return cls(labels)
         labels: list[bytes] = []
         current = bytearray()
         i = 0

@@ -1,17 +1,18 @@
 """Simulated clock and event scheduler.
 
-A deterministic event loop over one timer store: a binary min-heap of
-``(time, seq, Event)`` entries.  Events run in the total order
-``(time, seq)`` — ties break by insertion order — so every seeded run
-is reproducible byte for byte.  DESIGN.md section 5 records why there
-is no second store and when that is worth measuring again.
+A deterministic event loop over one timer store: a binary min-heap
+whose entries are the :class:`Event` objects themselves.  Events run
+in the total order ``(time, seq)`` — ties break by insertion order — so
+every seeded run is reproducible byte for byte.  DESIGN.md section 5
+records why there is no second store and when that is worth measuring
+again.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
+from operator import itemgetter
 from typing import Any, Callable
 
 # How often the instrumented loop samples pending-event depth (must be
@@ -19,26 +20,28 @@ from typing import Any, Callable
 _HEAP_SAMPLE_MASK = 0xFF
 
 
-class Event:
+class Event(list):
     """A scheduled callback; cancel() prevents it from firing.
 
-    A *daemon* event (periodic samplers, housekeeping) does not keep
-    :meth:`Scheduler.run_until_idle` alive: once only daemon events
-    remain, the simulation is considered idle.
+    The event is its own heap entry, ``[time, seq, fn, args, daemon]``:
+    lists order item by item and ``(time, seq)`` is unique, so nothing
+    behind it is ever compared.  A *daemon* event (periodic samplers,
+    housekeeping) does not keep :meth:`Scheduler.run_until_idle` alive:
+    once only daemon events remain, the simulation is considered idle.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "daemon")
+    __slots__ = ()
 
-    def __init__(self, time: float, fn: Callable[..., Any], args: tuple,
-                 daemon: bool = False):
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.daemon = daemon
+    time = property(itemgetter(0))
+    args = property(itemgetter(3))      # survives cancel()
+    daemon = property(itemgetter(4))
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self[2] = None
 
 
 class Scheduler:
@@ -50,14 +53,11 @@ class Scheduler:
 
     def __init__(self) -> None:
         self.now = 0.0
-        # (time, seq, Event): the (time, seq) prefix is unique, so
-        # Events themselves are never compared.
-        self._heap: list[tuple] = []
-        self._seq = itertools.count()
+        self._heap: list[Event] = []
         self.events_processed = 0
         self._live = 0  # pending non-daemon events (cancelled included
         #                 until popped; they drain in time order)
-        self.heap_scheduled = 0  # events ever scheduled
+        self.heap_scheduled = 0  # events ever scheduled; the next seq
         # Observability handle (repro.obs.Observer); None means off and
         # every instrumented component skips its recording code.
         self.obs = None
@@ -68,18 +68,29 @@ class Scheduler:
         """Schedule *fn(*args)* at absolute simulated *time*."""
         if time < self.now:
             time = self.now
-        event = Event(time, fn, args, daemon)
-        heapq.heappush(self._heap, (time, next(self._seq), event))
-        self.heap_scheduled += 1
+        seq = self.heap_scheduled
+        self.heap_scheduled = seq + 1
+        event = Event((time, seq, fn, args, daemon))
+        heapq.heappush(self._heap, event)
         if not daemon:
             self._live += 1
         return event
 
     def after(self, delay: float, fn: Callable[..., Any],
               *args: Any, daemon: bool = False) -> Event:
-        """Schedule *fn(*args)* after *delay* simulated seconds."""
-        return self.at(self.now + max(0.0, delay), fn, *args,
-                       daemon=daemon)
+        """Schedule *fn(*args)* after *delay* simulated seconds.
+
+        :meth:`at` written out again: most timers are set through here,
+        and re-packing ``*args`` through a second frame cost a third of
+        an event."""
+        time = self.now + delay if delay > 0.0 else self.now
+        seq = self.heap_scheduled
+        self.heap_scheduled = seq + 1
+        event = Event((time, seq, fn, args, daemon))
+        heapq.heappush(self._heap, event)
+        if not daemon:
+            self._live += 1
+        return event
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> None:
@@ -109,16 +120,16 @@ class Scheduler:
                 return
             if until is None and self._live == 0:
                 return  # only daemon events remain: idle
-            event_time, _, event = heap[0]
+            event_time, _, fn, args, daemon = heap[0]
             if until is not None and event_time > until:
                 break
             heappop(heap)
-            if not event.daemon:
+            if not daemon:
                 self._live -= 1
-            if event.cancelled:
+            if fn is None:      # cancelled
                 continue
             self.now = event_time
-            event.fn(*event.args)
+            fn(*args)
             self.events_processed += 1
             processed += 1
             if heap_depth is not None and \

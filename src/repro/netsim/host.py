@@ -31,6 +31,7 @@ class Host:
         self.name = name
         self.addrs: list[str] = list(addrs or [])
         self.network = None  # set by Network.attach
+        self.link = None     # uplink; set by Network.attach / set_link
         self.meter = ResourceMeter(cores=cores, cost=cost)
         self.sendpath = sendpath or NullSendPath()
         # Applications (servers, resolvers) bound to this host register
@@ -84,13 +85,23 @@ class Host:
             raise RuntimeError(f"host {self.name} not attached to a network")
         self.network.transmit(packet, self)
 
-    def receive(self, packet: Packet) -> None:
-        """Fabric delivery entry point: ingress filters, then demux."""
+    def receive(self, packet: Packet, size: int) -> None:
+        """Fabric delivery entry point (the event ``Network.transmit``
+        schedules; *size* is the wire size it charged the sender):
+        account the arrival, ingress filters, then demux."""
+        self.network.delivered += 1
+        obs = self.scheduler.obs
+        if obs is not None:
+            obs.metrics.counter("transport.wire.delivered").inc()
+        meter = self.meter          # ResourceMeter.count_in
+        second = int(self.scheduler.now)
+        meter.bytes_in[second] = meter.bytes_in.get(second, 0) + size
+        meter.packets_in[second] = meter.packets_in.get(second, 0) + 1
         for flt in self.ingress_filters:
             packet = flt(packet)
             if packet is None:
                 return
-        self.meter.charge_cpu(self.meter.cost.generic_packet)
+        meter.cpu_busy += meter.cost.generic_packet
         if packet.proto == "udp":
             sock = self._udp_socks.get(packet.dport)
             if sock is not None:

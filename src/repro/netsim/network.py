@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from repro.netsim.clock import Scheduler
-from repro.netsim.packet import Packet
+from repro.netsim.packet import OVERHEAD, Packet
 
 
 @dataclass
@@ -28,26 +28,18 @@ class LinkParams:
     bandwidth_bps: float = 1e9     # 1 Gb/s as in the paper's testbed
     loss: float = 0.0              # independent per-packet loss fraction
 
-    def serialization(self, nbytes: int) -> float:
-        if self.bandwidth_bps <= 0:
-            return 0.0
-        return nbytes * 8 / self.bandwidth_bps
-
 
 class Link:
-    """Stateful uplink: models serialization queueing on egress."""
+    """Stateful uplink: *free_at* is when its egress finishes
+    serializing what was already sent, so back-to-back packets queue.
+    *params* is replaced, never edited (:class:`FaultInjector` swaps it
+    mid-run), so hold the Link and read ``link.params`` per packet."""
+
+    __slots__ = ("params", "free_at")
 
     def __init__(self, params: LinkParams):
         self.params = params
-        self._egress_free_at = 0.0
-
-    def egress_time(self, now: float, nbytes: int) -> tuple[float, float]:
-        """(departure_complete, arrival_at_fabric) for a packet of
-        *nbytes* sent at *now*; back-to-back packets queue."""
-        start = max(now, self._egress_free_at)
-        done = start + self.params.serialization(nbytes)
-        self._egress_free_at = done
-        return done, done + self.params.delay
+        self.free_at = 0.0
 
 
 class Network:
@@ -65,7 +57,7 @@ class Network:
     # -- wiring -----------------------------------------------------------
 
     def attach(self, host: "Host", link: LinkParams | None = None) -> None:
-        self._links[host.name] = Link(link or LinkParams())
+        self.set_link(host, link or LinkParams())
         for addr in host.addrs:
             self.register_address(addr, host)
         host.network = self
@@ -84,52 +76,56 @@ class Network:
         return self._hosts_by_addr.get(addr)
 
     def set_link(self, host: "Host", link: LinkParams) -> None:
-        self._links[host.name] = Link(link)
+        host.link = self._links[host.name] = Link(link)
 
     def link_of(self, host: "Host") -> Link:
-        return self._links[host.name]
+        return host.link
 
     def rtt_between(self, a: "Host", b: "Host") -> float:
-        return 2 * (self._links[a.name].params.delay
-                    + self._links[b.name].params.delay)
+        return 2 * (a.link.params.delay + b.link.params.delay)
 
     # -- transmission ---------------------------------------------------------
 
     def transmit(self, packet: Packet, sender: "Host") -> None:
         """Carry *packet* from *sender* to whichever host owns the
-        destination address; drop-and-record if nobody does."""
-        now = self.scheduler.now
-        size = packet.wire_size()
-        sender.meter.count_out(now, size)
+        destination address; drop-and-record if nobody does.
+
+        One frame per packet on purpose: metering, loss, egress
+        queueing and arrival are written out here, and every float
+        expression keeps its order — arrival times are hashed into
+        replay outcomes."""
+        scheduler = self.scheduler
+        now = scheduler.now
+        size = OVERHEAD[packet.proto] + len(packet.payload)
+        meter = sender.meter        # ResourceMeter.count_out
+        second = int(now)
+        meter.bytes_out[second] = meter.bytes_out.get(second, 0) + size
+        meter.packets_out[second] = meter.packets_out.get(second, 0) + 1
         receiver = self._hosts_by_addr.get(packet.dst)
-        obs = self.scheduler.obs
+        obs = scheduler.obs
         if receiver is None:
             self.leaked.append(packet)
             if obs is not None:
                 obs.metrics.counter("transport.wire.leaked").inc()
             return
-        out_link = self._links[sender.name]
-        in_link = self._links[receiver.name]
-        loss = 1 - (1 - out_link.params.loss) * (1 - in_link.params.loss)
+        out_link = sender.link
+        out = out_link.params
+        into = receiver.link.params
+        loss = 1 - (1 - out.loss) * (1 - into.loss)
         if loss > 0 and self._loss_rng.random() < loss:
             self.dropped += 1
             if obs is not None:
                 obs.metrics.counter("transport.wire.dropped").inc()
             return
-        _, at_fabric = out_link.egress_time(now, size)
-        arrival = at_fabric + in_link.params.delay
+        done = out_link.free_at if out_link.free_at > now else now
+        if out.bandwidth_bps > 0:
+            done += size * 8 / out.bandwidth_bps
+        out_link.free_at = done
+        arrival = done + out.delay + into.delay
         if obs is not None:
             obs.metrics.counter("transport.wire.bytes").inc(size)
             obs.metrics.histogram("transport.wire.transit_time").record(
                 arrival - now)
             obs.tracer.emit("wire.transmit", now, arrival,
                             detail=packet.proto)
-        self.scheduler.at(arrival, self._deliver, packet, receiver)
-
-    def _deliver(self, packet: Packet, receiver: "Host") -> None:
-        self.delivered += 1
-        obs = self.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter("transport.wire.delivered").inc()
-        receiver.meter.count_in(self.scheduler.now, packet.wire_size())
-        receiver.receive(packet)
+        scheduler.at(arrival, receiver.receive, packet, size)

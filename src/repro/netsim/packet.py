@@ -6,7 +6,7 @@ comparable with what the paper measured on the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ETHER_HEADER = 14
 IP_HEADER = 20
@@ -15,9 +15,11 @@ TCP_HEADER = 20
 
 UDP_OVERHEAD = ETHER_HEADER + IP_HEADER + UDP_HEADER
 TCP_OVERHEAD = ETHER_HEADER + IP_HEADER + TCP_HEADER
+# Wire bytes around the payload, by Packet.proto.
+OVERHEAD = {"udp": UDP_OVERHEAD, "tcp": TCP_OVERHEAD}
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpInfo:
     """Transport metadata for TCP segments (simplified: no seq numbers,
     the simulated network is loss-free and in-order)."""
@@ -33,7 +35,7 @@ class TcpInfo:
         return "+".join(bits) or "DATA"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     src: str
     sport: int
@@ -42,19 +44,9 @@ class Packet:
     proto: str = "udp"  # "udp" or "tcp"
     payload: bytes = b""
     tcp: TcpInfo | None = None
-    # Free-form annotations (proxies use this to stash original addresses
-    # is NOT allowed -- they must rewrite real fields; this meta is for
-    # instrumentation only, e.g. trace capture tags).
-    meta: dict = field(default_factory=dict)
-
-    def wire_size(self) -> int:
-        overhead = TCP_OVERHEAD if self.proto == "tcp" else UDP_OVERHEAD
-        return overhead + len(self.payload)
-
-    def reply_skeleton(self) -> "Packet":
-        """A packet headed back the way this one came."""
-        return Packet(src=self.dst, sport=self.dport,
-                      dst=self.src, dport=self.sport, proto=self.proto)
+    # Set by a Tun on what its handler hands back, so no Tun on the
+    # host captures the packet a second time.
+    reinjected: bool = False
 
     def describe(self) -> str:
         flags = f" [{self.tcp.flags()}]" if self.tcp else ""

@@ -130,8 +130,9 @@ class TcpConnection:
 
     def handle_segment(self, packet: Packet) -> None:
         info = packet.tcp or TcpInfo()
-        self.host.meter.charge_cpu(self.host.meter.cost.tcp_segment)
-        self._last_activity = self.host.scheduler.now
+        host = self.host
+        host.meter.cpu_busy += host.meter.cost.tcp_segment
+        self._last_activity = host.scheduler.now
 
         if info.rst:
             self._become_closed()
@@ -302,12 +303,13 @@ class TcpConnection:
         self._emit(TcpInfo(ack=ack), payload=chunk)
 
     def _emit(self, info: TcpInfo, payload: bytes = b"") -> None:
-        self._count("transport.tcp.segments_out")
-        self.host.meter.charge_cpu(self.host.meter.cost.tcp_segment)
-        packet = Packet(src=self.laddr, sport=self.lport,
-                        dst=self.raddr, dport=self.rport,
-                        proto="tcp", payload=payload, tcp=info)
-        self.host.send_packet(packet)
+        host = self.host
+        obs = host.scheduler.obs
+        if obs is not None:
+            obs.metrics.counter("transport.tcp.segments_out").inc()
+        host.meter.cpu_busy += host.meter.cost.tcp_segment
+        host.send_packet(Packet(self.laddr, self.lport, self.raddr,
+                                self.rport, "tcp", payload, info))
 
     # -- delayed ACK ---------------------------------------------------------------
 

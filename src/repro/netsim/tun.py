@@ -37,15 +37,13 @@ class Tun:
         host.egress_filters.append(self._filter)
 
     def _filter(self, packet: Packet) -> Packet | None:
-        if packet.meta.get("tun_reinjected"):
-            return packet
-        if not self.match(packet):
+        if packet.reinjected or not self.match(packet):
             return packet
         self.captured += 1
         rewritten = self.handler(packet)
         if rewritten is None:
             return None
-        rewritten.meta["tun_reinjected"] = True
+        rewritten.reinjected = True
         return rewritten
 
 

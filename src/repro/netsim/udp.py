@@ -20,14 +20,17 @@ class UdpSocket:
                src: str | None = None) -> None:
         if self.closed:
             raise RuntimeError("send on closed UDP socket")
-        obs = self.host.scheduler.obs
+        host = self.host
+        obs = host.scheduler.obs
         if obs is not None:
             obs.metrics.counter("transport.udp.datagrams_out").inc()
             obs.metrics.counter("transport.udp.bytes_out").inc(
                 len(payload))
-        packet = Packet(src=src or self.host.addr, sport=self.port,
-                        dst=dst, dport=dport, proto="udp", payload=payload)
-        self.host.send_packet(packet)
+        if not src:
+            # host.addr without the property's frame; the property
+            # raises for a host that has no address.
+            src = host.addrs[0] if host.addrs else host.addr
+        host.send_packet(Packet(src, self.port, dst, dport, "udp", payload))
 
     def _deliver(self, packet: Packet) -> None:
         if self.closed or self.on_datagram is None:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 from repro.dns.constants import DNS_PORT, EDNS_COOKIE
@@ -383,7 +384,12 @@ class Querier:
         if self.crashed:
             self._orphans.append(record)
             return
-        msg_id = self._next_msg_id(self._taken_ids(record))
+        # A datagram's channel is resolved once, here, for the id
+        # scan and the send alike.
+        udp = (self._udp_channel_for(record.src)
+               if record.proto == "udp" else None)
+        msg_id = self._next_msg_id(udp.pending.keys() if udp is not None
+                                   else self._taken_ids(record))
         wire = self._query_wire(record, msg_id)
         if self.check is not None:
             self.check.on_msg_id(self, record, msg_id)
@@ -403,8 +409,8 @@ class Querier:
                 now - scheduled)
             obs.tracer.emit("querier.send", scheduled, now,
                             detail=record.proto)
-        if record.proto == "udp":
-            self._send_udp(record, wire, msg_id, result)
+        if udp is not None:
+            self._send_udp(udp, wire, msg_id, result)
         elif record.proto == "quic":
             self._send_quic(record, wire, msg_id, result)
         else:
@@ -566,15 +572,12 @@ class Querier:
             channel = self._udp_by_socket.get(sock)
             if channel is None:
                 channel = self._udp_by_socket[sock] = _Channel(sock)
-                sock.on_datagram = (
-                    lambda payload, _addr, _port, channel=channel:
-                    self._on_udp_response(channel, payload))
+                sock.on_datagram = partial(self._on_udp_response, channel)
             self._udp_channels[src] = channel
         return channel
 
-    def _send_udp(self, record: QueryRecord, wire: bytes, msg_id: int,
+    def _send_udp(self, channel: _Channel, wire: bytes, msg_id: int,
                   result: QueryResult) -> None:
-        channel = self._udp_channel_for(record.src)
         self._expect(channel, msg_id, result, wire,
                      self._udp_timeout, channel, msg_id)
         channel.session.sendto(wire, self.server_addr, self.dns_port)
@@ -597,7 +600,8 @@ class Querier:
             return
         self._settle(self._resolve(channel, msg_id))
 
-    def _on_udp_response(self, channel: _Channel, payload: bytes) -> None:
+    def _on_udp_response(self, channel: _Channel, payload: bytes,
+                         _addr: str, _port: int) -> None:
         response = self._decode(payload)
         if response is None:
             return

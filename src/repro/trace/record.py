@@ -8,10 +8,11 @@ back into a wire-format query by a querier.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from repro.dns.constants import RRClass, RRType
+from repro.dns.constants import EDNS_DO, Flag, RRClass, RRType
 from repro.dns.message import Edns, Message
 from repro.dns.name import Name
 
@@ -22,15 +23,39 @@ PROTOCOLS = ("udp", "tcp", "tls", "quic")
 QUERY_WIRE_MEMO = 4096
 
 
+# A plain query after its id: flags (RD or nothing), QDCOUNT 1, ANCOUNT
+# 0, NSCOUNT 0, ARCOUNT (the OPT); then the question, then the OPT.
+_HEADER_TAILS = {(rd, edns): struct.pack("!5H", Flag.RD if rd else 0,
+                                         1, 0, 0, edns)
+                 for rd in (False, True) for edns in (False, True)}
+_QUESTION_END = struct.Struct("!BHH")   # root label, qtype, qclass
+_OPT = struct.Struct("!BHHIH")  # root, OPT, payload, ttl (DO), no options
+
+
 @lru_cache(maxsize=QUERY_WIRE_MEMO)
 def _query_tail(qname: str, qtype: int, qclass: int, rd: bool, do: bool,
                 edns_payload: int) -> bytes:
     """The encoded query minus its two id bytes, keyed on every field
     the bytes depend on: a question that repeats in a trace is parsed
     and encoded once, and each send only prepends its message id (§2.5:
-    the generator does almost no per-query work)."""
-    return QueryRecord(0.0, "", qname, qtype, qclass, rd=rd, do=do,
-                       edns_payload=edns_payload).to_message().to_wire()[2:]
+    the generator does almost no per-query work).
+
+    A miss (B-Root's junk names are unique) assembles the bytes of
+    ``QueryRecord.to_message().to_wire()`` directly: a question name is
+    never compressed, so a plain query is a fixed header, the
+    length-prefixed labels, qtype/qclass and, with EDNS, one fixed
+    11-byte OPT.  ``InvariantChecker.on_query_wire`` holds the two
+    equal under ``check=True``."""
+    edns = bool(edns_payload or do)
+    tail = bytearray(_HEADER_TAILS[bool(rd), edns])
+    for label in Name.from_text(qname).labels:
+        tail.append(len(label))
+        tail += label
+    tail += _QUESTION_END.pack(0, qtype & 0xFFFF, qclass & 0xFFFF)
+    if edns:
+        tail += _OPT.pack(0, RRType.OPT, (edns_payload or 4096) & 0xFFFF,
+                          EDNS_DO if do else 0, 0)
+    return bytes(tail)
 
 
 @dataclass(frozen=True)

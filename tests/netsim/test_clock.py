@@ -147,8 +147,9 @@ def test_run_until_in_the_past_keeps_the_clock():
 
 
 class ModelEvent:
-    def __init__(self, time, order, fn, daemon):
+    def __init__(self, time, order, fn, args, daemon):
         self.time, self.order, self.fn, self.daemon = time, order, fn, daemon
+        self.args = args
         self.cancelled = False
 
     def cancel(self):
@@ -165,15 +166,16 @@ class ModelScheduler:
         self.queue = []
         self.inserted = 0
 
-    def at(self, time, fn, daemon=False):
-        event = ModelEvent(max(time, self.now), self.inserted, fn, daemon)
+    def at(self, time, fn, *args, daemon=False):
+        event = ModelEvent(max(time, self.now), self.inserted, fn, args,
+                           daemon)
         self.inserted += 1
         self.queue.append(event)
         self.queue.sort(key=lambda e: (e.time, e.order))
         return event
 
-    def after(self, delay, fn, daemon=False):
-        return self.at(self.now + max(0.0, delay), fn, daemon)
+    def after(self, delay, fn, *args, daemon=False):
+        return self.at(self.now + max(0.0, delay), fn, *args, daemon=daemon)
 
     def run(self, until=None, max_events=None):
         fired = 0
@@ -187,7 +189,7 @@ class ModelScheduler:
             event = self.queue.pop(0)
             if not event.cancelled:
                 self.now = event.time
-                event.fn()
+                event.fn(*event.args)
                 self.events_processed += 1
                 fired += 1
         if until is not None:
@@ -199,7 +201,8 @@ class ModelScheduler:
 
 def play(sched, script) -> list:
     """Drive *sched* through *script*; return everything observable:
-    each firing with its time, and (now, events_processed) per step."""
+    each firing with its time, and per step (now, events_processed)
+    and every handle's read surface — pending, fired or cancelled."""
     log = []
     handles = []
     labels = itertools.count()
@@ -207,12 +210,12 @@ def play(sched, script) -> list:
     def schedule(method, when, daemon, on_fire):
         label = next(labels)
 
-        def fire():
-            log.append(("fire", label, sched.now))
+        def fire(fired):
+            log.append(("fire", fired, sched.now))
             for action in on_fire:
                 act(action)
 
-        handles.append(method(when, fire, daemon=daemon))
+        handles.append(method(when, fire, label, daemon=daemon))
 
     def act(action):
         if isinstance(action, tuple):   # re-entrant scheduling
@@ -231,7 +234,9 @@ def play(sched, script) -> list:
                       max_events=max_events)
         else:
             sched.run_until_idle()
-        log.append(("step", sched.now, sched.events_processed))
+        log.append(("step", sched.now, sched.events_processed,
+                    [(h.time, h.args, h.cancelled, h.daemon)
+                     for h in handles]))
     return log
 
 
