@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench ledger examples experiments clean
+.PHONY: install test test-fast ledger examples experiments clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -13,9 +13,6 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 # The one performance benchmark (benchmarks/ledger/README.md).
 ledger:
 	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/ledger -q
@@ -24,19 +21,9 @@ examples:
 	for script in examples/*.py; do \
 		echo "== $$script"; $(PYTHON) $$script || exit 1; done
 
+# Every table and figure: a loop over each experiment module's main().
 experiments:
-	$(PYTHON) -m repro.experiments.table1
-	$(PYTHON) -m repro.experiments.timing
-	$(PYTHON) -m repro.experiments.throughput
-	$(PYTHON) -m repro.experiments.dnssec
-	$(PYTHON) -m repro.experiments.tcp_tls
-	$(PYTHON) -m repro.experiments.latency
-	$(PYTHON) -m repro.experiments.quic
-	$(PYTHON) -m repro.experiments.attack
-	$(PYTHON) -m repro.experiments.zone_growth
-	$(PYTHON) -m repro.experiments.resilience
-	$(PYTHON) -m repro.experiments.failover
-	$(PYTHON) -m repro.experiments.cachepolicy
+	$(PYTHON) -m repro.experiments.report
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache .hypothesis

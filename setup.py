@@ -1,25 +1,7 @@
 """Legacy setup shim: the offline environment lacks the `wheel` package
-PEP-517 editable installs need, so `pip install -e .` uses this path."""
+PEP-517 editable installs need, so `pip install -e .` uses this path.
+All metadata, the console scripts included, lives in pyproject.toml."""
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.8.0",
-    description="LDplayer reproduction: DNS experimentation at scale "
-                "(IMC 2018)",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    entry_points={
-        "console_scripts": [
-            "ldp-trace-convert=repro.tools.trace_convert:main",
-            "ldp-trace-mutate=repro.tools.trace_mutate:main",
-            "ldp-trace-stats=repro.tools.trace_stats:main",
-            "ldp-zone-build=repro.tools.zone_build:main",
-            "ldp-replay=repro.tools.replay_run:main",
-            "ldp-dig=repro.tools.dig:main",
-            "ldp-verify=repro.tools.verify_run:main",
-        ],
-    },
-)
+setup()

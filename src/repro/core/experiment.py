@@ -184,6 +184,7 @@ class RecursiveExperiment:
             delay=half_rtt, loss=self.config.client_loss)
         self.engine = ReplayEngine(self.sim, RECURSIVE_ADDR,
                                    replay_config)
+        self.backend = SimBackend(self.engine)
         self.sampler = PeriodicSampler(self.sim.scheduler,
                                        self.meta_host.meter,
                                        self.config.sample_interval)
@@ -193,12 +194,8 @@ class RecursiveExperiment:
         # Stub queries must request recursion.
         stub_trace = Trace([r.with_(rd=True) for r in trace],
                            name=trace.name)
-        replay = self.config.replay
-        report = self.engine._run(
-            stub_trace,
-            replay.extra_time if extra_time is None else extra_time,
-            replay.until if until is None else until,
-            None)
+        report = self.backend.run(stub_trace, extra_time=extra_time,
+                                  until=until)
         return ExperimentResult(report=report,
                                 samples=self.meta_host.meter.samples,
                                 sim=self.sim)

@@ -13,18 +13,21 @@
 | attack        | extension: DoS what-if (§1's motivating question)  |
 | quic          | extension: the §1 QUIC what-if                     |
 | zone_growth   | extension: zone-count scaling on one meta-server   |
+| resilience    | extension: answered fraction and latency vs loss   |
 | failover      | extension: answered fraction vs querier crash time |
+| cachepolicy   | extension: resolver-cache capacity x Zipf skew     |
 
 Each module exposes structured run functions plus a ``main()`` that
 prints paper-style rows; ``python -m repro.experiments.<module>`` works
-for all of them.  EXPERIMENTS.md records paper-vs-measured values.
+for all of them, and ``python -m repro.experiments.report`` runs them
+all.  EXPERIMENTS.md records paper-vs-measured values.
 """
 
 from repro.experiments import (attack, cachepolicy, dnssec, failover,
-                               harness, latency, quic, table1, tcp_tls,
-                               throughput, timing, zone_growth)
-from repro.experiments import report  # noqa: E402  (imports the above)
+                               harness, latency, quic, report,
+                               resilience, table1, tcp_tls, throughput,
+                               timing, zone_growth)
 
 __all__ = ["attack", "cachepolicy", "dnssec", "failover", "harness",
-           "latency", "quic", "report", "table1", "tcp_tls",
-           "throughput", "timing", "zone_growth"]
+           "latency", "quic", "report", "resilience", "table1",
+           "tcp_tls", "throughput", "timing", "zone_growth"]

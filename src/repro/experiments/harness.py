@@ -11,9 +11,6 @@ compared honestly (DESIGN.md §5).  The paper's reference points:
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 from repro.core.experiment import (AuthoritativeExperiment,
                                    ExperimentConfig)
 from repro.dns.constants import RRType
@@ -25,33 +22,6 @@ from repro.replay.engine import ReplayConfig
 from repro.workloads.internet import ModelInternet
 
 PAPER_BROOT_RATE = 38_000.0     # queries/s, B-Root median (§4.2)
-
-
-def scaled() -> float:
-    """Global effort knob: REPRO_SCALE=2.0 doubles experiment sizes.
-
-    Benches default to small-but-meaningful runs; set REPRO_SCALE
-    higher to tighten statistics at the cost of wall-clock time.
-    """
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
-
-
-@dataclass
-class ScaledValue:
-    """A measured value plus its projection to paper scale."""
-
-    measured: float
-    scale_factor: float
-    unit: str = ""
-
-    @property
-    def projected(self) -> float:
-        return self.measured * self.scale_factor
-
-    def row(self, label: str) -> str:
-        return (f"{label}: measured={self.measured:,.1f}{self.unit} "
-                f"(x{self.scale_factor:,.1f} -> "
-                f"paper-scale ~{self.projected:,.1f}{self.unit})")
 
 
 def wildcard_zone(origin: str = "example.com.") -> Zone:

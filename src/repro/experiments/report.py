@@ -1,116 +1,38 @@
-"""Run the whole reproduction and print a one-screen digest.
+"""Regenerate every table and figure: each experiment module's ``main()``.
 
-``python -m repro.experiments.report`` runs a quick pass of every
-experiment (a few minutes); ``--full`` uses the benchmark-sized
-parameters.  The digest pairs each paper claim with the measured value,
-in the same order as EXPERIMENTS.md.
+``python -m repro.experiments.report`` (``make experiments``) is a loop
+over the modules below, in EXPERIMENTS.md order.  Each is also
+``python -m repro.experiments.<name>`` on its own, and the shapes its
+rows must show are asserted by ``tests/experiments/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-import time
 
-# Direct submodule imports: safe even while repro.experiments.__init__
-# is still initializing (it imports this module last).
-import repro.experiments.dnssec as dnssec
-import repro.experiments.latency as latency
-import repro.experiments.table1 as table1
-import repro.experiments.tcp_tls as tcp_tls
-import repro.experiments.throughput as throughput
-import repro.experiments.timing as timing
-from repro.util.stats import summarize
+MODULES = ("table1", "timing", "throughput", "dnssec", "tcp_tls",
+           "latency", "quic", "attack", "zone_growth", "resilience",
+           "failover", "cachepolicy")
 
 
 def _section(title: str) -> None:
     print(f"\n=== {title} " + "=" * max(0, 60 - len(title)))
 
 
-def run_digest(full: bool = False) -> dict:
-    scale = 1.0 if full else 0.5
-    findings: dict[str, object] = {}
-    started = time.monotonic()
-
-    _section("Table 1: trace inventory")
-    for row in table1.run(duration=20.0 * scale,
-                          syn_duration=4.0 * scale):
-        print(row.format())
-
-    _section("Fig 6: query-time error (paper: quartiles ±2.5ms, "
-             "±8ms at 0.1s)")
-    runs = timing.figure6(syn_duration=16.0 * scale,
-                          syn4_duration=1.0 * scale,
-                          broot_duration=10.0 * scale)
-    for run in runs:
-        summary = run.error_summary_ms()
-        print(f"  {run.label:<12} quartiles [{summary.p25:+5.2f}, "
-              f"{summary.p75:+5.2f}] ms")
-    findings["fig6"] = runs
-
-    _section("Fig 8: per-second rate (paper: 98-99% within ±0.1% "
-             "at 38k q/s)")
-    rate_runs = timing.figure8(trials=2, duration=12.0 * scale,
-                               mean_rate=1000.0)
-    for run in rate_runs:
-        diffs = summarize([d * 100 for d in run.per_second_diffs])
-        print(f"  {run.label}: median={diffs.median:+.3f}% "
-              f"within ±1%: {run.fraction_within(0.01):.0%}")
-    findings["fig8"] = rate_runs
-
-    _section("Fig 9: throughput (paper: 87k q/s generator-bound)")
-    result = throughput.run(duration=6.0, scale=0.05)
-    print(f"  steady {result.steady_rate():,.0f} q/s at 1/20 scale, "
-          f"flatness {result.flatness():.3f}")
-    findings["fig9"] = result
-
-    _section("Fig 10/§5.1: DNSSEC bandwidth (paper: +31% all-DO, "
-             "+32% ZSK upgrade)")
-    dnssec_results = dnssec.run_all(duration=10.0 * scale,
-                                    mean_rate=800.0)
-    ratios = dnssec.headline_ratios(dnssec_results)
-    print(f"  all-DO: {ratios['all_do_increase']:+.1%}   "
-          f"ZSK 1024->2048: {ratios['zsk_upgrade_increase']:+.1%}")
-    findings["fig10"] = ratios
-
-    _section("Fig 11/13/14: CPU + memory (paper: TCP 5%/15GB, "
-             "TLS 9-10%/18GB, orig 10%/2GB)")
-    for protocol in ("original", "tcp", "tls"):
-        run = tcp_tls.run_one(protocol, 20.0, duration=80.0 * scale,
-                              mean_rate=250.0, clients=1000)
-        cpu = run.cpu_summary_scaled()
-        print(f"  {protocol:<9} cpu={cpu.median:5.2f}% "
-              f"mem@38k~{run.projected_memory_gb():5.1f}GB "
-              f"est={run.steady_established():5.0f} "
-              f"tw={run.steady_time_wait():5.0f}")
-        findings[f"resources-{protocol}"] = run
-
-    _section("Fig 15: latency vs RTT (paper: TCP~2RTT/TLS~4RTT "
-             "non-busy; 1% clients=75% load)")
-    for protocol in ("original", "tcp", "tls"):
-        cell = latency.run_cell(protocol, 0.08,
-                                duration=15.0 * scale,
-                                mean_rate=300.0, clients=1200)
-        print(f"  {protocol:<9} all-median="
-              f"{cell.all_clients.median / 0.08:4.2f}RTT "
-              f"non-busy={cell.nonbusy_clients.median / 0.08:4.2f}RTT")
-        findings[f"latency-{protocol}"] = cell
-
-    elapsed = time.monotonic() - started
-    print(f"\ndigest complete in {elapsed:.0f}s "
-          f"({'full' if full else 'quick'} mode); see EXPERIMENTS.md "
-          f"for the reference run and benchmarks/ for regeneration")
-    return findings
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         prog="repro.experiments.report",
-        description="Run the full paper-reproduction digest.")
-    parser.add_argument("--full", action="store_true",
-                        help="benchmark-sized parameters")
-    args = parser.parse_args(argv)
-    run_digest(full=args.full)
+        description="Run every experiment module's main(), in "
+                    "EXPERIMENTS.md order.").parse_args(argv)
+    for name in MODULES:
+        _section(name)
+        module = importlib.import_module(f"repro.experiments.{name}")
+        # attack.main parses a command line; [] keeps it off this one's.
+        status = module.main([]) if name == "attack" else module.main()
+        if status:
+            return status
     return 0
 
 

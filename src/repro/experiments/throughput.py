@@ -6,15 +6,12 @@ and six querier processes on one host, against a wildcard example.com
 zone; the query *generator* saturates one core and is the bottleneck
 (87 k q/s in the paper's C++ implementation).
 
-Two measurements here:
-
-* the simulated experiment — the generator's per-query cost bounds the
-  replay rate, and the sampled rate stays flat over the run (the shape
-  of Fig 9);
-* a wall-clock microbenchmark of this Python implementation's fast
-  path (record -> message -> wire), reported honestly in
-  benchmarks/test_bench_fig09_throughput.py — Python cannot match C++
-  packet rates, and EXPERIMENTS.md records the gap.
+This module is the simulated experiment: the generator's per-query cost
+bounds the replay rate, and the sampled rate stays flat over the run
+(the shape of Fig 9).  What this Python implementation does in wall-clock
+time — it cannot match C++ packet rates — is the performance ledger's
+``fig9_hot`` workload (benchmarks/ledger/README.md), and EXPERIMENTS.md
+records the gap.
 """
 
 from __future__ import annotations

@@ -552,9 +552,8 @@ class LiveBackend(ReplayBackend):
     name = "live"
 
     def __init__(self, zones=None, *, views=None, config=None,
-                 udp_payload_limit: int = 4096,
                  log_queries: bool = False, answer_cache: bool = True,
-                 answer_cache_size: int = 100_000, overload=None):
+                 overload=None):
         from repro.replay.engine import ReplayConfig, _validate_config
         self.config = config = config or ReplayConfig(backend="live")
         _validate_config(config)
@@ -577,9 +576,7 @@ class LiveBackend(ReplayBackend):
         self.clock: _LoopScheduler | None = None
         self.responder = DnsResponder(
             zones=zones, views=views,
-            udp_payload_limit=udp_payload_limit,
             log_queries=log_queries, answer_cache=answer_cache,
-            answer_cache_size=answer_cache_size,
             clock=self._wall_now, observer=self.observer,
             overload=overload)
         self.server: LiveDnsServer | None = None

@@ -41,7 +41,7 @@ class ControlChannel:
     """Postman's TCP connection to one distributor host."""
 
     def __init__(self, host: Host, distributor: Distributor,
-                 fast: bool = False, port: int = 9053):
+                 port: int = 9053):
         self.distributor = distributor
         self.conn = host.tcp_connect(distributor.host.addr, port)
         self.conn.nagle = False  # control plane wants low latency
@@ -125,8 +125,7 @@ class Controller:
     def __init__(self, host: Host, distributors: list[Distributor],
                  fast: bool = False, seed: int = 0,
                  read_window: int = READ_WINDOW,
-                 control_port: int = 9053,
-                 attach_endpoints: bool = True):
+                 control_port: int = 9053):
         if not distributors:
             raise ValueError("controller needs at least one distributor")
         self.host = host
@@ -135,14 +134,12 @@ class Controller:
         self.rng = random.Random(seed)
         self.records_read = 0
         self._assignment: dict[str, ControlChannel] = {}
-        # With several controllers sharing distributors, only the first
-        # attaches the listening endpoints.
-        self._endpoints = ([DistributorEndpoint(d, fast=fast,
-                                                port=control_port)
-                            for d in distributors]
-                           if attach_endpoints else [])
-        self.channels = [ControlChannel(host, d, fast=fast,
-                                        port=control_port)
+        # Controllers may share distributors: each gets its own
+        # listening endpoints, on its own control_port.
+        self._endpoints = [DistributorEndpoint(d, fast=fast,
+                                               port=control_port)
+                           for d in distributors]
+        self.channels = [ControlChannel(host, d, port=control_port)
                          for d in distributors]
         self._input: Iterator[QueryRecord] | None = None
         self._sync_time: float | None = None

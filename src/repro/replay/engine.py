@@ -341,8 +341,7 @@ class ReplayEngine:
                 self.controllers.append(Controller(
                     controller_host, self.distributors,
                     fast=config.fast, seed=config.seed + c,
-                    control_port=9053 + c,
-                    attach_endpoints=True))
+                    control_port=9053 + c))
 
     # -- running ------------------------------------------------------------
 

@@ -67,22 +67,18 @@ class AuthoritativeServer(DnsResponder):
 
     def __init__(self, host: Host, zones: list[Zone] | None = None,
                  views: ViewSelector | None = None, port: int = DNS_PORT,
-                 tls_port: int = TLS_PORT, udp_payload_limit: int = 4096,
+                 tls_port: int = TLS_PORT,
                  tcp_idle_timeout: float | None = 20.0,
                  nagle: bool = True, serve_tls: bool = True,
                  serve_quic: bool = True, quic_port: int = QUIC_PORT,
                  worker_pool: WorkerPool | None = None,
                  log_queries: bool = False,
                  answer_cache: bool = True,
-                 answer_cache_size: int = 100_000,
                  overload=None):
         self.host = host
         super().__init__(zones=zones, views=views,
-                         udp_payload_limit=udp_payload_limit,
                          log_queries=log_queries,
-                         answer_cache=answer_cache,
-                         answer_cache_size=answer_cache_size,
-                         overload=overload)
+                         answer_cache=answer_cache, overload=overload)
         self.port = port
         self.tcp_idle_timeout = tcp_idle_timeout
         self.nagle = nagle

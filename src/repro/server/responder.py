@@ -37,6 +37,9 @@ from repro.server.overload import (OverloadConfig, ResponseRateLimiter,
                                    response_key)
 from repro.server.views import ViewSelector, catch_all_view
 
+# The largest UDP response sent, whatever the client's EDNS advertises.
+UDP_PAYLOAD_LIMIT = 4096
+
 
 @dataclass
 class QueryLogEntry:
@@ -55,10 +58,8 @@ class DnsResponder:
 
     def __init__(self, zones: list[Zone] | None = None,
                  views: ViewSelector | None = None,
-                 udp_payload_limit: int = 4096,
                  log_queries: bool = False,
                  answer_cache: bool = True,
-                 answer_cache_size: int = 100_000,
                  clock: Callable[[], float] | None = None,
                  observer=None,
                  overload: OverloadConfig | None = None):
@@ -70,9 +71,7 @@ class DnsResponder:
         # Precompiled wire-format answers (the NSD analogue, §5.2.1):
         # identical queries skip parse/lookup/encode and get the stored
         # response bytes with only the 2-byte message id patched.
-        self.answer_cache = (AnswerCache(views, answer_cache_size)
-                             if answer_cache else None)
-        self.udp_payload_limit = udp_payload_limit
+        self.answer_cache = AnswerCache(views) if answer_cache else None
         self.log_queries = log_queries
         self.query_log: list[QueryLogEntry] = []
         self.queries_handled = 0
@@ -222,7 +221,7 @@ class DnsResponder:
             if cacheable else (None, False, None))
         limit = 0 if stream else 512
         if edns and not stream:
-            limit = min(self.udp_payload_limit, max(512, edns[0]))
+            limit = min(UDP_PAYLOAD_LIMIT, max(512, edns[0]))
         shared = plain is not None and result is not None and result.shared
         body = cache.spliced(result, plain, wire, limit) if shared else None
         templated = body is not None

@@ -506,42 +506,32 @@ def _init_worker(source: tuple[str, object], chain_blob: bytes,
                "chain": pickle.loads(chain_blob), "mode": mode}
 
 
-def _error_tuple(exc: TraceFormatError) -> tuple[str, int | None,
-                                                 int | None]:
-    # TraceFormatError's keyword-only constructor does not survive
-    # pickling through a pool, so errors cross the process boundary as
-    # plain tuples and are re-raised (with their global index intact)
-    # in the parent.
-    return exc.message, exc.index, exc.offset
+def _process_chunk(buf, chain: _CompiledChain, mode: str, chunk: _Chunk):
+    """One chunk's work, the same inline and in a pool worker:
+    ``(payload, records_in, records_out, skipped, seconds)``, the
+    payload being frame bytes ("binary") or StreamingStats ("stats").
+    A malformed frame raises with its global index; the pool re-raises
+    it in the parent (trace errors pickle, attributes intact)."""
+    started = _time.perf_counter()
+    skipped: list[TraceFormatError] = []
+    if mode == "stats":
+        from repro.trace.stats import StreamingStats
+        payload = StreamingStats()
+        for record, _ in chain.iter_records(buf, chunk, skipped):
+            if record is not None:
+                payload.update(record)
+        n_in, n_out = chunk.records, payload.records
+    elif chain.frame_mode:
+        payload, n_in, n_out = chain.run_frames(buf, chunk)
+    else:
+        payload, n_in, n_out, skipped = chain.run_records(buf, chunk)
+    return payload, n_in, n_out, skipped, _time.perf_counter() - started
 
 
 def _run_chunk(chunk: _Chunk):
     assert _WORKER is not None
-    chain: _CompiledChain = _WORKER["chain"]
-    buf = _WORKER["buf"]
-    started = _time.perf_counter()
-    try:
-        if _WORKER["mode"] == "stats":
-            from repro.trace.stats import StreamingStats
-            stats = StreamingStats()
-            skipped: list[TraceFormatError] = []
-            for record, _ in chain.iter_records(buf, chunk, skipped):
-                if record is not None:
-                    stats.update(record)
-            elapsed = _time.perf_counter() - started
-            return ("ok", stats, chunk.records,
-                    [_error_tuple(e) for e in skipped], elapsed)
-        if chain.frame_mode:
-            out, n_in, n_out = chain.run_frames(buf, chunk)
-            skipped = []
-        else:
-            out, n_in, n_out, skipped = chain.run_records(buf, chunk)
-        elapsed = _time.perf_counter() - started
-        return ("ok", out, (n_in, n_out),
-                [_error_tuple(e) for e in skipped], elapsed)
-    except TraceFormatError as exc:
-        return ("error", _error_tuple(exc), None, None,
-                _time.perf_counter() - started)
+    return _process_chunk(_WORKER["buf"], _WORKER["chain"],
+                          _WORKER["mode"], chunk)
 
 
 # -- results ---------------------------------------------------------------
@@ -766,12 +756,6 @@ class TracePipeline:
             chunks.append(_Chunk(start, end, base, count))
         return chunks
 
-    def _note_skipped_tuples(self, tuples) -> int:
-        for message, index, offset in tuples:
-            note_skipped(self._skipped, TraceFormatError(
-                message, index=index, offset=offset))
-        return len(tuples)
-
     def _run_chunked(self, mode: str):
         """Run the chunked executor; yields per-chunk payloads in input
         order.  ``mode`` is "binary" (payload: frame bytes) or "stats"
@@ -788,11 +772,18 @@ class TracePipeline:
                 self._check_picklable(chain)
             result.chunks = len(chunks)
             if self.jobs == 1 or len(chunks) <= 1:
-                yield from self._run_chunks_inline(buf, chunks, chain,
-                                                   mode, result)
+                outcomes = (_process_chunk(buf, chain, mode, chunk)
+                            for chunk in chunks)
             else:
-                yield from self._run_chunks_pool(chunks, chain, mode,
-                                                 result)
+                outcomes = self._pool_outcomes(chunks, chain, mode)
+            for payload, n_in, n_out, skipped, elapsed in outcomes:
+                result.worker_seconds += elapsed
+                result.records_in += n_in
+                result.records_out += n_out
+                result.skipped += len(skipped)
+                for error in skipped:
+                    note_skipped(self._skipped, error)
+                yield payload
         finally:
             cleanup()
             self.last_result = result
@@ -809,66 +800,16 @@ class TracePipeline:
                 "module-level functions for filter/map predicates, or "
                 "run with jobs=1)") from exc
 
-    def _run_chunks_inline(self, buf, chunks, chain, mode, result):
-        for chunk in chunks:
-            if mode == "stats":
-                from repro.trace.stats import StreamingStats
-                stats = StreamingStats()
-                skipped: list[TraceFormatError] = []
-                started = _time.perf_counter()
-                for record, _ in chain.iter_records(buf, chunk, skipped):
-                    if record is not None:
-                        stats.update(record)
-                result.worker_seconds += _time.perf_counter() - started
-                result.records_in += chunk.records
-                result.records_out += stats.records
-                for error in skipped:
-                    if not self.skip_malformed:
-                        raise error
-                    note_skipped(self._skipped, error)
-                result.skipped += len(skipped)
-                yield stats
-            else:
-                started = _time.perf_counter()
-                if chain.frame_mode:
-                    out, n_in, n_out = chain.run_frames(buf, chunk)
-                    skipped = []
-                else:
-                    out, n_in, n_out, skipped = chain.run_records(
-                        buf, chunk)
-                result.worker_seconds += _time.perf_counter() - started
-                result.records_in += n_in
-                result.records_out += n_out
-                for error in skipped:
-                    note_skipped(self._skipped, error)
-                result.skipped += len(skipped)
-                yield out
-
-    def _run_chunks_pool(self, chunks, chain, mode, result):
+    def _pool_outcomes(self, chunks, chain, mode):
         import multiprocessing as mp
         if self._source.kind == "file":
             source = ("file", self._source.path)
         else:
             source = ("bytes", self._source.data)
-        chain_blob = pickle.dumps(chain)
-        ctx = mp.get_context()
-        with ctx.Pool(processes=self.jobs, initializer=_init_worker,
-                      initargs=(source, chain_blob, mode)) as pool:
-            for status, payload, counts, skipped, elapsed in pool.imap(
-                    _run_chunk, chunks, chunksize=1):
-                result.worker_seconds += elapsed
-                if status == "error":
-                    message, index, offset = payload
-                    raise TraceFormatError(message, index=index,
-                                           offset=offset)
-                result.skipped += self._note_skipped_tuples(skipped)
-                if mode == "stats":
-                    result.records_in += counts
-                    result.records_out += payload.records
-                else:
-                    result.records_in += counts[0]
-                    result.records_out += counts[1]
-                yield payload
+        with mp.get_context().Pool(
+                processes=self.jobs, initializer=_init_worker,
+                initargs=(source, pickle.dumps(chain), mode)) as pool:
+            yield from pool.imap(_run_chunk, chunks, chunksize=1)
 
     def _record_metrics(self, result: PipelineResult) -> None:
         obs = self._observer

@@ -32,6 +32,11 @@ class TextFormatError(TraceFormatError):
         self.offset = None
         self.line = line
 
+    def __reduce__(self):
+        # Exceptions unpickle as cls(*args), and args is the formatted
+        # string alone: without this the positional *line* goes missing.
+        return type(self), (self.message, self.line)
+
 
 def record_to_line(record: QueryRecord) -> str:
     flags = ",".join(name for name, on in (("DO", record.do),

@@ -6,8 +6,10 @@ from repro.core import (AuthoritativeExperiment, ExperimentConfig,
                         RecursiveExperiment)
 from repro.replay.engine import ReplayConfig
 from repro.trace.record import QueryRecord, Trace
+from repro.util.stats import summarize
 from repro.workloads import (ModelInternet, RecursiveParams,
                              generate_recursive_trace)
+from repro.zonegen import construct_zones, harvest_trace, make_prober
 
 from tests.replay.test_engine import wildcard_example_zone
 
@@ -94,3 +96,32 @@ def test_recursive_experiment_proxies_active(recursive_world):
 def test_recursive_experiment_forces_rd(recursive_world):
     internet, trace, experiment, result = recursive_world
     assert all(r.record.rd for r in result.report.results)
+
+
+def test_recursive_replay_over_zones_rebuilt_from_the_trace():
+    """Figure 1 end to end, the §7 "replays of recursive DNS traces with
+    multiple levels of the DNS hierarchy": the hierarchy the resolver
+    walks is the one §2.3 reconstructs from the trace itself."""
+    internet = ModelInternet(tlds=4, slds_per_tld=8, seed=41)
+    trace = generate_recursive_trace(internet, RecursiveParams(
+        duration=25.0, mean_rate=30.0, clients=60, seed=41))
+    built = construct_zones(harvest_trace(internet, trace).responses,
+                            prober=make_prober(internet),
+                            root_hints=internet.root_hints())
+    experiment = RecursiveExperiment(
+        built.zones, internet.root_hints(), ExperimentConfig(
+            rtt=0.004, replay=ReplayConfig(
+                client_instances=1, queriers_per_instance=2,
+                mode="direct", seed=41)))
+    result = experiment.run(trace)
+    assert result.report.answered_fraction() > 0.98
+    assert result.sim.network.leaked == []
+    # Caching must compress the upstream load substantially.
+    stats = experiment.resolver.stats
+    assert stats["client_queries"] == len(trace) > 500
+    assert stats["cache_answers"] > stats["client_queries"] * 0.3
+    assert stats["upstream_queries"] < stats["client_queries"] * 1.5
+    # Cache hits answer in ~1 stub RTT and cold walks cost more: the
+    # latency distribution must show that spread.
+    latency = summarize(result.report.latencies())
+    assert latency.p95 > latency.p25 * 1.5

@@ -34,14 +34,14 @@ def test_rollover_at_least_normal(results):
     by_key = {(r.scenario.do_fraction, r.scenario.zsk_bits,
                r.scenario.rollover): r.bandwidth.median for r in results}
     for do in (0.723, 1.0):
-        assert by_key[(do, 2048, True)] >= by_key[(do, 2048, False)] * 0.98
+        assert by_key[(do, 2048, True)] >= by_key[(do, 2048, False)] * 0.99
 
 
 def test_headline_ratios_near_paper(results):
     ratios = headline_ratios(results)
     # Paper: +31% and +32%; assert direction and rough magnitude.
-    assert 0.15 < ratios["all_do_increase"] < 0.50
-    assert 0.15 < ratios["zsk_upgrade_increase"] < 0.55
+    assert 0.18 < ratios["all_do_increase"] < 0.45
+    assert 0.20 < ratios["zsk_upgrade_increase"] < 0.55
 
 
 def test_scale_projection_positive(results):

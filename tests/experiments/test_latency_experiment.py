@@ -5,11 +5,13 @@ import pytest
 from repro.experiments.latency import figure15c, run_cell
 
 
+COMMON = dict(duration=15.0, mean_rate=300.0, clients=1200)
+
+
 @pytest.fixture(scope="module")
 def cells():
-    common = dict(duration=15.0, mean_rate=300.0, clients=1200)
     rtt = 0.08
-    return {proto: run_cell(proto, rtt, **common)
+    return {proto: run_cell(proto, rtt, **COMMON)
             for proto in ("original", "tcp", "tls")}
 
 
@@ -42,6 +44,15 @@ def test_nonbusy_tls_costs_more_rtts_than_tcp(cells):
     tls = cells["tls"].nonbusy_clients.median
     tcp = cells["tcp"].nonbusy_clients.median
     assert tls > tcp * 1.4
+    assert 2.0 < tls / 0.08 < 5.5
+
+
+def test_nonbusy_tls_median_holds_across_rtt(cells):
+    """Fig 15b's x axis: in RTT units the fresh-TLS cost does not
+    shrink as the RTT grows (the paper reports a rise towards 4 RTT)."""
+    low = run_cell("tls", 0.02, **COMMON).nonbusy_clients.median / 0.02
+    assert 2.0 < low < 5.5
+    assert cells["tls"].nonbusy_clients.median / 0.08 >= low * 0.95
 
 
 def test_nonbusy_tcp_lower_quartile_shows_reuse(cells):
@@ -54,6 +65,9 @@ def test_nonbusy_tcp_lower_quartile_shows_reuse(cells):
 def test_latency_tail_exceeds_median(cells):
     for cell in cells.values():
         assert cell.all_clients.p95 >= cell.all_clients.median
+    # Latency asymmetry (Fig 15a): the stream tail is far above it.
+    tcp = cells["tcp"].all_clients
+    assert tcp.p95 > tcp.median * 1.4
 
 
 def test_nonbusy_covers_most_clients_few_queries(cells):

@@ -38,7 +38,7 @@ def test_quic_beats_tls_overall(cells):
 
 
 def test_quic_has_no_time_wait(cells):
-    assert cells["tcp"].time_wait > 0
+    assert cells["tcp"].time_wait > 50
     assert cells["quic"].time_wait == 0
 
 

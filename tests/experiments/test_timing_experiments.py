@@ -1,17 +1,34 @@
 """Tests for the Fig 6/7/8 experiment machinery (small scale)."""
 
+import math
+
 import pytest
 
-from repro.experiments.harness import wildcard_zone
+from repro.experiments.harness import (PAPER_BROOT_RATE, root_zone_world,
+                                       wildcard_root_zone, wildcard_zone)
 from repro.experiments.timing import (figure7, figure8, replay_and_match)
+from repro.util.stats import percentile, summarize
+from repro.workloads.broot import broot16
 from repro.workloads.synthetic import synthetic_trace
+
+
+def single_querier_run(gap, duration):
+    return replay_and_match(synthetic_trace(gap, duration=duration),
+                            wildcard_zone(), client_instances=1,
+                            queriers_per_instance=1)
 
 
 @pytest.fixture(scope="module")
 def syn_run():
-    trace = synthetic_trace(0.01, duration=5.0)
-    return replay_and_match(trace, wildcard_zone(), client_instances=1,
-                            queriers_per_instance=1)
+    return single_querier_run(0.01, 5.0)
+
+
+@pytest.fixture(scope="module")
+def runs_by_gap():
+    """syn-1..3: the 0.1 s (resonant), 10 ms and 1 ms interarrivals."""
+    return {0.1: single_querier_run(0.1, 40.0),
+            0.01: single_querier_run(0.01, 8.0),
+            0.001: single_querier_run(0.001, 3.0)}
 
 
 def test_all_queries_matched(syn_run):
@@ -29,18 +46,26 @@ def test_error_quartiles_low_ms(syn_run):
     assert 0 < summary.p75 < 5.0
 
 
-def test_resonance_widens_quartiles():
-    quiet = replay_and_match(synthetic_trace(0.01, duration=8.0),
-                             wildcard_zone(), client_instances=1,
-                             queriers_per_instance=1)
-    resonant = replay_and_match(synthetic_trace(0.1, duration=40.0),
-                                wildcard_zone(), client_instances=1,
-                                queriers_per_instance=1)
+def test_broot_replay_error_bounds():
+    """Fig 6's first row: the bursty many-client trace through the
+    default 2 x 3 queriers, not one querier on a fixed cadence."""
+    internet = root_zone_world()
+    run = replay_and_match(broot16(internet, duration=6.0, mean_rate=500,
+                                   clients=1000),
+                           wildcard_root_zone(internet))
+    summary = run.error_summary_ms()
+    assert summary.count > 2000
+    assert -17.5 <= summary.minimum and summary.maximum <= 17.5
+    assert -4.5 < summary.p25 < 0 < summary.p75 < 4.5
+
+
+def test_resonance_widens_quartiles(runs_by_gap):
+    quiet, resonant = runs_by_gap[0.01], runs_by_gap[0.1]
     q_width = quiet.error_summary_ms().p75 - quiet.error_summary_ms().p25
     r_width = (resonant.error_summary_ms().p75
                - resonant.error_summary_ms().p25)
     # The paper's ±8 ms anomaly at 0.1 s interarrival vs ±2.5 elsewhere.
-    assert r_width > q_width * 1.8
+    assert q_width * 1.8 < r_width < 20.0
 
 
 def test_interarrival_cdf_close_to_original(syn_run):
@@ -51,9 +76,39 @@ def test_interarrival_cdf_close_to_original(syn_run):
     assert repl_median == pytest.approx(orig_median, rel=0.15)
 
 
+def test_interarrival_divergence_grows_as_gap_shrinks(runs_by_gap):
+    """Fig 7's pattern: the replayed gaps' 10-90 % spread, relative to
+    the gap, is tight at 100 ms, moderate at 10 ms and saturates at full
+    jitter randomization at 1 ms (a shuffled arrival process has a
+    spread of ~2.2x its mean gap)."""
+    divergence = {}
+    for gap, cdf in zip(runs_by_gap, figure7(list(runs_by_gap.values()))):
+        replayed = [value for value, _ in cdf.replayed]
+        divergence[gap] = (percentile(replayed, 90)
+                           - percentile(replayed, 10)) / gap
+        # The paper calls >= 10 ms 'quite close'; it reports divergence
+        # itself below 1 ms, so only these medians are pinned.
+        if gap >= 0.01:
+            assert abs(percentile(replayed, 50) - gap) < gap * 0.25, gap
+    assert divergence[0.1] < 0.6
+    assert divergence[0.1] < divergence[0.01] < divergence[0.001]
+    assert divergence[0.01] < 1.6
+    assert 1.8 < divergence[0.001] < 3.0
+
+
 def test_rate_runs_produce_differences():
-    runs = figure8(trials=1, duration=8.0, mean_rate=500)
-    (run,) = runs
-    assert len(run.per_second_diffs) >= 5
-    # All seconds within ±2% at this scale; median near zero.
-    assert run.fraction_within(0.02) == 1.0
+    mean_rate = 500.0
+    runs = figure8(trials=2, duration=8.0, mean_rate=mean_rate)
+    for run in runs:
+        assert len(run.per_second_diffs) >= 5
+        # All seconds within ±2% at this scale; median near zero.
+        assert run.fraction_within(0.02) == 1.0
+        assert abs(summarize(run.per_second_diffs).median) < 0.0035
+    # Fig 8's claim lives at 38 k q/s: the noise is queries jittered
+    # across 1-second bucket boundaries, binomial, so sigma scales as
+    # 1/sqrt(rate).  Projected there, the measured noise must put most
+    # seconds within the paper's ±0.1 % (it reports 98-99 %).
+    sigma = summarize([d for run in runs
+                       for d in run.per_second_diffs]).stdev
+    projected = sigma * math.sqrt(mean_rate / PAPER_BROOT_RATE)
+    assert math.erf(0.001 / (projected * math.sqrt(2))) > 0.9

@@ -118,34 +118,63 @@ def test_report_groups_by_client():
     assert sum(len(v) for v in grouped.values()) == 30
 
 
-def test_naive_baseline_drifts_late():
-    """The naive replayer accumulates input delay; LDplayer's engine
-    does not.  Compare absolute timing error growth."""
+def terminal_drift(trace, send_time_of):
+    """How late the last query went out, relative to the first."""
+    base = send_time_of[trace[0].qname] - trace[0].time
+    last = trace[len(trace) - 1]
+    return send_time_of[last.qname] - last.time - base
+
+
+def naive_drift(trace):
     sim, server = build_world()
     host = sim.add_host("naive", ["10.5.0.1"], LinkParams())
-    trace = synthetic_trace(0.001, duration=2.0, seed=7)
     replayer = NaiveReplayer(host, "10.0.0.2")
     replayer.run(trace)
     sim.run_until_idle()
-    sends = {r.record.qname: r.send_time for r in replayer.results}
-    base = sends[trace[0].qname] - trace[0].time
-    last = trace[len(trace) - 1]
-    drift = sends[last.qname] - last.time - base
+    return terminal_drift(trace, {r.record.qname: r.send_time
+                                  for r in replayer.results})
+
+
+def engine_drift(trace, seed):
+    sim, server = build_world()
+    engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
+        client_instances=1, queriers_per_instance=2, seed=seed))
+    return terminal_drift(trace, engine.run(trace).send_times())
+
+
+def test_naive_baseline_drifts_late():
+    """The naive replayer accumulates input delay; LDplayer's engine
+    does not.  Compare absolute timing error growth."""
     # 2000 records * 40 us/record input delay ~ 80 ms of terminal drift.
-    assert drift > 0.05
+    assert naive_drift(synthetic_trace(0.001, duration=2.0, seed=7)) > 0.05
 
 
 def test_engine_timing_beats_naive():
-    sim, server = build_world()
-    engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
-        client_instances=1, queriers_per_instance=2, seed=8))
+    """The ΔT ablation (§2.6): on the same trace the engine ends on
+    schedule and the uncompensated replayer several times further off."""
     trace = synthetic_trace(0.001, duration=2.0, seed=8)
-    report = engine.run(trace)
-    sent = report.send_times()
-    base = sent[trace[0].qname] - trace[0].time
-    last = trace[len(trace) - 1]
-    drift = sent[last.qname] - last.time - base
+    drift = engine_drift(trace, seed=8)
     assert abs(drift) < 0.020
+    assert naive_drift(trace) > abs(drift) * 3
+
+
+def test_scattered_sources_break_connection_reuse():
+    """The stickiness ablation (§2.6): pinned, 8 TCP sources hold 8
+    server-side connections; scattered over 4 queriers, roughly one per
+    (source, querier) pair."""
+    trace = Trace([QueryRecord(time=i * 0.02, src=f"172.16.0.{i % 8 + 1}",
+                               qname=f"u{i}.example.com.", proto="tcp")
+                   for i in range(400)])
+
+    def server_side_connections(sticky):
+        sim, server = build_world(tcp_idle_timeout=20.0)
+        ReplayEngine(sim, "10.0.0.2", ReplayConfig(
+            client_instances=1, queriers_per_instance=4, mode="direct",
+            seed=12, sticky_sources=sticky)).run(trace)
+        return len({(e.src, e.sport) for e in server.query_log})
+
+    assert server_side_connections(sticky=True) == 8
+    assert server_side_connections(sticky=False) >= 24
 
 
 def test_client_rtt_distribution():

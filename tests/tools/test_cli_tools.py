@@ -1,7 +1,12 @@
 """Tests for the command-line tools (driven via their main())."""
 
+import importlib
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.tools.io import UnknownFormat, load_trace, save_trace
 from repro.tools.replay_run import main as replay_main
 from repro.tools.trace_convert import main as convert_main
@@ -144,3 +149,32 @@ def test_overload_config_from_args_off_by_default():
     assert config.rrl.rate == 10.0
     assert config.rrl.prefix_len == 28
     assert config.cookies is None and config.admission is None
+
+
+# -- packaging: pyproject.toml is the one metadata source -------------------
+
+ROOT = Path(__file__).resolve().parents[2]
+PYPROJECT = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+
+def test_every_console_script_target_is_callable():
+    """The ldp-* commands README and docs/ tell users to run must be
+    declared where setuptools will keep reading them, and must resolve.
+    (Regex read: CI also runs 3.10, which has no tomllib.)"""
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[)", PYPROJECT,
+                        re.S | re.M).group(1)
+    scripts = dict(re.findall(r'^([\w-]+) = "([\w.]+:\w+)"$', section,
+                              re.M))
+    assert sorted(scripts) == [
+        "ldp-dig", "ldp-replay", "ldp-trace-convert", "ldp-trace-mutate",
+        "ldp-trace-stats", "ldp-verify", "ldp-zone-build"]
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_version_is_declared_once():
+    (version,) = re.findall(r'^version = "(.+)"$', PYPROJECT, re.M)
+    assert repro.__version__ == version
+    setup_py = (ROOT / "setup.py").read_text(encoding="utf-8")
+    assert "version=" not in setup_py and "entry_points" not in setup_py

@@ -6,6 +6,7 @@ record; ``skip_malformed`` drops bad records and keeps going, with the
 dropped errors collectable for a summary.
 """
 
+import pickle
 import struct
 
 import pytest
@@ -38,6 +39,24 @@ def test_error_message_carries_location():
     assert error.offset == 120
     assert "record 7" in str(error)
     assert "byte offset 120" in str(error)
+
+
+@pytest.mark.parametrize("error", [
+    TraceFormatError("bad record", index=7, offset=120),
+    BinaryFormatError("short frame", index=3),
+    PcapError("cut packet", offset=24),
+    TextFormatError("expected 11 columns, got 2", 7),
+], ids=lambda error: type(error).__name__)
+def test_errors_survive_pickling(error):
+    """A pool worker raises these and ``multiprocessing`` re-raises them
+    in the parent by pickling: type, text and location must all arrive
+    (TracePipeline relies on it instead of marshalling tuples)."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert (copy.message, copy.index, copy.offset) == \
+        (error.message, error.index, error.offset)
+    assert getattr(copy, "line", None) == getattr(error, "line", None)
 
 
 # -- binary stream ----------------------------------------------------------

@@ -196,14 +196,25 @@ def corrupt_record(data: bytes, index: int) -> bytes:
     return bytes(bad)
 
 
+def keep_all(record):
+    return True
+
+
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_malformed_frame_reports_global_index(jobs, tmp_path):
     data = trace_to_binary(make_trace(50))
     bad = corrupt_record(data, 37)
     pipe = TracePipeline.from_binary(bad, jobs=jobs, chunk_records=8)
-    with pytest.raises(TraceFormatError) as exc_info:
-        pipe.pipe(SetDoFraction(1.0)).to_binary()
-    assert exc_info.value.index == 37
+    offset = list(scan_frames(data))[37][0]
+    # Frame mode, record mode and the stats sink: one per-chunk function
+    # serves all three, inline and in the pool.
+    for run in (pipe.pipe(SetDoFraction(1.0)).to_binary,
+                pipe.filter(keep_all).to_binary, pipe.stats):
+        with pytest.raises(TraceFormatError) as exc_info:
+            run()
+        assert (exc_info.value.index, exc_info.value.offset) == \
+            (37, offset)
+        assert "record 37" in str(exc_info.value)
 
 
 @pytest.mark.parametrize("jobs", [1, 3])

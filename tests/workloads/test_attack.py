@@ -52,9 +52,9 @@ def test_attack_experiment_shows_impact():
     result = run(duration=24.0, baseline_rate=200.0, attack_rate=800.0,
                  attack_start=8.0, attack_duration=8.0, clients=400)
     # The attack multiplies the served rate and the NXDOMAIN share.
-    assert max(result.rate_series) > result.baseline_rate * 2.5
-    assert result.nxdomain_during > result.nxdomain_before + 0.2
-    assert result.cpu_during > result.cpu_before * 1.8
+    assert max(result.rate_series) > result.baseline_rate * 3
+    assert result.nxdomain_during > result.nxdomain_before + 0.25
+    assert result.cpu_during > result.cpu_before * 2
     # Legit clients still get answers around the same latency (no
     # overload model: the server scales, which is itself a finding).
     assert result.legit_latency_during.median < \
