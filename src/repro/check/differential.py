@@ -10,9 +10,11 @@ scope:
   golden, turning the matrix into a cross-release regression;
 * **sim vs live** (:func:`diff_sim_live`) — real sockets cannot
   promise bytes, so the live run must agree **statistically** within
-  :class:`ToleranceBands`: answered fractions within a band, the
-  answered-qname multisets nearly equal, and the metric schema equal
-  key-for-key so downstream tooling reads either report unchanged.
+  :class:`ToleranceBands`: answered fractions within a band and the
+  answered-qname multisets nearly equal; and, no band about it, each
+  report carries every group and key of the declared report schema
+  (:meth:`ReplayReport.schema`), so downstream tooling reads either
+  unchanged.
 
 Both reuse the backends registry's executors through the scenario
 fixtures in :mod:`repro.check.scenarios`.
@@ -35,8 +37,6 @@ class ToleranceBands:
     # Symmetric difference of the answered-qname multisets, as a
     # fraction of the trace size.
     qname_fraction: float = 0.01
-    # Metric snapshots must expose identical groups and keys.
-    same_schema: bool = True
 
 
 @dataclass
@@ -110,20 +110,20 @@ def compare_sim_live(sim_report, live_report,
             f"{mismatched} answered-qname mismatches exceed the "
             f"{bands.qname_fraction:.0%} band "
             f"({budget:.1f} of {len(sim_report.results)} records)")
-    if bands.same_schema:
-        sim_metrics = sim_report.metrics()
-        live_metrics = live_report.metrics()
-        if set(sim_metrics) != set(live_metrics):
+    from repro.replay.engine import ReplayReport
+    schema = ReplayReport.schema()
+    for side, report in (("sim", sim_report), ("live", live_report)):
+        metrics = report.metrics()
+        if not schema.keys() <= metrics.keys():
             failures.append(
-                f"metric groups differ: "
-                f"{sorted(set(sim_metrics) ^ set(live_metrics))}")
-        else:
-            for group in sim_metrics:
-                diff = set(sim_metrics[group]) ^ set(live_metrics[group])
-                if diff:
-                    failures.append(
-                        f"metric keys differ in group {group!r}: "
-                        f"{sorted(diff)}")
+                f"{side} report lacks metric groups: "
+                f"{sorted(schema.keys() - metrics.keys())}")
+            continue
+        for group, keys in schema.items():
+            if not keys <= metrics[group].keys():
+                failures.append(
+                    f"{side} report lacks metric keys in group "
+                    f"{group!r}: {sorted(keys - metrics[group].keys())}")
     return failures
 
 

@@ -20,7 +20,9 @@ Four files live under ``tests/golden/``:
 ``record_goldens`` writes them (``ldp-verify --record``);
 ``verify_goldens`` recomputes and byte-compares (``ldp-verify --tier
 golden``), returning human-readable mismatch descriptions instead of
-raising so the CLI can report all of them.
+raising so the CLI can report all of them.  A mismatch, and a
+re-record, is described by key path (:func:`describe_diff`): what a
+reviewer needs to see that a re-record added keys and moved no value.
 """
 
 from __future__ import annotations
@@ -101,18 +103,38 @@ def verify_goldens(directory: Path | str | None = None,
         committed = path.read_text(encoding="utf-8")
         fresh = GOLDENS[name]()
         if fresh != committed:
-            failures.append(f"{name}: {_describe_diff(committed, fresh)}")
+            failures.append(f"{name}: {describe_diff(committed, fresh)}")
     return failures
 
 
-def _describe_diff(committed: str, fresh: str) -> str:
-    """Point at the first diverging line so a golden break is
-    actionable without a manual diff."""
-    old_lines = committed.splitlines()
-    new_lines = fresh.splitlines()
-    for i, (old, new) in enumerate(zip(old_lines, new_lines), 1):
-        if old != new:
-            return (f"first divergence at line {i}: committed "
-                    f"{old.strip()!r} vs fresh {new.strip()!r}")
-    return (f"committed {len(old_lines)} lines vs fresh "
-            f"{len(new_lines)} lines (common prefix identical)")
+def _leaves(value, path: str = "") -> dict[str, object]:
+    """``{dotted key path: leaf}`` of a parsed JSON document."""
+    if not isinstance(value, dict):
+        return {path: value}
+    leaves: dict[str, object] = {}
+    for key, child in value.items():
+        leaves.update(_leaves(child, f"{path}.{key}" if path else key))
+    return leaves
+
+
+def describe_diff(committed: str, fresh: str) -> str:
+    """How two JSON goldens differ, by key path: ``+31 keys (...), 1
+    changed (meta.version 1 -> 2), 0 removed``.  Every changed and
+    removed path is spelled out — those are the ones that break the
+    determinism contract; added paths are counted and sampled."""
+    old, new = _leaves(json.loads(committed)), _leaves(json.loads(fresh))
+    added = sorted(new.keys() - old.keys())
+    removed = sorted(old.keys() - new.keys())
+    changed = [f"{path} {old[path]!r} -> {new[path]!r}"
+               for path in sorted(old.keys() & new.keys())
+               if old[path] != new[path]]
+    if not (added or removed or changed):
+        return "same keys and values, formatting differs"
+
+    def listed(items: list[str]) -> str:
+        return f" ({', '.join(items)})" if items else ""
+
+    sample = added[:4] + ["..."] if len(added) > 4 else added
+    return (f"+{len(added)} keys{listed(sample)}, "
+            f"{len(changed)} changed{listed(changed)}, "
+            f"{len(removed)} removed{listed(removed)}")

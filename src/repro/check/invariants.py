@@ -41,6 +41,7 @@ from __future__ import annotations
 from repro.dns.constants import Flag
 from repro.dns.message import Message
 from repro.dns.wire import WireError
+from repro.obs.report import counter_state
 
 # How often (in message-id allocations, i.e. sends) the attached
 # checker rescans full querier state mid-run.
@@ -62,18 +63,17 @@ def _terminal_states(result) -> list[str]:
     return states
 
 
-_COUNTERS = ("sent", "unanswered_at_close", "timeouts", "retransmits",
-             "tcp_fallbacks", "reconnects", "recovered", "malformed",
-             "failed_over")
+def _check_counters(obj, errors: list[str], prefix: str = "") -> None:
+    """No counter *obj*'s class declares (``COUNTERS``) is negative."""
+    for counter, value in counter_state(obj).items():
+        if value < 0:
+            errors.append(f"{prefix}counter {counter} is negative "
+                          f"({value})")
 
 
 def _check_querier(querier, errors: list[str]) -> None:
     name = querier.name
-    for counter in _COUNTERS:
-        value = getattr(querier, counter)
-        if value < 0:
-            errors.append(f"{name}: counter {counter} is negative "
-                          f"({value})")
+    _check_counters(querier, errors, f"{name}: ")
     backlog = querier.backlog_depth()
     if backlog < 0:
         errors.append(f"{name}: negative backlog depth ({backlog})")
@@ -172,12 +172,6 @@ def verify_queriers(queriers, *, sticky: bool = True,
             f"{detail}")
 
 
-_RESPONDER_COUNTERS = (
-    "queries_handled", "responses_sent", "rrl_dropped", "rrl_slipped",
-    "cookies_validated", "admission_received", "admission_processed",
-    "admission_shed", "admission_refused")
-
-
 def verify_responder(responder, *, context: str = "server") -> None:
     """Verify the server-side overload-control accounting
     (docs/RESILIENCE.md): every handled query ends in exactly one of
@@ -185,10 +179,7 @@ def verify_responder(responder, *, context: str = "server") -> None:
     queue is processed, shed, refused, or still queued.  Holds with
     defenses off too (all the defense counters just stay zero)."""
     errors: list[str] = []
-    for counter in _RESPONDER_COUNTERS:
-        value = getattr(responder, counter, 0)
-        if value < 0:
-            errors.append(f"counter {counter} is negative ({value})")
+    _check_counters(responder, errors)
     sent = responder.responses_sent
     dropped = responder.rrl_dropped
     handled = responder.queries_handled
@@ -226,12 +217,7 @@ def verify_cache(cache, *, context: str = "cache") -> None:
     the configured capacity, and the memory estimate and counters
     never go negative.  Holds for the default (unbounded) config too."""
     errors: list[str] = []
-    for counter in ("lookups", "hits", "misses", "neg_hits",
-                    "evictions", "stale_served", "prefetches",
-                    "expired", "memory_bytes"):
-        value = getattr(cache, counter, 0)
-        if value < 0:
-            errors.append(f"counter {counter} is negative ({value})")
+    _check_counters(cache, errors)
     if cache.hits + cache.misses != cache.lookups:
         errors.append(
             f"hits={cache.hits} + misses={cache.misses} = "

@@ -61,12 +61,13 @@ class ExperimentConfig:
     # ReplayConfig.resilience so degradation is measured, not silent.
     client_loss: float = 0.0
     # Server-side overload control (RRL, DNS Cookies, admission
-    # queueing — docs/RESILIENCE.md).  None keeps every defense off and
-    # all reports byte-identical to earlier versions.
+    # queueing — docs/RESILIENCE.md).  None keeps every defense off:
+    # the server answers as one without them (the report carries the
+    # defense counters all the same, at zero).
     overload: OverloadConfig | None = None
     # Recursive-resolver cache policy (bounded LRU, serve-stale,
     # prefetch — docs/RECURSIVE.md).  None = the historical unbounded
-    # cache, keeping all reports byte-identical to earlier versions.
+    # cache, resolution for resolution.
     cache: CacheConfig | None = None
     replay: ReplayConfig = field(default_factory=ReplayConfig)
 

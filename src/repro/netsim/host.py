@@ -90,9 +90,6 @@ class Host:
         schedules; *size* is the wire size it charged the sender):
         account the arrival, ingress filters, then demux."""
         self.network.delivered += 1
-        obs = self.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter("transport.wire.delivered").inc()
         meter = self.meter          # ResourceMeter.count_in
         second = int(self.scheduler.now)
         meter.bytes_in[second] = meter.bytes_in.get(second, 0) + size

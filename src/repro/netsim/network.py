@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.netsim.clock import Scheduler
 from repro.netsim.packet import OVERHEAD, Packet
+from repro.obs.report import zero_counters
 
 
 @dataclass
@@ -45,14 +46,24 @@ class Link:
 class Network:
     """Routes packets between attached hosts."""
 
+    # Declared counters (repro.obs.report): attribute -> report name.
+    COUNTERS = {
+        "delivered": "transport.wire.delivered",
+        "dropped": "transport.wire.dropped",
+        "leaks": "transport.wire.leaked",
+    }
+
     def __init__(self, scheduler: Scheduler, loss_seed: int = 0):
         self.scheduler = scheduler
         self._hosts_by_addr: dict[str, "Host"] = {}
         self._links: dict[str, Link] = {}  # host name -> uplink
         self.leaked: list[Packet] = []
-        self.delivered = 0
-        self.dropped = 0
+        zero_counters(self)
         self._loss_rng = random.Random(loss_seed)
+
+    @property
+    def leaks(self) -> int:
+        return len(self.leaked)
 
     # -- wiring -----------------------------------------------------------
 
@@ -102,11 +113,8 @@ class Network:
         meter.bytes_out[second] = meter.bytes_out.get(second, 0) + size
         meter.packets_out[second] = meter.packets_out.get(second, 0) + 1
         receiver = self._hosts_by_addr.get(packet.dst)
-        obs = scheduler.obs
         if receiver is None:
             self.leaked.append(packet)
-            if obs is not None:
-                obs.metrics.counter("transport.wire.leaked").inc()
             return
         out_link = sender.link
         out = out_link.params
@@ -114,14 +122,13 @@ class Network:
         loss = 1 - (1 - out.loss) * (1 - into.loss)
         if loss > 0 and self._loss_rng.random() < loss:
             self.dropped += 1
-            if obs is not None:
-                obs.metrics.counter("transport.wire.dropped").inc()
             return
         done = out_link.free_at if out_link.free_at > now else now
         if out.bandwidth_bps > 0:
             done += size * 8 / out.bandwidth_bps
         out_link.free_at = done
         arrival = done + out.delay + into.delay
+        obs = scheduler.obs
         if obs is not None:
             obs.metrics.counter("transport.wire.bytes").inc(size)
             obs.metrics.histogram("transport.wire.transit_time").record(

@@ -161,11 +161,10 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str, volatile: bool = False) -> Counter:
-        """*volatile* counters track implementation details (answer-
-        cache hits) that legitimately differ between configurations
-        which must otherwise produce byte-identical snapshots; like
-        volatile gauges they only appear with
-        ``include_volatile=True``."""
+        """*volatile* counters hold wall-clock facts (pipeline worker
+        seconds) that differ between runs whose snapshots must
+        otherwise be byte-identical; like volatile gauges they only
+        appear with ``include_volatile=True``."""
         if volatile:
             self._volatile.add(name)
         return self._get(name, Counter)

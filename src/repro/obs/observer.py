@@ -9,7 +9,10 @@ instrumented component reaches it the same way::
         obs.metrics.counter("transport.udp.datagrams_out").inc()
 
 so a run without observability pays one ``is not None`` check per
-instrumented operation and allocates nothing.
+instrumented operation and allocates nothing.  What a component merely
+*counts* is not recorded here at all: it lives in an attribute the
+component declares (``COUNTERS``) and every report collects
+(:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class Observer:

@@ -7,11 +7,21 @@ matrix and each backend's determinism scope.
 
 from __future__ import annotations
 
+from repro.netsim.network import Network
 from repro.replay.backends.base import ReplayBackend
 from repro.replay.backends.live import (LiveBackend, LiveDnsServer,
                                         LiveQuerier, LiveReplayConfig,
                                         hierarchy_views)
 from repro.replay.backends.sim import SimBackend
+from repro.replay.controller import Controller
+from repro.replay.distributor import Distributor
+from repro.replay.querier import Querier
+from repro.replay.supervisor import Supervisor
+from repro.server.answercache import AnswerCache
+from repro.server.authoritative import AuthoritativeServer
+from repro.server.cache import DnsCache
+from repro.server.recursive import RecursiveResolver
+from repro.server.responder import DnsResponder
 
 #: backend name -> implementation class (the valid
 #: ``ReplayConfig.backend`` values).
@@ -19,6 +29,15 @@ BACKENDS: dict[str, type[ReplayBackend]] = {
     SimBackend.name: SimBackend,
     LiveBackend.name: LiveBackend,
 }
+
+#: The classes whose declared counters (``COUNTERS``, repro.obs.report)
+#: make up every report, whichever of them a run instantiates: a sim
+#: report carries the live backend's rows at zero and the other way
+#: round.  A new counting class is added here, and to the
+#: ``COUNTING_PARTS`` of its owner or the report list of its backend.
+COUNTED = (Querier, LiveQuerier, Distributor, Controller, Supervisor,
+           LiveBackend, LiveDnsServer, DnsResponder, AuthoritativeServer,
+           AnswerCache, RecursiveResolver, DnsCache, Network)
 
 
 def get_backend(name: str, *args, **kwargs) -> ReplayBackend:
@@ -38,7 +57,7 @@ def get_backend(name: str, *args, **kwargs) -> ReplayBackend:
 
 
 __all__ = [
-    "BACKENDS", "LiveBackend", "LiveDnsServer", "LiveQuerier",
+    "BACKENDS", "COUNTED", "LiveBackend", "LiveDnsServer", "LiveQuerier",
     "LiveReplayConfig", "ReplayBackend", "SimBackend", "get_backend",
     "hierarchy_views",
 ]

@@ -23,9 +23,9 @@ loop's monotonic clock and bounds the queries in flight.  Same-source
 records stick to one querier (CRC-32, like the sim's split-input rule).
 
 The report is the ordinary :class:`~repro.replay.engine.ReplayReport`
-with the same metric schema as the sim backend; wall-clock-derived
-extras (``replay.wall_qps``, socket-error counts) are registered
-*volatile* so default snapshots keep the shared shape.  Determinism
+with the same metric schema as the sim backend; what only wall-clock
+I/O has (``replay.wall_qps``, socket-error counts, the deadline flag)
+is *volatile*, so default snapshots keep the shared shape.  Determinism
 scope: the sim backend is byte-identical per seed; the live backend is
 statistically reproducible only (see docs/BACKENDS.md).
 """
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.jitter import NullSendPath
 from repro.netsim.resources import ResourceMeter
-from repro.obs import Observer
+from repro.obs import Observer, volatile, zero_counters
 from repro.replay.backends.base import ReplayBackend
 from repro.replay.querier import Querier, QuerierConfig, QueryResult
 from repro.server.responder import DnsResponder
@@ -129,6 +129,8 @@ class LiveDnsServer:
     fixed port that is busy raises immediately (retrying could not
     help)."""
 
+    COUNTERS = {"socket_errors": volatile("replay.socket_errors")}
+
     def __init__(self, responder: DnsResponder, host: str = "127.0.0.1",
                  port: int = 0, bind_attempts: int = 8,
                  meter: ResourceMeter | None = None,
@@ -141,7 +143,7 @@ class LiveDnsServer:
         self._clock = clock
         self.port: int | None = None
         self.established = 0          # TCP connections accepted
-        self.socket_errors = 0
+        zero_counters(self)
         self._udp_transport = None
         self._tcp_server = None
         self._writers: set[asyncio.StreamWriter] = set()
@@ -449,6 +451,9 @@ class LiveQuerier(Querier):
     records (ΔT against the loop clock), bound the queries in flight,
     and wait for the last one to settle."""
 
+    COUNTERS = {**Querier.COUNTERS,
+                "socket_errors": volatile("replay.socket_errors")}
+
     @property
     def socket_errors(self) -> int:
         return self.host.socket_errors
@@ -550,6 +555,7 @@ class LiveBackend(ReplayBackend):
     """Replay a trace over real loopback sockets in wall-clock time."""
 
     name = "live"
+    COUNTERS = {"deadline_hit": volatile("replay.deadline_hit")}
 
     def __init__(self, zones=None, *, views=None, config=None,
                  log_queries: bool = False, answer_cache: bool = True,
@@ -570,8 +576,7 @@ class LiveBackend(ReplayBackend):
                 "fault injection is sim-only: faults are applied to "
                 "the simulated fabric (docs/BACKENDS.md)")
         self.live = config.live or LiveReplayConfig()
-        self.observer = (Observer(trace_capacity=config.trace_capacity)
-                         if config.observe else None)
+        self.observer = Observer() if config.observe else None
         self.host = _LiveHost()
         self.clock: _LoopScheduler | None = None
         self.responder = DnsResponder(
@@ -581,7 +586,7 @@ class LiveBackend(ReplayBackend):
             overload=overload)
         self.server: LiveDnsServer | None = None
         self.queriers: list[LiveQuerier] = []
-        self.deadline_hit = False
+        self.deadline_hit = False     # a flag; reported as 0 or 1
 
     def _wall_now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
@@ -656,7 +661,14 @@ class LiveBackend(ReplayBackend):
         meter.charge_cpu(time.process_time() - cpu_start)
         meter.memory = self._rss_bytes()
         meter.take_sample(elapsed)
-        self._record_volatile(elapsed, server)
+        if self.observer is not None:
+            # Wall-clock gauges: volatile, so the default snapshot keeps
+            # the sim's shape.
+            metrics = self.observer.metrics
+            metrics.gauge("replay.wall_seconds", volatile=True).set(elapsed)
+            metrics.gauge("replay.wall_qps", volatile=True).set(
+                sum(q.sent for q in self.queriers) / elapsed
+                if elapsed > 0 else 0.0)
         if config.check and not self.deadline_hit:
             # Same invariants as the sim's ReplayConfig(check=True)
             # scans, verified once after the queriers drain (a
@@ -676,7 +688,9 @@ class LiveBackend(ReplayBackend):
         return ReplayReport(results=results, queriers=self.queriers,
                             sim=_LiveClock(elapsed),
                             server_host=self.host,
-                            observer=self.observer, supervisor=None)
+                            observer=self.observer,
+                            counted=[*self.queriers, self.responder,
+                                     server, self])
 
     def _partition(self, records, n: int) -> list[list]:
         """Same-source records stick to one querier (CRC-32, the sim's
@@ -701,25 +715,6 @@ class LiveBackend(ReplayBackend):
                 * 1024
         except Exception:
             return 0
-
-    def _record_volatile(self, elapsed: float,
-                         server: LiveDnsServer) -> None:
-        """Live-only wall-clock metrics: registered volatile so the
-        default (deterministic) snapshot keeps the sim's schema."""
-        if self.observer is None:
-            return
-        metrics = self.observer.metrics
-        sent = sum(q.sent for q in self.queriers)
-        metrics.gauge("replay.wall_seconds", volatile=True).set(elapsed)
-        metrics.gauge("replay.wall_qps", volatile=True).set(
-            sent / elapsed if elapsed > 0 else 0.0)
-        errors = (server.socket_errors
-                  + sum(q.socket_errors for q in self.queriers))
-        if errors:
-            metrics.counter("replay.socket_errors",
-                            volatile=True).inc(errors)
-        if self.deadline_hit:
-            metrics.counter("replay.deadline_hit", volatile=True).inc()
 
     def close(self) -> None:
         self.server = None

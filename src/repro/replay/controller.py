@@ -24,6 +24,8 @@ from typing import Iterable, Iterator
 
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
+from repro.obs.report import (counter_state, restore_counters,
+                              zero_counters)
 from repro.replay.distributor import Distributor, _rng_from_jsonable, \
     _rng_to_jsonable
 from repro.trace.binaryform import decode_record, encode_record
@@ -87,15 +89,16 @@ class DistributorEndpoint:
 
     # -- heartbeats (supervised mode only) ---------------------------------
 
-    def start_heartbeats(self, interval: float) -> None:
-        """Beat on behalf of the distributor and its queriers.
+    def start_heartbeats(self, interval: float, first: float) -> None:
+        """Beat on behalf of the distributor and its queriers, from
+        time *first* on.
 
         One heartbeat frame per live actor per tick, sent back over
         every accepted control connection.  Beats fire at absolute
         multiples of *interval* so a resumed run re-arms in phase with
         the original."""
         self._hb_interval = interval
-        self._schedule_beat()
+        self.distributor.host.scheduler.at(first, self._beat, daemon=True)
 
     def _schedule_beat(self) -> None:
         from repro.replay.supervisor import next_tick
@@ -122,6 +125,10 @@ class DistributorEndpoint:
 class Controller:
     """Reader + Postman on the controller host."""
 
+    # Counted per record sent (not per batch read), so a stalled
+    # Postman's backlog is not in it.
+    COUNTERS = {"records_read": "replay.controller_records"}
+
     def __init__(self, host: Host, distributors: list[Distributor],
                  fast: bool = False, seed: int = 0,
                  read_window: int = READ_WINDOW,
@@ -132,7 +139,7 @@ class Controller:
         self.fast = fast
         self.read_window = read_window
         self.rng = random.Random(seed)
-        self.records_read = 0
+        zero_counters(self)
         self._assignment: dict[str, ControlChannel] = {}
         # Controllers may share distributors: each gets its own
         # listening endpoints, on its own control_port.
@@ -205,8 +212,6 @@ class Controller:
     def _postman_dispatch(self, batch: list[QueryRecord]) -> None:
         obs = self.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("replay.controller_records").inc(
-                len(batch))
             obs.tracer.emit("controller.dispatch",
                             self.host.scheduler.now,
                             detail=f"batch={len(batch)}")
@@ -286,7 +291,7 @@ class Controller:
         index = {channel: i for i, channel in enumerate(self.channels)}
         return {
             "rng_state": _rng_to_jsonable(self.rng.getstate()),
-            "records_read": self.records_read,
+            "counters": counter_state(self),
             "synced": self._synced,
             "sync_time": self._sync_time,
             "assignment": {src: index[channel]
@@ -295,7 +300,7 @@ class Controller:
 
     def load_state(self, state: dict) -> None:
         self.rng.setstate(_rng_from_jsonable(state["rng_state"]))
-        self.records_read = state["records_read"]
+        restore_counters(self, state["counters"])
         self._synced = state["synced"]
         self._sync_time = state["sync_time"]
         self._assignment = {src: self.channels[i]

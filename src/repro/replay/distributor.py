@@ -11,10 +11,9 @@ socket, modelled as a small constant IPC delay.
 
 Two forwarding paths:
 
-* **legacy** (no supervision) — each record is timestamped through a
-  serialized busy-chain and its delivery scheduled immediately; the
-  implicit queue is unbounded, exactly the pre-supervision behavior
-  (and byte-identical reports for identical seeds);
+* **unsupervised** — each record is timestamped through a serialized
+  busy-chain and its delivery scheduled immediately; the implicit
+  queue is unbounded;
 * **supervised** (``ReplayConfig(supervision=...)``) — records land in
   an explicit bounded ingress queue drained one per
   ``PER_RECORD_CPU × lag_factor`` tick.  Crossing the high-water mark
@@ -30,6 +29,8 @@ import random
 from collections import deque
 
 from repro.netsim.host import Host
+from repro.obs.report import (counter_state, restore_counters,
+                              zero_counters)
 from repro.replay.querier import Querier
 from repro.trace.record import QueryRecord
 
@@ -41,6 +42,8 @@ HOLD_RETRY = 250e-6         # re-poll interval while a querier backlog
 
 class Distributor:
     """One distributor process with its team of queriers."""
+
+    COUNTERS = {"records_forwarded": "replay.distributor_records"}
 
     def __init__(self, host: Host, queriers: list[Querier], seed: int = 0,
                  sticky: bool = True, name: str = ""):
@@ -57,7 +60,7 @@ class Distributor:
         # reuse stop working.
         self.sticky = sticky
         self._assignment: dict[str, Querier] = {}
-        self.records_forwarded = 0
+        zero_counters(self)
         self._busy_until = 0.0
         # Supervision state (repro.replay.supervisor).
         self.supervisor = None          # set by Supervisor.attach
@@ -124,7 +127,6 @@ class Distributor:
         at = self._ipc_time()
         obs = self.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("replay.distributor_records").inc()
             # Queue lag: how long the record waited for this process's
             # serialized forwarding loop before its IPC hop started.
             obs.metrics.histogram("replay.distributor_queue_lag").record(
@@ -169,7 +171,6 @@ class Distributor:
         now = self.host.scheduler.now
         obs = self.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("replay.distributor_records").inc()
             obs.tracer.emit("distributor.forward", now, now,
                             detail=querier.name)
         if self._sync is not None:
@@ -228,18 +229,18 @@ class Distributor:
             "rng_state": _rng_to_jsonable(self.rng.getstate()),
             "assignment": {src: querier.name
                            for src, querier in self._assignment.items()},
-            "records_forwarded": self.records_forwarded,
+            "counters": counter_state(self),
             "busy_until": self._busy_until,
             "sync": list(self._sync) if self._sync else None,
         }
 
     def load_state(self, state: dict) -> None:
-        self.crashed = state.get("crashed", False)
+        self.crashed = state["crashed"]
         self.rng.setstate(_rng_from_jsonable(state["rng_state"]))
         by_name = {querier.name: querier for querier in self.queriers}
         self._assignment = {src: by_name[name]
                             for src, name in state["assignment"].items()}
-        self.records_forwarded = state["records_forwarded"]
+        restore_counters(self, state["counters"])
         self._busy_until = state["busy_until"]
         self._sync = tuple(state["sync"]) if state["sync"] else None
 

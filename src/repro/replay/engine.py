@@ -30,7 +30,9 @@ from repro.netsim.faults import FaultInjector, FaultPlan
 from repro.netsim.host import Host
 from repro.netsim.network import LinkParams
 from repro.netsim.sim import Simulator
-from repro.obs import Observer, to_canonical_json
+from repro.obs import (Observer, collect, group_metrics,
+                       restore_counters, to_canonical_json)
+from repro.obs.observer import SNAPSHOT_VERSION
 from repro.replay.controller import Controller, READER_PER_RECORD
 from repro.replay.distributor import Distributor
 from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
@@ -38,6 +40,12 @@ from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
 from repro.replay.supervisor import (ReplayCheckpoint, Supervisor,
                                      SupervisionConfig)
 from repro.trace.pipeline import as_trace
+
+# What a report derives rather than collects (ReplayReport.metrics).
+DERIVED = ("meta.version", "meta.results", "meta.answered_fraction",
+           "meta.sim_time", "server.memory_bytes",
+           "server.cpu_busy_seconds", "server.established",
+           "server.time_wait", "server.qps", "replay.still_pending")
 
 
 @dataclass
@@ -68,16 +76,17 @@ class ReplayConfig:
     # this list (cycled), overriding client_link.delay.  Sources stick
     # to one instance, so each emulated client has a stable RTT.
     client_rtts: list[float] | None = None
-    # Run-wide observability (repro.obs): metrics registry + trace-span
-    # ring buffer threaded through scheduler, transports, server, and
-    # replay pipeline.  Off by default; the off path costs one None
-    # check per instrumented operation.
+    # Run-wide observability (repro.obs): also record distributions
+    # (histograms), per-transport traffic and trace spans, threaded
+    # through scheduler, transports, server, and replay pipeline.  Off
+    # by default; the off path costs one None check per instrumented
+    # operation.  Counters are in every report either way.
     observe: bool = False
-    trace_capacity: int = 4096
     # Client-side fault tolerance (timeouts, UDP retransmission, TC-bit
     # TCP fallback, stream reconnect).  None keeps the brittle pre-
-    # resilience behavior — and byte-identical reports — for identical
-    # seeds; see docs/RESILIENCE.md.
+    # resilience behavior, event for event, for identical seeds (the
+    # report carries the resilience counters all the same, at zero);
+    # see docs/RESILIENCE.md.
     resilience: ResilienceConfig | None = None
     # RFC 7873 client behavior: queriers attach a COOKIE option to
     # every query (a deterministic per-source client cookie, plus the
@@ -85,7 +94,7 @@ class ReplayConfig:
     # cookie-validating server (ExperimentConfig.overload /
     # OverloadConfig.cookies) can tell returning clients from spoofed
     # sources.  Off by default: attaching the option changes query
-    # bytes, which would break byte-identical legacy reports.
+    # bytes, and with them response sizes and simulated timing.
     cookies: bool = False
     # Scheduled fault events (loss bursts, delay spikes, link-down
     # windows, server pauses, querier crashes, distributor lag) applied
@@ -93,8 +102,9 @@ class ReplayConfig:
     fault_plan: FaultPlan | None = None
     # Control-plane supervision: heartbeats + failover, bounded queues
     # with backpressure, and checkpoint/resume (distributed mode only).
-    # None keeps the unsupervised behavior — and byte-identical reports
-    # — for identical seeds; see docs/RESILIENCE.md.
+    # None keeps the unsupervised behavior, event for event, for
+    # identical seeds (the report carries the supervision counters all
+    # the same, at zero); see docs/RESILIENCE.md.
     supervision: SupervisionConfig | None = None
     # Which replay backend executes the run (docs/BACKENDS.md):
     # "sim" is the deterministic discrete-event simulator; "live" binds
@@ -126,7 +136,10 @@ class ReplayReport:
     sim: Simulator
     server_host: Host
     observer: Observer | None = None
-    supervisor: Supervisor | None = None
+    # The run's top-level counting objects (``COUNTERS``,
+    # repro.obs.report); each brings the parts it owns, None entries
+    # are skipped.
+    counted: list = field(default_factory=list)
 
     def latencies(self) -> list[float]:
         return [r.latency for r in self.results
@@ -152,65 +165,48 @@ class ReplayReport:
     # -- observability -------------------------------------------------------
 
     def metrics(self, include_volatile: bool = False) -> dict:
-        """Grouped metrics snapshot for this run.
+        """Grouped metrics snapshot for this run (format version
+        ``meta.version``, docs/OBSERVABILITY.md).
 
-        With an observer attached (``ReplayConfig(observe=True)``) this
-        covers scheduler, transport, server, and replay subsystems plus
-        the trace-span summary; without one it still reports the
-        derived run/server aggregates.  Deterministic for identical
-        seeds unless *include_volatile* adds wall-clock gauges."""
-        if self.observer is not None:
-            snapshot = self.observer.snapshot(
-                include_volatile=include_volatile)
-        else:
-            from repro.obs.observer import SNAPSHOT_VERSION
-            snapshot = {"meta": {"version": SNAPSHOT_VERSION}}
-        meta = snapshot.setdefault("meta", {})
-        meta["results"] = len(self.results)
-        meta["answered_fraction"] = self.answered_fraction()
-        meta["sim_time"] = self.sim.now
+        Every counter the :data:`repro.replay.backends.COUNTED`
+        classes declare is here, zero when idle, read off the run's
+        objects; so are the :data:`DERIVED` run/server aggregates.
+        With an observer attached (``ReplayConfig(observe=True)``) the
+        snapshot also holds what was recorded on the way: histograms,
+        per-transport and scheduler metrics, the trace-span summary.
+        Deterministic for identical seeds unless *include_volatile*
+        adds wall-clock and implementation-detail rows."""
+        from repro.replay.backends import COUNTED
+        snapshot = (self.observer.snapshot(include_volatile)
+                    if self.observer is not None else {})
+        for group, values in group_metrics(collect(
+                COUNTED, self.counted, include_volatile)).items():
+            snapshot.setdefault(group, {}).update(values)
+        now = self.sim.now
+        snapshot["meta"] = {
+            "version": SNAPSHOT_VERSION, "results": len(self.results),
+            "answered_fraction": self.answered_fraction(),
+            "sim_time": now}
         meter = self.server_host.meter
-        server = snapshot.setdefault("server", {})
+        server = snapshot["server"]
         server["memory_bytes"] = meter.memory
         server["cpu_busy_seconds"] = meter.cpu_busy
         server["established"] = meter.established
         server["time_wait"] = meter.time_wait
-        queries = server.get("queries")
-        if queries and self.sim.now > 0:
-            server["qps"] = queries / self.sim.now
-        replay = snapshot.setdefault("replay", {})
-        replay["unanswered_at_close"] = sum(q.unanswered_at_close
-                                            for q in self.queriers)
-        if any(q.resilience is not None for q in self.queriers):
-            # Only with resilience enabled: adding keys unconditionally
-            # would break byte-identical reports for legacy configs.
-            replay["timed_out"] = sum(1 for r in self.results
-                                      if r.timed_out)
-            replay["retransmits"] = sum(q.retransmits
-                                        for q in self.queriers)
-            replay["tcp_fallbacks"] = sum(q.tcp_fallbacks
-                                          for q in self.queriers)
-            replay["reconnects"] = sum(q.reconnects
-                                       for q in self.queriers)
-            replay["recovered"] = sum(q.recovered for q in self.queriers)
-            replay["still_pending"] = sum(q.pending_count()
-                                          for q in self.queriers)
-        if self.supervisor is not None:
-            # Only with supervision enabled: adding keys unconditionally
-            # would break byte-identical reports for legacy configs.
-            # Deliberately limited to counters that are stable across
-            # checkpoint/resume (queue-depth peaks and dispatch lag
-            # depend on pipeline phase; read them off the supervisor).
-            supervisor = self.supervisor
-            replay["failed_over"] = sum(q.failed_over
-                                        for q in self.queriers)
-            replay["failovers"] = supervisor.failovers
-            replay["redispatched"] = supervisor.redispatched
-            replay["backpressure_stalls"] = supervisor.stalls
-            replay["shed"] = supervisor.sheds
-            replay["checkpoints_written"] = \
-                supervisor.checkpoints_written
+        server["qps"] = server["queries"] / now if now > 0 else 0.0
+        # Must be 0 under a retry policy: it accounts for every query.
+        snapshot["replay"]["still_pending"] = sum(
+            q.pending_count() for q in self.queriers)
         return snapshot
+
+    @staticmethod
+    def schema() -> dict[str, set[str]]:
+        """The groups and keys every report carries, whatever its
+        config or backend: every declared counter plus
+        :data:`DERIVED` (an observed run adds recorded keys)."""
+        from repro.replay.backends import COUNTED
+        return {group: set(values) for group, values in group_metrics(
+            dict.fromkeys([*collect(COUNTED, ()), *DERIVED])).items()}
 
     def to_json(self, include_volatile: bool = False,
                 indent: int | None = None) -> str:
@@ -294,8 +290,7 @@ class ReplayEngine:
     def _build(self) -> None:
         config = self.config
         if config.observe and self.sim.observer is None:
-            self.sim.attach_observer(
-                Observer(trace_capacity=config.trace_capacity))
+            self.sim.attach_observer(Observer())
         for i in range(config.client_instances):
             if config.client_rtts:
                 # The server contributes (rtt/4)*2 of its own uplink in
@@ -384,8 +379,7 @@ class ReplayEngine:
             # jumps the clock), so the supervisor's and injector's
             # absolute-tick events arm at post-cut times.
             self._restore(resume_from, records)
-            if self.supervisor is not None:
-                self.supervisor.start()
+            self.supervisor.start(resumed=True)
             self._arm_faults(resume_from)
         else:
             # Legacy event order: injector armed before any feed event
@@ -497,19 +491,19 @@ class ReplayEngine:
                     if hasattr(app, "load_state")]
         for app, state in zip(stateful, server["apps"]):
             app.load_state(state)
-        self.supervisor.load_counters(checkpoint.counters)
-        for name in (list(d["name"] for d in checkpoint.distributors
-                          if d.get("crashed"))
-                     + list(q["name"] for q in checkpoint.queriers
-                            if q.get("crashed"))):
-            self.supervisor.failed.add(name)
+        restore_counters(self.supervisor, checkpoint.counters)
+        restore_counters(self.sim.network, checkpoint.network)
+        self.supervisor.failed.update(
+            actor["name"] for actor in (checkpoint.distributors
+                                        + checkpoint.queriers)
+            if actor["crashed"])
         self._feeds = self._partition(records)
         epoch = records[0].time if records else None
         for controller, feed, state in zip(self.controllers,
                                            self._feeds,
                                            checkpoint.controllers):
             controller.load_state(state)
-            remaining = feed[state["records_read"]:]
+            remaining = feed[controller.records_read:]
             if remaining:
                 controller.start(remaining, sync_time=epoch)
             else:
@@ -540,9 +534,11 @@ class ReplayEngine:
         for querier in self.queriers:
             results.extend(querier.results)
         results.sort(key=lambda r: r.send_time)
-        return ReplayReport(results=results, queriers=self.queriers,
-                            sim=self.sim,
-                            server_host=self.sim.network.host_for(
-                                self.server_addr),
-                            observer=self.sim.observer,
-                            supervisor=self.supervisor)
+        counted = [*self.queriers, *self.distributors, *self.controllers,
+                   self.supervisor, self.sim.network]
+        for host in self.sim.hosts.values():
+            counted += host.apps    # every server and resolver built
+        return ReplayReport(
+            results=results, queriers=self.queriers, sim=self.sim,
+            server_host=self.sim.network.host_for(self.server_addr),
+            observer=self.sim.observer, counted=counted)

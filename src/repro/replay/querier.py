@@ -60,6 +60,8 @@ from repro.netsim.host import Host
 from repro.netsim.jitter import SendPathModel
 from repro.netsim.quic import QuicClient
 from repro.netsim.tls import TlsConnection
+from repro.obs.report import (counter_state, restore_counters,
+                              zero_counters)
 from repro.replay.timing import ReplayTimer
 from repro.server.overload import client_cookie
 from repro.trace.record import QueryRecord
@@ -206,6 +208,23 @@ def _result_from_dict(data: dict) -> QueryResult:
 class Querier:
     """One querier process on a client-instance host."""
 
+    # Declared counters (repro.obs.report): attribute -> report name.
+    COUNTERS = {
+        "sent": "replay.queries_sent",
+        "responses": "replay.responses",
+        "unanswered_at_close": "replay.unanswered_at_close",
+        # Resilience accounting (zero without a ResilienceConfig).
+        "timeouts": "replay.timed_out",
+        "retransmits": "replay.retransmits",
+        "tcp_fallbacks": "replay.tcp_fallbacks",
+        "reconnects": "replay.reconnects",
+        "recovered": "replay.recovered",
+        "malformed": "replay.malformed_responses",
+        # Queries that were awaiting a response when this querier
+        # crashed (repro.replay.supervisor).
+        "failed_over": "replay.failed_over",
+    }
+
     def __init__(self, host: Host, server_addr: str, name: str = "",
                  config: QuerierConfig | None = None):
         self.config = config = config or QuerierConfig()
@@ -227,22 +246,11 @@ class Querier:
                          if config.jitter_seed is not None
                          else host.sendpath)
         self.results: list[QueryResult] = []
-        self.sent = 0
-        self.unanswered_at_close = 0
-        # Resilience accounting (always maintained; obs counters mirror
-        # these when an observer is attached).
-        self.timeouts = 0
-        self.retransmits = 0
-        self.tcp_fallbacks = 0
-        self.reconnects = 0
-        self.recovered = 0
-        self.malformed = 0
-        # Supervision state (repro.replay.supervisor).  `failed_over`
-        # counts queries that were awaiting a response when this
-        # querier crashed; orphans are records routed here after (or
-        # scheduled before) the crash, awaiting re-dispatch.
+        zero_counters(self)
+        # Supervision state (repro.replay.supervisor): orphans are
+        # records routed here after (or scheduled before) the crash,
+        # awaiting re-dispatch.
         self.crashed = False
-        self.failed_over = 0
         self._orphans: list[QueryRecord] = []
         # Timer events of the records handed over by the distributor
         # whose ΔT send has not fired yet — the D->Q queue bounded by
@@ -401,7 +409,6 @@ class Querier:
         self.sent += 1
         obs = self.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("replay.queries_sent").inc()
             obs.metrics.counter(f"replay.queries_{record.proto}").inc()
             # The §2.6 fidelity number: how late the send fired versus
             # its ΔT-scheduled time (timer slop + send-path occupancy).
@@ -461,7 +468,6 @@ class Querier:
     def _fail_over_result(self, result: QueryResult) -> None:
         result.failed_over = True
         self.failed_over += 1
-        self._count("replay.failed_over")
 
     def take_orphans(self) -> list[QueryRecord]:
         """Drain the records stranded by a crash (for re-dispatch)."""
@@ -469,11 +475,6 @@ class Querier:
         return orphans
 
     # -- pending tables and the terminal transition -----------------------------------
-
-    def _count(self, name: str) -> None:
-        obs = self.host.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter(name).inc()
 
     def _expect(self, channel: _Channel, msg_id: int, result: QueryResult,
                 wire: bytes, on_timeout, *args) -> None:
@@ -508,15 +509,14 @@ class Querier:
         if rcode is not None:
             if result.attempts > 1 or result.fell_back:
                 self.recovered += 1
-                self._count("replay.recovered")
             result.response_time = self.host.scheduler.now
             result.response_size = size
             result.rcode = rcode
+            self.responses += 1
             if body is not None:
                 learn_cookie(body, result.record.src, self._server_cookies)
             obs = self.host.scheduler.obs
             if obs is not None:
-                obs.metrics.counter("replay.responses").inc()
                 obs.metrics.histogram("replay.latency").record(
                     result.response_time - result.send_time)
                 obs.tracer.emit("querier.response", result.send_time,
@@ -525,7 +525,6 @@ class Querier:
         elif self.resilience is not None:
             result.timed_out = True
             self.timeouts += 1
-            self._count("replay.timeouts")
         else:
             self.unanswered_at_close += 1
         if self.on_settled is not None:
@@ -557,7 +556,6 @@ class Querier:
             is_response = False
         if not is_response:
             self.malformed += 1
-            self._count("replay.malformed_responses")
             return None
         if self.check is not None:
             self.check.on_response(self, wire, header)
@@ -590,7 +588,6 @@ class Querier:
             # response to any attempt still matches (RFC 1035 §4.2.1).
             result.attempts += 1
             self.retransmits += 1
-            self._count("replay.retransmits")
             inflight = channel.inflight[msg_id]
             inflight.timer = self.host.scheduler.after(
                 policy.wait_for(result.attempts),
@@ -625,7 +622,6 @@ class Querier:
         self._resolve(udp, msg_id)
         result.fell_back = True
         self.tcp_fallbacks += 1
-        self._count("replay.tcp_fallbacks")
         channel = self._channel_for(result.record.src, "tcp")
         if msg_id in channel.pending:
             # The id is busy on the TCP channel: re-id the query (the
@@ -742,7 +738,6 @@ class Querier:
             inflight.resent = True
             result.attempts += 1
             self.reconnects += 1
-            self._count("replay.reconnects")
             fresh.pending[msg_id] = result
             fresh.inflight[msg_id] = inflight
             # Restart the per-query clock for the fresh attempt.
@@ -800,10 +795,6 @@ class Querier:
 
     # -- checkpointing (repro.replay.supervisor) -------------------------------------------------
 
-    _STATE_COUNTERS = ("sent", "unanswered_at_close", "timeouts",
-                       "retransmits", "tcp_fallbacks", "reconnects",
-                       "recovered", "malformed", "failed_over")
-
     def state_dict(self) -> dict:
         """Checkpointable state: message-id sequence, timing baseline,
         accounting counters, completed results, and the parked ΔT
@@ -821,14 +812,13 @@ class Querier:
             "last_scheduled": self._last_scheduled,
             "backlog": [encode_record(event.args[0]).hex()
                         for event in self._send_timers.values()],
-            "counters": {key: getattr(self, key)
-                         for key in self._STATE_COUNTERS},
+            "counters": counter_state(self),
             "results": [_result_to_dict(r) for r in self.results],
         }
 
     def load_state(self, state: dict) -> None:
         from repro.trace.binaryform import decode_record
-        self.crashed = state.get("crashed", False)
+        self.crashed = state["crashed"]
         self._msg_seq = state["msg_seq"]
         timer = state["timer"]
         if timer["trace_t1"] is not None:
@@ -836,11 +826,10 @@ class Querier:
         # Re-ingest the parked backlog: with the timing baseline
         # restored, handle_record recomputes each record's absolute ΔT
         # target, so the resumed run sends at the original instants.
-        for wire in state.get("backlog", ()):
+        for wire in state["backlog"]:
             self.handle_record(decode_record(bytes.fromhex(wire)))
         self._last_scheduled = state["last_scheduled"]
-        for key, value in state["counters"].items():
-            setattr(self, key, value)
+        restore_counters(self, state["counters"])
         self.results = [_result_from_dict(r) for r in state["results"]]
 
     # -- stats -----------------------------------------------------------------------------------

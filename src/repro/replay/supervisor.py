@@ -32,8 +32,9 @@ This module adds the supervision layer:
   exact guarantee).
 
 Everything here is opt-in via ``ReplayConfig(supervision=...)``; an
-unsupervised run schedules not a single extra event and keeps its
-byte-identical legacy reports.
+unsupervised run schedules not a single extra event, so its results
+are those of a run without this layer (its report carries the
+supervision counters all the same, at zero).
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-CHECKPOINT_VERSION = 1
+from repro.obs.report import counter_state, zero_counters
+
+# 2: counters travel by declaration (``COUNTERS``) and every field is
+# required; a version-1 payload is rejected, not patched up.
+CHECKPOINT_VERSION = 2
 
 _QUEUE_POLICIES = ("stall", "shed")
 
@@ -117,6 +122,20 @@ def next_tick(now: float, interval: float) -> float:
     return tick
 
 
+def resume_tick(cut: float, interval: float) -> float:
+    """The first absolute multiple of *interval* at or after *cut*:
+    where a run resumed from a checkpoint taken at *cut* re-arms its
+    heartbeat and monitor loops.  A pass due at the cut itself had not
+    run when the snapshot was taken (a beat leaves bytes in flight, and
+    :meth:`Checkpointer.quiescent` refuses those), so the resumed run
+    owes it; the checkpoint tick at the cut had, so that loop re-arms
+    with :func:`next_tick`."""
+    k = int(cut / interval)
+    while k * interval < cut:
+        k += 1
+    return k * interval
+
+
 def rendezvous(key: str, candidates: list[str]) -> str:
     """Highest-random-weight choice of *candidates* for *key*.
 
@@ -148,6 +167,7 @@ class ReplayCheckpoint:
     queriers: list[dict] = field(default_factory=list)
     server: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
+    network: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -159,6 +179,7 @@ class ReplayCheckpoint:
             "queriers": self.queriers,
             "server": self.server,
             "counters": self.counters,
+            "network": self.network,
         }
 
     @classmethod
@@ -173,7 +194,8 @@ class ReplayCheckpoint:
                    distributors=data["distributors"],
                    queriers=data["queriers"],
                    server=data["server"],
-                   counters=data["counters"])
+                   counters=data["counters"],
+                   network=data["network"])
 
 
 class Supervisor:
@@ -181,23 +203,26 @@ class Supervisor:
 
     Created by :class:`repro.replay.engine.ReplayEngine` when
     ``ReplayConfig(supervision=...)`` is set (distributed mode only).
-    All state lives on this object; the engine's report exposes the
-    counters when supervision is on."""
+    All state lives on this object."""
 
-    _COUNTERS = ("failovers", "redispatched", "stalls", "sheds",
-                 "checkpoints_written", "dropped_after_refailover")
+    # Declared counters (repro.obs.report): attribute -> report name.
+    # Limited to counters that are stable across checkpoint/resume
+    # (queue-depth peaks and dispatch lag depend on pipeline phase).
+    COUNTERS = {
+        "failovers": "replay.failovers",            # actors declared dead
+        "redispatched": "replay.redispatched",      # orphans re-sent once
+        "stalls": "replay.backpressure_stalls",     # Postman stall episodes
+        "sheds": "replay.shed",                     # dropped at high water
+        "checkpoints_written": "replay.checkpoints_written",
+        "dropped_after_refailover": "replay.dropped_after_refailover",
+    }
 
     def __init__(self, engine, config: SupervisionConfig):
         self.engine = engine
         self.config = config
         self.sim = engine.sim
         self.failed: set[str] = set()
-        self.failovers = 0            # actors declared dead
-        self.redispatched = 0         # orphan records re-sent once
-        self.stalls = 0               # Postman stall episodes
-        self.sheds = 0                # records dropped at high water
-        self.checkpoints_written = 0
-        self.dropped_after_refailover = 0
+        zero_counters(self)
         self.lag_peak = 0.0           # worst dispatch lag seen (gauge)
         self._last_beat: dict[str, float] = {}
         self._paused_controllers: set = set()
@@ -212,23 +237,32 @@ class Supervisor:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
+    def start(self, resumed: bool = False) -> None:
+        """Arm heartbeats, the monitor and the checkpointer.  *resumed*
+        says the clock stands at a checkpoint's cut: the first beat and
+        monitor pass are then due at :func:`resume_tick`, so the run
+        puts the same packets on the control channels as the
+        uninterrupted one."""
         if self._started:
             return
         self._started = True
         now = self.sim.scheduler.now
+        interval = self.config.heartbeat_interval
+        first = (resume_tick if resumed else next_tick)(now, interval)
+        # Armed first, so a checkpoint tick runs before a beat due at
+        # the same instant and finds the control channels idle.
+        if self.checkpointer is not None:
+            self.checkpointer.start()
         for controller in self.engine.controllers:
             controller.enable_supervision(self)
             for endpoint in controller._endpoints:
-                endpoint.start_heartbeats(self.config.heartbeat_interval)
+                endpoint.start_heartbeats(interval, first)
         for distributor in self.engine.distributors:
             distributor.supervisor = self
             self._last_beat.setdefault(distributor.name, now)
         for querier in self.engine.queriers:
             self._last_beat.setdefault(querier.name, now)
-        self._schedule_monitor()
-        if self.checkpointer is not None:
-            self.checkpointer.start()
+        self.sim.scheduler.at(first, self._monitor, daemon=True)
 
     def _schedule_monitor(self) -> None:
         scheduler = self.sim.scheduler
@@ -283,7 +317,6 @@ class Supervisor:
             return
         obs = self.sim.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("replay.failovers").inc()
             obs.tracer.emit("supervisor.failover",
                             self.sim.scheduler.now, detail=name)
         # Materialize the crash if we detected silence before the fault
@@ -314,7 +347,6 @@ class Supervisor:
         self._redispatch(distributor, querier.take_orphans())
 
     def _fail_distributor(self, distributor) -> None:
-        obs = self.sim.scheduler.obs
         for controller in self.engine.controllers:
             survivors = [ch for ch in controller.channels
                          if not ch.distributor.crashed]
@@ -344,8 +376,6 @@ class Supervisor:
                 continue
             self._redispatched_ids.add(id(record))
             self.redispatched += 1
-            if obs is not None:
-                obs.metrics.counter("replay.redispatched").inc()
             controller = self._controller_for(record.src)
             channel = controller._assignment.get(record.src)
             if channel is None or channel.distributor.crashed:
@@ -379,15 +409,12 @@ class Supervisor:
     def _redispatch(self, distributor, orphans) -> None:
         """Hand a dead querier's never-sent records to their new
         owners — each exactly once."""
-        obs = self.sim.scheduler.obs
         for record in orphans:
             if id(record) in self._redispatched_ids:
                 self.dropped_after_refailover += 1
                 continue
             self._redispatched_ids.add(id(record))
             self.redispatched += 1
-            if obs is not None:
-                obs.metrics.counter("replay.redispatched").inc()
             querier = distributor._querier_for(record.src)
             querier.handle_record(record)
 
@@ -396,9 +423,6 @@ class Supervisor:
     def on_stall(self, controller) -> None:
         self.stalls += 1
         self._paused_controllers.add(controller)
-        obs = self.sim.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter("replay.backpressure_stalls").inc()
 
     def on_resume(self, controller) -> None:
         self._paused_controllers.discard(controller)
@@ -408,9 +432,6 @@ class Supervisor:
                 and distributor.queue_depth() > self.config.high_water:
             distributor.shed_oldest()
             self.sheds += 1
-            obs = self.sim.scheduler.obs
-            if obs is not None:
-                obs.metrics.counter("replay.shed").inc()
 
     def on_queue_drain(self, distributor) -> None:
         for controller in list(self._paused_controllers):
@@ -423,15 +444,6 @@ class Supervisor:
         if obs is not None:
             obs.metrics.gauge("replay.dispatch_lag",
                               volatile=True).set(lag)
-
-    # -- checkpoint plumbing ----------------------------------------------
-
-    def counters_dict(self) -> dict:
-        return {key: getattr(self, key) for key in self._COUNTERS}
-
-    def load_counters(self, counters: dict) -> None:
-        for key, value in counters.items():
-            setattr(self, key, value)
 
 
 class Checkpointer:
@@ -469,9 +481,6 @@ class Checkpointer:
             # resumed from checkpoint N must report the same
             # checkpoints_written as the uninterrupted run.
             self.supervisor.checkpoints_written += 1
-            obs = self.engine.sim.scheduler.obs
-            if obs is not None:
-                obs.metrics.counter("replay.checkpoints_written").inc()
             checkpoint = self.capture()
             self.checkpoints.append(checkpoint)
             if self.on_checkpoint is not None:
@@ -487,13 +496,19 @@ class Checkpointer:
         state of a paced replay is "records parked on querier timers";
         those are serialized into the checkpoint and re-armed on
         resume.  What can't be captured is in-flight wire state, so the
-        cut waits for empty pending sets and closed stream/QUIC
-        connections, with the guard keeping it clear of the µs-scale
-        send-path limbo around each timer's target."""
+        cut waits for empty pending sets, idle control channels and
+        closed stream/QUIC connections, with the guard keeping it clear
+        of the µs-scale send-path limbo around each timer's target."""
         engine = self.engine
         now = engine.sim.scheduler.now
         for controller in engine.controllers:
             if controller.paused or controller._backlog:
+                return False
+            # A frame or heartbeat not yet acknowledged is on the wire.
+            conns = [channel.conn for channel in controller.channels]
+            for endpoint in controller._endpoints:
+                conns += endpoint._conns
+            if any(conn._inflight for conn in conns):
                 return False
         for distributor in engine.distributors:
             if distributor.queue_depth() or distributor.enroute \
@@ -527,7 +542,8 @@ class Checkpointer:
                     "established": meter.established,
                     "time_wait": meter.time_wait,
                     "apps": apps},
-            counters=self.supervisor.counters_dict(),
+            counters=counter_state(self.supervisor),
+            network=counter_state(engine.sim.network),
         )
 
     @property

@@ -57,6 +57,7 @@ from typing import NamedTuple
 
 from repro.dns.name import Name
 from repro.dns.wire import MAX_POINTER_OFFSET
+from repro.obs.report import volatile, zero_counters
 
 # Templates kept per AnswerCache, FIFO beyond: a sweep of hostile qnames
 # cannot grow the store past this.
@@ -106,17 +107,23 @@ class AnswerCache:
     """Bounded map of (source, transport class, query tail) -> answer,
     and the bounded store of section templates behind it."""
 
+    # Volatile, all four: a run with the cache off must report the same
+    # default bytes as one with it on (repro.obs.report).
+    COUNTERS = {
+        "hits": volatile("server.answer_cache_hits"),
+        "misses": volatile("server.answer_cache_misses"),
+        "template_hits": volatile("server.answer_template_hits"),
+        "template_builds": volatile("server.answer_template_builds"),
+    }
+
     def __init__(self, views, max_entries: int = 100_000):
         self._views = views
         self._generation = views.generation
         self._entries: dict[tuple, CachedAnswer] = {}
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
         # (result, rd, do, matched suffix) -> what was encoded for it.
         self.templates: dict[tuple, _Template] = {}
-        self.template_hits = 0
-        self.template_builds = 0
+        zero_counters(self)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -30,6 +30,7 @@ from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
 from repro.netsim.quic import QuicServer
 from repro.netsim.tls import TlsConnection
+from repro.obs.report import counter_state, restore_counters
 from repro.server.responder import DnsResponder, QueryLogEntry
 from repro.server.views import ViewSelector
 
@@ -65,6 +66,9 @@ class WorkerPool:
 class AuthoritativeServer(DnsResponder):
     """A DNS server process bound to a simulated host."""
 
+    COUNTERS = {**DnsResponder.COUNTERS,
+                "_pause_dropped": "server.pause_dropped"}
+
     def __init__(self, host: Host, zones: list[Zone] | None = None,
                  views: ViewSelector | None = None, port: int = DNS_PORT,
                  tls_port: int = TLS_PORT,
@@ -93,7 +97,6 @@ class AuthoritativeServer(DnsResponder):
         self.paused = False
         self.pause_backlog_limit = 4096
         self._pause_backlog: list[Callable[[], None]] = []
-        self._pause_dropped = 0
         host.apps.append(self)
         # Loading zones costs memory, like a real server's zone DB.
         self._zone_memory = sum(z.estimated_memory()
@@ -125,65 +128,29 @@ class AuthoritativeServer(DnsResponder):
     def state_dict(self) -> dict:
         """Resumable process counters for a replay checkpoint.
 
-        Answer-cache *entries* are deliberately not captured: a resumed
-        run re-fills the cache, which only matters for traces that
-        repeat a byte-identical query across the cut (see
+        Answer-cache *entries* and RRL bucket contents are deliberately
+        not captured: a resumed run re-fills the cache and restarts the
+        buckets full, which only matters for traces that repeat a
+        byte-identical query, or hold a flood, across the cut (see
         docs/RESILIENCE.md for the determinism scope)."""
-        state = {
-            "queries_handled": self.queries_handled,
-            "refused": self.refused,
-            "responses_sent": self.responses_sent,
+        cache, pool = self.answer_cache, self.worker_pool
+        return {
+            "counters": counter_state(self),
+            "answer_cache": (counter_state(cache)
+                             if cache is not None else None),
+            "worker_pool": ({"free_at": list(pool._free_at),
+                             "busiest_backlog": pool.busiest_backlog}
+                            if pool is not None else None),
         }
-        if self.overload is not None:
-            # RRL bucket contents are not captured, like answer-cache
-            # entries: a resumed run restarts the buckets full (see
-            # docs/VERIFICATION.md for the determinism scope).
-            state["overload"] = {
-                "rrl_dropped": self.rrl_dropped,
-                "rrl_slipped": self.rrl_slipped,
-                "cookies_validated": self.cookies_validated,
-                "admission_received": self.admission_received,
-                "admission_processed": self.admission_processed,
-                "admission_shed": self.admission_shed,
-                "admission_refused": self.admission_refused,
-            }
-        if self.worker_pool is not None:
-            state["worker_free_at"] = list(self.worker_pool._free_at)
-            state["busiest_backlog"] = self.worker_pool.busiest_backlog
-        if self.answer_cache is not None:
-            state["cache_hits"] = self.answer_cache.hits
-            state["cache_misses"] = self.answer_cache.misses
-            state["template_hits"] = self.answer_cache.template_hits
-            state["template_builds"] = self.answer_cache.template_builds
-        return state
 
     def load_state(self, state: dict) -> None:
-        self.queries_handled = state["queries_handled"]
-        self.refused = state["refused"]
-        self.responses_sent = state.get("responses_sent",
-                                        self.queries_handled)
-        overload_state = state.get("overload")
-        if self.overload is not None and overload_state is not None:
-            self.rrl_dropped = overload_state["rrl_dropped"]
-            self.rrl_slipped = overload_state["rrl_slipped"]
-            self.cookies_validated = overload_state["cookies_validated"]
-            self.admission_received = \
-                overload_state["admission_received"]
-            self.admission_processed = \
-                overload_state["admission_processed"]
-            self.admission_shed = overload_state["admission_shed"]
-            self.admission_refused = overload_state["admission_refused"]
-        if self.worker_pool is not None \
-                and "worker_free_at" in state:
-            self.worker_pool._free_at = list(state["worker_free_at"])
-            self.worker_pool.busiest_backlog = \
-                state["busiest_backlog"]
-        if self.answer_cache is not None and "cache_hits" in state:
-            self.answer_cache.hits = state["cache_hits"]
-            self.answer_cache.misses = state["cache_misses"]
-            self.answer_cache.template_hits = state.get("template_hits", 0)
-            self.answer_cache.template_builds = \
-                state.get("template_builds", 0)
+        restore_counters(self, state["counters"])
+        if self.answer_cache is not None:
+            restore_counters(self.answer_cache, state["answer_cache"])
+        if self.worker_pool is not None:
+            pool = state["worker_pool"]
+            self.worker_pool._free_at = list(pool["free_at"])
+            self.worker_pool.busiest_backlog = pool["busiest_backlog"]
 
     # -- transports -----------------------------------------------------
 
@@ -315,11 +282,6 @@ class AuthoritativeServer(DnsResponder):
         backlog, self._pause_backlog = self._pause_backlog, []
         if drop_backlog:
             self._pause_dropped += len(backlog)
-            if backlog:
-                obs = self._obs()
-                if obs is not None:
-                    obs.metrics.counter("server.pause_dropped").inc(
-                        len(backlog))
             self._schedule_drain()
             return
         for thunk in backlog:
@@ -332,7 +294,6 @@ class AuthoritativeServer(DnsResponder):
             obs = self._obs()
             if obs is not None:
                 obs.metrics.counter("server.pause_overflow").inc()
-                obs.metrics.counter("server.pause_dropped").inc()
             return
         self._pause_backlog.append(thunk)
 

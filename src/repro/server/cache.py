@@ -27,8 +27,8 @@ The cache is production-shaped, configured by :class:`CacheConfig`:
   expiry instead of eating a cold miss;
 * **full counters** — ``lookups``/``hits``/``misses``/``neg_hits``/
   ``evictions``/``stale_served``/``prefetches``/``expired`` plus an
-  incrementally maintained ``memory_bytes`` estimate, surfaced as
-  ``server.cache_*`` metrics through the resolver's observer hook and
+  incrementally maintained ``memory_bytes`` estimate, declared once
+  (``COUNTERS``) as the ``server.cache_*`` rows of every report and
   checked by :func:`repro.check.invariants.verify_cache`
   (``hits + misses == lookups``, entries never exceed capacity).
 
@@ -39,12 +39,13 @@ historical semantics, so existing worlds replay byte-identically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.dns.constants import RRType
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
+from repro.obs.report import counter_state, zero_counters
 
 # Fixed per-entry bookkeeping estimate (dict slot, entry object, index
 # reference) added to the wire-ish payload size in `memory_bytes`.
@@ -161,6 +162,22 @@ _NEG = 1
 class DnsCache:
     """Bounded TTL cache keyed on (name, type); see the module doc."""
 
+    # Declared counters (repro.obs.report): attribute -> report name;
+    # ``counters()`` is the same set as a dict.  hits + misses ==
+    # lookups always (verify_cache).
+    COUNTERS = {
+        "lookups": "server.cache_lookups",
+        "hits": "server.cache_hits",
+        "misses": "server.cache_misses",
+        "neg_hits": "server.cache_neg_hits",       # subset of hits
+        "evictions": "server.cache_evictions",
+        "stale_served": "server.cache_stale_served",
+        "prefetches": "server.cache_prefetches",
+        "expired": "server.cache_expired",
+        "entries": "server.cache_entries",
+        "memory_bytes": "server.cache_memory_bytes",
+    }
+
     def __init__(self, config: CacheConfig | None = None) -> None:
         self.config = config or CacheConfig()
         self.config.validate()
@@ -180,27 +197,9 @@ class DnsCache:
         # Called as on_refresh(name, rtype) when a hot entry wants a
         # refresh-ahead; the resolver installs its prefetch driver here.
         self.on_refresh: Callable[[Name, int], None] | None = None
-        # Called with a counter suffix ("hits", "evictions", ...) on
-        # every accounting event; the resolver bridges this to the
-        # observer's server.cache_* metrics.
-        self.on_event: Callable[[str], None] | None = None
-        # Counters: hits + misses == lookups always (verify_cache).
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.neg_hits = 0       # subset of hits
-        self.evictions = 0
-        self.stale_served = 0
-        self.prefetches = 0
-        self.expired = 0
-        self.memory_bytes = 0
+        zero_counters(self)
 
     # -- internal plumbing -------------------------------------------------
-
-    def _event(self, name: str) -> None:
-        hook = self.on_event
-        if hook is not None:
-            hook(name)
 
     def _hit(self, key, entry) -> None:
         self.lookups += 1
@@ -210,12 +209,10 @@ class DnsCache:
             # Touch: re-insert at the LRU tail.
             del self._entries[key]
             self._entries[key] = entry
-        self._event("hits")
 
     def _miss(self) -> None:
         self.lookups += 1
         self.misses += 1
-        self._event("misses")
 
     def _deadline(self, kind: int, expires: float) -> float:
         if kind == _POS and self.config.serve_stale:
@@ -241,7 +238,6 @@ class DnsCache:
         self._refreshing.discard(key)
         if counter is not None:
             setattr(self, counter, getattr(self, counter) + 1)
-            self._event(counter)
 
     def reclaim(self, now: float) -> int:
         """Drain every expiry bucket whose deadline has passed,
@@ -279,7 +275,6 @@ class DnsCache:
                 victim = next(iter(self._entries))
                 self._discard(victim, self._entries[victim],
                               "evictions")
-        self._event("stored")
 
     def _maybe_prefetch(self, key, entry, now: float) -> None:
         """Refresh-ahead: a hit on a hot, nearly expired entry asks
@@ -309,7 +304,6 @@ class DnsCache:
             return
         self._refreshing.add(key)
         self.prefetches += 1
-        self._event("prefetches")
         self.on_refresh(key[1], key[2])
 
     # -- positive ---------------------------------------------------------
@@ -361,7 +355,6 @@ class DnsCache:
         if entry.expires + self.config.stale_ttl <= now:
             return None
         self.stale_served += 1
-        self._event("stale_served")
         return entry.rrset.copy(ttl=self.config.stale_answer_ttl)
 
     # -- negative ------------------------------------------------------------
@@ -392,7 +385,6 @@ class DnsCache:
             return None
         self._hit(key, entry)
         self.neg_hits += 1
-        self._event("neg_hits")
         return entry
 
     # -- delegation walking ----------------------------------------------------
@@ -434,21 +426,13 @@ class DnsCache:
     def entry_count(self) -> int:
         return len(self._entries)
 
+    entries = property(entry_count)
+
     def expire(self, now: float) -> int:
         """Drop expired entries; returns how many were removed."""
         return self.reclaim(now)
 
     def counters(self) -> dict[str, int]:
-        """The accounting block the Rec-17 golden pins."""
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "neg_hits": self.neg_hits,
-            "evictions": self.evictions,
-            "stale_served": self.stale_served,
-            "prefetches": self.prefetches,
-            "expired": self.expired,
-            "entries": len(self._entries),
-            "memory_bytes": self.memory_bytes,
-        }
+        """The accounting block the Rec-17 golden pins: a fresh dict
+        of the declared counters (read-only; the attributes count)."""
+        return counter_state(self)

@@ -28,6 +28,7 @@ from repro.dns.name import Name
 from repro.dns.rrset import RRset
 from repro.dns.wire import WireError
 from repro.netsim.host import Host
+from repro.obs.report import counter_state, zero_counters
 from repro.server.cache import CacheConfig, DnsCache
 
 MAX_CNAME_DEPTH = 8
@@ -35,17 +36,6 @@ MAX_REFERRALS = 24
 MAX_GLUE_DEPTH = 4
 QUERY_TIMEOUT = 0.8
 MAX_TRIES = 6
-
-# Cache counter suffix -> observer metric (docs/OBSERVABILITY.md).
-_CACHE_METRICS = {
-    "hits": "server.cache_hits",
-    "misses": "server.cache_misses",
-    "neg_hits": "server.cache_neg_hits",
-    "evictions": "server.cache_evictions",
-    "stale_served": "server.cache_stale_served",
-    "prefetches": "server.cache_prefetches",
-    "expired": "server.cache_expired",
-}
 
 ResolveCallback = Callable[[Message], None]
 
@@ -91,6 +81,20 @@ class _Resolution:
 class RecursiveResolver:
     """A caching recursive resolver bound to a host."""
 
+    # Declared counters (repro.obs.report): attribute -> report name;
+    # ``stats`` is the same set as a dict.
+    COUNTERS = {
+        "client_queries": "server.recursive_queries",
+        "upstream_queries": "server.recursive_upstream_queries",
+        "servfail": "server.recursive_servfail",
+        "cache_answers": "server.recursive_cache_hits",
+        "tcp_fallbacks": "server.recursive_tcp_fallbacks",
+        "coalesced": "server.recursive_coalesced",
+        "stale_answers": "server.recursive_stale_answers",
+        "prefetches": "server.recursive_prefetches",
+    }
+    COUNTING_PARTS = ("cache",)          # owned; counts for itself
+
     def __init__(self, host: Host, root_hints: list[RootHint],
                  port: int = DNS_PORT, edns_payload: int = 4096,
                  request_dnssec: bool = False,
@@ -101,14 +105,10 @@ class RecursiveResolver:
             self.cache = cache
         else:
             self.cache = DnsCache(cache)
-        self.cache.on_event = self._cache_event
         self.cache.on_refresh = self._schedule_refresh
         self.edns_payload = edns_payload
         self.request_dnssec = request_dnssec
-        self.stats = {"client_queries": 0, "upstream_queries": 0,
-                      "servfail": 0, "cache_answers": 0,
-                      "tcp_fallbacks": 0, "coalesced": 0,
-                      "stale_answers": 0, "prefetches": 0}
+        zero_counters(self)
         self._msg_ids = itertools.count(1)
         # Upstream message-id space; tests shrink it to force wrap.
         self._id_space = 0x10000
@@ -123,24 +123,12 @@ class RecursiveResolver:
         self._upstream_sock.on_datagram = self._on_upstream_response
         host.apps.append(self)
 
-    def _count(self, name: str) -> None:
-        obs = self.host.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter(name).inc()
-
-    def _cache_event(self, event: str) -> None:
-        """Bridge DnsCache accounting onto the observer: one counter
-        per event plus the memory-estimate gauge."""
-        obs = self.host.scheduler.obs
-        if obs is None:
-            return
-        metric = _CACHE_METRICS.get(event)
-        if metric is not None:
-            obs.metrics.counter(metric).inc()
-        obs.metrics.gauge("server.cache_memory_bytes").set(
-            float(self.cache.memory_bytes))
-        obs.metrics.gauge("server.cache_entries").set(
-            float(self.cache.entry_count()))
+    @property
+    def stats(self) -> dict[str, int]:
+        """The declared counters as a dict: a read-only view, built
+        fresh on each access — writing to it changes nothing; the
+        counters are the attributes (``resolver.client_queries``)."""
+        return counter_state(self)
 
     # -- client side ------------------------------------------------------
 
@@ -152,8 +140,7 @@ class RecursiveResolver:
             return
         if query.question is None or query.is_response:
             return
-        self.stats["client_queries"] += 1
-        self._count("server.recursive_queries")
+        self.client_queries += 1
 
         # RFC 6891 §6.2.5: a stub that advertised no EDNS gets at most
         # 512 bytes (oversized answers truncate with TC=1); with EDNS
@@ -188,8 +175,7 @@ class RecursiveResolver:
         key = (qname, int(qtype))
         waiters = self._inflight.get(key)
         if waiters is not None:
-            self.stats["coalesced"] += 1
-            self._count("server.recursive_coalesced")
+            self.coalesced += 1
             waiters.append(callback)
             return
         self._inflight[key] = [callback]
@@ -218,7 +204,7 @@ class RecursiveResolver:
         key = (name, int(rtype))
         if key in self._inflight:
             return  # a client resolution will refresh the entry anyway
-        self.stats["prefetches"] += 1
+        self.prefetches += 1
         self._inflight[key] = []
         state = _Resolution(qname=name, qtype=int(rtype),
                             callback=self._finisher(key),
@@ -242,12 +228,10 @@ class RecursiveResolver:
             stale = self.cache.get_stale(
                 state.qname, state.qtype, self.host.scheduler.now)
             if stale is not None:
-                self.stats["stale_answers"] += 1
-                self._count("server.recursive_stale_answers")
+                self.stale_answers += 1
                 self._finish(state, Rcode.NOERROR, answers=[stale])
                 return
-        self.stats["servfail"] += 1
-        self._count("server.recursive_servfail")
+        self.servfail += 1
         self._finish(state, Rcode.SERVFAIL)
 
     def _step(self, state: _Resolution) -> None:
@@ -261,8 +245,7 @@ class RecursiveResolver:
             negative = self.cache.get_negative(state.qname, state.qtype,
                                                now)
             if negative is not None:
-                self.stats["cache_answers"] += 1
-                self._count("server.recursive_cache_hits")
+                self.cache_answers += 1
                 rcode = (Rcode.NXDOMAIN if negative.nxdomain
                          else Rcode.NOERROR)
                 soa = [negative.soa] if negative.soa is not None else []
@@ -271,8 +254,7 @@ class RecursiveResolver:
 
             cached = self.cache.get_rrset(state.qname, state.qtype, now)
             if cached is not None:
-                self.stats["cache_answers"] += 1
-                self._count("server.recursive_cache_hits")
+                self.cache_answers += 1
                 self._finish(state, Rcode.NOERROR, answers=[cached])
                 return
 
@@ -345,8 +327,7 @@ class RecursiveResolver:
         pending.timer = self.host.scheduler.after(
             QUERY_TIMEOUT, self._timeout, msg_id)
         self._pending[msg_id] = pending
-        self.stats["upstream_queries"] += 1
-        self._count("server.recursive_upstream_queries")
+        self.upstream_queries += 1
         self._upstream_sock.sendto(query.to_wire(), server_addr, DNS_PORT)
 
     def _timeout(self, msg_id: int) -> None:
@@ -371,7 +352,7 @@ class RecursiveResolver:
             pending.timer.cancel()
         if message.flags & Flag.TC:
             # Truncated: retry this exchange over TCP (RFC 7766).
-            self.stats["tcp_fallbacks"] += 1
+            self.tcp_fallbacks += 1
             self._send_upstream_tcp(pending)
             return
         self._cache_message(message)

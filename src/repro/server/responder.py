@@ -31,6 +31,7 @@ from repro.dns.message import Edns, Message, read_question
 from repro.dns.name import Name
 from repro.dns.wire import WireError
 from repro.dns.zone import LookupStatus, Zone
+from repro.obs.report import zero_counters
 from repro.server.answercache import AnswerCache, CachedAnswer
 from repro.server.overload import (OverloadConfig, ResponseRateLimiter,
                                    ServerCookies, minimal_response,
@@ -56,6 +57,21 @@ class QueryLogEntry:
 class DnsResponder:
     """Query -> response logic for one authoritative identity."""
 
+    # Declared counters (repro.obs.report): attribute -> report name.
+    COUNTERS = {
+        "queries_handled": "server.queries",
+        "refused": "server.refused",
+        "responses_sent": "server.responses_sent",
+        "rrl_dropped": "server.rrl_dropped",
+        "rrl_slipped": "server.rrl_slipped",
+        "cookies_validated": "server.cookies_validated",
+        "admission_received": "server.admission_received",
+        "admission_processed": "server.admission_processed",
+        "admission_shed": "server.admission_shed",
+        "admission_refused": "server.refused_overload",
+    }
+    COUNTING_PARTS = ("answer_cache",)   # owned; counts for itself
+
     def __init__(self, zones: list[Zone] | None = None,
                  views: ViewSelector | None = None,
                  log_queries: bool = False,
@@ -74,8 +90,7 @@ class DnsResponder:
         self.answer_cache = AnswerCache(views) if answer_cache else None
         self.log_queries = log_queries
         self.query_log: list[QueryLogEntry] = []
-        self.queries_handled = 0
-        self.refused = 0
+        zero_counters(self)
         self._clock = clock
         self._observer = observer
         # Overload control (docs/RESILIENCE.md): everything below is
@@ -94,14 +109,6 @@ class DnsResponder:
                 self._cookie_jar = ServerCookies(overload.cookies)
             if overload.admission is not None:
                 self.admission_queue = deque()
-        self.responses_sent = 0
-        self.rrl_dropped = 0
-        self.rrl_slipped = 0
-        self.cookies_validated = 0
-        self.admission_received = 0
-        self.admission_processed = 0
-        self.admission_shed = 0
-        self.admission_refused = 0
         # ReplayConfig(check=True): InvariantChecker.on_server_response.
         self.check = None
 
@@ -137,12 +144,12 @@ class DnsResponder:
         start = self._now() if obs is not None else 0.0
         entry = cache.get(src, stream, wire) if cache is not None else None
         hit = entry is not None
-        cacheable, templated = True, False
+        cacheable = True
         if not hit:
             made = self._compile(wire, src, stream, cache)
             if made is None:
                 return None
-            entry, cacheable, templated = made
+            entry, cacheable = made
             if self.check is not None and cache is not None:
                 self.check.on_server_response(self, wire, src, stream,
                                               entry)
@@ -153,23 +160,11 @@ class DnsResponder:
             self.cookies_validated += 1
         if obs is not None:
             metrics = obs.metrics
-            if cache is not None:
-                metrics.counter("server.answer_cache_hits" if hit
-                                else "server.answer_cache_misses",
-                                volatile=True).inc()
-            if templated:
-                metrics.counter("server.answer_template_hits",
-                                volatile=True).inc()
-            metrics.counter("server.queries").inc()
             metrics.counter(f"server.queries_{proto}").inc()
             if cacheable:
                 metrics.counter("server.view_selections"
                                 if entry.view_selected
                                 else "server.view_misses").inc()
-            if entry.refused:
-                metrics.counter("server.refused").inc()
-            if entry.cookie_verified:
-                metrics.counter("server.cookies_validated").inc()
             obs.tracer.emit("server.handle", start, self._now(),
                             detail=proto)
         decision = self._rrl_gate(src, entry.rcode, entry.qname,
@@ -191,9 +186,9 @@ class DnsResponder:
 
     def _compile(self, wire: bytes, src: str, stream: bool,
                  cache: AnswerCache | None) \
-            -> tuple[CachedAnswer, bool, bool] | None:
-        """``(entry, cacheable, templated)`` for the query *wire*, None
-        when no response is due; no counter, span or log side effect.
+            -> tuple[CachedAnswer, bool] | None:
+        """``(entry, cacheable)`` for the query *wire*, None when no
+        response is due; no counter, span or log side effect.
         With *cache* the first and last step take their wire-level forms
         where they apply (docs/BACKENDS.md): a plain query's question is
         read off the wire, a shared lookup result answered from *cache*'s
@@ -224,9 +219,8 @@ class DnsResponder:
             limit = min(UDP_PAYLOAD_LIMIT, max(512, edns[0]))
         shared = plain is not None and result is not None and result.shared
         body = cache.spliced(result, plain, wire, limit) if shared else None
-        templated = body is not None
         verified = False
-        if templated:
+        if body is not None:
             rcode, full_size = body[1] & 0xF, 2 + len(body)
         else:
             if query is None:
@@ -250,14 +244,9 @@ class DnsResponder:
             qtype=qtype, view_selected=view_selected,
             refused=cacheable and zone is None, zone=zone,
             zone_version=zone.version if zone is not None else 0,
-            cookie_verified=verified), cacheable, templated
+            cookie_verified=verified), cacheable
 
     # -- overload control -------------------------------------------------
-
-    def _count(self, name: str, volatile: bool = False) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs.metrics.counter(name, volatile=volatile).inc()
 
     def _rrl_gate(self, src: str, rcode: int, qname, qtype: int, zone,
                   verified: bool, stream: bool) -> str:
@@ -275,12 +264,10 @@ class DnsResponder:
         """Apply the RRL decision to the encoded response."""
         if decision == "drop":
             self.rrl_dropped += 1
-            self._count("server.rrl_dropped")
             return None
         if decision == "slip":
             self.rrl_slipped += 1
             self.responses_sent += 1
-            self._count("server.rrl_slipped")
             return minimal_response(wire, rcode, tc=True)
         self.responses_sent += 1
         return out
@@ -306,11 +293,9 @@ class DnsResponder:
         if len(queue) >= config.limit:
             queue.popleft()
             self.admission_shed += 1
-            self._count("server.admission_shed")
         elif config.soft_limit is not None \
                 and len(queue) >= config.soft_limit:
             self.admission_refused += 1
-            self._count("server.refused_overload")
             return "refused", minimal_response(wire, Rcode.REFUSED)
         queue.append(item)
         return "queued", None

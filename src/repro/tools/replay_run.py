@@ -238,30 +238,24 @@ def main(argv: list[str] | None = None) -> int:
             f"{Rcode.to_text(code)}={count / len(report.results):.1%}"
             for code, count in sorted(rcodes.items()))
         print(f"rcodes: {mix}")
+    # Every counter is in every report (docs/OBSERVABILITY.md); print
+    # the block of each policy this run configured.
+    metrics = report.metrics()
+
+    def block(title: str, group: str, *keys: str) -> None:
+        print(f"{title}: " + " ".join(
+            f"{key}={metrics[group][key]}" for key in keys))
+
     if resilience is not None:
-        queriers = report.queriers
-        print(f"resilience: timed_out="
-              f"{sum(1 for r in report.results if r.timed_out)} "
-              f"retransmits={sum(q.retransmits for q in queriers)} "
-              f"tcp_fallbacks={sum(q.tcp_fallbacks for q in queriers)} "
-              f"recovered={sum(q.recovered for q in queriers)} "
-              f"still_pending={sum(q.pending_count() for q in queriers)}")
-    supervisor = (experiment.engine.supervisor
-                  if experiment.engine is not None else None)
-    if supervisor is not None:
-        print(f"supervision: failovers={supervisor.failovers} "
-              f"redispatched={supervisor.redispatched} "
-              f"failed_over="
-              f"{sum(q.failed_over for q in report.queriers)} "
-              f"stalls={supervisor.stalls} shed={supervisor.sheds} "
-              f"checkpoints={supervisor.checkpoints_written}")
+        block("resilience", "replay", "timed_out", "retransmits",
+              "tcp_fallbacks", "recovered", "still_pending")
+    if supervision is not None:
+        block("supervision", "replay", "failovers", "redispatched",
+              "failed_over", "backpressure_stalls", "shed",
+              "checkpoints_written")
     if overload is not None:
-        server = experiment.server
-        print(f"overload: rrl_dropped={server.rrl_dropped} "
-              f"rrl_slipped={server.rrl_slipped} "
-              f"cookies_validated={server.cookies_validated} "
-              f"admission_shed={server.admission_shed} "
-              f"refused_overload={server.admission_refused}")
+        block("overload", "server", "rrl_dropped", "rrl_slipped",
+              "cookies_validated", "admission_shed", "refused_overload")
     print(f"server CPU busy: {meter.cpu_busy:.3f} core-seconds; "
           f"memory now: {meter.memory / 1024 ** 2:.1f} MB")
     return 0

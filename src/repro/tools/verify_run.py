@@ -21,9 +21,10 @@ Tiers:
 * ``fuzz`` — only the seeded never-crash fuzz targets (for the
   time-boxed CI fuzz job; raise ``--fuzz-examples`` to dig deeper).
 
-``--record`` rewrites the golden files instead of checking them —
+``--record`` rewrites the golden files instead of checking them, and
+prints for each how it moved by key path (added / changed / removed) —
 commit the result in the same PR as the engine change that moved
-them, with a rationale.
+them, with that summary as the rationale's evidence.
 """
 
 from __future__ import annotations
@@ -139,9 +140,17 @@ def _verify_fuzz(args, failures: list[str]) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.record:
-        from repro.check.golden import record_goldens
-        for path in record_goldens(args.golden_dir):
-            print(f"recorded {path}")
+        from repro.check.golden import (GOLDEN_DIR, describe_diff,
+                                        record_goldens)
+        directory = args.golden_dir or GOLDEN_DIR
+        before = {path.name: path.read_text(encoding="utf-8")
+                  for path in directory.glob("*.json")}
+        for path in record_goldens(directory):
+            old, new = before.get(path.name), path.read_text(
+                encoding="utf-8")
+            print(f"recorded {path}: "
+                  + ("new" if old is None else "unchanged" if old == new
+                     else describe_diff(old, new)))
         return 0
     failures: list[str] = []
     if args.tier == "golden":

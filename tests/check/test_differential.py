@@ -16,6 +16,7 @@ from repro.check.differential import (ToleranceBands, compare_sim_live,
                                       diff_sim_matrix)
 from repro.check.golden import GOLDEN_DIR, SIM_REPORT
 from repro.check.scenarios import SIM_MATRIX, run_sim_variant
+from repro.replay import ReplayReport
 
 
 def test_matrix_covers_all_three_axes():
@@ -71,10 +72,17 @@ class _FakeResult:
         return self
 
 
+def _declared_schema(without_group=None, without_key=None):
+    """A metrics() dict with exactly the declared groups and keys."""
+    return {group: dict.fromkeys(keys - {without_key}, 0)
+            for group, keys in ReplayReport.schema().items()
+            if group != without_group}
+
+
 @dataclass
 class _FakeReport:
     results: list = field(default_factory=list)
-    schema: dict = field(default_factory=lambda: {"replay": {"a": 1}})
+    schema: dict = field(default_factory=_declared_schema)
 
     def answered_fraction(self):
         if not self.results:
@@ -121,17 +129,25 @@ def test_qname_multiset_band_fires_and_scales():
 
 
 def test_schema_band_fires_on_missing_key():
-    sim = _report(["q1."], schema={"replay": {"a": 1, "b": 2}})
-    live = _report(["q1."], schema={"replay": {"a": 1}})
-    failures = compare_sim_live(sim, live)
-    assert any("metric keys" in f for f in failures)
+    live = _report(["q1."],
+                   schema=_declared_schema(without_key="retransmits"))
+    failures = compare_sim_live(_report(["q1."]), live)
+    assert any("metric keys" in f and "live" in f and "retransmits" in f
+               for f in failures)
 
 
 def test_schema_band_fires_on_missing_group():
-    sim = _report(["q1."], schema={"replay": {}, "server": {}})
-    live = _report(["q1."], schema={"replay": {}})
-    failures = compare_sim_live(sim, live)
-    assert any("metric groups" in f for f in failures)
+    live = _report(["q1."], schema=_declared_schema(without_group="server"))
+    failures = compare_sim_live(_report(["q1."]), live)
+    assert any("metric groups" in f and "server" in f for f in failures)
+
+
+def test_recorded_extras_of_an_observed_run_are_not_a_schema_failure():
+    observed = _declared_schema()
+    observed["replay"]["latency"] = {"count": 1}
+    observed["scheduler"] = {"events_processed": 9.0}
+    assert compare_sim_live(_report(["q1."], schema=observed),
+                            _report(["q1."])) == []
 
 
 def test_record_count_mismatch_reported():

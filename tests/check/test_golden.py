@@ -12,8 +12,8 @@ import json
 import pytest
 
 from repro.check.golden import (GOLDEN_DIR, GOLDENS, SIM_REPORT,
-                                WIRE_MESSAGES, record_goldens,
-                                verify_goldens)
+                                WIRE_MESSAGES, describe_diff,
+                                record_goldens, verify_goldens)
 
 
 def test_golden_files_are_committed():
@@ -50,14 +50,29 @@ def test_wire_corpus_covers_the_answer_shapes():
 
 def test_record_and_verify_round_trip(tmp_path):
     """record writes exactly what verify accepts; a tampered byte is
-    reported with the diverging line."""
+    reported with the diverging key paths."""
     paths = record_goldens(tmp_path, names=[WIRE_MESSAGES])
     assert verify_goldens(tmp_path, names=[WIRE_MESSAGES]) == []
     content = paths[0].read_text()
     paths[0].write_text(content.replace('"proto"', '"prot0"', 1))
     failures = verify_goldens(tmp_path, names=[WIRE_MESSAGES])
     assert len(failures) == 1
-    assert "divergence" in failures[0]
+    # (fresh vs the tampered committed file)
+    assert "+1 keys (a_exact.proto)" in failures[0]
+    assert "1 removed (a_exact.prot0)" in failures[0]
+
+
+def test_describe_diff_names_added_changed_and_removed_paths():
+    """What a re-record is reviewed by: every changed and removed key
+    path spelled out, added ones counted."""
+    old = {"meta": {"version": 1, "gone": True}, "replay": {"sent": 5}}
+    new = {"meta": {"version": 2}, "replay": {"sent": 5, "shed": 0,
+                                              "lag": {"p50": 0.0}}}
+    assert describe_diff(json.dumps(old), json.dumps(new)) == (
+        "+2 keys (replay.lag.p50, replay.shed), "
+        "1 changed (meta.version 1 -> 2), 1 removed (meta.gone)")
+    assert describe_diff(json.dumps(old), json.dumps(old, indent=2)) \
+        == "same keys and values, formatting differs"
 
 
 def test_missing_golden_is_reported(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from repro.netsim import LinkParams, Simulator
 from repro.netsim.faults import (DelaySpike, FaultInjector, FaultPlan,
                                  LinkDown, LossBurst, ServerPause)
+from repro.obs import collect
 from repro.server import AuthoritativeServer
 from repro.trace.record import QueryRecord
 
@@ -263,6 +264,11 @@ def test_fault_plan_round_trip_overlapping_mix():
 
 
 def test_pause_dropped_surfaces_as_observer_counter():
+    """``server.pause_dropped`` is collected from the server's own
+    attribute; ``pause_overflow`` has no attribute and stays recorded."""
+    def collected():
+        return collect((AuthoritativeServer,), [server])
+
     sim = Simulator(observe=True)
     server_host = sim.add_host("server", ["10.0.0.2"], LinkParams())
     server = AuthoritativeServer(server_host,
@@ -280,8 +286,8 @@ def test_pause_dropped_surfaces_as_observer_counter():
     sim.run_until_idle()
     # 3 overflowed the paused backlog; the counter must say so.
     assert server._pause_dropped == 3
+    assert collected()["server.pause_dropped"] == 3
     metrics = sim.scheduler.obs.metrics.snapshot()
-    assert metrics["server.pause_dropped"] == 3
     assert metrics["server.pause_overflow"] == 3
 
     # A restart-style resume drops the whole backlog and counts it too.
@@ -291,5 +297,4 @@ def test_pause_dropped_surfaces_as_observer_counter():
     server.resume(drop_backlog=True)
     sim.run_until_idle()
     assert server._pause_dropped == 4
-    metrics = sim.scheduler.obs.metrics.snapshot()
-    assert metrics["server.pause_dropped"] == 4
+    assert collected()["server.pause_dropped"] == 4

@@ -81,12 +81,18 @@ def test_sim_and_live_agree_on_broot_analogue():
 
     # Both reports expose the same metric schema, group for group and
     # key for key (live's wall-clock extras are volatile-only, so the
-    # default snapshot shape is shared).
+    # default snapshot shape is shared) — every declared counter, not
+    # the one ``replay`` key an unobserved v1 report carried.
     sim_metrics = sim_report.metrics()
     live_metrics = live_report.metrics()
     assert set(sim_metrics) == set(live_metrics)
     for group in sim_metrics:
         assert set(sim_metrics[group]) == set(live_metrics[group]), group
+    assert len(sim_metrics["replay"]) + len(sim_metrics["server"]) > 50
+    for report, metrics in ((sim_report, sim_metrics),
+                            (live_report, live_metrics)):
+        assert metrics["replay"]["responses"] \
+            == sum(r.answered for r in report.results)
 
 
 def test_sim_backend_remains_byte_identical_per_seed():

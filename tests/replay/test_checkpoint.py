@@ -4,7 +4,10 @@ The determinism bar: a replay killed mid-run and resumed on a freshly
 built engine from a quiescent checkpoint must produce a
 ``ReplayReport.to_json()`` byte-identical to the uninterrupted run.
 Holds in the deterministic scope (UDP-only trace, ``timing_jitter``
-off, observability off) — see docs/RESILIENCE.md.
+off, observability off) — see docs/RESILIENCE.md.  With observability
+on, every collected counter still matches (they are read off the
+restored components); what the observer *records* on the way
+(histograms, spans, per-transport traffic) restarts at the cut.
 """
 
 import json
@@ -13,7 +16,9 @@ import os
 import pytest
 
 from repro.netsim import LinkParams, Simulator
+from repro.obs import collect
 from repro.replay import ReplayConfig, ReplayEngine
+from repro.replay.backends import COUNTED
 from repro.replay.supervisor import (CHECKPOINT_VERSION,
                                      ReplayCheckpoint,
                                      SupervisionConfig)
@@ -38,7 +43,8 @@ def make_trace(n=150, clients=12, duration=2.0):
                   for i in range(n)], name="ckpt")
 
 
-def build_engine(checkpoint_interval=0.25, seed=SEED, supervised=True):
+def build_engine(checkpoint_interval=0.25, seed=SEED, supervised=True,
+                 observe=False):
     sim = Simulator()
     server_host = sim.add_host("server", ["10.0.0.2"], LinkParams())
     AuthoritativeServer(server_host, zones=[wildcard_example_zone()],
@@ -51,7 +57,7 @@ def build_engine(checkpoint_interval=0.25, seed=SEED, supervised=True):
     return ReplayEngine(sim, "10.0.0.2", ReplayConfig(
         client_instances=2, queriers_per_instance=3, seed=seed,
         timing_jitter=False, supervision=supervision,
-        extra_time=2.0))
+        observe=observe, extra_time=2.0))
 
 
 def run_full():
@@ -87,6 +93,36 @@ def test_checkpoint_dict_round_trip():
     assert clone.seed == ckpt.seed
 
 
+def checkpointed_parts():
+    """One fresh instance of every component with a ``state_dict``
+    (the supervisor's and the fabric's counters travel as
+    ``ReplayCheckpoint.counters``/``.network``, pinned by the resume
+    tests below)."""
+    engine = build_engine()
+    server, = engine.sim.hosts["server"].apps
+    return {"querier": engine.queriers[0],
+            "distributor": engine.distributors[0],
+            "controller": engine.controllers[0],
+            "server": server, "answer_cache": server}
+
+
+@pytest.mark.parametrize("part", sorted(checkpointed_parts()))
+def test_state_round_trip_restores_every_declared_counter(part):
+    """``state_dict``/``load_state`` and the report read one
+    declaration, so a counter cannot be checkpointed but unreported,
+    or reported but not restored."""
+    source, target = (checkpointed_parts()[part] for _ in range(2))
+    counting = ((source.answer_cache, target.answer_cache)
+                if part == "answer_cache" else (source, target))
+    expected = {}
+    for value, (attr, name) in enumerate(counting[0].COUNTERS.items(), 7):
+        setattr(counting[0], attr, value)
+        expected[name] = value
+    target.load_state(json.loads(json.dumps(source.state_dict())))
+    assert collect([type(counting[1])], [counting[1]],
+                   include_volatile=True) == expected
+
+
 def test_checkpoint_version_is_validated():
     _, checkpoints = run_full()
     stale = mid_run_checkpoint(checkpoints).to_dict()
@@ -105,6 +141,48 @@ def test_killed_and_resumed_run_is_byte_identical():
     engine = build_engine()
     resumed = engine.run(make_trace(),
                          resume_from=ckpt)
+    assert resumed.to_json() == full_json
+
+
+def test_resumed_observed_run_reports_the_run_not_the_tail():
+    """Counters are collected from the components a checkpoint
+    restores, so a resumed *observed* run reports the whole run.  (When
+    the registry kept its own copy it restarted at the cut: 56 queries
+    sent where the queriers had sent 150.)  That covers the fabric's
+    packet counts too: the checkpoint carries them, and the resumed
+    run sends the heartbeat that was due at the cut.  Histograms, spans
+    and per-transport traffic are recorded, restart at the cut and stay
+    outside the guarantee."""
+    engine = build_engine(observe=True)
+    full = engine.run(make_trace()).metrics()
+    ckpt = mid_run_checkpoint(engine.supervisor.checkpointer.checkpoints)
+    resumed = build_engine(observe=True).run(
+        make_trace(), resume_from=ckpt).metrics()
+    assert full["replay"]["queries_sent"] == len(make_trace())
+    for name in collect(COUNTED, ()):
+        group, _, key = name.partition(".")
+        assert resumed[group][key] == full[group][key], name
+    assert resumed["server"]["qps"] == full["server"]["qps"]
+    assert resumed["replay"]["latency"]["count"] \
+        < full["replay"]["latency"]["count"]       # recorded: the tail
+
+
+@pytest.mark.parametrize("interval", [0.05, 0.251])
+def test_resume_is_byte_identical_whatever_the_tick_phase(interval):
+    """The report carries the fabric's packet counts, so the cut must
+    not lose a heartbeat.  A tick on a beat's own instant (interval ==
+    ``heartbeat_interval``) runs before the beat, and the resumed run
+    sends it; a tick while a beat is on the wire (0.251 s is 1 ms
+    after the beat at 0.25 s) is not quiescent and is skipped."""
+    engine = build_engine(checkpoint_interval=interval)
+    full_json = engine.run(make_trace()).to_json()
+    first = engine.supervisor.checkpointer.checkpoints[0]
+    assert first.time == pytest.approx(0.05 if interval == 0.05
+                                       else 3 * 0.251)
+    assert first.network["delivered"] > 0
+    resumed = build_engine(checkpoint_interval=interval).run(
+        make_trace(), resume_from=ReplayCheckpoint.from_dict(
+            json.loads(json.dumps(first.to_dict()))))
     assert resumed.to_json() == full_json
 
 

@@ -16,6 +16,7 @@ from repro.dns.rdata import A
 from repro.dns.rrset import RRset
 from repro.netsim import LinkParams, Simulator
 from repro.netsim.faults import FaultPlan, LossBurst, ServerPause
+from repro.obs import collect
 from repro.replay import (Querier, QuerierConfig, ReplayConfig,
                           ReplayEngine, ResilienceConfig)
 from repro.server import AuthoritativeServer
@@ -178,7 +179,7 @@ def test_malformed_response_is_counted_not_swallowed():
         proto="udp"))
     sim.run_until_idle()
     assert querier.malformed == 1
-    flat = sim.observer.metrics.snapshot()
+    flat = collect((Querier,), [querier])
     assert flat["replay.malformed_responses"] == 1
     assert not querier.results[0].answered
 
@@ -301,11 +302,13 @@ def test_querier_config_object():
 
 
 def test_resilience_metrics_appear_only_when_enabled():
+    """Report schema v2: the keys are there either way, at zero — only
+    a ResilienceConfig can make them move."""
     sim, server, engine = build_world(loss=0.0, resilience=None,
                                       observe=True, seed=3,
                                       extra_time=1.0)
     report = engine.run(trace(n=20))
-    assert "timed_out" not in report.metrics()["replay"]
+    assert report.metrics()["replay"]["timed_out"] == 0
 
     sim, server, engine = build_world(loss=0.0, resilience=RETRY,
                                       observe=True, seed=3,

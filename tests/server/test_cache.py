@@ -400,14 +400,3 @@ def test_counters_block_shape():
     assert set(block) == {"lookups", "hits", "misses", "neg_hits",
                           "evictions", "stale_served", "prefetches",
                           "expired", "entries", "memory_bytes"}
-
-
-def test_cache_events_bridge():
-    events = []
-    cache = DnsCache(CacheConfig(max_entries=1))
-    cache.on_event = events.append
-    cache.put_rrset(a_rrset("a.example.", "10.0.0.1"), now=0.0)
-    cache.put_rrset(a_rrset("b.example.", "10.0.0.2"), now=0.0)
-    cache.get_rrset(N("b.example."), RRType.A, now=1.0)
-    cache.get_rrset(N("a.example."), RRType.A, now=1.0)
-    assert events == ["stored", "evictions", "stored", "hits", "misses"]
