@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.harness import authoritative_world, wildcard_zone
+from repro.core.experiment import (AuthoritativeExperiment,
+                                   ExperimentConfig)
+from repro.experiments.harness import wildcard_zone
+from repro.replay.engine import ReplayConfig
 from repro.trace.record import QueryRecord, Trace
 
 # The paper's generator emits ~87k identical queries/s from one core:
@@ -65,12 +68,10 @@ def run(duration: float = 10.0, sample_window: float = 2.0,
     # All queries are identical and from one source, as in §4.3.
     records = [QueryRecord(time=0.0, src="172.16.0.1",
                            qname="www.example.com.")] * count
-    world = authoritative_world([wildcard_zone()], mode="direct",
-                                client_instances=1,
-                                queriers_per_instance=queriers,
-                                timing_jitter=True, seed=9)
-    world.engine.config.fast = True
-    world.engine.config.reader_cost = generator_cost
+    world = AuthoritativeExperiment(
+        [wildcard_zone()], ExperimentConfig(replay=ReplayConfig(
+            mode="direct", fast=True, reader_cost=generator_cost,
+            client_instances=1, queriers_per_instance=queriers, seed=9)))
     world.run(Trace(records, name="fast-stream"), extra_time=1.0)
     meter = world.server_host.meter
     arrivals = meter.packets_in

@@ -476,8 +476,7 @@ class LiveQuerier(Querier):
         streams[channel.conn] = channel
         return channel
 
-    async def replay(self, records, live: LiveReplayConfig,
-                     fast: bool) -> None:
+    async def replay(self, records, live: LiveReplayConfig) -> None:
         clock = self.host.scheduler
         window = max(1, live.max_inflight)
         slots = asyncio.Semaphore(window)
@@ -487,7 +486,7 @@ class LiveQuerier(Querier):
         try:
             for record in records:
                 due = now = clock.now
-                if not fast:
+                if not self.fast:
                     scaled = record.time / live.speed
                     if not self.timer.synchronized:
                         self.timer.sync(scaled, now)
@@ -641,7 +640,8 @@ class LiveBackend(ReplayBackend):
                 live.host, name=f"live-querier-{i}",
                 config=QuerierConfig(dns_port=server.port,
                                      resilience=config.resilience,
-                                     cookies=config.cookies))
+                                     cookies=config.cookies,
+                                     fast=config.fast))
             for i in range(n)]
         parts = self._partition(records, n)
         cpu_start = time.process_time()
@@ -649,7 +649,7 @@ class LiveBackend(ReplayBackend):
         try:
             await asyncio.wait_for(
                 asyncio.gather(*(
-                    querier.replay(part, live, config.fast)
+                    querier.replay(part, live)
                     for querier, part in zip(self.queriers, parts)
                     if part)),
                 live.run_deadline)

@@ -11,8 +11,13 @@ Control frames on the TCP connections: u8 type (0 = sync, 1 = record,
 2 = heartbeat), then the payload (binaryform-encoded record, packed
 trace epoch, or utf-8 actor name), all length-prefix framed.
 Heartbeats flow the other way — distributor side back to the
-controller — and only when supervision is enabled; an unsupervised run
-puts exactly the pre-supervision byte sequence on the wire.
+controller — and only when supervision is enabled.
+
+A record takes one path: the Reader appends its window to the Postman's
+backlog and the Postman sends from the head.  Supervision
+(:mod:`repro.replay.supervisor`) adds two checks on that head — re-pin
+a source whose distributor died, and stall while the target
+distributor sits at the high-water mark — and nothing else.
 """
 
 from __future__ import annotations
@@ -64,10 +69,8 @@ class ControlChannel:
 class DistributorEndpoint:
     """The distributor-side listener for control traffic."""
 
-    def __init__(self, distributor: Distributor, fast: bool = False,
-                 port: int = 9053):
+    def __init__(self, distributor: Distributor, port: int = 9053):
         self.distributor = distributor
-        self.fast = fast
         self._conns: list = []
         self._hb_interval: float | None = None
         distributor.host.tcp_listen(port, self._on_connection)
@@ -84,8 +87,7 @@ class DistributorEndpoint:
             (trace_t1,) = struct.unpack("!d", frame[1:9])
             self.distributor.handle_sync(trace_t1)
         elif kind == RECORD_FRAME:
-            self.distributor.handle_record(decode_record(frame[1:]),
-                                           fast=self.fast)
+            self.distributor.handle_record(decode_record(frame[1:]))
 
     # -- heartbeats (supervised mode only) ---------------------------------
 
@@ -130,21 +132,18 @@ class Controller:
     COUNTERS = {"records_read": "replay.controller_records"}
 
     def __init__(self, host: Host, distributors: list[Distributor],
-                 fast: bool = False, seed: int = 0,
-                 read_window: int = READ_WINDOW,
+                 seed: int = 0, read_window: int = READ_WINDOW,
                  control_port: int = 9053):
         if not distributors:
             raise ValueError("controller needs at least one distributor")
         self.host = host
-        self.fast = fast
         self.read_window = read_window
         self.rng = random.Random(seed)
         zero_counters(self)
         self._assignment: dict[str, ControlChannel] = {}
         # Controllers may share distributors: each gets its own
         # listening endpoints, on its own control_port.
-        self._endpoints = [DistributorEndpoint(d, fast=fast,
-                                               port=control_port)
+        self._endpoints = [DistributorEndpoint(d, port=control_port)
                            for d in distributors]
         self.channels = [ControlChannel(host, d, port=control_port)
                          for d in distributors]
@@ -152,11 +151,11 @@ class Controller:
         self._sync_time: float | None = None
         self._synced = False
         self.finished = False
+        self._backlog: deque = deque()  # read but not yet sent
         # Supervision state (repro.replay.supervisor).
         self.supervisor = None
         self.paused = False          # Postman stalled on a full queue
         self._read_paused = False    # Reader pass deferred by the stall
-        self._backlog: deque = deque()  # read but not yet dispatched
 
     def enable_supervision(self, supervisor) -> None:
         self.supervisor = supervisor
@@ -222,42 +221,41 @@ class Controller:
             sync = bytes([SYNC_FRAME]) + struct.pack("!d", epoch)
             for channel in self.channels:
                 channel.conn.send(frame_message(sync))
-        if self.supervisor is not None:
-            self._backlog.extend(batch)
-            self._drain_backlog()
-            return
-        for record in batch:
-            self.records_read += 1
-            channel = self._channel_for(record.src)
-            frame = bytes([RECORD_FRAME]) + encode_record(record)
-            channel.conn.send(frame_message(frame))
-            channel.sent += 1
+        self._backlog.extend(batch)
+        self._drain_backlog()
 
-    # -- supervised dispatch (bounded C->D queues) --------------------------
-
-    def _drain_backlog(self) -> None:
+    def _room_for(self, record: QueryRecord) -> ControlChannel | None:
+        """The channel *record* goes out on — or, under supervision,
+        None while its distributor sits at the C->D watermark.  The
+        per-record depth precheck keeps the distributor's (enroute +
+        queue) from ever exceeding the high-water mark: the Postman
+        stalls instead."""
+        channel = self._channel_for(record.src)
         supervisor = self.supervisor
-        while self._backlog:
-            record = self._backlog[0]
-            channel = self._channel_for(record.src)
+        if supervisor is not None:
             if channel.distributor.crashed:
                 channel = supervisor.repin_distributor(self, record.src)
             if (supervisor.config.queue_policy == "stall"
                     and channel.distributor.total_depth()
                     >= supervisor.config.high_water):
-                # The C->D watermark: per-record depth precheck, so the
-                # distributor's (enroute + queue) never exceeds the
-                # high-water mark — the Postman stalls instead.
+                return None
+        return channel
+
+    def _drain_backlog(self) -> None:
+        backlog = self._backlog
+        while backlog:
+            channel = self._room_for(backlog[0])
+            if channel is None:
                 if not self.paused:
                     self.paused = True
-                    supervisor.on_stall(self)
+                    self.supervisor.on_stall(self)
                 return
-            self._backlog.popleft()
             self.records_read += 1
-            self.send_record(channel, record)
+            self.send_record(channel, backlog.popleft())
 
     def send_record(self, channel: ControlChannel,
                     record: QueryRecord) -> None:
+        """The one place a record frame is built and sent."""
         frame = bytes([RECORD_FRAME]) + encode_record(record)
         channel.conn.send(frame_message(frame))
         channel.sent += 1
@@ -268,18 +266,10 @@ class Controller:
         distributor now has room."""
         if not self.paused:
             return
-        supervisor = self.supervisor
-        if self._backlog:
-            channel = self._channel_for(self._backlog[0].src)
-            if channel.distributor.crashed:
-                channel = supervisor.repin_distributor(
-                    self, self._backlog[0].src)
-            if (supervisor.config.queue_policy == "stall"
-                    and channel.distributor.total_depth()
-                    >= supervisor.config.high_water):
-                return  # still no room; stay stalled
+        if self._backlog and self._room_for(self._backlog[0]) is None:
+            return  # still no room; stay stalled
         self.paused = False
-        supervisor.on_resume(self)
+        self.supervisor.on_resume(self)
         self._drain_backlog()
         if not self.paused and self._read_paused:
             self._read_paused = False

@@ -9,18 +9,17 @@ Distributor and querier processes live on the same client-instance host
 (Figure 4); the distributor hands records to queriers over a Unix
 socket, modelled as a small constant IPC delay.
 
-Two forwarding paths:
-
-* **unsupervised** — each record is timestamped through a serialized
-  busy-chain and its delivery scheduled immediately; the implicit
-  queue is unbounded;
-* **supervised** (``ReplayConfig(supervision=...)``) — records land in
-  an explicit bounded ingress queue drained one per
-  ``PER_RECORD_CPU × lag_factor`` tick.  Crossing the high-water mark
-  either stalls the Postman (backpressure) or sheds the oldest record,
-  per the configured policy; a crashed distributor parks arrivals as
-  orphans for the supervisor to re-dispatch (see
-  :mod:`repro.replay.supervisor`).
+Every record takes one path: on arrival it is stamped with the time its
+hand-over falls due — the process serialises ``PER_RECORD_CPU ×
+lag_factor`` per record, the socket hop overlaps the next record's CPU —
+and joins the ingress queue; one armed event hands the head of the
+queue to its querier and re-arms for the next.  Supervision
+(``ReplayConfig(supervision=...)``) bounds that queue and adds nothing
+else to the path: at the high-water mark the hand-over holds until the
+querier's backlog drains (``stall``, which in turn stalls the Postman)
+or the oldest record is dropped (``shed``); a crashed distributor parks
+arrivals as orphans for the supervisor to re-dispatch (see
+:mod:`repro.replay.supervisor`).
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from repro.netsim.host import Host
 from repro.obs.report import (counter_state, restore_counters,
                               zero_counters)
 from repro.replay.querier import Querier
+from repro.replay.supervisor import surviving
 from repro.trace.record import QueryRecord
 
 UNIX_SOCKET_DELAY = 15e-6   # local IPC hop
@@ -62,14 +62,14 @@ class Distributor:
         self._assignment: dict[str, Querier] = {}
         zero_counters(self)
         self._busy_until = 0.0
-        # Supervision state (repro.replay.supervisor).
-        self.supervisor = None          # set by Supervisor.attach
-        self.lag_factor = 1.0           # DistributorLag fault multiplier
-        self.crashed = False
+        # (record, due) in arrival order; one _forward event is armed
+        # for the head while the queue is non-empty.
+        self._queue: deque = deque()
         self.peak_depth = 0             # high-water observed on _queue
         self.enroute = 0                # postman frames still in flight
-        self._queue: deque = deque()    # bounded ingress queue
-        self._drain_scheduled = False
+        self.lag_factor = 1.0           # DistributorLag fault multiplier
+        self.supervisor = None          # set by Supervisor.start
+        self.crashed = False
         self._orphans: list[QueryRecord] = []
         self._sync: tuple[float, float] | None = None
 
@@ -84,24 +84,19 @@ class Distributor:
 
     def _live(self, querier: Querier, src: str) -> Querier:
         """Never pin a fresh source to a crashed querier: fall back to
-        the supervisor's rendezvous choice among survivors.  (A no-op
-        in unsupervised runs — nothing ever crashes there — so legacy
-        RNG draws are untouched.)"""
+        the rendezvous choice among survivors."""
         if not querier.crashed:
             return querier
-        from repro.replay.supervisor import rendezvous
-        by_name = {q.name: q for q in self.queriers if not q.crashed}
-        if not by_name:
-            raise RuntimeError(
-                f"{self.name}: every querier has crashed")
-        return by_name[rendezvous(src, sorted(by_name))]
+        return surviving(src, self.queriers)
 
     def _ipc_time(self) -> float:
-        """Serialize forwarding through this process."""
+        """Serialize forwarding through this process: when something
+        arriving now reaches the queriers' end of the Unix socket."""
         now = self.host.scheduler.now
         start = max(now, self._busy_until)
-        self._busy_until = start + PER_RECORD_CPU
-        return start + PER_RECORD_CPU + UNIX_SOCKET_DELAY
+        cpu = PER_RECORD_CPU * self.lag_factor
+        self._busy_until = start + cpu
+        return start + cpu + UNIX_SOCKET_DELAY
 
     def handle_sync(self, trace_t1: float) -> None:
         at = self._ipc_time()
@@ -109,83 +104,75 @@ class Distributor:
         for querier in self.queriers:
             self.host.scheduler.at(at, querier.handle_sync, trace_t1)
 
-    def handle_record(self, record: QueryRecord,
-                      fast: bool = False) -> None:
+    def handle_record(self, record: QueryRecord) -> None:
+        """A record arrives (control frame, or the direct feed): stamp
+        its hand-over time and queue it."""
         if self.enroute:
             self.enroute -= 1
         if self.crashed:
             self._orphans.append(record)
             return
-        if self.supervisor is not None:
-            self._enqueue(record, fast)
-            return
-        self.records_forwarded += 1
-        querier = self._querier_for(record.src)
-        deliver = (querier.handle_record_fast if fast
-                   else querier.handle_record)
-        now = self.host.scheduler.now
-        at = self._ipc_time()
-        obs = self.host.scheduler.obs
+        scheduler = self.host.scheduler
+        now = scheduler.now
+        due = self._ipc_time()
+        obs = scheduler.obs
         if obs is not None:
-            # Queue lag: how long the record waited for this process's
-            # serialized forwarding loop before its IPC hop started.
+            # Queue lag: how long the record waits for this process's
+            # serialized forwarding loop before its own CPU slice.
             obs.metrics.histogram("replay.distributor_queue_lag").record(
-                max(0.0, at - now - PER_RECORD_CPU - UNIX_SOCKET_DELAY))
-            obs.tracer.emit("distributor.forward", now, at,
-                            detail=querier.name)
-        self.host.scheduler.at(at, deliver, record)
-
-    # -- supervised bounded-queue path -------------------------------------
-
-    def _drain_delay(self) -> float:
-        return PER_RECORD_CPU * self.lag_factor + UNIX_SOCKET_DELAY
-
-    def _enqueue(self, record: QueryRecord, fast: bool) -> None:
-        self._queue.append((record, fast))
+                max(0.0, due - now - PER_RECORD_CPU * self.lag_factor
+                    - UNIX_SOCKET_DELAY))
+        self._queue.append((record, due))
         depth = len(self._queue)
         if depth > self.peak_depth:
             self.peak_depth = depth
-        self.supervisor.on_queue_growth(self)
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            self.host.scheduler.after(self._drain_delay(), self._drain)
+        if self.supervisor is not None:
+            self.supervisor.on_queue_growth(self)
+        # A deeper queue already has its event armed (shedding drops
+        # only above the mark, so it never empties the queue).
+        if depth == 1:
+            scheduler.at(due, self._forward)
 
-    def _drain(self) -> None:
-        if self.crashed or not self._queue:
-            self._drain_scheduled = False
+    def _forward(self) -> None:
+        """Hand the head of the queue to its querier, then re-arm for
+        the next head: the one place a record leaves the distributor."""
+        queue = self._queue
+        if not queue:
+            return      # crashed since arming: the queue was orphaned
+        scheduler = self.host.scheduler
+        now = scheduler.now
+        record, due = queue[0]
+        if due > now:
+            # The head this event was armed for was shed.
+            scheduler.at(due, self._forward)
             return
-        record, fast = self._queue[0]
         querier = self._querier_for(record.src)
         supervisor = self.supervisor
-        if (supervisor.config.queue_policy == "stall"
+        if (supervisor is not None
+                and supervisor.config.queue_policy == "stall"
                 and querier.backlog_depth()
                 >= supervisor.config.high_water):
             # The D->Q watermark: hold the ingress queue until the
             # querier's ΔT backlog drains below the mark.  The held
             # queue in turn trips the C->D watermark and pauses the
             # Postman — backpressure propagates end to end.
-            self.host.scheduler.after(HOLD_RETRY, self._drain)
+            scheduler.after(HOLD_RETRY, self._forward)
             return
-        self._queue.popleft()
+        queue.popleft()
         self.records_forwarded += 1
-        now = self.host.scheduler.now
-        obs = self.host.scheduler.obs
+        obs = scheduler.obs
         if obs is not None:
-            obs.tracer.emit("distributor.forward", now, now,
+            obs.tracer.emit("distributor.forward", due, now,
                             detail=querier.name)
-        if self._sync is not None:
+        if supervisor is not None and self._sync is not None:
             trace_t1, real_t1 = self._sync
             supervisor.note_lag(self,
                                 now - (real_t1 + record.time - trace_t1))
-        if fast:
-            querier.handle_record_fast(record)
-        else:
-            querier.handle_record(record)
-        supervisor.on_queue_drain(self)
-        if self._queue:
-            self.host.scheduler.after(self._drain_delay(), self._drain)
-        else:
-            self._drain_scheduled = False
+        querier.handle_record(record)
+        if supervisor is not None:
+            supervisor.on_queue_drain(self)
+        if queue:
+            scheduler.at(queue[0][1], self._forward)
 
     def shed_oldest(self) -> None:
         """Drop-oldest at the high-water mark (``shed`` policy)."""
@@ -193,7 +180,7 @@ class Distributor:
             self._queue.popleft()
 
     def queue_depth(self) -> int:
-        """Records in the bounded ingress queue (supervised mode)."""
+        """Records in the ingress queue."""
         return len(self._queue)
 
     def total_depth(self) -> int:
@@ -213,7 +200,8 @@ class Distributor:
         self._queue.clear()
 
     def set_lag(self, factor: float) -> None:
-        """DistributorLag fault hook: scale the per-record drain cost."""
+        """DistributorLag fault hook: scale the per-record CPU cost of
+        records arriving from now on."""
         self.lag_factor = factor
 
     def take_orphans(self) -> list[QueryRecord]:

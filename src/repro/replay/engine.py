@@ -102,8 +102,8 @@ class ReplayConfig:
     fault_plan: FaultPlan | None = None
     # Control-plane supervision: heartbeats + failover, bounded queues
     # with backpressure, and checkpoint/resume (distributed mode only).
-    # None keeps the unsupervised behavior, event for event, for
-    # identical seeds (the report carries the supervision counters all
+    # None schedules no heartbeat, monitor or checkpoint event and
+    # bounds no queue (the report carries the supervision counters all
     # the same, at zero); see docs/RESILIENCE.md.
     supervision: SupervisionConfig | None = None
     # Which replay backend executes the run (docs/BACKENDS.md):
@@ -315,7 +315,7 @@ class ReplayEngine:
                     config=QuerierConfig(
                         jitter_seed=seed, nagle=config.nagle,
                         resilience=config.resilience,
-                        cookies=config.cookies)))
+                        cookies=config.cookies, fast=config.fast)))
             self.queriers.extend(queriers)
             for querier in queriers:
                 self.sim.actors[querier.name] = querier
@@ -335,8 +335,7 @@ class ReplayEngine:
                                     config.controller_link.bandwidth_bps))
                 self.controllers.append(Controller(
                     controller_host, self.distributors,
-                    fast=config.fast, seed=config.seed + c,
-                    control_port=9053 + c))
+                    seed=config.seed + c, control_port=9053 + c))
 
     # -- running ------------------------------------------------------------
 
@@ -527,7 +526,7 @@ class ReplayEngine:
             # linearly exactly as a real single reader's would.
             available = index * self.config.reader_cost
             self.sim.scheduler.at(available, distributor.handle_record,
-                                  record, self.config.fast)
+                                  record)
 
     def report(self) -> ReplayReport:
         results: list[QueryResult] = []

@@ -107,6 +107,9 @@ class QuerierConfig:
     # RFC 7873: attach a COOKIE option to every query (per emulated
     # source), learning the server cookie from each source's responses.
     cookies: bool = False
+    # ReplayConfig.fast (§2.6: "disable time tracking and replay as
+    # fast as possible"): records are sent as they arrive, no ΔT timers.
+    fast: bool = False
 
 
 @dataclass
@@ -237,6 +240,7 @@ class Querier:
         self.nagle = config.nagle
         self.resilience = config.resilience
         self.cookies = config.cookies
+        self.fast = config.fast
         # Server cookies learned per emulated source (RFC 7873 §5.2);
         # like the answer cache, deliberately not checkpointed — a
         # resumed run re-learns on first contact.
@@ -297,11 +301,15 @@ class Querier:
             self.timer.sync(trace_t1, self.host.scheduler.now)
 
     def handle_record(self, record: QueryRecord) -> None:
-        """A record arrives from the distributor: schedule its send."""
+        """A record arrives from the distributor: schedule its send
+        by the ΔT rule — or, in fast mode, send it at once."""
         if self.crashed:
             self._orphans.append(record)
             return
         now = self.host.scheduler.now
+        if self.fast:
+            self.send(record, scheduled=now)
+            return
         if not self.timer.synchronized:
             # Defensive: sync on first record if the broadcast was lost.
             self.timer.sync(record.time, now)
@@ -317,14 +325,6 @@ class Querier:
         self._send_seq = seq = self._send_seq + 1
         self._send_timers[seq] = self.host.scheduler.after(
             max(0.0, delay + slop), self._send_later, record, target, seq)
-
-    def handle_record_fast(self, record: QueryRecord) -> None:
-        """Fast mode: no timer events, send immediately (§2.6: 'disable
-        time tracking and replay as fast as possible')."""
-        if self.crashed:
-            self._orphans.append(record)
-            return
-        self.send(record, scheduled=self.host.scheduler.now)
 
     def backlog_depth(self) -> int:
         """Records delivered by the distributor whose ΔT-scheduled
@@ -632,7 +632,7 @@ class Querier:
                 self.check.on_msg_id(self, result.record.with_(
                     proto="tcp"), msg_id, scan=False)
                 self.check.on_query_wire(self, result.record, msg_id, wire)
-        self._enqueue_stream(channel, wire, msg_id, result)
+        self._send_framed(channel, wire, msg_id, result)
 
     # -- TCP / TLS --------------------------------------------------------------------------
 
@@ -673,10 +673,10 @@ class Querier:
 
     def _send_stream(self, record: QueryRecord, wire: bytes, msg_id: int,
                      result: QueryResult) -> None:
-        self._enqueue_stream(self._channel_for(record.src, record.proto),
+        self._send_framed(self._channel_for(record.src, record.proto),
                              wire, msg_id, result)
 
-    def _enqueue_stream(self, channel: _Channel, wire: bytes, msg_id: int,
+    def _send_framed(self, channel: _Channel, wire: bytes, msg_id: int,
                         result: QueryResult) -> None:
         framed = frame_message(wire)
         # The timer resolves the channel by key when it fires: a

@@ -18,7 +18,9 @@ This module adds the supervision layer:
   the dead querier had queued but never sent are re-dispatched exactly
   once.  A failed distributor's sources are re-pinned across surviving
   control channels the same way.
-* **Backpressure** — queues get a high-water mark.  Policy ``stall``
+* **Backpressure** — the queues every record already passes through
+  (the Postman's backlog, the distributor's ingress queue, the
+  querier's ΔT backlog) get a high-water mark.  Policy ``stall``
   pauses the Postman (and transitively the Reader) while any target
   queue is full, bounding peak depth at the mark; policy ``shed``
   drops the oldest queued record instead, for fast-mode replays where
@@ -31,10 +33,11 @@ This module adds the supervision layer:
   jitter resumes byte-identically (docs/RESILIENCE.md spells out the
   exact guarantee).
 
-Everything here is opt-in via ``ReplayConfig(supervision=...)``; an
-unsupervised run schedules not a single extra event, so its results
-are those of a run without this layer (its report carries the
-supervision counters all the same, at zero).
+Everything here is opt-in via ``ReplayConfig(supervision=...)``;
+``supervision=None`` schedules no heartbeat, monitor or checkpoint
+event (the report carries the supervision counters all the same, at
+zero), and a fault-free supervised run forwards records at the
+unsupervised pace.
 """
 
 from __future__ import annotations
@@ -93,20 +96,6 @@ class SupervisionConfig:
             raise ValueError("checkpoint_interval must be > 0, got "
                              f"{self.checkpoint_interval}")
 
-    def to_dict(self) -> dict:
-        return {
-            "heartbeat_interval": self.heartbeat_interval,
-            "detection_timeout": self.detection_timeout,
-            "high_water": self.high_water,
-            "queue_policy": self.queue_policy,
-            "checkpoint_interval": self.checkpoint_interval,
-            "checkpoint_guard": self.checkpoint_guard,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SupervisionConfig":
-        return cls(**data)
-
 
 def next_tick(now: float, interval: float) -> float:
     """The first absolute multiple of *interval* strictly after *now*.
@@ -148,6 +137,19 @@ def rendezvous(key: str, candidates: list[str]) -> str:
     return max(candidates,
                key=lambda name: (zlib.crc32(f"{key}|{name}".encode()),
                                  name))
+
+
+def surviving(key: str, candidates, actor=lambda candidate: candidate):
+    """The one re-pinning rule: *key*'s rendezvous winner among the
+    *candidates* whose actor (the candidate itself, or
+    ``actor(candidate)``: a control channel's distributor) is alive."""
+    alive = {actor(candidate).name: candidate for candidate in candidates
+             if not actor(candidate).crashed}
+    if not alive:
+        raise RuntimeError(
+            f"no surviving actor to take over {key!r}: every candidate "
+            "has crashed")
+    return alive[rendezvous(key, list(alive))]
 
 
 @dataclass
@@ -330,36 +332,21 @@ class Supervisor:
     def _fail_querier(self, querier) -> None:
         distributor = next(d for d in self.engine.distributors
                            if querier in d.queriers)
-        survivors = [q for q in distributor.queriers if not q.crashed]
-        if not survivors:
-            raise RuntimeError(
-                f"no surviving querier on {distributor.name} to take "
-                f"over {querier.name}'s sources")
-        by_name = {q.name: q for q in survivors}
-        names = sorted(by_name)
         # Re-pin only the dead querier's sources; every source pinned
         # to a survivor keeps its querier (the invariant the property
         # tests pin down).
         for src, owner in list(distributor._assignment.items()):
             if owner is querier:
-                distributor._assignment[src] = \
-                    by_name[rendezvous(src, names)]
-        self._redispatch(distributor, querier.take_orphans())
+                distributor._assignment[src] = surviving(
+                    src, distributor.queriers)
+        for record in self._first_time(querier.take_orphans()):
+            distributor._querier_for(record.src).handle_record(record)
 
     def _fail_distributor(self, distributor) -> None:
         for controller in self.engine.controllers:
-            survivors = [ch for ch in controller.channels
-                         if not ch.distributor.crashed]
-            if not survivors:
-                raise RuntimeError(
-                    "no surviving distributor to take over "
-                    f"{distributor.name}'s sources")
-            names = [ch.distributor.name for ch in survivors]
             for src, channel in list(controller._assignment.items()):
                 if channel.distributor is distributor:
-                    winner = rendezvous(src, sorted(names))
-                    controller._assignment[src] = \
-                        survivors[names.index(winner)]
+                    self.repin_distributor(controller, src)
         # A distributor and its queriers share a client machine
         # (LDplayer runs queriers as the distributor's subprocesses),
         # so losing the distributor loses their parked work too.
@@ -370,12 +357,7 @@ class Supervisor:
             self.failed.add(querier.name)
             querier.crash()
             orphans.extend(querier.take_orphans())
-        for record in orphans:
-            if id(record) in self._redispatched_ids:
-                self.dropped_after_refailover += 1
-                continue
-            self._redispatched_ids.add(id(record))
-            self.redispatched += 1
+        for record in self._first_time(orphans):
             controller = self._controller_for(record.src)
             channel = controller._assignment.get(record.src)
             if channel is None or channel.distributor.crashed:
@@ -394,29 +376,21 @@ class Supervisor:
         return controllers[zlib.crc32(src.encode()) % len(controllers)]
 
     def repin_distributor(self, controller, src: str):
-        """Re-pin one source whose channel's distributor died (called
-        from the Postman's dispatch loop)."""
-        survivors = [ch for ch in controller.channels
-                     if not ch.distributor.crashed]
-        if not survivors:
-            raise RuntimeError("every distributor has failed")
-        names = [ch.distributor.name for ch in survivors]
-        winner = rendezvous(src, sorted(names))
-        channel = survivors[names.index(winner)]
-        controller._assignment[src] = channel
+        """Re-pin one source whose channel's distributor died."""
+        channel = controller._assignment[src] = surviving(
+            src, controller.channels, lambda channel: channel.distributor)
         return channel
 
-    def _redispatch(self, distributor, orphans) -> None:
-        """Hand a dead querier's never-sent records to their new
-        owners — each exactly once."""
+    def _first_time(self, orphans):
+        """The exactly-once gate of re-dispatch: yield each orphaned
+        record the first time it is met, count and drop it after."""
         for record in orphans:
             if id(record) in self._redispatched_ids:
                 self.dropped_after_refailover += 1
                 continue
             self._redispatched_ids.add(id(record))
             self.redispatched += 1
-            querier = distributor._querier_for(record.src)
-            querier.handle_record(record)
+            yield record
 
     # -- backpressure ------------------------------------------------------
 

@@ -62,10 +62,7 @@ class CacheConfig:
     """Resolver-cache policy knobs (docs/RECURSIVE.md).
 
     Defaults reproduce the historical cache exactly: unbounded, no
-    serve-stale, no prefetch.  Round-trips through plain dicts like
-    :class:`~repro.netsim.faults.FaultPlan` and
-    :class:`~repro.server.overload.OverloadConfig` so scenario files
-    can carry the cache posture next to the trace."""
+    serve-stale, no prefetch."""
 
     max_entries: int | None = None      # None = unbounded (legacy)
     serve_stale: bool = False           # RFC 8767
@@ -100,30 +97,6 @@ class CacheConfig:
             raise ValueError(
                 f"prefetch_min_hits must be >= 1, got "
                 f"{self.prefetch_min_hits}")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_entries": self.max_entries,
-            "serve_stale": self.serve_stale,
-            "stale_ttl": self.stale_ttl,
-            "stale_answer_ttl": self.stale_answer_ttl,
-            "prefetch": self.prefetch,
-            "prefetch_fraction": self.prefetch_fraction,
-            "prefetch_top_k": self.prefetch_top_k,
-            "prefetch_min_hits": self.prefetch_min_hits,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheConfig":
-        known = {f.name for f in
-                 cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown cache config keys: {sorted(unknown)}")
-        config = cls(**data)
-        config.validate()
-        return config
 
 
 @dataclass

@@ -30,11 +30,6 @@ Everything is off by default — a responder without an
 module — and deterministic: buckets advance on the backend's clock (the
 sim clock in the simulator), and the cookie hash is keyed by a seed
 from the config, so a seeded run replays exactly.
-
-Configs round-trip through plain dicts (:meth:`OverloadConfig.to_dict`
-/ :meth:`OverloadConfig.from_dict`), shaped like
-:class:`~repro.netsim.faults.FaultPlan`, so scenario files can carry
-the defense posture next to the trace.
 """
 
 from __future__ import annotations
@@ -139,41 +134,6 @@ class OverloadConfig:
                 raise ValueError(
                     f"admission: soft_limit must be in 1..limit, got "
                     f"{admission.soft_limit}")
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.rrl is not None:
-            out["rrl"] = {
-                "rate": self.rrl.rate, "burst": self.rrl.burst,
-                "slip": self.rrl.slip,
-                "prefix_len": self.rrl.prefix_len,
-                "table_size": self.rrl.table_size,
-                "exempt_verified": self.rrl.exempt_verified}
-        if self.cookies is not None:
-            out["cookies"] = {
-                "secret": self.cookies.secret,
-                "nocookie_scale": self.cookies.nocookie_scale}
-        if self.admission is not None:
-            out["admission"] = {
-                "limit": self.admission.limit,
-                "soft_limit": self.admission.soft_limit}
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OverloadConfig":
-        known = {"rrl", "cookies", "admission"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown overload config keys: {sorted(unknown)}")
-        config = cls(
-            rrl=RrlConfig(**data["rrl"]) if "rrl" in data else None,
-            cookies=(CookieConfig(**data["cookies"])
-                     if "cookies" in data else None),
-            admission=(AdmissionConfig(**data["admission"])
-                       if "admission" in data else None))
-        config.validate()
-        return config
 
 
 # -- response classification -------------------------------------------

@@ -12,10 +12,6 @@ share one argparse parent and the flags behave identically everywhere:
 * ``--skip-malformed`` — drop malformed input records instead of
   aborting; a summary reports what was lost and where;
 * ``--seed N`` — seed for the ops with randomized selection.
-
-Older spellings remain as hidden aliases (``--workers`` for ``--jobs``,
-``--skip-bad-records`` for ``--skip-malformed``) so existing scripts
-keep working.
 """
 
 from __future__ import annotations
@@ -30,16 +26,14 @@ def pipeline_parent() -> argparse.ArgumentParser:
     """The argparse parent carrying the shared pipeline flags."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("pipeline execution")
-    group.add_argument("--jobs", "-j", "--workers", type=int, default=1,
-                       metavar="N",
+    group.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                        help="worker processes for chunk-parallel LDPB "
                             "processing (default 1 = in-process)")
-    group.add_argument("--chunk-records", "--chunk_records", type=int,
-                       default=4096, metavar="N",
+    group.add_argument("--chunk-records", type=int, default=4096,
+                       metavar="N",
                        help="records per parallel chunk (default 4096; "
                             "output is identical for any value)")
-    group.add_argument("--skip-malformed", "--skip-bad-records",
-                       action="store_true",
+    group.add_argument("--skip-malformed", action="store_true",
                        help="drop malformed input records instead of "
                             "aborting; a summary reports the count")
     group.add_argument("--seed", type=int, default=0,

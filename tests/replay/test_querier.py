@@ -4,14 +4,14 @@ import pytest
 
 from repro.dns.constants import RRType
 from repro.netsim import LinkParams, Simulator
-from repro.replay.querier import Querier
+from repro.replay.querier import Querier, QuerierConfig
 from repro.server import AuthoritativeServer
 from repro.trace.record import QueryRecord
 
 from tests.server.helpers import make_example_zone
 
 
-def build(tcp_idle_timeout=20.0, delay=0.002):
+def build(tcp_idle_timeout=20.0, delay=0.002, fast=False):
     sim = Simulator()
     server_host = sim.add_host("server", ["10.0.0.2"],
                                LinkParams(delay=delay / 2))
@@ -20,7 +20,8 @@ def build(tcp_idle_timeout=20.0, delay=0.002):
     server = AuthoritativeServer(server_host, zones=[make_example_zone()],
                                  tcp_idle_timeout=tcp_idle_timeout,
                                  log_queries=True)
-    querier = Querier(client_host, "10.0.0.2")
+    querier = Querier(client_host, "10.0.0.2",
+                      config=QuerierConfig(fast=fast))
     querier.timer.sync(0.0, sim.now)
     return sim, querier, server
 
@@ -130,8 +131,8 @@ def test_latencies_and_answered_fraction():
 
 
 def test_fast_mode_ignores_trace_time():
-    sim, querier, server = build()
-    querier.handle_record_fast(rec(1000.0))
+    sim, querier, server = build(fast=True)
+    querier.handle_record(rec(1000.0))
     sim.run_until_idle()
     assert querier.results[0].send_time < 1.0
 

@@ -122,8 +122,8 @@ def blackholed_querier():
     sim = Simulator()
     sim.add_host("server", ["10.0.0.2"], LinkParams())  # no DNS app
     client = sim.add_host("client", ["10.0.0.1"], LinkParams())
-    querier = Querier(client, "10.0.0.2")
-    querier.timer.sync(0.0, sim.now)
+    querier = Querier(client, "10.0.0.2",
+                      config=QuerierConfig(fast=True))
     return sim, querier
 
 
@@ -133,13 +133,13 @@ def test_wrapped_msg_id_skips_pending_ids():
     sim, querier = blackholed_querier()
     rec = QueryRecord(time=0.0, src="172.16.0.1",
                       qname="a.example.com.", proto="udp")
-    querier.handle_record_fast(rec)
+    querier.handle_record(rec)
     sim.run_until_idle()
     channel = querier._udp_channels["172.16.0.1"]
     assert list(channel.pending) == [1]
     # Simulate the 0xFFFF wrap landing exactly on the pending id.
     querier._msg_seq = 0
-    querier.handle_record_fast(QueryRecord(
+    querier.handle_record(QueryRecord(
         time=0.0, src="172.16.0.1", qname="b.example.com.",
         proto="udp"))
     sim.run_until_idle()
@@ -148,11 +148,11 @@ def test_wrapped_msg_id_skips_pending_ids():
 
 def test_wrap_only_skips_same_source():
     sim, querier = blackholed_querier()
-    querier.handle_record_fast(QueryRecord(
+    querier.handle_record(QueryRecord(
         time=0.0, src="172.16.0.1", qname="a.example.com.",
         proto="udp"))
     querier._msg_seq = 0
-    querier.handle_record_fast(QueryRecord(
+    querier.handle_record(QueryRecord(
         time=0.0, src="172.16.0.2", qname="b.example.com.",
         proto="udp"))
     sim.run_until_idle()
@@ -172,9 +172,9 @@ def test_malformed_response_is_counted_not_swallowed():
     sock.on_datagram = (lambda payload, src, sport:
                         sock.sendto(b"\x00\x01junk", src, sport))
     client = sim.add_host("client", ["10.0.0.1"], LinkParams())
-    querier = Querier(client, "10.0.0.2")
-    querier.timer.sync(0.0, sim.now)
-    querier.handle_record_fast(QueryRecord(
+    querier = Querier(client, "10.0.0.2",
+                      config=QuerierConfig(fast=True))
+    querier.handle_record(QueryRecord(
         time=0.0, src="172.16.0.1", qname="a.example.com.",
         proto="udp"))
     sim.run_until_idle()

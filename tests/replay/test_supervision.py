@@ -28,7 +28,7 @@ SEED = int(os.environ.get("REPLAY_CHAOS_SEED", "11"))
 
 def build_engine(supervision=None, fault_plan=None, instances=2,
                  queriers=3, controllers=1, seed=SEED,
-                 extra_time=2.0):
+                 extra_time=2.0, observe=False):
     sim = Simulator()
     server_host = sim.add_host("server", ["10.0.0.2"], LinkParams())
     server = AuthoritativeServer(server_host,
@@ -37,7 +37,7 @@ def build_engine(supervision=None, fault_plan=None, instances=2,
     engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
         client_instances=instances, queriers_per_instance=queriers,
         controllers=controllers, seed=seed, supervision=supervision,
-        fault_plan=fault_plan, extra_time=extra_time))
+        fault_plan=fault_plan, extra_time=extra_time, observe=observe))
     return sim, server, engine
 
 
@@ -253,6 +253,76 @@ def test_shed_policy_drops_oldest_instead_of_stalling():
     # everything that went out got answered.
     assert len(report.results) < len(trace)
     assert all(r.answered for r in report.results)
+
+
+# -- one forwarding path, supervised or bare ----------------------------------
+
+
+def lagged_run(supervised, lagged=True, observe=False):
+    plan = FaultPlan([DistributorLag(start=0.0, duration=4.0,
+                                     target="distributor0",
+                                     factor=5000.0)]) if lagged else None
+    sim, server, engine = build_engine(
+        supervision=SupervisionConfig() if supervised else None,
+        fault_plan=plan, instances=1, queriers=2, extra_time=20.0,
+        observe=observe)
+    report = engine.run(make_trace(n=400, clients=16))
+    assert all(r.answered for r in report.results)
+    return engine, report
+
+
+def test_distributor_lag_delays_handover_on_bare_runs():
+    """`DistributorLag` used to act only on the supervised forwarding
+    path; a bare run replayed on time with and without the fault."""
+    engine, report = lagged_run(supervised=False, lagged=False)
+    on_time = max(r.send_time for r in report.results)
+    assert on_time == pytest.approx(2.0, abs=0.01)
+    # The Reader pre-loads the trace; the queue holds what the busy
+    # chain has not handed over yet — tracked without supervision too.
+    assert engine.distributors[0].peak_depth == 325
+    # 400 records x 2 us x 5000 = 4 s of serialized CPU.
+    engine, report = lagged_run(supervised=False)
+    bare = max(r.send_time for r in report.results)
+    assert bare == pytest.approx(4.01, abs=0.01)
+    engine, report = lagged_run(supervised=True, observe=True)
+    assert max(r.send_time for r in report.results) \
+        == pytest.approx(bare, abs=1e-3)
+    # The wait for the busy chain is recorded under supervision too.
+    lag = report.metrics()["replay"]["distributor_queue_lag"]
+    assert lag["count"] == 400 and lag["max"] > 3.9
+
+
+def fast_broot_last_send(mean_rate, supervised):
+    from repro.core.experiment import (AuthoritativeExperiment,
+                                       ExperimentConfig)
+    from repro.experiments.harness import (root_zone_world,
+                                           wildcard_root_zone)
+    from repro.workloads.broot import broot16
+    internet = root_zone_world(tlds=4, slds_per_tld=4, seed=3)
+    trace = broot16(internet, duration=2.0, mean_rate=mean_rate,
+                    clients=60)
+    world = AuthoritativeExperiment(
+        [wildcard_root_zone(internet)],
+        ExperimentConfig(replay=ReplayConfig(
+            mode="distributed", fast=True, client_instances=2,
+            queriers_per_instance=3, seed=SEED,
+            supervision=SupervisionConfig() if supervised else None)))
+    results = world.run(trace, extra_time=2.0).report.results
+    assert len(results) == len(trace)
+    assert all(r.answered for r in results)
+    return max(r.send_time for r in results)
+
+
+@pytest.mark.parametrize("mean_rate", [400, 3000])
+def test_fault_free_supervision_leaves_the_forwarding_pace_alone(
+        mean_rate):
+    """Supervision bounds the queue every record is already in; with
+    no fault and no full queue it must not slow the hand-over (the
+    supervised twin path used to serialise the Unix-socket hop: ratio
+    1.65-2.85 on this replay)."""
+    ratio = (fast_broot_last_send(mean_rate, supervised=True)
+             / fast_broot_last_send(mean_rate, supervised=False))
+    assert ratio == pytest.approx(1.0, abs=0.02)
 
 
 # -- heartbeat bookkeeping --------------------------------------------------

@@ -108,22 +108,6 @@ def test_flush_and_expire():
 # -- CacheConfig --------------------------------------------------------------
 
 
-def test_cache_config_round_trip():
-    config = CacheConfig(max_entries=128, serve_stale=True,
-                         stale_ttl=900.0, prefetch=True,
-                         prefetch_fraction=0.2)
-    assert CacheConfig.from_dict(config.to_dict()) == config
-
-
-def test_cache_config_defaults_round_trip():
-    assert CacheConfig.from_dict(CacheConfig().to_dict()) == CacheConfig()
-
-
-def test_cache_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown cache config"):
-        CacheConfig.from_dict({"max_entrees": 10})
-
-
 @pytest.mark.parametrize("bad", [
     dict(max_entries=0),
     dict(stale_ttl=-1.0),

@@ -28,21 +28,6 @@ KEY = ("ok", "www.example.com.", 1)
 
 # -- config ------------------------------------------------------------------
 
-def test_config_dict_round_trip():
-    config = OverloadConfig(
-        rrl=RrlConfig(rate=5.0, burst=12.0, slip=3, prefix_len=20,
-                      table_size=99, exempt_verified=False),
-        cookies=CookieConfig(secret=42, nocookie_scale=0.25),
-        admission=AdmissionConfig(limit=64, soft_limit=32))
-    assert OverloadConfig.from_dict(config.to_dict()) == config
-    assert OverloadConfig.from_dict({}) == OverloadConfig()
-
-
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown overload config"):
-        OverloadConfig.from_dict({"rrl": {}, "turbo": True})
-
-
 @pytest.mark.parametrize("bad", [
     OverloadConfig(rrl=RrlConfig(rate=0.0)),
     OverloadConfig(rrl=RrlConfig(burst=0.5)),
