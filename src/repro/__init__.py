@@ -15,9 +15,9 @@ should import::
   :class:`ReplayReport` — the distributed query replay pipeline;
   ``ReplayConfig(observe=True)`` turns on run-wide observability and
   ``ReplayReport.metrics()`` / ``.to_json()`` export it;
-* :class:`ReplayBackend` / :class:`LiveReplayConfig` — the pluggable
-  execution substrate: ``ReplayConfig(backend="sim"|"live")`` selects
-  the deterministic simulator or real asyncio loopback sockets
+* :class:`LiveReplayConfig` — tuning for the second execution
+  substrate: ``ReplayConfig(backend="sim"|"live")`` selects the
+  deterministic simulator or real asyncio loopback sockets
   (docs/BACKENDS.md), behind the same report schema;
 * :class:`DnsResponder` — the transport-independent answering core
   both backends serve;
@@ -59,8 +59,7 @@ from repro.netsim.faults import (DelaySpike, DistributorLag,
                                  LossBurst, QuerierCrash, ServerPause)
 from repro.netsim.sim import Simulator
 from repro.obs import MetricsRegistry, Observer, Tracer
-from repro.replay.backends import (LiveReplayConfig, ReplayBackend,
-                                   get_backend)
+from repro.replay.backends import LiveReplayConfig
 from repro.replay.engine import ReplayConfig, ReplayEngine, ReplayReport
 from repro.replay.querier import QuerierConfig, ResilienceConfig
 from repro.replay.supervisor import ReplayCheckpoint, SupervisionConfig
@@ -76,7 +75,7 @@ from repro.trace.pipeline import (FilterRecords, MapRecords, PipelineOp,
                                   TracePipeline)
 from repro.trace.stats import StreamingStats
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "AdmissionConfig",
@@ -90,15 +89,14 @@ __all__ = [
     "MapRecords", "MetricsRegistry", "Observer", "OverloadConfig",
     "PipelineOp",
     "PipelineResult", "PrependUnique", "QuerierConfig", "QuerierCrash",
-    "RebaseTime", "RecursiveExperiment", "ReplayBackend",
-    "ReplayCheckpoint",
+    "RebaseTime", "RecursiveExperiment", "ReplayCheckpoint",
     "ReplayConfig", "ReplayEngine", "ReplayReport", "ResilienceConfig",
     "RrlConfig",
     "ScaleTime", "ServerPause", "SetDoFraction", "SetProtocol",
     "SetQnameSuffix", "Simulator", "StreamingStats",
     "SupervisionConfig", "ToleranceBands", "Tracer",
     "TraceFormatError", "TracePipeline",
-    "authoritative_world", "get_backend", "verify_queriers",
+    "authoritative_world", "verify_queriers",
     "__version__",
 ]
 

@@ -249,13 +249,12 @@ class InvariantChecker:
     ``attach()`` points every querier's ``check`` slot here; the
     querier calls :meth:`on_msg_id` at each id allocation, which both
     validates the id and drives the periodic full scan (every
-    *scan_every* sends).  The engine calls :meth:`final` before
+    :data:`SCAN_EVERY` sends).  The engine calls :meth:`final` before
     assembling the report.  The checker never schedules events, so it
     cannot perturb the deterministic timeline."""
 
-    def __init__(self, engine, scan_every: int = SCAN_EVERY):
+    def __init__(self, engine):
         self.engine = engine
-        self.scan_every = max(1, scan_every)
         self.scans = 0
         self.id_checks = 0
 
@@ -278,7 +277,7 @@ class InvariantChecker:
         fallback re-ids a query while it is between pending maps), so
         only the id check runs there."""
         self.id_checks += 1
-        if scan and self.id_checks % self.scan_every == 0:
+        if scan and self.id_checks % SCAN_EVERY == 0:
             self.scan()
         if not 0 <= msg_id <= 0xFFFF:
             raise InvariantViolation(

@@ -15,7 +15,7 @@ querier-side results with server-side resource samples and query logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.dns.zone import Zone
 from repro.netsim.network import LinkParams
@@ -33,43 +33,58 @@ from repro.trace.record import Trace
 SERVER_ADDR = "10.0.0.2"
 RECURSIVE_ADDR = "10.1.0.2"
 META_ADDR = "10.2.0.2"
+SERVER_CORES = 48       # paper: 24-core/48-thread Xeon
 
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by both experiment shapes."""
+    """Knobs of the two experiment shapes; each field says which facade
+    reads it (A = :class:`AuthoritativeExperiment`, R =
+    :class:`RecursiveExperiment`)."""
 
-    rtt: float = 0.001              # client <-> server round-trip time
-    server_cores: int = 48          # paper: 24-core/48-thread Xeon
-    cost: CostModel | None = None
-    tcp_idle_timeout: float | None = 20.0
-    nagle: bool = True
-    sample_interval: float = 10.0
-    log_queries: bool = True
-    # When set, model NSD-style worker processes: responses queue once
-    # offered load exceeds workers/service-time capacity (overload
+    # A, R: client <-> server round-trip time; with client_loss it
+    # makes the engine's client_link.
+    rtt: float = 0.001
+    cost: CostModel | None = None               # A, R: server cost model
+    tcp_idle_timeout: float | None = 20.0       # A
+    sample_interval: float = 10.0               # A, R
+    # A: when set, model NSD-style worker processes: responses queue
+    # once offered load exceeds workers/service-time capacity (overload
     # experiments).  None = accounting-only CPU (the paper's §5 regime,
     # far from saturation).
     server_workers: int | None = None
-    # Precompiled-answer cache.  Off is the miss path every query can
-    # take; it must leave every deterministic report byte-identical
-    # (the A/B determinism tests pin this), so the toggle exists purely
-    # for those tests and for perf attribution.
+    # A, R: precompiled-answer cache.  Off is the miss path every query
+    # can take; reports are byte-identical either way
+    # (tests/check/test_differential.py runs the cache on/off matrix),
+    # so the toggle exists for that check and for perf attribution.
     answer_cache: bool = True
-    # Symmetric per-packet loss on every client uplink (the §2.1
+    # A, R: symmetric per-packet loss on every client uplink (the §2.1
     # "control response times" axis: lossy what-ifs).  Pair with
     # ReplayConfig.resilience so degradation is measured, not silent.
     client_loss: float = 0.0
-    # Server-side overload control (RRL, DNS Cookies, admission
-    # queueing — docs/RESILIENCE.md).  None keeps every defense off:
-    # the server answers as one without them (the report carries the
-    # defense counters all the same, at zero).
+    # A: server-side overload control (RRL, DNS Cookies, admission
+    # queueing — docs/RESILIENCE.md).  None builds no limiter, cookie
+    # jar or admission queue; tests/golden/sim_report.json is recorded
+    # that way, and the report carries the defense counters at zero.
     overload: OverloadConfig | None = None
-    # Recursive-resolver cache policy (bounded LRU, serve-stale,
-    # prefetch — docs/RECURSIVE.md).  None = the historical unbounded
-    # cache, resolution for resolution.
+    # R: recursive-resolver cache policy (bounded LRU, serve-stale,
+    # prefetch — docs/RECURSIVE.md).  None = CacheConfig(): unbounded,
+    # no serve-stale, no prefetch.
     cache: CacheConfig | None = None
     replay: ReplayConfig = field(default_factory=ReplayConfig)
+
+    def engine_config(self) -> ReplayConfig:
+        """The facades' engine config: a copy of ``replay`` whose
+        ``client_link`` carries ``rtt``/``client_loss`` (the caller's
+        object is left as passed)."""
+        if self.replay.client_link != LinkParams():
+            raise ValueError(
+                "an experiment facade derives ReplayConfig.client_link "
+                "from ExperimentConfig.rtt and .client_loss; set those "
+                f"instead of client_link={self.replay.client_link}")
+        # Two uplinks each way share the round trip.
+        return replace(self.replay, client_link=LinkParams(
+            delay=self.rtt / 4, loss=self.client_loss))
 
 
 @dataclass
@@ -106,21 +121,18 @@ class AuthoritativeExperiment:
         half_rtt = self.config.rtt / 4  # two uplinks each way
         self.server_host = self.sim.add_host(
             "server", [SERVER_ADDR], LinkParams(delay=half_rtt),
-            cores=self.config.server_cores, cost=self.config.cost)
+            cores=SERVER_CORES, cost=self.config.cost)
         from repro.server.authoritative import WorkerPool
         pool = (WorkerPool(self.config.server_workers)
                 if self.config.server_workers else None)
         self.server = AuthoritativeServer(
             self.server_host, zones=zones,
             tcp_idle_timeout=self.config.tcp_idle_timeout,
-            nagle=self.config.nagle, worker_pool=pool,
-            log_queries=self.config.log_queries,
+            worker_pool=pool, log_queries=True,
             answer_cache=self.config.answer_cache,
             overload=self.config.overload)
-        replay_config = self.config.replay
-        replay_config.client_link = LinkParams(
-            delay=half_rtt, loss=self.config.client_loss)
-        self.engine = ReplayEngine(self.sim, SERVER_ADDR, replay_config)
+        self.engine = ReplayEngine(self.sim, SERVER_ADDR,
+                                   self.config.engine_config())
         self.backend = SimBackend(self.engine)
         self.sampler = PeriodicSampler(self.sim.scheduler,
                                        self.server_host.meter,
@@ -132,8 +144,7 @@ class AuthoritativeExperiment:
         self.engine = None
         self.sampler = None
         self.backend = LiveBackend(
-            zones, config=self.config.replay,
-            log_queries=self.config.log_queries,
+            zones, config=self.config.replay, log_queries=True,
             answer_cache=self.config.answer_cache,
             overload=self.config.overload)
         self.server = self.backend.responder
@@ -168,9 +179,8 @@ class RecursiveExperiment:
         half_rtt = self.config.rtt / 4
         self.meta_host = self.sim.add_host(
             "meta", [META_ADDR], LinkParams(delay=0.0001),
-            cores=self.config.server_cores, cost=self.config.cost)
-        self.meta = MetaDnsServer(self.meta_host, zones,
-                                  log_queries=self.config.log_queries,
+            cores=SERVER_CORES, cost=self.config.cost)
+        self.meta = MetaDnsServer(self.meta_host, zones, log_queries=True,
                                   answer_cache=self.config.answer_cache)
         self.recursive_host = self.sim.add_host(
             "recursive", [RECURSIVE_ADDR], LinkParams(delay=half_rtt))
@@ -180,11 +190,8 @@ class RecursiveExperiment:
                                               meta_server_addr=META_ADDR)
         self.authoritative_proxy = AuthoritativeProxy(
             self.meta_host, recursive_addr=RECURSIVE_ADDR)
-        replay_config = self.config.replay
-        replay_config.client_link = LinkParams(
-            delay=half_rtt, loss=self.config.client_loss)
         self.engine = ReplayEngine(self.sim, RECURSIVE_ADDR,
-                                   replay_config)
+                                   self.config.engine_config())
         self.backend = SimBackend(self.engine)
         self.sampler = PeriodicSampler(self.sim.scheduler,
                                        self.meta_host.meter,

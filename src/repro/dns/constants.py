@@ -140,5 +140,8 @@ MAX_LABEL = 63
 MAX_UDP_PAYLOAD = 512
 DEFAULT_EDNS_PAYLOAD = 4096
 
-# Well-known port.
+# Well-known ports (DNS over TLS is RFC 7858's; the QUIC port is this
+# model's own).
 DNS_PORT = 53
+TLS_PORT = 853
+QUIC_PORT = 8853

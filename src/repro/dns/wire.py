@@ -100,9 +100,9 @@ class WireWriter:
 class WireReader:
     """Cursor over a received DNS message."""
 
-    def __init__(self, data: bytes, pos: int = 0) -> None:
+    def __init__(self, data: bytes) -> None:
         self.data = data
-        self.pos = pos
+        self.pos = 0
 
     def remaining(self) -> int:
         return len(self.data) - self.pos

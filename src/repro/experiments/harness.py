@@ -11,6 +11,8 @@ compared honestly (DESIGN.md §5).  The paper's reference points:
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from repro.core.experiment import (AuthoritativeExperiment,
                                    ExperimentConfig)
 from repro.dns.constants import RRType
@@ -52,53 +54,24 @@ def wildcard_root_zone(internet: ModelInternet) -> Zone:
     return zone
 
 
-def authoritative_world(zones, *, rtt: float = 0.001,
-                        mode: str = "direct",
-                        client_instances: int = 2,
-                        queriers_per_instance: int = 3,
-                        tcp_idle_timeout: float | None = 20.0,
-                        nagle: bool = True,
-                        sample_interval: float = 10.0,
-                        timing_jitter: bool = True,
-                        server_workers: int | None = None,
-                        observe: bool = False,
-                        client_loss: float = 0.0,
-                        resilience=None,
-                        fault_plan=None,
-                        supervision=None,
-                        controllers: int = 1,
-                        answer_cache: bool = True,
-                        check: bool = False,
-                        overload=None,
-                        cookies: bool = False,
-                        backend: str = "sim",
-                        seed: int = 0) -> AuthoritativeExperiment:
+def authoritative_world(zones, **knobs) -> AuthoritativeExperiment:
     """Build the standard replay-vs-authoritative world (Figure 5).
 
-    Every knob is keyword-only: the config list is long enough that
-    positional calls were unreadable and fragile.  ``observe=True``
-    attaches the :mod:`repro.obs` metrics/tracing layer before any host
-    is created.  ``client_loss``/``resilience``/``fault_plan`` are the
-    degraded-network axis (docs/RESILIENCE.md): symmetric client-uplink
-    loss, the querier retry policy, and scheduled fault events;
-    ``supervision`` adds the control-plane resilience layer
-    (heartbeats/failover, backpressure, checkpointing — distributed
-    mode only).  ``overload``/``cookies`` are the server-defense axis:
-    an :class:`~repro.server.overload.OverloadConfig` turns on
-    RRL/cookie-validation/admission control server-side, ``cookies=True``
-    makes queriers attach RFC 7873 COOKIE options client-side."""
+    Each keyword is a field of :class:`ExperimentConfig` or of its
+    :class:`ReplayConfig`, routed by name with that class's default —
+    the two dataclasses are the only list of knobs — except that
+    ``mode`` defaults to ``"direct"`` here: one in-process distributor,
+    half the events, for the large resource experiments."""
+    experiment = {f.name for f in fields(ExperimentConfig)} - {"replay"}
+    replay = {f.name for f in fields(ReplayConfig)}
+    unknown = knobs.keys() - experiment - replay
+    if unknown:
+        raise TypeError(
+            f"authoritative_world() got unexpected keyword(s) "
+            f"{sorted(unknown)}; valid: {sorted(experiment | replay)}")
+    knobs.setdefault("mode", "direct")
     config = ExperimentConfig(
-        rtt=rtt, tcp_idle_timeout=tcp_idle_timeout, nagle=nagle,
-        sample_interval=sample_interval, server_workers=server_workers,
-        client_loss=client_loss, answer_cache=answer_cache,
-        overload=overload,
-        replay=ReplayConfig(client_instances=client_instances,
-                            queriers_per_instance=queriers_per_instance,
-                            mode=mode, seed=seed,
-                            timing_jitter=timing_jitter,
-                            observe=observe, resilience=resilience,
-                            fault_plan=fault_plan,
-                            supervision=supervision,
-                            controllers=controllers, check=check,
-                            cookies=cookies, backend=backend))
+        **{k: v for k, v in knobs.items() if k in experiment},
+        replay=ReplayConfig(
+            **{k: v for k, v in knobs.items() if k in replay}))
     return AuthoritativeExperiment(zones, config)

@@ -28,21 +28,18 @@ from __future__ import annotations
 import math
 import random
 
+# docs/MODEL.md's calibration constants (seconds).
+TIMER_SLOP_SCALE = 0.0032
+TIMER_SLOP_MAX = 0.017
+RESONANCE_BAND = (0.05, 0.2)
+RESONANCE_SCALE = 0.008
+
 
 class SendPathModel:
     """Per-process timing imperfections, deterministic under a seed."""
 
-    def __init__(self, seed: int = 0,
-                 timer_slop_scale: float = 0.0032,
-                 timer_slop_max: float = 0.017,
-                 resonance_band: tuple[float, float] = (0.05, 0.2),
-                 resonance_scale: float = 0.008,
-                 send_cost_mean: float = 11e-6):
+    def __init__(self, seed: int = 0, send_cost_mean: float = 11e-6):
         self.rng = random.Random(seed)
-        self.timer_slop_scale = timer_slop_scale
-        self.timer_slop_max = timer_slop_max
-        self.resonance_band = resonance_band
-        self.resonance_scale = resonance_scale
         self.send_cost_mean = send_cost_mean
         self._busy_until = 0.0
 
@@ -61,12 +58,12 @@ class SendPathModel:
         the paper's ±8 ms anomaly appears when timers recur at the
         0.1 s timescale (§4.2), so the resonance keys on the recurrence
         interval when known, falling back to the requested delay."""
-        slop = self._laplace(self.timer_slop_scale)
-        lo, hi = self.resonance_band
+        slop = self._laplace(TIMER_SLOP_SCALE)
+        lo, hi = RESONANCE_BAND
         probe = interval if interval is not None else requested_delay
         if lo <= probe <= hi:
-            slop += self._laplace(self.resonance_scale)
-        return max(-self.timer_slop_max, min(self.timer_slop_max, slop))
+            slop += self._laplace(RESONANCE_SCALE)
+        return max(-TIMER_SLOP_MAX, min(TIMER_SLOP_MAX, slop))
 
     # -- send occupancy ------------------------------------------------------
 

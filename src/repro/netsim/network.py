@@ -53,13 +53,13 @@ class Network:
         "leaks": "transport.wire.leaked",
     }
 
-    def __init__(self, scheduler: Scheduler, loss_seed: int = 0):
+    def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self._hosts_by_addr: dict[str, "Host"] = {}
         self._links: dict[str, Link] = {}  # host name -> uplink
         self.leaked: list[Packet] = []
         zero_counters(self)
-        self._loss_rng = random.Random(loss_seed)
+        self._loss_rng = random.Random(0)
 
     @property
     def leaks(self) -> int:

@@ -14,10 +14,10 @@ class Simulator:
 
     ``observe=True`` attaches a :class:`repro.obs.Observer` before any
     host exists, so every instrumented component reports from its first
-    operation.  An existing observer can be shared via ``observer=``.
+    operation; :meth:`attach_observer` shares an existing one.
     """
 
-    def __init__(self, observe: bool = False, observer=None) -> None:
+    def __init__(self, observe: bool = False) -> None:
         self.scheduler = Scheduler()
         self.network = Network(self.scheduler)
         self.hosts: dict[str, Host] = {}
@@ -25,9 +25,7 @@ class Simulator:
         # events can target by name (see repro.netsim.faults).
         self.actors: dict[str, object] = {}
         self.observer = None
-        if observer is not None:
-            self.attach_observer(observer)
-        elif observe:
+        if observe:
             from repro.obs import Observer
             self.attach_observer(Observer())
 

@@ -44,15 +44,14 @@ class TcpConnection:
     """One endpoint of a TCP connection."""
 
     def __init__(self, host, laddr: str, lport: int, raddr: str, rport: int,
-                 is_client: bool, acceptor: Callable | None = None,
-                 nagle: bool = True):
+                 is_client: bool, acceptor: Callable | None = None):
         self.host = host
         self.laddr = laddr
         self.lport = lport
         self.raddr = raddr
         self.rport = rport
         self.is_client = is_client
-        self.nagle = nagle
+        self.nagle = True
         self.state = CLOSED
         self.acceptor = acceptor
         self.on_established: Callable[[], None] | None = None

@@ -26,9 +26,9 @@ SNAPSHOT_VERSION = 2
 class Observer:
     """Metrics + tracing for one simulation run."""
 
-    def __init__(self, trace_capacity: int = 4096):
+    def __init__(self):
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(capacity=trace_capacity)
+        self.tracer = Tracer()
 
     def snapshot(self, include_volatile: bool = False) -> dict:
         """Grouped snapshot: ``{subsystem: {metric: value}}`` plus the

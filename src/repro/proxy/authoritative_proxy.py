@@ -18,12 +18,10 @@ from repro.proxy.rewrite import rewrite_toward
 class AuthoritativeProxy:
     """Response-side half of the hierarchy-emulation plumbing."""
 
-    def __init__(self, meta_host: Host, recursive_addr: str,
-                 port: int = 53):
+    def __init__(self, meta_host: Host, recursive_addr: str):
         self.recursive_addr = recursive_addr
         self.rewritten = 0
-        self.tun: Tun = capture_responses(meta_host, self._rewrite,
-                                          port=port)
+        self.tun: Tun = capture_responses(meta_host, self._rewrite)
 
     def _rewrite(self, packet: Packet) -> Packet:
         self.rewritten += 1

@@ -21,12 +21,10 @@ from repro.proxy.rewrite import rewrite_toward
 class RecursiveProxy:
     """Query-side half of the hierarchy-emulation plumbing."""
 
-    def __init__(self, recursive_host: Host, meta_server_addr: str,
-                 port: int = 53):
+    def __init__(self, recursive_host: Host, meta_server_addr: str):
         self.meta_server_addr = meta_server_addr
         self.rewritten = 0
-        self.tun: Tun = capture_queries(recursive_host, self._rewrite,
-                                        port=port)
+        self.tun: Tun = capture_queries(recursive_host, self._rewrite)
 
     def _rewrite(self, packet: Packet) -> Packet:
         self.rewritten += 1

@@ -10,8 +10,7 @@ from __future__ import annotations
 from repro.netsim.network import Network
 from repro.replay.backends.base import ReplayBackend
 from repro.replay.backends.live import (LiveBackend, LiveDnsServer,
-                                        LiveQuerier, LiveReplayConfig,
-                                        hierarchy_views)
+                                        LiveQuerier, LiveReplayConfig)
 from repro.replay.backends.sim import SimBackend
 from repro.replay.controller import Controller
 from repro.replay.distributor import Distributor
@@ -59,5 +58,4 @@ def get_backend(name: str, *args, **kwargs) -> ReplayBackend:
 __all__ = [
     "BACKENDS", "COUNTED", "LiveBackend", "LiveDnsServer", "LiveQuerier",
     "LiveReplayConfig", "ReplayBackend", "SimBackend", "get_backend",
-    "hierarchy_views",
 ]

@@ -52,6 +52,7 @@ _READ_CHUNK = 65536
 _UDP_BUF = 1 << 22      # ask for 4 MiB; the kernel clamps to rmem_max
 _TCP_CONNECTION_CAP = 64    # open stream connections per querier
 _SHUTDOWN_GRACE = 1.0       # server drain window per connection at close
+BIND_ATTEMPTS = 8           # draws for a port free on both UDP and TCP
 
 
 def _grow_udp_buffers(transport) -> None:
@@ -84,7 +85,6 @@ class LiveReplayConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                 # 0 = ephemeral (with UDP/TCP pair retry)
-    bind_attempts: int = 8
     speed: float = 1.0
     query_timeout: float = 5.0
     max_inflight: int = 256       # per querier
@@ -125,20 +125,18 @@ class LiveDnsServer:
     Both transports share one port number.  With ``port=0`` the kernel
     picks the UDP port and the TCP listener must then land on the same
     number — when another process holds it, the pair is abandoned and
-    a fresh ephemeral port is tried, up to ``bind_attempts`` times.  A
+    a fresh ephemeral port is tried, up to :data:`BIND_ATTEMPTS` times.  A
     fixed port that is busy raises immediately (retrying could not
     help)."""
 
     COUNTERS = {"socket_errors": volatile("replay.socket_errors")}
 
     def __init__(self, responder: DnsResponder, host: str = "127.0.0.1",
-                 port: int = 0, bind_attempts: int = 8,
-                 meter: ResourceMeter | None = None,
+                 port: int = 0, meter: ResourceMeter | None = None,
                  clock=None):
         self.responder = responder
         self.host = host
         self.requested_port = port
-        self.bind_attempts = max(1, bind_attempts)
         self.meter = meter if meter is not None else ResourceMeter()
         self._clock = clock
         self.port: int | None = None
@@ -189,7 +187,7 @@ class LiveDnsServer:
     async def start(self) -> "LiveDnsServer":
         loop = asyncio.get_running_loop()
         last_exc: OSError | None = None
-        for _ in range(self.bind_attempts):
+        for _ in range(BIND_ATTEMPTS):
             try:
                 transport, _ = await loop.create_datagram_endpoint(
                     lambda: _ServerDatagramProtocol(self),
@@ -217,7 +215,7 @@ class LiveDnsServer:
             return self
         raise OSError(
             f"no free UDP+TCP port pair on {self.host} after "
-            f"{self.bind_attempts} attempts") from last_exc
+            f"{BIND_ATTEMPTS} attempts") from last_exc
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
@@ -522,41 +520,13 @@ class _LiveHost:
         self.meter = ResourceMeter(cores=os.cpu_count() or 1)
 
 
-def hierarchy_views(zones, address_book=None):
-    """The §2.4 meta-DNS-server's view wiring, reusable live: one
-    split-horizon view per nameserver address, derived from each zone's
-    apex NS RRset (through glue or *address_book*).
-
-    Caveat for the live backend: views key on the *transport* source
-    address, and every loopback query arrives from 127.0.0.1 — the
-    sim's proxies rewrite sources, real sockets do not.  Add a
-    catch-all or a 127.0.0.1 view when serving these live."""
-    from repro.server.metadns import nameserver_addresses
-    from repro.server.views import ViewSelector
-    views = ViewSelector()
-    zones = list(zones)
-    unmatched = []
-    for zone in zones:
-        addrs = nameserver_addresses(zone, parent_zones=zones,
-                                     address_book=address_book)
-        if not addrs:
-            unmatched.append(zone)
-        for addr in addrs:
-            views.add_address_view(addr, [zone])
-    if unmatched:
-        names = ", ".join(z.origin.to_text() for z in unmatched)
-        raise ValueError(
-            f"zones with no resolvable nameserver addresses: {names}")
-    return views
-
-
 class LiveBackend(ReplayBackend):
     """Replay a trace over real loopback sockets in wall-clock time."""
 
     name = "live"
     COUNTERS = {"deadline_hit": volatile("replay.deadline_hit")}
 
-    def __init__(self, zones=None, *, views=None, config=None,
+    def __init__(self, zones=None, *, config=None,
                  log_queries: bool = False, answer_cache: bool = True,
                  overload=None):
         from repro.replay.engine import ReplayConfig, _validate_config
@@ -579,8 +549,7 @@ class LiveBackend(ReplayBackend):
         self.host = _LiveHost()
         self.clock: _LoopScheduler | None = None
         self.responder = DnsResponder(
-            zones=zones, views=views,
-            log_queries=log_queries, answer_cache=answer_cache,
+            zones=zones, log_queries=log_queries, answer_cache=answer_cache,
             clock=self._wall_now, observer=self.observer,
             overload=overload)
         self.server: LiveDnsServer | None = None
@@ -626,8 +595,7 @@ class LiveBackend(ReplayBackend):
         meter = self.host.meter
         live = self.live
         server = LiveDnsServer(
-            self.responder, host=live.host, port=live.port,
-            bind_attempts=live.bind_attempts, meter=meter,
+            self.responder, host=live.host, port=live.port, meter=meter,
             clock=self._wall_now)
         await server.start()
         self.server = server

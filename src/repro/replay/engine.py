@@ -56,9 +56,7 @@ class ReplayConfig:
     fast: bool = False                 # no timers: as fast as possible
     timing_jitter: bool = True         # model OS timer/send-path jitter
     client_link: LinkParams = field(default_factory=LinkParams)
-    controller_link: LinkParams = field(default_factory=LinkParams)
     seed: int = 0
-    nagle: bool = True
     # Per-record input-processing cost of the reader/generator process.
     # §4.3's throughput experiment is bottlenecked by the generator; this
     # is that knob (default matches the controller's reader).
@@ -83,10 +81,10 @@ class ReplayConfig:
     # operation.  Counters are in every report either way.
     observe: bool = False
     # Client-side fault tolerance (timeouts, UDP retransmission, TC-bit
-    # TCP fallback, stream reconnect).  None keeps the brittle pre-
-    # resilience behavior, event for event, for identical seeds (the
-    # report carries the resilience counters all the same, at zero);
-    # see docs/RESILIENCE.md.
+    # TCP fallback, stream reconnect; docs/RESILIENCE.md).  None arms no
+    # timeout and retries nothing, so a lost query stays pending
+    # (test_resilience.py::test_without_retries_loss_is_materially_worse);
+    # the report carries the resilience counters all the same, at zero.
     resilience: ResilienceConfig | None = None
     # RFC 7873 client behavior: queriers attach a COOKIE option to
     # every query (a deterministic per-source client cookie, plus the
@@ -101,10 +99,12 @@ class ReplayConfig:
     # to the fabric during the run.
     fault_plan: FaultPlan | None = None
     # Control-plane supervision: heartbeats + failover, bounded queues
-    # with backpressure, and checkpoint/resume (distributed mode only).
-    # None schedules no heartbeat, monitor or checkpoint event and
-    # bounds no queue (the report carries the supervision counters all
-    # the same, at zero); see docs/RESILIENCE.md.
+    # with backpressure, and checkpoint/resume (distributed mode only;
+    # docs/RESILIENCE.md).  None builds no Supervisor: no heartbeat,
+    # monitor or checkpoint event, no bounded queue (and a fault-free
+    # supervised run forwards at the same pace: test_supervision.py::
+    # test_fault_free_supervision_leaves_the_forwarding_pace_alone);
+    # the report carries the supervision counters all the same, at zero.
     supervision: SupervisionConfig | None = None
     # Which replay backend executes the run (docs/BACKENDS.md):
     # "sim" is the deterministic discrete-event simulator; "live" binds
@@ -115,9 +115,7 @@ class ReplayConfig:
     # ignored by the sim backend.  None uses LiveReplayConfig defaults.
     live: "LiveReplayConfig | None" = None
     # Drain window appended after the last trace record, and an
-    # optional absolute stop time — formerly the keyword tail of
-    # ReplayEngine.run(), collapsed here (the old kwargs warned in
-    # 1.5.x and were removed in 1.6.0).
+    # optional absolute stop time.
     extra_time: float = 5.0
     until: float | None = None
     # Online invariant checking (repro.check.invariants): per-send
@@ -313,7 +311,7 @@ class ReplayEngine:
                     host, self.server_addr,
                     name=f"querier-{i}.{q}",
                     config=QuerierConfig(
-                        jitter_seed=seed, nagle=config.nagle,
+                        jitter_seed=seed,
                         resilience=config.resilience,
                         cookies=config.cookies, fast=config.fast)))
             self.queriers.extend(queriers)
@@ -330,9 +328,7 @@ class ReplayEngine:
                 controller_host = self.sim.add_host(
                     f"controller{c}" if config.controllers > 1
                     else "controller",
-                    [f"10.4.0.{c + 1}"],
-                    link=LinkParams(config.controller_link.delay,
-                                    config.controller_link.bandwidth_bps))
+                    [f"10.4.0.{c + 1}"], link=LinkParams())
                 self.controllers.append(Controller(
                     controller_host, self.distributors,
                     seed=config.seed + c, control_port=9053 + c))
@@ -349,11 +345,8 @@ class ReplayEngine:
         observer when observing), or any iterable of records.
 
         The drain window and stop time come from
-        ``ReplayConfig.extra_time`` / ``ReplayConfig.until``.  (The
-        pre-1.5 ``extra_time=``/``until=`` keywords warned through the
-        1.5.x releases and were removed in 1.6.0; passing them is a
-        :class:`TypeError`.  Experiment facades still take per-run
-        overrides.)
+        ``ReplayConfig.extra_time`` / ``ReplayConfig.until``
+        (experiment facades take per-run overrides).
 
         *resume_from* continues a previously checkpointed replay of the
         same trace/config on this freshly built engine: completed

@@ -11,6 +11,7 @@ single socket destroys per-source connection semantics.
 
 from __future__ import annotations
 
+from repro.dns.constants import DNS_PORT
 from repro.dns.message import Message
 from repro.dns.wire import WireError
 from repro.netsim.host import Host
@@ -24,12 +25,10 @@ PER_RECORD_INPUT_DELAY = 40e-6  # unpipelined parse+build per record
 class NaiveReplayer:
     """Single-host, single-socket, no-time-correction replayer."""
 
-    def __init__(self, host: Host, server_addr: str, dns_port: int = 53,
-                 jitter_seed: int = 1):
+    def __init__(self, host: Host, server_addr: str):
         self.host = host
         self.server_addr = server_addr
-        self.dns_port = dns_port
-        self.sendpath = SendPathModel(seed=jitter_seed)
+        self.sendpath = SendPathModel(seed=1)
         self.results: list[QueryResult] = []
         self._pending: dict[int, QueryResult] = {}
         self._sock = host.udp_socket()
@@ -63,8 +62,7 @@ class NaiveReplayer:
                              scheduled_time=scheduled)
         self.results.append(result)
         self._pending[self._seq] = result
-        self._sock.sendto(message.to_wire(), self.server_addr,
-                          self.dns_port)
+        self._sock.sendto(message.to_wire(), self.server_addr, DNS_PORT)
 
     def _on_response(self, payload: bytes, src: str, sport: int) -> None:
         try:

@@ -25,9 +25,6 @@ the query records routed to it:
   instead of silently stranding queries.
 
 Configuration rides in a single keyword-only :class:`QuerierConfig`.
-(The pre-1.2 keyword tail — ``jitter_seed``, ``dns_port``,
-``tls_port``, ``quic_port``, ``nagle`` passed directly — warned for
-one release and has been removed; passing it now raises ``TypeError``.)
 
 This is the only client protocol implementation: the querier talks to
 the world through a narrow host seam — ``host.scheduler`` (``now``,
@@ -51,7 +48,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 
-from repro.dns.constants import DNS_PORT, EDNS_COOKIE
+from repro.dns.constants import (DNS_PORT, EDNS_COOKIE, QUIC_PORT,
+                                 TLS_PORT)
 from repro.dns.message import (Edns, Message, get_edns_option, read_header,
                                set_edns_option)
 from repro.dns.wire import WireError
@@ -65,9 +63,6 @@ from repro.obs.report import (counter_state, restore_counters,
 from repro.replay.timing import ReplayTimer
 from repro.server.overload import client_cookie
 from repro.trace.record import QueryRecord
-
-TLS_PORT = 853
-QUIC_PORT = 8853
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,16 @@ class ResilienceConfig:
     max_retries: int = 3
     backoff: float = 2.0
     tcp_fallback: bool = True     # TC bit -> retry the query over TCP
-    reconnect: bool = True        # re-send pending stream queries once
+
+    def __post_init__(self) -> None:
+        if self.timeout <= 0:
+            raise ValueError(
+                f"timeout must be > 0, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff < 1:
+            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
 
     def wait_for(self, attempt: int) -> float:
         """Timeout after send *attempt* (1-based): t * b^(attempt-1)."""
@@ -92,16 +96,11 @@ class ResilienceConfig:
 
 @dataclass
 class QuerierConfig:
-    """All per-querier knobs in one keyword-only object.
-
-    Replaces the keyword tail that used to grow on
-    :class:`Querier.__init__` — pass
+    """All per-querier knobs in one object:
     ``Querier(host, addr, config=QuerierConfig(...))``."""
 
     jitter_seed: int | None = None
     dns_port: int = DNS_PORT
-    tls_port: int = TLS_PORT
-    quic_port: int = QUIC_PORT
     nagle: bool = True
     resilience: ResilienceConfig | None = None
     # RFC 7873: attach a COOKIE option to every query (per emulated
@@ -235,8 +234,6 @@ class Querier:
         self.server_addr = server_addr
         self.name = name or f"querier@{host.name}"
         self.dns_port = config.dns_port
-        self.tls_port = config.tls_port
-        self.quic_port = config.quic_port
         self.nagle = config.nagle
         self.resilience = config.resilience
         self.cookies = config.cookies
@@ -653,7 +650,7 @@ class Querier:
     def _open_channel(self, proto: str, key: tuple) -> _Channel:
         tls = proto == "tls"
         conn = self.host.tcp_connect(
-            self.server_addr, self.tls_port if tls else self.dns_port)
+            self.server_addr, TLS_PORT if tls else self.dns_port)
         conn.nagle = self.nagle
         session = TlsConnection.client(conn) if tls else conn
         channel = _Channel(session, conn=conn, key=key,
@@ -730,7 +727,7 @@ class Querier:
         for msg_id, result in list(channel.pending.items()):
             inflight = channel.inflight.pop(msg_id)
             inflight.cancel()
-            if not self.resilience.reconnect or inflight.resent:
+            if inflight.resent:
                 self._settle(result)
                 continue
             if fresh is None:
@@ -768,7 +765,7 @@ class Querier:
             return
         # Reconnect: with a session ticket the request rides 0-RTT in
         # the Initial; the source's first connection pays the handshake.
-        conn = client.connect(self.server_addr, self.quic_port,
+        conn = client.connect(self.server_addr, QUIC_PORT,
                               zero_rtt_payloads=[framed])
         channel = self._quic_conns[src] = _Channel(conn)
         # Each response arrives whole on its own stream.

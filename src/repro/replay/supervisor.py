@@ -10,7 +10,7 @@ This module adds the supervision layer:
   existing TCP control connections on behalf of itself and its live
   queriers (frame type 2, see :mod:`repro.replay.controller`).  The
   :class:`Supervisor` tracks last-seen times and marks an actor failed
-  after ``detection_timeout`` of silence.
+  after :data:`DETECTION_TIMEOUT` of silence.
 * **Failover** — a failed querier's sources are re-pinned to survivors
   by rendezvous hashing (deterministic, and stable: sources pinned to
   survivors never move).  Queries that were awaiting a response when
@@ -53,37 +53,30 @@ CHECKPOINT_VERSION = 2
 
 _QUEUE_POLICIES = ("stall", "shed")
 
+# How often distributor endpoints beat, and how long the supervisor
+# tolerates silence before declaring an actor dead (a few beats plus
+# control-channel latency).
+HEARTBEAT_INTERVAL = 0.05
+DETECTION_TIMEOUT = 0.25
+# Slack a checkpoint needs before the next scheduled send: clear of the
+# µs-scale send-path limbo around each timer's target.
+CHECKPOINT_GUARD = 0.01
+
 
 @dataclass(frozen=True)
 class SupervisionConfig:
     """Knobs for the replay supervision layer.
 
-    ``heartbeat_interval`` is how often distributor endpoints beat;
-    ``detection_timeout`` is how long the supervisor tolerates silence
-    before declaring an actor dead (must cover a few beats plus
-    control-channel latency).  ``high_water`` bounds every
-    Controller→Distributor and Distributor→Querier queue;
-    ``queue_policy`` picks what happens at the mark.
-    ``checkpoint_interval`` (None = off) snapshots state at quiescent
-    instants aligned to absolute multiples of the interval, with
-    ``checkpoint_guard`` of slack required before the next scheduled
-    send."""
+    ``high_water`` bounds every Controller→Distributor and
+    Distributor→Querier queue; ``queue_policy`` picks what happens at
+    the mark.  ``checkpoint_interval`` (None = off) snapshots state at
+    quiescent instants aligned to absolute multiples of the interval."""
 
-    heartbeat_interval: float = 0.05
-    detection_timeout: float = 0.25
     high_water: int = 512
     queue_policy: str = "stall"
     checkpoint_interval: float | None = None
-    checkpoint_guard: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0, got "
-                             f"{self.heartbeat_interval}")
-        if self.detection_timeout <= self.heartbeat_interval:
-            raise ValueError(
-                "detection_timeout must exceed heartbeat_interval "
-                f"({self.detection_timeout} <= {self.heartbeat_interval})")
         if self.high_water < 1:
             raise ValueError(
                 f"high_water must be >= 1, got {self.high_water}")
@@ -234,8 +227,7 @@ class Supervisor:
         self.checkpointer: Checkpointer | None = None
         if config.checkpoint_interval is not None:
             self.checkpointer = Checkpointer(
-                engine, self, config.checkpoint_interval,
-                config.checkpoint_guard)
+                engine, self, config.checkpoint_interval)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -249,7 +241,7 @@ class Supervisor:
             return
         self._started = True
         now = self.sim.scheduler.now
-        interval = self.config.heartbeat_interval
+        interval = HEARTBEAT_INTERVAL
         first = (resume_tick if resumed else next_tick)(now, interval)
         # Armed first, so a checkpoint tick runs before a beat due at
         # the same instant and finds the control channels idle.
@@ -268,8 +260,7 @@ class Supervisor:
 
     def _schedule_monitor(self) -> None:
         scheduler = self.sim.scheduler
-        scheduler.at(next_tick(scheduler.now,
-                               self.config.heartbeat_interval),
+        scheduler.at(next_tick(scheduler.now, HEARTBEAT_INTERVAL),
                      self._monitor, daemon=True)
 
     def _monitor(self) -> None:
@@ -282,7 +273,7 @@ class Supervisor:
         now = self.sim.scheduler.now
         for name, last in list(self._last_beat.items()):
             if name not in self.failed \
-                    and now - last > self.config.detection_timeout:
+                    and now - last > DETECTION_TIMEOUT:
                 self.fail(name)
         self._schedule_monitor()
 
@@ -427,15 +418,13 @@ class Checkpointer:
     resumed run re-arms in phase with the original); the snapshot is
     taken only when the replay plane is quiescent — nothing queued, in
     flight, or pending anywhere, no open stream/QUIC state, and the
-    next scheduled send at least ``guard`` seconds away.  Non-quiescent
-    ticks are skipped, not deferred."""
+    next scheduled send at least :data:`CHECKPOINT_GUARD` seconds away.
+    Non-quiescent ticks are skipped, not deferred."""
 
-    def __init__(self, engine, supervisor, interval: float,
-                 guard: float):
+    def __init__(self, engine, supervisor, interval: float):
         self.engine = engine
         self.supervisor = supervisor
         self.interval = interval
-        self.guard = guard
         self.checkpoints: list[ReplayCheckpoint] = []
         self.on_checkpoint = None   # optional callback(ckpt)
 
@@ -463,7 +452,7 @@ class Checkpointer:
 
     def quiescent(self) -> bool:
         """Nothing on the wire or queued upstream, and every parked ΔT
-        send timer at least ``guard`` away.
+        send timer at least :data:`CHECKPOINT_GUARD` away.
 
         The querier backlogs themselves may be non-empty — the Reader
         pre-loads the whole trace within milliseconds, so the steady
@@ -494,7 +483,7 @@ class Checkpointer:
             if querier.has_open_streams():
                 return False   # open stream state is not capturable
             for event in querier._send_timers.values():
-                if event.time < now + self.guard:
+                if event.time < now + CHECKPOINT_GUARD:
                     return False
         return True
 

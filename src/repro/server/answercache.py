@@ -116,11 +116,11 @@ class AnswerCache:
         "template_builds": volatile("server.answer_template_builds"),
     }
 
-    def __init__(self, views, max_entries: int = 100_000):
+    def __init__(self, views):
         self._views = views
         self._generation = views.generation
         self._entries: dict[tuple, CachedAnswer] = {}
-        self.max_entries = max_entries
+        self.max_entries = 100_000
         # (result, rd, do, matched suffix) -> what was encoded for it.
         self.templates: dict[tuple, _Template] = {}
         zero_counters(self)

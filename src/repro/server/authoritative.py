@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.dns.constants import DNS_PORT
+from repro.dns.constants import DNS_PORT, QUIC_PORT, TLS_PORT
 from repro.dns.zone import Zone
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
@@ -36,9 +36,6 @@ from repro.server.views import ViewSelector
 
 __all__ = ["AuthoritativeServer", "QueryLogEntry", "WorkerPool",
            "TLS_PORT", "QUIC_PORT"]
-
-TLS_PORT = 853
-QUIC_PORT = 8853
 
 
 class WorkerPool:
@@ -70,11 +67,9 @@ class AuthoritativeServer(DnsResponder):
                 "_pause_dropped": "server.pause_dropped"}
 
     def __init__(self, host: Host, zones: list[Zone] | None = None,
-                 views: ViewSelector | None = None, port: int = DNS_PORT,
-                 tls_port: int = TLS_PORT,
+                 views: ViewSelector | None = None,
                  tcp_idle_timeout: float | None = 20.0,
-                 nagle: bool = True, serve_tls: bool = True,
-                 serve_quic: bool = True, quic_port: int = QUIC_PORT,
+                 nagle: bool = True,
                  worker_pool: WorkerPool | None = None,
                  log_queries: bool = False,
                  answer_cache: bool = True,
@@ -83,7 +78,6 @@ class AuthoritativeServer(DnsResponder):
         super().__init__(zones=zones, views=views,
                          log_queries=log_queries,
                          answer_cache=answer_cache, overload=overload)
-        self.port = port
         self.tcp_idle_timeout = tcp_idle_timeout
         self.nagle = nagle
         self.worker_pool = worker_pool
@@ -102,16 +96,13 @@ class AuthoritativeServer(DnsResponder):
         self._zone_memory = sum(z.estimated_memory()
                                 for v in self.views.views for z in v.zones)
         host.meter.alloc(host.meter.cost.server_base + self._zone_memory)
-        self._udp = host.udp_socket(port)
+        self._udp = host.udp_socket(DNS_PORT)
         self._udp.on_datagram = self._on_udp
-        host.tcp_listen(port, self._on_tcp_connection)
-        if serve_tls:
-            host.tcp_listen(tls_port, self._on_tls_connection)
-        self.quic_server = None
-        if serve_quic:
-            self.quic_server = QuicServer(
-                host, quic_port, self._on_quic_connection,
-                idle_timeout=self.tcp_idle_timeout)
+        host.tcp_listen(DNS_PORT, self._on_tcp_connection)
+        host.tcp_listen(TLS_PORT, self._on_tls_connection)
+        self.quic_server = QuicServer(
+            host, QUIC_PORT, self._on_quic_connection,
+            idle_timeout=self.tcp_idle_timeout)
 
     # -- backend hooks (see DnsResponder) -------------------------------
 

@@ -19,7 +19,7 @@ The cache is production-shaped, configured by :class:`CacheConfig`:
   writes instead of by full scans;
 * **serve-stale** (RFC 8767) — with ``serve_stale`` expired positive
   entries are retained for ``stale_ttl`` seconds and can be served (at
-  ``stale_answer_ttl``) when every upstream has failed;
+  TTL :data:`STALE_ANSWER_TTL`) when every upstream has failed;
 * **refresh-ahead prefetch** — hot entries (top-``prefetch_top_k`` by
   hit count, at least ``prefetch_min_hits`` hits) trigger the
   ``on_refresh`` hook when a hit finds less than ``prefetch_fraction``
@@ -32,8 +32,9 @@ The cache is production-shaped, configured by :class:`CacheConfig`:
   checked by :func:`repro.check.invariants.verify_cache`
   (``hits + misses == lookups``, entries never exceed capacity).
 
-The default config (unbounded, no stale, no prefetch) preserves the
-historical semantics, so existing worlds replay byte-identically.
+The default config is unbounded, no stale, no prefetch
+(tests/server/test_cache.py::test_stale_disabled_by_default,
+::test_prefetch_disabled_by_default).
 """
 
 from __future__ import annotations
@@ -56,18 +57,19 @@ ENTRY_OVERHEAD = 64
 # full scan, not order individual expiries.
 EXPIRY_GRANULARITY = 1.0
 
+# TTL stamped on served stale answers (RFC 8767 §4 recommends 30 s).
+STALE_ANSWER_TTL = 30
+
 
 @dataclass(frozen=True)
 class CacheConfig:
     """Resolver-cache policy knobs (docs/RECURSIVE.md).
 
-    Defaults reproduce the historical cache exactly: unbounded, no
-    serve-stale, no prefetch."""
+    Defaults: unbounded, no serve-stale, no prefetch."""
 
-    max_entries: int | None = None      # None = unbounded (legacy)
+    max_entries: int | None = None      # None = unbounded
     serve_stale: bool = False           # RFC 8767
     stale_ttl: float = 3600.0           # how long past expiry to keep
-    stale_answer_ttl: int = 30          # TTL served on stale answers
     prefetch: bool = False              # refresh-ahead for hot entries
     prefetch_fraction: float = 0.1      # refresh at <= this TTL fraction
     prefetch_top_k: int = 64            # hot-set size
@@ -81,10 +83,6 @@ class CacheConfig:
         if self.stale_ttl < 0:
             raise ValueError(
                 f"stale_ttl must be >= 0, got {self.stale_ttl}")
-        if self.stale_answer_ttl < 1:
-            raise ValueError(
-                f"stale_answer_ttl must be >= 1, got "
-                f"{self.stale_answer_ttl}")
         if not 0 < self.prefetch_fraction < 1:
             raise ValueError(
                 f"prefetch_fraction must be in (0, 1), got "
@@ -314,7 +312,7 @@ class DnsCache:
     def get_stale(self, name: Name, rtype: int,
                   now: float) -> RRset | None:
         """RFC 8767: an expired-but-retained positive entry, served at
-        ``stale_answer_ttl`` — only meaningful under ``serve_stale``
+        :data:`STALE_ANSWER_TTL` — only meaningful under ``serve_stale``
         and only called when every upstream has failed.  Not a lookup:
         the miss that preceded it is already counted."""
         if not self.config.serve_stale:
@@ -328,7 +326,7 @@ class DnsCache:
         if entry.expires + self.config.stale_ttl <= now:
             return None
         self.stale_served += 1
-        return entry.rrset.copy(ttl=self.config.stale_answer_ttl)
+        return entry.rrset.copy(ttl=STALE_ANSWER_TTL)
 
     # -- negative ------------------------------------------------------------
 

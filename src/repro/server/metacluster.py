@@ -32,12 +32,11 @@ class MetaDnsCluster:
     """N meta-DNS-server shards behind one routing proxy."""
 
     def __init__(self, sim: Simulator, zones: list[Zone], shards: int = 2,
-                 base_addr: str = "10.2.0.", link: LinkParams | None = None,
                  log_queries: bool = False):
         if shards < 1:
             raise ValueError("need at least one shard")
         self.sim = sim
-        self.shard_addrs = [f"{base_addr}{i + 2}" for i in range(shards)]
+        self.shard_addrs = [f"10.2.0.{i + 2}" for i in range(shards)]
         self.hosts: list[Host] = []
         self.servers: list[MetaDnsServer] = []
         # OQDA -> shard address: the recursive proxy's routing table.
@@ -52,8 +51,7 @@ class MetaDnsCluster:
 
         for i, (addr, partition) in enumerate(zip(self.shard_addrs,
                                                   partitions)):
-            host = sim.add_host(f"meta-shard{i}", [addr],
-                                link or LinkParams())
+            host = sim.add_host(f"meta-shard{i}", [addr], LinkParams())
             self.hosts.append(host)
             if not partition:
                 continue
@@ -107,13 +105,11 @@ class RoutingProxy:
     'routing configuration that redirects queries to the correct
     servers')."""
 
-    def __init__(self, recursive_host: Host, routes: dict[str, str],
-                 port: int = 53):
+    def __init__(self, recursive_host: Host, routes: dict[str, str]):
         self.routes = dict(routes)
         self.rewritten = 0
         self.unrouted = 0
-        self.tun: Tun = capture_queries(recursive_host, self._rewrite,
-                                        port=port)
+        self.tun: Tun = capture_queries(recursive_host, self._rewrite)
 
     def _rewrite(self, packet: Packet) -> Packet | None:
         shard = self.routes.get(packet.dst)

@@ -7,8 +7,8 @@ behave as if they ran on their real, separate nameservers — referral
 round trips included.
 
 The zone-to-address mapping comes from the zones themselves: each zone's
-nameservers (its apex NS RRset, resolved to addresses through glue or a
-provided address book) identify which source addresses select it.
+nameservers (its apex NS RRset, resolved to addresses through glue)
+identify which source addresses select it.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from repro.server.authoritative import AuthoritativeServer
 from repro.server.views import ViewSelector
 
 
-def nameserver_addresses(zone: Zone, parent_zones: list[Zone] | None = None,
-                         address_book: dict[Name, list[str]] | None = None) \
-        -> list[str]:
+def nameserver_addresses(zone: Zone,
+                         parent_zones: list[Zone] | None = None) -> list[str]:
     """Public addresses of *zone*'s nameservers, resolved through the
-    zone's own glue, sibling/parent zones, or an explicit address book."""
+    zone's own glue or sibling/parent zones."""
     ns_rrset = zone.apex_ns
     if ns_rrset is None:
         return []
@@ -33,7 +32,6 @@ def nameserver_addresses(zone: Zone, parent_zones: list[Zone] | None = None,
     zones = [zone] + list(parent_zones or [])
     for rdata in ns_rrset.rdatas:
         target = rdata.target
-        found = False
         for z in zones:
             if not target.is_subdomain_of(z.origin):
                 continue
@@ -41,9 +39,6 @@ def nameserver_addresses(zone: Zone, parent_zones: list[Zone] | None = None,
                 rrset = z.get_rrset(target, rtype)
                 if rrset is not None:
                     addrs.extend(rd.address for rd in rrset.rdatas)
-                    found = True
-        if not found and address_book and target in address_book:
-            addrs.extend(address_book[target])
     return addrs
 
 
@@ -51,15 +46,13 @@ class MetaDnsServer:
     """One authoritative server emulating the whole hierarchy."""
 
     def __init__(self, host: Host, zones: list[Zone],
-                 address_book: dict[Name, list[str]] | None = None,
                  log_queries: bool = False, **server_kwargs):
         self.zones = list(zones)
         self.views = ViewSelector()
         self.zone_addresses: dict[Name, list[str]] = {}
         unmatched: list[Zone] = []
         for zone in self.zones:
-            addrs = nameserver_addresses(zone, parent_zones=self.zones,
-                                         address_book=address_book)
+            addrs = nameserver_addresses(zone, parent_zones=self.zones)
             self.zone_addresses[zone.origin] = addrs
             if not addrs:
                 unmatched.append(zone)

@@ -26,10 +26,12 @@ simulated server and the live loopback backend get them for free:
   rather than time out later).
 
 Everything is off by default — a responder without an
-:class:`OverloadConfig` behaves byte-identically to one predating this
-module — and deterministic: buckets advance on the backend's clock (the
-sim clock in the simulator), and the cookie hash is keyed by a seed
-from the config, so a seeded run replays exactly.
+:class:`OverloadConfig` builds none of the three and serves the same
+bytes as one with an empty config (tests/server/test_overload.py::
+test_responder_defenses_off_byte_identical) — and deterministic:
+buckets advance on the backend's clock (the sim clock in the
+simulator), and the cookie hash is keyed by a constant, so a seeded
+run replays exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ from repro.dns.constants import Flag, Rcode
 # (bits 11-14) and RD.
 _ECHO_MASK = 0x7900
 
+# FIFO bound on the RRL bucket table: a flood of distinct sources
+# recycles buckets instead of growing memory.
+RRL_TABLE_SIZE = 10_000
+# Keys the server-cookie hash; fixed, so a seeded run replays.
+COOKIE_SECRET = 0x1DB7A7E12
+
 
 @dataclass(frozen=True)
 class RrlConfig:
@@ -53,7 +61,7 @@ class RrlConfig:
     second of credit).  Every *slip*-th limited response is sent as a
     minimal TC=1 response instead of dropped (0 = never slip, drop
     all).  Sources aggregate on a /*prefix_len* IPv4 prefix, and the
-    bucket table is FIFO-bounded at *table_size* entries.  With
+    bucket table is FIFO-bounded at :data:`RRL_TABLE_SIZE` entries.  With
     *exempt_verified* (default), clients that presented a valid DNS
     Cookie bypass RRL entirely — they have proven their address."""
 
@@ -61,7 +69,6 @@ class RrlConfig:
     burst: float | None = None
     slip: int = 2
     prefix_len: int = 24
-    table_size: int = 10_000
     exempt_verified: bool = True
 
     def effective_burst(self) -> float:
@@ -72,11 +79,9 @@ class RrlConfig:
 class CookieConfig:
     """DNS Cookies (RFC 7873).
 
-    *secret* keys the server-cookie hash (deterministic per config, so
-    a seeded run replays).  Cookie-less clients have their RRL refill
-    rate scaled by *nocookie_scale* (< 1 = stricter)."""
+    Cookie-less clients have their RRL refill rate scaled by
+    *nocookie_scale* (< 1 = stricter)."""
 
-    secret: int = 0x1DB7A7E12
     nocookie_scale: float = 0.5
 
 
@@ -115,9 +120,6 @@ class OverloadConfig:
                 raise ValueError(
                     f"rrl: prefix_len must be in 1..32, got "
                     f"{rrl.prefix_len}")
-            if rrl.table_size < 1:
-                raise ValueError(
-                    f"rrl: table_size must be >= 1, got {rrl.table_size}")
         cookies = self.cookies
         if cookies is not None and cookies.nocookie_scale <= 0:
             raise ValueError(
@@ -213,7 +215,7 @@ class ResponseRateLimiter:
         bucket = buckets.get(bucket_key)
         burst = config.effective_burst()
         if bucket is None:
-            if len(buckets) >= config.table_size:
+            if len(buckets) >= RRL_TABLE_SIZE:
                 del buckets[next(iter(buckets))]
             bucket = TokenBucket(burst, now)
             buckets[bucket_key] = bucket
@@ -235,15 +237,14 @@ class ResponseRateLimiter:
 class ServerCookies:
     """Server-side RFC 7873 cookie generation and validation.
 
-    The server cookie is ``blake2b(client_cookie + src, key=secret)``
-    truncated to 8 bytes — stateless (any server instance with the
-    secret validates it), deterministic (no timestamp, so cookie-bearing
-    responses stay answer-cacheable), and unforgeable without receiving
-    a prior response at *src*."""
+    The server cookie is ``blake2b(client_cookie + src)`` keyed by
+    :data:`COOKIE_SECRET`, truncated to 8 bytes — stateless (any server
+    instance with the secret validates it), deterministic (no
+    timestamp, so cookie-bearing responses stay answer-cacheable), and
+    unforgeable without receiving a prior response at *src*."""
 
-    def __init__(self, config: CookieConfig):
-        self.config = config
-        self._key = config.secret.to_bytes(16, "big", signed=False)
+    def __init__(self):
+        self._key = COOKIE_SECRET.to_bytes(16, "big", signed=False)
 
     def server_cookie(self, client_cookie: bytes, src: str) -> bytes:
         return hashlib.blake2b(client_cookie + src.encode(),

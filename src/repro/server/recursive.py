@@ -22,7 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.dns.constants import DNS_PORT, Flag, Rcode, RRType
+from repro.dns.constants import (DEFAULT_EDNS_PAYLOAD, DNS_PORT, Flag,
+                                 Rcode, RRType)
 from repro.dns.message import Edns, Message
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
@@ -96,8 +97,6 @@ class RecursiveResolver:
     COUNTING_PARTS = ("cache",)          # owned; counts for itself
 
     def __init__(self, host: Host, root_hints: list[RootHint],
-                 port: int = DNS_PORT, edns_payload: int = 4096,
-                 request_dnssec: bool = False,
                  cache: DnsCache | CacheConfig | None = None):
         self.host = host
         self.root_hints = list(root_hints)
@@ -106,8 +105,7 @@ class RecursiveResolver:
         else:
             self.cache = DnsCache(cache)
         self.cache.on_refresh = self._schedule_refresh
-        self.edns_payload = edns_payload
-        self.request_dnssec = request_dnssec
+        self.edns_payload = DEFAULT_EDNS_PAYLOAD    # advertised upstream
         zero_counters(self)
         self._msg_ids = itertools.count(1)
         # Upstream message-id space; tests shrink it to force wrap.
@@ -117,7 +115,7 @@ class RecursiveResolver:
         # resolution (real resolvers deduplicate; without this a burst
         # of the same stub query would multiply upstream load).
         self._inflight: dict[tuple[Name, int], list[ResolveCallback]] = {}
-        self._client_sock = host.udp_socket(port)
+        self._client_sock = host.udp_socket(DNS_PORT)
         self._client_sock.on_datagram = self._on_client_query
         self._upstream_sock = host.udp_socket()
         self._upstream_sock.on_datagram = self._on_upstream_response
@@ -320,7 +318,7 @@ class RecursiveResolver:
             return
         query = Message.make_query(
             qname, qtype, msg_id=msg_id, rd=False,
-            edns=Edns(payload=self.edns_payload, do=self.request_dnssec))
+            edns=Edns(payload=self.edns_payload))
         pending = _Pending(msg_id=msg_id, qname=qname, qtype=qtype,
                            server_addr=server_addr,
                            on_response=on_response, on_timeout=on_timeout)
@@ -363,7 +361,7 @@ class RecursiveResolver:
         from repro.netsim.framing import LengthPrefixFramer, frame_message
         query = Message.make_query(
             pending.qname, pending.qtype, msg_id=pending.msg_id, rd=False,
-            edns=Edns(payload=self.edns_payload, do=self.request_dnssec))
+            edns=Edns(payload=self.edns_payload))
         conn = self.host.tcp_connect(pending.server_addr, DNS_PORT)
         done = {"answered": False}
 

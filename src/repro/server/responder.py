@@ -106,7 +106,7 @@ class DnsResponder:
                          if overload.cookies is not None else 1.0)
                 self._rrl = ResponseRateLimiter(overload.rrl, scale)
             if overload.cookies is not None:
-                self._cookie_jar = ServerCookies(overload.cookies)
+                self._cookie_jar = ServerCookies()
             if overload.admission is not None:
                 self.admission_queue = deque()
         # ReplayConfig(check=True): InvariantChecker.on_server_response.

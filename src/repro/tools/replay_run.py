@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="enable response rate limiting with this "
                                "per-bucket refill rate")
     overload.add_argument("--rrl-burst", type=float, default=None,
-                          help="RRL bucket capacity "
-                               "(default: 4x --rrl-rate)")
+                          help="RRL bucket capacity (default: one "
+                               "second of credit, max(1, --rrl-rate))")
     overload.add_argument("--rrl-slip", type=int, default=2,
                           help="send every Nth limited response as a "
                                "truncated (TC=1) reply instead of "
@@ -161,7 +161,8 @@ def overload_config_from_args(args):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     skipped: list = []
     trace = load_trace(args.trace, skip_malformed=args.skip_malformed,
                        skipped=skipped)
@@ -176,10 +177,13 @@ def main(argv: list[str] | None = None) -> int:
 
     resilience = None
     if args.retries is not None:
-        resilience = ResilienceConfig(
-            timeout=args.query_timeout, max_retries=args.retries,
-            backoff=args.backoff,
-            tcp_fallback=not args.no_tcp_fallback)
+        try:
+            resilience = ResilienceConfig(
+                timeout=args.query_timeout, max_retries=args.retries,
+                backoff=args.backoff,
+                tcp_fallback=not args.no_tcp_fallback)
+        except ValueError as exc:
+            parser.error(f"--retries/--query-timeout/--backoff: {exc}")
     fault_plan = None
     if args.fault_plan is not None:
         import json

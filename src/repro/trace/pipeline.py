@@ -135,8 +135,6 @@ class PipelineOp:
     callables for ``jobs > 1``).
     """
 
-    #: appended to the trace name by the legacy-compatible naming rule
-    suffix: str = ""
     #: op reads ``ctx.first_time`` (forces decoding the first frame's
     #: timestamp before fan-out)
     needs_first_time: bool = False
@@ -177,12 +175,6 @@ class SetProtocol(PipelineOp):
         if self.proto not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.proto!r}")
 
-    @property
-    def suffix(self) -> str:
-        if self.fraction >= 1.0:
-            return f"+all-{self.proto}"
-        return f"+{self.fraction:.0%}-{self.proto}"
-
     def _converts(self, src: bytes) -> bool:
         return (self.fraction >= 1.0
                 or client_unit(self.seed, src) < self.fraction)
@@ -219,10 +211,6 @@ class SetDoFraction(PipelineOp):
     needs_first_time = False
     frame_capable = True
 
-    @property
-    def suffix(self) -> str:
-        return f"+do{self.fraction:.0%}"
-
     def _sets(self, index: int) -> bool:
         return (self.fraction >= 1.0
                 or index_unit(self.seed, index) < self.fraction)
@@ -253,8 +241,6 @@ class PrependUnique(PipelineOp):
     needs_first_time = False
     frame_capable = True
 
-    suffix = "+unique"
-
     def map_record(self, record, index, ctx):
         base = "" if record.qname == "." else record.qname
         return record.with_(qname=f"{self.prefix}{index}.{base}"
@@ -279,10 +265,6 @@ class ScaleTime(PipelineOp):
     needs_first_time = True
     frame_capable = True
 
-    @property
-    def suffix(self) -> str:
-        return f"+x{self.factor:g}"
-
     def map_record(self, record, index, ctx):
         t0 = ctx.first_time
         return record.with_(time=t0 + (record.time - t0) * self.factor)
@@ -305,8 +287,6 @@ class RebaseTime(PipelineOp):
 
     needs_first_time = True
     frame_capable = True
-
-    suffix = ""
 
     def map_record(self, record, index, ctx):
         return record.with_(time=record.time
@@ -331,8 +311,6 @@ class SetQnameSuffix(PipelineOp):
     needs_first_time = False
     frame_capable = True
 
-    suffix = "+rerooted"
-
     def map_record(self, record, index, ctx):
         if record.qname.endswith(self.old):
             return record.with_(
@@ -356,14 +334,9 @@ class FilterRecords(PipelineOp):
     picklable (a module-level function) for ``jobs > 1``."""
 
     predicate: Callable[[QueryRecord], bool]
-    name_suffix: str = "+filtered"
 
     needs_first_time = False
     frame_capable = False
-
-    @property
-    def suffix(self) -> str:
-        return self.name_suffix
 
     def map_record(self, record, index, ctx):
         return record if self.predicate(record) else None
@@ -377,8 +350,6 @@ class MapRecords(PipelineOp):
 
     needs_first_time = False
     frame_capable = False
-
-    suffix = ""
 
     def map_record(self, record, index, ctx):
         return self.fn(record)
@@ -558,15 +529,6 @@ class _Source:
     name: str = ""
 
 
-def _trace_name(base: str, ops: Iterable[PipelineOp]) -> str:
-    """Legacy naming rule: suffixes accumulate only on named traces."""
-    if not base:
-        return base
-    for op in ops:
-        base += op.suffix
-    return base
-
-
 class TracePipeline:
     """One lazy trace-processing chain: source -> ops -> sink.
 
@@ -687,9 +649,8 @@ class TracePipeline:
     def set_qname_suffix(self, old: str, new: str) -> "TracePipeline":
         return self.pipe(SetQnameSuffix(old, new))
 
-    def filter(self, predicate, suffix: str = "+filtered") \
-            -> "TracePipeline":
-        return self.pipe(FilterRecords(predicate, suffix))
+    def filter(self, predicate) -> "TracePipeline":
+        return self.pipe(FilterRecords(predicate))
 
     def map(self, fn) -> "TracePipeline":
         return self.pipe(MapRecords(fn))
@@ -704,7 +665,7 @@ class TracePipeline:
 
     @property
     def name(self) -> str:
-        return _trace_name(self._source.name, self._ops)
+        return self._source.name
 
     @property
     def chunkable(self) -> bool:
@@ -877,8 +838,7 @@ class TracePipeline:
         return decode_chunks()
 
     def collect(self) -> Trace:
-        """Materialize the output as a :class:`Trace` (legacy-style
-        name suffixes applied)."""
+        """Materialize the output as a :class:`Trace`."""
         return Trace(list(self.records()), name=self.name)
 
     def to_binary(self) -> bytes:

@@ -29,6 +29,8 @@ from repro.server.recursive import RootHint
 _REAL_TLDS = ["com", "net", "org", "edu", "io", "de", "uk", "jp", "fr",
               "nl", "br", "au", "ca", "ru", "it", "info", "biz", "us",
               "ch", "se"]
+HOSTS_PER_SLD = 4
+NAMESERVERS_PER_SLD = 2
 
 
 class AddressAllocator:
@@ -62,8 +64,7 @@ class ModelInternet:
     """Root + TLD + SLD hierarchy with deterministic content."""
 
     def __init__(self, tlds: int = 8, slds_per_tld: int = 12,
-                 hosts_per_sld: int = 4, seed: int = 0,
-                 nameservers_per_sld: int = 2):
+                 seed: int = 0):
         self.rng = random.Random(seed)
         self.alloc = AddressAllocator()
         self.zones: list[Zone] = []
@@ -73,8 +74,7 @@ class ModelInternet:
         self.zones_by_addr: dict[str, list[Zone]] = {}
         self.domains: list[Domain] = []
         self.root_zone = self._build_root(tlds)
-        self._build_tlds(tlds, slds_per_tld, hosts_per_sld,
-                         nameservers_per_sld)
+        self._build_tlds(tlds, slds_per_tld)
 
     # -- construction -----------------------------------------------------
 
@@ -104,8 +104,7 @@ class ModelInternet:
         self._register(zone, self.root_addrs)
         return zone
 
-    def _build_tlds(self, tlds: int, slds_per_tld: int, hosts_per_sld: int,
-                    nameservers_per_sld: int) -> None:
+    def _build_tlds(self, tlds: int, slds_per_tld: int) -> None:
         for tld_label in self._tld_names(tlds):
             tld_name = Name.from_text(f"{tld_label}.")
             tld_zone = Zone(tld_name)
@@ -124,18 +123,17 @@ class ModelInternet:
                 self.root_zone.add(RRset(ns_name, RRType.A, 172800,
                                          [A(addr)]))
             self._register(tld_zone, tld_addrs)
-            self._build_slds(tld_zone, slds_per_tld, hosts_per_sld,
-                             nameservers_per_sld)
+            self._build_slds(tld_zone, slds_per_tld)
 
-    def _build_slds(self, tld_zone: Zone, count: int, hosts: int,
-                    nameservers: int) -> None:
+    def _build_slds(self, tld_zone: Zone, count: int) -> None:
         for i in range(count):
             sld_name = tld_zone.origin.prepend(f"dom{i:03d}".encode())
             zone = Zone(sld_name)
             zone.add(make_soa(sld_name))
-            ns_addrs = [self.alloc.allocate() for _ in range(nameservers)]
+            ns_addrs = [self.alloc.allocate()
+                        for _ in range(NAMESERVERS_PER_SLD)]
             ns_names = [sld_name.prepend(f"ns{j + 1}".encode())
-                        for j in range(nameservers)]
+                        for j in range(NAMESERVERS_PER_SLD)]
             zone.add(RRset(sld_name, RRType.NS, 86400,
                            [NS(n) for n in ns_names]))
             for ns_name, addr in zip(ns_names, ns_addrs):
@@ -145,11 +143,11 @@ class ModelInternet:
                                [NS(n) for n in ns_names]))
             for ns_name, addr in zip(ns_names, ns_addrs):
                 tld_zone.add(RRset(ns_name, RRType.A, 86400, [A(addr)]))
-            self._populate_sld(zone, sld_name, hosts)
+            self._populate_sld(zone, sld_name)
             self._register(zone, ns_addrs)
             self.domains.append(Domain(sld_name, zone, ns_addrs))
 
-    def _populate_sld(self, zone: Zone, origin: Name, hosts: int) -> None:
+    def _populate_sld(self, zone: Zone, origin: Name) -> None:
         zone.add(RRset(origin, RRType.A, 300, [A(self.alloc.allocate())]))
         zone.add(RRset(origin, RRType.MX, 3600,
                        [MX(10, origin.prepend(b"mail"))]))
@@ -159,7 +157,7 @@ class ModelInternet:
                        [A(self.alloc.allocate())]))
         zone.add(RRset(origin.prepend(b"www"), RRType.CNAME, 300,
                        [CNAME(origin)]))
-        for h in range(hosts):
+        for h in range(HOSTS_PER_SLD):
             host_name = origin.prepend(f"host{h}".encode())
             zone.add(RRset(host_name, RRType.A, 300,
                            [A(self.alloc.allocate())]))

@@ -1,9 +1,12 @@
 """Tests for the prefabricated core experiments (repro.core)."""
 
+import copy
+
 import pytest
 
 from repro.core import (AuthoritativeExperiment, ExperimentConfig,
                         RecursiveExperiment)
+from repro.netsim import LinkParams
 from repro.replay.engine import ReplayConfig
 from repro.trace.record import QueryRecord, Trace
 from repro.util.stats import summarize
@@ -40,6 +43,32 @@ def test_authoritative_rtt_config_controls_latency():
         result = experiment.run(trace)
         (only,) = result.report.results
         assert only.latency == pytest.approx(rtt, rel=0.15)
+
+
+def test_facade_leaves_the_callers_config_as_passed():
+    """The engine gets a copy carrying rtt/client_loss as its
+    client_link; the object the caller built is not written to."""
+    config = small_config(rtt=0.02, client_loss=0.1)
+    fresh = copy.deepcopy(config)
+    experiment = AuthoritativeExperiment([wildcard_example_zone()], config)
+    experiment.run(Trace([QueryRecord(time=0.0, src="a",
+                                      qname="x.example.com.")]))
+    assert config == fresh
+    assert experiment.engine.config.client_link == LinkParams(
+        delay=0.005, loss=0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda config: AuthoritativeExperiment([wildcard_example_zone()],
+                                           config),
+    lambda config: RecursiveExperiment([wildcard_example_zone()], [],
+                                       config),
+], ids=["authoritative", "recursive"])
+def test_facade_rejects_a_client_link_it_would_discard(build):
+    config = ExperimentConfig(replay=ReplayConfig(
+        mode="direct", client_link=LinkParams(loss=0.5)))
+    with pytest.raises(ValueError, match="rtt.*client_loss"):
+        build(config)
 
 
 def test_experiment_collects_samples():

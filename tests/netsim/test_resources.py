@@ -3,7 +3,8 @@
 import pytest
 
 from repro.netsim.clock import Scheduler
-from repro.netsim.jitter import NullSendPath, SendPathModel
+from repro.netsim.jitter import (TIMER_SLOP_MAX, NullSendPath,
+                                 SendPathModel)
 from repro.netsim.resources import (CostModel, PeriodicSampler,
                                     ResourceMeter)
 
@@ -91,7 +92,7 @@ def test_sendpath_deterministic_under_seed():
 def test_timer_slop_bounded():
     path = SendPathModel(seed=1)
     slops = [path.timer_slop(0.01) for _ in range(2000)]
-    assert all(abs(s) <= path.timer_slop_max for s in slops)
+    assert all(abs(s) <= TIMER_SLOP_MAX for s in slops)
     # Quartiles should be in the low-millisecond range (Fig 6).
     slops.sort()
     q3 = slops[int(len(slops) * 0.75)]

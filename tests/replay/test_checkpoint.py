@@ -32,9 +32,9 @@ from tests.replay.test_engine import wildcard_example_zone
 SEED = int(os.environ.get("REPLAY_CHAOS_SEED", "11"))
 
 
-def make_trace(n=150, clients=12, duration=2.0):
-    # Inter-record gap (13.3 ms) comfortably exceeds the checkpoint
-    # guard below, so the periodic ticks find quiescent instants
+def make_trace(n=100, clients=12, duration=4.0):
+    # Inter-record gap (40 ms) comfortably exceeds CHECKPOINT_GUARD
+    # (10 ms), so the periodic ticks find quiescent instants
     # between sends.
     return Trace([QueryRecord(time=(i * duration) / n,
                               src=f"172.16.0.{i % clients}",
@@ -52,8 +52,7 @@ def build_engine(checkpoint_interval=0.25, seed=SEED, supervised=True,
     supervision = None
     if supervised:
         supervision = SupervisionConfig(
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_guard=0.002)
+            checkpoint_interval=checkpoint_interval)
     return ReplayEngine(sim, "10.0.0.2", ReplayConfig(
         client_instances=2, queriers_per_instance=3, seed=seed,
         timing_jitter=False, supervision=supervision,
@@ -171,7 +170,7 @@ def test_resumed_observed_run_reports_the_run_not_the_tail():
 def test_resume_is_byte_identical_whatever_the_tick_phase(interval):
     """The report carries the fabric's packet counts, so the cut must
     not lose a heartbeat.  A tick on a beat's own instant (interval ==
-    ``heartbeat_interval``) runs before the beat, and the resumed run
+    ``HEARTBEAT_INTERVAL``) runs before the beat, and the resumed run
     sends it; a tick while a beat is on the wire (0.251 s is 1 ms
     after the beat at 0.25 s) is not quiescent and is skipped."""
     engine = build_engine(checkpoint_interval=interval)

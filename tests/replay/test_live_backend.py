@@ -142,9 +142,8 @@ def test_bind_attempts_exhausted_raises(monkeypatch):
     monkeypatch.setattr(asyncio, "start_server", always_busy)
 
     async def go():
-        server = LiveDnsServer(DnsResponder(zones=[make_example_zone()]),
-                               bind_attempts=3)
-        with pytest.raises(OSError, match="after 3 attempts"):
+        server = LiveDnsServer(DnsResponder(zones=[make_example_zone()]))
+        with pytest.raises(OSError, match="after 8 attempts"):
             await server.start()
 
     asyncio.run(go())

@@ -266,6 +266,24 @@ def test_server_pause_window_recovered_by_retransmission():
     assert in_window  # the pause actually covered live traffic
 
 
+# -- config validation ------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(timeout=0.0), "timeout must be > 0"),
+    (dict(timeout=-1.0), "timeout must be > 0"),
+    (dict(max_retries=-2), "max_retries must be >= 0"),
+    (dict(backoff=0.0), "backoff must be >= 1"),
+    (dict(backoff=0.5), "backoff must be >= 1"),
+])
+def test_resilience_config_validates_knobs(bad, message):
+    """A non-positive timeout used to time every query out the instant
+    it was sent (answered 0.0, no error)."""
+    with pytest.raises(ValueError, match=message):
+        ResilienceConfig(**bad)
+    ResilienceConfig(max_retries=0, backoff=1.0)    # the edges are valid
+
+
 # -- QuerierConfig API ------------------------------------------------------
 
 

@@ -111,7 +111,6 @@ def test_flush_and_expire():
 @pytest.mark.parametrize("bad", [
     dict(max_entries=0),
     dict(stale_ttl=-1.0),
-    dict(stale_answer_ttl=0),
     dict(prefetch_fraction=0.0),
     dict(prefetch_fraction=1.0),
     dict(prefetch_top_k=0),
@@ -254,8 +253,7 @@ def test_put_reclaims_incrementally():
 
 
 def test_stale_entry_kept_and_served_within_window():
-    cache = DnsCache(CacheConfig(serve_stale=True, stale_ttl=600.0,
-                                 stale_answer_ttl=30))
+    cache = DnsCache(CacheConfig(serve_stale=True, stale_ttl=600.0))
     cache.put_rrset(a_rrset("a.example.", "10.0.0.1", ttl=300), now=0.0)
     # Expired: a regular lookup misses but the entry survives.
     assert cache.get_rrset(N("a.example."), RRType.A, now=400.0) is None

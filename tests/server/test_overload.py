@@ -34,7 +34,6 @@ KEY = ("ok", "www.example.com.", 1)
     OverloadConfig(rrl=RrlConfig(slip=-1)),
     OverloadConfig(rrl=RrlConfig(prefix_len=0)),
     OverloadConfig(rrl=RrlConfig(prefix_len=33)),
-    OverloadConfig(rrl=RrlConfig(table_size=0)),
     OverloadConfig(cookies=CookieConfig(nocookie_scale=0.0)),
     OverloadConfig(admission=AdmissionConfig(limit=0)),
     OverloadConfig(admission=AdmissionConfig(limit=4, soft_limit=5)),
@@ -119,9 +118,9 @@ def test_rrl_prefix_aggregation_and_refill():
     assert limiter.decide(1.0, "10.0.0.1", KEY) == "send"
 
 
-def test_rrl_table_fifo_bounded():
-    limiter = ResponseRateLimiter(RrlConfig(rate=1.0, table_size=3,
-                                            prefix_len=32))
+def test_rrl_table_fifo_bounded(monkeypatch):
+    monkeypatch.setattr("repro.server.overload.RRL_TABLE_SIZE", 3)
+    limiter = ResponseRateLimiter(RrlConfig(rate=1.0, prefix_len=32))
     for i in range(10):
         limiter.decide(0.0, f"10.0.{i}.1", KEY)
     assert len(limiter) == 3
@@ -149,7 +148,7 @@ def _cookie_query(options: bytes) -> Message:
 
 
 def test_cookie_round_trip():
-    jar = ServerCookies(CookieConfig())
+    jar = ServerCookies()
     src = "192.0.2.77"
     cc = client_cookie(src)
     query = _cookie_query(set_edns_option(b"", EDNS_COOKIE, cc))
@@ -169,7 +168,7 @@ def test_cookie_round_trip():
 @given(st.binary(min_size=0, max_size=48))
 @settings(max_examples=80, deadline=None)
 def test_cookie_never_verifies_without_valid_server_cookie(data):
-    jar = ServerCookies(CookieConfig())
+    jar = ServerCookies()
     src = "192.0.2.77"
     query = _cookie_query(set_edns_option(b"", EDNS_COOKIE, data))
     verified = jar.process(query, query.make_response(), src)
@@ -178,20 +177,21 @@ def test_cookie_never_verifies_without_valid_server_cookie(data):
     assert verified == expected
 
 
-def test_cookie_bound_to_source_and_secret():
-    jar = ServerCookies(CookieConfig())
+def test_cookie_bound_to_source_and_secret(monkeypatch):
+    jar = ServerCookies()
     cc = client_cookie("192.0.2.1")
     sc = jar.server_cookie(cc, "192.0.2.1")
     # A cookie minted for one source fails from another.
     query = _cookie_query(set_edns_option(b"", EDNS_COOKIE, cc + sc))
     assert jar.process(query, query.make_response(), "192.0.2.2") is False
     # ... and under a different secret.
-    other = ServerCookies(CookieConfig(secret=999))
+    monkeypatch.setattr("repro.server.overload.COOKIE_SECRET", 999)
+    other = ServerCookies()
     assert other.server_cookie(cc, "192.0.2.1") != sc
 
 
 def test_cookieless_query_is_unverified():
-    jar = ServerCookies(CookieConfig())
+    jar = ServerCookies()
     query = Message.make_query(N("www.example.com."), RRType.A)
     assert jar.process(query, None, "192.0.2.1") is False
 

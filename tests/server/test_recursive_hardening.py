@@ -320,8 +320,7 @@ def test_nodata_negative_cached_with_ttl():
 
 
 def test_stale_answer_served_when_upstreams_die():
-    cache = CacheConfig(serve_stale=True, stale_ttl=3600.0,
-                        stale_answer_ttl=30)
+    cache = CacheConfig(serve_stale=True, stale_ttl=3600.0)
     sim, resolver = hierarchy_world(cache=cache)
     resolve(sim, resolver, "www.example.com.")
     # Kill the whole hierarchy, expire the answer, ask again.

@@ -111,6 +111,23 @@ def test_replay_run_missing_zones(tmp_path, sample_trace):
     assert replay_main([str(path), "--zones", str(empty)]) == 2
 
 
+def test_replay_run_rejects_a_zero_query_timeout(tmp_path, sample_trace,
+                                                capsys):
+    """Exits with the message, not with a 0 %-answered report."""
+    _, path = sample_trace
+    outdir = tmp_path / "zones"
+    zone_build_main([str(path), str(outdir), "--tlds", "2",
+                     "--slds", "3", "--seed", "1"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        replay_main([str(path), "--zones", str(outdir),
+                     "--retries", "3", "--query-timeout", "0"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "timeout must be > 0" in captured.err
+    assert "answered" not in captured.out
+
+
 def test_trace_stats_tool(tmp_path, sample_trace, capsys):
     from repro.tools.trace_stats import main as stats_main
     _, path = sample_trace

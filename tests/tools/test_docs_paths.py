@@ -4,9 +4,12 @@ README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md tell a reader which
 file to open, which module to run and which make target wraps it; each
 of those is checked against the tree, and DESIGN.md §3's module map
 against ``src/repro/`` file for file, so a rename or a deletion cannot
-leave the documentation pointing at nothing.
+leave the documentation pointing at nothing.  Knob tables are checked
+against the config dataclasses, name for name and default for default.
 """
 
+import ast
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -78,3 +81,58 @@ def test_design_module_map_lists_exactly_the_source_files():
               and path.relative_to(source).parts[0] + "/" not in prose_only}
     assert listed == actual, (sorted(listed - actual),
                               sorted(actual - listed))
+
+
+# -- knob tables -----------------------------------------------------------
+#
+# A config class is documented either by a table whose header row starts
+# `| knob | default |` under a heading that names the class in
+# backticks, or by a fenced python block made of nothing but
+# `XConfig(field=default, ...)` calls.  Either way the documented names
+# are exactly the dataclass's fields and each default its default.
+
+DOCUMENTED_CONFIGS = {
+    "CacheConfig", "LiveReplayConfig", "ResilienceConfig",
+    "SupervisionConfig", "OverloadConfig", "RrlConfig", "CookieConfig",
+    "AdmissionConfig"}
+
+
+def _documented_knobs():
+    """``(doc, class name, {field: default})`` per table or block."""
+    for doc in sorted((ROOT / "docs").glob("*.md")):
+        body = doc.read_text(encoding="utf-8")
+        for heading, table in re.findall(
+                r"^#+ [^\n]*`(\w+Config)`[^\n]*\n(?:(?!^#)[^\n]*\n)*?"
+                r"\| knob \| default \|[^\n]*\n\|[-| ]+\n((?:\|[^\n]*\n)+)",
+                body, re.M):
+            rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", table, re.M)
+            assert len(rows) == table.count("\n"), (doc.name, heading)
+            yield doc.name, heading, {
+                name: ast.literal_eval(default) for name, default in rows}
+        for block in re.findall(r"```python\n(.*?)```", body, re.S):
+            try:
+                statements = ast.parse(block).body
+            except SyntaxError:
+                continue                    # elided (`…`) example code
+            calls = [s.value for s in statements
+                     if isinstance(s, ast.Expr)
+                     and isinstance(s.value, ast.Call)
+                     and isinstance(s.value.func, ast.Name)
+                     and s.value.func.id.endswith("Config")]
+            if not calls or len(calls) != len(statements):
+                continue                    # an example, not a reference
+            for call in calls:
+                assert not call.args, (doc.name, call.func.id)
+                yield doc.name, call.func.id, {
+                    k.arg: ast.literal_eval(k.value) for k in call.keywords}
+
+
+def test_documented_knobs_are_the_dataclass_fields():
+    import repro
+    seen = set()
+    for doc, name, documented in _documented_knobs():
+        seen.add(name)
+        actual = {f.name: f.default
+                  for f in dataclasses.fields(getattr(repro, name))}
+        assert documented == actual, (doc, name)
+    assert seen == DOCUMENTED_CONFIGS

@@ -110,7 +110,7 @@ def test_frame_mode_matches_record_mode(records):
     hypothesis)."""
     from repro.trace.pipeline import PipelineContext, _CompiledChain
     data = trace_to_binary(Trace(records))
-    keep_all = FilterRecords(always_true, "")
+    keep_all = FilterRecords(always_true)
     assert _CompiledChain(CHAIN, PipelineContext(), False).frame_mode
     assert not _CompiledChain(CHAIN + (keep_all,), PipelineContext(),
                               False).frame_mode
