@@ -39,7 +39,7 @@ raise :class:`InvariantViolation` with every failed check listed.
 from __future__ import annotations
 
 from repro.dns.constants import Flag
-from repro.dns.message import Message
+from repro.dns.message import Edns, Message
 from repro.dns.wire import WireError
 from repro.obs.report import counter_state
 
@@ -259,12 +259,13 @@ class InvariantChecker:
         self.id_checks = 0
 
     def attach(self) -> None:
+        from repro.server.recursive import RecursiveResolver
         from repro.server.responder import DnsResponder
         for querier in self.engine.queriers:
             querier.check = self
         for host in self.engine.sim.hosts.values():
             for app in host.apps:
-                if isinstance(app, DnsResponder):
+                if isinstance(app, (DnsResponder, RecursiveResolver)):
                     app.check = self
 
     # -- send-time hook -----------------------------------------------------
@@ -334,6 +335,63 @@ class InvariantChecker:
                 f"server: precompiled response to {wire.hex()} differs "
                 f"from the plain engine's: {entry.body.hex()} != "
                 f"{expected[0].body.hex() if expected else None}")
+
+    # -- the resolver's wire path vs the full codec (docs/RECURSIVE.md) -----
+
+    def on_resolver_question(self, resolver, wire: bytes,
+                             fields: tuple) -> None:
+        """The resolver read *fields* ``(msg_id, rd, qname, qtype,
+        qclass, (payload, do) | None)`` off a stub query with
+        ``read_question``: the full decoder must say the same."""
+        read = fields[:2] + (fields[2].labels,) + fields[3:]
+        try:
+            query = Message.from_wire(wire)
+        except WireError as exc:
+            raise InvariantViolation(
+                f"resolver: question read off {wire.hex()} as {read} but "
+                f"the message does not parse ({exc})") from exc
+        question, edns = query.question, query.edns
+        decoded = question and (
+            query.msg_id, bool(query.flags & Flag.RD), question.qname.labels,
+            question.qtype, question.qclass,
+            edns and (edns.payload, edns.do))
+        if read != decoded or query.opcode or query.is_response:
+            raise InvariantViolation(
+                f"resolver: question read off {wire.hex()} as {read} but "
+                f"the decoded message says {decoded}")
+
+    def on_upstream_query(self, resolver, qname, qtype: int, msg_id: int,
+                          wire: bytes) -> None:
+        """*wire* is about to ask an upstream server for *qname*/*qtype*
+        under *msg_id*: it must be what the full encoder makes of it."""
+        expected = Message.make_query(
+            qname, qtype, msg_id=msg_id, rd=False,
+            edns=Edns(payload=resolver.edns_payload)).to_wire()
+        if wire != expected:
+            raise InvariantViolation(
+                f"resolver: upstream query bytes for {qname} id {msg_id} "
+                f"differ from the full encoder's: {wire.hex()} != "
+                f"{expected.hex()}")
+
+    def on_resolver_reply(self, resolver, query_wire: bytes, result,
+                          wire: bytes) -> None:
+        """*wire* is the resolver's one-step reply to the stub query
+        *query_wire* with *result*: the decoded query's skeleton
+        response, filled in and encoded, must be the same bytes."""
+        query = Message.from_wire(query_wire)
+        response = query.make_response()
+        response.flags |= Flag.RA
+        response.rcode = result.rcode
+        response.answer = result.answer
+        response.authority = result.authority
+        limit = 512
+        if query.edns is not None:
+            limit = min(resolver.edns_payload, max(512, query.edns.payload))
+        expected = response.to_wire(max_size=limit)
+        if wire != expected:
+            raise InvariantViolation(
+                f"resolver: reply to {query_wire.hex()} differs from the "
+                f"two-message reference: {wire.hex()} != {expected.hex()}")
 
     # -- scans --------------------------------------------------------------
 

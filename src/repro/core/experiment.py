@@ -200,7 +200,7 @@ class RecursiveExperiment:
     def run(self, trace: Trace, until: float | None = None,
             extra_time: float | None = None) -> ExperimentResult:
         # Stub queries must request recursion.
-        stub_trace = Trace([r.with_(rd=True) for r in trace],
+        stub_trace = Trace([r if r.rd else r.with_(rd=True) for r in trace],
                            name=trace.name)
         report = self.backend.run(stub_trace, extra_time=extra_time,
                                   until=until)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.dns.constants import (DEFAULT_EDNS_PAYLOAD, EDNS_DO, MAX_LABEL,
@@ -145,9 +146,96 @@ def read_question(wire: bytes):
     elif opt or wire[10:12] != b"\x00\x00":
         return None
     labels = tuple(labels)
-    qname = Name._trusted(labels, tuple(label.lower() for label in labels))
+    qname = Name._trusted(labels, tuple(map(bytes.lower, labels)))
     return (bool(wire[2] & 0x01), qname, wire[pos + 1] << 8 | wire[pos + 2],
             wire[pos + 3] << 8 | wire[pos + 4], end, edns)
+
+
+# A plain query after its id: flags (RD or nothing), QDCOUNT 1, ANCOUNT
+# 0, NSCOUNT 0, ARCOUNT (the OPT); then the question, then the OPT.
+_QUERY_HEADERS = {(rd, edns): struct.pack("!5H", Flag.RD if rd else 0,
+                                          1, 0, 0, edns)
+                  for rd in (False, True) for edns in (False, True)}
+_QUESTION_END = struct.Struct("!BHH")   # root label, qtype, qclass
+_OPT = struct.Struct("!BHHIH")  # root, OPT, payload, ttl (DO), no options
+OPT_SIZE = _OPT.size            # an option-less OPT record: 11 bytes
+
+
+def plain_query(qname: Name, qtype: int, qclass: int, rd: bool,
+                edns: tuple[int, bool] | None) -> bytes:
+    """:func:`read_question`'s inverse: the bytes of
+    ``Message.make_query(...).to_wire()`` after the two id bytes, *edns*
+    being ``(payload, do)`` for an option-less OPT.  Assembled, not
+    encoded: a question name is never compressed, so a plain query is a
+    fixed header, the length-prefixed labels, qtype/qclass and, with
+    EDNS, one fixed 11-byte OPT.  Whoever sends these bytes holds them to
+    the full encoder under ``ReplayConfig(check=True)``."""
+    tail = bytearray(_QUERY_HEADERS[bool(rd), edns is not None])
+    for label in qname.labels:
+        tail.append(len(label))
+        tail += label
+    tail += _QUESTION_END.pack(0, qtype & 0xFFFF, qclass & 0xFFFF)
+    if edns is not None:
+        tail += _OPT.pack(0, RRType.OPT, edns[0] & 0xFFFF,
+                          EDNS_DO if edns[1] else 0, 0)
+    return bytes(tail)
+
+
+# Header fields the decoder hands out as enum members, by value: a
+# lookup, not an enum call per message.
+_OPCODES = {int(opcode): opcode for opcode in Opcode}
+_FLAG_MASK = 0x87F0             # the flags word minus opcode and rcode
+_FLAGS = {bits: Flag(bits) for bits in range(0, 0x10000, 0x10)
+          if not bits & ~_FLAG_MASK}
+_TC = int(Flag.TC)
+
+
+def encode(msg_id: int, flags_word: int, question: Question | None,
+           answer, authority, additional, edns: Edns | None,
+           max_size: int, notes: list | None) -> bytes:
+    """The one encoder, under :meth:`Message.to_wire` and for a caller
+    that holds a response's parts and no :class:`Message` (the recursive
+    resolver's reply).  *flags_word* is the header's second word: flags,
+    opcode and the rcode's low four bits.  *max_size* and *notes* as in
+    ``to_wire``."""
+    wire = _encode(msg_id, flags_word, question,
+                   (answer, authority, additional), edns, notes)
+    if max_size and len(wire) > max_size:
+        wire = _encode(msg_id, flags_word | _TC, question, (), edns, None)
+    return wire
+
+
+def _encode(msg_id, flags_word, question, sections, edns, notes) -> bytes:
+    writer = WireWriter(notes)
+    counts = [0, 0, 0]
+    for i, section in enumerate(sections):
+        for rrset in section:
+            counts[i] += len(rrset.rdatas)
+    writer.header(msg_id, flags_word, 1 if question else 0, counts[0],
+                  counts[1], counts[2] + (edns is not None))
+    if question:
+        writer.name(question.qname)
+        writer.u16(question.qtype)
+        writer.u16(question.qclass)
+    for section in sections:
+        for rrset in section:
+            name, rtype = rrset.name, rrset.rtype
+            rclass, ttl = rrset.rclass, rrset.ttl
+            for rdata in rrset.rdatas:
+                writer.name(name)
+                start = writer.rr_fixed(rtype, rclass, ttl)
+                rdata.write(writer)
+                writer.patch_u16(start - 2, len(writer) - start)
+    if edns is not None:
+        # The OPT pseudo-record: root owner, payload as class, extended
+        # rcode / version / DO as ttl, options as rdata.
+        writer.u8(0)
+        ttl = (edns.ext_rcode & 0xFF) << 24 | (edns.version & 0xFF) << 16
+        start = writer.rr_fixed(RRType.OPT, edns.payload,
+                                ttl | EDNS_DO if edns.do else ttl)
+        writer.raw(edns.options)
+        writer.patch_u16(start - 2, len(edns.options))
+    return writer.getvalue()
 
 
 @dataclass
@@ -211,96 +299,40 @@ class Message:
         answer/authority/additional sections are dropped and TC set,
         mimicking UDP truncation behaviour of real servers.  *notes* is
         :class:`WireWriter`'s, filled by the untruncated encoding."""
-        wire = self._encode(notes)
-        if max_size and len(wire) > max_size:
-            truncated = Message(
-                msg_id=self.msg_id, opcode=self.opcode, rcode=self.rcode,
-                flags=self.flags | Flag.TC, question=self.question,
-                edns=self.edns)
-            wire = truncated._encode()
-        return wire
-
-    def _encode(self, notes: list | None = None) -> bytes:
-        writer = WireWriter(notes)
-        writer.u16(self.msg_id)
-        flags_word = (int(self.flags)
-                      | ((int(self.opcode) & 0xF) << 11)
-                      | (int(self.rcode) & 0xF))
-        writer.u16(flags_word)
-        writer.u16(1 if self.question else 0)
-        writer.u16(sum(len(r) for r in self.answer))
-        writer.u16(sum(len(r) for r in self.authority))
-        extra_count = sum(len(r) for r in self.additional)
-        if self.edns is not None:
-            extra_count += 1
-        writer.u16(extra_count)
-        if self.question:
-            writer.name(self.question.qname)
-            writer.u16(self.question.qtype)
-            writer.u16(self.question.qclass)
-        for section in (self.answer, self.authority, self.additional):
-            for rrset in section:
-                self._encode_rrset(writer, rrset)
-        if self.edns is not None:
-            self._encode_opt(writer, self.edns)
-        return writer.getvalue()
-
-    @staticmethod
-    def _encode_rrset(writer: WireWriter, rrset: RRset) -> None:
-        for rdata in rrset.rdatas:
-            writer.name(rrset.name)
-            writer.u16(rrset.rtype)
-            writer.u16(rrset.rclass)
-            writer.u32(rrset.ttl)
-            length_at = len(writer)
-            writer.u16(0)
-            start = len(writer)
-            rdata.write(writer)
-            writer.patch_u16(length_at, len(writer) - start)
-
-    def _encode_opt(self, writer: WireWriter, edns: Edns) -> None:
-        writer.name(Name.root(), compress=False)
-        writer.u16(RRType.OPT)
-        writer.u16(edns.payload)
-        ttl = ((edns.ext_rcode & 0xFF) << 24) | ((edns.version & 0xFF) << 16)
-        if edns.do:
-            ttl |= EDNS_DO
-        writer.u32(ttl)
-        writer.u16(len(edns.options))
-        writer.raw(edns.options)
+        return encode(self.msg_id,
+                      int(self.flags) | (self.opcode & 0xF) << 11
+                      | self.rcode & 0xF,
+                      self.question, self.answer, self.authority,
+                      self.additional, self.edns, max_size, notes)
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
         reader = WireReader(data)
-        msg_id = reader.u16()
-        flags_word = reader.u16()
-        counts = [reader.u16() for _ in range(4)]
-        message = cls(
-            msg_id=msg_id,
-            opcode=Opcode((flags_word >> 11) & 0xF)
-            if ((flags_word >> 11) & 0xF) in Opcode._value2member_map_
-            else (flags_word >> 11) & 0xF,
-            rcode=flags_word & 0xF,
-            flags=Flag(flags_word & 0x87F0))
-        if counts[0] > 1:
+        msg_id, flags_word, questions, *counts = reader.header()
+        opcode = (flags_word >> 11) & 0xF
+        message = cls(msg_id=msg_id, opcode=_OPCODES.get(opcode, opcode),
+                      rcode=flags_word & 0xF,
+                      flags=_FLAGS[flags_word & _FLAG_MASK])
+        if questions > 1:
             raise WireError("multi-question messages unsupported")
-        if counts[0]:
+        if questions:
             qname = reader.name()
             message.question = Question(qname, reader.u16(), reader.u16())
         sections = (message.answer, message.authority, message.additional)
-        for section, count in zip(sections, counts[1:]):
-            cls._decode_section(reader, section, count, message)
+        for section, count in zip(sections, counts):
+            if count:
+                cls._decode_section(reader, section, count, message)
         return message
 
     @staticmethod
     def _decode_section(reader: WireReader, section: list[RRset],
                         count: int, message: "Message") -> None:
+        # (owner, type, class) -> the section's RRset for it; an owner
+        # read through a pointer is the very Name read before.
+        rrsets: dict[tuple[Name, int, int], RRset] = {}
         for _ in range(count):
             name = reader.name()
-            rtype = reader.u16()
-            rclass = reader.u16()
-            ttl = reader.u32()
-            rdlength = reader.u16()
+            rtype, rclass, ttl, rdlength = reader.rr_fixed()
             if rtype == RRType.OPT:
                 options = reader.raw(rdlength)
                 message.edns = Edns(
@@ -312,13 +344,13 @@ class Message:
                 message.rcode = (((ttl >> 24) & 0xFF) << 4) | (message.rcode & 0xF)
                 continue
             rdata = Rdata.build(rtype, reader, rdlength)
-            for existing in section:
-                if (existing.name == name and existing.rtype == rtype
-                        and existing.rclass == rclass):
-                    existing.add(rdata)
-                    break
+            key = (name, rtype, rclass)
+            existing = rrsets.get(key)
+            if existing is not None:
+                existing.add(rdata)
             else:
-                section.append(RRset(name, rtype, ttl, [rdata], rclass))
+                rrsets[key] = rrset = RRset(name, rtype, ttl, [rdata], rclass)
+                section.append(rrset)
 
     def wire_size(self, max_size: int = 0) -> int:
         return len(self.to_wire(max_size))

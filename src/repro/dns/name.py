@@ -226,7 +226,8 @@ class Name:
 
     def wire_length(self) -> int:
         """Uncompressed wire-format length in bytes."""
-        return 1 + sum(1 + len(label) for label in self.labels)
+        labels = self.labels
+        return 1 + len(labels) + sum(map(len, labels))
 
 
 _ROOT = Name(())

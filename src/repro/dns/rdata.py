@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import ipaddress
 from dataclasses import dataclass
 from typing import ClassVar
@@ -48,6 +49,11 @@ class Rdata:
         self.write(writer)
         return writer.getvalue()
 
+    def wire_size(self) -> int:
+        """``len(self.to_wire())``; types that know it say so without
+        encoding."""
+        return len(self.to_wire())
+
     # -- presentation --------------------------------------------------
 
     def to_text(self) -> str:
@@ -65,11 +71,11 @@ class Rdata:
 
     @staticmethod
     def build(rtype: int, reader: WireReader, rdlength: int) -> "Rdata":
-        cls = Rdata.class_for(rtype)
+        cls = _REGISTRY.get(rtype)
         end = reader.pos + rdlength
         if end > len(reader.data):
             raise WireError("RDLENGTH runs past end of message")
-        if cls is GenericRdata:
+        if cls is None:
             return GenericRdata(rtype, reader.raw(rdlength))
         rdata = cls.read(reader, rdlength)
         if reader.pos != end:
@@ -125,6 +131,26 @@ class GenericRdata(Rdata):
         return cls(rtype, data)
 
 
+# Distinct address texts whose packed form is kept: a bound on memory;
+# a zone's or a resolver's addresses repeat far more often than that.
+ADDRESS_MEMO = 4096
+
+
+@functools.lru_cache(maxsize=ADDRESS_MEMO)
+def _packed(kind: type, address: str) -> bytes:
+    """``kind(address).packed`` (raising what it raises), parsed once
+    per distinct text instead of once per record written."""
+    return kind(address).packed
+
+
+@functools.lru_cache(maxsize=ADDRESS_MEMO)
+def _v6_text(packed: bytes) -> str:
+    """The canonical text of 16 address bytes, as ``from_text`` makes it
+    (so whatever this Python's ``ipaddress`` prints), once per distinct
+    address."""
+    return str(ipaddress.IPv6Address(packed))
+
+
 @register
 @dataclass(frozen=True)
 class A(Rdata):
@@ -132,11 +158,14 @@ class A(Rdata):
     address: str
 
     def write(self, writer: WireWriter) -> None:
-        writer.raw(ipaddress.IPv4Address(self.address).packed)
+        writer.raw(_packed(ipaddress.IPv4Address, self.address))
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "A":
-        return cls(str(ipaddress.IPv4Address(reader.raw(4))))
+        return cls("%d.%d.%d.%d" % tuple(reader.raw(4)))
+
+    def wire_size(self) -> int:
+        return 4
 
     def to_text(self) -> str:
         return self.address
@@ -153,11 +182,14 @@ class AAAA(Rdata):
     address: str
 
     def write(self, writer: WireWriter) -> None:
-        writer.raw(ipaddress.IPv6Address(self.address).packed)
+        writer.raw(_packed(ipaddress.IPv6Address, self.address))
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "AAAA":
-        return cls(str(ipaddress.IPv6Address(reader.raw(16))))
+        return cls(_v6_text(reader.raw(16)))
+
+    def wire_size(self) -> int:
+        return 16
 
     def to_text(self) -> str:
         return self.address
@@ -182,6 +214,9 @@ class _SingleName(Rdata):
     @classmethod
     def read(cls, reader: WireReader, rdlength: int):
         return cls(reader.name())
+
+    def wire_size(self) -> int:
+        return self.target.wire_length()    # alone, nothing to point at
 
     def to_text(self) -> str:
         return self.target.to_text()

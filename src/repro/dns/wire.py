@@ -12,6 +12,11 @@ import struct
 from repro.dns.constants import MAX_NAME_WIRE
 from repro.dns.name import Name
 
+_HEADER = struct.Struct("!6H")      # id, flags word, four section counts
+_RR_FIXED = struct.Struct("!HHIH")  # type, class, ttl, rdlength
+_U16 = struct.Struct("!H")
+_ROOT = Name.root()
+
 
 class WireError(ValueError):
     """Raised on malformed wire-format data."""
@@ -67,32 +72,45 @@ class WireWriter:
 
     def patch_u16(self, offset: int, value: int) -> None:
         """Overwrite two bytes at *offset* (used for RDLENGTH back-patch)."""
-        self._buf[offset:offset + 2] = struct.pack("!H", value & 0xFFFF)
+        _U16.pack_into(self._buf, offset, value & 0xFFFF)
+
+    def header(self, msg_id: int, flags_word: int, qd: int, an: int,
+               ns: int, ar: int) -> None:
+        """The 12-byte header in one pack."""
+        self._buf += _HEADER.pack(msg_id & 0xFFFF, flags_word & 0xFFFF,
+                                  qd, an & 0xFFFF, ns & 0xFFFF, ar & 0xFFFF)
+
+    def rr_fixed(self, rtype: int, rclass: int, ttl: int) -> int:
+        """The ten fixed bytes after an owner name in one pack, RDLENGTH
+        zero; returns where the RDATA starts (RDLENGTH is the two bytes
+        before, for :meth:`patch_u16`)."""
+        self._buf += _RR_FIXED.pack(rtype & 0xFFFF, rclass & 0xFFFF,
+                                    ttl & 0xFFFFFFFF, 0)
+        return len(self._buf)
 
     # -- names ---------------------------------------------------------
 
     def name(self, name: Name, compress: bool = True) -> None:
         """Write *name*, emitting a compression pointer when a suffix of
         it has already been written at a pointer-reachable offset."""
-        labels = name.labels
+        buf, offsets = self._buf, self._offsets
         key = name.folded
-        start = len(self._buf)
+        start = len(buf)
         pointer_at = -1
-        for i in range(len(labels)):
+        for i, label in enumerate(name.labels):
             suffix = key[i:]
-            offset = self._offsets.get(suffix) if compress else None
+            offset = offsets.get(suffix) if compress else None
             if offset is not None:
-                pointer_at = len(self._buf)
-                self.u16(POINTER_FLAG | offset)
+                pointer_at = len(buf)
+                buf += _U16.pack(POINTER_FLAG | offset)
                 break
-            here = len(self._buf)
+            here = len(buf)
             if here <= MAX_POINTER_OFFSET:
-                self._offsets.setdefault(suffix, here)
-            label = labels[i]
-            self._buf.append(len(label))
-            self._buf += label
+                offsets.setdefault(suffix, here)
+            buf.append(len(label))
+            buf += label
         else:
-            self._buf.append(0)
+            buf.append(0)
         if self._notes is not None:
             self._notes.append((start, key, pointer_at))
 
@@ -101,8 +119,14 @@ class WireReader:
     """Cursor over a received DNS message."""
 
     def __init__(self, data: bytes) -> None:
-        self.data = data
+        # Labels are slices of *data* and end up hashed inside a Name.
+        self.data = data if type(data) is bytes else bytes(data)
         self.pos = 0
+        # offset -> (name, its wire length): every name read so far, by
+        # where it starts and by each pointer target on the way, so a
+        # pointer to one (an owner equal to the qname, a glue owner) is
+        # a lookup and the Name is shared.
+        self._names: dict[int, tuple[Name, int]] = {}
 
     def remaining(self) -> int:
         return len(self.data) - self.pos
@@ -121,7 +145,7 @@ class WireReader:
 
     def u16(self) -> int:
         self._need(2)
-        (value,) = struct.unpack_from("!H", self.data, self.pos)
+        (value,) = _U16.unpack_from(self.data, self.pos)
         self.pos += 2
         return value
 
@@ -137,30 +161,56 @@ class WireReader:
         self.pos += n
         return value
 
+    def header(self) -> tuple[int, int, int, int, int, int]:
+        """``(id, flags word, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT)``."""
+        self._need(_HEADER.size)
+        fields = _HEADER.unpack_from(self.data, self.pos)
+        self.pos += _HEADER.size
+        return fields
+
+    def rr_fixed(self) -> tuple[int, int, int, int]:
+        """``(type, class, ttl, rdlength)`` after an owner name."""
+        self._need(_RR_FIXED.size)
+        fields = _RR_FIXED.unpack_from(self.data, self.pos)
+        self.pos += _RR_FIXED.size
+        return fields
+
     def name(self) -> Name:
         """Read a possibly-compressed name starting at the cursor."""
+        data = self.data
+        end = len(data)
+        names = self._names
+        pos = self.pos
         labels: list[bytes] = []
         size = 1                # the root byte
-        pos = self.pos
+        # (offset, labels read before it): where this name, and each
+        # suffix of it a pointer led to, starts.
+        marks = [(pos, 0)]
         jumped = False
-        seen: set[int] = set()
         while True:
-            if pos in seen:
-                raise WireError("compression pointer loop")
-            seen.add(pos)
-            if pos >= len(self.data):
+            if pos >= end:
                 raise WireError("name runs past end of message")
-            length = self.data[pos]
+            length = data[pos]
             if length & POINTER_MASK == POINTER_MASK:
-                if pos + 1 >= len(self.data):
+                if pos + 1 >= end:
                     raise WireError("truncated compression pointer")
-                target = ((length & ~POINTER_MASK & 0xFF) << 8) \
-                    | self.data[pos + 1]
+                target = (length & 0x3F) << 8 | data[pos + 1]
                 if not jumped:
                     self.pos = pos + 2
                     jumped = True
                 if target >= pos:
                     raise WireError("forward compression pointer")
+                known = names.get(target)
+                if known is not None:
+                    tail, tail_size = known
+                    size += tail_size - 1
+                    break
+                # Each jump lands strictly below its pointer, so a loop
+                # has to come back up through labels to a mark.
+                for mark, _ in marks:
+                    if mark == target:
+                        raise WireError("compression pointer loop")
+                marks.append((target, len(labels)))
                 pos = target
                 continue
             if length & POINTER_MASK:
@@ -168,12 +218,30 @@ class WireReader:
             if length == 0:
                 if not jumped:
                     self.pos = pos + 1
+                tail = _ROOT
                 break
-            if pos + 1 + length > len(self.data):
+            pos += 1 + length
+            if pos > end:
                 raise WireError("label runs past end of message")
             size += 1 + length
-            if size > MAX_NAME_WIRE:    # Name() would raise NameError_
-                raise WireError(f"name longer than {MAX_NAME_WIRE} bytes")
-            labels.append(self.data[pos + 1:pos + 1 + length])
-            pos += 1 + length
-        return Name(labels)
+            if size > MAX_NAME_WIRE:
+                break
+            labels.append(data[pos - length:pos])
+        if size > MAX_NAME_WIRE:        # a memoised tail counts too
+            raise WireError(f"name longer than {MAX_NAME_WIRE} bytes")
+        if not labels:
+            name = tail
+        else:
+            # The limits _validate_labels checks are enforced above.
+            labels = tuple(labels)
+            name = Name._trusted(
+                labels + tail.labels,
+                tuple(map(bytes.lower, labels)) + tail.folded)
+        for mark, before in marks:
+            if before == 0:
+                names[mark] = (name, size)
+            else:
+                names[mark] = (
+                    Name._trusted(name.labels[before:], name.folded[before:]),
+                    size - before - sum(map(len, labels[:before])))
+        return name

@@ -117,13 +117,11 @@ class _PositiveEntry:
         self.hits = 0
 
 
-def _name_size(name: Name) -> int:
-    return sum(len(label) + 1 for label in name.labels) + 1
-
-
 def _rrset_size(rrset: RRset) -> int:
-    return (_name_size(rrset.name)
-            + sum(len(rdata.to_wire()) + 16 for rdata in rrset.rdatas))
+    size = rrset.name.wire_length()
+    for rdata in rrset.rdatas:
+        size += rdata.wire_size() + 16
+    return size
 
 
 _POS = 0
@@ -338,7 +336,7 @@ class DnsCache:
             ttl = min(soa.ttl, soa.rdatas[0].minimum)
         if ttl <= 0:
             return
-        size = ENTRY_OVERHEAD + _name_size(name) \
+        size = ENTRY_OVERHEAD + name.wire_length() \
             + (_rrset_size(soa) if soa is not None else 0)
         self._store((_NEG, name, int(rtype)), NegativeEntry(
             nxdomain=nxdomain, soa=soa, expires=now + ttl, size=size))

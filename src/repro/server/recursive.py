@@ -14,6 +14,12 @@ in a :class:`~repro.server.cache.DnsCache` (bounded LRU, serve-stale,
 refresh-ahead prefetch — docs/RECURSIVE.md), chases CNAMEs, fetches
 missing glue across every NS candidate, retries on timeout, and returns
 SERVFAIL when it runs out of options.
+
+Only upstream *responses* go through the full decoder.  A plain stub
+query's question is read off the wire, upstream queries are assembled
+from bytes, and the stub's reply is one :func:`repro.dns.message.encode`
+call; ``ReplayConfig(check=True)`` holds all three to the full codec
+(docs/RECURSIVE.md, "Wire path").
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.dns.constants import (DEFAULT_EDNS_PAYLOAD, DNS_PORT, Flag,
-                                 Rcode, RRType)
-from repro.dns.message import Edns, Message
+                                 Rcode, RRClass, RRType)
+from repro.dns.message import (HEADER_SIZE, OPT_SIZE, Edns, Message,
+                               Question, encode, plain_query, read_question)
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
 from repro.dns.wire import WireError
+from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
 from repro.obs.report import counter_state, zero_counters
 from repro.server.cache import CacheConfig, DnsCache
@@ -39,6 +47,13 @@ QUERY_TIMEOUT = 0.8
 MAX_TRIES = 6
 
 ResolveCallback = Callable[[Message], None]
+
+# A stub reply's flags word before opcode and rcode, by the query's RD;
+# its OPT, by the query's DO (shared, never written to).
+_REPLY_FLAGS = {rd: int(Flag.QR | Flag.RA | (Flag.RD if rd else 0))
+                for rd in (False, True)}
+_REPLY_EDNS = {do: Edns(do=do) for do in (False, True)}
+_QR = Flag.QR
 
 
 @dataclass
@@ -52,8 +67,8 @@ class _Pending:
     """One in-flight upstream query."""
 
     msg_id: int
-    qname: Name
-    qtype: int
+    wire: bytes             # the query as sent
+    question: bytes         # its question section, for _answers
     server_addr: str
     on_response: Callable[[Message], None]
     on_timeout: Callable[[], None]
@@ -77,6 +92,16 @@ class _Resolution:
     answer_sections: list[RRset] = field(default_factory=list)
     servers: list[str] = field(default_factory=list)
     server_index: int = 0
+
+
+def _answers(wire: bytes, pending: _Pending) -> bool:
+    """*wire* is a response under *pending*'s id whose one question is,
+    byte for byte (so in the case sent), the one asked — read off the
+    header and one slice, before any decoding."""
+    return (len(wire) >= HEADER_SIZE
+            and wire[0] << 8 | wire[1] == pending.msg_id
+            and wire[2] & 0x80 and wire[4:6] == b"\x00\x01"
+            and wire.startswith(pending.question, HEADER_SIZE))
 
 
 class RecursiveResolver:
@@ -106,6 +131,9 @@ class RecursiveResolver:
             self.cache = DnsCache(cache)
         self.cache.on_refresh = self._schedule_refresh
         self.edns_payload = DEFAULT_EDNS_PAYLOAD    # advertised upstream
+        # ReplayConfig(check=True): InvariantChecker holds what is read
+        # and assembled at wire level here to the full codec.
+        self.check = None
         zero_counters(self)
         self._msg_ids = itertools.count(1)
         # Upstream message-id space; tests shrink it to force wrap.
@@ -132,32 +160,52 @@ class RecursiveResolver:
 
     def _on_client_query(self, payload: bytes, src: str,
                          sport: int) -> None:
-        try:
-            query = Message.from_wire(payload)
-        except WireError:
-            return
-        if query.question is None or query.is_response:
-            return
+        plain = read_question(payload)
+        if plain is not None:
+            rd, qname, qtype, qclass, _, edns = plain
+            msg_id, opcode = payload[0] << 8 | payload[1], 0
+            if self.check is not None:
+                self.check.on_resolver_question(
+                    self, payload, (msg_id, rd, qname, qtype, qclass, edns))
+        else:
+            # Whatever read_question declines is the full decoder's to
+            # judge (the server's rule, docs/RECURSIVE.md).
+            try:
+                query = Message.from_wire(payload)
+            except WireError:
+                return
+            if query.question is None or query.is_response:
+                return
+            msg_id, opcode = query.msg_id, query.opcode
+            rd = bool(query.flags & Flag.RD)
+            qname, qtype = query.question.qname, query.question.qtype
+            qclass = query.question.qclass
+            edns = None if query.edns is None else (query.edns.payload,
+                                                    query.edns.do)
         self.client_queries += 1
 
         # RFC 6891 §6.2.5: a stub that advertised no EDNS gets at most
         # 512 bytes (oversized answers truncate with TC=1); with EDNS
         # we honour its payload up to our own limit.
-        if query.edns is not None:
-            limit = min(self.edns_payload, max(512, query.edns.payload))
+        if edns is not None:
+            limit = min(self.edns_payload, max(512, edns[0]))
+            opt = _REPLY_EDNS[edns[1]]
         else:
-            limit = 512
+            limit, opt = 512, None
+        question = Question(qname, qtype, qclass)
+        flags_word = _REPLY_FLAGS[rd] | (opcode & 0xF) << 11
 
         def reply(result: Message) -> None:
-            response = query.make_response()
-            response.flags |= Flag.RA
-            response.rcode = result.rcode
-            response.answer = result.answer
-            response.authority = result.authority
-            self._client_sock.sendto(response.to_wire(max_size=limit),
-                                     src, sport)
+            # The query's id, question, opcode and RD echoed, RA set,
+            # the result's rcode and sections: encoded in one step.
+            wire = encode(msg_id, flags_word | result.rcode & 0xF, question,
+                          result.answer, result.authority, (), opt, limit,
+                          None)
+            if self.check is not None:
+                self.check.on_resolver_reply(self, payload, result, wire)
+            self._client_sock.sendto(wire, src, sport)
 
-        self.resolve(query.question.qname, query.question.qtype, reply)
+        self.resolve(qname, qtype, reply)
 
     # -- public API -----------------------------------------------------------
 
@@ -214,10 +262,10 @@ class RecursiveResolver:
     def _finish(self, state: _Resolution, rcode: int,
                 answers: list[RRset] | None = None,
                 authority: list[RRset] | None = None) -> None:
-        result = Message(rcode=rcode, flags=Flag.QR)
-        result.answer = state.answer_sections + list(answers or [])
-        result.authority = list(authority or [])
-        state.callback(result)
+        state.callback(Message(
+            rcode=rcode, flags=_QR,
+            answer=state.answer_sections + list(answers or []),
+            authority=list(authority or [])))
 
     def _servfail(self, state: _Resolution) -> None:
         # RFC 8767 serve-stale: before giving up, an expired-but-kept
@@ -316,17 +364,21 @@ class RecursiveResolver:
             # the resolution retries or SERVFAILs cleanly.
             self.host.scheduler.after(0.0, on_timeout)
             return
-        query = Message.make_query(
-            qname, qtype, msg_id=msg_id, rd=False,
-            edns=Edns(payload=self.edns_payload))
-        pending = _Pending(msg_id=msg_id, qname=qname, qtype=qtype,
+        # RD clear, our payload in an option-less OPT: assembled, not
+        # encoded (docs/RECURSIVE.md, "Wire path").
+        wire = msg_id.to_bytes(2, "big") + plain_query(
+            qname, qtype, RRClass.IN, False, (self.edns_payload, False))
+        pending = _Pending(msg_id=msg_id, wire=wire,
+                           question=wire[HEADER_SIZE:-OPT_SIZE],
                            server_addr=server_addr,
                            on_response=on_response, on_timeout=on_timeout)
         pending.timer = self.host.scheduler.after(
             QUERY_TIMEOUT, self._timeout, msg_id)
         self._pending[msg_id] = pending
         self.upstream_queries += 1
-        self._upstream_sock.sendto(query.to_wire(), server_addr, DNS_PORT)
+        if self.check is not None:
+            self.check.on_upstream_query(self, qname, qtype, msg_id, wire)
+        self._upstream_sock.sendto(wire, server_addr, DNS_PORT)
 
     def _timeout(self, msg_id: int) -> None:
         pending = self._pending.pop(msg_id, None)
@@ -335,17 +387,17 @@ class RecursiveResolver:
 
     def _on_upstream_response(self, payload: bytes, src: str,
                               sport: int) -> None:
+        pending = self._pending.get(int.from_bytes(payload[:2], "big"))
+        # RFC 5452: the reply must come from where we sent the query
+        # and be about what we asked.
+        if (pending is None or src != pending.server_addr
+                or not _answers(payload, pending)):
+            return
         try:
             message = Message.from_wire(payload)
         except WireError:
             return
-        pending = self._pending.get(message.msg_id)
-        if pending is None or not message.is_response:
-            return
-        # RFC 5452 sanity: the reply must come from where we sent it.
-        if src != pending.server_addr:
-            return
-        del self._pending[message.msg_id]
+        del self._pending[pending.msg_id]
         if pending.timer is not None:
             pending.timer.cancel()
         if message.flags & Flag.TC:
@@ -358,15 +410,11 @@ class RecursiveResolver:
 
     def _send_upstream_tcp(self, pending: _Pending) -> None:
         """Re-ask one truncated exchange over a fresh TCP connection."""
-        from repro.netsim.framing import LengthPrefixFramer, frame_message
-        query = Message.make_query(
-            pending.qname, pending.qtype, msg_id=pending.msg_id, rd=False,
-            edns=Edns(payload=self.edns_payload))
         conn = self.host.tcp_connect(pending.server_addr, DNS_PORT)
         done = {"answered": False}
 
         def on_message(wire: bytes) -> None:
-            if done["answered"]:
+            if done["answered"] or not _answers(wire, pending):
                 return
             try:
                 message = Message.from_wire(wire)
@@ -388,7 +436,7 @@ class RecursiveResolver:
 
         framer = LengthPrefixFramer(on_message)
         conn.on_data = framer.feed
-        conn.send(frame_message(query.to_wire()))
+        conn.send(frame_message(pending.wire))
         timer = self.host.scheduler.after(QUERY_TIMEOUT * 2, on_timeout)
 
     # -- response classification ---------------------------------------------------

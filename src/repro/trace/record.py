@@ -8,12 +8,11 @@ back into a wire-format query by a querier.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from repro.dns.constants import EDNS_DO, Flag, RRClass, RRType
-from repro.dns.message import Edns, Message
+from repro.dns.constants import RRClass, RRType
+from repro.dns.message import Edns, Message, plain_query
 from repro.dns.name import Name
 
 PROTOCOLS = ("udp", "tcp", "tls", "quic")
@@ -21,15 +20,6 @@ PROTOCOLS = ("udp", "tcp", "tls", "quic")
 # bound on memory, not a tuning knob — a trace of any length costs at
 # most this many short byte strings.
 QUERY_WIRE_MEMO = 4096
-
-
-# A plain query after its id: flags (RD or nothing), QDCOUNT 1, ANCOUNT
-# 0, NSCOUNT 0, ARCOUNT (the OPT); then the question, then the OPT.
-_HEADER_TAILS = {(rd, edns): struct.pack("!5H", Flag.RD if rd else 0,
-                                         1, 0, 0, edns)
-                 for rd in (False, True) for edns in (False, True)}
-_QUESTION_END = struct.Struct("!BHH")   # root label, qtype, qclass
-_OPT = struct.Struct("!BHHIH")  # root, OPT, payload, ttl (DO), no options
 
 
 @lru_cache(maxsize=QUERY_WIRE_MEMO)
@@ -41,21 +31,12 @@ def _query_tail(qname: str, qtype: int, qclass: int, rd: bool, do: bool,
     the generator does almost no per-query work).
 
     A miss (B-Root's junk names are unique) assembles the bytes of
-    ``QueryRecord.to_message().to_wire()`` directly: a question name is
-    never compressed, so a plain query is a fixed header, the
-    length-prefixed labels, qtype/qclass and, with EDNS, one fixed
-    11-byte OPT.  ``InvariantChecker.on_query_wire`` holds the two
-    equal under ``check=True``."""
-    edns = bool(edns_payload or do)
-    tail = bytearray(_HEADER_TAILS[bool(rd), edns])
-    for label in Name.from_text(qname).labels:
-        tail.append(len(label))
-        tail += label
-    tail += _QUESTION_END.pack(0, qtype & 0xFFFF, qclass & 0xFFFF)
-    if edns:
-        tail += _OPT.pack(0, RRType.OPT, (edns_payload or 4096) & 0xFFFF,
-                          EDNS_DO if do else 0, 0)
-    return bytes(tail)
+    ``QueryRecord.to_message().to_wire()`` directly
+    (:func:`repro.dns.message.plain_query`);
+    ``InvariantChecker.on_query_wire`` holds the two equal under
+    ``check=True``."""
+    edns = (edns_payload or 4096, do) if edns_payload or do else None
+    return plain_query(Name.from_text(qname), qtype, qclass, rd, edns)
 
 
 @dataclass(frozen=True)

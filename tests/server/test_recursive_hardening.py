@@ -6,14 +6,16 @@ wiring through the resolver."""
 import pytest
 
 from repro.dns.constants import Flag, Rcode, RRType
-from repro.dns.message import Edns, Message
+from repro.dns.message import Edns, Message, Question
 from repro.dns.name import Name
 from repro.dns.rdata import A, CNAME, NS
 from repro.dns.rrset import RRset
 from repro.dns.zone import Zone, make_soa
-from repro.netsim import LinkParams, Simulator
+from repro.netsim import (LengthPrefixFramer, LinkParams, Simulator,
+                          frame_message)
 from repro.server import (AuthoritativeServer, CacheConfig,
                           RecursiveResolver, RootHint)
+from repro.server.recursive import MAX_TRIES, QUERY_TIMEOUT
 
 from tests.server.helpers import (EXAMPLE_NS_ADDR, ROOT_NS_ADDR,
                                   COM_NS_ADDR, make_com_zone,
@@ -378,3 +380,107 @@ def test_prefetch_refreshes_hot_entry_before_expiry():
 def test_resolver_registers_as_host_app():
     sim, resolver = hierarchy_world()
     assert resolver in resolver.host.apps
+
+# -- upstream replies must answer what was asked (PR 22) ----------------------
+
+VICTIM = RRset(N("victim.example."), RRType.A, 3600, [A("203.0.113.66")])
+
+
+def lying_world(udp_lies=(), tcp_frames=None):
+    """One root server fronted by a liar.  Over UDP the n-th query gets
+    ``udp_lies[n](query)`` instead of the honest answer while there are
+    lies left; over TCP every query gets ``tcp_frames(query, honest)``,
+    a list of messages, when given.  Returns the UDP queries seen."""
+    sim, resolver, _ = big_answer_world()
+    sim.network.unregister_address(BIG_ADDR)
+    honest = sim.hosts["root"].apps[0]      # answers, now off the net
+    host = sim.add_host("liar", [BIG_ADDR], LinkParams())
+    seen, lies = [], list(udp_lies)
+    sock = host.udp_socket(53)
+
+    def on_datagram(wire, src, sport):
+        seen.append(wire)
+        out = (lies.pop(0)(Message.from_wire(wire)).to_wire() if lies
+               else honest.reply_wire("udp", wire, src, sport))
+        sock.sendto(out, src, sport)
+
+    def on_connection(conn):
+        def on_message(wire):
+            answer = honest.reply_wire("tcp", wire, conn.raddr, conn.rport)
+            for out in tcp_frames(Message.from_wire(wire), answer):
+                conn.send(frame_message(out))
+        conn.on_data = LengthPrefixFramer(on_message).feed
+
+    sock.on_datagram = on_datagram
+    if tcp_frames is not None:
+        host.tcp_listen(53, on_connection)
+    return sim, resolver, seen
+
+
+def about(question_name, answer=VICTIM):
+    """A lie: the right id (and, sent by the liar, the right address),
+    an authoritative answer — about *question_name*."""
+    def lie(query):
+        return Message(msg_id=query.msg_id, flags=Flag.QR | Flag.AA,
+                       question=Question(N(question_name), RRType.A),
+                       answer=[answer], edns=Edns())
+    return lie
+
+
+def test_upstream_reply_about_another_name_is_dropped():
+    """Right id, right source address, wrong question: before PR 22 the
+    whole message went into the cache.  It is dropped like a reply from
+    the wrong address and the timer retries."""
+    sim, resolver, seen = lying_world([about("victim.example.")])
+    result = resolve(sim, resolver, "big.example.")
+    assert result.rcode == Rcode.NOERROR and len(result.answer[0]) == 60
+    assert len(seen) == 2 and sim.now >= QUERY_TIMEOUT
+    assert resolver.cache.get_rrset(VICTIM.name, RRType.A, sim.now) is None
+    assert not resolver._pending
+
+
+def test_upstream_reply_must_echo_the_question_in_the_case_sent():
+    honest = RRset(N("big.example."), RRType.A, 60, [A("10.7.0.1")])
+    sim, resolver, seen = lying_world([about("BIG.example.", honest)])
+    result = resolve(sim, resolver, "big.example.")
+    assert len(seen) == 2 and len(result.answer[0]) == 60
+
+
+def test_upstream_reply_without_a_question_is_dropped():
+    def bare(query):
+        return Message(msg_id=query.msg_id, flags=Flag.QR | Flag.AA,
+                       answer=[VICTIM])
+    sim, resolver, seen = lying_world([bare])
+    assert resolve(sim, resolver, "big.example.").rcode == Rcode.NOERROR
+    assert len(seen) == 2
+    assert resolver.cache.get_rrset(VICTIM.name, RRType.A, sim.now) is None
+
+
+def wrong_frames(query, answer):
+    """A response about another name, a frame under another id, the
+    query echoed back (QR clear): none of them the answer."""
+    other_id = ((query.msg_id + 1) & 0xFFFF).to_bytes(2, "big")
+    lie = about("victim.example.")(query).to_wire()
+    return [lie, other_id + lie[2:], query.to_wire()]
+
+
+def test_tcp_fallback_ignores_frames_that_do_not_answer():
+    """Before PR 22 the first framed message of the TC-fallback exchange
+    was cached and delivered whatever its id, QR bit or question."""
+    sim, resolver, _ = lying_world(
+        tcp_frames=lambda q, answer: wrong_frames(q, answer) + [answer])
+    resolver.edns_payload = 512         # the 60-address answer truncates
+    result = resolve(sim, resolver, "big.example.")
+    assert result.rcode == Rcode.NOERROR and len(result.answer[0]) == 60
+    assert resolver.stats["tcp_fallbacks"] == 1
+    assert resolver.cache.get_rrset(VICTIM.name, RRType.A, sim.now) is None
+
+
+def test_tcp_fallback_times_out_on_wrong_frames_alone():
+    sim, resolver, seen = lying_world(tcp_frames=wrong_frames)
+    resolver.edns_payload = 512
+    result = resolve(sim, resolver, "big.example.")
+    assert result.rcode == Rcode.SERVFAIL
+    assert len(seen) == resolver.stats["tcp_fallbacks"] == MAX_TRIES
+    assert resolver.cache.get_rrset(VICTIM.name, RRType.A, sim.now) is None
+    assert not resolver._pending
