@@ -37,8 +37,8 @@ should import::
 * :func:`authoritative_world` — the standard prefab experiment world;
 * :class:`AuthoritativeExperiment` / :class:`RecursiveExperiment` —
   the paper's two end-to-end replay shapes;
-* :class:`InvariantViolation` / :func:`verify_queriers` /
-  :class:`ToleranceBands` — the conformance layer
+* :class:`InvariantViolation` / :func:`verify_queriers` — the
+  conformance layer
   (:mod:`repro.check`, see docs/VERIFICATION.md):
   ``ReplayConfig(check=True)`` verifies replay invariants online, and
   the ``ldp-verify`` CLI drives golden, differential, and fuzz tiers.
@@ -50,8 +50,7 @@ Subsystem packages remain importable directly (:mod:`repro.dns`,
 to change.
 """
 
-from repro.check import (InvariantViolation, ToleranceBands,
-                         verify_queriers)
+from repro.check import InvariantViolation, verify_queriers
 from repro.core import (AuthoritativeExperiment, ExperimentConfig,
                         ExperimentResult, RecursiveExperiment)
 from repro.netsim.faults import (DelaySpike, DistributorLag,
@@ -75,7 +74,7 @@ from repro.trace.pipeline import (FilterRecords, MapRecords, PipelineOp,
                                   TracePipeline)
 from repro.trace.stats import StreamingStats
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "AdmissionConfig",
@@ -94,7 +93,7 @@ __all__ = [
     "RrlConfig",
     "ScaleTime", "ServerPause", "SetDoFraction", "SetProtocol",
     "SetQnameSuffix", "Simulator", "StreamingStats",
-    "SupervisionConfig", "ToleranceBands", "Tracer",
+    "SupervisionConfig", "Tracer",
     "TraceFormatError", "TracePipeline",
     "authoritative_world", "verify_queriers",
     "__version__",

@@ -6,7 +6,7 @@ Four parts behind the ``ldp-verify`` CLI
 * :mod:`repro.check.golden` — committed ReplayReport + wire-message
   snapshots with record/verify modes (cross-release byte-identity);
 * :mod:`repro.check.differential` — sim-vs-sim byte-identity across
-  the config matrix and sim-vs-live tolerance-band comparison;
+  the config matrix and sim-vs-live per-query outcome equality;
 * :mod:`repro.check.fuzzing` — shared hypothesis strategies for DNS
   wire messages and trace blobs plus a budgeted never-crash runner
   (imported lazily: it needs the ``hypothesis`` test dependency);
@@ -17,9 +17,8 @@ The scenario fixtures everything shares live in
 :mod:`repro.check.scenarios`.
 """
 
-from repro.check.differential import (DiffResult, ToleranceBands,
-                                      compare_sim_live, diff_sim_live,
-                                      diff_sim_matrix)
+from repro.check.differential import (DiffResult, compare_sim_live,
+                                      diff_sim_live, diff_sim_matrix)
 from repro.check.golden import (GOLDEN_DIR, record_goldens,
                                 verify_goldens)
 from repro.check.invariants import (InvariantChecker,
@@ -28,7 +27,7 @@ from repro.check.invariants import (InvariantChecker,
 
 __all__ = [
     "DiffResult", "GOLDEN_DIR", "InvariantChecker",
-    "InvariantViolation", "ToleranceBands", "compare_sim_live",
-    "diff_sim_live", "diff_sim_matrix", "record_goldens",
+    "InvariantViolation", "compare_sim_live", "diff_sim_live",
+    "diff_sim_matrix", "record_goldens",
     "verify_cache", "verify_goldens", "verify_queriers",
 ]

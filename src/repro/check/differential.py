@@ -9,12 +9,13 @@ scope:
   ``ReplayReport.to_json``; optionally also identical to the committed
   golden, turning the matrix into a cross-release regression;
 * **sim vs live** (:func:`diff_sim_live`) — real sockets cannot
-  promise bytes, so the live run must agree **statistically** within
-  :class:`ToleranceBands`: answered fractions within a band and the
-  answered-qname multisets nearly equal; and, no band about it, each
-  report carries every group and key of the declared report schema
-  (:meth:`ReplayReport.schema`), so downstream tooling reads either
-  unchanged.
+  promise times, but both substrates run the one ``Querier`` against
+  the one ``DnsResponder``, so every query must have the **same
+  outcome**: per-query equality of ``(answered, rcode, response_size,
+  fell_back, timed_out)``, and of ``attempts`` when the kernel dropped
+  no datagram; and each report carries every group and key of the
+  declared report schema (:meth:`ReplayReport.schema`), so downstream
+  tooling reads either unchanged.
 
 Both reuse the backends registry's executors through the scenario
 fixtures in :mod:`repro.check.scenarios`.
@@ -22,21 +23,10 @@ fixtures in :mod:`repro.check.scenarios`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
-class ToleranceBands:
-    """How far the live backend may drift from the sim (documented in
-    docs/VERIFICATION.md; the defaults are deliberately tighter than
-    "roughly agrees" — loopback runs are clean)."""
-
-    # |answered_fraction(sim) - answered_fraction(live)|
-    answered_fraction: float = 0.02
-    # Symmetric difference of the answered-qname multisets, as a
-    # fraction of the trace size.
-    qname_fraction: float = 0.01
+# Differing queries listed one by one before the rest are only counted.
+MAX_LISTED = 10
 
 
 @dataclass
@@ -77,39 +67,48 @@ def diff_sim_matrix(golden: str | None = None) -> list[DiffResult]:
 
 # -- sim vs live --------------------------------------------------------------
 
-def _answered_qnames(report) -> Counter:
-    return Counter(r.record.qname for r in report.results if r.answered)
+def _outcomes(report, with_attempts: bool) -> dict:
+    """record -> the sorted outcomes of its queries (a trace may repeat
+    a record): what became of each, times left out."""
+    by_record: dict = {}
+    for r in report.results:
+        outcome = (r.answered, r.rcode, r.response_size, r.fell_back,
+                   r.timed_out) + ((r.attempts,) if with_attempts else ())
+        by_record.setdefault(r.record, []).append(outcome)
+    for outcomes in by_record.values():
+        outcomes.sort(key=repr)
+    return by_record
 
 
-def compare_sim_live(sim_report, live_report,
-                     bands: ToleranceBands | None = None) -> list[str]:
-    """Band-check two reports; returns failure descriptions (unit-
-    testable on fabricated reports, no sockets involved)."""
-    bands = bands or ToleranceBands()
+def compare_sim_live(sim_report, live_report) -> list[str]:
+    """Compare two reports query by query; returns failure
+    descriptions (unit-testable on fabricated reports, no sockets
+    involved)."""
     failures: list[str] = []
     if len(sim_report.results) != len(live_report.results):
         failures.append(
             f"replayed record counts differ: sim "
             f"{len(sim_report.results)} vs live "
             f"{len(live_report.results)}")
-    sim_frac = sim_report.answered_fraction()
-    live_frac = live_report.answered_fraction()
-    delta = abs(sim_frac - live_frac)
-    if delta > bands.answered_fraction:
+    # A datagram the kernel dropped costs the live side one more send;
+    # only a live run without retransmits owes the sim's attempts.
+    with_attempts = \
+        live_report.metrics().get("replay", {}).get("retransmits") == 0
+    sim = _outcomes(sim_report, with_attempts)
+    live = _outcomes(live_report, with_attempts)
+    differing = [record for record in {**sim, **live}
+                 if sim.get(record) != live.get(record)]
+    fields = "answered, rcode, response_size, fell_back, timed_out" \
+        + (", attempts" if with_attempts else "")
+    for record in differing[:MAX_LISTED]:
         failures.append(
-            f"answered fractions differ by {delta:.4f} "
-            f"(sim {sim_frac:.4f} vs live {live_frac:.4f}, "
-            f"band {bands.answered_fraction})")
-    sim_qnames = _answered_qnames(sim_report)
-    live_qnames = _answered_qnames(live_report)
-    mismatched = sum(((sim_qnames - live_qnames)
-                      + (live_qnames - sim_qnames)).values())
-    budget = bands.qname_fraction * max(1, len(sim_report.results))
-    if mismatched > budget:
-        failures.append(
-            f"{mismatched} answered-qname mismatches exceed the "
-            f"{bands.qname_fraction:.0%} band "
-            f"({budget:.1f} of {len(sim_report.results)} records)")
+            f"outcome differs for {record.qname} type {record.qtype} "
+            f"from {record.src} over {record.proto} at {record.time} "
+            f"({fields}): sim {sim.get(record, [])} vs live "
+            f"{live.get(record, [])}")
+    if len(differing) > MAX_LISTED:
+        failures.append(f"... and {len(differing) - MAX_LISTED} more "
+                        f"queries with differing outcomes")
     from repro.replay.engine import ReplayReport
     schema = ReplayReport.schema()
     for side, report in (("sim", sim_report), ("live", live_report)):
@@ -127,13 +126,19 @@ def compare_sim_live(sim_report, live_report,
     return failures
 
 
-def diff_sim_live(bands: ToleranceBands | None = None,
-                  speed: float = 20.0) -> DiffResult:
-    """Replay the conformance trace through both backends and
-    band-compare the reports."""
-    from repro.check.scenarios import run_live, run_sim_for_live
-    sim_report = run_sim_for_live()
-    live_report = run_live(speed=speed)
-    return DiffResult(label="sim-vs-live",
-                      failures=compare_sim_live(sim_report, live_report,
-                                                bands))
+def diff_sim_live(speed: float = 20.0) -> list[DiffResult]:
+    """Replay every shape of the live matrix through both backends and
+    compare the reports query by query."""
+    from repro.check.scenarios import (LIVE_MATRIX,
+                                       conformance_zone_and_trace,
+                                       run_for_live)
+    results = []
+    for label, shape in LIVE_MATRIX:
+        sim_report = run_for_live("sim", *conformance_zone_and_trace(),
+                                  **shape)
+        live_report = run_for_live("live", *conformance_zone_and_trace(),
+                                   speed=speed, **shape)
+        results.append(DiffResult(
+            label=f"sim-vs-live[{label}]",
+            failures=compare_sim_live(sim_report, live_report)))
+    return results

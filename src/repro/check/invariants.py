@@ -366,7 +366,8 @@ class InvariantChecker:
         under *msg_id*: it must be what the full encoder makes of it."""
         expected = Message.make_query(
             qname, qtype, msg_id=msg_id, rd=False,
-            edns=Edns(payload=resolver.edns_payload)).to_wire()
+            edns=Edns(payload=resolver.edns_payload,
+                      do=resolver.dnssec_ok)).to_wire()
         if wire != expected:
             raise InvariantViolation(
                 f"resolver: upstream query bytes for {qname} id {msg_id} "

@@ -26,6 +26,7 @@ from __future__ import annotations
 from repro.experiments.harness import (authoritative_world,
                                        root_zone_world,
                                        wildcard_root_zone)
+from repro.server.overload import CookieConfig, OverloadConfig, RrlConfig
 from repro.trace.binaryform import trace_to_binary
 from repro.trace.pipeline import TracePipeline
 from repro.workloads.broot import broot16
@@ -90,28 +91,55 @@ SIM_MATRIX: list[tuple[str, dict]] = [
 ]
 
 
-def run_live(resilience=None, speed: float = 20.0):
-    """The conformance trace through the live loopback backend."""
-    from repro.replay.backends import LiveBackend, LiveReplayConfig
-    from repro.replay.engine import ReplayConfig
-    zone, trace = conformance_zone_and_trace()
-    backend = LiveBackend([zone], config=ReplayConfig(
-        backend="live", client_instances=INSTANCES,
-        queriers_per_instance=QUERIERS, seed=SEED, observe=False,
-        resilience=resilience,
-        live=LiveReplayConfig(speed=speed, query_timeout=10.0,
-                              run_deadline=120.0)))
-    return backend.run(trace)
+# -- sim vs live --------------------------------------------------------------
+#
+# Every shape must give each query the same outcome on both substrates
+# (docs/VERIFICATION.md).  A shape is keywords of `run_for_live`: world
+# knobs, `proto` (rewrite every record), `signed` (sign the zone; every
+# query sets DO and advertises 512 bytes, so answers truncate and the
+# client really falls back to TCP).
+
+LIVE_MATRIX: list[tuple[str, dict]] = [
+    ("udp+tcp", {}),
+    ("all-tcp", dict(proto="tcp")),
+    ("cache=off", dict(answer_cache=False)),
+    ("cookies", dict(cookies=True, overload=OverloadConfig(
+        cookies=CookieConfig()))),
+    # A limiter too generous to ever limit: time-compressed live replay
+    # would cross a real rate that simulated time does not.
+    ("cookies+rrl", dict(cookies=True, overload=OverloadConfig(
+        cookies=CookieConfig(), rrl=RrlConfig(rate=1e6)))),
+    ("tc-fallback", dict(signed=True)),
+]
 
 
-def run_sim_for_live():
-    """The sim run the live run is compared against: same world, same
-    trace, observe off so the schemas align key-for-key."""
-    zone, trace = conformance_zone_and_trace()
+def run_for_live(backend: str, zone, trace, *, speed: float = 20.0,
+                 proto: str | None = None, signed: bool = False, **knobs):
+    """One side of a sim-vs-live comparison: *zone* and *trace* in one
+    shape through *backend*, unobserved so the schemas align key for
+    key, under the standard retry policy — on the live side it recovers
+    kernel-buffer datagram drops under time compression, on the
+    loss-free sim side it only enables the TC fallback both need."""
+    from repro.dns.dnssec import sign_zone
+    from repro.replay.backends import LiveReplayConfig
+    from repro.replay.querier import ResilienceConfig
+    from repro.trace.record import Trace
+    changes = {}
+    if proto is not None:
+        changes.update(proto=proto)
+    if signed:
+        sign_zone(zone)
+        changes.update(do=True, edns_payload=512)
+    if changes:
+        trace = Trace([r.with_(**changes) for r in trace], name=trace.name)
     world = authoritative_world(
-        [zone], mode="direct", client_instances=INSTANCES,
+        [zone], backend=backend, client_instances=INSTANCES,
         queriers_per_instance=QUERIERS, observe=False, seed=SEED,
-        check=True)
+        check=True,
+        resilience=ResilienceConfig(timeout=0.5, max_retries=4,
+                                    backoff=2.0),
+        live=LiveReplayConfig(speed=speed, query_timeout=10.0,
+                              run_deadline=120.0), **knobs)
     return world.run(trace, extra_time=EXTRA_TIME).report
 
 

@@ -110,9 +110,7 @@ class AuthoritativeServer(DnsResponder):
         return self.host.scheduler.now
 
     def _obs(self):
-        # Tolerate host-less subclasses (the offline dig authority).
-        host = getattr(self, "host", None)
-        return host.scheduler.obs if host is not None else None
+        return self.host.scheduler.obs
 
     # -- checkpointing (repro.replay.supervisor) ------------------------
 

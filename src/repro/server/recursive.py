@@ -131,6 +131,7 @@ class RecursiveResolver:
             self.cache = DnsCache(cache)
         self.cache.on_refresh = self._schedule_refresh
         self.edns_payload = DEFAULT_EDNS_PAYLOAD    # advertised upstream
+        self.dnssec_ok = False                      # DO on upstream queries
         # ReplayConfig(check=True): InvariantChecker holds what is read
         # and assembled at wire level here to the full codec.
         self.check = None
@@ -367,7 +368,8 @@ class RecursiveResolver:
         # RD clear, our payload in an option-less OPT: assembled, not
         # encoded (docs/RECURSIVE.md, "Wire path").
         wire = msg_id.to_bytes(2, "big") + plain_query(
-            qname, qtype, RRClass.IN, False, (self.edns_payload, False))
+            qname, qtype, RRClass.IN, False,
+            (self.edns_payload, self.dnssec_ok))
         pending = _Pending(msg_id=msg_id, wire=wire,
                            question=wire[HEADER_SIZE:-OPT_SIZE],
                            server_addr=server_addr,

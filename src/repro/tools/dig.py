@@ -21,7 +21,7 @@ from pathlib import Path
 from repro.dns.constants import Flag, Rcode, RRType
 from repro.dns.message import Edns, Message
 from repro.dns.name import Name
-from repro.dns.zone import LookupStatus, Zone
+from repro.dns.zone import Zone
 from repro.dns.zonefile import load_zone_file
 from repro.server.responder import DnsResponder
 
@@ -47,13 +47,19 @@ def load_zones(directory: str) -> list[Zone]:
     return [load_zone_file(str(path)) for path in paths]
 
 
+SRC = "127.0.0.1"
+
+
+def make_query(qname: Name, qtype: int, do: bool) -> Message:
+    return Message.make_query(qname, qtype,
+                              edns=Edns(do=do) if do else None)
+
+
 def answer_once(zones: list[Zone], qname: Name, qtype: int,
                 do: bool) -> Message:
     # The transport-independent answering core needs no host/network.
     authority = DnsResponder(zones=zones, answer_cache=False)
-    query = Message.make_query(qname, qtype,
-                               edns=Edns(do=do) if do else None)
-    return authority.handle_query(query, src="127.0.0.1")
+    return authority.handle_query(make_query(qname, qtype, do), src=SRC)
 
 
 def walk(zones: list[Zone], qname: Name, qtype: int, do: bool,
@@ -67,29 +73,27 @@ def walk(zones: list[Zone], qname: Name, qtype: int, do: bool,
             print(f"no loaded zone encloses {qname.to_text()}", file=out)
             return Message(rcode=Rcode.REFUSED)
         zone = min(enclosing, key=lambda z: len(z.origin.labels))
+    query = make_query(qname, qtype, do)
     for depth in range(16):
-        result = zone.lookup(qname, qtype, dnssec=do and zone.is_signed())
-        print(f";; step {depth + 1}: zone "
-              f"{zone.origin.to_text()} -> {result.status.value}",
-              file=out)
-        if result.status != LookupStatus.DELEGATION:
-            response = Message(flags=Flag.QR | Flag.AA)
-            if result.status == LookupStatus.NXDOMAIN:
-                response.rcode = Rcode.NXDOMAIN
-            response.answer = result.answers
-            response.authority = result.authority
-            response.additional = result.additional
+        # Each level of the hierarchy is a server hosting only its zone.
+        response = DnsResponder(zones=[zone], answer_cache=False) \
+            .handle_query(query, src=SRC)
+        referral = (not response.flags & Flag.AA and not response.answer
+                    and response.authority
+                    and response.authority[0].rtype == RRType.NS)
+        status = ("delegation" if referral
+                  else "success" if response.rcode == Rcode.NOERROR
+                  else Rcode.to_text(response.rcode))
+        print(f";; step {depth + 1}: zone {zone.origin.to_text()} -> "
+              f"{status}", file=out)
+        if not referral:
             return response
-        cut = result.authority[0].name
-        child = by_origin.get(cut)
-        if child is None:
+        cut = response.authority[0].name
+        zone = by_origin.get(cut)
+        if zone is None:
             print(f";; delegation to {cut.to_text()} but that zone is "
                   f"not loaded", file=out)
-            response = Message(flags=Flag.QR)
-            response.authority = result.authority
-            response.additional = result.additional
             return response
-        zone = child
     raise RuntimeError("referral loop")
 
 

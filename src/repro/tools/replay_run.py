@@ -21,7 +21,7 @@ from repro.core import AuthoritativeExperiment, ExperimentConfig
 from repro.dns.zonefile import load_zone_file
 from repro.replay.engine import ReplayConfig
 from repro.replay.querier import ResilienceConfig
-from repro.tools.io import load_trace
+from repro.trace.pipeline import TracePipeline
 from repro.util.stats import summarize
 
 
@@ -164,8 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     skipped: list = []
-    trace = load_trace(args.trace, skip_malformed=args.skip_malformed,
-                       skipped=skipped)
+    trace = TracePipeline.from_file(
+        args.trace, skip_malformed=args.skip_malformed,
+        skipped=skipped).collect()
     if skipped:
         print(f"skipped {len(skipped)} malformed record(s); first: "
               f"{skipped[0]}", file=sys.stderr)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.tools.io import save_trace
 from repro.tools.traceargs import (open_pipeline, pipeline_parent,
                                    report_skipped)
+from repro.trace.pipeline import TracePipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.sort:
         # Sorting is inherently global, so this path materializes.
         trace = pipe.collect().sorted()
-        save_trace(trace, args.output)
+        TracePipeline.from_trace(trace).to_file(args.output)
         count = len(trace)
     else:
         result = pipe.to_file(args.output)

@@ -15,9 +15,9 @@ Tiers:
   (seconds; the cross-release regression gate);
 * ``conformance`` — the full bar: golden verify, the sim config
   matrix (cache on/off x serial/parallel pipeline, all
-  byte-identical to the golden), sim-vs-live tolerance bands over
-  real loopback sockets, and a seeded fuzz run with zero
-  responder/parser crashes;
+  byte-identical to the golden), sim-vs-live per-query outcome
+  equality over real loopback sockets (six shapes), and a seeded fuzz
+  run with zero responder/parser crashes;
 * ``fuzz`` — only the seeded never-crash fuzz targets (for the
   time-boxed CI fuzz job; raise ``--fuzz-examples`` to dig deeper).
 
@@ -108,12 +108,12 @@ def _verify_live(args, failures: list[str]) -> None:
     if args.skip_live:
         print("skipped (--skip-live)")
         return
-    result = diff_sim_live(speed=args.live_speed)
-    if result.ok:
-        print("ok live report within tolerance bands")
-    for failure in result.failures:
-        print(f"FAIL {result.label}: {failure}")
-        failures.append(f"{result.label}: {failure}")
+    for result in diff_sim_live(speed=args.live_speed):
+        if result.ok:
+            print(f"ok {result.label}: every query's outcome equal")
+        for failure in result.failures:
+            print(f"FAIL {result.label}: {failure}")
+            failures.append(f"{result.label}: {failure}")
 
 
 def _verify_fuzz(args, failures: list[str]) -> None:

@@ -4,10 +4,11 @@ Usage::
 
     python -m repro.tools.zone_build trace.txt zones/ --tlds 4 --seed 7
 
-Walks each unique query in the trace once against the model Internet
-(the offline stand-in for the real one — see DESIGN.md §2), reverses
-the captured responses into per-zone master files, and writes one
-``<origin>.zone`` file per zone into the output directory.
+Resolves each unique query in the trace once from a cold cache against
+the model Internet (the offline stand-in for the real one — see
+DESIGN.md §2), reverses the responses captured upstream of the resolver
+into per-zone master files, and writes one ``<origin>.zone`` file per
+zone into the output directory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from repro.dns.zonefile import save_zone_file
-from repro.tools.io import load_trace
+from repro.trace.pipeline import TracePipeline
 from repro.workloads.internet import ModelInternet
 from repro.zonegen import construct_zones, harvest_trace, make_prober
 
@@ -49,7 +50,7 @@ def zone_filename(origin) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    trace = load_trace(args.trace)
+    trace = TracePipeline.from_file(args.trace).collect()
     internet = ModelInternet(tlds=args.tlds, slds_per_tld=args.slds,
                              seed=args.seed)
     if args.dnssec:

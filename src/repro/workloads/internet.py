@@ -204,17 +204,6 @@ class ModelInternet:
             hints.append(RootHint(rdata.target, addr))
         return hints
 
-    def authoritative_zone_at(self, addr: str, qname: Name) -> Zone | None:
-        """Which zone would the nameserver at *addr* answer from?"""
-        zones = self.zones_by_addr.get(addr, [])
-        best = None
-        for zone in zones:
-            if qname.is_subdomain_of(zone.origin):
-                if best is None or len(zone.origin.labels) > \
-                        len(best.origin.labels):
-                    best = zone
-        return best
-
     def ground_truth_resolve(self, qname: Name, qtype: int):
         """Direct (no-network) iterative resolution: the reference
         answer a correct replay must reproduce."""

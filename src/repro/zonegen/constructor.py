@@ -79,9 +79,8 @@ class ZoneConstructor:
                     targets = self.ns_names.setdefault(rrset.name, set())
                     for rdata in rrset.rdatas:
                         targets.add(rdata.target)
-                elif rrset.rtype in (RRType.A, RRType.AAAA):
-                    self._maybe_ns_address(rrset)
-        # Second pass: some glue arrives before its NS record is known.
+        # Addresses in a second pass: glue may arrive before the NS
+        # record that makes its owner a nameserver.
         ns_targets = {t for targets in self.ns_names.values()
                       for t in targets}
         for captured in self.responses:
@@ -90,13 +89,6 @@ class ZoneConstructor:
                         and rrset.name in ns_targets:
                     addrs = self.ns_addrs.setdefault(rrset.name, set())
                     addrs.update(r.address for r in rrset.rdatas)
-
-    def _maybe_ns_address(self, rrset: RRset) -> None:
-        ns_targets = {t for targets in self.ns_names.values()
-                      for t in targets}
-        if rrset.name in ns_targets:
-            addrs = self.ns_addrs.setdefault(rrset.name, set())
-            addrs.update(r.address for r in rrset.rdatas)
 
     # -- step 2: group and aggregate ------------------------------------------
 

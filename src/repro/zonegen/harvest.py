@@ -1,4 +1,4 @@
-"""One-time zone harvesting (§2.3): walk the hierarchy, capture responses.
+"""One-time zone harvesting (§2.3): cold-cache resolver + upstream capture.
 
 "we send all unique queries in the original trace to a recursive server
 with cold cache and allow it to query Internet to satisfy each query ...
@@ -6,25 +6,28 @@ We then capture all the DNS responses that authoritative servers
 respond, recording the traffic at the upstream network interface of the
 recursive server."
 
-Offline, "the Internet" is a :class:`~repro.workloads.internet.
-ModelInternet`; the harvester is a cold-cache iterative walker that
-records every authoritative response, exactly the capture the real
-procedure produces.  Zone construction is a one-time cost, so this runs
-as direct calls rather than through the packet simulator.
+Offline, "the Internet" is any object with ``zones_by_addr`` and
+``root_hints()`` (a :class:`~repro.workloads.internet.ModelInternet`):
+each nameserver address becomes a simulated host running an
+:class:`~repro.server.authoritative.AuthoritativeServer`, the recursive
+server is the :class:`~repro.server.recursive.RecursiveResolver` every
+experiment runs, and a :class:`~repro.netsim.capture.PacketCapture` on
+its host is the tcpdump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dns.constants import Flag, Rcode, RRType
-from repro.dns.message import Edns, Message, Question
+from repro.dns.constants import DNS_PORT, Flag, Rcode
+from repro.dns.message import Message, Question
 from repro.dns.name import Name
-from repro.dns.zone import LookupStatus, Zone
+from repro.netsim import Simulator
+from repro.netsim.capture import PacketCapture
+from repro.server import AuthoritativeServer, RecursiveResolver
 from repro.trace.record import Trace
-from repro.workloads.internet import ModelInternet
 
-MAX_STEPS = 32
+RESOLVER_ADDR = "10.1.0.2"
 
 
 @dataclass
@@ -45,61 +48,46 @@ class HarvestCapture:
     queries_sent: int = 0
 
 
-def _lookup_result_to_message(zone: Zone, question: Question,
-                              dnssec: bool) -> Message:
-    result = zone.lookup(question.qname, question.qtype, dnssec=dnssec)
-    message = Message(flags=Flag.QR, question=question,
-                      edns=Edns(do=dnssec) if dnssec else None)
-
-    def snapshot(rrsets):
-        # A real capture records wire bytes: snapshot the RRsets so
-        # later changes to the live zone cannot rewrite the capture.
-        return [rrset.copy() for rrset in rrsets]
-
-    if result.status in (LookupStatus.SUCCESS, LookupStatus.CNAME):
-        message.flags |= Flag.AA
-        message.answer.extend(snapshot(result.answers))
-        message.additional.extend(snapshot(result.additional))
-    elif result.status == LookupStatus.DELEGATION:
-        message.authority.extend(snapshot(result.authority))
-        message.additional.extend(snapshot(result.additional))
-    elif result.status == LookupStatus.NXDOMAIN:
-        message.flags |= Flag.AA
-        message.rcode = Rcode.NXDOMAIN
-        message.authority.extend(snapshot(result.authority))
-    else:  # NODATA
-        message.flags |= Flag.AA
-        message.authority.extend(snapshot(result.authority))
-    return message
-
-
-def _addresses_from_message(message: Message, ns_target: Name) \
-        -> list[str]:
-    addrs = []
-    for rrset in message.additional + message.answer:
-        if rrset.rtype in (RRType.A,) and rrset.name == ns_target:
-            addrs.extend(rdata.address for rdata in rrset.rdatas)
-    return addrs
-
-
-def harvest(internet: ModelInternet,
-            queries: list[tuple[str, int]],
+def harvest(internet, queries: list[tuple[str, int]],
             dnssec: bool = False) -> HarvestCapture:
-    """Walk the hierarchy once per unique query, capturing responses."""
+    """Resolve each unique query once from a cold cache against the
+    servers of *internet* (``zones_by_addr`` + ``root_hints()``),
+    capturing every upstream response; *dnssec* sets DO upstream."""
+    sim = Simulator()
+    for index, (addr, zones) in enumerate(internet.zones_by_addr.items()):
+        AuthoritativeServer(sim.add_host(f"ns{index}", [addr]), zones=zones)
+    host = sim.add_host("recursive", [RESOLVER_ADDR])
+    resolver = RecursiveResolver(host, internet.root_hints())
+    resolver.dnssec_ok = dnssec
+    # tcpdump at the upstream interface: datagrams from port 53.  A
+    # truncated exchange's TCP retry arrives as segments, not messages.
+    tap = PacketCapture(host, ingress=True,
+                        match=lambda p: p.proto == "udp"
+                        and p.sport == DNS_PORT)
     capture = HarvestCapture()
     seen: set[tuple[str, int]] = set()
-    root_addr = internet.root_hints()[0].addr
     for qname_text, qtype in queries:
         key = (qname_text.lower(), int(qtype))
         if key in seen:
             continue
         seen.add(key)
-        _walk(internet, Name.from_text(qname_text), int(qtype), root_addr,
-              capture, dnssec)
+        resolver.cache.flush()
+        results: list[Message] = []
+        resolver.resolve(Name.from_text(qname_text), int(qtype),
+                         results.append)
+        sim.run_until_idle()
+        pairs = [(packet, Message.from_wire(packet.payload))
+                 for packet in tap.packets]
+        tap.clear()
+        whole = [pair for pair in pairs if not pair[1].flags & Flag.TC]
+        capture.responses.extend(responses_from_packet_capture(whole))
+        if len(whole) < len(pairs) or results[0].rcode == Rcode.SERVFAIL:
+            capture.failed_queries.append(key)
+    capture.queries_sent = resolver.upstream_queries
     return capture
 
 
-def harvest_trace(internet: ModelInternet, trace: Trace,
+def harvest_trace(internet, trace: Trace,
                   dnssec: bool = False) -> HarvestCapture:
     """Harvest every unique (qname, qtype) in *trace*."""
     return harvest(internet, [(r.qname, r.qtype) for r in trace],
@@ -120,50 +108,3 @@ def responses_from_packet_capture(pairs) -> list[CapturedResponse]:
                                     question=message.question,
                                     message=message))
     return out
-
-
-def _walk(internet: ModelInternet, qname: Name, qtype: int,
-          root_addr: str, capture: HarvestCapture, dnssec: bool) -> None:
-    server_addr = root_addr
-    current_name = qname
-    for _ in range(MAX_STEPS):
-        question = Question(current_name, qtype)
-        zone = internet.authoritative_zone_at(server_addr, current_name)
-        capture.queries_sent += 1
-        if zone is None:
-            capture.failed_queries.append((current_name.to_text(), qtype))
-            return
-        message = _lookup_result_to_message(zone, question, dnssec)
-        capture.responses.append(CapturedResponse(
-            server_addr=server_addr, question=question, message=message))
-        if message.rcode == Rcode.NXDOMAIN:
-            return
-        # Final answer?
-        has_answer = any(r.name == current_name for r in message.answer)
-        if has_answer:
-            cname = next((r for r in message.answer
-                          if r.name == current_name
-                          and r.rtype == RRType.CNAME), None)
-            if cname is not None and qtype not in (RRType.CNAME,
-                                                   RRType.ANY):
-                resolved = any(r.rtype == qtype for r in message.answer)
-                if not resolved:
-                    current_name = cname.rdatas[0].target
-                    server_addr = root_addr  # restart walk from the root
-                    continue
-            return
-        ns_rrsets = [r for r in message.authority
-                     if r.rtype == RRType.NS]
-        if not ns_rrsets:
-            return  # NODATA
-        # Follow the referral via glue.
-        next_addr = None
-        for rdata in ns_rrsets[0].rdatas:
-            addrs = _addresses_from_message(message, rdata.target)
-            if addrs:
-                next_addr = addrs[0]
-                break
-        if next_addr is None:
-            capture.failed_queries.append((current_name.to_text(), qtype))
-            return
-        server_addr = next_addr

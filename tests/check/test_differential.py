@@ -1,22 +1,25 @@
 """The differential runner: sim-vs-sim byte-identity and the
-sim-vs-live tolerance-band comparator.
+sim-vs-live per-query comparator.
 
 The full 4-point matrix and the socket-driving live diff belong to
 `ldp-verify --tier conformance` (and its CI job); here a matrix
-subset pins the mechanism against the committed golden, and the band
-comparator is unit-tested on fabricated reports so every band fires.
+subset pins the mechanism against the committed golden, and the
+comparator is unit-tested on fabricated reports so every check fires.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
 
-from repro.check.differential import (ToleranceBands, compare_sim_live,
+import repro
+import repro.check
+from repro.check.differential import (MAX_LISTED, compare_sim_live,
                                       diff_sim_matrix)
 from repro.check.golden import GOLDEN_DIR, SIM_REPORT
 from repro.check.scenarios import SIM_MATRIX, run_sim_variant
 from repro.replay import ReplayReport
+from repro.replay.querier import QueryResult
+from repro.trace.record import QueryRecord
 
 
 def test_matrix_covers_all_three_axes():
@@ -60,17 +63,7 @@ def test_diff_sim_matrix_flags_divergence(monkeypatch):
     assert any("golden" in f for f in results[-1].failures)
 
 
-# -- the band comparator on fabricated reports --------------------------------
-
-@dataclass
-class _FakeResult:
-    qname: str
-    answered: bool
-
-    @property
-    def record(self):
-        return self
-
+# -- the per-query comparator on fabricated reports ---------------------------
 
 def _declared_schema(without_group=None, without_key=None):
     """A metrics() dict with exactly the declared groups and keys."""
@@ -84,18 +77,22 @@ class _FakeReport:
     results: list = field(default_factory=list)
     schema: dict = field(default_factory=_declared_schema)
 
-    def answered_fraction(self):
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.answered) \
-            / len(self.results)
-
     def metrics(self):
         return self.schema
 
 
+def _result(qname, answered=True, **outcome):
+    """An answered NOERROR 60-byte result unless *outcome* says else."""
+    outcome = {"rcode": 0, "response_size": 60, **outcome} \
+        if answered else outcome
+    return QueryResult(
+        record=QueryRecord(time=1.0, src="10.0.0.1", qname=qname),
+        send_time=1.0, scheduled_time=1.0,
+        response_time=1.5 if answered else None, **outcome)
+
+
 def _report(qnames, answered=True, schema=None):
-    report = _FakeReport([_FakeResult(q, answered) for q in qnames])
+    report = _FakeReport([_result(q, answered) for q in qnames])
     if schema is not None:
         report.schema = schema
     return report
@@ -104,28 +101,53 @@ def _report(qnames, answered=True, schema=None):
 def test_identical_reports_pass_all_bands():
     a = _report(["q1.", "q2.", "q3."])
     b = _report(["q1.", "q2.", "q3."])
+    # Times are the substrate's own and never compared.
+    b.results[0].send_time = b.results[0].response_time = 9.0
     assert compare_sim_live(a, b) == []
 
 
-def test_answered_fraction_band_fires():
+def test_unanswered_queries_are_reported_one_by_one():
     sim = _report(["q1.", "q2.", "q3.", "q4."])
-    live = _FakeReport([_FakeResult("q1.", True),
-                        _FakeResult("q2.", False),
-                        _FakeResult("q3.", False),
-                        _FakeResult("q4.", False)])
+    live = _FakeReport([_result("q1."), _result("q2.", False),
+                        _result("q3.", False, timed_out=True),
+                        _result("q4.")])
     failures = compare_sim_live(sim, live)
-    assert any("answered fractions" in f for f in failures)
+    assert len(failures) == 2
+    assert "q2." in failures[0] and "q3." in failures[1]
 
 
-def test_qname_multiset_band_fires_and_scales():
+@pytest.mark.parametrize("field, value", [
+    ("rcode", 3), ("response_size", 61), ("fell_back", True),
+    ("attempts", 2)])
+def test_planted_divergence_names_the_query_and_both_outcomes(field,
+                                                             value):
     sim = _report([f"q{i}." for i in range(100)])
-    live = _report([f"q{i}." for i in range(99)] + ["other."])
-    # 2 mismatches on 100 records: outside the default 1% band...
+    live = _report([f"q{i}." for i in range(100)])
+    setattr(live.results[41], field, value)
+    (failure,) = compare_sim_live(sim, live)
+    assert "q41." in failure
+    same = dict(rcode=0, response_size=60, fell_back=False, attempts=1)
+    for side, outcome in (("sim", same), ("live", {**same, field: value})):
+        shown = (True, outcome["rcode"], outcome["response_size"],
+                 outcome["fell_back"], False, outcome["attempts"])
+        assert f"{side} [{shown}]" in failure
+
+
+def test_attempts_are_compared_only_without_live_retransmits():
+    """A datagram the kernel dropped costs the live side a resend."""
+    sim, live = _report(["q1."]), _report(["q1."])
+    live.results[0].attempts = 2
+    assert len(compare_sim_live(sim, live)) == 1
+    live.schema["replay"]["retransmits"] = 1
+    assert compare_sim_live(sim, live) == []
+
+
+def test_long_divergence_lists_are_capped():
+    sim = _report([f"q{i}." for i in range(50)])
+    live = _report([f"q{i}." for i in range(50)], answered=False)
     failures = compare_sim_live(sim, live)
-    assert any("qname" in f for f in failures)
-    # ...inside a widened one.
-    assert compare_sim_live(
-        sim, live, ToleranceBands(qname_fraction=0.05)) == []
+    assert len(failures) == MAX_LISTED + 1
+    assert f"{50 - MAX_LISTED} more" in failures[-1]
 
 
 def test_schema_band_fires_on_missing_key():
@@ -157,9 +179,19 @@ def test_record_count_mismatch_reported():
 
 
 def test_answered_qname_counter_is_a_multiset():
+    """A trace may repeat a record: outcomes are compared as a multiset
+    per record, so one answer too few for a repeated query shows."""
     sim = _report(["dup.", "dup.", "q."])
-    live = _report(["dup.", "q.", "q."])
-    failures = compare_sim_live(sim, live)
-    assert any("qname" in f for f in failures)
-    counts = Counter(r.qname for r in sim.results)
-    assert counts["dup."] == 2
+    live = _FakeReport([_result("dup."), _result("dup.", False),
+                        _result("q.")])
+    (failure,) = compare_sim_live(sim, live)
+    assert "dup." in failure
+
+
+def test_tolerance_bands_are_gone():
+    """1.10.0: sim = live is equality; there is no band to widen."""
+    assert repro.__version__ == "1.10.0"
+    for module in (repro, repro.check, repro.check.differential):
+        assert not hasattr(module, "ToleranceBands")
+    with pytest.raises(TypeError):
+        compare_sim_live(_report([]), _report([]), bands=None)

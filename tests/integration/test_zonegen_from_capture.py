@@ -5,7 +5,11 @@ A recursive resolver walks real separate authoritative servers inside
 the simulator; a packet capture on its host records the upstream
 responses; the capture is exported to pcap bytes, parsed back, and
 reversed into zones — which then answer the same queries correctly.
+:func:`repro.zonegen.harvest` is the same procedure without the pcap
+round trip, so it must capture the same responses.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +20,8 @@ from repro.netsim import LinkParams, Simulator
 from repro.netsim.capture import PacketCapture
 from repro.server import AuthoritativeServer, RecursiveResolver, RootHint
 from repro.trace.convert import responses_from_pcap
-from repro.zonegen import construct_zones, responses_from_packet_capture
+from repro.zonegen import (construct_zones, harvest,
+                           responses_from_packet_capture)
 
 from tests.server.helpers import (COM_NS_ADDR, EXAMPLE_NS_ADDR,
                                   ROOT_NS_ADDR, make_com_zone,
@@ -29,8 +34,11 @@ QUESTIONS = [("www.example.com.", RRType.A),
              ("example.com.", RRType.NS)]
 
 
+HINTS = [RootHint(N("a.root-servers.net."), ROOT_NS_ADDR)]
+
+
 @pytest.fixture(scope="module")
-def rebuilt_zones():
+def captured():
     sim = Simulator()
     for name, addr, zone in (("root-ns", ROOT_NS_ADDR, make_root_zone()),
                              ("com-ns", COM_NS_ADDR, make_com_zone()),
@@ -39,8 +47,7 @@ def rebuilt_zones():
         AuthoritativeServer(sim.add_host(name, [addr], LinkParams()),
                             zones=[zone])
     rec_host = sim.add_host("recursive", ["10.1.0.2"], LinkParams())
-    resolver = RecursiveResolver(
-        rec_host, [RootHint(N("a.root-servers.net."), ROOT_NS_ADDR)])
+    resolver = RecursiveResolver(rec_host, HINTS)
     # tcpdump: responses arriving at the recursive from port 53.
     capture = PacketCapture(rec_host, ingress=True,
                             match=lambda p: p.sport == 53)
@@ -52,9 +59,27 @@ def rebuilt_zones():
 
     pcap = capture.to_pcap()
     pairs = responses_from_pcap(pcap)
-    captured = responses_from_packet_capture(pairs)
-    hints = [RootHint(N("a.root-servers.net."), ROOT_NS_ADDR)]
-    return construct_zones(captured, root_hints=hints).zones
+    return responses_from_packet_capture(pairs)
+
+
+@pytest.fixture(scope="module")
+def rebuilt_zones(captured):
+    return construct_zones(captured, root_hints=HINTS).zones
+
+
+def test_harvest_captures_the_same_responses(captured):
+    internet = SimpleNamespace(
+        zones_by_addr={ROOT_NS_ADDR: [make_root_zone()],
+                       COM_NS_ADDR: [make_com_zone()],
+                       EXAMPLE_NS_ADDR: [make_example_zone()]},
+        root_hints=lambda: HINTS)
+    capture = harvest(internet, QUESTIONS)
+    assert not capture.failed_queries
+    assert capture.queries_sent == len(captured) == 9
+    assert [(c.server_addr, c.question, c.message.to_wire())
+            for c in capture.responses] \
+        == [(c.server_addr, c.question, c.message.to_wire())
+            for c in captured]
 
 
 def test_capture_produced_all_three_levels(rebuilt_zones):

@@ -7,12 +7,20 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.tools.io import UnknownFormat, load_trace, save_trace
 from repro.tools.replay_run import main as replay_main
 from repro.tools.trace_convert import main as convert_main
 from repro.tools.trace_mutate import main as mutate_main
 from repro.tools.zone_build import main as zone_build_main
+from repro.trace.pipeline import TracePipeline
 from repro.trace.record import QueryRecord, Trace
+
+
+def load_trace(path):
+    return TracePipeline.from_file(path).collect()
+
+
+def save_trace(trace, path):
+    TracePipeline.from_trace(trace).to_file(path)
 
 
 @pytest.fixture
@@ -37,8 +45,10 @@ def test_io_round_trips_all_formats(tmp_path, sample_trace):
 
 
 def test_io_rejects_unknown_extension(tmp_path):
-    with pytest.raises(UnknownFormat):
+    with pytest.raises(ValueError, match="unknown trace format"):
         load_trace(tmp_path / "x.dat")
+    with pytest.raises(ValueError, match="unknown trace format"):
+        save_trace(Trace([]), tmp_path / "x.dat")
 
 
 def test_convert_text_to_binary(tmp_path, sample_trace, capsys):

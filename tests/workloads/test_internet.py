@@ -67,13 +67,6 @@ def test_nameserver_addresses_unique_across_hierarchy(internet):
     assert covered == {z.origin for z in internet.zones}
 
 
-def test_authoritative_zone_at(internet):
-    domain = internet.domains[0]
-    addr = domain.ns_addrs[0]
-    zone = internet.authoritative_zone_at(addr, domain.name)
-    assert zone is domain.zone
-
-
 def test_random_qname_resolvable(internet):
     import random
     rng = random.Random(5)
