@@ -139,6 +139,13 @@ class ReplayReport:
     # are skipped.
     counted: list = field(default_factory=list)
 
+    def __repr__(self) -> str:
+        # Counts, not contents: the dataclass repr formats every result
+        # and its record (5 MB for 12k queries), and asyncio.run's
+        # teardown reprs the main task's result, twice.
+        return (f"ReplayReport({len(self.results)} results, "
+                f"{len(self.queriers)} queriers)")
+
     def latencies(self) -> list[float]:
         return [r.latency for r in self.results
                 if r.latency is not None]

@@ -17,7 +17,7 @@ import struct
 from typing import Iterable, Iterator
 
 from repro.trace.errors import TraceFormatError, note_skipped
-from repro.trace.record import PROTOCOLS, QueryRecord, Trace
+from repro.trace.record import PROTOCOLS, QueryRecord, Trace, make_record
 
 MAGIC = b"LDPB"
 VERSION = 1
@@ -28,6 +28,9 @@ _FLAG_DO = 0x01
 _FLAG_RD = 0x02
 
 _FIXED = struct.Struct("!dBBHHHHH")  # time proto flags sport id payload qtype qclass
+_U8 = struct.Struct("!B")
+_U16 = struct.Struct("!H")
+_PROTO_INDEX = {proto: index for index, proto in enumerate(PROTOCOLS)}
 
 # Fixed-field byte offsets within a record blob (after the u16 length
 # prefix).  The pipeline's compiled frame ops patch these in place
@@ -38,6 +41,7 @@ PROTO_OFFSET = 8         # u8 index into PROTOCOLS
 FLAGS_OFFSET = 9         # u8: _FLAG_DO | _FLAG_RD
 PAYLOAD_OFFSET = 14      # u16 EDNS payload
 FIXED_SIZE = _FIXED.size  # 20
+SRC_OFFSET = FIXED_SIZE  # u8 length, then the client address
 FLAG_DO = _FLAG_DO
 FLAG_RD = _FLAG_RD
 
@@ -47,41 +51,53 @@ class BinaryFormatError(TraceFormatError):
 
 
 def encode_record(record: QueryRecord) -> bytes:
-    """Pack one record (without the length prefix)."""
-    flags = (_FLAG_DO if record.do else 0) | (_FLAG_RD if record.rd else 0)
-    fixed = _FIXED.pack(record.time, PROTOCOLS.index(record.proto), flags,
-                        record.sport, record.msg_id, record.edns_payload,
-                        record.qtype, record.qclass)
+    """Pack one record (without the length prefix).  A field the format
+    cannot hold (``sport``/``msg_id``/payload/``qtype``/``qclass``
+    outside u16, an address over 255 bytes, a qname over 65,535) is a
+    :class:`BinaryFormatError`, like every other bad record."""
     src = record.src.encode()
     dst = record.dst.encode()
     qname = record.qname.encode()
-    return (fixed + bytes([len(src)]) + src + bytes([len(dst)]) + dst
-            + struct.pack("!H", len(qname)) + qname)
+    try:
+        return b"".join((
+            _FIXED.pack(record.time, _PROTO_INDEX[record.proto],
+                        (_FLAG_DO if record.do else 0)
+                        | (_FLAG_RD if record.rd else 0),
+                        record.sport, record.msg_id, record.edns_payload,
+                        record.qtype, record.qclass),
+            _U8.pack(len(src)), src, _U8.pack(len(dst)), dst,
+            _U16.pack(len(qname)), qname))
+    except struct.error as exc:
+        raise BinaryFormatError(f"unencodable record: {exc}") from exc
+
+
+def encode_frame(record: QueryRecord) -> bytes:
+    """One stream frame: the u16 length prefix, then the record."""
+    blob = encode_record(record)
+    if len(blob) > 0xFFFF:
+        raise BinaryFormatError("record too large for u16 framing")
+    return _U16.pack(len(blob)) + blob
 
 
 def decode_record(blob: bytes) -> QueryRecord:
     try:
         (time, proto_idx, flags, sport, msg_id, payload, qtype,
          qclass) = _FIXED.unpack_from(blob)
-        pos = _FIXED.size
+        pos = FIXED_SIZE
         src_len = blob[pos]
         src = blob[pos + 1:pos + 1 + src_len].decode()
         pos += 1 + src_len
         dst_len = blob[pos]
         dst = blob[pos + 1:pos + 1 + dst_len].decode()
         pos += 1 + dst_len
-        (qname_len,) = struct.unpack_from("!H", blob, pos)
+        (qname_len,) = _U16.unpack_from(blob, pos)
         pos += 2
-        qname = blob[pos:pos + qname_len].decode()
         if pos + qname_len != len(blob):
             raise BinaryFormatError("trailing bytes in record")
-        return QueryRecord(time=time, src=src, dst=dst,
-                           proto=PROTOCOLS[proto_idx],
-                           do=bool(flags & _FLAG_DO),
-                           rd=bool(flags & _FLAG_RD),
-                           sport=sport, msg_id=msg_id,
-                           edns_payload=payload, qtype=qtype,
-                           qclass=qclass, qname=qname)
+        return make_record(time, src, blob[pos:].decode(), qtype, qclass,
+                           PROTOCOLS[proto_idx], sport, msg_id,
+                           bool(flags & _FLAG_RD), bool(flags & _FLAG_DO),
+                           payload, dst)
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise BinaryFormatError(f"malformed record: {exc}") from exc
 
@@ -152,15 +168,21 @@ def frame_spans(blob) -> tuple[int, int, int, int, int, int]:
     return src_off, src_len, dst_off, dst_len, qname_off, qname_len
 
 
-def trace_to_binary(trace: Trace | Iterable[QueryRecord]) -> bytes:
-    out = bytearray()
-    out += MAGIC + struct.pack("!HH", VERSION, 0)
-    for record in trace:
-        blob = encode_record(record)
-        if len(blob) > 0xFFFF:
-            raise BinaryFormatError("record too large for u16 framing")
-        out += struct.pack("!H", len(blob))
-        out += blob
+def trace_to_binary(trace: Trace | Iterable[QueryRecord],
+                    skip_malformed: bool = False,
+                    skipped: list | None = None) -> bytes:
+    """The whole LDPB stream.  A record the format cannot hold raises
+    :class:`BinaryFormatError` with its index in *trace*; with
+    *skip_malformed* it is dropped (and collected into *skipped*)."""
+    out = bytearray(HEADER)
+    for index, record in enumerate(trace):
+        try:
+            out += encode_frame(record)
+        except BinaryFormatError as exc:
+            error = BinaryFormatError(exc.message, index=index)
+            if not skip_malformed:
+                raise error from exc
+            note_skipped(skipped, error)
     return bytes(out)
 
 

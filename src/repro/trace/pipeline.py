@@ -24,20 +24,31 @@ A pipeline is lazy: building one does no I/O.  Running a sink
   fanned out to a ``multiprocessing`` pool for ``jobs>1`` — and merged
   back in input order.
 * **Streaming** — for text/pcap/record sources the chain applies
-  record by record, lazily.
+  record by record, lazily; a ``.txt`` source is read line by line from
+  the open file (:func:`repro.trace.textform.iter_text`), so neither
+  the file nor its records are ever held whole.
 
 Within the chunked executor there are two modes:
 
 * **frame mode** — every op in the chain knows how to rewrite a raw
   LDPB frame in place (patch the protocol byte, the DO flag, the
   timestamp; splice the qname), so records are never decoded at all.
-  This is the hot path: it is what makes trace preparation fast even
-  single-threaded, and it is automatically selected when all ops
-  support it and malformed records are set to raise (the default).
+  Each frame is copied into one ``bytearray`` and its layout validated
+  once; the ops then patch that buffer in turn, and because the qname
+  is the tail of the record a splice is a slice assignment
+  (:class:`PipelineOp` states the contract).  This is the hot path: it
+  is what makes trace preparation fast even single-threaded, and it is
+  automatically selected when all ops support it and malformed records
+  are set to raise (the default).
 * **record mode** — frames are decoded once, the whole chain applies to
   the :class:`~repro.trace.record.QueryRecord`, and the result is
   re-encoded once.  Used for predicate/map ops and whenever
-  ``skip_malformed`` is on (skipping requires decoding).
+  ``skip_malformed`` is on (skipping requires decoding).  A rewrite
+  costs what it changes here too: ``QueryRecord.with_`` is one shallow
+  copy plus the changed fields, and the codec builds a record in one
+  step.  A record the chain made unencodable (a field wider than the
+  format's) is malformed like any other: raised with its global index,
+  or skipped and reported.
 
 Determinism contract
 ====================
@@ -77,10 +88,11 @@ from typing import Callable, Iterable, Iterator
 
 from repro.trace.binaryform import (FLAG_DO, FLAGS_OFFSET, HEADER,
                                     HEADER_SIZE, PAYLOAD_OFFSET,
-                                    PROTO_OFFSET, TIME_OFFSET,
+                                    PROTO_OFFSET, SRC_OFFSET, TIME_OFFSET,
                                     BinaryFormatError, check_header,
-                                    decode_record, encode_record,
-                                    frame_spans, scan_frames)
+                                    decode_record, encode_frame,
+                                    frame_spans, scan_frames,
+                                    trace_to_binary)
 from repro.trace.errors import TraceFormatError, note_skipped
 from repro.trace.record import PROTOCOLS, QueryRecord, Trace
 
@@ -115,6 +127,10 @@ def client_unit(seed: int, src: bytes) -> float:
     return _mix64((seed & _M64) * _GOLDEN + zlib.crc32(src)) / 2.0 ** 64
 
 
+_U16 = struct.Struct("!H")
+_F64 = struct.Struct("!d")
+
+
 @dataclass(frozen=True)
 class PipelineContext:
     """Stream-global facts ops may need (computed before fan-out)."""
@@ -133,6 +149,17 @@ class PipelineOp:
     shipped to pool workers — so they are frozen dataclasses with no
     closures unless noted (predicate/map ops require picklable
     callables for ``jobs > 1``).
+
+    The frame contract: the executor copies each frame into one
+    ``bytearray``, validates its layout once
+    (:func:`~repro.trace.binaryform.frame_spans`) and hands that buffer
+    to every op of the chain in turn; an op patches it **in place** and
+    returns nothing.  The fixed fields and the addresses sit at format
+    offsets that no op moves, and the qname is the tail of the buffer
+    from ``qname_off`` — so a qname rewrite is a slice assignment
+    (``frame[qname_off:] = new``), whatever an earlier op did to the
+    name.  The qname's u16 length prefix is the executor's to write,
+    once, after the chain.
     """
 
     #: op reads ``ctx.first_time`` (forces decoding the first frame's
@@ -147,9 +174,10 @@ class PipelineOp:
         Return ``None`` to drop it."""
         raise NotImplementedError
 
-    def map_frame(self, blob: bytes, index: int,
-                  ctx: PipelineContext) -> bytes:
-        """Rewrite one raw LDPB record blob (no length prefix)."""
+    def map_frame(self, frame: bytearray, qname_off: int, index: int,
+                  ctx: PipelineContext) -> None:
+        """Patch one validated LDPB record (no length prefix) in place;
+        see the class docstring for what may be touched."""
         raise NotImplementedError
 
     def apply(self, trace: Trace) -> Trace:
@@ -184,16 +212,13 @@ class SetProtocol(PipelineOp):
             return record.with_(proto=self.proto)
         return record
 
-    def map_frame(self, blob, index, ctx):
-        src_off, src_len, *_ = frame_spans(blob)
-        if not self._converts(bytes(blob[src_off:src_off + src_len])):
-            return blob
-        proto_idx = PROTOCOLS.index(self.proto)
-        if blob[PROTO_OFFSET] == proto_idx:
-            return blob
-        out = bytearray(blob)
-        out[PROTO_OFFSET] = proto_idx
-        return bytes(out)
+    def map_frame(self, frame, qname_off, index, ctx):
+        if self.fraction < 1.0:     # only then is the client read
+            src = SRC_OFFSET + 1
+            if not self._converts(bytes(
+                    frame[src:src + frame[SRC_OFFSET]])):
+                return
+        frame[PROTO_OFFSET] = PROTOCOLS.index(self.proto)
 
 
 @dataclass(frozen=True)
@@ -220,15 +245,12 @@ class SetDoFraction(PipelineOp):
             return record.with_(do=True, edns_payload=self.payload)
         return record.with_(do=False)
 
-    def map_frame(self, blob, index, ctx):
-        frame_spans(blob)  # structural validation
-        out = bytearray(blob)
+    def map_frame(self, frame, qname_off, index, ctx):
         if self._sets(index):
-            out[FLAGS_OFFSET] |= FLAG_DO
-            struct.pack_into("!H", out, PAYLOAD_OFFSET, self.payload)
+            frame[FLAGS_OFFSET] |= FLAG_DO
+            _U16.pack_into(frame, PAYLOAD_OFFSET, self.payload)
         else:
-            out[FLAGS_OFFSET] &= ~FLAG_DO & 0xFF
-        return bytes(out)
+            frame[FLAGS_OFFSET] &= ~FLAG_DO & 0xFF
 
 
 @dataclass(frozen=True)
@@ -246,13 +268,12 @@ class PrependUnique(PipelineOp):
         return record.with_(qname=f"{self.prefix}{index}.{base}"
                             if base else f"{self.prefix}{index}.")
 
-    def map_frame(self, blob, index, ctx):
-        *_, qname_off, qname_len = frame_spans(blob)
-        qname = blob[qname_off:qname_off + qname_len]
-        tail = b"" if qname == b"." else bytes(qname)
-        new = self.prefix.encode() + str(index).encode() + b"." + tail
-        return (bytes(blob[:qname_off - 2]) + struct.pack("!H", len(new))
-                + new)
+    def map_frame(self, frame, qname_off, index, ctx):
+        label = f"{self.prefix}{index}.".encode()
+        if frame[qname_off:] == b".":
+            frame[qname_off:] = label
+        else:
+            frame[qname_off:qname_off] = label
 
 
 @dataclass(frozen=True)
@@ -269,14 +290,10 @@ class ScaleTime(PipelineOp):
         t0 = ctx.first_time
         return record.with_(time=t0 + (record.time - t0) * self.factor)
 
-    def map_frame(self, blob, index, ctx):
-        frame_spans(blob)
-        (t,) = struct.unpack_from("!d", blob, TIME_OFFSET)
+    def map_frame(self, frame, qname_off, index, ctx):
+        (t,) = _F64.unpack_from(frame, TIME_OFFSET)
         t0 = ctx.first_time
-        out = bytearray(blob)
-        struct.pack_into("!d", out, TIME_OFFSET,
-                         t0 + (t - t0) * self.factor)
-        return bytes(out)
+        _F64.pack_into(frame, TIME_OFFSET, t0 + (t - t0) * self.factor)
 
 
 @dataclass(frozen=True)
@@ -292,13 +309,10 @@ class RebaseTime(PipelineOp):
         return record.with_(time=record.time
                             + (self.start - ctx.first_time))
 
-    def map_frame(self, blob, index, ctx):
-        frame_spans(blob)
-        (t,) = struct.unpack_from("!d", blob, TIME_OFFSET)
-        out = bytearray(blob)
-        struct.pack_into("!d", out, TIME_OFFSET,
-                         t + (self.start - ctx.first_time))
-        return bytes(out)
+    def map_frame(self, frame, qname_off, index, ctx):
+        (t,) = _F64.unpack_from(frame, TIME_OFFSET)
+        _F64.pack_into(frame, TIME_OFFSET,
+                       t + (self.start - ctx.first_time))
 
 
 @dataclass(frozen=True)
@@ -317,15 +331,11 @@ class SetQnameSuffix(PipelineOp):
                 qname=record.qname[:-len(self.old)] + self.new)
         return record
 
-    def map_frame(self, blob, index, ctx):
-        *_, qname_off, qname_len = frame_spans(blob)
-        qname = bytes(blob[qname_off:qname_off + qname_len])
+    def map_frame(self, frame, qname_off, index, ctx):
+        qname = frame[qname_off:]
         old = self.old.encode()
-        if not qname.endswith(old):
-            return blob
-        new = qname[:-len(old)] + self.new.encode()
-        return (bytes(blob[:qname_off - 2]) + struct.pack("!H", len(new))
-                + new)
+        if qname.endswith(old):
+            frame[qname_off:] = qname[:-len(old)] + self.new.encode()
 
 
 @dataclass(frozen=True)
@@ -381,24 +391,34 @@ class _CompiledChain:
                 and all(op.frame_capable for op in self.ops))
 
     def run_frames(self, buf, chunk: _Chunk) -> tuple[bytes, int, int]:
-        """Frame mode: patch/splice blobs, never build a QueryRecord."""
+        """Frame mode: one buffer and one layout check per frame, the
+        ops patch it in place, no QueryRecord is ever built."""
         out = bytearray()
+        patches = [op.map_frame for op in self.ops]
+        ctx = self.ctx
+        pack_u16, pack_u16_into = _U16.pack, _U16.pack_into
         index = chunk.base_index
         for offset, length in scan_frames(buf, chunk.start, chunk.end,
                                           base_index=chunk.base_index):
-            blob = buf[offset + 2:offset + 2 + length]
+            frame = bytearray(buf[offset + 2:offset + 2 + length])
             try:
-                for op in self.ops:
-                    blob = op.map_frame(blob, index, self.ctx)
-            except BinaryFormatError as exc:
-                raise BinaryFormatError(exc.message, index=index,
-                                        offset=offset) from exc
-            if len(blob) > 0xFFFF:
-                raise BinaryFormatError("record too large for u16 "
-                                        "framing", index=index,
-                                        offset=offset)
-            out += struct.pack("!H", len(blob))
-            out += blob
+                qname_off = frame_spans(frame)[4]
+                for patch in patches:
+                    patch(frame, qname_off, index, ctx)
+                size = len(frame)
+                if size > 0xFFFF:
+                    raise BinaryFormatError(
+                        "record too large for u16 framing")
+                # The qname is whatever now follows qname_off.
+                pack_u16_into(frame, qname_off - 2, size - qname_off)
+            except (BinaryFormatError, struct.error) as exc:
+                # struct.error: an op wrote a value its field cannot
+                # hold — what encode_record reports in record mode.
+                raise BinaryFormatError(
+                    getattr(exc, "message", f"unencodable record: {exc}"),
+                    index=index, offset=offset) from exc
+            out += pack_u16(size)
+            out += frame
             index += 1
         n = index - chunk.base_index
         return bytes(out), n, n
@@ -408,20 +428,21 @@ class _CompiledChain:
         """Record mode: decode once, run the chain, encode once."""
         out = bytearray()
         skipped: list[TraceFormatError] = []
-        n_in = n_out = 0
+        n_out = 0
         for record, index in self.iter_records(buf, chunk, skipped):
-            n_in += 1
             if record is None:
                 continue
-            blob = encode_record(record)
-            if len(blob) > 0xFFFF:
-                raise BinaryFormatError(
-                    "record too large for u16 framing", index=index)
-            out += struct.pack("!H", len(blob))
-            out += blob
+            try:
+                out += encode_frame(record)
+            except BinaryFormatError as exc:
+                # The chain produced a record the format cannot hold.
+                error = BinaryFormatError(exc.message, index=index)
+                if not self.skip_malformed:
+                    raise error from exc
+                note_skipped(skipped, error)
+                continue
             n_out += 1
-        n_in += len(skipped)
-        return bytes(out), n_in, n_out, skipped
+        return bytes(out), chunk.records, n_out, skipped
 
     def iter_records(self, buf, chunk: _Chunk,
                      skipped: list[TraceFormatError] | None) \
@@ -573,11 +594,9 @@ class TracePipeline:
                        **options)
         if suffix == ".txt":
             def read_text(skip_malformed, skipped):
-                from repro.trace.textform import text_to_trace
-                return text_to_trace(
-                    path.read_text(encoding="utf-8"), name=name,
-                    skip_malformed=skip_malformed,
-                    skipped=skipped).records
+                from repro.trace.textform import iter_text
+                with open(path, encoding="utf-8") as lines:
+                    yield from iter_text(lines, skip_malformed, skipped)
             return cls(_Source("records", records=read_text, name=name),
                        **options)
         if suffix == ".pcap":
@@ -848,8 +867,19 @@ class TracePipeline:
             for frames in self._run_chunked("binary"):
                 out += frames
             return bytes(out)
-        from repro.trace.binaryform import trace_to_binary
-        return trace_to_binary(self.records())
+        return self._encode_stream()
+
+    def _encode_stream(self) -> bytes:
+        """LDPB from a record source; a record the format cannot hold
+        raises or is skipped like a line the text reader rejects."""
+        dropped: list[TraceFormatError] = []
+        data = trace_to_binary(self._stream_records(),
+                               self.skip_malformed, dropped)
+        for error in dropped:
+            note_skipped(self._skipped, error)
+        self.last_result.records_out -= len(dropped)
+        self.last_result.skipped += len(dropped)
+        return data
 
     def to_file(self, path: str | Path) -> PipelineResult:
         """Run and write the output trace (format by extension).
@@ -866,8 +896,7 @@ class TracePipeline:
                     handle.write(frames)
             return self.last_result
         if suffix == ".ldpb":
-            from repro.trace.binaryform import trace_to_binary
-            path.write_bytes(trace_to_binary(self.records()))
+            path.write_bytes(self._encode_stream())
             return self.last_result
         if suffix == ".txt":
             from repro.trace.textform import trace_to_text

@@ -8,8 +8,9 @@ back into a wire-format query by a querier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from sys import intern
 
 from repro.dns.constants import RRClass, RRType
 from repro.dns.message import Edns, Message, plain_query
@@ -61,7 +62,18 @@ class QueryRecord:
             raise ValueError(f"unknown protocol {self.proto!r}")
 
     def with_(self, **changes) -> "QueryRecord":
-        return replace(self, **changes)
+        """``dataclasses.replace(self, **changes)`` at the cost of what
+        changes: one shallow copy of the fields plus the new values,
+        instead of a 12-field ``__init__`` per call (§2.5 rewrites call
+        this several times per record)."""
+        if not _FIELD_NAMES.issuperset(changes):
+            unknown = min(set(changes) - _FIELD_NAMES)
+            raise TypeError(f"QueryRecord has no field {unknown!r}")
+        new = _new(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        if "proto" in changes:
+            new.__post_init__()
+        return new
 
     def to_message(self) -> Message:
         """Build the wire query this record describes."""
@@ -93,6 +105,40 @@ class QueryRecord:
                    rd=bool(message.flags & 0x0100),
                    do=message.edns.do if message.edns else False,
                    edns_payload=message.edns.payload if message.edns else 0)
+
+
+_new = object.__new__
+_FIELD_NAMES = frozenset(f.name for f in fields(QueryRecord))
+
+
+def make_record(time: float, src: str, qname: str, qtype: int, qclass: int,
+                proto: str, sport: int, msg_id: int, rd: bool, do: bool,
+                edns_payload: int, dst: str) -> QueryRecord:
+    """``QueryRecord(...)`` with every field given, built in one step
+    for the trace codecs, which construct one record per line or frame:
+    the fields are stored directly instead of through the frozen
+    ``__init__``'s twelve ``object.__setattr__`` calls.  Item stores (not
+    one ``update(**fields)``) keep the instance dict key-sharing, and
+    the addresses are interned: a trace has few clients next to its
+    records, so they share one ``str`` per address for as long as any
+    record holds it."""
+    if proto not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {proto!r}")
+    record = _new(QueryRecord)
+    state = record.__dict__
+    state["time"] = time
+    state["src"] = intern(src)
+    state["qname"] = qname
+    state["qtype"] = qtype
+    state["qclass"] = qclass
+    state["proto"] = proto
+    state["sport"] = sport
+    state["msg_id"] = msg_id
+    state["rd"] = rd
+    state["do"] = do
+    state["edns_payload"] = edns_payload
+    state["dst"] = intern(dst)
+    return record
 
 
 @dataclass

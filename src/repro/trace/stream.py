@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import struct
 
-from repro.trace.binaryform import (MAGIC, VERSION, BinaryFormatError,
-                                    decode_record, encode_record)
+from repro.trace.binaryform import (HEADER, MAGIC, VERSION,
+                                    BinaryFormatError, decode_record,
+                                    encode_frame)
 from repro.trace.record import QueryRecord
 
 # -- incremental binary codec --------------------------------------------------
@@ -64,9 +65,8 @@ class StreamEncoder:
         self._header_sent = False
 
     def encode(self, record: QueryRecord) -> bytes:
-        blob = encode_record(record)
-        frame = struct.pack("!H", len(blob)) + blob
+        frame = encode_frame(record)
         if not self._header_sent:
             self._header_sent = True
-            return MAGIC + struct.pack("!HH", VERSION, 0) + frame
+            return HEADER + frame
         return frame

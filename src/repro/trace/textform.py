@@ -13,9 +13,11 @@ with ``#`` are comments.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from repro.dns.constants import RRClass, RRType
 from repro.trace.errors import TraceFormatError, note_skipped
-from repro.trace.record import QueryRecord, Trace
+from repro.trace.record import QueryRecord, Trace, make_record
 
 HEADER = ("# time\tsrc\tsport\tdst\tproto\tqname\tqclass\tqtype"
           "\tflags\tpayload\tid")
@@ -68,13 +70,11 @@ def line_to_record(line: str, lineno: int = 0) -> QueryRecord:
         unknown = flag_set - {"DO", "RD"}
         if unknown:
             raise ValueError(f"unknown flags {sorted(unknown)}")
-        return QueryRecord(
-            time=float(time_s), src=src, sport=int(sport),
-            dst="" if dst == "-" else dst, proto=proto, qname=qname,
-            qclass=RRClass.from_text(qclass),
-            qtype=RRType.from_text(qtype),
-            do="DO" in flag_set, rd="RD" in flag_set,
-            edns_payload=int(payload), msg_id=int(msg_id))
+        return make_record(
+            float(time_s), src, qname, RRType.from_text(qtype),
+            RRClass.from_text(qclass), proto, int(sport), int(msg_id),
+            "RD" in flag_set, "DO" in flag_set, int(payload),
+            "" if dst == "-" else dst)
     except ValueError as exc:
         raise TextFormatError(str(exc), lineno) from exc
 
@@ -85,18 +85,29 @@ def trace_to_text(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def text_to_trace(text: str, name: str = "",
-                  skip_malformed: bool = False,
-                  skipped: list | None = None) -> Trace:
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def iter_text(lines: Iterable[str], skip_malformed: bool = False,
+              skipped: list | None = None) -> Iterator[QueryRecord]:
+    """Records from text lines, one at a time (*lines* may be an open
+    file: nothing beyond the current line is held).  Blank and ``#``
+    lines are passed over; a malformed line raises with its 1-based
+    number, or with *skip_malformed* is dropped (and collected into
+    *skipped*)."""
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            records.append(line_to_record(line, lineno))
+            record = line_to_record(line, lineno)
         except TextFormatError as error:
             if not skip_malformed:
                 raise
             note_skipped(skipped, error)
-    return Trace(records, name=name)
+        else:
+            yield record
+
+
+def text_to_trace(text: str, name: str = "",
+                  skip_malformed: bool = False,
+                  skipped: list | None = None) -> Trace:
+    return Trace(list(iter_text(text.splitlines(), skip_malformed,
+                                skipped)), name=name)

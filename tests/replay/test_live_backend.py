@@ -225,6 +225,29 @@ def test_live_backend_replays_mixed_udp_tcp_trace():
     assert metrics["meta"]["sim_time"] > 0
 
 
+def test_report_repr_is_a_summary_and_teardown_formats_no_record(
+        monkeypatch):
+    """``asyncio.run`` reprs the main task's result at teardown (the
+    SIGINT handler lookup formats the task): with the dataclass repr
+    that was every result and record of the run, twice."""
+    calls = []
+    record_repr = QueryRecord.__repr__
+    monkeypatch.setattr(
+        QueryRecord, "__repr__",
+        lambda self: calls.append(1) or record_repr(self))
+    lengths = []
+    for n in (8, 40):
+        backend = LiveBackend([make_example_zone()], config=live_config())
+        report = backend.run(mixed_trace(n))
+        assert len(report.results) == n
+        lengths.append(len(repr(report)))
+    assert max(lengths) < 100       # counts, whatever the trace size
+    # asyncio's debug mode (-X dev) reprs every scheduled callback's
+    # arguments, records included; that is its job, not the teardown's.
+    if not sys.flags.dev_mode:
+        assert not calls
+
+
 def test_live_backend_until_truncates():
     backend = LiveBackend([make_example_zone()], config=live_config())
     report = backend.run(mixed_trace(), until=0.2)

@@ -139,6 +139,30 @@ def test_text_skip_malformed():
     assert len(skipped) == 1
 
 
+def test_text_file_source_streams_line_by_line(tmp_path):
+    """``from_file("x.txt")`` reads the open file a line at a time: the
+    records before a bad line are out before it is even read (the whole
+    file used to be parsed before the first record was yielded), and
+    line numbers and skipping are the text reader's."""
+    from repro.trace.pipeline import TracePipeline
+    path = tmp_path / "t.txt"
+    path.write_text(trace_to_text(Trace(records())).replace(
+        "q1.example.com.\tIN", "q1.example.com.\tXX"))
+    stream = TracePipeline.from_file(path).records()
+    assert next(stream).qname == "q0.example.com."
+    with pytest.raises(TextFormatError) as info:
+        next(stream)
+    assert info.value.line == 3
+    skipped: list = []
+    trace = TracePipeline.from_file(path, skip_malformed=True,
+                                    skipped=skipped).collect()
+    assert [r.qname for r in trace] == ["q0.example.com.",
+                                       "q2.example.com."]
+    assert [error.line for error in skipped] == [3]
+    assert trace.records == text_to_trace(
+        path.read_text(), skip_malformed=True).records
+
+
 # -- pcap -------------------------------------------------------------------
 
 
@@ -169,3 +193,67 @@ def test_pcap_skip_malformed_keeps_good_prefix():
     assert len(skipped) == 1
     trace = pcap_to_trace(data, skip_malformed=True)
     assert len(trace) == 2
+
+
+# -- unencodable records ------------------------------------------------------
+
+
+def oversize_sport(record):
+    return record.with_(sport=70000) if record.time == 1.0 else record
+
+
+UNENCODABLE = {"sport": 70000, "msg_id": -1, "edns_payload": 1 << 16,
+               "qtype": 1 << 16, "src": "a" * 256, "qname": "a" * 65536}
+
+
+@pytest.mark.parametrize("field", UNENCODABLE)
+def test_unencodable_record_is_a_format_error(field):
+    """A value the LDPB fields cannot hold used to escape as a bare
+    ``struct.error`` / ``ValueError`` with no record index."""
+    bad = records()[1].with_(**{field: UNENCODABLE[field]})
+    with pytest.raises(BinaryFormatError) as info:
+        encode_record(bad)
+    assert info.value.index is None
+    with pytest.raises(BinaryFormatError) as info:
+        trace_to_binary([records()[0], bad])
+    assert info.value.index == 1
+    assert "record 1" in str(info.value)
+
+
+def test_unencodable_text_line_raises_or_skips_with_its_index(tmp_path):
+    """The text form has no field widths: ``sport`` 70000 parses, and
+    only the LDPB encoder can reject it."""
+    from repro.trace.pipeline import TracePipeline
+    path = tmp_path / "t.txt"
+    path.write_text(trace_to_text(Trace(records())).replace(
+        "198.51.100.1\t0\t", "198.51.100.1\t70000\t"))
+    with pytest.raises(TraceFormatError) as info:
+        TracePipeline.from_file(path).to_binary()
+    assert info.value.index == 1
+    skipped: list = []
+    pipe = TracePipeline.from_file(path, skip_malformed=True,
+                                   skipped=skipped)
+    assert [r.qname for r in binary_to_trace(pipe.to_binary())] == \
+        ["q0.example.com.", "q2.example.com."]
+    assert (pipe.last_result.records_out, pipe.last_result.skipped) == \
+        (2, 1)
+    assert [(type(e), e.index) for e in skipped] == \
+        [(BinaryFormatError, 1)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_record_mode_reports_a_record_its_chain_made_unencodable(jobs):
+    from repro.trace.pipeline import TracePipeline
+    data = trace_to_binary(records(5))
+    pipe = TracePipeline.from_binary(
+        data, jobs=jobs, chunk_records=2).map(oversize_sport)
+    with pytest.raises(BinaryFormatError) as info:
+        pipe.to_binary()
+    assert info.value.index == 1
+    skipped: list = []
+    skipping = pipe.with_options(skip_malformed=True, skipped=skipped)
+    assert [r.time for r in skipping.collect()] == [0.0, 2.0, 3.0, 4.0]
+    assert [e.index for e in skipped] == [1]
+    result = skipping.last_result
+    assert (result.records_in, result.records_out, result.skipped) == \
+        (5, 4, 1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.fuzzing import query_records
 from repro.dns.constants import RRType
 from repro.obs import Observer
 from repro.trace.binaryform import (HEADER_SIZE, scan_frames,
@@ -23,7 +24,7 @@ from repro.trace.pipeline import (FilterRecords, PrependUnique,
                                   SetProtocol, SetQnameSuffix,
                                   TracePipeline, as_trace, client_unit,
                                   index_unit)
-from repro.trace.record import QueryRecord, Trace
+from repro.trace.record import PROTOCOLS, QueryRecord, Trace
 from repro.trace.stats import StreamingStats, trace_stats
 
 # -- fixtures -----------------------------------------------------------------
@@ -56,11 +57,14 @@ def make_trace(n=40, name="t") -> Trace:
     ], name=name)
 
 
+# All six frame-capable ops, so the jobs x chunk matrix below runs the
+# whole in-place frame contract through the pool.
 CHAIN = (SetProtocol("tcp", fraction=0.5, seed=3),
          SetDoFraction(0.7, seed=5),
          PrependUnique("u"),
          ScaleTime(2.0),
-         RebaseTime())
+         RebaseTime(),
+         SetQnameSuffix("example.com.", "example.net."))
 
 
 # -- chunk splitting ----------------------------------------------------------
@@ -121,6 +125,38 @@ def test_frame_mode_matches_record_mode(records):
 
 def always_true(record):
     return True
+
+
+_fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_seeds = st.integers(0, 2 ** 32)
+drawn_chains = st.tuples(
+    st.builds(SetProtocol, st.sampled_from(PROTOCOLS), _fractions, _seeds),
+    st.builds(SetDoFraction, _fractions,
+              st.sampled_from((512, 1232, 4096)), _seeds),
+    st.builds(PrependUnique, st.sampled_from(("q", "u-", ""))),
+    st.builds(ScaleTime, st.floats(0.01, 100.0)),
+    st.builds(RebaseTime, st.floats(0.0, 1e6)),
+    # "." ends every name, "example." the strategies' fallback names.
+    st.builds(SetQnameSuffix, st.sampled_from((".", "example.", "com.")),
+              st.sampled_from((".", "test.", "a.longer.example.org."))),
+).flatmap(st.permutations)
+
+
+@given(st.lists(query_records() | record_strategy, max_size=25),
+       drawn_chains)
+@settings(max_examples=60, deadline=None)
+def test_three_executors_agree_on_drawn_chains(records, chain):
+    """Any order of the six frame-capable ops, with drawn parameters:
+    frames patched in place, records decoded-rewritten-encoded, and the
+    streaming executor over the records themselves give the same
+    bytes."""
+    data = trace_to_binary(records)
+    frame = TracePipeline.from_binary(data).pipe(*chain).to_binary()
+    record = TracePipeline.from_binary(data).pipe(
+        *chain, FilterRecords(always_true)).to_binary()
+    streaming = TracePipeline.from_records(records).pipe(
+        *chain).to_binary()
+    assert frame == record == streaming
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])

@@ -1,9 +1,14 @@
 """Tests for QueryRecord and Trace containers."""
 
-import pytest
+import dataclasses
+import pickle
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.check.fuzzing import query_records
 from repro.dns.constants import RRType
-from repro.trace.record import QueryRecord, Trace
+from repro.trace.record import PROTOCOLS, QueryRecord, Trace
 
 
 def rec(t=0.0, src="10.0.0.1", qname="example.com.", **kw):
@@ -45,6 +50,39 @@ def test_with_creates_modified_copy():
     changed = record.with_(proto="tcp")
     assert changed.proto == "tcp"
     assert record.proto == "udp"
+
+
+@given(query_records(), st.fixed_dictionaries({}, optional={
+    "time": st.floats(0.0, 1e6), "src": st.sampled_from(("10.0.0.1", "")),
+    "qname": st.sampled_from((".", "a.example.")),
+    "qtype": st.integers(1, 0xFFFF), "qclass": st.integers(1, 0xFFFF),
+    "proto": st.sampled_from(PROTOCOLS), "sport": st.integers(0, 0xFFFF),
+    "msg_id": st.integers(0, 0xFFFF), "rd": st.booleans(),
+    "do": st.booleans(), "edns_payload": st.integers(0, 0xFFFF),
+    "dst": st.sampled_from(("", "192.0.2.53"))}))
+def test_with_is_dataclasses_replace(record, changes):
+    """The copy-and-patch ``with_`` is pinned to the constructor path
+    it replaced: same value, hash and pickle, still frozen."""
+    before = dataclasses.astuple(record)
+    new = record.with_(**changes)
+    reference = dataclasses.replace(record, **changes)
+    assert type(new) is QueryRecord
+    assert new == reference and hash(new) == hash(reference)
+    assert pickle.dumps(new) == pickle.dumps(reference)
+    assert pickle.loads(pickle.dumps(new)) == reference
+    assert new.with_() == new and new.with_() is not new
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        new.time = 0.0
+    assert dataclasses.astuple(record) == before
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"nope": 1}, TypeError), ({"proto": "sctp"}, ValueError),
+    ({"qname": "a.", "ttl": 3}, TypeError)])
+def test_with_rejects_what_replace_rejects(changes, error):
+    for build in (rec().with_, lambda **c: dataclasses.replace(rec(), **c)):
+        with pytest.raises(error):
+            build(**changes)
 
 
 def test_trace_sorted_and_duration():
