@@ -27,13 +27,12 @@ turns the promises into machine-checked invariants:
   what the plain engine — full decode, lookup, full encode — makes.
 
 Enable with ``ReplayConfig(check=True)`` (shaped like ``observe=``):
-the sim engine then verifies each message-id allocation inline,
-rescans full querier state every :data:`SCAN_EVERY` sends, and runs a
-final verification before the report.  The checker only *reads*
-engine state — it schedules no events of its own — so a checked run
+either backend then verifies each message-id allocation and message
+inline, rescans full querier state every :data:`SCAN_EVERY` sends, and
+runs a final verification before the report.  The checker only
+*reads* state — it schedules no events of its own — so a checked run
 is byte-identical to an unchecked one, scheduler accounting included.
-The live backend verifies once after its queriers drain.  Violations
-raise :class:`InvariantViolation` with every failed check listed.
+Violations raise :class:`InvariantViolation` listing every failure.
 """
 
 from __future__ import annotations
@@ -141,6 +140,13 @@ def _check_pinning(queriers, errors: list[str]) -> None:
                 return      # one example is enough; the map is broken
 
 
+def _raise_if_any(errors: list[str], context: str) -> None:
+    if errors:
+        detail = "\n".join(f"  - {e}" for e in errors)
+        raise InvariantViolation(
+            f"{context}: {len(errors)} invariant violation(s):\n{detail}")
+
+
 def verify_queriers(queriers, *, sticky: bool = True,
                     supervised: bool = False,
                     expected_results: int | None = None,
@@ -148,9 +154,7 @@ def verify_queriers(queriers, *, sticky: bool = True,
     """Verify the querier-side invariants, raising
     :class:`InvariantViolation` with every failure listed.
 
-    Shared by both backends: the sim engine's periodic/final scans and
-    the live backend's post-drain verification call this on their
-    querier lists (the same :class:`Querier` on either substrate).
+    The scan :class:`InvariantChecker` runs, on either backend.
     Pinning is only checked when *sticky* and no querier crashed and
     not *supervised* — failover legitimately re-homes sources."""
     errors: list[str] = []
@@ -165,11 +169,7 @@ def verify_queriers(queriers, *, sticky: bool = True,
             errors.append(
                 f"{total} results for {expected_results} trace "
                 "records (records lost or duplicated in dispatch)")
-    if errors:
-        detail = "\n".join(f"  - {e}" for e in errors)
-        raise InvariantViolation(
-            f"{context}: {len(errors)} invariant violation(s):\n"
-            f"{detail}")
+    _raise_if_any(errors, context)
 
 
 def verify_responder(responder, *, context: str = "server") -> None:
@@ -203,11 +203,7 @@ def verify_responder(responder, *, context: str = "server") -> None:
             f"shed={responder.admission_shed} + "
             f"refused={responder.admission_refused} + "
             f"queued={queued} = {settled} (admitted datagrams lost)")
-    if errors:
-        detail = "\n".join(f"  - {e}" for e in errors)
-        raise InvariantViolation(
-            f"{context}: {len(errors)} invariant violation(s):\n"
-            f"{detail}")
+    _raise_if_any(errors, context)
 
 
 def verify_cache(cache, *, context: str = "cache") -> None:
@@ -236,37 +232,37 @@ def verify_cache(cache, *, context: str = "cache") -> None:
         errors.append(
             f"empty cache reports memory_bytes={cache.memory_bytes} "
             "(size accounting leaked)")
-    if errors:
-        detail = "\n".join(f"  - {e}" for e in errors)
-        raise InvariantViolation(
-            f"{context}: {len(errors)} invariant violation(s):\n"
-            f"{detail}")
+    _raise_if_any(errors, context)
 
 
 class InvariantChecker:
-    """The ``ReplayConfig(check=True)`` hook for the sim engine.
+    """The ``ReplayConfig(check=True)`` hook, on either backend.
 
-    ``attach()`` points every querier's ``check`` slot here; the
-    querier calls :meth:`on_msg_id` at each id allocation, which both
-    validates the id and drives the periodic full scan (every
-    :data:`SCAN_EVERY` sends).  The engine calls :meth:`final` before
-    assembling the report.  The checker never schedules events, so it
-    cannot perturb the deterministic timeline."""
+    Bound to the run's *queriers*, its *servers* (``(where, app)``
+    pairs; the responders and resolvers among them are checked), the
+    *config* (pinning rules) and a *clock* (anything with ``.now``).
+    ``attach()`` points every querier's and server's ``check`` slot
+    here; a querier calls :meth:`on_msg_id` at each id allocation,
+    which also drives the full scan every :data:`SCAN_EVERY` sends, and
+    the backend calls :meth:`final` before assembling the report.  The
+    checker never schedules events, so it cannot perturb the timeline."""
 
-    def __init__(self, engine):
-        self.engine = engine
+    def __init__(self, queriers, servers, config, clock):
+        from repro.server.recursive import RecursiveResolver
+        from repro.server.responder import DnsResponder
+        self.queriers = queriers
+        self.servers = [(where, app) for where, app in servers
+                        if isinstance(app, (DnsResponder,
+                                            RecursiveResolver))]
+        self.config = config
+        self.clock = clock
         self.scans = 0
         self.id_checks = 0
 
-    def attach(self) -> None:
-        from repro.server.recursive import RecursiveResolver
-        from repro.server.responder import DnsResponder
-        for querier in self.engine.queriers:
-            querier.check = self
-        for host in self.engine.sim.hosts.values():
-            for app in host.apps:
-                if isinstance(app, (DnsResponder, RecursiveResolver)):
-                    app.check = self
+    def attach(self) -> "InvariantChecker":
+        for checked in (*self.queriers, *(app for _, app in self.servers)):
+            checked.check = self
+        return self
 
     # -- send-time hook -----------------------------------------------------
 
@@ -398,24 +394,20 @@ class InvariantChecker:
 
     def scan(self, expected_results: int | None = None) -> None:
         self.scans += 1
-        config = self.engine.config
+        config = self.config
         verify_queriers(
-            self.engine.queriers, sticky=config.sticky_sources,
+            self.queriers, sticky=config.sticky_sources,
             supervised=config.supervision is not None,
             expected_results=expected_results,
-            context=f"replay t={self.engine.sim.now:.3f}")
+            context=f"replay t={self.clock.now:.3f}")
 
     def final(self, expected_results: int | None = None) -> None:
         self.scan(expected_results=expected_results)
         # Server-side accounting: every DnsResponder app in the world
         # (authoritative, meta, recursive) must conserve its queries.
         from repro.server.recursive import RecursiveResolver
-        from repro.server.responder import DnsResponder
-        for host in self.engine.sim.hosts.values():
-            for app in host.apps:
-                if isinstance(app, DnsResponder):
-                    verify_responder(
-                        app, context=f"server {host.name}")
-                elif isinstance(app, RecursiveResolver):
-                    verify_cache(
-                        app.cache, context=f"cache {host.name}")
+        for where, app in self.servers:
+            if isinstance(app, RecursiveResolver):
+                verify_cache(app.cache, context=f"cache {where}")
+            else:
+                verify_responder(app, context=f"server {where}")

@@ -23,7 +23,8 @@ from repro.netsim.resources import CostModel, PeriodicSampler, Sample
 from repro.netsim.sim import Simulator
 from repro.proxy import AuthoritativeProxy, RecursiveProxy
 from repro.replay.backends.sim import SimBackend
-from repro.replay.engine import ReplayConfig, ReplayEngine, ReplayReport
+from repro.replay.engine import (ReplayConfig, ReplayEngine, ReplayReport,
+                                 _validate_config)
 from repro.server import (AuthoritativeServer, MetaDnsServer,
                           RecursiveResolver, RootHint)
 from repro.server.cache import CacheConfig
@@ -43,7 +44,8 @@ class ExperimentConfig:
     :class:`RecursiveExperiment`)."""
 
     # A, R: client <-> server round-trip time; with client_loss it
-    # makes the engine's client_link.
+    # makes the engine's client_link.  Live replays ignore it: loopback
+    # has its own.
     rtt: float = 0.001
     cost: CostModel | None = None               # A, R: server cost model
     tcp_idle_timeout: float | None = 20.0       # A
@@ -61,6 +63,7 @@ class ExperimentConfig:
     # A, R: symmetric per-packet loss on every client uplink (the §2.1
     # "control response times" axis: lossy what-ifs).  Pair with
     # ReplayConfig.resilience so degradation is measured, not silent.
+    # Sim only: the live backend refuses it.
     client_loss: float = 0.0
     # A: server-side overload control (RRL, DNS Cookies, admission
     # queueing — docs/RESILIENCE.md).  None builds no limiter, cookie
@@ -74,9 +77,9 @@ class ExperimentConfig:
     replay: ReplayConfig = field(default_factory=ReplayConfig)
 
     def engine_config(self) -> ReplayConfig:
-        """The facades' engine config: a copy of ``replay`` whose
-        ``client_link`` carries ``rtt``/``client_loss`` (the caller's
-        object is left as passed)."""
+        """The facades' replay config, on either backend: a copy of
+        ``replay`` whose ``client_link`` carries ``rtt``/``client_loss``
+        (the caller's object is left as passed)."""
         if self.replay.client_link != LinkParams():
             raise ValueError(
                 "an experiment facade derives ReplayConfig.client_link "
@@ -144,7 +147,7 @@ class AuthoritativeExperiment:
         self.engine = None
         self.sampler = None
         self.backend = LiveBackend(
-            zones, config=self.config.replay, log_queries=True,
+            zones, config=self.config.engine_config(), log_queries=True,
             answer_cache=self.config.answer_cache,
             overload=self.config.overload)
         self.server = self.backend.responder
@@ -153,9 +156,8 @@ class AuthoritativeExperiment:
     def run(self, trace: Trace, until: float | None = None,
             extra_time: float | None = None,
             resume_from=None) -> ExperimentResult:
-        """Run the replay.  *until*/*extra_time* default to the values
-        in ``ReplayConfig`` (the experiment facade may still override
-        them per run without deprecation)."""
+        """Run the replay; *until*/*extra_time* as in
+        :meth:`ReplayEngine.run`."""
         report = self.backend.run(trace, extra_time=extra_time,
                                   until=until, resume_from=resume_from)
         return ExperimentResult(report=report,
@@ -170,11 +172,7 @@ class RecursiveExperiment:
     def __init__(self, zones: list[Zone], root_hints: list[RootHint],
                  config: ExperimentConfig | None = None):
         self.config = config or ExperimentConfig()
-        if self.config.replay.backend != "sim":
-            raise ValueError(
-                "RecursiveExperiment requires backend='sim': the "
-                "recursive pipeline rides the simulated proxies "
-                "(docs/BACKENDS.md)")
+        _validate_config(self.config.replay, "RecursiveExperiment")
         self.sim = Simulator(observe=self.config.replay.observe)
         half_rtt = self.config.rtt / 4
         self.meta_host = self.sim.add_host(

@@ -55,21 +55,29 @@ class LatencyCell:
 def run_cell(protocol: str, rtt: float, duration: float = 30.0,
              mean_rate: float = 600.0, clients: int = 3000,
              timeout: float = SCALED_TIMEOUT, internet=None,
-             seed: int = 60) -> LatencyCell:
+             seed: int = 60, *, tcp_fraction: float = 0.03,
+             world_seed: int = 4, before_run=None) -> LatencyCell:
+    """One transport cell (this figure's, and the QUIC what-if's): a
+    B-Root-17b-like trace replayed at a wildcard root over *protocol* —
+    "tcp", "tls" or "quic" rewrites every query to it, anything else
+    ("original", "udp") keeps the generated mix — and its latencies
+    split into busy and non-busy clients.  *before_run* gets the world
+    before the replay starts."""
     internet = internet or root_zone_world(tlds=6, slds_per_tld=8,
                                            seed=10)
     zone = wildcard_root_zone(internet)
     trace = generate_broot_trace(internet, BRootParams(
         duration=duration, mean_rate=mean_rate, clients=clients,
-        seed=seed, tcp_fraction=0.03), name="B-Root-17b")
-    if protocol in ("tcp", "tls"):
+        seed=seed, tcp_fraction=tcp_fraction), name="B-Root-17b")
+    if protocol in ("tcp", "tls", "quic"):
         trace = SetProtocol(protocol).apply(trace)
     trace = RebaseTime().apply(trace)
     world = authoritative_world([zone], rtt=rtt, mode="direct",
                                 tcp_idle_timeout=timeout,
-                                timing_jitter=False, seed=4)
-    result = world.run(trace, extra_time=2.0)
-    report = result.report
+                                timing_jitter=False, seed=world_seed)
+    if before_run is not None:
+        before_run(world)
+    report = world.run(trace, extra_time=2.0).report
 
     counts = queries_per_client(trace)
     mean_load = len(trace) / len(counts)

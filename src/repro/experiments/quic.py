@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.harness import (authoritative_world,
-                                       root_zone_world,
-                                       wildcard_root_zone)
-from repro.experiments.latency import (BUSY_CUTOFF_RATIO, SCALED_TIMEOUT)
-from repro.trace.pipeline import RebaseTime, SetProtocol
-from repro.trace.stats import queries_per_client
-from repro.util.stats import Summary, summarize
-from repro.workloads.broot import BRootParams, generate_broot_trace
+from repro.experiments import latency
+from repro.experiments.harness import root_zone_world
+from repro.util.stats import Summary
 
 
 @dataclass
@@ -40,45 +35,24 @@ class TransportCell:
 
 def run_cell(protocol: str, rtt: float = 0.08, duration: float = 20.0,
              mean_rate: float = 400.0, clients: int = 1600,
-             timeout: float = SCALED_TIMEOUT, internet=None,
+             timeout: float = latency.SCALED_TIMEOUT, internet=None,
              seed: int = 61) -> TransportCell:
-    internet = internet or root_zone_world(tlds=6, slds_per_tld=8,
-                                           seed=10)
-    zone = wildcard_root_zone(internet)
-    trace = generate_broot_trace(internet, BRootParams(
-        duration=duration, mean_rate=mean_rate, clients=clients,
-        seed=seed, tcp_fraction=0.0))
-    if protocol != "udp":
-        trace = SetProtocol(protocol).apply(trace)
-    trace = RebaseTime().apply(trace)
-    world = authoritative_world([zone], rtt=rtt, mode="direct",
-                                tcp_idle_timeout=timeout,
-                                timing_jitter=False, seed=6)
-    # Sample once mid-run for the connection-state snapshot.
-    meter = world.server_host.meter
     snapshot = {}
 
-    def snap():
-        snapshot["memory"] = meter.memory
-        snapshot["established"] = meter.established
-        snapshot["time_wait"] = meter.time_wait
+    def arm_snapshot(world) -> None:
+        # Sample once mid-run for the connection-state snapshot.
+        meter = world.server_host.meter
+        world.sim.scheduler.at(duration * 0.75, lambda: snapshot.update(
+            memory=meter.memory, established=meter.established,
+            time_wait=meter.time_wait))
 
-    world.sim.scheduler.at(duration * 0.75, snap)
-    result = world.run(trace, extra_time=2.0)
-    report = result.report
-
-    counts = queries_per_client(trace)
-    cutoff = BUSY_CUTOFF_RATIO * len(trace) / len(counts)
-    nonbusy = {src for src, n in counts.items() if n < cutoff}
-    all_lat = [r.latency for r in report.results
-               if r.latency is not None]
-    nonbusy_lat = [r.latency for r in report.results
-                   if r.latency is not None and r.record.src in nonbusy]
+    cell = latency.run_cell(
+        protocol, rtt, duration, mean_rate, clients, timeout, internet,
+        seed, tcp_fraction=0.0, world_seed=6, before_run=arm_snapshot)
     return TransportCell(
-        protocol=protocol, rtt=rtt,
-        all_clients=summarize(all_lat),
-        nonbusy_clients=summarize(nonbusy_lat),
-        answered_fraction=report.answered_fraction(),
+        protocol=protocol, rtt=rtt, all_clients=cell.all_clients,
+        nonbusy_clients=cell.nonbusy_clients,
+        answered_fraction=cell.answered_fraction,
         server_memory=snapshot.get("memory", 0),
         time_wait=snapshot.get("time_wait", 0),
         established=snapshot.get("established", 0))

@@ -46,7 +46,3 @@ class ReplayBackend(ABC):
         *extra_time*/*until* override the values carried in
         ``ReplayConfig`` for this run only; *resume_from* continues a
         checkpointed replay (sim backend only)."""
-
-    def close(self) -> None:
-        """Release any resources the backend holds (sockets, hosts).
-        Idempotent; the default is a no-op."""

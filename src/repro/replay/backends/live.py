@@ -20,7 +20,8 @@ live-only is what is about wall-clock I/O: the server's sockets, and
 :class:`LiveQuerier`'s feed loop, which paces records with the §2.6 ΔT
 rule (:class:`~repro.replay.timing.ReplayTimer`) against the event
 loop's monotonic clock and bounds the queries in flight.  Same-source
-records stick to one querier (CRC-32, like the sim's split-input rule).
+records stick to one querier (``supervisor.partition``, the sim's
+split-input rule).
 
 The report is the ordinary :class:`~repro.replay.engine.ReplayReport`
 with the same metric schema as the sim backend; what only wall-clock
@@ -36,7 +37,6 @@ import asyncio
 import contextlib
 import os
 import time
-import zlib
 from dataclasses import dataclass
 
 from repro.netsim.framing import LengthPrefixFramer, frame_message
@@ -44,7 +44,8 @@ from repro.netsim.jitter import NullSendPath
 from repro.netsim.resources import ResourceMeter
 from repro.obs import Observer, volatile, zero_counters
 from repro.replay.backends.base import ReplayBackend
-from repro.replay.querier import Querier, QuerierConfig, QueryResult
+from repro.replay.querier import Querier
+from repro.replay.supervisor import partition
 from repro.server.responder import DnsResponder
 from repro.trace.pipeline import as_trace
 
@@ -531,19 +532,7 @@ class LiveBackend(ReplayBackend):
                  overload=None):
         from repro.replay.engine import ReplayConfig, _validate_config
         self.config = config = config or ReplayConfig(backend="live")
-        _validate_config(config)
-        if config.backend != "live":
-            raise ValueError(
-                f"LiveBackend requires backend='live', got "
-                f"{config.backend!r}")
-        if config.supervision is not None:
-            raise ValueError(
-                "supervision is sim-only: heartbeats/checkpoints ride "
-                "the simulated control plane (docs/BACKENDS.md)")
-        if config.fault_plan is not None:
-            raise ValueError(
-                "fault injection is sim-only: faults are applied to "
-                "the simulated fabric (docs/BACKENDS.md)")
+        _validate_config(config, "LiveBackend")
         self.live = config.live or LiveReplayConfig()
         self.observer = Observer() if config.observe else None
         self.host = _LiveHost()
@@ -569,23 +558,13 @@ class LiveBackend(ReplayBackend):
         for every query to settle, each bounded by its timeout) and is
         accepted for API parity.  *until* truncates the trace at that
         timestamp, matching the sim's stop-the-clock semantics."""
-        if resume_from is not None:
-            raise ValueError(
-                "checkpoint/resume requires backend='sim': checkpoints "
-                "capture simulator state (docs/BACKENDS.md)")
+        from repro.replay.engine import _validate_run
         del extra_time
         records = as_trace(trace, self.observer).sorted().records
-        if until is None:
-            until = self.config.until
+        until = self.config.until if until is None else until
         if until is not None:
             records = [r for r in records if r.time <= until]
-        for record in records:
-            if record.proto not in ("udp", "tcp"):
-                raise ValueError(
-                    f"the live backend replays udp/tcp, but a record "
-                    f"uses proto={record.proto!r}; rewrite the trace "
-                    "(e.g. trace.pipeline SetProtocol) or use "
-                    "backend='sim'")
+        _validate_run(self.config, records, resume_from)
         return asyncio.run(self._replay(records))
 
     async def _replay(self, records):
@@ -606,12 +585,29 @@ class LiveBackend(ReplayBackend):
                 _LoopHost(f"live-client-{i}", clock,
                           (live.host, server.port)),
                 live.host, name=f"live-querier-{i}",
-                config=QuerierConfig(dns_port=server.port,
-                                     resilience=config.resilience,
-                                     cookies=config.cookies,
-                                     fast=config.fast))
+                config=config.querier_config(dns_port=server.port))
             for i in range(n)]
-        parts = self._partition(records, n)
+        checker, violations = None, []
+        if config.check:
+            from repro.check.invariants import (InvariantChecker,
+                                                InvariantViolation)
+            checker = InvariantChecker(
+                self.queriers, [(self.host.name, self.responder)],
+                config, clock).attach()
+
+            def keep_violation(loop, context) -> None:
+                # A violation raised in a socket callback reaches the
+                # loop, not the feed: keep it, raise it after the drain.
+                exc = context.get("exception")
+                if isinstance(exc, InvariantViolation):
+                    violations.append(exc)
+                else:
+                    loop.default_exception_handler(context)
+            loop.set_exception_handler(keep_violation)
+        # Same-source records stick to one querier, like the sim's
+        # split input; unsticky, they are dealt round robin.
+        parts = (partition(records, n) if config.sticky_sources
+                 else [records[i::n] for i in range(n)])
         cpu_start = time.process_time()
         clock.epoch = loop.time()
         try:
@@ -637,42 +633,15 @@ class LiveBackend(ReplayBackend):
             metrics.gauge("replay.wall_qps", volatile=True).set(
                 sum(q.sent for q in self.queriers) / elapsed
                 if elapsed > 0 else 0.0)
-        if config.check and not self.deadline_hit:
-            # Same invariants as the sim's ReplayConfig(check=True)
-            # scans, verified once after the queriers drain (a
-            # deadline hit cancels the feeds mid-flight, so accounting
-            # is allowed to be incomplete then).
-            from repro.check.invariants import (verify_queriers,
-                                                verify_responder)
-            verify_queriers(self.queriers,
-                            sticky=config.sticky_sources,
-                            expected_results=len(records),
-                            context="live replay")
-            verify_responder(self.responder, context="live server")
-        results: list[QueryResult] = []
-        for querier in self.queriers:
-            results.extend(querier.results)
-        results.sort(key=lambda r: r.send_time)
-        return ReplayReport(results=results, queriers=self.queriers,
-                            sim=_LiveClock(elapsed),
-                            server_host=self.host,
-                            observer=self.observer,
-                            counted=[*self.queriers, self.responder,
-                                     server, self])
-
-    def _partition(self, records, n: int) -> list[list]:
-        """Same-source records stick to one querier (CRC-32, the sim's
-        split-input rule), preserving per-source connection reuse."""
-        if n == 1:
-            return [list(records)]
-        parts: list[list] = [[] for _ in range(n)]
-        if self.config.sticky_sources:
-            for record in records:
-                parts[zlib.crc32(record.src.encode()) % n].append(record)
-        else:
-            for index, record in enumerate(records):
-                parts[index % n].append(record)
-        return parts
+        if violations:
+            raise violations[0]
+        if checker is not None and not self.deadline_hit:
+            # A deadline hit cancels the feeds mid-flight, so accounting
+            # is allowed to be incomplete then.
+            checker.final(expected_results=len(records))
+        return ReplayReport.gather(
+            self.queriers, _LiveClock(elapsed), self.host, self.observer,
+            [*self.queriers, self.responder, server, self])
 
     @staticmethod
     def _rss_bytes() -> int:
@@ -683,6 +652,3 @@ class LiveBackend(ReplayBackend):
                 * 1024
         except Exception:
             return 0
-
-    def close(self) -> None:
-        self.server = None

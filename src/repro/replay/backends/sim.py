@@ -1,12 +1,7 @@
-"""The deterministic simulator backend.
-
-A thin adapter: the discrete-event :class:`~repro.replay.engine.
-ReplayEngine` already is the sim backend's executor, so this class
-only gives it the :class:`~repro.replay.backends.base.ReplayBackend`
-face.  It never copies or re-derives state — reports come from the
-exact same engine the experiment facades build, so ``backend="sim"``
-output stays byte-identical to what the engine produced before the
-backend split existed.
+"""The deterministic simulator backend: the discrete-event
+:class:`~repro.replay.engine.ReplayEngine` behind the
+:class:`~repro.replay.backends.base.ReplayBackend` face.  ``run``
+delegates to ``ReplayEngine.run``, so the report is the engine's own.
 """
 
 from __future__ import annotations
@@ -22,13 +17,8 @@ class SimBackend(ReplayBackend):
 
     def __init__(self, engine):
         self.engine = engine
-        self.config = engine.config
 
     def run(self, trace, *, extra_time=None, until=None,
             resume_from=None):
-        config = self.engine.config
-        return self.engine._run(
-            trace,
-            config.extra_time if extra_time is None else extra_time,
-            config.until if until is None else until,
-            resume_from)
+        return self.engine.run(trace, extra_time=extra_time, until=until,
+                               resume_from=resume_from)

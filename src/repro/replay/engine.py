@@ -19,7 +19,6 @@ Two distribution modes:
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -38,7 +37,7 @@ from repro.replay.distributor import Distributor
 from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
                                   ResilienceConfig)
 from repro.replay.supervisor import (ReplayCheckpoint, Supervisor,
-                                     SupervisionConfig)
+                                     SupervisionConfig, partition)
 from repro.trace.pipeline import as_trace
 
 # What a report derives rather than collects (ReplayReport.metrics).
@@ -125,6 +124,12 @@ class ReplayConfig:
     # byte-identical to an unchecked one (the checker only reads
     # state, it schedules nothing).
     check: bool = False
+
+    def querier_config(self, **per_querier) -> QuerierConfig:
+        """A run's querier config; *per_querier* adds the rest."""
+        return QuerierConfig(resilience=self.resilience,
+                             cookies=self.cookies, fast=self.fast,
+                             **per_querier)
 
 
 @dataclass
@@ -221,11 +226,52 @@ class ReplayReport:
             self.metrics(include_volatile=include_volatile),
             indent=indent)
 
+    @classmethod
+    def gather(cls, queriers: list[Querier], clock, server_host,
+               observer: Observer | None, counted: list) -> "ReplayReport":
+        """A run's report, on either backend: every querier's results in
+        send-time order; *clock* gives ``.now`` at report time."""
+        results = [result for querier in queriers
+                   for result in querier.results]
+        results.sort(key=lambda r: r.send_time)
+        return cls(results=results, queriers=queriers, sim=clock,
+                   server_host=server_host, observer=observer,
+                   counted=counted)
 
-def _validate_config(config: ReplayConfig) -> None:
-    """Reject impossible topologies up front with actionable messages
-    (previously a zero here surfaced as a bare ZeroDivisionError or
-    IndexError deep inside the feed loop)."""
+
+# The capability table (docs/BACKENDS.md).  The backend each executor
+# runs, and its refusal of a config selecting another:
+_EXECUTORS = {
+    "ReplayEngine": ("sim", "ReplayEngine executes the 'sim' backend, but "
+                     "this config selects backend={backend!r}; build it via "
+                     "repro.replay.backends.get_backend() or an experiment "
+                     "facade instead"),
+    "LiveBackend": ("live", "LiveBackend requires backend='live', got "
+                    "{backend!r}"),
+    "RecursiveExperiment": ("sim", "RecursiveExperiment requires backend="
+                            "'sim': the recursive pipeline rides the "
+                            "simulated proxies (docs/BACKENDS.md)"),
+}
+# What only the simulator can run, as (asked for?, why): any other
+# backend refuses it rather than silently replaying without it.
+SIM_ONLY = (
+    (lambda c: c.supervision is not None, "supervision is sim-only: "
+     "heartbeats/checkpoints ride the simulated control plane"),
+    (lambda c: c.fault_plan is not None, "fault injection is sim-only: "
+     "faults are applied to the simulated fabric"),
+    (lambda c: c.client_link.loss > 0, "client loss is sim-only: the "
+     "simulated client links drop the packets"),
+    (lambda c: c.client_rtts is not None, "client_rtts is sim-only: they "
+     "are delays of the simulated client links"),
+)
+LIVE_PROTOCOLS = ("udp", "tcp")     # the record protocols a live run sends
+
+
+def _validate_config(config: ReplayConfig, executor: str) -> None:
+    """Reject impossible topologies, and what *executor*'s backend
+    cannot run, up front with actionable messages (previously a zero
+    here surfaced as a bare ZeroDivisionError or IndexError deep inside
+    the feed loop)."""
     from repro.replay.backends import BACKENDS
     if config.backend not in BACKENDS:
         raise ValueError(
@@ -256,6 +302,30 @@ def _validate_config(config: ReplayConfig) -> None:
             "ReplayConfig.supervision requires mode='distributed': "
             "supervision heartbeats travel over the controller's TCP "
             "control channels, which direct mode does not build")
+    backend, refusal = _EXECUTORS[executor]
+    if config.backend != backend:
+        raise ValueError(refusal.format(backend=config.backend))
+    if backend != "sim":
+        for asked_for, why in SIM_ONLY:
+            if asked_for(config):
+                raise ValueError(f"{why} (docs/BACKENDS.md)")
+
+
+def _validate_run(config: ReplayConfig, records, resume_from) -> None:
+    """The capability table's run-time half: what a run brings."""
+    if config.backend == "sim":
+        return
+    if resume_from is not None:
+        raise ValueError(
+            "checkpoint/resume requires backend='sim': checkpoints "
+            "capture simulator state (docs/BACKENDS.md)")
+    for record in records:
+        if record.proto not in LIVE_PROTOCOLS:
+            raise ValueError(
+                f"the live backend replays udp/tcp, but a record "
+                f"uses proto={record.proto!r}; rewrite the trace "
+                "(e.g. trace.pipeline SetProtocol) or use "
+                "backend='sim'")
 
 
 class ReplayEngine:
@@ -272,13 +342,7 @@ class ReplayEngine:
         self.sim = sim
         self.server_addr = server_addr
         self.config = config = config or ReplayConfig()
-        _validate_config(config)
-        if config.backend != "sim":
-            raise ValueError(
-                f"ReplayEngine executes the 'sim' backend, but this "
-                f"config selects backend={config.backend!r}; build it "
-                "via repro.replay.backends.get_backend() or an "
-                "experiment facade instead")
+        _validate_config(config, "ReplayEngine")
         self.queriers: list[Querier] = []
         self.distributors: list[Distributor] = []
         self.controllers: list[Controller] = []
@@ -317,10 +381,7 @@ class ReplayEngine:
                 queriers.append(Querier(
                     host, self.server_addr,
                     name=f"querier-{i}.{q}",
-                    config=QuerierConfig(
-                        jitter_seed=seed,
-                        resilience=config.resilience,
-                        cookies=config.cookies, fast=config.fast)))
+                    config=config.querier_config(jitter_seed=seed)))
             self.queriers.extend(queriers)
             for querier in queriers:
                 self.sim.actors[querier.name] = querier
@@ -342,37 +403,40 @@ class ReplayEngine:
 
     # -- running ------------------------------------------------------------
 
-    def run(self, trace, *,
+    def run(self, trace, *, extra_time: float | None = None,
+            until: float | None = None,
             resume_from: ReplayCheckpoint | None = None) -> ReplayReport:
         """Replay *trace* to completion (plus a drain window).
 
         *trace* may be a :class:`Trace`, a
         :class:`~repro.trace.pipeline.TracePipeline` (run here, with
-        its ``trace.pipeline_*`` counters landing in this engine's
+        its ``trace.pipeline_*`` counts landing in this engine's
         observer when observing), or any iterable of records.
 
-        The drain window and stop time come from
-        ``ReplayConfig.extra_time`` / ``ReplayConfig.until``
-        (experiment facades take per-run overrides).
+        The drain window and stop time are *extra_time* / *until*,
+        falling back to ``ReplayConfig.extra_time`` /
+        ``ReplayConfig.until``.
 
         *resume_from* continues a previously checkpointed replay of the
         same trace/config on this freshly built engine: completed
         results, pin maps, RNG and message-id state are restored, and
         each controller starts at its recorded trace offset.  See
         docs/RESILIENCE.md for the determinism guarantee."""
-        return self._run(trace, self.config.extra_time,
-                         self.config.until, resume_from)
-
-    def _run(self, trace, extra_time: float, until: float | None,
-             resume_from: ReplayCheckpoint | None) -> ReplayReport:
+        config = self.config
+        extra_time = config.extra_time if extra_time is None else extra_time
+        until = config.until if until is None else until
         records = as_trace(
-            trace, self.sim.observer if self.config.observe else None
+            trace, self.sim.observer if config.observe else None
         ).sorted().records
+        _validate_run(config, records, resume_from)
         checker = None
-        if self.config.check:
+        if config.check:
             from repro.check.invariants import InvariantChecker
-            checker = InvariantChecker(self)
-            checker.attach()
+            checker = InvariantChecker(
+                self.queriers, [(host.name, app)
+                                for host in self.sim.hosts.values()
+                                for app in host.apps],
+                config, self.sim).attach()
         if resume_from is not None:
             # Restore first (it drains construction handshakes and
             # jumps the clock), so the supervisor's and injector's
@@ -386,9 +450,9 @@ class ReplayEngine:
             self._arm_faults(None)
             if self.supervisor is not None:
                 self.supervisor.start()
-            if self.config.mode == "distributed":
+            if config.mode == "distributed":
                 assert self.controllers
-                self._feeds = self._partition(records)
+                self._feeds = partition(records, len(self.controllers))
                 epoch = records[0].time if records else None
                 for controller, feed in zip(self.controllers,
                                             self._feeds):
@@ -412,8 +476,8 @@ class ReplayEngine:
             # records: no early stop, no injected faults, no failover.
             expected = None
             if (until is None and resume_from is None
-                    and self.config.fault_plan is None
-                    and self.config.supervision is None):
+                    and config.fault_plan is None
+                    and config.supervision is None):
                 expected = len(records)
             checker.final(expected_results=expected)
         return self.report()
@@ -436,27 +500,6 @@ class ReplayEngine:
                          and event.start <= resume_from.time)])
         self.fault_injector = FaultInjector(self.sim, plan)
         self.fault_injector.arm()
-
-    def _partition(self, records) -> list[list]:
-        """Partition the input stream by source across controllers; all
-        broadcast the same global trace epoch (§2.6 split-input mode).
-
-        The partition hash must be stable across processes — builtin
-        ``hash()`` of a str is randomized per interpreter
-        (PYTHONHASHSEED), which would make multi-controller runs
-        unreproducible — so sources are assigned by CRC-32."""
-        n = len(self.controllers)
-        if n == 1:
-            return [list(records)]
-        partitions: list[list] = [[] for _ in range(n)]
-        assignment: dict[str, int] = {}
-        for record in records:
-            index = assignment.get(record.src)
-            if index is None:
-                index = zlib.crc32(record.src.encode()) % n
-                assignment[record.src] = index
-            partitions[index].append(record)
-        return partitions
 
     def _restore(self, checkpoint: ReplayCheckpoint, records) -> None:
         """Rebuild the replay plane from *checkpoint* and continue."""
@@ -496,7 +539,7 @@ class ReplayEngine:
             actor["name"] for actor in (checkpoint.distributors
                                         + checkpoint.queriers)
             if actor["crashed"])
-        self._feeds = self._partition(records)
+        self._feeds = partition(records, len(self.controllers))
         epoch = records[0].time if records else None
         for controller, feed, state in zip(self.controllers,
                                            self._feeds,
@@ -529,15 +572,11 @@ class ReplayEngine:
                                   record)
 
     def report(self) -> ReplayReport:
-        results: list[QueryResult] = []
-        for querier in self.queriers:
-            results.extend(querier.results)
-        results.sort(key=lambda r: r.send_time)
         counted = [*self.queriers, *self.distributors, *self.controllers,
                    self.supervisor, self.sim.network]
         for host in self.sim.hosts.values():
             counted += host.apps    # every server and resolver built
-        return ReplayReport(
-            results=results, queriers=self.queriers, sim=self.sim,
-            server_host=self.sim.network.host_for(self.server_addr),
-            observer=self.sim.observer, counted=counted)
+        return ReplayReport.gather(
+            self.queriers, self.sim,
+            self.sim.network.host_for(self.server_addr),
+            self.sim.observer, counted)

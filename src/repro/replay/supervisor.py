@@ -118,6 +118,23 @@ def resume_tick(cut: float, interval: float) -> float:
     return k * interval
 
 
+def shard(src: str, shards: int) -> int:
+    """Which of *shards* split-input partitions (controllers, or live
+    queriers) owns the source *src*, so its queries keep their socket
+    (§2.6).  CRC-32: builtin ``hash()`` is randomized per interpreter."""
+    return zlib.crc32(src.encode()) % shards
+
+
+def partition(records, shards: int) -> list[list]:
+    """*records* split by :func:`shard`, each part in input order."""
+    if shards == 1:
+        return [list(records)]
+    parts: list[list] = [[] for _ in range(shards)]
+    for record in records:
+        parts[shard(record.src, shards)].append(record)
+    return parts
+
+
 def rendezvous(key: str, candidates: list[str]) -> str:
     """Highest-random-weight choice of *candidates* for *key*.
 
@@ -359,12 +376,9 @@ class Supervisor:
             controller.try_resume()
 
     def _controller_for(self, src: str):
-        """The controller owning *src*'s partition (the engine splits
-        input streams by CRC-32 of the source, §2.6)."""
+        """The controller owning *src*'s partition."""
         controllers = self.engine.controllers
-        if len(controllers) == 1:
-            return controllers[0]
-        return controllers[zlib.crc32(src.encode()) % len(controllers)]
+        return controllers[shard(src, len(controllers))]
 
     def repin_distributor(self, controller, src: str):
         """Re-pin one source whose channel's distributor died."""

@@ -22,6 +22,7 @@ views + proxies exist to defeat.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.dns.constants import DNS_PORT, QUIC_PORT, TLS_PORT
@@ -98,8 +99,8 @@ class AuthoritativeServer(DnsResponder):
         host.meter.alloc(host.meter.cost.server_base + self._zone_memory)
         self._udp = host.udp_socket(DNS_PORT)
         self._udp.on_datagram = self._on_udp
-        host.tcp_listen(DNS_PORT, self._on_tcp_connection)
-        host.tcp_listen(TLS_PORT, self._on_tls_connection)
+        host.tcp_listen(DNS_PORT, partial(self._on_stream_connection, "tcp"))
+        host.tcp_listen(TLS_PORT, partial(self._on_stream_connection, "tls"))
         self.quic_server = QuicServer(
             host, QUIC_PORT, self._on_quic_connection,
             idle_timeout=self.tcp_idle_timeout)
@@ -199,40 +200,28 @@ class AuthoritativeServer(DnsResponder):
         self._serve_udp(payload, src, sport)
         self._schedule_drain()
 
-    def _on_tcp_connection(self, conn) -> None:
+    def _on_stream_connection(self, proto: str, conn) -> None:
+        """Accept a TCP or TLS connection; what differs between the two
+        (session, per-query CPU cost, send target) is bound here, once."""
         conn.nagle = self.nagle
         if self.tcp_idle_timeout is not None:
             conn.set_idle_timeout(self.tcp_idle_timeout)
+        session = TlsConnection.server(conn) if proto == "tls" else conn
+        meter = self.host.meter
+        cost = meter.cost.tls_query if proto == "tls" \
+            else meter.cost.tcp_query
+        send = session.send
 
         def on_message(wire: bytes) -> None:
             if self.paused:
                 self._buffer_while_paused(lambda: on_message(wire))
                 return
-            self.host.meter.charge_cpu(self.host.meter.cost.tcp_query)
-            out = self.reply_wire("tcp", wire, conn.raddr, conn.rport)
+            meter.charge_cpu(cost)
+            out = self.reply_wire(proto, wire, conn.raddr, conn.rport)
             if out is not None and conn.state == "ESTABLISHED":
-                conn.send(frame_message(out))
+                send(frame_message(out))
 
-        framer = LengthPrefixFramer(on_message)
-        conn.on_data = framer.feed
-
-    def _on_tls_connection(self, conn) -> None:
-        conn.nagle = self.nagle
-        if self.tcp_idle_timeout is not None:
-            conn.set_idle_timeout(self.tcp_idle_timeout)
-        tls = TlsConnection.server(conn)
-
-        def on_message(wire: bytes) -> None:
-            if self.paused:
-                self._buffer_while_paused(lambda: on_message(wire))
-                return
-            self.host.meter.charge_cpu(self.host.meter.cost.tls_query)
-            out = self.reply_wire("tls", wire, conn.raddr, conn.rport)
-            if out is not None and conn.state == "ESTABLISHED":
-                tls.send(frame_message(out))
-
-        framer = LengthPrefixFramer(on_message)
-        tls.on_data = framer.feed
+        session.on_data = LengthPrefixFramer(on_message).feed
 
     def _on_quic_connection(self, conn) -> None:
         def on_stream(stream_id: int, framed: bytes) -> None:

@@ -562,8 +562,7 @@ class TracePipeline:
                  ops: tuple[PipelineOp, ...] = (), *,
                  jobs: int = 1, chunk_records: int = 4096,
                  skip_malformed: bool = False,
-                 skipped: list | None = None,
-                 observer=None):
+                 skipped: list | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if chunk_records < 1:
@@ -574,7 +573,6 @@ class TracePipeline:
         self.chunk_records = chunk_records
         self.skip_malformed = skip_malformed
         self._skipped = skipped
-        self._observer = observer
         self.last_result: PipelineResult | None = None
 
     # -- construction ------------------------------------------------------
@@ -630,7 +628,7 @@ class TracePipeline:
         return cls(_Source("binary", data=data, name=name), **options)
 
     def _copy(self, **changes) -> "TracePipeline":
-        new = TracePipeline(
+        return TracePipeline(
             changes.get("source", self._source),
             changes.get("ops", self._ops),
             jobs=changes.get("jobs", self.jobs),
@@ -638,9 +636,7 @@ class TracePipeline:
                                       self.chunk_records),
             skip_malformed=changes.get("skip_malformed",
                                        self.skip_malformed),
-            skipped=changes.get("skipped", self._skipped),
-            observer=changes.get("observer", self._observer))
-        return new
+            skipped=changes.get("skipped", self._skipped))
 
     # -- chaining ----------------------------------------------------------
 
@@ -676,11 +672,8 @@ class TracePipeline:
 
     def with_options(self, **options) -> "TracePipeline":
         """New pipeline with changed execution knobs
-        (jobs/chunk_records/skip_malformed/skipped/observer)."""
+        (jobs/chunk_records/skip_malformed/skipped)."""
         return self._copy(**options)
-
-    def with_observer(self, observer) -> "TracePipeline":
-        return self._copy(observer=observer)
 
     @property
     def name(self) -> str:
@@ -767,7 +760,6 @@ class TracePipeline:
         finally:
             cleanup()
             self.last_result = result
-            self._record_metrics(result)
 
     def _check_picklable(self, chain: _CompiledChain) -> None:
         if self.jobs == 1:
@@ -790,20 +782,6 @@ class TracePipeline:
                 processes=self.jobs, initializer=_init_worker,
                 initargs=(source, pickle.dumps(chain), mode)) as pool:
             yield from pool.imap(_run_chunk, chunks, chunksize=1)
-
-    def _record_metrics(self, result: PipelineResult) -> None:
-        obs = self._observer
-        if obs is None:
-            return
-        metrics = getattr(obs, "metrics", obs)
-        metrics.counter("trace.pipeline_records_in").inc(
-            result.records_in)
-        metrics.counter("trace.pipeline_records_out").inc(
-            result.records_out)
-        metrics.counter("trace.pipeline_chunks").inc(result.chunks)
-        metrics.counter("trace.pipeline_skipped").inc(result.skipped)
-        metrics.counter("trace.pipeline_worker_seconds",
-                        volatile=True).inc(result.worker_seconds)
 
     def _stream_records(self) -> Iterator[QueryRecord]:
         """Serial path for record sources (Trace/iterator/text/pcap)."""
@@ -834,7 +812,6 @@ class TracePipeline:
         finally:
             result.worker_seconds = _time.perf_counter() - started
             self.last_result = result
-            self._record_metrics(result)
 
     # -- sinks -------------------------------------------------------------
 
@@ -931,13 +908,19 @@ class TracePipeline:
 
 def as_trace(feed, observer=None) -> Trace:
     """Coerce a replay feed — Trace, TracePipeline, or record iterable
-    — into a Trace.  The replay engines accept any of the three; a
-    pipeline runs under *observer*, when given, so its counters land
-    in the replay's own snapshot."""
+    — into a Trace.  The replay engines accept any of the three; when
+    a pipeline has run, its ``last_result`` counts are recorded under
+    *observer*, when given, so they land in the replay's own snapshot."""
     if isinstance(feed, Trace):
         return feed
     if isinstance(feed, TracePipeline):
+        trace = feed.collect()
         if observer is not None:
-            feed = feed.with_observer(observer)
-        return feed.collect()
+            result, metrics = feed.last_result, observer.metrics
+            for name in ("records_in", "records_out", "chunks", "skipped"):
+                metrics.counter(f"trace.pipeline_{name}").inc(
+                    getattr(result, name))
+            metrics.counter("trace.pipeline_worker_seconds",
+                            volatile=True).inc(result.worker_seconds)
+        return trace
     return Trace(list(feed))

@@ -218,20 +218,71 @@ def test_violation_message_lists_every_failure():
 
 # -- both backends ------------------------------------------------------------
 
-def test_live_backend_verifies_when_checked():
-    """The live backend runs the same invariant verification after its
-    tasks drain (tiny trace: this opens real loopback sockets)."""
+def flip_rd_in_every_query(monkeypatch):
+    """Plant a fast-path bug: every query leaves with its RD bit
+    flipped, which only the full-encoder comparison can see."""
+    real = QueryRecord.query_wire
+
+    def flipped(self, msg_id):
+        wire = bytearray(real(self, msg_id))
+        wire[2] ^= 0x01
+        return bytes(wire)
+    monkeypatch.setattr(QueryRecord, "query_wire", flipped)
+
+
+def live_checked_run(query_timeout=5.0):
     from repro.replay.backends import LiveBackend, LiveReplayConfig
     backend = LiveBackend([example_zone()], config=ReplayConfig(
         backend="live", client_instances=1, queriers_per_instance=2,
         seed=6, check=True,
-        live=LiveReplayConfig(speed=50.0, query_timeout=5.0,
+        live=LiveReplayConfig(speed=50.0, query_timeout=query_timeout,
                               run_deadline=60.0)))
     trace = Trace([QueryRecord(time=0.05 * i, src=f"172.16.1.{i % 3 + 1}",
                                qname=f"lv{i}.example.com.")
                    for i in range(20)])
-    report = backend.run(trace)
+    return backend, backend.run(trace)
+
+
+def test_live_backend_verifies_when_checked(monkeypatch):
+    """The live backend runs the sim's checker: the same per-message
+    hooks on the queriers and the responder, the periodic scans and
+    the final verification (tiny trace: this opens real loopback
+    sockets)."""
+    backend, report = live_checked_run()
     assert len(report.results) == 20
+    (checker,) = {querier.check for querier in backend.queriers}
+    assert isinstance(checker, InvariantChecker)
+    assert backend.responder.check is checker
+    assert checker.id_checks == 20
+    assert checker.scans == 1          # the final scan
+    flip_rd_in_every_query(monkeypatch)
+    for run in (live_checked_run, run_checked):
+        with pytest.raises(InvariantViolation, match="full encoder"):
+            run()
+
+
+def test_live_violation_in_a_socket_callback_fails_the_run(monkeypatch):
+    """A response-side check runs inside the datagram callback, whose
+    exceptions the event loop reports, not the feed: the run must still
+    end in the violation."""
+    from repro.replay import querier as querier_module
+    real = querier_module.read_header
+    monkeypatch.setattr(querier_module, "read_header",
+                        lambda wire: real(wire)[:3] + (5,))
+    with pytest.raises(InvariantViolation, match="header read"):
+        live_checked_run(query_timeout=0.3)
+
+
+def test_unchecked_runs_attach_nothing():
+    from repro.replay.backends import LiveBackend
+    engine, _ = run_checked(ReplayConfig(
+        client_instances=1, queriers_per_instance=2, seed=3))
+    backend = LiveBackend([example_zone()])
+    backend.run(Trace([QueryRecord(time=0.0, src="172.16.1.1",
+                                   qname="n.example.com.")]))
+    for querier in engine.queriers + backend.queriers:
+        assert querier.check is None
+    assert backend.responder.check is None
 
 
 def test_fault_injected_run_stays_conserved():

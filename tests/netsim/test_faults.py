@@ -102,6 +102,24 @@ def test_overlapping_losses_compose_multiplicatively():
     assert sim.network._links["a"].params.loss == pytest.approx(0.2)
 
 
+def test_each_fault_is_counted_once_by_its_span():
+    """A fired event is one ``fault.<kind>`` span; there is no second
+    ``faults.*`` counter to keep in step with it."""
+    sim = Simulator(observe=True)
+    sim.add_host("a", ["10.0.0.1"], LinkParams())
+    FaultInjector(sim, FaultPlan([
+        LossBurst(start=0.1, duration=0.1, loss=0.5),
+        DelaySpike(start=0.2, duration=0.1, extra_delay=0.01),
+        LinkDown(start=0.3, duration=0.1)])).arm()
+    sim.run_until_idle()
+    snapshot = sim.scheduler.obs.snapshot()
+    assert {kind: n for kind, n in snapshot["trace"]["kinds"].items()
+            if kind.startswith("fault.")} == {
+        "fault.loss_burst": 1, "fault.delay_spike": 1,
+        "fault.link_down": 1}
+    assert "faults" not in snapshot
+
+
 def test_plan_validation_rejects_bad_events():
     with pytest.raises(ValueError):
         FaultPlan([LossBurst(start=-1.0, duration=1.0,

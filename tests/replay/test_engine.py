@@ -202,27 +202,35 @@ def test_client_rtt_distribution():
     assert seen_rtts == {round(r, 3) for r in rtts}
 
 
-# -- run() kwarg deprecation (1.5) ------------------------------------------
+# -- the drain window and stop time -----------------------------------------
 
 
-def test_run_legacy_extra_time_kwarg_removed():
-    """``run(extra_time=)``/``run(until=)`` moved into ReplayConfig in
-    1.5.0 (with a DeprecationWarning for one release) and were removed
-    in 1.6.0: passing them is now a TypeError, and the config values
-    are the only source."""
+def test_run_extra_time_overrides_config():
+    """``run(extra_time=)`` is this run's drain window, else
+    ``ReplayConfig.extra_time``: resolved once, by the engine (the sim
+    backend and the facades delegate to it)."""
+    def drained_until(**run_kwargs):
+        sim, server = build_world()
+        engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
+            client_instances=1, queriers_per_instance=1, seed=1,
+            extra_time=3.0))
+        engine.run(Trace([QueryRecord(time=0.0, src="172.16.0.1",
+                                      qname="e.example.com.")]),
+                   **run_kwargs)
+        return sim.now
+    assert drained_until() - drained_until(extra_time=1.0) \
+        == pytest.approx(2.0)
+
+
+def test_run_until_overrides_config():
     sim, server = build_world()
     engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
-        client_instances=1, queriers_per_instance=1, seed=1))
-    with pytest.raises(TypeError, match="extra_time"):
-        engine.run(Trace([]), extra_time=1.0)
-
-
-def test_run_legacy_until_kwarg_removed():
-    sim, server = build_world()
-    engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
-        client_instances=1, queriers_per_instance=1, seed=1))
-    with pytest.raises(TypeError, match="until"):
-        engine.run(Trace([]), until=1.5)
+        client_instances=1, queriers_per_instance=1, seed=1,
+        until=3.5))
+    trace = Trace([QueryRecord(time=float(i), src="172.16.0.1",
+                               qname=f"u{i}.example.com.")
+                   for i in range(5)])
+    assert len(engine.run(trace, until=1.5).results) == 2
 
 
 def test_run_config_until_still_works():

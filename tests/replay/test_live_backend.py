@@ -283,6 +283,35 @@ def test_live_rejects_supervision_and_faults():
             backend="live", fault_plan=FaultPlan([])))
 
 
+def _sim_only_cases():
+    from repro.netsim.faults import FaultPlan
+    from repro.replay import SupervisionConfig
+    return {
+        "supervision": (dict(mode="distributed",
+                             supervision=SupervisionConfig()),
+                        "supervision is sim-only"),
+        "fault_plan": (dict(fault_plan=FaultPlan([])),
+                       "fault injection is sim-only"),
+        "client_loss": (dict(client_loss=0.1), "client loss is sim-only"),
+        "client_rtts": (dict(client_rtts=[0.08]),
+                        "client_rtts is sim-only"),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_sim_only_cases()))
+def test_live_facade_rejects_each_sim_only_entry(entry):
+    """One case per entry of the capability table, through the facade:
+    a lossy client link or per-instance RTTs used to replay silently
+    loss-free, at loopback RTT."""
+    from repro.experiments.harness import authoritative_world
+    from repro.replay.engine import SIM_ONLY
+    assert len(_sim_only_cases()) == len(SIM_ONLY)
+    knobs, refusal = _sim_only_cases()[entry]
+    with pytest.raises(ValueError, match=refusal):
+        authoritative_world([make_example_zone()], backend="live", **knobs)
+    authoritative_world([make_example_zone()], **knobs)     # sim runs it
+
+
 def test_live_rejects_unreplayable_protocols():
     backend = LiveBackend([make_example_zone()], config=live_config())
     trace = Trace([QueryRecord(time=0.0, src="10.9.0.1",

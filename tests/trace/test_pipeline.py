@@ -304,16 +304,32 @@ def test_pipeline_stats_parallel_merge(jobs):
 # -- observability ------------------------------------------------------------
 
 def test_pipeline_counters_land_in_observer():
+    """A replay feed's counts are recorded, once it has run, from the
+    pipeline's own ``last_result``."""
     observer = Observer()
     data = trace_to_binary(make_trace(30))
-    TracePipeline.from_binary(data, chunk_records=8).pipe(
-        SetDoFraction(1.0)).with_observer(observer).to_binary()
+    feed = TracePipeline.from_binary(data, chunk_records=8).pipe(
+        SetDoFraction(1.0))
+    as_trace(feed, observer)
     snap = observer.snapshot()
     assert snap["trace"]["pipeline_records_in"] == 30
     assert snap["trace"]["pipeline_records_out"] == 30
     assert snap["trace"]["pipeline_chunks"] == 4
     # The tracer summary still shares the group (merge, not overwrite).
     assert "emitted" in snap["trace"]
+
+
+def test_observed_counts_are_the_pipelines_last_result():
+    observer = Observer()
+    feed = TracePipeline.from_trace(make_trace(12)).filter(
+        lambda record: record.qtype == RRType.A)
+    as_trace(feed, observer)
+    trace = observer.snapshot()["trace"]
+    assert (trace["pipeline_records_in"], trace["pipeline_records_out"],
+            trace["pipeline_chunks"], trace["pipeline_skipped"]) == (
+        feed.last_result.records_in, feed.last_result.records_out,
+        feed.last_result.chunks, feed.last_result.skipped) == (12, 6, 0, 0)
+    assert not hasattr(TracePipeline, "with_observer")
 
 
 # -- replay feed --------------------------------------------------------------
