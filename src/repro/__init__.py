@@ -27,8 +27,8 @@ should import::
   degradation, all inside the shared responder (docs/RESILIENCE.md);
 * :class:`CacheConfig` — recursive-resolver cache policy: bounded LRU,
   RFC 8767 serve-stale, refresh-ahead prefetch (docs/RECURSIVE.md);
-* :class:`MetricsRegistry` / :class:`Observer` — the observability
-  layer itself (:mod:`repro.obs`, see docs/OBSERVABILITY.md);
+* :class:`Observer` / :class:`Tracer` — the observability layer
+  itself (:mod:`repro.obs`, see docs/OBSERVABILITY.md);
 * :class:`TracePipeline` + its ops (:class:`SetProtocol`,
   :class:`SetDoFraction`, :class:`PrependUnique`, :class:`ScaleTime`,
   :class:`RebaseTime`, :class:`SetQnameSuffix`,
@@ -57,7 +57,7 @@ from repro.netsim.faults import (DelaySpike, DistributorLag,
                                  FaultInjector, FaultPlan, LinkDown,
                                  LossBurst, QuerierCrash, ServerPause)
 from repro.netsim.sim import Simulator
-from repro.obs import MetricsRegistry, Observer, Tracer
+from repro.obs import Observer, Tracer
 from repro.replay.backends import LiveReplayConfig
 from repro.replay.engine import ReplayConfig, ReplayEngine, ReplayReport
 from repro.replay.querier import QuerierConfig, ResilienceConfig
@@ -74,7 +74,7 @@ from repro.trace.pipeline import (FilterRecords, MapRecords, PipelineOp,
                                   TracePipeline)
 from repro.trace.stats import StreamingStats
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "AdmissionConfig",
@@ -85,7 +85,7 @@ __all__ = [
     "FaultInjector", "FaultPlan", "FilterRecords",
     "InvariantViolation", "LinkDown",
     "LiveReplayConfig", "LossBurst",
-    "MapRecords", "MetricsRegistry", "Observer", "OverloadConfig",
+    "MapRecords", "Observer", "OverloadConfig",
     "PipelineOp",
     "PipelineResult", "PrependUnique", "QuerierConfig", "QuerierCrash",
     "RebaseTime", "RecursiveExperiment", "ReplayCheckpoint",

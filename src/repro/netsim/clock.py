@@ -113,8 +113,7 @@ class Scheduler:
         processed = 0
         heap = self._heap
         heappop = heapq.heappop
-        heap_depth = obs.metrics.histogram("scheduler.heap_depth") \
-            if obs is not None else None
+        heap_depth = obs.heap_depth if obs is not None else None
         while heap:
             if max_events is not None and processed >= max_events:
                 return
@@ -139,22 +138,15 @@ class Scheduler:
             self.now = until
 
     def _record_obs(self, obs) -> None:
-        metrics = obs.metrics
-        metrics.gauge("scheduler.sim_time").set(self.now)
-        metrics.gauge("scheduler.events_processed").set(
-            float(self.events_processed))
-        metrics.gauge("scheduler.pending_events").set(
-            float(len(self._heap)))
-        # Wall-clock-derived gauges are volatile: excluded from the
-        # deterministic snapshot, available via include_volatile=True.
-        metrics.gauge("scheduler.wall_time", volatile=True).set(
-            self.wall_time)
+        obs.sim_time = self.now
+        obs.events_processed = float(self.events_processed)
+        obs.pending_events = float(len(self._heap))
+        # Wall-clock-derived rows are volatile (Observer.COUNTERS):
+        # excluded from the deterministic snapshot.
+        obs.wall_time = self.wall_time
         if self.wall_time > 0:
-            metrics.gauge("scheduler.events_per_wall_sec",
-                          volatile=True).set(
-                self.events_processed / self.wall_time)
-            metrics.gauge("scheduler.sim_wall_ratio", volatile=True).set(
-                self.now / self.wall_time)
+            obs.events_per_wall_sec = self.events_processed / self.wall_time
+            obs.sim_wall_ratio = self.now / self.wall_time
 
     def run_until_idle(self, max_events: int = 50_000_000) -> None:
         self.run(max_events=max_events)

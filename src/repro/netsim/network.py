@@ -130,9 +130,8 @@ class Network:
         arrival = done + out.delay + into.delay
         obs = scheduler.obs
         if obs is not None:
-            obs.metrics.counter("transport.wire.bytes").inc(size)
-            obs.metrics.histogram("transport.wire.transit_time").record(
-                arrival - now)
+            obs.wire_bytes += size
+            obs.transit_time.record(arrival - now)
             obs.tracer.emit("wire.transmit", now, arrival,
                             detail=packet.proto)
         scheduler.at(arrival, receiver.receive, packet, size)

@@ -71,15 +71,12 @@ class TcpConnection:
 
     # -- lifecycle -------------------------------------------------------
 
-    def _count(self, name: str, amount: int | float = 1) -> None:
-        obs = self.host.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter(name).inc(amount)
-
     def open(self) -> None:
         """Client side: begin the three-way handshake."""
         self.state = SYN_SENT
-        self._count("transport.tcp.connects")
+        obs = self.host.scheduler.obs
+        if obs is not None:
+            obs.tcp_connects += 1
         self.host.meter.charge_cpu(self.host.meter.cost.tcp_handshake)
         self._emit(TcpInfo(syn=True))
 
@@ -141,7 +138,9 @@ class TcpConnection:
             # Passive open.
             if self.state == CLOSED:
                 self.state = SYN_RCVD
-                self._count("transport.tcp.accepts")
+                obs = host.scheduler.obs
+                if obs is not None:
+                    obs.tcp_accepts += 1
                 self.host.meter.charge_cpu(
                     self.host.meter.cost.tcp_handshake)
                 self._emit(TcpInfo(syn=True, ack=True))
@@ -190,7 +189,9 @@ class TcpConnection:
         if self.state != ESTABLISHED:
             return
         self.bytes_received += len(payload)
-        self._count("transport.tcp.bytes_in", len(payload))
+        obs = self.host.scheduler.obs
+        if obs is not None:
+            obs.tcp_bytes_in += len(payload)
         self._schedule_ack()
         if self.on_data is not None:
             self.on_data(payload)
@@ -208,14 +209,18 @@ class TcpConnection:
             self._become_time_wait()
         elif self.state == TIME_WAIT:
             # Retransmitted FIN; re-ACK.
-            self._count("transport.tcp.fin_retransmits_seen")
+            obs = self.host.scheduler.obs
+            if obs is not None:
+                obs.tcp_fin_retransmits_seen += 1
             self._emit(TcpInfo(ack=True))
 
     # -- state transitions ------------------------------------------------------
 
     def _become_established(self) -> None:
         self.state = ESTABLISHED
-        self._count("transport.tcp.established_total")
+        obs = self.host.scheduler.obs
+        if obs is not None:
+            obs.tcp_established_total += 1
         self.host._register_tcp(self)
         meter = self.host.meter
         self._mem_held = meter.cost.tcp_connection
@@ -232,7 +237,9 @@ class TcpConnection:
         if self.state == ESTABLISHED or self._mem_held:
             meter.free(self._mem_held)
             meter.established -= 1
-            self._count("transport.tcp.closes")
+            obs = self.host.scheduler.obs
+            if obs is not None:
+                obs.tcp_closes += 1
         self._mem_held = meter.cost.time_wait_entry
         meter.alloc(self._mem_held)
         meter.time_wait += 1
@@ -256,7 +263,9 @@ class TcpConnection:
             self._mem_held = 0
             if self.state in (ESTABLISHED, FIN_WAIT, LAST_ACK):
                 meter.established -= 1
-                self._count("transport.tcp.closes")
+                obs = self.host.scheduler.obs
+                if obs is not None:
+                    obs.tcp_closes += 1
             elif self.state == TIME_WAIT:
                 meter.time_wait -= 1
         self.state = CLOSED
@@ -294,7 +303,6 @@ class TcpConnection:
     def _transmit_data(self, chunk: bytes, ack: bool) -> None:
         self._inflight += len(chunk)
         self.bytes_sent += len(chunk)
-        self._count("transport.tcp.bytes_out", len(chunk))
         self._last_activity = self.host.scheduler.now
         # Data segments carry the ACK for anything we owe.
         self._cancel_delayed_ack()
@@ -305,7 +313,8 @@ class TcpConnection:
         host = self.host
         obs = host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("transport.tcp.segments_out").inc()
+            obs.tcp_segments_out += 1
+            obs.tcp_bytes_out += len(payload)
         host.meter.cpu_busy += host.meter.cost.tcp_segment
         host.send_packet(Packet(self.laddr, self.lport, self.raddr,
                                 self.rport, "tcp", payload, info))

@@ -102,7 +102,7 @@ class TlsConnection:
         self.established = True
         obs = self.tcp.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("transport.tls.handshakes").inc()
+            obs.tls_handshakes += 1
         meter = self.tcp.host.meter
         self._mem_held = meter.cost.tls_session
         meter.alloc(self._mem_held)
@@ -116,8 +116,8 @@ class TlsConnection:
             raise RuntimeError("TLS send before handshake completion")
         obs = self.tcp.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("transport.tls.records_out").inc()
-            obs.metrics.counter("transport.tls.bytes_out").inc(len(data))
+            obs.tls_records_out += 1
+            obs.tls_bytes_out += len(data)
         record = struct.pack("!BH", APPDATA,
                              len(data) + RECORD_OVERHEAD - 5)
         self.tcp.send(record + data + b"\x00" * (RECORD_OVERHEAD - 5))

@@ -23,9 +23,8 @@ class UdpSocket:
         host = self.host
         obs = host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("transport.udp.datagrams_out").inc()
-            obs.metrics.counter("transport.udp.bytes_out").inc(
-                len(payload))
+            obs.udp_datagrams_out += 1
+            obs.udp_bytes_out += len(payload)
         if not src:
             # host.addr without the property's frame; the property
             # raises for a host that has no address.
@@ -37,9 +36,8 @@ class UdpSocket:
             return
         obs = self.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter("transport.udp.datagrams_in").inc()
-            obs.metrics.counter("transport.udp.bytes_in").inc(
-                len(packet.payload))
+            obs.udp_datagrams_in += 1
+            obs.udp_bytes_in += len(packet.payload)
         self.on_datagram(packet.payload, packet.src, packet.sport)
 
     def close(self) -> None:

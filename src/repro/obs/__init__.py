@@ -8,16 +8,15 @@ carries a uniform observability layer:
   plain attribute, declared once in the class's ``COUNTERS`` mapping
   and summed into every report by :func:`collect`, observed or not
   (:mod:`repro.obs.report`);
-* :class:`MetricsRegistry` — what has no attribute to read: recorded
-  counters, gauges, and log-bucketed histograms with p50/p90/p99,
-  named ``subsystem.metric``;
+* :class:`Observer` — the single per-simulation handle, attached to
+  the scheduler and reached by every component through a null check
+  (off by default, near-zero cost when off).  What an observed run
+  records is its attributes, declared once in its ``COUNTERS`` and
+  ``HISTOGRAMS`` tables: per-transport traffic, scheduler gauges, and
+  log-bucketed :class:`Histogram` distributions with p50/p90/p99;
 * :class:`Tracer` — a fixed-capacity ring buffer of typed
   :class:`TraceSpan` records following a query through
-  controller -> distributor -> wire -> server -> response;
-* :class:`Observer` — the single per-simulation handle bundling
-  registry and tracer, attached to the scheduler and reached by every
-  component through a null check (off by default, near-zero cost when
-  off).
+  controller -> distributor -> wire -> server -> response.
 
 Counters are in every report; opt in to the recorded part with
 ``ReplayConfig(observe=True)`` (or ``Simulator(observe=True)``); read
@@ -27,14 +26,14 @@ span kinds, and the JSON schema are documented in
 ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.observer import Observer, group_metrics
 from repro.obs.report import (collect, counter_state, restore_counters,
                               to_canonical_json, volatile, zero_counters)
 from repro.obs.tracer import Tracer, TraceSpan
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "Observer",
-    "Tracer", "TraceSpan", "collect", "counter_state", "group_metrics",
-    "restore_counters", "to_canonical_json", "volatile", "zero_counters",
+    "Histogram", "Observer", "Tracer", "TraceSpan", "collect",
+    "counter_state", "group_metrics", "restore_counters",
+    "to_canonical_json", "volatile", "zero_counters",
 ]

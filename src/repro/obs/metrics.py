@@ -1,16 +1,14 @@
-"""Metrics primitives: counters, gauges, and quantile histograms.
+"""The quantile histogram behind every distribution a report carries.
 
-Design constraints (they shape everything here):
+Counts and gauges need no class: they are plain attributes, declared
+once in a ``COUNTERS`` table (:mod:`repro.obs.report`).  A histogram is
+the one instrument with state of its own, and the same constraints
+shape it:
 
 * **deterministic** — two runs with the same seed must produce
-  byte-identical snapshots, so nothing in this module reads wall-clock
-  time or iterates over unordered containers at snapshot time.  Metrics
-  that *are* wall-clock derived (the scheduler's sim/wall ratio) are
-  registered ``volatile`` and excluded from snapshots by default.
-* **cheap** — histograms are log-bucketed (no per-sample storage), and
-  components only touch the registry through an ``obs is not None``
-  guard, so a run without observability pays a single attribute check
-  per instrumented operation.
+  byte-identical snapshots, so nothing here reads wall-clock time or
+  iterates over unordered containers at snapshot time;
+* **cheap** — log-bucketed, no per-sample storage.
 
 Histograms support a *weight* per sample, which is how time-weighted
 distributions (e.g. scheduler heap depth weighted by residence time)
@@ -27,38 +25,6 @@ import math
 _BASE = 1e-9
 _GROWTH = 2.0 ** 0.125
 _LOG_GROWTH = math.log(_GROWTH)
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        self.value += amount
-
-    def snapshot(self) -> int | float:
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def snapshot(self) -> float:
-        return self.value
 
 
 class Histogram:
@@ -135,55 +101,3 @@ class Histogram:
             "p90": self.quantile(0.90),
             "p99": self.quantile(0.99),
         }
-
-
-class MetricsRegistry:
-    """Run-wide named metrics, created on first use.
-
-    Names are dotted (``subsystem.metric``); the first segment is the
-    grouping key used by snapshot assembly (scheduler, transport,
-    server, replay).  Re-requesting a name returns the same instrument;
-    requesting it as a different kind raises.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._volatile: set[str] = set()
-
-    def _get(self, name: str, kind):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = kind(name)
-            self._metrics[name] = metric
-        elif type(metric) is not kind:
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{type(metric).__name__}")
-        return metric
-
-    def counter(self, name: str, volatile: bool = False) -> Counter:
-        """*volatile* counters hold wall-clock facts (pipeline worker
-        seconds) that differ between runs whose snapshots must
-        otherwise be byte-identical; like volatile gauges they only
-        appear with ``include_volatile=True``."""
-        if volatile:
-            self._volatile.add(name)
-        return self._get(name, Counter)
-
-    def gauge(self, name: str, volatile: bool = False) -> Gauge:
-        if volatile:
-            self._volatile.add(name)
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def snapshot(self, include_volatile: bool = False) -> dict:
-        """Flat ``{name: value}``, sorted by name.  Volatile metrics
-        (wall-clock derived) are excluded unless asked for, keeping the
-        default snapshot reproducible across runs."""
-        out = {}
-        for name in sorted(self._metrics):
-            if not include_volatile and name in self._volatile:
-                continue
-            out[name] = self._metrics[name].snapshot()
-        return out

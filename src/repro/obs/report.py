@@ -18,8 +18,9 @@ configuration or backend.  A component that owns another counting
 component names the attribute in ``COUNTING_PARTS`` (a responder its
 ``answer_cache``, a resolver its ``cache``) and :func:`collect` follows
 it, so a run hands over its top-level objects only.
-The metrics registry (:mod:`repro.obs.metrics`) keeps only what has no
-attribute to read: distributions, spans, per-transport traffic.
+What only an observed run records is declared the same way, on
+:class:`~repro.obs.observer.Observer`, and read with the same
+:func:`collect`.
 
 **Canonical JSON** is what the reproducibility guarantee is stated
 over: same seed + same config => byte-identical ``to_canonical_json``

@@ -628,11 +628,9 @@ class LiveBackend(ReplayBackend):
         if self.observer is not None:
             # Wall-clock gauges: volatile, so the default snapshot keeps
             # the sim's shape.
-            metrics = self.observer.metrics
-            metrics.gauge("replay.wall_seconds", volatile=True).set(elapsed)
-            metrics.gauge("replay.wall_qps", volatile=True).set(
-                sum(q.sent for q in self.queriers) / elapsed
-                if elapsed > 0 else 0.0)
+            self.observer.wall_seconds = elapsed
+            self.observer.wall_qps = (sum(q.sent for q in self.queriers)
+                                      / elapsed if elapsed > 0 else 0.0)
         if violations:
             raise violations[0]
         if checker is not None and not self.deadline_hit:

@@ -119,7 +119,7 @@ class Distributor:
         if obs is not None:
             # Queue lag: how long the record waits for this process's
             # serialized forwarding loop before its own CPU slice.
-            obs.metrics.histogram("replay.distributor_queue_lag").record(
+            obs.distributor_queue_lag.record(
                 max(0.0, due - now - PER_RECORD_CPU * self.lag_factor
                     - UNIX_SOCKET_DELAY))
         self._queue.append((record, due))

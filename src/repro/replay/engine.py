@@ -29,7 +29,7 @@ from repro.netsim.faults import FaultInjector, FaultPlan
 from repro.netsim.host import Host
 from repro.netsim.network import LinkParams
 from repro.netsim.sim import Simulator
-from repro.obs import (Observer, collect, group_metrics,
+from repro.obs import (Histogram, Observer, collect, group_metrics,
                        restore_counters, to_canonical_json)
 from repro.obs.observer import SNAPSHOT_VERSION
 from repro.replay.controller import Controller, READER_PER_RECORD
@@ -39,12 +39,16 @@ from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
 from repro.replay.supervisor import (ReplayCheckpoint, Supervisor,
                                      SupervisionConfig, partition)
 from repro.trace.pipeline import as_trace
+from repro.trace.record import PROTOCOLS
 
 # What a report derives rather than collects (ReplayReport.metrics).
 DERIVED = ("meta.version", "meta.results", "meta.answered_fraction",
            "meta.sim_time", "server.memory_bytes",
            "server.cpu_busy_seconds", "server.established",
            "server.time_wait", "server.qps", "replay.still_pending")
+# What an observed report reads off its results.
+FROM_RESULTS = ("replay.timing_error", "replay.latency",
+                *(f"replay.queries_{proto}" for proto in PROTOCOLS))
 
 
 @dataclass
@@ -182,15 +186,18 @@ class ReplayReport:
         classes declare is here, zero when idle, read off the run's
         objects; so are the :data:`DERIVED` run/server aggregates.
         With an observer attached (``ReplayConfig(observe=True)``) the
-        snapshot also holds what was recorded on the way: histograms,
-        per-transport and scheduler metrics, the trace-span summary.
+        snapshot also holds every row the ``Observer`` declares
+        (per-transport and scheduler metrics, histograms, the
+        trace-span summary) and the :data:`FROM_RESULTS` rows.
         Deterministic for identical seeds unless *include_volatile*
         adds wall-clock and implementation-detail rows."""
         from repro.replay.backends import COUNTED
-        snapshot = (self.observer.snapshot(include_volatile)
-                    if self.observer is not None else {})
-        for group, values in group_metrics(collect(
-                COUNTED, self.counted, include_volatile)).items():
+        flat = collect(COUNTED, self.counted, include_volatile)
+        snapshot = {}
+        if self.observer is not None:
+            snapshot = self.observer.snapshot(include_volatile)
+            flat.update(self._from_results())
+        for group, values in group_metrics(flat).items():
             snapshot.setdefault(group, {}).update(values)
         now = self.sim.now
         snapshot["meta"] = {
@@ -208,6 +215,22 @@ class ReplayReport:
         snapshot["replay"]["still_pending"] = sum(
             q.pending_count() for q in self.queriers)
         return snapshot
+
+    def _from_results(self) -> dict:
+        """The :data:`FROM_RESULTS` rows, flat.  Each histogram takes
+        its samples in the order a run meets them, which fixes the last
+        digit of its mean: the §2.6 timing error (actual − ΔT-scheduled
+        send time) in send order, latency in response order."""
+        timing_error, latency = map(Histogram, FROM_RESULTS[:2])
+        sent = dict.fromkeys(PROTOCOLS, 0)
+        for result in self.results:             # send order (gather)
+            timing_error.record(result.send_time - result.scheduled_time)
+            sent[result.record.proto] += 1
+        for result in sorted((r for r in self.results if r.answered),
+                             key=lambda r: r.response_time):
+            latency.record(result.response_time - result.send_time)
+        return dict(zip(FROM_RESULTS, (timing_error.snapshot(),
+                                       latency.snapshot(), *sent.values())))
 
     @staticmethod
     def schema() -> dict[str, set[str]]:

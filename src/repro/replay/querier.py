@@ -406,11 +406,6 @@ class Querier:
         self.sent += 1
         obs = self.host.scheduler.obs
         if obs is not None:
-            obs.metrics.counter(f"replay.queries_{record.proto}").inc()
-            # The §2.6 fidelity number: how late the send fired versus
-            # its ΔT-scheduled time (timer slop + send-path occupancy).
-            obs.metrics.histogram("replay.timing_error").record(
-                now - scheduled)
             obs.tracer.emit("querier.send", scheduled, now,
                             detail=record.proto)
         if udp is not None:
@@ -514,8 +509,6 @@ class Querier:
                 learn_cookie(body, result.record.src, self._server_cookies)
             obs = self.host.scheduler.obs
             if obs is not None:
-                obs.metrics.histogram("replay.latency").record(
-                    result.response_time - result.send_time)
                 obs.tracer.emit("querier.response", result.send_time,
                                 result.response_time,
                                 detail=result.record.proto)

@@ -421,8 +421,7 @@ class Supervisor:
             self.lag_peak = lag
         obs = self.sim.scheduler.obs
         if obs is not None:
-            obs.metrics.gauge("replay.dispatch_lag",
-                              volatile=True).set(lag)
+            obs.dispatch_lag = lag
 
 
 class Checkpointer:

@@ -251,7 +251,7 @@ class AuthoritativeServer(DnsResponder):
         self.paused = True
         obs = self._obs()
         if obs is not None:
-            obs.metrics.counter("server.pauses").inc()
+            obs.pauses += 1
 
     def resume(self, drop_backlog: bool = False) -> None:
         """Handle (or with *drop_backlog*, discard) everything buffered
@@ -271,7 +271,7 @@ class AuthoritativeServer(DnsResponder):
             self._pause_dropped += 1
             obs = self._obs()
             if obs is not None:
-                obs.metrics.counter("server.pause_overflow").inc()
+                obs.pause_overflow += 1
             return
         self._pause_backlog.append(thunk)
 

@@ -70,10 +70,9 @@ class MetaDnsServer:
             # Hierarchy-emulation shape: how many zones share this one
             # server, and how many distinct nameserver identities the
             # split-horizon views answer for.
-            obs.metrics.gauge("server.meta_zones").set(
-                float(len(self.zones)))
-            obs.metrics.gauge("server.meta_view_addresses").set(
-                float(len(self.all_nameserver_addresses())))
+            obs.meta_zones = float(len(self.zones))
+            obs.meta_view_addresses = float(
+                len(self.all_nameserver_addresses()))
 
     @property
     def host(self) -> Host:

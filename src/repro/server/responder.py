@@ -159,12 +159,19 @@ class DnsResponder:
         if entry.cookie_verified:
             self.cookies_validated += 1
         if obs is not None:
-            metrics = obs.metrics
-            metrics.counter(f"server.queries_{proto}").inc()
+            if not stream:
+                obs.server_queries_udp += 1
+            elif proto == "tcp":
+                obs.server_queries_tcp += 1
+            elif proto == "tls":
+                obs.server_queries_tls += 1
+            else:
+                obs.server_queries_quic += 1
             if cacheable:
-                metrics.counter("server.view_selections"
-                                if entry.view_selected
-                                else "server.view_misses").inc()
+                if entry.view_selected:
+                    obs.view_selections += 1
+                else:
+                    obs.view_misses += 1
             obs.tracer.emit("server.handle", start, self._now(),
                             detail=proto)
         decision = self._rrl_gate(src, entry.rcode, entry.qname,

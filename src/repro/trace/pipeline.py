@@ -916,11 +916,11 @@ def as_trace(feed, observer=None) -> Trace:
     if isinstance(feed, TracePipeline):
         trace = feed.collect()
         if observer is not None:
-            result, metrics = feed.last_result, observer.metrics
-            for name in ("records_in", "records_out", "chunks", "skipped"):
-                metrics.counter(f"trace.pipeline_{name}").inc(
-                    getattr(result, name))
-            metrics.counter("trace.pipeline_worker_seconds",
-                            volatile=True).inc(result.worker_seconds)
+            result = feed.last_result
+            observer.pipeline_records_in += result.records_in
+            observer.pipeline_records_out += result.records_out
+            observer.pipeline_chunks += result.chunks
+            observer.pipeline_skipped += result.skipped
+            observer.pipeline_worker_seconds += result.worker_seconds
         return trace
     return Trace(list(feed))

@@ -1,50 +1,21 @@
-"""Unit tests for the metrics registry (counters, gauges, histograms)."""
+"""Unit tests for the histogram and the Observer's volatile rows."""
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.obs.metrics import Histogram
-
-
-def test_counter_accumulates():
-    reg = MetricsRegistry()
-    counter = reg.counter("a.hits")
-    counter.inc()
-    counter.inc(3)
-    assert reg.snapshot()["a.hits"] == 4
-
-
-def test_counter_get_or_create_returns_same_object():
-    reg = MetricsRegistry()
-    assert reg.counter("a.hits") is reg.counter("a.hits")
-
-
-def test_kind_mismatch_raises():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
-    with pytest.raises(TypeError):
-        reg.histogram("x")
-
-
-def test_gauge_keeps_last_value():
-    reg = MetricsRegistry()
-    gauge = reg.gauge("depth")
-    gauge.set(5)
-    gauge.set(2)
-    assert reg.snapshot()["depth"] == 2
+from repro.obs import Histogram, Observer
 
 
 def test_volatile_gauge_excluded_by_default():
-    reg = MetricsRegistry()
-    reg.gauge("wall", volatile=True).set(1.23)
-    reg.gauge("sim").set(4.0)
-    snap = reg.snapshot()
-    assert "wall" not in snap
-    assert snap["sim"] == 4.0
-    full = reg.snapshot(include_volatile=True)
-    assert full["wall"] == 1.23
+    """The Observer's wall-clock rows are declared volatile: out of the
+    default snapshot, in the full one."""
+    obs = Observer()
+    obs.wall_time = 1.23
+    obs.sim_time = 4.0
+    snap = obs.snapshot()
+    assert "wall_time" not in snap["scheduler"]
+    assert snap["scheduler"]["sim_time"] == 4.0
+    full = obs.snapshot(include_volatile=True)
+    assert full["scheduler"]["wall_time"] == 1.23
 
 
 def test_histogram_exact_stats():
@@ -106,9 +77,3 @@ def test_empty_histogram_snapshot():
     assert snap["count"] == 0
     assert snap["p50"] == 0.0
 
-
-def test_registry_snapshot_sorted():
-    reg = MetricsRegistry()
-    reg.counter("z.last").inc()
-    reg.counter("a.first").inc()
-    assert list(reg.snapshot()) == sorted(reg.snapshot())

@@ -1,17 +1,22 @@
-"""Report schema v2: the key set is a constant, and there is one book.
+"""Report schema v3: the key set is a constant, and there is one book.
 
 Every counter a component keeps lives in one attribute, declared in
 the class's ``COUNTERS`` and summed into every report
-(``repro.obs.report``).  So (a) the ``meta``/``replay``/``server``/
+(``repro.obs.report``); what an observed run records is declared once
+on the ``Observer``.  So (a) the ``meta``/``replay``/``server``/
 ``transport`` key sets are the same whatever ``observe``,
 ``resilience``, ``supervision``, ``overload``, ``cache`` or ``backend``
 say — also once the events behind the counters fire — and equal
-``ReplayReport.schema()``; (b) the metrics registry holds no second
-copy of a declared counter; (c) a collected value does not depend on
-``observe``; (d) volatile rows appear only on request.
+``ReplayReport.schema()``; (b) the ``Observer`` declares no second copy
+of a collected counter, every row it declares is in an observed report,
+and docs/OBSERVABILITY.md lists exactly the reported names; (c) a
+collected value does not depend on ``observe``; (d) volatile rows
+appear only on request.
 """
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +25,11 @@ from repro.core.experiment import (AuthoritativeExperiment,
                                    ExperimentConfig, RecursiveExperiment)
 from repro.netsim.faults import (DistributorLag, FaultPlan, LossBurst,
                                  QuerierCrash)
-from repro.obs import collect, volatile
+from repro.obs import Observer, collect, volatile
 from repro.replay import ReplayConfig, ReplayReport, ResilienceConfig
 from repro.replay.backends import LiveReplayConfig
 from repro.replay.backends import COUNTED
+from repro.replay.engine import DERIVED, FROM_RESULTS
 from repro.replay.supervisor import SupervisionConfig
 from repro.server.cache import CacheConfig
 from repro.server.overload import OverloadConfig, RrlConfig
@@ -186,13 +192,49 @@ def conformance_report():
     return run_sim_variant(check=False)
 
 
-def test_registry_holds_no_copy_of_a_declared_counter(conformance_report):
-    """Re-adding a ``metrics.counter("replay.queries_sent")`` push next
-    to ``Querier.sent`` fails here."""
-    recorded = conformance_report.observer.metrics.snapshot(
-        include_volatile=True)
-    assert len(recorded) > 20
-    assert not recorded.keys() & collect(COUNTED, (), True).keys()
+RECORDED = {*Observer.COUNTERS.values(), *Observer.HISTOGRAMS.values()}
+INVENTORY = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+
+
+def test_observer_declares_no_copy_of_a_collected_counter():
+    """Declaring an ``Observer`` row for ``replay.queries_sent`` next to
+    ``Querier.sent`` fails here."""
+    assert len(RECORDED) > 20
+    assert not RECORDED & collect(COUNTED, (), True).keys()
+    assert not RECORDED & {*FROM_RESULTS, *DERIVED}
+
+
+def test_every_recorded_row_is_in_an_observed_report(conformance_report):
+    metrics = conformance_report.metrics(include_volatile=True)
+    for name in [*RECORDED, *FROM_RESULTS]:
+        group, _, key = name.partition(".")
+        assert key in metrics[group], name
+
+
+def inventory_names() -> set[str]:
+    """``group.name`` for every name the inventory table lists, braces
+    expanded (``udp.bytes_{in,out}``); span-count rows name span kinds,
+    not metrics."""
+    names = set()
+    for line in INVENTORY.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[1].startswith("`") \
+                or cells[2] == "span count":
+            continue
+        for token in re.findall(r"`([^`]+)`", cells[1]):
+            head, _, rest = token.partition("{")
+            options, _, tail = rest.partition("}")
+            names.update(f"{cells[0]}.{head}{option}{tail}"
+                         for option in options.split(","))
+    return names
+
+
+def test_inventory_lists_exactly_the_reported_names():
+    reported = {*collect(COUNTED, (), True), *RECORDED, *FROM_RESULTS,
+                *DERIVED}
+    listed = inventory_names()
+    assert listed - reported == set()
+    assert reported - listed == set()
 
 
 def test_collected_values_do_not_depend_on_observe():

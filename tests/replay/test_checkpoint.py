@@ -6,8 +6,10 @@ built engine from a quiescent checkpoint must produce a
 Holds in the deterministic scope (UDP-only trace, ``timing_jitter``
 off, observability off) — see docs/RESILIENCE.md.  With observability
 on, every collected counter still matches (they are read off the
-restored components); what the observer *records* on the way
-(histograms, spans, per-transport traffic) restarts at the cut.
+restored components), and so do the per-query rows (read off the
+restored results); only the ``Observer``'s own attributes (per-transport
+traffic, scheduler gauges, its histograms) and its spans restart at
+the cut.
 """
 
 import json
@@ -149,9 +151,11 @@ def test_resumed_observed_run_reports_the_run_not_the_tail():
     the registry kept its own copy it restarted at the cut: 56 queries
     sent where the queriers had sent 150.)  That covers the fabric's
     packet counts too: the checkpoint carries them, and the resumed
-    run sends the heartbeat that was due at the cut.  Histograms, spans
-    and per-transport traffic are recorded, restart at the cut and stay
-    outside the guarantee."""
+    run sends the heartbeat that was due at the cut.  Latency, timing
+    error and sends by transport are read off the checkpointed results,
+    so they are the whole run's as well.  The ``Observer``'s own
+    attributes and spans restart at the cut and stay outside the
+    guarantee."""
     engine = build_engine(observe=True)
     full = engine.run(make_trace()).metrics()
     ckpt = mid_run_checkpoint(engine.supervisor.checkpointer.checkpoints)
@@ -162,8 +166,9 @@ def test_resumed_observed_run_reports_the_run_not_the_tail():
         group, _, key = name.partition(".")
         assert resumed[group][key] == full[group][key], name
     assert resumed["server"]["qps"] == full["server"]["qps"]
-    assert resumed["replay"]["latency"]["count"] \
-        < full["replay"]["latency"]["count"]       # recorded: the tail
+    for key in ("latency", "timing_error", "queries_udp"):
+        assert resumed["replay"][key] == full["replay"][key], key
+    assert full["replay"]["latency"]["count"] == len(make_trace())
 
 
 @pytest.mark.parametrize("interval", [0.05, 0.251])

@@ -223,6 +223,13 @@ def test_live_backend_replays_mixed_udp_tcp_trace():
     assert metrics["replay"]["wall_qps"] > 0
     assert metrics["replay"]["unanswered_at_close"] == 0
     assert metrics["meta"]["sim_time"] > 0
+    # Observed rows: the per-query ones are read off the results, the
+    # server's are written by the responder through the Observer.
+    replay, server = metrics["replay"], metrics["server"]
+    assert replay["latency"]["count"] == replay["timing_error"]["count"] \
+        == 40
+    assert (replay["queries_tcp"], replay["queries_udp"]) == (10, 30)
+    assert (server["queries_tcp"], server["queries_udp"]) == (10, 30)
 
 
 def test_report_repr_is_a_summary_and_teardown_formats_no_record(
