@@ -23,8 +23,10 @@ turns the promises into machine-checked invariants:
   response it accepts must decode, with the header fields it acted on
   equal to the decoded message's (so no extended rcode went unseen);
   and every response a server's miss path makes with the answer cache on
-  (question read off the wire, sections spliced from a template) must be
-  what the plain engine — full decode, lookup, full encode — makes.
+  (question read off the wire, sections spliced from a template or
+  encoded straight from the lookup result) must be what the plain engine
+  — full decode, lookup, full encode — makes; the recursive resolver's
+  four wire-level steps are held to the full codec the same way.
 
 Enable with ``ReplayConfig(check=True)`` (shaped like ``observe=``):
 either backend then verifies each message-id allocation and message
@@ -138,6 +140,20 @@ def _check_pinning(queriers, errors: list[str]) -> None:
                     f"source {src} split across queriers {first} and "
                     f"{name} (sticky_sources pinning broken)")
                 return      # one example is enough; the map is broken
+
+
+def _fields(message) -> tuple:
+    """Everything a decoded message says, names in the case read."""
+    question = message.question
+    return (message.msg_id, message.opcode, message.rcode, message.flags,
+            question and (question.qname.labels, question.qtype,
+                          question.qclass),
+            message.edns,
+            [[(rrset.name.labels, rrset.rtype, rrset.rclass, rrset.ttl,
+               [rdata.to_wire() for rdata in rrset.rdatas])
+              for rrset in section]
+             for section in (message.answer, message.authority,
+                             message.additional)])
 
 
 def _raise_if_any(errors: list[str], context: str) -> None:
@@ -369,6 +385,20 @@ class InvariantChecker:
                 f"resolver: upstream query bytes for {qname} id {msg_id} "
                 f"differ from the full encoder's: {wire.hex()} != "
                 f"{expected.hex()}")
+
+    def on_upstream_response(self, resolver, wire: bytes, message) -> None:
+        """The resolver decoded the upstream response *wire* from behind
+        the question it had proved echoed (``decode_response``): the full
+        decoder must read the same header, question and records."""
+        try:
+            expected = _fields(Message.from_wire(wire))
+        except WireError as exc:
+            expected = f"no message ({exc})"
+        if _fields(message) != expected:
+            raise InvariantViolation(
+                f"resolver: upstream response {wire.hex()} decoded from "
+                f"behind its question as {_fields(message)} but the full "
+                f"decoder says {expected}")
 
     def on_resolver_reply(self, resolver, query_wire: bytes, result,
                           wire: bytes) -> None:

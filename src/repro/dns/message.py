@@ -157,6 +157,7 @@ _QUERY_HEADERS = {(rd, edns): struct.pack("!5H", Flag.RD if rd else 0,
                                           1, 0, 0, edns)
                   for rd in (False, True) for edns in (False, True)}
 _QUESTION_END = struct.Struct("!BHH")   # root label, qtype, qclass
+_QTYPE_QCLASS = struct.Struct("!HH")
 _OPT = struct.Struct("!BHHIH")  # root, OPT, payload, ttl (DO), no options
 OPT_SIZE = _OPT.size            # an option-less OPT record: 11 bytes
 
@@ -179,6 +180,46 @@ def plain_query(qname: Name, qtype: int, qclass: int, rd: bool,
         tail += _OPT.pack(0, RRType.OPT, edns[0] & 0xFFFF,
                           EDNS_DO if edns[1] else 0, 0)
     return bytes(tail)
+
+
+_HEADER = struct.Struct("!6H")
+# An answer record owned by the question's name: a pointer to offset 12,
+# type, class, TTL, RDLENGTH.
+_OWNED_RR = struct.Struct("!HHHIH")
+_QNAME_POINTER = 0xC000 | HEADER_SIZE
+_ADDRESS_SIZES = {RRType.A: 4, RRType.AAAA: 16}
+
+
+def address_reply(msg_id: int, flags_word: int, question: bytes,
+                  rrset: RRset, edns: tuple[int, bool] | None,
+                  max_size: int) -> bytes | None:
+    """The bytes of ``encode(msg_id, flags_word, <question>, [rrset], (),
+    (), <option-less OPT from edns>, max_size, None)``, assembled, for
+    the commonest reply: *question* is the query's question section as
+    received (so no pointer in it) and *rrset* an A or AAAA RRset owned
+    by its name.  The encoder writes that owner as a pointer to offset 12
+    in every record — unless it is the root, which it writes as itself —
+    and an address is its packed bytes.  None when *rrset* holds no
+    addresses, the name is the root or the reply would pass *max_size*
+    (> 0): the encoder's to write or truncate."""
+    rdlength = _ADDRESS_SIZES.get(rrset.rtype)
+    rdatas = rrset.rdatas
+    if rdlength is None or not question[0] or (
+            HEADER_SIZE + len(question) + (OPT_SIZE if edns else 0)
+            + len(rdatas) * (_OWNED_RR.size + rdlength) > max_size):
+        return None
+    out = bytearray(_HEADER.pack(msg_id, flags_word, 1, len(rdatas), 0,
+                                 edns is not None))
+    out += question
+    fixed = _OWNED_RR.pack(_QNAME_POINTER, rrset.rtype, rrset.rclass & 0xFFFF,
+                           rrset.ttl & 0xFFFFFFFF, rdlength)
+    for rdata in rdatas:
+        out += fixed
+        out += rdata.packed()
+    if edns is not None:
+        out += _OPT.pack(0, RRType.OPT, edns[0] & 0xFFFF,
+                         EDNS_DO if edns[1] else 0, 0)
+    return bytes(out)
 
 
 # Header fields the decoder hands out as enum members, by value: a
@@ -215,8 +256,8 @@ def _encode(msg_id, flags_word, question, sections, edns, notes) -> bytes:
                   counts[1], counts[2] + (edns is not None))
     if question:
         writer.name(question.qname)
-        writer.u16(question.qtype)
-        writer.u16(question.qclass)
+        writer.raw(_QTYPE_QCLASS.pack(question.qtype & 0xFFFF,
+                                      question.qclass & 0xFFFF))
     for section in sections:
         for rrset in section:
             name, rtype = rrset.name, rrset.rtype
@@ -309,15 +350,24 @@ class Message:
     def from_wire(cls, data: bytes) -> "Message":
         reader = WireReader(data)
         msg_id, flags_word, questions, *counts = reader.header()
+        if questions > 1:
+            raise WireError("multi-question messages unsupported")
+        question = None
+        if questions:
+            qname = reader.name()
+            question = Question(qname, reader.u16(), reader.u16())
+        return cls._decoded(reader, msg_id, flags_word, question, counts)
+
+    @classmethod
+    def _decoded(cls, reader: WireReader, msg_id: int, flags_word: int,
+                 question: Question | None, counts) -> "Message":
+        """The message whose header is read, from the reader at the
+        first record behind its *question* on."""
         opcode = (flags_word >> 11) & 0xF
         message = cls(msg_id=msg_id, opcode=_OPCODES.get(opcode, opcode),
                       rcode=flags_word & 0xF,
-                      flags=_FLAGS[flags_word & _FLAG_MASK])
-        if questions > 1:
-            raise WireError("multi-question messages unsupported")
-        if questions:
-            qname = reader.name()
-            message.question = Question(qname, reader.u16(), reader.u16())
+                      flags=_FLAGS[flags_word & _FLAG_MASK],
+                      question=question)
         sections = (message.answer, message.authority, message.additional)
         for section, count in zip(sections, counts):
             if count:
@@ -372,3 +422,19 @@ class Message:
                 lines.append(f";; {title}")
                 lines.extend(rrset.to_text() for rrset in section)
         return "\n".join(lines)
+
+
+def decode_response(wire: bytes, question: Question) -> Message:
+    """``Message.from_wire(wire)`` for a response already proved to hold
+    one question, *question*'s bytes exactly as :func:`plain_query` sent
+    them (uncompressed, in the case asked): what a resolver knows of a
+    reply before it decodes one.  The reader starts behind the question
+    with *question*'s name at offset 12 of its pointer table, so the
+    message's question is *question* itself and an owner that points at
+    the qname is a table hit.  ``ReplayConfig(check=True)`` holds the
+    result to ``from_wire``."""
+    reader = WireReader(wire)
+    msg_id, flags_word, _, *counts = reader.header()
+    reader.skip_name(question.qname)
+    reader.pos += 4                             # qtype, qclass
+    return Message._decoded(reader, msg_id, flags_word, question, counts)

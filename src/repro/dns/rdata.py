@@ -160,6 +160,10 @@ class A(Rdata):
     def write(self, writer: WireWriter) -> None:
         writer.raw(_packed(ipaddress.IPv4Address, self.address))
 
+    def packed(self) -> bytes:
+        """The RDATA :meth:`write` writes: four address bytes."""
+        return _packed(ipaddress.IPv4Address, self.address)
+
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "A":
         return cls("%d.%d.%d.%d" % tuple(reader.raw(4)))
@@ -183,6 +187,10 @@ class AAAA(Rdata):
 
     def write(self, writer: WireWriter) -> None:
         writer.raw(_packed(ipaddress.IPv6Address, self.address))
+
+    def packed(self) -> bytes:
+        """The RDATA :meth:`write` writes: sixteen address bytes."""
+        return _packed(ipaddress.IPv6Address, self.address)
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "AAAA":

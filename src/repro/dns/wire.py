@@ -175,6 +175,14 @@ class WireReader:
         self.pos += _RR_FIXED.size
         return fields
 
+    def skip_name(self, name: Name) -> None:
+        """Step over *name*, which the caller has proved is written
+        uncompressed at the cursor, leaving the reader as :meth:`name`
+        would: the cursor behind it and *name* in the pointer table."""
+        size = name.wire_length()
+        self._names[self.pos] = (name, size)
+        self.pos += size
+
     def name(self) -> Name:
         """Read a possibly-compressed name starting at the cursor."""
         data = self.data

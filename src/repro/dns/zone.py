@@ -38,7 +38,8 @@ class LookupStatus(enum.Enum):
 @dataclass(eq=False)
 class LookupResult:
     """What a lookup found.  Read-only for callers: a *shared* result
-    (a referral at one cut, a denial between the same NSEC owners) is
+    (a referral at one cut, a denial between the same NSEC owners, an
+    unsigned NODATA) is
     one object for every such query until the next :meth:`Zone.add`, so
     a server can key encoded bytes on it (hence identity eq/hash)."""
 
@@ -63,8 +64,9 @@ class Zone:
         self._non_terminals: set[Name] = set()
         # (canonical key, name) pairs in canonical order, built lazily.
         self._sorted_names: list[tuple[tuple, Name]] | None = None
-        # One result per cut / per covering NSEC owners, until add().
-        self._shared: dict[tuple, LookupResult] = {}
+        # One result per cut / per covering NSEC owners / for unsigned
+        # NODATA, until add().
+        self._shared: dict[tuple | str, LookupResult] = {}
         # Monotonic mutation counter: consumers that memoize derived
         # data (the server's precompiled answer cache) compare it to
         # detect zone changes in O(1).
@@ -311,6 +313,16 @@ class Zone:
         return None, None
 
     def _nodata(self, qname: Name, dnssec: bool) -> LookupResult:
+        if not dnssec:
+            # Without DNSSEC the denial is the zone's SOA, whatever the
+            # qname: one result for all of them.
+            result = self._shared.get("nodata")
+            if result is None:
+                result = LookupResult(LookupStatus.NODATA, shared=True)
+                if self.soa is not None:
+                    result.authority.append(self.soa)
+                self._shared["nodata"] = result
+            return result
         result = LookupResult(LookupStatus.NODATA)
         if self.soa is not None:
             result.authority.append(self.soa)

@@ -91,8 +91,8 @@ def run_cell(capacity: int | None, zipf_skew: float,
             cache.put_rrset(
                 RRset(name, RRType.A, int(TTL), [A(addresses[pick])]),
                 now)
-    # best_nameservers/addresses_for also route through get_rrset in
-    # the real resolver; here the stream is pure client lookups, so
+    # In the real resolver best_nameservers/addresses_for count lookups
+    # too, as get_rrset does; here the stream is pure client lookups, so
     # cache.lookups == lookups exactly (the invariant tests pin this).
     return CachePolicyCell(
         capacity=capacity,

@@ -185,9 +185,11 @@ class AnswerCache:
         else:
             return None
         size = end + len(template.tail)
-        if (size > MAX_POINTER_OFFSET or (limit and size > limit)
-                or any(key[j:] in template.suffixes for j in range(i))):
+        if size > MAX_POINTER_OFFSET or (limit and size > limit):
             return None
+        for j in range(i):
+            if key[j:] in template.suffixes:
+                return None
         self.template_hits += 1
         return template.head + wire[12:end] + template.tail_behind(end)
 
@@ -198,22 +200,25 @@ class AnswerCache:
         unless one is kept or the shift argument does not hold here."""
         rd, qname, _, _, end, edns = plain
         body = [note for note in notes if note[0] >= end]
-        suffixes = frozenset(name[i:] for _, name, _ in body
-                             for i in range(len(name)))
+        suffixes = frozenset({name[i:] for _, name, _ in body
+                              for i in range(len(name))})
         key = qname.folded
-        matched = next((key[i:] for i in range(len(key))
-                        if key[i:] in suffixes), ())
+        matched = ()
+        for i in range(len(key)):
+            if key[i:] in suffixes:
+                matched = key[i:]
+                break
         store, store_key = self.templates, (
             result, rd, edns[1] if edns else None, matched)
         # Pointers must target the matched suffix (it starts at floor;
         # end - 5 is the qname's root byte) or a name behind the question.
-        floor = end - 5 - sum(1 + len(label) for label in matched)
-        pointers = tuple(at - end for _, _, at in body if at >= 0)
+        floor = end - 5 - len(matched) - sum(map(len, matched))
+        pointers = tuple([at - end for _, _, at in body if at >= 0])
         targets = [(full[end + at] << 8 | full[end + at + 1])
                    & MAX_POINTER_OFFSET for at in pointers]
         if (store_key in store or len(full) > MAX_POINTER_OFFSET
                 or full[12:end] != wire[12:end]
-                or any(t < floor or end - 5 <= t < end for t in targets)):
+                or any([t < floor or end - 5 <= t < end for t in targets])):
             return
         if len(store) >= TEMPLATE_STORE:
             del store[next(iter(store))]

@@ -126,6 +126,7 @@ def _rrset_size(rrset: RRset) -> int:
 
 _POS = 0
 _NEG = 1
+_NS, _A, _AAAA = int(RRType.NS), int(RRType.A), int(RRType.AAAA)
 
 
 class DnsCache:
@@ -170,18 +171,33 @@ class DnsCache:
 
     # -- internal plumbing -------------------------------------------------
 
-    def _hit(self, key, entry) -> None:
+    def _live(self, key, now: float) -> _PositiveEntry | None:
+        """The fresh positive entry under *key*, counted as one lookup:
+        a hit touches it (LRU) and may ask for a refresh-ahead; a miss
+        drops an expired entry unless serve-stale keeps it.  Callers
+        only read the entry."""
         self.lookups += 1
+        entry = self._entries.get(key)
+        if entry.__class__ is not _PositiveEntry:
+            self.misses += 1
+            return None
+        config = self.config
+        if entry.expires - now < 1:
+            # Expired (or would serve TTL 0, which real resolvers
+            # refuse to re-circulate): a miss.  Without serve-stale
+            # the entry dies now; with it, it lives on for get_stale.
+            if not config.serve_stale:
+                self._discard(key, entry, None)
+            self.misses += 1
+            return None
         self.hits += 1
         entry.hits += 1
-        if self.config.max_entries is not None:
-            # Touch: re-insert at the LRU tail.
-            del self._entries[key]
+        if config.max_entries is not None:
+            del self._entries[key]          # touch: to the LRU tail
             self._entries[key] = entry
-
-    def _miss(self) -> None:
-        self.lookups += 1
-        self.misses += 1
+        if config.prefetch:
+            self._maybe_prefetch(key, entry, now)
+        return entry
 
     def _deadline(self, kind: int, expires: float) -> float:
         if kind == _POS and self.config.serve_stale:
@@ -246,10 +262,11 @@ class DnsCache:
                               "evictions")
 
     def _maybe_prefetch(self, key, entry, now: float) -> None:
-        """Refresh-ahead: a hit on a hot, nearly expired entry asks
-        the resolver to refresh it before it goes cold."""
+        """Refresh-ahead (``config.prefetch`` only): a hit on a hot,
+        nearly expired entry asks the resolver to refresh it before it
+        goes cold."""
         config = self.config
-        if not config.prefetch or self.on_refresh is None:
+        if self.on_refresh is None:
             return
         hits = entry.hits
         if hits < config.prefetch_min_hits:
@@ -278,7 +295,9 @@ class DnsCache:
     # -- positive ---------------------------------------------------------
 
     def put_rrset(self, rrset: RRset, now: float) -> None:
-        self.reclaim(now)
+        heap = self._tick_heap
+        if heap and heap[0] <= now / EXPIRY_GRANULARITY:
+            self.reclaim(now)           # an expiry bucket is due
         expires = now + rrset.ttl
         key = (_POS, rrset.name, rrset.rtype)
         existing = self._entries.get(key)
@@ -289,23 +308,12 @@ class DnsCache:
             rrset, expires, ENTRY_OVERHEAD + _rrset_size(rrset)))
 
     def get_rrset(self, name: Name, rtype: int, now: float) -> RRset | None:
-        key = (_POS, name, int(rtype))
-        entry = self._entries.get(key)
-        if not isinstance(entry, _PositiveEntry):
-            self._miss()
+        """A copy of the fresh (*name*, *rtype*) RRset at its remaining
+        TTL, or None."""
+        entry = self._live((_POS, name, int(rtype)), now)
+        if entry is None:
             return None
-        remaining = int(entry.expires - now)
-        if remaining <= 0:
-            # Expired (or would serve TTL 0, which real resolvers
-            # refuse to re-circulate): a miss.  Without serve-stale
-            # the entry dies now; with it, it lives on for get_stale.
-            if not self.config.serve_stale:
-                self._discard(key, entry, None)
-            self._miss()
-            return None
-        self._hit(key, entry)
-        self._maybe_prefetch(key, entry, now)
-        return entry.rrset.copy(ttl=remaining)
+        return entry.rrset.copy(ttl=int(entry.expires - now))
 
     def get_stale(self, name: Name, rtype: int,
                   now: float) -> RRset | None:
@@ -330,7 +338,9 @@ class DnsCache:
 
     def put_negative(self, name: Name, rtype: int, nxdomain: bool,
                      soa: RRset | None, now: float) -> None:
-        self.reclaim(now)
+        heap = self._tick_heap
+        if heap and heap[0] <= now / EXPIRY_GRANULARITY:
+            self.reclaim(now)           # an expiry bucket is due
         ttl = 0
         if soa is not None and soa.rdatas:
             ttl = min(soa.ttl, soa.rdatas[0].minimum)
@@ -344,16 +354,19 @@ class DnsCache:
     def get_negative(self, name: Name, rtype: int,
                      now: float) -> NegativeEntry | None:
         key = (_NEG, name, int(rtype))
+        self.lookups += 1
         entry = self._entries.get(key)
-        if not isinstance(entry, NegativeEntry):
-            self._miss()
+        if entry.__class__ is not NegativeEntry or entry.expires <= now:
+            if entry.__class__ is NegativeEntry:
+                self._discard(key, entry, None)
+            self.misses += 1
             return None
-        if entry.expires <= now:
-            self._discard(key, entry, None)
-            self._miss()
-            return None
-        self._hit(key, entry)
+        self.hits += 1
         self.neg_hits += 1
+        entry.hits += 1
+        if self.config.max_entries is not None:
+            del self._entries[key]          # touch: to the LRU tail
+            self._entries[key] = entry
         return entry
 
     # -- delegation walking ----------------------------------------------------
@@ -361,19 +374,21 @@ class DnsCache:
     def best_nameservers(self, qname: Name, now: float) \
             -> tuple[Name, RRset] | None:
         """The deepest cached NS RRset enclosing *qname*: the resolver's
-        starting rung on the hierarchy ladder."""
+        starting rung on the hierarchy ladder.  The RRset is the cache's
+        own, at its stored TTL — read its targets, never change it."""
         for ancestor in qname.ancestors():
-            ns = self.get_rrset(ancestor, RRType.NS, now)
-            if ns is not None:
-                return ancestor, ns
+            entry = self._live((_POS, ancestor, _NS), now)
+            if entry is not None:
+                return ancestor, entry.rrset
         return None
 
     def addresses_for(self, server: Name, now: float) -> list[str]:
+        """The fresh A then AAAA addresses cached for *server*."""
         addrs = []
-        for rtype in (RRType.A, RRType.AAAA):
-            rrset = self.get_rrset(server, rtype, now)
-            if rrset is not None:
-                addrs.extend(rdata.address for rdata in rrset.rdatas)
+        for key in ((_POS, server, _A), (_POS, server, _AAAA)):
+            entry = self._live(key, now)
+            if entry is not None:
+                addrs += [rdata.address for rdata in entry.rrset.rdatas]
         return addrs
 
     # -- maintenance ---------------------------------------------------------------

@@ -15,10 +15,12 @@ refresh-ahead prefetch — docs/RECURSIVE.md), chases CNAMEs, fetches
 missing glue across every NS candidate, retries on timeout, and returns
 SERVFAIL when it runs out of options.
 
-Only upstream *responses* go through the full decoder.  A plain stub
-query's question is read off the wire, upstream queries are assembled
-from bytes, and the stub's reply is one :func:`repro.dns.message.encode`
-call; ``ReplayConfig(check=True)`` holds all three to the full codec
+No step of the round trip runs the full codec.  A plain stub query's
+question is read off the wire, upstream queries are assembled from
+bytes, an upstream response is decoded from behind the question it was
+proved to echo, and the stub's reply is assembled when it is one address
+RRset owned by the qname and one :func:`repro.dns.message.encode` call
+otherwise; ``ReplayConfig(check=True)`` holds all four to the full codec
 (docs/RECURSIVE.md, "Wire path").
 """
 
@@ -31,7 +33,8 @@ from typing import Callable
 from repro.dns.constants import (DEFAULT_EDNS_PAYLOAD, DNS_PORT, Flag,
                                  Rcode, RRClass, RRType)
 from repro.dns.message import (HEADER_SIZE, OPT_SIZE, Edns, Message,
-                               Question, encode, plain_query, read_question)
+                               Question, address_reply, decode_response,
+                               encode, plain_query, read_question)
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
 from repro.dns.wire import WireError
@@ -49,10 +52,12 @@ MAX_TRIES = 6
 ResolveCallback = Callable[[Message], None]
 
 # A stub reply's flags word before opcode and rcode, by the query's RD;
-# its OPT, by the query's DO (shared, never written to).
+# its OPT, by the query's DO (shared, never written to), as the encoder
+# and as address_reply take it.
 _REPLY_FLAGS = {rd: int(Flag.QR | Flag.RA | (Flag.RD if rd else 0))
                 for rd in (False, True)}
 _REPLY_EDNS = {do: Edns(do=do) for do in (False, True)}
+_REPLY_OPT = {do: (edns.payload, do) for do, edns in _REPLY_EDNS.items()}
 _QR = Flag.QR
 
 
@@ -69,6 +74,7 @@ class _Pending:
     msg_id: int
     wire: bytes             # the query as sent
     question: bytes         # its question section, for _answers
+    asked: Question         # and as decode_response takes it
     server_addr: str
     on_response: Callable[[Message], None]
     on_timeout: Callable[[], None]
@@ -163,8 +169,10 @@ class RecursiveResolver:
                          sport: int) -> None:
         plain = read_question(payload)
         if plain is not None:
-            rd, qname, qtype, qclass, _, edns = plain
+            rd, qname, qtype, qclass, end, edns = plain
             msg_id, opcode = payload[0] << 8 | payload[1], 0
+            # The question section as received, for an assembled reply.
+            asked = payload[HEADER_SIZE:end]
             if self.check is not None:
                 self.check.on_resolver_question(
                     self, payload, (msg_id, rd, qname, qtype, qclass, edns))
@@ -183,6 +191,7 @@ class RecursiveResolver:
             qclass = query.question.qclass
             edns = None if query.edns is None else (query.edns.payload,
                                                     query.edns.do)
+            asked = None
         self.client_queries += 1
 
         # RFC 6891 §6.2.5: a stub that advertised no EDNS gets at most
@@ -190,18 +199,28 @@ class RecursiveResolver:
         # we honour its payload up to our own limit.
         if edns is not None:
             limit = min(self.edns_payload, max(512, edns[0]))
-            opt = _REPLY_EDNS[edns[1]]
+            opt, opt_fields = _REPLY_EDNS[edns[1]], _REPLY_OPT[edns[1]]
         else:
-            limit, opt = 512, None
-        question = Question(qname, qtype, qclass)
+            limit, opt, opt_fields = 512, None, None
         flags_word = _REPLY_FLAGS[rd] | (opcode & 0xF) << 11
 
         def reply(result: Message) -> None:
             # The query's id, question, opcode and RD echoed, RA set,
-            # the result's rcode and sections: encoded in one step.
-            wire = encode(msg_id, flags_word | result.rcode & 0xF, question,
-                          result.answer, result.authority, (), opt, limit,
-                          None)
+            # the result's rcode and sections: one address RRset owned
+            # by the qname (in the encoder's sense: the same lower-cased
+            # labels) assembled behind the stub's own question bytes,
+            # anything else encoded in one step.
+            word, answer = flags_word | result.rcode & 0xF, result.answer
+            wire = None
+            if (asked is not None and len(answer) == 1
+                    and not result.authority
+                    and answer[0].name.folded == qname.folded):
+                wire = address_reply(msg_id, word, asked, answer[0],
+                                     opt_fields, limit)
+            if wire is None:
+                wire = encode(msg_id, word, Question(qname, qtype, qclass),
+                              answer, result.authority, (), opt, limit,
+                              None)
             if self.check is not None:
                 self.check.on_resolver_reply(self, payload, result, wire)
             self._client_sock.sendto(wire, src, sport)
@@ -372,6 +391,7 @@ class RecursiveResolver:
             (self.edns_payload, self.dnssec_ok))
         pending = _Pending(msg_id=msg_id, wire=wire,
                            question=wire[HEADER_SIZE:-OPT_SIZE],
+                           asked=Question(qname, qtype),
                            server_addr=server_addr,
                            on_response=on_response, on_timeout=on_timeout)
         pending.timer = self.host.scheduler.after(
@@ -395,20 +415,31 @@ class RecursiveResolver:
         if (pending is None or src != pending.server_addr
                 or not _answers(payload, pending)):
             return
-        try:
-            message = Message.from_wire(payload)
-        except WireError:
+        message = self._decode(payload, pending)
+        if message is None:
             return
         del self._pending[pending.msg_id]
         if pending.timer is not None:
             pending.timer.cancel()
-        if message.flags & Flag.TC:
+        if payload[2] & 0x02:                   # the header's TC bit
             # Truncated: retry this exchange over TCP (RFC 7766).
             self.tcp_fallbacks += 1
             self._send_upstream_tcp(pending)
             return
         self._cache_message(message)
         pending.on_response(message)
+
+    def _decode(self, wire: bytes, pending: _Pending) -> Message | None:
+        """The response *wire*, which :func:`_answers` accepted for
+        *pending*, decoded from behind its question; None if it does not
+        parse."""
+        try:
+            message = decode_response(wire, pending.asked)
+        except WireError:
+            return None
+        if self.check is not None:
+            self.check.on_upstream_response(self, wire, message)
+        return message
 
     def _send_upstream_tcp(self, pending: _Pending) -> None:
         """Re-ask one truncated exchange over a fresh TCP connection."""
@@ -418,9 +449,8 @@ class RecursiveResolver:
         def on_message(wire: bytes) -> None:
             if done["answered"] or not _answers(wire, pending):
                 return
-            try:
-                message = Message.from_wire(wire)
-            except WireError:
+            message = self._decode(wire, pending)
+            if message is None:
                 return
             done["answered"] = True
             timer.cancel()
@@ -432,8 +462,10 @@ class RecursiveResolver:
             if done["answered"]:
                 return
             done["answered"] = True
-            if conn.state == "ESTABLISHED":
-                conn.close()
+            # Whatever state the connection reached: a SYN nobody
+            # listens for is dropped without a RST, and a connection
+            # left in SYN_SENT would hold its port for good.
+            conn.close()
             pending.on_timeout()
 
         framer = LengthPrefixFramer(on_message)
@@ -486,7 +518,7 @@ class RecursiveResolver:
         """Returns True-ish if the message resolved (or redirected) the
         question, None if the caller should keep classifying."""
         direct = [r for r in message.answer
-                  if r.name == state.qname and r.rtype == state.qtype]
+                  if r.rtype == state.qtype and r.name == state.qname]
         if direct or (state.qtype == RRType.ANY and message.answer):
             # Include the CNAME chain we may have accumulated plus the
             # whole answer section.

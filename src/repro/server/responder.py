@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.dns.constants import Flag, Opcode, Rcode
-from repro.dns.message import Edns, Message, read_question
+from repro.dns.message import Edns, Message, Question, encode, read_question
 from repro.dns.name import Name
 from repro.dns.wire import WireError
 from repro.dns.zone import LookupStatus, Zone
@@ -40,6 +40,17 @@ from repro.server.views import ViewSelector, catch_all_view
 
 # The largest UDP response sent, whatever the client's EDNS advertises.
 UDP_PAYLOAD_LIMIT = 4096
+
+# A plain query's response flags word (flags and rcode; RD echoed on
+# top), as _fill makes it: QR; AA unless a referral; the NXDOMAIN or
+# REFUSED rcode.  And its OPT, by the query's DO (shared, never written
+# to).
+_RD, _TC = int(Flag.RD), int(Flag.TC)
+_REFERRAL_WORD = int(Flag.QR)
+_ANSWER_WORD = int(Flag.QR | Flag.AA)
+_NXDOMAIN_WORD = _ANSWER_WORD | Rcode.NXDOMAIN
+_REFUSED_WORD = _REFERRAL_WORD | Rcode.REFUSED
+_RESPONSE_EDNS = {do: Edns(do=do) for do in (False, True)}
 
 
 @dataclass
@@ -198,11 +209,13 @@ class DnsResponder:
         response is due; no counter, span or log side effect.
         With *cache* the first and last step take their wire-level forms
         where they apply (docs/BACKENDS.md): a plain query's question is
-        read off the wire, a shared lookup result answered from *cache*'s
-        section templates.  With None this is the plain engine — full
-        decode, lookup, full encode — that ``answer_cache=False`` serves
-        and ``check=True`` holds those forms to.  Cookies need the full
-        decoder (the jar reads the option) and a per-client body."""
+        read off the wire, and its response is a shared lookup result
+        answered from *cache*'s section templates or, failing that, one
+        ``encode`` straight from the lookup result.  With None this is
+        the plain engine — full decode, lookup, response message, full
+        encode — that ``answer_cache=False`` serves and ``check=True``
+        holds those forms to.  Cookies need the full decoder (the jar
+        reads the option) and a per-client body."""
         query = plain = None
         if cache is not None and self._cookie_jar is None:
             plain = read_question(wire)
@@ -229,22 +242,41 @@ class DnsResponder:
         verified = False
         if body is not None:
             rcode, full_size = body[1] & 0xF, 2 + len(body)
+        elif plain is not None:
+            # Encoded straight from the lookup: the flags word and the
+            # sections _fill would put in a response message.
+            if result is None:
+                word, sections = _REFUSED_WORD, ((), (), ())
+            else:
+                status = result.status
+                word = (_REFERRAL_WORD if status is LookupStatus.DELEGATION
+                        else _NXDOMAIN_WORD if status is LookupStatus.NXDOMAIN
+                        else _ANSWER_WORD)
+                sections = (result.answers, result.authority,
+                            result.additional)
+            if rd:
+                word |= _RD
+            question = Question(qname, qtype, qclass)
+            opt = edns and _RESPONSE_EDNS[edns[1]]
+            notes = [] if shared else None
+            out = full = encode(0, word, question, *sections, opt, 0, notes)
+            if limit and len(full) > limit:
+                # What to_wire(max_size=) does: TC, every section empty.
+                # The template waits for the TCP retry.
+                out = encode(0, word | _TC, question, (), (), (), opt, 0,
+                             None)
+            elif shared:
+                cache.learn(result, plain, wire, full, notes)
+            body, rcode, full_size = out[2:], word & 0xF, len(full)
         else:
-            if query is None:
-                query = Message.make_query(
-                    qname, qtype, rd=rd, qclass=qclass,
-                    edns=Edns(*edns) if edns else None)
             response = self._fill(query.make_response(), result, cacheable)
             if self._cookie_jar is not None:
                 # Validate + attach the cookie echo before encoding: the
                 # echoed option is part of the cached response bytes.
                 verified = self._cookie_jar.process(query, response, src)
-            notes = [] if shared else None
-            out = full = response.to_wire(notes=notes)
+            out = full = response.to_wire()
             if limit and len(full) > limit:
                 out = response.to_wire(max_size=limit)
-            if shared and out is full:  # truncated: the TCP retry will
-                cache.learn(result, plain, wire, full, notes)
             body, rcode, full_size = out[2:], response.rcode, len(full)
         return CachedAnswer(
             body=body, rcode=rcode, full_size=full_size, qname=qname,

@@ -1,17 +1,21 @@
 """The recursive resolver's wire path against the full codec.
 
 The resolver reads a plain stub query's question off the wire
-(``read_question``), assembles its upstream queries from bytes (``plain_query``), and
-answers the stub with one ``encode`` call (docs/RECURSIVE.md, "Wire
-path").  The reference is what it did before: ``Message.from_wire`` on
-every stub query, ``make_query().to_wire()`` upstream, a result message
-copied into ``make_response()`` and encoded — kept here as a test-local
-stub side, never in ``src/``.  Here: the two give the same reply bytes
-and keep the same books for plain and hostile stub queries, upstream
-query bytes equal the full encoder's, the full codec is called once per
-upstream response and not otherwise, and ``ReplayConfig(check=True)``
-really compares — a planted bug in each of the three fast paths raises
-:class:`InvariantViolation` and goes unnoticed without.
+(``read_question``), assembles its upstream queries from bytes
+(``plain_query``), decodes each upstream response from behind the
+question it proved echoed (``decode_response``), and answers the stub
+with an assembled address reply (``address_reply``) or one ``encode``
+call (docs/RECURSIVE.md, "Wire path").  The reference is what it did
+before: ``Message.from_wire`` on every stub query and upstream response,
+``make_query().to_wire()`` upstream, a result message copied into
+``make_response()`` and encoded — kept here as a test-local stub side,
+never in ``src/``.  Here: the two give the same reply bytes and keep the
+same books for plain and hostile stub queries, upstream query bytes
+equal the full encoder's, a run without cookies calls the full codec
+nowhere and ``decode_response`` once per upstream response, and
+``ReplayConfig(check=True)`` really compares — a planted bug in each of
+the four fast paths raises :class:`InvariantViolation` and goes
+unnoticed without.
 """
 
 from collections import Counter
@@ -20,14 +24,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.fuzzing import dns_names, hostile_wire, plain_queries
+from repro.check.fuzzing import (dns_messages, dns_names, hostile_wire,
+                                 plain_queries)
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.check.scenarios import (conformance_wire_zone, recursive_trace,
                                    run_recursive_scenario)
 from repro.core.experiment import ExperimentConfig, RecursiveExperiment
 from repro.dns.constants import Flag, RRType
-from repro.dns.message import Edns, Message
+from repro.dns.message import Edns, Message, Question, encode
 from repro.dns.name import Name
+from repro.dns.rdata import A, AAAA
+from repro.dns.rrset import RRset
 from repro.dns.wire import WireError
 from repro.netsim import LinkParams, Simulator
 from repro.replay.engine import ReplayConfig
@@ -158,7 +165,55 @@ def test_upstream_query_bytes_equal_the_full_encoder(qname, qtype, payload):
     assert pending.question == sent[0][12:-11]
 
 
-# -- the full codec runs once per upstream response, nowhere else -------------
+@settings(deadline=None)
+@given(dns_messages(), st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                                max_size=4))
+def test_upstream_decode_equals_the_full_decoder(message, owned):
+    """Records in every section, some owned by the qname (in either
+    case, so compressed against it): decoding from behind the question
+    reads what the full decoder reads."""
+    qname = message.question.qname
+    for section, swapped in owned:
+        owner = Name([label.swapcase() for label in qname.labels]
+                     if swapped else qname.labels)
+        (message.answer, message.authority, message.additional)[
+            section].append(RRset(owner, RRType.AAAA, 60,
+                                  [AAAA(f"2001:db8::{section}")]))
+    wire = message.to_wire()
+    decoded = recursive.decode_response(wire, message.question)
+    full = Message.from_wire(wire)
+    assert decoded.question is message.question
+    assert (decoded, decoded.to_text()) == (full, full.to_text())
+
+
+@settings(deadline=None)
+@given(dns_names(max_labels=8), st.sampled_from((RRType.A, RRType.AAAA)),
+       st.integers(0, 40), st.booleans(), st.none() | st.booleans(),
+       st.sampled_from((512, 1232, 4096)))
+def test_address_reply_equals_the_encoder(qname, rtype, count, swapped, do,
+                                          limit):
+    query = Message.make_query(qname, RRType.A, msg_id=7, edns=None
+                               if do is None else Edns(do=do)).to_wire()
+    owner = Name([label.swapcase() for label in qname.labels]
+                 if swapped else qname.labels)
+    rdata = A if rtype == RRType.A else AAAA
+    rrset = RRset(owner, rtype, 300, [
+        rdata(f"10.0.{i}.1" if rtype == RRType.A else f"2001:db8::{i}")
+        for i in range(count)])
+    word = 0x8580
+    assembled = recursive.address_reply(
+        7, word, query[12:12 + qname.wire_length() + 4], rrset,
+        None if do is None else (4096, do), limit)
+    encoded = encode(7, word, Question(qname, RRType.A), [rrset], (), (),
+                     None if do is None else Edns(do=do), limit, None)
+    assert assembled in (encoded, None)
+    # Declined exactly when the encoder truncates (TC), or for the root,
+    # which no pointer stands for.
+    assert (assembled is None) == (encoded[2] & 0x02 == 0x02
+                                   or qname == Name.root())
+
+
+# -- no step runs the full codec; one upstream decode per response ------------
 
 def small_run(check=False, records=60):
     internet, trace = recursive_trace()
@@ -173,26 +228,32 @@ def small_run(check=False, records=60):
 
 def test_codec_calls_per_stub_query(monkeypatch):
     counted = Counter()
-    decode, encode = Message.from_wire.__func__, Message.to_wire
+    full_decode, full_encode = Message.from_wire.__func__, Message.to_wire
+    upstream = recursive.decode_response
 
     def from_wire(cls, data):
         counted["from_wire"] += 1
-        return decode(cls, data)
+        return full_decode(cls, data)
 
     def to_wire(self, *args, **kwargs):
         counted["to_wire"] += 1
-        return encode(self, *args, **kwargs)
+        return full_encode(self, *args, **kwargs)
+
+    def decode_response(wire, question):
+        counted["decode_response"] += 1
+        return upstream(wire, question)
 
     monkeypatch.setattr(Message, "from_wire", classmethod(from_wire))
     monkeypatch.setattr(Message, "to_wire", to_wire)
+    monkeypatch.setattr(recursive, "decode_response", decode_response)
     experiment, report = small_run()
     stats = experiment.resolver.stats
     assert report.answered_fraction() == 1.0
     assert stats["client_queries"] == 60 and stats["upstream_queries"] > 30
-    # One decode per upstream response; the only encodes left are the
-    # meta-DNS-server's, the first time it sees an upstream question.
-    assert counted["from_wire"] == stats["upstream_queries"]
-    assert 0 < counted["to_wire"] <= stats["upstream_queries"]
+    # Every upstream query is answered, and each answer is decoded once,
+    # from behind its question; no step runs the full codec (the
+    # meta-DNS-server encodes its misses straight from the lookup).
+    assert counted == {"decode_response": stats["upstream_queries"]}
 
 
 # -- check=True compares the wire path with the full codec --------------------
@@ -200,7 +261,7 @@ def test_codec_calls_per_stub_query(monkeypatch):
 def test_checked_run_is_byte_identical_and_every_hook_runs(monkeypatch):
     ran = Counter()
     for hook in ("on_resolver_question", "on_upstream_query",
-                 "on_resolver_reply"):
+                 "on_upstream_response", "on_resolver_reply"):
         def spy(self, *args, _real=getattr(InvariantChecker, hook),
                 _hook=hook):
             ran[_hook] += 1
@@ -209,7 +270,8 @@ def test_checked_run_is_byte_identical_and_every_hook_runs(monkeypatch):
     experiment, checked = small_run(check=True)
     stats = experiment.resolver.stats
     assert ran == {"on_resolver_question": 60, "on_resolver_reply": 60,
-                   "on_upstream_query": stats["upstream_queries"]}
+                   "on_upstream_query": stats["upstream_queries"],
+                   "on_upstream_response": stats["upstream_queries"]}
     assert checked.to_json() == small_run(check=False)[1].to_json()
 
 
@@ -239,6 +301,22 @@ def test_planted_upstream_query_bug_is_a_violation(monkeypatch):
                                                     True, edns))
     assert small_run(check=False)[1].answered_fraction() == 1.0
     with pytest.raises(InvariantViolation, match="upstream query bytes"):
+        small_run(check=True)
+
+
+def test_planted_upstream_decode_bug_is_a_violation(monkeypatch):
+    real = recursive.decode_response
+
+    def drops_a_glue_record(wire, question):
+        message = real(wire, question)
+        if message.additional and len(message.additional[-1].rdatas) > 1:
+            message.additional[-1].rdatas.pop()
+        elif len(message.additional) > 1:
+            message.additional.pop()
+        return message
+    monkeypatch.setattr(recursive, "decode_response", drops_a_glue_record)
+    assert small_run(check=False)[1].answered_fraction() == 1.0
+    with pytest.raises(InvariantViolation, match="full decoder says"):
         small_run(check=True)
 
 

@@ -484,3 +484,16 @@ def test_tcp_fallback_times_out_on_wrong_frames_alone():
     assert len(seen) == resolver.stats["tcp_fallbacks"] == MAX_TRIES
     assert resolver.cache.get_rrset(VICTIM.name, RRType.A, sim.now) is None
     assert not resolver._pending
+
+
+def test_tcp_fallback_to_a_server_without_tcp_leaves_no_connection():
+    """A SYN to a host with no TCP listener is dropped without a RST, so
+    each fallback's connection stayed in SYN_SENT, holding its port, for
+    good: the timeout only closed an ESTABLISHED one."""
+    sim, resolver, seen = lying_world()
+    resolver.edns_payload = 512
+    result = resolve(sim, resolver, "big.example.")
+    assert result.rcode == Rcode.SERVFAIL
+    assert len(seen) == resolver.stats["tcp_fallbacks"] == MAX_TRIES
+    assert resolver.host.tcp_connection_count() == 0
+    assert not resolver.host._tcp_ports_in_use

@@ -1,13 +1,15 @@
 """Count guard for the server's wire-level miss path (docs/BACKENDS.md).
 
-No timing: calls of the full codec and of ``Zone.lookup`` are counted
-while a responder answers names it has never seen.  With the
-precompiled-answer cache on, junk inside one NSEC gap and names under
-one cut cost one lookup each and one decode/encode per template; with
-cookies configured, or with ``answer_cache=False``, every query pays the
-full codec.  A change that quietly puts ``Message.from_wire`` or
-``Message.to_wire`` back on the per-query path fails here.  Also here:
-what invalidates the templates, and what bounds them.
+No timing: calls of the full decoder, of the one encoder
+(``dns.message.encode``, under ``Message.to_wire`` too) and of
+``Zone.lookup`` are counted while a responder answers names it has
+never seen.  With the precompiled-answer cache on, junk inside one NSEC
+gap, names under one cut and unsigned NODATA cost one lookup each, no
+decode and one encode per template; with cookies configured, or with
+``answer_cache=False``, every query pays the full codec.  A change that
+quietly puts ``Message.from_wire`` or an encode back on the per-query
+path fails here.  Also here: what invalidates the templates, and what
+bounds them.
 """
 
 import inspect
@@ -15,14 +17,15 @@ from collections import Counter
 
 import pytest
 
+from repro.dns import message as message_module
 from repro.dns.constants import RRType
 from repro.dns.message import Edns, Message
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS
 from repro.dns.rrset import RRset
-from repro.dns.zone import Zone
+from repro.dns.zone import Zone, make_soa
 from repro.experiments.harness import root_zone_world
-from repro.server import answercache
+from repro.server import answercache, responder as responder_module
 from repro.server.overload import CookieConfig, OverloadConfig, RrlConfig
 from repro.server.responder import DnsResponder
 from repro.server.views import ViewSelector, catch_all_view
@@ -60,9 +63,20 @@ def names_under_one_cut(zone: Zone) -> list[bytes]:
     return [query(f"host{i}.{'sub.' * (i % 3)}{cut}", i) for i in range(N)]
 
 
+def wildcard_zone() -> Zone:
+    """Unsigned, one wildcard A: any name below it exists, and has no
+    AAAA."""
+    origin = Name.from_text("nodata.test.")
+    zone = Zone(origin)
+    zone.add(make_soa(origin))
+    zone.add(RRset(origin, RRType.NS, 3600, [NS(origin.prepend(b"ns1"))]))
+    zone.add(RRset(origin.prepend(b"*"), RRType.A, 300, [A("192.0.2.1")]))
+    return zone
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of the full decoder, the full encoder and the lookup."""
+    """Calls of the full decoder, the one encoder and the lookup."""
     counted = Counter()
 
     def count(owner, name):
@@ -76,7 +90,8 @@ def calls(monkeypatch):
                             if inspect.ismethod(original) else wrapper)
 
     count(Message, "from_wire")
-    count(Message, "to_wire")
+    count(message_module, "encode")     # what Message.to_wire calls
+    count(responder_module, "encode")   # the miss path's direct encode
     count(Zone, "lookup")
     return counted
 
@@ -94,8 +109,8 @@ def test_unseen_names_cost_one_lookup_and_no_codec(make, calls):
     responder = DnsResponder(zones=[zone])
     counted = answer(responder, make(zone), calls)
     # One result, one set of flags, one matched suffix: one template,
-    # built by the full encoder from the fields read off the wire.
-    assert counted == {"lookup": N, "to_wire": 1}
+    # encoded straight from the lookup result.
+    assert counted == {"lookup": N, "encode": 1}
     cache = responder.answer_cache
     assert (cache.template_builds, cache.template_hits) == (1, N - 1)
     assert (cache.hits, cache.misses, len(cache)) == (0, N, N)
@@ -104,12 +119,29 @@ def test_unseen_names_cost_one_lookup_and_no_codec(make, calls):
     assert cache.hits == N
 
 
+def test_unsigned_nodata_shares_one_template(calls):
+    """N distinct names under one unsigned zone, all NODATA: one shared
+    lookup result, so one template build and N - 1 template hits."""
+    queries = [Message.make_query(
+        Name.from_text(f"host{'x' * (i % 5)}{i}.nodata.test."), RRType.AAAA,
+        msg_id=i, rd=True, edns=Edns(payload=1232)).to_wire()
+        for i in range(N)]
+    responder = DnsResponder(zones=[wildcard_zone()])
+    assert answer(responder, queries, calls) == {"lookup": N, "encode": 1}
+    cache = responder.answer_cache
+    assert (cache.template_builds, cache.template_hits) == (1, N - 1)
+    plain = DnsResponder(zones=[wildcard_zone()], answer_cache=False)
+    fresh = DnsResponder(zones=[wildcard_zone()])
+    assert [fresh.reply_wire("udp", wire, *CLIENT) for wire in queries] \
+        == [plain.reply_wire("udp", wire, *CLIENT) for wire in queries]
+
+
 def test_rrl_alone_rides_the_fast_forms(calls):
     zone = signed_root()
     responder = DnsResponder(zones=[zone], overload=OverloadConfig(
         rrl=RrlConfig(rate=1000.0)))
     assert answer(responder, junk_in_one_gap(zone), calls) == {
-        "lookup": N, "to_wire": 1}
+        "lookup": N, "encode": 1}
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -122,7 +154,7 @@ def test_plain_engine_and_cookies_pay_the_full_codec(kwargs, calls):
     zone = signed_root()
     responder = DnsResponder(zones=[zone], **kwargs)
     assert answer(responder, junk_in_one_gap(zone), calls) == {
-        "lookup": N, "from_wire": N, "to_wire": N}
+        "lookup": N, "from_wire": N, "encode": N}
 
 
 def test_non_plain_queries_take_the_full_decoder(calls):
@@ -133,7 +165,7 @@ def test_non_plain_queries_take_the_full_decoder(calls):
         edns=Edns(options=b"\x00\x0a\x00\x08" + bytes(8))).to_wire()
         for i in range(N)]
     assert answer(responder, with_option, calls) == {
-        "lookup": N, "from_wire": N, "to_wire": N}
+        "lookup": N, "from_wire": N, "encode": N}
     assert responder.answer_cache.template_builds == 0
 
 
