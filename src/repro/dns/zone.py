@@ -100,6 +100,14 @@ class Zone:
         self._shared.clear()
         self.version += 1
 
+    def replace(self, rrset: RRset) -> None:
+        """Make *rrset* the zone's whole RRset at its name and type (not
+        for RRSIGs, which merge per covered type)."""
+        node = self._nodes.get(rrset.name)
+        if node is not None:
+            node.pop(rrset.rtype, None)
+        self.add(rrset)
+
     def _register_ancestors(self, name: Name) -> None:
         for ancestor in name.ancestors():
             if ancestor == self.origin:
@@ -146,7 +154,7 @@ class Zone:
         for rrset in self.rrsets():
             total += rrset.name.wire_length() + 16
             for rdata in rrset.rdatas:
-                total += len(rdata.to_wire()) + 32
+                total += rdata.wire_size() + 32
         return total
 
     def is_signed(self) -> bool:

@@ -71,7 +71,7 @@ def run_point(tlds: int, slds_per_tld: int, probes: int = 40,
         failures=failures)
 
 
-def sweep(points=((2, 5), (4, 25), (8, 60), (12, 120))) \
+def sweep(points=((2, 5), (4, 25), (8, 60), (12, 120), (20, 160))) \
         -> list[GrowthPoint]:
     return [run_point(tlds, slds) for tlds, slds in points]
 

@@ -22,6 +22,7 @@ views + proxies exist to defeat.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Callable
 
@@ -93,9 +94,11 @@ class AuthoritativeServer(DnsResponder):
         self.pause_backlog_limit = 4096
         self._pause_backlog: list[Callable[[], None]] = []
         host.apps.append(self)
-        # Loading zones costs memory, like a real server's zone DB.
-        self._zone_memory = sum(z.estimated_memory()
-                                for v in self.views.views for z in v.zones)
+        # Loading zones costs memory, like a real server's zone DB: each
+        # (view, zone) pair is charged, each distinct zone sized once.
+        loaded = Counter(z for v in self.views.views for z in v.zones)
+        self._zone_memory = sum(z.estimated_memory() * copies
+                                for z, copies in loaded.items())
         host.meter.alloc(host.meter.cost.server_base + self._zone_memory)
         self._udp = host.udp_socket(DNS_PORT)
         self._udp.on_datagram = self._on_udp

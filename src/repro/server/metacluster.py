@@ -25,7 +25,7 @@ from repro.netsim.sim import Simulator
 from repro.netsim.tun import Tun, capture_queries
 from repro.proxy import AuthoritativeProxy
 from repro.proxy.rewrite import rewrite_toward
-from repro.server.metadns import MetaDnsServer, nameserver_addresses
+from repro.server.metadns import MetaDnsServer, ZoneIndex
 
 
 class MetaDnsCluster:
@@ -48,6 +48,11 @@ class MetaDnsCluster:
             # Stable shard choice (hash() of names is salted per process).
             index = zlib.crc32(zone.origin.to_text().encode()) % shards
             partitions[index].append(zone)
+        # Each zone's nameserver addresses against the whole hierarchy,
+        # resolved once: they pick the routes and complete the views.
+        hierarchy = ZoneIndex(zones)
+        addresses = {zone: hierarchy.nameserver_addresses(zone)
+                     for zone in zones}
 
         for i, (addr, partition) in enumerate(zip(self.shard_addrs,
                                                   partitions)):
@@ -59,22 +64,22 @@ class MetaDnsCluster:
                                    log_queries=log_queries)
             self.servers.append(server)
             for zone in partition:
-                for ns_addr in nameserver_addresses(zone,
-                                                    parent_zones=zones):
+                for ns_addr in addresses[zone]:
                     # A nameserver serving zones in several shards would
                     # need per-zone routing; partition by address owner:
                     # first shard hosting one of its zones wins, and its
                     # views must hold every zone for that address.
                     self.routes.setdefault(ns_addr, addr)
-        self._ensure_address_completeness(zones)
+        self._ensure_address_completeness(addresses)
 
-    def _ensure_address_completeness(self, zones: list[Zone]) -> None:
+    def _ensure_address_completeness(
+            self, addresses: dict[Zone, list[str]]) -> None:
         """A nameserver address routes to exactly one shard, so that
         shard must hold *every* zone served at that address (§2.3: one
         nameserver may serve several zones)."""
         by_addr: dict[str, list[Zone]] = {}
-        for zone in zones:
-            for ns_addr in nameserver_addresses(zone, parent_zones=zones):
+        for zone, ns_addrs in addresses.items():
+            for ns_addr in ns_addrs:
                 by_addr.setdefault(ns_addr, []).append(zone)
         shard_servers = {server.host.addr: server
                          for server in self.servers}

@@ -13,6 +13,8 @@ identify which source addresses select it.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.dns.constants import RRType
 from repro.dns.name import Name
 from repro.dns.zone import Zone
@@ -24,22 +26,49 @@ from repro.server.views import ViewSelector
 def nameserver_addresses(zone: Zone,
                          parent_zones: list[Zone] | None = None) -> list[str]:
     """Public addresses of *zone*'s nameservers, resolved through the
-    zone's own glue or sibling/parent zones."""
-    ns_rrset = zone.apex_ns
-    if ns_rrset is None:
-        return []
-    addrs: list[str] = []
-    zones = [zone] + list(parent_zones or [])
-    for rdata in ns_rrset.rdatas:
-        target = rdata.target
-        for z in zones:
-            if not target.is_subdomain_of(z.origin):
-                continue
-            for rtype in (RRType.A, RRType.AAAA):
-                rrset = z.get_rrset(target, rtype)
-                if rrset is not None:
-                    addrs.extend(rd.address for rd in rrset.rdatas)
-    return addrs
+    zone's own glue or sibling/parent zones: each address once, in the
+    order a scan of ``[zone] + parent_zones`` first finds it."""
+    return ZoneIndex(parent_zones or []).nameserver_addresses(zone)
+
+
+class ZoneIndex:
+    """Zones by origin, in list order.  The zones that can hold an
+    address for a nameserver target are those at its ancestors, so
+    resolving a target walks its labels instead of scanning every zone:
+    building a meta-server over N zones stays linear in N."""
+
+    def __init__(self, zones: list[Zone]):
+        self._by_origin: dict[Name, list[tuple[int, Zone]]] = {}
+        for position, zone in enumerate(zones):
+            self._by_origin.setdefault(zone.origin, []).append(
+                (position, zone))
+
+    def _enclosing(self, name: Name) -> list[Zone]:
+        """The indexed zones at or above *name*, in list order."""
+        found = [entry for ancestor in name.ancestors()
+                 for entry in self._by_origin.get(ancestor, ())]
+        found.sort(key=itemgetter(0))
+        return [zone for _, zone in found]
+
+    def nameserver_addresses(self, zone: Zone) -> list[str]:
+        """:func:`nameserver_addresses` of *zone* against the indexed
+        zones."""
+        ns_rrset = zone.apex_ns
+        if ns_rrset is None:
+            return []
+        addrs: dict[str, None] = {}   # an ordered set
+        for rdata in ns_rrset.rdatas:
+            target = rdata.target
+            zones = self._enclosing(target)
+            if target.is_subdomain_of(zone.origin):
+                zones.insert(0, zone)   # its own glue first
+            for z in zones:
+                for rtype in (RRType.A, RRType.AAAA):
+                    rrset = z.get_rrset(target, rtype)
+                    if rrset is not None:
+                        for rd in rrset.rdatas:
+                            addrs[rd.address] = None
+        return list(addrs)
 
 
 class MetaDnsServer:
@@ -51,8 +80,9 @@ class MetaDnsServer:
         self.views = ViewSelector()
         self.zone_addresses: dict[Name, list[str]] = {}
         unmatched: list[Zone] = []
+        index = ZoneIndex(self.zones)
         for zone in self.zones:
-            addrs = nameserver_addresses(zone, parent_zones=self.zones)
+            addrs = index.nameserver_addresses(zone)
             self.zone_addresses[zone.origin] = addrs
             if not addrs:
                 unmatched.append(zone)

@@ -258,6 +258,8 @@ class ModelInternet:
             rrset = domain.zone.get_rrset(domain.name, RRType.A)
             if rrset is None:
                 continue
-            rrset.rdatas[:] = [A(self.alloc.allocate())]
+            # Through the zone, so servers built on it see the change.
+            domain.zone.replace(RRset(domain.name, RRType.A, rrset.ttl,
+                                      [A(self.alloc.allocate())]))
             changed.append(domain.name)
         return changed

@@ -13,8 +13,10 @@ first-one-wins (§2.3).  A fresh construction pass picks up the update.
 import pytest
 
 from repro.dns.constants import RRType
+from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.zone import LookupStatus
+from repro.server.responder import DnsResponder
 from repro.workloads.internet import ModelInternet
 from repro.zonegen import construct_zones, harvest, make_prober
 
@@ -44,6 +46,26 @@ def test_rotation_changes_live_answers(internet):
     assert N("dom000.com.") in changed
     after = internet.ground_truth_resolve(N("dom000.com."), RRType.A)
     assert after.answers[0].rdatas[0].address != before_addr
+
+
+def test_rotation_reaches_servers_built_before_it(internet):
+    """The rotation goes through the zone, so a server's answer cache
+    drops what it compiled before: cached and uncached servers agree."""
+    zone = internet.zone_by_origin[N("dom000.com.")]
+    servers = [DnsResponder(zones=[zone]),
+               DnsResponder(zones=[zone], answer_cache=False)]
+    query = Message.make_query("dom000.com.", RRType.A).to_wire()
+
+    def served():
+        return [Message.from_wire(server.reply_wire(
+            "udp", query, "10.0.0.1", 5353)).answer[0].rdatas[0].address
+            for server in servers]
+
+    before = served()
+    internet.rotate_addresses(fraction=1.0, seed=1)
+    rotated = zone.get_rrset(N("dom000.com."), RRType.A).rdatas[0].address
+    assert before[0] == before[1] != rotated
+    assert served() == [rotated, rotated]
 
 
 def test_rebuilt_zones_frozen_against_live_churn(internet):
