@@ -19,6 +19,7 @@ output), or call :func:`sweep` for the cells.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.experiments.harness import (authoritative_world,
@@ -73,7 +74,8 @@ def sweep(crash_times=(-1.0, 0.5, 1.0, 1.5),
             for supervised in (False, True)]
 
 
-def main() -> None:
+def main() -> int:
+    """Print the sweep; 1 when a supervised cell misses the bar."""
     cells = sweep()
     print("== answered fraction vs querier crash time "
           "(supervision off/on) ==")
@@ -92,7 +94,9 @@ def main() -> None:
     if stranded:
         print(f"WARNING: {len(stranded)} supervised cells below the "
               f"0.99 answered bar")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,6 +17,7 @@ Run as a module for the table, or call :func:`sweep` for the cells.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.experiments.harness import authoritative_world, wildcard_zone
@@ -88,7 +89,9 @@ def sweep(losses=(0.0, 0.02, 0.05, 0.10),
             for loss in losses for policy in policies]
 
 
-def main() -> None:
+def main() -> int:
+    """Print the sweep; 1 when a cell with a retry policy strands
+    queries."""
     cells = sweep()
     print("== answered fraction and latency under loss "
           "(retry policy vs none) ==")
@@ -106,7 +109,9 @@ def main() -> None:
     worst = [c for c in cells if c.policy != "none" and c.still_pending]
     if worst:
         print(f"WARNING: {len(worst)} cells stranded queries")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,15 +14,15 @@ Heartbeats flow the other way — distributor side back to the
 controller — and only when supervision is enabled.
 
 A record takes one path: the Reader appends its window to the Postman's
-backlog and the Postman sends from the head.  Supervision
-(:mod:`repro.replay.supervisor`) adds two checks on that head — re-pin
-a source whose distributor died, and stall while the target
-distributor sits at the high-water mark — and nothing else.
+backlog and the Postman sends from the head, on the channel the
+controller's :class:`~repro.replay.supervisor.Pins` table gives its
+source.  Supervision (:mod:`repro.replay.supervisor`) adds two checks on
+that head — move a source whose distributor died, and stall while the
+target distributor sits at the high-water mark — and nothing else.
 """
 
 from __future__ import annotations
 
-import random
 import struct
 from collections import deque
 from typing import Iterable, Iterator
@@ -31,8 +31,8 @@ from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
 from repro.obs.report import (counter_state, restore_counters,
                               zero_counters)
-from repro.replay.distributor import Distributor, _rng_from_jsonable, \
-    _rng_to_jsonable
+from repro.replay.distributor import Distributor
+from repro.replay.supervisor import Pins, next_tick
 from repro.trace.binaryform import decode_record, encode_record
 from repro.trace.record import QueryRecord
 
@@ -103,7 +103,6 @@ class DistributorEndpoint:
         self.distributor.host.scheduler.at(first, self._beat, daemon=True)
 
     def _schedule_beat(self) -> None:
-        from repro.replay.supervisor import next_tick
         scheduler = self.distributor.host.scheduler
         scheduler.at(next_tick(scheduler.now, self._hb_interval),
                      self._beat, daemon=True)
@@ -138,15 +137,16 @@ class Controller:
             raise ValueError("controller needs at least one distributor")
         self.host = host
         self.read_window = read_window
-        self.rng = random.Random(seed)
         zero_counters(self)
-        self._assignment: dict[str, ControlChannel] = {}
         # Controllers may share distributors: each gets its own
         # listening endpoints, on its own control_port.
         self._endpoints = [DistributorEndpoint(d, port=control_port)
                            for d in distributors]
         self.channels = [ControlChannel(host, d, port=control_port)
                          for d in distributors]
+        # Same source -> same channel, hence same distributor.
+        self.pins = Pins(self.channels, seed,
+                         actor=lambda channel: channel.distributor)
         self._input: Iterator[QueryRecord] | None = None
         self._sync_time: float | None = None
         self._synced = False
@@ -161,15 +161,6 @@ class Controller:
         self.supervisor = supervisor
         for channel in self.channels:
             channel.enable_heartbeats(supervisor)
-
-    # -- sticky assignment (same-source -> same distributor) ---------------
-
-    def _channel_for(self, src: str) -> ControlChannel:
-        channel = self._assignment.get(src)
-        if channel is None:
-            channel = self.rng.choice(self.channels)
-            self._assignment[src] = channel
-        return channel
 
     # -- the Reader process ---------------------------------------------------
 
@@ -230,11 +221,11 @@ class Controller:
         per-record depth precheck keeps the distributor's (enroute +
         queue) from ever exceeding the high-water mark: the Postman
         stalls instead."""
-        channel = self._channel_for(record.src)
+        channel = self.pins.member_for(record.src)
         supervisor = self.supervisor
         if supervisor is not None:
             if channel.distributor.crashed:
-                channel = supervisor.repin_distributor(self, record.src)
+                channel = self.pins.live(record.src)
             if (supervisor.config.queue_policy == "stall"
                     and channel.distributor.total_depth()
                     >= supervisor.config.high_water):
@@ -278,20 +269,15 @@ class Controller:
     # -- checkpointing ------------------------------------------------------
 
     def state_dict(self) -> dict:
-        index = {channel: i for i, channel in enumerate(self.channels)}
         return {
-            "rng_state": _rng_to_jsonable(self.rng.getstate()),
+            "pins": self.pins.state(),
             "counters": counter_state(self),
             "synced": self._synced,
             "sync_time": self._sync_time,
-            "assignment": {src: index[channel]
-                           for src, channel in self._assignment.items()},
         }
 
     def load_state(self, state: dict) -> None:
-        self.rng.setstate(_rng_from_jsonable(state["rng_state"]))
+        self.pins.load(state["pins"])
         restore_counters(self, state["counters"])
         self._synced = state["synced"]
         self._sync_time = state["sync_time"]
-        self._assignment = {src: self.channels[i]
-                            for src, i in state["assignment"].items()}

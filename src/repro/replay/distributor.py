@@ -1,9 +1,9 @@
 """Distributors: fan records out to queriers, sticky by source (§2.6).
 
-"each distributor either picks the next entity based on a recent query
-source address in record, or selects randomly otherwise (during
-startup)" — same-source queries must land on the same querier so that
-socket/connection reuse is emulated correctly.
+Same-source queries must land on the same querier so that
+socket/connection reuse is emulated correctly; each distributor keeps
+that rule in its own :class:`~repro.replay.supervisor.Pins` table over
+its queriers.
 
 Distributor and querier processes live on the same client-instance host
 (Figure 4); the distributor hands records to queriers over a Unix
@@ -24,14 +24,13 @@ arrivals as orphans for the supervisor to re-dispatch (see
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
 from repro.netsim.host import Host
 from repro.obs.report import (counter_state, restore_counters,
                               zero_counters)
 from repro.replay.querier import Querier
-from repro.replay.supervisor import surviving
+from repro.replay.supervisor import Pins
 from repro.trace.record import QueryRecord
 
 UNIX_SOCKET_DELAY = 15e-6   # local IPC hop
@@ -54,12 +53,10 @@ class Distributor:
         self.host = host
         self.name = name or f"distributor@{host.name}"
         self.queriers = queriers
-        self.rng = random.Random(seed)
         # sticky=False is the ablation of §2.6's same-source routing:
         # records scatter randomly, so per-source sockets and connection
         # reuse stop working.
-        self.sticky = sticky
-        self._assignment: dict[str, Querier] = {}
+        self.pins = Pins(queriers, seed, sticky)
         zero_counters(self)
         self._busy_until = 0.0
         # (record, due) in arrival order; one _forward event is armed
@@ -72,22 +69,6 @@ class Distributor:
         self.crashed = False
         self._orphans: list[QueryRecord] = []
         self._sync: tuple[float, float] | None = None
-
-    def _querier_for(self, src: str) -> Querier:
-        if not self.sticky:
-            return self._live(self.rng.choice(self.queriers), src)
-        querier = self._assignment.get(src)
-        if querier is None:
-            querier = self._live(self.rng.choice(self.queriers), src)
-            self._assignment[src] = querier
-        return querier
-
-    def _live(self, querier: Querier, src: str) -> Querier:
-        """Never pin a fresh source to a crashed querier: fall back to
-        the rendezvous choice among survivors."""
-        if not querier.crashed:
-            return querier
-        return surviving(src, self.queriers)
 
     def _ipc_time(self) -> float:
         """Serialize forwarding through this process: when something
@@ -146,7 +127,10 @@ class Distributor:
             # The head this event was armed for was shed.
             scheduler.at(due, self._forward)
             return
-        querier = self._querier_for(record.src)
+        # A source already pinned to a crashed querier stays there (its
+        # records become that querier's orphans) until the supervisor
+        # declares the querier failed and re-pins.
+        querier = self.pins.member_for(record.src)
         supervisor = self.supervisor
         if (supervisor is not None
                 and supervisor.config.queue_policy == "stall"
@@ -214,9 +198,7 @@ class Distributor:
         return {
             "name": self.name,
             "crashed": self.crashed,
-            "rng_state": _rng_to_jsonable(self.rng.getstate()),
-            "assignment": {src: querier.name
-                           for src, querier in self._assignment.items()},
+            "pins": self.pins.state(),
             "counters": counter_state(self),
             "busy_until": self._busy_until,
             "sync": list(self._sync) if self._sync else None,
@@ -224,28 +206,7 @@ class Distributor:
 
     def load_state(self, state: dict) -> None:
         self.crashed = state["crashed"]
-        self.rng.setstate(_rng_from_jsonable(state["rng_state"]))
-        by_name = {querier.name: querier for querier in self.queriers}
-        self._assignment = {src: by_name[name]
-                            for src, name in state["assignment"].items()}
+        self.pins.load(state["pins"])
         restore_counters(self, state["counters"])
         self._busy_until = state["busy_until"]
         self._sync = tuple(state["sync"]) if state["sync"] else None
-
-    def assignment_counts(self) -> dict[str, int]:
-        """How many sources each querier was assigned (balance check)."""
-        counts: dict[str, int] = {}
-        for querier in self._assignment.values():
-            counts[querier.name] = counts.get(querier.name, 0) + 1
-        return counts
-
-
-def _rng_to_jsonable(state: tuple) -> list:
-    """``random.Random.getstate()`` as JSON-safe nested lists."""
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
-
-
-def _rng_from_jsonable(state: list) -> tuple:
-    version, internal, gauss_next = state
-    return (version, tuple(internal), gauss_next)

@@ -18,7 +18,6 @@ Two distribution modes:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -36,7 +35,7 @@ from repro.replay.controller import Controller, READER_PER_RECORD
 from repro.replay.distributor import Distributor
 from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
                                   ResilienceConfig)
-from repro.replay.supervisor import (ReplayCheckpoint, Supervisor,
+from repro.replay.supervisor import (Pins, ReplayCheckpoint, Supervisor,
                                      SupervisionConfig, partition)
 from repro.trace.pipeline import as_trace
 from repro.trace.record import PROTOCOLS
@@ -442,7 +441,7 @@ class ReplayEngine:
 
         *resume_from* continues a previously checkpointed replay of the
         same trace/config on this freshly built engine: completed
-        results, pin maps, RNG and message-id state are restored, and
+        results, pin tables, RNG and message-id state are restored, and
         each controller starts at its recorded trace offset.  See
         docs/RESILIENCE.md for the determinism guarantee."""
         config = self.config
@@ -576,18 +575,13 @@ class ReplayEngine:
 
     def _direct_feed(self, records) -> None:
         """Direct mode: one distributor-equivalent reads the stream."""
-        distributor_cycle = self.distributors
-        assignment: dict[str, Distributor] = {}
-        rng = random.Random(self.config.seed)
+        distributor_for = Pins(self.distributors, self.config.seed).member_for
         if records:
             for distributor in self.distributors:
                 self.sim.scheduler.after(0.0, distributor.handle_sync,
                                          records[0].time)
         for index, record in enumerate(records):
-            distributor = assignment.get(record.src)
-            if distributor is None:
-                distributor = rng.choice(distributor_cycle)
-                assignment[record.src] = distributor
+            distributor = distributor_for(record.src)
             # The reader costs CPU per record; availability time grows
             # linearly exactly as a real single reader's would.
             available = index * self.config.reader_cost

@@ -17,7 +17,9 @@ This module adds the supervision layer:
   the querier died surface as ``failed_over`` in the report; records
   the dead querier had queued but never sent are re-dispatched exactly
   once.  A failed distributor's sources are re-pinned across surviving
-  control channels the same way.
+  control channels the same way.  Every pin lives in a :class:`Pins`
+  table: one per controller (over its channels), one per distributor
+  (over its queriers), one for direct mode's reader.
 * **Backpressure** — the queues every record already passes through
   (the Postman's backlog, the distributor's ingress queue, the
   querier's ΔT backlog) get a high-water mark.  Policy ``stall``
@@ -26,7 +28,7 @@ This module adds the supervision layer:
   drops the oldest queued record instead, for fast-mode replays where
   staying current beats completeness.
 * **Checkpoint/resume** — a :class:`Checkpointer` snapshots replay
-  state (trace offsets, pin maps, message-id sequences, RNG states,
+  state (trace offsets, pin tables, message-id sequences, RNG states,
   completed results, server meters) at quiescent instants into a
   :class:`ReplayCheckpoint`; ``ReplayEngine.run(resume_from=ckpt)``
   continues a killed replay.  A fault-free UDP replay without timing
@@ -42,14 +44,15 @@ unsupervised pace.
 
 from __future__ import annotations
 
+import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.obs.report import counter_state, zero_counters
 
-# 2: counters travel by declaration (``COUNTERS``) and every field is
-# required; a version-1 payload is rejected, not patched up.
-CHECKPOINT_VERSION = 2
+# 3: each pin table is one ``Pins.state()`` (RNG state plus a member
+# index per source); an older payload is rejected, not patched up.
+CHECKPOINT_VERSION = 3
 
 _QUEUE_POLICIES = ("stall", "shed")
 
@@ -162,6 +165,74 @@ def surviving(key: str, candidates, actor=lambda candidate: candidate):
     return alive[rendezvous(key, list(alive))]
 
 
+class Pins:
+    """§2.6's same-source rule: "each distributor either picks the next
+    entity based on a recent query source address in record, or selects
+    randomly otherwise".
+
+    A source met for the first time draws one of *members* from
+    ``Random(seed)``; a draw that lands on a crashed member goes to the
+    source's :func:`surviving` choice instead.  With *sticky* the
+    member is kept in :attr:`table`, so every later record of the
+    source goes the same way; without it (the ablation) nothing is kept
+    and every call draws.  *actor* maps a member to the process whose
+    death moves its sources: the member itself, or a control channel's
+    distributor.
+
+    The table decides *where* a source goes; its owner decides *when* it
+    moves, by calling :meth:`repin` or :meth:`live`."""
+
+    def __init__(self, members: list, seed: int, sticky: bool = True,
+                 actor=lambda member: member):
+        self.members = members
+        self.rng = random.Random(seed)
+        self.sticky = sticky
+        self.actor = actor
+        self.table: dict = {}
+
+    def member_for(self, src: str):
+        """The member *src* is pinned to, drawn on first sight."""
+        table = self.table
+        if src in table:
+            return table[src]
+        member = self.rng.choice(self.members)
+        if self.actor(member).crashed:
+            member = surviving(src, self.members, self.actor)
+        if self.sticky:
+            table[src] = member
+        return member
+
+    def live(self, src: str):
+        """*src*'s member, moved first to its surviving choice when it
+        has none or that member's actor has crashed."""
+        member = self.table.get(src)
+        if member is None or self.actor(member).crashed:
+            member = self.table[src] = surviving(src, self.members,
+                                                 self.actor)
+        return member
+
+    def repin(self, dead) -> None:
+        """Move every source of the *dead* actor to its surviving
+        choice; every other source keeps its member."""
+        table = self.table
+        for src, member in table.items():
+            if self.actor(member) is dead:
+                table[src] = surviving(src, self.members, self.actor)
+
+    def state(self) -> dict:
+        """JSON-safe: the RNG state and a member index per source."""
+        version, internal, gauss_next = self.rng.getstate()
+        return {"rng": [version, list(internal), gauss_next],
+                "pins": {src: self.members.index(member)
+                         for src, member in self.table.items()}}
+
+    def load(self, state: dict) -> None:
+        version, internal, gauss_next = state["rng"]
+        self.rng.setstate((version, tuple(internal), gauss_next))
+        self.table = {src: self.members[index]
+                      for src, index in state["pins"].items()}
+
+
 @dataclass
 class ReplayCheckpoint:
     """A quiescent-instant snapshot of a supervised distributed replay.
@@ -182,17 +253,8 @@ class ReplayCheckpoint:
     network: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "time": self.time,
-            "seed": self.seed,
-            "controllers": self.controllers,
-            "distributors": self.distributors,
-            "queriers": self.queriers,
-            "server": self.server,
-            "counters": self.counters,
-            "network": self.network,
-        }
+        return {"version": CHECKPOINT_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReplayCheckpoint":
@@ -201,13 +263,7 @@ class ReplayCheckpoint:
             raise ValueError(
                 f"unsupported checkpoint version {version!r} "
                 f"(expected {CHECKPOINT_VERSION})")
-        return cls(time=data["time"], seed=data["seed"],
-                   controllers=data["controllers"],
-                   distributors=data["distributors"],
-                   queriers=data["queriers"],
-                   server=data["server"],
-                   counters=data["counters"],
-                   network=data["network"])
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 class Supervisor:
@@ -238,7 +294,7 @@ class Supervisor:
         self.lag_peak = 0.0           # worst dispatch lag seen (gauge)
         self._last_beat: dict[str, float] = {}
         self._paused_controllers: set = set()
-        self._redispatched_ids: set[int] = set()
+        self._redispatched: dict[int, object] = {}   # id -> record
         self._started = False
         self.stopped = False
         self.checkpointer: Checkpointer | None = None
@@ -338,23 +394,18 @@ class Supervisor:
             self._fail_querier(actor)
 
     def _fail_querier(self, querier) -> None:
-        distributor = next(d for d in self.engine.distributors
-                           if querier in d.queriers)
+        pins = next(d for d in self.engine.distributors
+                    if querier in d.queriers).pins
         # Re-pin only the dead querier's sources; every source pinned
         # to a survivor keeps its querier (the invariant the property
         # tests pin down).
-        for src, owner in list(distributor._assignment.items()):
-            if owner is querier:
-                distributor._assignment[src] = surviving(
-                    src, distributor.queriers)
+        pins.repin(querier)
         for record in self._first_time(querier.take_orphans()):
-            distributor._querier_for(record.src).handle_record(record)
+            pins.member_for(record.src).handle_record(record)
 
     def _fail_distributor(self, distributor) -> None:
         for controller in self.engine.controllers:
-            for src, channel in list(controller._assignment.items()):
-                if channel.distributor is distributor:
-                    self.repin_distributor(controller, src)
+            controller.pins.repin(distributor)
         # A distributor and its queriers share a client machine
         # (LDplayer runs queriers as the distributor's subprocesses),
         # so losing the distributor loses their parked work too.
@@ -367,10 +418,8 @@ class Supervisor:
             orphans.extend(querier.take_orphans())
         for record in self._first_time(orphans):
             controller = self._controller_for(record.src)
-            channel = controller._assignment.get(record.src)
-            if channel is None or channel.distributor.crashed:
-                channel = self.repin_distributor(controller, record.src)
-            controller.send_record(channel, record)
+            controller.send_record(controller.pins.live(record.src),
+                                   record)
         # Unstick Postmen stalled on the dead distributor's full queue.
         for controller in self.engine.controllers:
             controller.try_resume()
@@ -380,20 +429,18 @@ class Supervisor:
         controllers = self.engine.controllers
         return controllers[shard(src, len(controllers))]
 
-    def repin_distributor(self, controller, src: str):
-        """Re-pin one source whose channel's distributor died."""
-        channel = controller._assignment[src] = surviving(
-            src, controller.channels, lambda channel: channel.distributor)
-        return channel
-
     def _first_time(self, orphans):
         """The exactly-once gate of re-dispatch: yield each orphaned
-        record the first time it is met, count and drop it after."""
+        record the first time it is met, count and drop it after.  The
+        gate keeps every record it let through alive: a record
+        re-dispatched over a control channel is decoded anew on the far
+        side, and the freed original's ``id()`` would otherwise pass
+        for a fresh orphan allocated at the same address."""
         for record in orphans:
-            if id(record) in self._redispatched_ids:
+            if id(record) in self._redispatched:
                 self.dropped_after_refailover += 1
                 continue
-            self._redispatched_ids.add(id(record))
+            self._redispatched[id(record)] = record
             self.redispatched += 1
             yield record
 

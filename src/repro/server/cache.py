@@ -75,7 +75,7 @@ class CacheConfig:
     prefetch_top_k: int = 64            # hot-set size
     prefetch_min_hits: int = 3          # hits before an entry is hot
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError(
                 f"max_entries must be >= 1 or None, got "
@@ -150,7 +150,6 @@ class DnsCache:
 
     def __init__(self, config: CacheConfig | None = None) -> None:
         self.config = config or CacheConfig()
-        self.config.validate()
         # One insertion-ordered dict holds positive and negative
         # entries: key = (kind, name, rtype).  Dict order IS the LRU
         # order (hits re-insert at the end when the cache is bounded).

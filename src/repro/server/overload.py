@@ -71,6 +71,17 @@ class RrlConfig:
     prefix_len: int = 24
     exempt_verified: bool = True
 
+    def __post_init__(self) -> None:
+        if self.rate <= 0:
+            raise ValueError(f"rrl: rate must be > 0, got {self.rate}")
+        if self.burst is not None and self.burst < 1:
+            raise ValueError(f"rrl: burst must be >= 1, got {self.burst}")
+        if self.slip < 0:
+            raise ValueError(f"rrl: slip must be >= 0, got {self.slip}")
+        if not 0 < self.prefix_len <= 32:
+            raise ValueError(
+                f"rrl: prefix_len must be in 1..32, got {self.prefix_len}")
+
     def effective_burst(self) -> float:
         return self.burst if self.burst is not None else max(1.0, self.rate)
 
@@ -83,6 +94,12 @@ class CookieConfig:
     *nocookie_scale* (< 1 = stricter)."""
 
     nocookie_scale: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.nocookie_scale <= 0:
+            raise ValueError(
+                f"cookies: nocookie_scale must be > 0, got "
+                f"{self.nocookie_scale}")
 
 
 @dataclass(frozen=True)
@@ -97,45 +114,25 @@ class AdmissionConfig:
     limit: int = 512
     soft_limit: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.limit < 1:
+            raise ValueError(
+                f"admission: limit must be >= 1, got {self.limit}")
+        if self.soft_limit is not None \
+                and not 0 < self.soft_limit <= self.limit:
+            raise ValueError(
+                f"admission: soft_limit must be in 1..limit, got "
+                f"{self.soft_limit}")
+
 
 @dataclass(frozen=True)
 class OverloadConfig:
-    """The defense posture: any subset of the three mechanisms."""
+    """The defense posture: any subset of the three mechanisms, each
+    checked when it is built."""
 
     rrl: RrlConfig | None = None
     cookies: CookieConfig | None = None
     admission: AdmissionConfig | None = None
-
-    def validate(self) -> None:
-        rrl = self.rrl
-        if rrl is not None:
-            if rrl.rate <= 0:
-                raise ValueError(f"rrl: rate must be > 0, got {rrl.rate}")
-            if rrl.burst is not None and rrl.burst < 1:
-                raise ValueError(
-                    f"rrl: burst must be >= 1, got {rrl.burst}")
-            if rrl.slip < 0:
-                raise ValueError(f"rrl: slip must be >= 0, got {rrl.slip}")
-            if not 0 < rrl.prefix_len <= 32:
-                raise ValueError(
-                    f"rrl: prefix_len must be in 1..32, got "
-                    f"{rrl.prefix_len}")
-        cookies = self.cookies
-        if cookies is not None and cookies.nocookie_scale <= 0:
-            raise ValueError(
-                f"cookies: nocookie_scale must be > 0, got "
-                f"{cookies.nocookie_scale}")
-        admission = self.admission
-        if admission is not None:
-            if admission.limit < 1:
-                raise ValueError(
-                    f"admission: limit must be >= 1, got "
-                    f"{admission.limit}")
-            if admission.soft_limit is not None \
-                    and not 0 < admission.soft_limit <= admission.limit:
-                raise ValueError(
-                    f"admission: soft_limit must be in 1..limit, got "
-                    f"{admission.soft_limit}")
 
 
 # -- response classification -------------------------------------------

@@ -111,7 +111,6 @@ class DnsResponder:
         self._cookie_jar: ServerCookies | None = None
         self.admission_queue: deque | None = None
         if overload is not None:
-            overload.validate()
             if overload.rrl is not None:
                 scale = (overload.cookies.nocookie_scale
                          if overload.cookies is not None else 1.0)

@@ -154,10 +154,7 @@ def overload_config_from_args(args):
                                     soft_limit=args.admission_soft_limit)
     if rrl is None and cookies is None and admission is None:
         return None
-    config = OverloadConfig(rrl=rrl, cookies=cookies,
-                            admission=admission)
-    config.validate()
-    return config
+    return OverloadConfig(rrl=rrl, cookies=cookies, admission=admission)
 
 
 def main(argv: list[str] | None = None) -> int:

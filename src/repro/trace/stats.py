@@ -4,18 +4,15 @@ For every trace the paper lists: start, duration, mean and standard
 deviation of query inter-arrival time, number of distinct client IPs,
 and total records.
 
-Two implementations coexist:
-
-* the original :func:`trace_stats` family takes a materialized
-  :class:`~repro.trace.record.Trace` (fine for in-memory experiment
-  traces, which these functions still serve);
-* :class:`StreamingStats` consumes records one at a time in O(clients)
-  memory and supports order-preserving merge of partial results — it is
-  what ``ldp-trace-stats`` and :meth:`TracePipeline.stats` run on, so a
-  multi-gigabyte trace never has to materialize.  Interarrival moments
-  use Welford's algorithm (numerically stable single pass) and the
-  standard pairwise-merge formula, with the chunk-boundary gap added as
-  one extra sample at merge time.
+:class:`StreamingStats` computes them: it consumes records one at a
+time in O(clients) memory and supports order-preserving merge of partial
+results, so ``ldp-trace-stats`` and :meth:`TracePipeline.stats` never
+materialize a multi-gigabyte trace.  Interarrival moments use Welford's
+algorithm (numerically stable single pass) and the standard
+pairwise-merge formula, with the chunk-boundary gap added as one extra
+sample at merge time.  :func:`trace_stats`, :func:`queries_per_client`
+and :func:`load_concentration` are reads of one ``StreamingStats`` fed
+an in-memory :class:`~repro.trace.record.Trace` in time order.
 
 Streaming statistics assume the stream is time-ordered (trace files
 are); out-of-order records are counted in ``out_of_order`` so callers
@@ -53,24 +50,16 @@ def interarrivals(trace: Trace) -> list[float]:
     return [b.time - a.time for a, b in zip(records, records[1:])]
 
 
+def _streamed(trace: Trace) -> "StreamingStats":
+    """One :class:`StreamingStats` over *trace* in time order."""
+    stats = StreamingStats(trace.name)
+    for record in trace.sorted():
+        stats.update(record)
+    return stats
+
+
 def trace_stats(trace: Trace) -> TraceStats:
-    gaps = interarrivals(trace)
-    if gaps:
-        mean = sum(gaps) / len(gaps)
-        if len(gaps) > 1:
-            variance = sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1)
-        else:
-            variance = 0.0
-        stdev = math.sqrt(variance)
-    else:
-        mean = stdev = 0.0
-    return TraceStats(
-        name=trace.name or "unnamed",
-        records=len(trace),
-        duration=trace.duration(),
-        clients=len(trace.clients()),
-        interarrival_mean=mean,
-        interarrival_stdev=stdev)
+    return _streamed(trace).stats()
 
 
 def per_second_rates(trace: Trace) -> list[int]:
@@ -89,20 +78,13 @@ def per_second_rates(trace: Trace) -> list[int]:
 
 def queries_per_client(trace: Trace) -> dict[str, int]:
     """Per-client query counts (Fig 15c's CDF input)."""
-    counts: dict[str, int] = {}
-    for record in trace:
-        counts[record.src] = counts.get(record.src, 0) + 1
-    return counts
+    return _streamed(trace).client_counts
 
 
 def load_concentration(trace: Trace, top_fraction: float = 0.01) -> float:
     """Fraction of total queries sent by the busiest *top_fraction* of
     clients (the paper: top 1% of clients send ~3/4 of the load)."""
-    counts = sorted(queries_per_client(trace).values(), reverse=True)
-    if not counts:
-        return 0.0
-    top_n = max(1, int(len(counts) * top_fraction))
-    return sum(counts[:top_n]) / sum(counts)
+    return _streamed(trace).load_concentration(top_fraction)
 
 
 def interarrival_cdf(trace: Trace) -> list[tuple[float, float]]:

@@ -1,6 +1,7 @@
 """Light tests for the run-everything CLI (the heavy path runs in CI's
 ``experiments`` job / ``make experiments``; here we check wiring only)."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -52,3 +53,48 @@ def test_runner_calls_each_main_in_order(monkeypatch, capsys):
     assert all(args == (([],) if name == "attack" else ())
                for name, args in calls)
     assert capsys.readouterr().out.count("\n=== ") == len(report.MODULES)
+
+
+def sweep_warning_status(monkeypatch, capsys, module, bad_cell, good_cell):
+    """``module.main()``'s exit status and warning, for a sweep with and
+    without a cell that misses its bar."""
+    statuses = []
+    for cells in ([good_cell], [good_cell, bad_cell]):
+        monkeypatch.setattr(module, "sweep", lambda cells=cells: cells)
+        statuses.append(module.main())
+        statuses.append("WARNING" in capsys.readouterr().out)
+    return statuses
+
+
+def test_failover_sweep_fails_below_the_answered_bar(monkeypatch, capsys):
+    from repro.experiments import failover
+    cell = failover.FailoverCell(crash_at=1.0, supervised=True,
+                                 answered_fraction=1.0, failovers=1,
+                                 redispatched=3, failed_over=0)
+    stranded = dataclasses.replace(cell, answered_fraction=0.9)
+    assert sweep_warning_status(monkeypatch, capsys, failover,
+                                stranded, cell) == [0, False, 1, True]
+
+
+def test_resilience_sweep_fails_on_stranded_queries(monkeypatch, capsys):
+    from repro.experiments import resilience
+    cell = resilience.ResilienceCell(
+        loss=0.1, policy="t=0.25s r=3 b=2", answered_fraction=1.0,
+        latency=None, timed_out=0, retransmits=2, recovered=2,
+        still_pending=0)
+    stranded = dataclasses.replace(cell, still_pending=4)
+    assert sweep_warning_status(monkeypatch, capsys, resilience,
+                                stranded, cell) == [0, False, 1, True]
+
+
+def test_runner_stops_on_a_failing_module(monkeypatch):
+    calls = []
+    for name in report.MODULES:
+        module = importlib.import_module(f"repro.experiments.{name}")
+        monkeypatch.setattr(
+            module, "main",
+            lambda *args, _name=name: calls.append(_name)
+            or int(_name == "resilience"))
+    assert report.main([]) == 1
+    assert calls[-1] == "resilience"
+    assert "failover" not in calls

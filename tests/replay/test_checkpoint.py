@@ -92,6 +92,25 @@ def test_checkpoint_dict_round_trip():
     assert clone.to_dict() == ckpt.to_dict()
     assert clone.time == ckpt.time
     assert clone.seed == ckpt.seed
+    assert clone.to_dict()["version"] == CHECKPOINT_VERSION == 3
+    # Version 3: every pin table is one format, the RNG state plus a
+    # member index per source.
+    for actor in clone.controllers + clone.distributors:
+        assert set(actor["pins"]) == {"rng", "pins"}
+        assert all(isinstance(index, int)
+                   for index in actor["pins"]["pins"].values())
+    assert clone.controllers[0]["pins"]["pins"]
+
+
+def test_version_2_checkpoint_is_rejected():
+    """Version 2 stored the controller's pins as channel indexes and
+    the distributor's as querier names, each beside its own RNG
+    state; it is refused, not converted."""
+    _, checkpoints = run_full()
+    old = mid_run_checkpoint(checkpoints).to_dict()
+    old["version"] = 2
+    with pytest.raises(ValueError, match="version 2"):
+        ReplayCheckpoint.from_dict(old)
 
 
 def checkpointed_parts():

@@ -1,5 +1,7 @@
 """Unit tests for the controller (Reader + Postman) and distributor."""
 
+from collections import Counter
+
 import pytest
 
 from repro.netsim import LinkParams, Simulator
@@ -81,8 +83,8 @@ def test_distributor_balance_over_many_sources():
                 for i in range(4)]
     distributor = Distributor(host, queriers, seed=3)
     for i in range(200):
-        distributor._querier_for(f"src{i}")
-    counts = distributor.assignment_counts()
+        distributor.pins.member_for(f"src{i}")
+    counts = Counter(q.name for q in distributor.pins.table.values())
     assert len(counts) == 4
     assert min(counts.values()) > 20  # roughly balanced random spread
 

@@ -48,7 +48,7 @@ def test_sources_partitioned_not_duplicated():
     # Each source's records went through exactly one controller.
     for src in trace.clients():
         holders = [c for c in engine.controllers
-                   if src in c._assignment]
+                   if src in c.pins.table]
         assert len(holders) <= 1
 
 
@@ -82,4 +82,4 @@ def test_split_feed_partition_is_hash_seed_independent():
     for src in trace.clients():
         expected = zlib.crc32(src.encode()) % 3
         holder = engine.controllers[expected]
-        assert src in holder._assignment
+        assert src in holder.pins.table

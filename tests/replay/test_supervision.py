@@ -166,6 +166,32 @@ def test_distributor_failover_repins_across_channels():
         assert owners <= surviving, (src, owners)
 
 
+def test_redispatch_gate_tells_a_fresh_record_from_a_freed_one():
+    """A record re-dispatched through a control frame is decoded anew on
+    the survivor and the original is freed.  The gate remembered only
+    its ``id()``, so a later orphan allocated at that address was
+    dropped as a repeat (counted in ``dropped_after_refailover``)."""
+    sim, server, engine = build_engine(supervision=SupervisionConfig())
+    supervisor = engine.supervisor
+
+    def orphan(i):
+        return QueryRecord(time=1.0, src="172.16.0.1",
+                           qname=f"u{i}.example.com.")
+
+    # No assert on the first pass: its temporaries would keep the
+    # record alive.
+    sent = list(supervisor._first_time([orphan(0)]))
+    del sent
+    # CPython hands a freed block to the next object of its size.
+    fresh = [orphan(i) for i in range(1, 9)]
+    assert list(supervisor._first_time(fresh)) == fresh
+    assert supervisor.redispatched == 9
+    assert supervisor.dropped_after_refailover == 0
+    # A record met twice is still sent once.
+    assert list(supervisor._first_time(fresh[:1])) == []
+    assert supervisor.dropped_after_refailover == 1
+
+
 def test_rendezvous_is_deterministic_and_stable():
     names = [f"querier-0.{i}" for i in range(5)]
     pins = {f"src{i}": rendezvous(f"src{i}", names) for i in range(50)}

@@ -118,7 +118,7 @@ def test_flush_and_expire():
 ])
 def test_cache_config_validates(bad):
     with pytest.raises(ValueError):
-        CacheConfig(**bad).validate()
+        CacheConfig(**bad)
 
 
 # -- counter scheme (the PR-10 stats-asymmetry fixes) -------------------------

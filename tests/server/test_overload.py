@@ -29,18 +29,20 @@ KEY = ("ok", "www.example.com.", 1)
 # -- config ------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [
-    OverloadConfig(rrl=RrlConfig(rate=0.0)),
-    OverloadConfig(rrl=RrlConfig(burst=0.5)),
-    OverloadConfig(rrl=RrlConfig(slip=-1)),
-    OverloadConfig(rrl=RrlConfig(prefix_len=0)),
-    OverloadConfig(rrl=RrlConfig(prefix_len=33)),
-    OverloadConfig(cookies=CookieConfig(nocookie_scale=0.0)),
-    OverloadConfig(admission=AdmissionConfig(limit=0)),
-    OverloadConfig(admission=AdmissionConfig(limit=4, soft_limit=5)),
+    (RrlConfig, dict(rate=0.0), "rrl: rate"),
+    (RrlConfig, dict(burst=0.5), "rrl: burst"),
+    (RrlConfig, dict(slip=-1), "rrl: slip"),
+    (RrlConfig, dict(prefix_len=0), "rrl: prefix_len"),
+    (RrlConfig, dict(prefix_len=33), "rrl: prefix_len"),
+    (CookieConfig, dict(nocookie_scale=0.0), "cookies: nocookie_scale"),
+    (AdmissionConfig, dict(limit=0), "admission: limit"),
+    (AdmissionConfig, dict(limit=4, soft_limit=5), "admission: soft_limit"),
 ])
 def test_config_validation_rejects(bad):
-    with pytest.raises(ValueError):
-        bad.validate()
+    """A config is checked when it is built."""
+    config, knobs, message = bad
+    with pytest.raises(ValueError, match=message):
+        config(**knobs)
 
 
 # -- RRL properties ----------------------------------------------------------
