@@ -74,7 +74,7 @@ from repro.trace.pipeline import (FilterRecords, MapRecords, PipelineOp,
                                   TracePipeline)
 from repro.trace.stats import StreamingStats
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "AdmissionConfig",

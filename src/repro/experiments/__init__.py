@@ -22,12 +22,3 @@ prints paper-style rows; ``python -m repro.experiments.<module>`` works
 for all of them, and ``python -m repro.experiments.report`` runs them
 all.  EXPERIMENTS.md records paper-vs-measured values.
 """
-
-from repro.experiments import (attack, cachepolicy, dnssec, failover,
-                               harness, latency, quic, report,
-                               resilience, table1, tcp_tls, throughput,
-                               timing, zone_growth)
-
-__all__ = ["attack", "cachepolicy", "dnssec", "failover", "harness",
-           "latency", "quic", "report", "resilience", "table1",
-           "tcp_tls", "throughput", "timing", "zone_growth"]

@@ -43,7 +43,7 @@ the format is documented in docs/RESILIENCE.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.netsim.network import LinkParams
 
@@ -186,24 +186,17 @@ class FaultPlan:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
+        """Each event's dataclass fields after its kind, start and
+        duration; ``hosts`` as a list, omitted when None."""
         out = []
         for event in self.events:
             entry = {"kind": event.kind, "start": event.start,
                      "duration": event.duration}
-            if isinstance(event, LossBurst):
-                entry["loss"] = event.loss
-            if isinstance(event, DelaySpike):
-                entry["extra_delay"] = event.extra_delay
-            if isinstance(event, (LossBurst, DelaySpike, LinkDown)) \
-                    and event.hosts is not None:
-                entry["hosts"] = list(event.hosts)
-            if isinstance(event, ServerPause):
-                entry["host"] = event.host
-                entry["restart"] = event.restart
-            if isinstance(event, (QuerierCrash, DistributorLag)):
-                entry["target"] = event.target
-            if isinstance(event, DistributorLag):
-                entry["factor"] = event.factor
+            entry.update((f.name, getattr(event, f.name))
+                         for f in fields(event))
+            hosts = entry.pop("hosts", None)
+            if hosts is not None:
+                entry["hosts"] = list(hosts)
             out.append(entry)
         return {"events": out}
 

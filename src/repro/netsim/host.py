@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.netsim.clock import Scheduler
-from repro.netsim.jitter import NullSendPath, SendPathModel
+from repro.netsim.jitter import NullSendPath
 from repro.netsim.packet import Packet
 from repro.netsim.resources import CostModel, ResourceMeter
 
@@ -25,15 +25,16 @@ class Host:
 
     def __init__(self, scheduler: Scheduler, name: str,
                  addrs: list[str] | None = None, cores: int = 8,
-                 cost: CostModel | None = None,
-                 sendpath: SendPathModel | None = None):
+                 cost: CostModel | None = None):
         self.scheduler = scheduler
         self.name = name
         self.addrs: list[str] = list(addrs or [])
         self.network = None  # set by Network.attach
         self.link = None     # uplink; set by Network.attach / set_link
         self.meter = ResourceMeter(cores=cores, cost=cost)
-        self.sendpath = sendpath or NullSendPath()
+        # A perfect send path; a querier models its own process's
+        # (QuerierConfig.jitter_seed).
+        self.sendpath = NullSendPath()
         # Applications (servers, resolvers) bound to this host register
         # here so scenario machinery (netsim.faults ServerPause) can
         # find them by host name and drive their pause()/resume() hooks.

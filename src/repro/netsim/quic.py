@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import itertools
 import struct
+from functools import partial
 from typing import Callable
 
 from repro.netsim.host import Host
+from repro.netsim.tcp import CLOSED, ESTABLISHED, SYN_SENT
 
 INITIAL = 1          # client hello (padded to 1200 B)
 HANDSHAKE = 2        # server's crypto flight
@@ -77,7 +79,15 @@ class QuicConnection:
         self.closed = False
         self.on_established: Callable[[], None] | None = None
         self.on_stream_data: Callable[[int, bytes], None] | None = None
+        # Stream-agnostic data callback: the session seam's (see send).
+        self.on_data: Callable[[bytes], None] | None = None
         self.on_closed: Callable[[], None] | None = None
+        # Session tickets held, by peer; a client's connections share
+        # their client's set.
+        self.tickets: set[tuple[str, int]] = set()
+        # Drops this connection from its endpoint's table on close.
+        self._forget: Callable[[], None] | None = None
+        self._started = not is_client
         self._next_stream = 0 if is_client else 1
         self._early_data: list[tuple[int, bytes]] = []
         self._mem_held = 0
@@ -86,21 +96,41 @@ class QuicConnection:
 
     # -- client side ------------------------------------------------------
 
-    def connect(self, zero_rtt_payloads: list[bytes] | None = None) -> None:
-        """Send the Initial; with *zero_rtt_payloads* (requires a prior
-        session ticket) requests ride in the first flight."""
+    @property
+    def state(self) -> str:
+        """The connection's state in
+        :class:`~repro.netsim.tcp.TcpConnection`'s netstat vocabulary,
+        which the querier's stream channels read."""
+        return (CLOSED if self.closed else
+                ESTABLISHED if self.established else SYN_SENT)
+
+    def connect(self, early: bytes | None = None) -> None:
+        """Send the Initial.  An *early* request rides in it as 0-RTT
+        data when this client holds a session ticket for the peer;
+        without one it waits for the handshake."""
+        self._started = True
         meter = self.host.meter
         meter.charge_cpu(meter.cost.tls_handshake / 4)
-        if zero_rtt_payloads:
-            body = b"".join(
-                _frame(self.conn_id, ONE_RTT, self.open_stream(), p)
-                for p in zero_rtt_payloads)
-            # 0-RTT data is bundled after the Initial's crypto frame.
-            self._send_raw(_frame(self.conn_id, INITIAL, 0, body,
-                                  pad_to=INITIAL_SIZE))
+        body = b""
+        if early is not None:
+            stream = self.open_stream()
+            if (self.peer_addr, self.peer_port) in self.tickets:
+                body = _frame(self.conn_id, ONE_RTT, stream, early)
+            else:
+                self._early_data.append((stream, early))
+        # 0-RTT data is bundled after the Initial's crypto frame.
+        self._send_raw(_frame(self.conn_id, INITIAL, 0, body,
+                              pad_to=INITIAL_SIZE))
+
+    def send(self, payload: bytes) -> None:
+        """The stream-session seam TCP and TLS connections offer:
+        *payload* goes out on a stream of its own.  A connection from
+        :meth:`QuicClient.open` sends its Initial with the first
+        payload, so a session ticket decides 0-RTT (:meth:`connect`)."""
+        if not self._started:
+            self.connect(payload)
         else:
-            self._send_raw(_frame(self.conn_id, INITIAL, 0,
-                                  pad_to=INITIAL_SIZE))
+            self.send_stream(self.open_stream(), payload)
 
     def open_stream(self) -> int:
         stream = self._next_stream
@@ -166,6 +196,8 @@ class QuicConnection:
             self.host.meter.free(self._mem_held)
             self.host.meter.established -= 1
             self._mem_held = 0
+        if self._forget is not None:
+            self._forget()
         if self.on_closed is not None:
             callback, self.on_closed = self.on_closed, None
             callback()
@@ -178,16 +210,19 @@ class QuicConnection:
             self._become_established()
             self._send_raw(_frame(self.conn_id, FINISHED, 0))
         elif ptype == TICKET and self.is_client:
-            pass  # the client endpoint records tickets
+            self.tickets.add((self.peer_addr, self.peer_port))
         elif ptype == ONE_RTT:
             if self.on_stream_data is not None:
                 self.on_stream_data(stream_id, payload)
+            elif self.on_data is not None:
+                self.on_data(payload)
         elif ptype == CLOSE:
             self._become_closed()
 
 
 class QuicClient:
-    """Client endpoint: manages connections + session tickets."""
+    """Client endpoint: one UDP socket, its connections, and the session
+    tickets they share."""
 
     def __init__(self, host: Host):
         self.host = host
@@ -196,19 +231,21 @@ class QuicClient:
         self._conns: dict[int, QuicConnection] = {}
         self.tickets: set[tuple[str, int]] = set()
 
-    def connect(self, addr: str, port: int,
-                zero_rtt_payloads: list[bytes] | None = None) \
-            -> QuicConnection:
+    def open(self, addr: str, port: int) -> QuicConnection:
+        """A connection to *addr*:*port* whose Initial waits for its
+        first :meth:`QuicConnection.send`."""
         conn_id = next(_conn_ids)
         conn = QuicConnection(self.host, self.sock, addr, port, conn_id,
                               is_client=True)
+        conn.tickets = self.tickets
+        conn._forget = partial(self._conns.pop, conn_id, None)
         self._conns[conn_id] = conn
-        can_zero_rtt = (addr, port) in self.tickets
-        conn.connect(zero_rtt_payloads if can_zero_rtt else None)
-        if zero_rtt_payloads and not can_zero_rtt:
-            # No ticket: early data must wait for the handshake.
-            for payload in zero_rtt_payloads:
-                conn.send_stream(conn.open_stream(), payload)
+        return conn
+
+    def connect(self, addr: str, port: int) -> QuicConnection:
+        """A connection to *addr*:*port* that handshakes now."""
+        conn = self.open(addr, port)
+        conn.connect()
         return conn
 
     def has_ticket(self, addr: str, port: int) -> bool:
@@ -217,11 +254,8 @@ class QuicClient:
     def _on_datagram(self, payload: bytes, src: str, sport: int) -> None:
         conn_id, ptype, stream_id, body = _parse(payload)
         conn = self._conns.get(conn_id)
-        if conn is None:
-            return
-        if ptype == TICKET:
-            self.tickets.add((src, sport))
-        conn.handle(ptype, stream_id, body)
+        if conn is not None:
+            conn.handle(ptype, stream_id, body)
 
 
 class QuicServer:
@@ -249,7 +283,7 @@ class QuicServer:
             conn = QuicConnection(self.host, self.sock, src, sport,
                                   conn_id, is_client=False)
             self._conns[key] = conn
-            conn.on_closed = lambda key=key: self._conns.pop(key, None)
+            conn._forget = partial(self._conns.pop, key, None)
             # Server does its handshake crypto now (one round).
             meter.charge_cpu(meter.cost.tls_handshake)
             conn._become_established()

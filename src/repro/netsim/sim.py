@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from repro.netsim.clock import Scheduler
 from repro.netsim.host import Host
-from repro.netsim.jitter import SendPathModel
 from repro.netsim.network import LinkParams, Network
-from repro.netsim.resources import CostModel, PeriodicSampler
+from repro.netsim.resources import CostModel
 
 
 class Simulator:
@@ -42,26 +41,14 @@ class Simulator:
 
     def add_host(self, name: str, addrs: list[str],
                  link: LinkParams | None = None, *, cores: int = 8,
-                 cost: CostModel | None = None,
-                 jitter_seed: int | None = None) -> Host:
-        """Create a host, attach it to the fabric, return it.
-
-        ``jitter_seed`` switches the host from a perfect send path to the
-        modelled OS timing imperfections (see :mod:`repro.netsim.jitter`).
-        """
+                 cost: CostModel | None = None) -> Host:
+        """Create a host, attach it to the fabric, return it."""
         if name in self.hosts:
             raise ValueError(f"duplicate host name {name}")
-        sendpath = SendPathModel(seed=jitter_seed) \
-            if jitter_seed is not None else None
-        host = Host(self.scheduler, name, addrs, cores=cores, cost=cost,
-                    sendpath=sendpath)
+        host = Host(self.scheduler, name, addrs, cores=cores, cost=cost)
         self.network.attach(host, link)
         self.hosts[name] = host
         return host
-
-    def sample_host(self, host: Host, interval: float = 10.0) \
-            -> PeriodicSampler:
-        return PeriodicSampler(self.scheduler, host.meter, interval)
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> None:

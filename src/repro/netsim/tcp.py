@@ -65,9 +65,6 @@ class TcpConnection:
         self._idle_event = None
         self._last_activity = host.scheduler.now
         self._mem_held = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.opened_at = host.scheduler.now
 
     # -- lifecycle -------------------------------------------------------
 
@@ -188,7 +185,6 @@ class TcpConnection:
                 self.acceptor(self)
         if self.state != ESTABLISHED:
             return
-        self.bytes_received += len(payload)
         obs = self.host.scheduler.obs
         if obs is not None:
             obs.tcp_bytes_in += len(payload)
@@ -302,7 +298,6 @@ class TcpConnection:
 
     def _transmit_data(self, chunk: bytes, ack: bool) -> None:
         self._inflight += len(chunk)
-        self.bytes_sent += len(chunk)
         self._last_activity = self.host.scheduler.now
         # Data segments carry the ACK for anything we owe.
         self._cancel_delayed_ack()

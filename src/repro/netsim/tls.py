@@ -111,6 +111,11 @@ class TlsConnection:
 
     # -- application data -------------------------------------------------------
 
+    @property
+    def state(self) -> str:
+        """The TCP connection's state: a session lives as long as it."""
+        return self.tcp.state
+
     def send(self, data: bytes) -> None:
         if not self.established:
             raise RuntimeError("TLS send before handshake completion")

@@ -7,19 +7,36 @@ socket, with no same-source stickiness.  This baseline exists so the
 evaluation can show what LDplayer's ΔT tracking buys: the naive
 replayer's queries drift late by the accumulated input delay, and its
 single socket destroys per-source connection semantics.
+
+It is a feeder of the one :class:`~repro.replay.querier.Querier`: the
+client protocol (ids, matching, accounting) is the querier's, and what
+makes the baseline naive is the schedule it feeds and the host seam it
+gives the querier — one UDP socket for every source, as the live
+backend's ``_LoopHost`` gives its queriers.
 """
 
 from __future__ import annotations
 
-from repro.dns.constants import DNS_PORT
-from repro.dns.message import Message
-from repro.dns.wire import WireError
 from repro.netsim.host import Host
 from repro.netsim.jitter import SendPathModel
-from repro.replay.querier import QueryResult
+from repro.replay.querier import Querier, QueryResult
 from repro.trace.pipeline import as_trace
 
 PER_RECORD_INPUT_DELAY = 40e-6  # unpipelined parse+build per record
+
+
+class _OneSocketHost:
+    """The querier's host seam over *host*: its clock, a modelled send
+    path, and the same UDP socket for every emulated source."""
+
+    def __init__(self, host: Host):
+        self.name = host.name
+        self.scheduler = host.scheduler
+        self.sendpath = SendPathModel(seed=1)
+        self._sock = host.udp_socket()
+
+    def udp_socket(self):
+        return self._sock
 
 
 class NaiveReplayer:
@@ -27,50 +44,31 @@ class NaiveReplayer:
 
     def __init__(self, host: Host, server_addr: str):
         self.host = host
-        self.server_addr = server_addr
-        self.sendpath = SendPathModel(seed=1)
-        self.results: list[QueryResult] = []
-        self._pending: dict[int, QueryResult] = {}
-        self._sock = host.udp_socket()
-        self._sock.on_datagram = self._on_response
-        self._seq = 0
+        self.querier = Querier(_OneSocketHost(host), server_addr,
+                               name=f"naive@{host.name}")
+
+    @property
+    def results(self) -> list[QueryResult]:
+        return self.querier.results
 
     def run(self, trace) -> list[QueryResult]:
         """*trace* may be a Trace, a TracePipeline, or any iterable of
-        records."""
+        records.  Every record goes out over the one UDP socket,
+        whatever its original transport."""
         records = as_trace(trace).sorted().records
         if not records:
-            return []
+            return self.results
+        scheduler = self.host.scheduler
+        sendpath = self.querier.sendpath
         t0 = records[0].time
         cumulative_input = 0.0
         for record in records:
             cumulative_input += PER_RECORD_INPUT_DELAY
             # No compensation: nominal offset PLUS accumulated delay.
             offset = (record.time - t0) + cumulative_input
-            slop = self.sendpath.timer_slop(offset)
-            self.host.scheduler.after(max(0.0, offset + slop),
-                                      self._send, record,
-                                      self.host.scheduler.now + offset)
+            slop = sendpath.timer_slop(offset)
+            if record.proto != "udp":
+                record = record.with_(proto="udp")
+            scheduler.after(max(0.0, offset + slop), self.querier.send,
+                            record, scheduler.now + offset)
         return self.results
-
-    def _send(self, record, scheduled: float) -> None:
-        self._seq = (self._seq + 1) & 0xFFFF
-        message = record.to_message()
-        message.msg_id = self._seq
-        result = QueryResult(record=record,
-                             send_time=self.host.scheduler.now,
-                             scheduled_time=scheduled)
-        self.results.append(result)
-        self._pending[self._seq] = result
-        self._sock.sendto(message.to_wire(), self.server_addr, DNS_PORT)
-
-    def _on_response(self, payload: bytes, src: str, sport: int) -> None:
-        try:
-            message = Message.from_wire(payload)
-        except WireError:
-            return
-        result = self._pending.pop(message.msg_id, None)
-        if result is not None:
-            result.response_time = self.host.scheduler.now
-            result.response_size = len(payload)
-            result.rcode = message.rcode

@@ -8,9 +8,10 @@ the query records routed to it:
   sockets.  The server therefore "observes queries from the same set of
   host addresses but with a range of different port numbers, which
   emulates different queries from the same sources";
-* **connection reuse** — TCP connections and TLS sessions are kept per
-  source and reused until the server's idle timeout closes them; the
-  next query from that source pays a fresh handshake;
+* **connection reuse** — TCP connections, TLS sessions and QUIC
+  connections are kept per source and reused until the server's idle
+  timeout closes them; the next query from that source pays a fresh
+  handshake (QUIC's rides 0-RTT once the source holds a ticket);
 * **timing** — each record is scheduled with the ΔT rule plus the
   host's modelled timer slop, and the send serializes through the
   querier process's send-path occupancy (jitter.py);
@@ -19,10 +20,11 @@ the query records routed to it:
 * **resilience** (opt-in via :class:`ResilienceConfig`) — per-query
   timeouts, exponential-backoff UDP retransmission with the same
   message id (RFC 1035 §4.2.1 semantics), TC-bit fallback to TCP
-  (RFC 7766), and one reconnect-and-resend for stream channels that
-  die with queries outstanding.  Degradation is recorded on the
-  :class:`QueryResult` (``attempts``/``timed_out``/``fell_back``)
-  instead of silently stranding queries.
+  (RFC 7766), and one reconnect-and-resend for stream channels (TCP,
+  TLS and QUIC alike) that die with queries outstanding.  Degradation
+  is recorded on the :class:`QueryResult`
+  (``attempts``/``timed_out``/``fell_back``) instead of silently
+  stranding queries.
 
 Configuration rides in a single keyword-only :class:`QuerierConfig`.
 
@@ -33,7 +35,8 @@ the world through a narrow host seam — ``host.scheduler`` (``now``,
 ``close``, ``state``, ``nagle``, ``on_data``, ``on_closed``) and
 ``host.name`` — which the simulator's :class:`~repro.netsim.host.Host`
 implements on the DES and :mod:`repro.replay.backends.live` implements
-on asyncio sockets (docs/BACKENDS.md).
+on asyncio sockets (docs/BACKENDS.md).  QUIC, simulated only, opens
+its sessions from a :class:`~repro.netsim.quic.QuicClient` on the host.
 
 Supervision hooks (see :mod:`repro.replay.supervisor`): a querier can
 :meth:`crash`, after which it marks every awaiting-response query
@@ -157,8 +160,10 @@ class _Channel:
     so a channel's pending keys are exactly the ids its next query must
     avoid."""
 
-    session: object      # UdpSocket, TcpConnection, TlsConnection or QUIC
-    conn: object = None  # the TcpConnection under a stream session
+    session: object      # UdpSocket, TcpConnection, TlsConnection or
+    #                      QuicConnection
+    conn: object = None  # the kernel's TcpConnection under a TCP or TLS
+    #                      session (QUIC lives in the process: None)
     key: tuple = ()      # (src, proto) of a stream channel
     pending: dict[int, QueryResult] = field(default_factory=dict)
     inflight: dict[int, _Inflight] = field(default_factory=dict)
@@ -267,12 +272,12 @@ class Querier:
         # the sources of a socket share its channel and its id space.
         self._udp_channels: dict[str, _Channel] = {}       # by src
         self._udp_by_socket: dict[object, _Channel] = {}
-        self._tcp_channels: dict[tuple[str, str], _Channel] = {}
+        # TCP, TLS and QUIC channels, by (src, proto).
+        self._streams: dict[tuple[str, str], _Channel] = {}
         # One QUIC client per emulated source: per-source sockets AND
         # per-source session-ticket state (a source's 0-RTT eligibility
         # must not leak to other sources).
         self._quic_clients: dict[str, QuicClient] = {}
-        self._quic_conns: dict[str, _Channel] = {}         # by src
         # Called with each result as it becomes terminal (see _settle):
         # how a feeder bounds the queries it keeps in flight.
         self.on_settled: Callable[[QueryResult], None] | None = None
@@ -367,10 +372,8 @@ class Querier:
         """The ids pending on the channel *record* will go out on."""
         if record.proto == "udp":
             channel = self._udp_channel_for(record.src)
-        elif record.proto == "quic":
-            channel = self._quic_conns.get(record.src)
         else:
-            channel = self._tcp_channels.get((record.src, record.proto))
+            channel = self._streams.get((record.src, record.proto))
         return channel.pending.keys() if channel is not None else ()
 
     def _query_wire(self, record: QueryRecord, msg_id: int) -> bytes:
@@ -410,10 +413,9 @@ class Querier:
                             detail=record.proto)
         if udp is not None:
             self._send_udp(udp, wire, msg_id, result)
-        elif record.proto == "quic":
-            self._send_quic(record, wire, msg_id, result)
         else:
-            self._send_stream(record, wire, msg_id, result)
+            self._send_framed(self._channel_for(record.src, record.proto),
+                              wire, msg_id, result)
 
     # -- crash / failover (repro.replay.supervisor) -------------------------------
 
@@ -422,7 +424,7 @@ class Querier:
 
         Every query awaiting a response is marked ``failed_over`` (its
         answer, if any, is lost with the process); retry timers are
-        cancelled so a dead querier never retransmits; stream and QUIC
+        cancelled so a dead querier never retransmits; stream
         connections are abandoned.  Records that were routed here but
         not yet sent become orphans for the supervisor to re-dispatch —
         without supervision they simply strand, which is the pre-
@@ -446,16 +448,15 @@ class Querier:
                 inflight.cancel()
             channel.pending.clear()
             channel.inflight.clear()
-        for channel in self._tcp_channels.values():
-            # Abandon, don't "recover": the process owning the socket
-            # is gone.
+        for channel in self._streams.values():
+            # Abandon, don't "recover": the process owning the session
+            # is gone.  The kernel closes a TCP connection (FIN); QUIC
+            # state died with the process, so its peer is told nothing.
             channel.session.on_closed = None
-            channel.conn.on_closed = None
-            channel.conn.close()
-        self._tcp_channels.clear()
-        for channel in self._quic_conns.values():
-            channel.session.on_closed = None
-        self._quic_conns.clear()
+            if channel.conn is not None:
+                channel.conn.on_closed = None
+                channel.conn.close()
+        self._streams.clear()
 
     def _fail_over_result(self, result: QueryResult) -> None:
         result.failed_over = True
@@ -624,28 +625,38 @@ class Querier:
                 self.check.on_query_wire(self, result.record, msg_id, wire)
         self._send_framed(channel, wire, msg_id, result)
 
-    # -- TCP / TLS --------------------------------------------------------------------------
+    # -- TCP / TLS / QUIC -------------------------------------------------------------------
 
     def _channel_for(self, src: str, proto: str) -> _Channel:
         key = (src, proto)
-        channel = self._tcp_channels.get(key)
-        if channel is not None and channel.conn.state in (
+        channel = self._streams.get(key)
+        if channel is not None and channel.session.state in (
                 "ESTABLISHED", "SYN_SENT", "SYN_RCVD"):
             return channel
         if channel is not None:
             # Dead without a close callback: reap, never reconnect.
-            del self._tcp_channels[key]
+            del self._streams[key]
             self._give_up_all(channel)
         channel = self._open_channel(proto, key)
-        self._tcp_channels[key] = channel
+        self._streams[key] = channel
         return channel
 
     def _open_channel(self, proto: str, key: tuple) -> _Channel:
+        """A fresh channel for *key* on a new connection: TCP, TLS over
+        TCP, or QUIC from the source's client (whose first send decides
+        0-RTT).  Every session offers the same seam: ``send``,
+        ``on_data``, ``on_closed``, ``state`` and ``close``."""
         tls = proto == "tls"
-        conn = self.host.tcp_connect(
-            self.server_addr, TLS_PORT if tls else self.dns_port)
-        conn.nagle = self.nagle
-        session = TlsConnection.client(conn) if tls else conn
+        if proto == "quic":
+            client = self._quic_clients.get(key[0])
+            if client is None:
+                client = self._quic_clients[key[0]] = QuicClient(self.host)
+            conn, session = None, client.open(self.server_addr, QUIC_PORT)
+        else:
+            conn = self.host.tcp_connect(
+                self.server_addr, TLS_PORT if tls else self.dns_port)
+            conn.nagle = self.nagle
+            session = TlsConnection.client(conn) if tls else conn
         channel = _Channel(session, conn=conn, key=key,
                            established=not tls)
         session.on_data = LengthPrefixFramer(
@@ -661,13 +672,8 @@ class Querier:
             channel.session.send(framed)
         channel.backlog.clear()
 
-    def _send_stream(self, record: QueryRecord, wire: bytes, msg_id: int,
-                     result: QueryResult) -> None:
-        self._send_framed(self._channel_for(record.src, record.proto),
-                             wire, msg_id, result)
-
     def _send_framed(self, channel: _Channel, wire: bytes, msg_id: int,
-                        result: QueryResult) -> None:
+                     result: QueryResult) -> None:
         framed = frame_message(wire)
         # The timer resolves the channel by key when it fires: a
         # reconnect may have moved this query to a fresh channel.
@@ -679,19 +685,19 @@ class Querier:
             channel.backlog.append(framed)
 
     def _stream_timeout(self, key: tuple, msg_id: int) -> None:
-        channel = self._tcp_channels.get(key)
+        channel = self._streams.get(key)
         if channel is None:
             return
         result = self._resolve(channel, msg_id)
         if result is None:
             return
         self._settle(result)
-        if channel.conn.state != "ESTABLISHED":
-            # Connect timeout: the handshake is wedged (the fabric's
-            # TCP has no segment retransmission), so abandon the
+        if channel.session.state != "ESTABLISHED":
+            # Connect timeout: the handshake is wedged (neither the
+            # fabric's TCP nor QUIC retransmits), so abandon the
             # connection; its close triggers the reconnect path for
             # whatever else is pending on the channel.
-            channel.conn.close()
+            channel.session.close()
 
     def _on_stream_response(self, channel: _Channel, wire: bytes) -> None:
         response = self._decode(wire)
@@ -703,9 +709,9 @@ class Querier:
             self._settle(result, rcode, len(wire), body)
 
     def _on_channel_closed(self, channel: _Channel) -> None:
-        if self._tcp_channels.get(channel.key) is not channel:
+        if self._streams.get(channel.key) is not channel:
             return      # already reaped, and maybe replaced, at a send
-        del self._tcp_channels[channel.key]
+        del self._streams[channel.key]
         if self.resilience is not None and channel.pending:
             self._recover_channel(channel)
         else:
@@ -740,49 +746,6 @@ class Querier:
                 fresh.backlog.append(inflight.wire)
         channel.pending.clear()
 
-    # -- QUIC ------------------------------------------------------------------------------
-
-    def _send_quic(self, record: QueryRecord, wire: bytes, msg_id: int,
-                   result: QueryResult) -> None:
-        src = record.src
-        client = self._quic_clients.get(src)
-        if client is None:
-            client = self._quic_clients[src] = QuicClient(self.host)
-        framed = frame_message(wire)
-        channel = self._quic_conns.get(src)
-        if channel is not None and not channel.session.closed:
-            self._expect(channel, msg_id, result, framed,
-                         self._quic_timeout, src, msg_id)
-            conn = channel.session
-            conn.send_stream(conn.open_stream(), framed)
-            return
-        # Reconnect: with a session ticket the request rides 0-RTT in
-        # the Initial; the source's first connection pays the handshake.
-        conn = client.connect(self.server_addr, QUIC_PORT,
-                              zero_rtt_payloads=[framed])
-        channel = self._quic_conns[src] = _Channel(conn)
-        # Each response arrives whole on its own stream.
-        conn.on_stream_data = (
-            lambda _stream_id, data: LengthPrefixFramer(
-                lambda wire: self._on_stream_response(channel, wire)
-            ).feed(data))
-        conn.on_closed = lambda: self._reap_quic(src)
-        self._expect(channel, msg_id, result, framed,
-                     self._quic_timeout, src, msg_id)
-
-    def _quic_timeout(self, src: str, msg_id: int) -> None:
-        channel = self._quic_conns.get(src)
-        if channel is None:
-            return
-        result = self._resolve(channel, msg_id)
-        if result is not None:
-            self._settle(result)
-
-    def _reap_quic(self, src: str) -> None:
-        channel = self._quic_conns.pop(src, None)
-        if channel is not None:
-            self._give_up_all(channel)
-
     # -- checkpointing (repro.replay.supervisor) -------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -790,7 +753,7 @@ class Querier:
         accounting counters, completed results, and the parked ΔT
         backlog (records waiting on their send timers, serialized in
         arrival order).  Only captured at a quiescent instant (nothing
-        on the wire, no open stream/QUIC state), which the supervisor's
+        on the wire, no open stream state), which the supervisor's
         checkpointer enforces."""
         from repro.trace.binaryform import encode_record
         return {
@@ -835,8 +798,7 @@ class Querier:
 
     def _channels(self):
         return chain(self._udp_by_socket.values(),
-                     self._tcp_channels.values(),
-                     self._quic_conns.values())
+                     self._streams.values())
 
     def pending_results(self):
         """Every result awaiting a response, across every transport."""
@@ -850,6 +812,6 @@ class Querier:
         return sum(len(channel.pending) for channel in self._channels())
 
     def has_open_streams(self) -> bool:
-        """Whether any stream or QUIC connection state exists (it
-        cannot be captured in a checkpoint)."""
-        return bool(self._tcp_channels or self._quic_conns)
+        """Whether any stream connection state exists (it cannot be
+        captured in a checkpoint)."""
+        return bool(self._streams)

@@ -477,7 +477,7 @@ class Checkpointer:
     A tick fires at every absolute multiple of the interval (so a
     resumed run re-arms in phase with the original); the snapshot is
     taken only when the replay plane is quiescent — nothing queued, in
-    flight, or pending anywhere, no open stream/QUIC state, and the
+    flight, or pending anywhere, no open stream connection, and the
     next scheduled send at least :data:`CHECKPOINT_GUARD` seconds away.
     Non-quiescent ticks are skipped, not deferred."""
 
@@ -520,7 +520,7 @@ class Checkpointer:
         those are serialized into the checkpoint and re-armed on
         resume.  What can't be captured is in-flight wire state, so the
         cut waits for empty pending sets, idle control channels and
-        closed stream/QUIC connections, with the guard keeping it clear
+        closed stream connections, with the guard keeping it clear
         of the µs-scale send-path limbo around each timer's target."""
         engine = self.engine
         now = engine.sim.scheduler.now

@@ -50,7 +50,6 @@ class WorkerPool:
     def __init__(self, workers: int = 16):
         self.workers = workers
         self._free_at = [0.0] * workers
-        self.busiest_backlog = 0.0
 
     def admit(self, now: float, service_time: float) -> float:
         """Returns when the response is ready to send."""
@@ -58,7 +57,6 @@ class WorkerPool:
         start = max(now, self._free_at[index])
         done = start + service_time
         self._free_at[index] = done
-        self.busiest_backlog = max(self.busiest_backlog, start - now)
         return done
 
 
@@ -131,8 +129,7 @@ class AuthoritativeServer(DnsResponder):
             "counters": counter_state(self),
             "answer_cache": (counter_state(cache)
                              if cache is not None else None),
-            "worker_pool": ({"free_at": list(pool._free_at),
-                             "busiest_backlog": pool.busiest_backlog}
+            "worker_pool": ({"free_at": list(pool._free_at)}
                             if pool is not None else None),
         }
 
@@ -141,9 +138,9 @@ class AuthoritativeServer(DnsResponder):
         if self.answer_cache is not None:
             restore_counters(self.answer_cache, state["answer_cache"])
         if self.worker_pool is not None:
-            pool = state["worker_pool"]
-            self.worker_pool._free_at = list(pool["free_at"])
-            self.worker_pool.busiest_backlog = pool["busiest_backlog"]
+            # Older checkpoints also carry "busiest_backlog", which
+            # nothing reads.
+            self.worker_pool._free_at = list(state["worker_pool"]["free_at"])
 
     # -- transports -----------------------------------------------------
 

@@ -3,7 +3,11 @@
 
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,20 @@ def test_parser_help_and_bogus_flag():
     with pytest.raises(SystemExit) as info:
         report.main(["--bogus"])
     assert info.value.code == 2
+
+
+def test_module_runs_without_a_runpy_warning():
+    """``python -m repro.experiments.<name>`` must find the module not
+    yet imported: a package ``__init__`` that imports its submodules
+    makes runpy warn (and, under ``-W error``, fail)."""
+    src = Path(repro.experiments.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.experiments.report", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_section_header_format(capsys):

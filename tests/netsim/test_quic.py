@@ -65,12 +65,12 @@ def test_zero_rtt_resumption_one_rtt():
     assert client.has_ticket("10.0.0.2", 8853)
     first.close()
     sim.run_until_idle()
-    # Reconnect with 0-RTT: the request rides in the Initial.
+    # Reconnect with 0-RTT: the first request rides in the Initial.
     replies = []
     start = sim.now
-    conn = client.connect("10.0.0.2", 8853,
-                          zero_rtt_payloads=[frame_message(b"resumed")])
-    conn.on_stream_data = lambda sid, data: replies.append(sim.now)
+    conn = client.open("10.0.0.2", 8853)
+    conn.on_data = lambda data: replies.append(sim.now)
+    conn.send(frame_message(b"resumed"))
     sim.run_until_idle()
     assert replies[0] - start == pytest.approx(0.040, rel=0.1)
 

@@ -61,10 +61,9 @@ def test_zero_rtt_payload_round_trips(message):
     first.close()
     sim.run_until_idle()
     received = []
-    conn = client.connect("10.0.0.2", 8853,
-                          zero_rtt_payloads=[frame_message(message)])
-    framer = LengthPrefixFramer(received.append)
-    conn.on_stream_data = lambda stream_id, framed: framer.feed(framed)
+    conn = client.open("10.0.0.2", 8853)
+    conn.on_data = LengthPrefixFramer(received.append).feed
+    conn.send(frame_message(message))
     sim.run_until_idle()
     assert received == [message]
 

@@ -158,6 +158,24 @@ def test_engine_timing_beats_naive():
     assert naive_drift(trace) > abs(drift) * 3
 
 
+def test_naive_baseline_sends_from_one_socket():
+    """One host, one socket: every source's queries, whatever their
+    transport in the trace, leave from the same UDP port."""
+    sim, server = build_world()
+    host = sim.add_host("naive", ["10.5.0.1"], LinkParams())
+    trace = Trace([QueryRecord(time=i * 0.001, src=f"172.16.0.{i % 5}",
+                               qname=f"u{i}.example.com.",
+                               proto="tcp" if i % 4 == 0 else "udp")
+                   for i in range(100)])
+    replayer = NaiveReplayer(host, "10.0.0.2")
+    replayer.run(trace)
+    sim.run_until_idle()
+    assert len({(e.src, e.sport) for e in server.query_log}) == 1
+    assert {e.proto for e in server.query_log} == {"udp"}
+    assert len(replayer.results) == 100
+    assert all(r.answered for r in replayer.results)
+
+
 def test_scattered_sources_break_connection_reuse():
     """The stickiness ablation (§2.6): pinned, 8 TCP sources hold 8
     server-side connections; scattered over 4 queriers, roughly one per
