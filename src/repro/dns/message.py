@@ -162,17 +162,20 @@ _OPT = struct.Struct("!BHHIH")  # root, OPT, payload, ttl (DO), no options
 OPT_SIZE = _OPT.size            # an option-less OPT record: 11 bytes
 
 
-def plain_query(qname: Name, qtype: int, qclass: int, rd: bool,
+def plain_query(labels: list[bytes] | tuple[bytes, ...], qtype: int,
+                qclass: int, rd: bool,
                 edns: tuple[int, bool] | None) -> bytes:
     """:func:`read_question`'s inverse: the bytes of
-    ``Message.make_query(...).to_wire()`` after the two id bytes, *edns*
-    being ``(payload, do)`` for an option-less OPT.  Assembled, not
-    encoded: a question name is never compressed, so a plain query is a
-    fixed header, the length-prefixed labels, qtype/qclass and, with
-    EDNS, one fixed 11-byte OPT.  Whoever sends these bytes holds them to
-    the full encoder under ``ReplayConfig(check=True)``."""
+    ``Message.make_query(...).to_wire()`` after the two id bytes for a
+    qname with these *labels* (``Name.labels``, or labels held to the
+    same limits), *edns* being ``(payload, do)`` for an option-less OPT.
+    Assembled, not encoded: a question name is never compressed, so a
+    plain query is a fixed header, the length-prefixed labels,
+    qtype/qclass and, with EDNS, one fixed 11-byte OPT.  Whoever sends
+    these bytes holds them to the full encoder under
+    ``ReplayConfig(check=True)``."""
     tail = bytearray(_QUERY_HEADERS[bool(rd), edns is not None])
-    for label in qname.labels:
+    for label in labels:
         tail.append(len(label))
         tail += label
     tail += _QUESTION_END.pack(0, qtype & 0xFFFF, qclass & 0xFFFF)

@@ -37,6 +37,64 @@ def _validate_labels(labels: tuple[bytes, ...]) -> None:
         raise NameError_(f"name too long ({wire_len} > {MAX_NAME_WIRE})")
 
 
+def text_labels(text: str) -> tuple[bytes, ...]:
+    """The validated labels of presentation-format *text*: what
+    :meth:`Name.from_text` builds its name from, for callers that want
+    only the labels (a query's question bytes).
+
+    Handles ``\\.`` escapes and ``\\DDD`` decimal escapes.  A bare
+    ``"."`` or ``""`` is the root.  Trailing dot is optional; either way
+    the name is absolute.
+    """
+    if text in (".", ""):
+        return ()
+    if "\\" not in text:
+        # No escapes (nearly every name): the labels are the text
+        # between the dots.
+        labels = text.encode("latin-1").split(b".")
+        if not labels[-1]:
+            labels.pop()            # the trailing dot
+    else:
+        labels = _unescaped_labels(text)
+    labels = tuple(labels)
+    _validate_labels(labels)
+    return labels
+
+
+def _unescaped_labels(text: str) -> list[bytes]:
+    labels: list[bytes] = []
+    current = bytearray()
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\\":
+            if i + 3 < n + 1 and text[i + 1: i + 4].isdigit():
+                code = int(text[i + 1: i + 4])
+                if code > 255:
+                    raise NameError_(f"bad escape in {text!r}")
+                current.append(code)
+                i += 4
+                continue
+            if i + 1 >= n:
+                raise NameError_(f"trailing backslash in {text!r}")
+            current.append(ord(text[i + 1]))
+            i += 2
+            continue
+        if ch == ".":
+            if not current:
+                raise NameError_(f"empty label in {text!r}")
+            labels.append(bytes(current))
+            current.clear()
+            i += 1
+            continue
+        current.append(ord(ch))
+        i += 1
+    if current:
+        labels.append(bytes(current))
+    return labels
+
+
 @functools.total_ordering
 class Name:
     """An absolute domain name."""
@@ -77,53 +135,10 @@ class Name:
 
     @classmethod
     def from_text(cls, text: str) -> "Name":
-        """Parse presentation format, e.g. ``"www.example.com."``.
-
-        Handles ``\\.`` escapes and ``\\DDD`` decimal escapes.  A bare
-        ``"."`` (or ``"@"``... no: ``@`` is zone-file syntax, rejected
-        here) is the root.  Trailing dot is optional; either way the
-        result is absolute.
-        """
-        if text in (".", ""):
-            return cls(())
-        if "\\" not in text:
-            # No escapes (nearly every name): the labels are the text
-            # between the dots; cls() rejects an empty one.
-            labels = text.encode("latin-1").split(b".")
-            if not labels[-1]:
-                labels.pop()        # the trailing dot
-            return cls(labels)
-        labels: list[bytes] = []
-        current = bytearray()
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch == "\\":
-                if i + 3 < n + 1 and text[i + 1: i + 4].isdigit():
-                    code = int(text[i + 1: i + 4])
-                    if code > 255:
-                        raise NameError_(f"bad escape in {text!r}")
-                    current.append(code)
-                    i += 4
-                    continue
-                if i + 1 >= n:
-                    raise NameError_(f"trailing backslash in {text!r}")
-                current.append(ord(text[i + 1]))
-                i += 2
-                continue
-            if ch == ".":
-                if not current:
-                    raise NameError_(f"empty label in {text!r}")
-                labels.append(bytes(current))
-                current.clear()
-                i += 1
-                continue
-            current.append(ord(ch))
-            i += 1
-        if current:
-            labels.append(bytes(current))
-        return cls(labels)
+        """Parse presentation format, e.g. ``"www.example.com."``, by
+        :func:`text_labels`'s rules."""
+        labels = text_labels(text)
+        return cls._trusted(labels, tuple(label.lower() for label in labels))
 
     @classmethod
     def root(cls) -> "Name":

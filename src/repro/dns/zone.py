@@ -62,6 +62,12 @@ class Zone:
         self._sigs: dict[tuple[Name, int], RRset] = {}
         # Names that exist only because something lives below them.
         self._non_terminals: set[Name] = set()
+        # Delegation points by lower-cased labels, and wildcard owners
+        # by their encloser's: lookups probe a depth with a slice of the
+        # qname's key, not a Name.  Never shrinking: no RRset type ever
+        # leaves a node (replace() re-adds the one it pops).
+        self._cuts: dict[tuple[bytes, ...], Name] = {}
+        self._wildcards: dict[tuple[bytes, ...], Name] = {}
         # (canonical key, name) pairs in canonical order, built lazily.
         self._sorted_names: list[tuple[tuple, Name]] | None = None
         # One result per cut / per covering NSEC owners / for unsigned
@@ -95,6 +101,11 @@ class Zone:
             else:
                 for rdata in rrset.rdatas:
                     existing.add(rdata)
+            key = rrset.name.folded
+            if rrset.rtype == RRType.NS and key != self.origin.folded:
+                self._cuts[key] = rrset.name
+            if key[:1] == (b"*",):
+                self._wildcards[key[1:]] = rrset.name
         self._register_ancestors(rrset.name)
         self._sorted_names = None
         self._shared.clear()
@@ -165,13 +176,14 @@ class Zone:
     def find_zone_cut(self, qname: Name) -> Name | None:
         """The closest enclosing delegation point above-or-at *qname*,
         or None if *qname* is within this zone's authoritative data."""
-        # Walk from just below the apex down towards qname.
-        depth_origin = len(self.origin.labels)
-        for depth in range(depth_origin + 1, len(qname.labels) + 1):
-            candidate = qname.split(depth)
-            node = self._nodes.get(candidate)
-            if node and RRType.NS in node and candidate != self.origin:
-                return candidate
+        cuts = self._cuts
+        if cuts:
+            # Walk from just below the apex down towards qname.
+            key = qname.folded
+            for cut in range(len(key) - len(self.origin.folded) - 1, -1, -1):
+                name = cuts.get(key[cut:])
+                if name is not None:
+                    return name
         return None
 
     def glue_for(self, ns_rrset: RRset) -> list[RRset]:
@@ -305,19 +317,20 @@ class Zone:
     def _find_wildcard(self, qname: Name) -> tuple[dict[int, RRset] | None,
                                                    Name | None]:
         """Find the applicable ``*.<closest-encloser>`` node, if any."""
-        for depth in range(len(qname.labels) - 1,
-                           len(self.origin.labels) - 1, -1):
-            ancestor = qname.split(depth)
+        wildcards = self._wildcards
+        if not wildcards:
+            return None, None
+        labels, key = qname.labels, qname.folded
+        for cut in range(1, len(key) - len(self.origin.folded) + 1):
             # The wildcard only applies if the closest encloser exists
             # and the next name down does not (RFC 4592).
-            wild = ancestor.prepend(b"*")
-            node = self._nodes.get(wild)
-            if node is not None:
-                return node, wild
+            wild = wildcards.get(key[cut:])
+            if wild is not None:
+                return self._nodes[wild], wild
+            ancestor = Name._trusted(labels[cut:], key[cut:])
             if ancestor in self._nodes or ancestor in self._non_terminals:
-                if depth < len(qname.labels):
-                    # The encloser exists; a deeper wildcard can't apply.
-                    break
+                # The encloser exists; a deeper wildcard can't apply.
+                break
         return None, None
 
     def _nodata(self, qname: Name, dnssec: bool) -> LookupResult:
@@ -372,10 +385,10 @@ class Zone:
         if not names:
             return ()
         # A 1-tuple sorts just before the pair with the same key.
-        return tuple(
-            names[max(0, bisect.bisect_left(
-                names, (target.canonical_key(),)) - 1)][1]
-            for target in (qname, self.origin.prepend(b"*")))
+        at = bisect.bisect_left(names, (qname.canonical_key(),))
+        wild = bisect.bisect_left(
+            names, (self.origin.canonical_key() + (b"*",),))
+        return names[max(0, at - 1)][1], names[max(0, wild - 1)][1]
 
     def _attach_sig(self, section: list[RRset], owner: Name, covered: int,
                     rename_to: Name | None = None) -> None:

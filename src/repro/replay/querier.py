@@ -114,7 +114,7 @@ class QuerierConfig:
     fast: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     record: QueryRecord
     send_time: float
@@ -139,7 +139,7 @@ class QueryResult:
         return self.response_time is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Inflight:
     """Retransmission bookkeeping for one pending query."""
 
@@ -403,8 +403,7 @@ class Querier:
             self.check.on_msg_id(self, record, msg_id)
             self.check.on_query_wire(self, record, msg_id, wire)
         now = self.host.scheduler.now
-        result = QueryResult(record=record, send_time=now,
-                             scheduled_time=scheduled)
+        result = QueryResult(record, now, scheduled)
         self.results.append(result)
         self.sent += 1
         obs = self.host.scheduler.obs

@@ -45,9 +45,10 @@ matched suffix (that is what longest means), and the writer registers a
 suffix at its first occurrence only.  Templates are keyed on the result
 object, so :meth:`Zone.add`, which drops its shared results, orphans
 them; they hold for any source, view or size limit (applied when
-splicing); the store is FIFO-bounded at :data:`TEMPLATE_STORE`; and
-``ReplayConfig(check=True)`` compares every response made this way with
-the plain engine's bytes.
+splicing); the store is FIFO-bounded at :data:`TEMPLATE_STORE`, each
+template's moved tails (one per question end) at :data:`SHIFTED_TAILS`;
+and ``ReplayConfig(check=True)`` compares every response made this way
+with the plain engine's bytes.
 """
 
 from __future__ import annotations
@@ -62,11 +63,17 @@ from repro.obs.report import volatile, zero_counters
 # Templates kept per AnswerCache, FIFO beyond: a sweep of hostile qnames
 # cannot grow the store past this.
 TEMPLATE_STORE = 1024
+# Pointer-shifted tails kept per template (one per question end), FIFO
+# beyond: a sweep of qname lengths cannot grow a template past this.
+SHIFTED_TAILS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CachedAnswer:
-    """Everything needed to replay one response without the DNS engine."""
+    """Everything needed to replay one response without the DNS engine.
+    Read-only for everyone (every hit shares the entry); built on every
+    miss, so slotted rather than frozen, whose ``__init__`` pays one
+    ``object.__setattr__`` per field."""
 
     body: bytes            # response wire minus the 2-byte message id
     rcode: int
@@ -92,15 +99,25 @@ class _Template(NamedTuple):
     tail: bytes             # everything behind it
     pointers: tuple         # offsets of the compression pointers in tail
     suffixes: frozenset     # of every name written in tail
+    shifted: dict           # question end -> tail_behind(end), memoised
 
     def tail_behind(self, end: int) -> bytes:
+        """The tail with every pointer moved for a question ending at
+        *end*.  Qname lengths recur, so each end's tail is kept, the
+        last :data:`SHIFTED_TAILS` of them first-in first-out."""
         if end == self.end:
             return self.tail
-        tail = bytearray(self.tail)
-        for at in self.pointers:
-            moved = (tail[at] << 8 | tail[at + 1]) + end - self.end
-            tail[at], tail[at + 1] = moved >> 8, moved & 0xFF
-        return bytes(tail)
+        shifted = self.shifted
+        tail = shifted.get(end)
+        if tail is None:
+            moved = bytearray(self.tail)
+            for at in self.pointers:
+                offset = (moved[at] << 8 | moved[at + 1]) + end - self.end
+                moved[at], moved[at + 1] = offset >> 8, offset & 0xFF
+            if len(shifted) >= SHIFTED_TAILS:
+                del shifted[next(iter(shifted))]
+            tail = shifted[end] = bytes(moved)
+        return tail
 
 
 class AnswerCache:
@@ -223,5 +240,5 @@ class AnswerCache:
         if len(store) >= TEMPLATE_STORE:
             del store[next(iter(store))]
         store[store_key] = _Template(full[2:12], end, full[end:], pointers,
-                                     suffixes)
+                                     suffixes, {})
         self.template_builds += 1

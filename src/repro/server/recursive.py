@@ -387,7 +387,7 @@ class RecursiveResolver:
         # RD clear, our payload in an option-less OPT: assembled, not
         # encoded (docs/RECURSIVE.md, "Wire path").
         wire = msg_id.to_bytes(2, "big") + plain_query(
-            qname, qtype, RRClass.IN, False,
+            qname.labels, qtype, RRClass.IN, False,
             (self.edns_payload, self.dnssec_ok))
         pending = _Pending(msg_id=msg_id, wire=wire,
                            question=wire[HEADER_SIZE:-OPT_SIZE],

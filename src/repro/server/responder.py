@@ -53,7 +53,7 @@ _REFUSED_WORD = _REFERRAL_WORD | Rcode.REFUSED
 _RESPONSE_EDNS = {do: Edns(do=do) for do in (False, True)}
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryLogEntry:
     time: float
     qname: Name
@@ -189,11 +189,8 @@ class DnsResponder:
                                   entry.cookie_verified, stream)
         if self.log_queries:
             self.query_log.append(QueryLogEntry(
-                time=self._now(), qname=entry.qname,
-                qtype=entry.qtype, src=src, sport=sport, proto=proto,
-                rcode=entry.rcode,
-                response_size=(0 if decision == "drop"
-                               else entry.full_size)))
+                self._now(), entry.qname, entry.qtype, src, sport, proto,
+                entry.rcode, 0 if decision == "drop" else entry.full_size))
         if not hit and cacheable and cache is not None:
             # Cached regardless of the RRL outcome: the cache stores
             # the *answer*, and RRL re-decides on every hit.
@@ -277,12 +274,11 @@ class DnsResponder:
             if limit and len(full) > limit:
                 out = response.to_wire(max_size=limit)
             body, rcode, full_size = out[2:], response.rcode, len(full)
+        refused = zone is None
         return CachedAnswer(
-            body=body, rcode=rcode, full_size=full_size, qname=qname,
-            qtype=qtype, view_selected=view_selected,
-            refused=cacheable and zone is None, zone=zone,
-            zone_version=zone.version if zone is not None else 0,
-            cookie_verified=verified), cacheable
+            body, rcode, full_size, qname, qtype, view_selected,
+            cacheable and refused, zone, 0 if refused else zone.version,
+            verified), cacheable
 
     # -- overload control -------------------------------------------------
 

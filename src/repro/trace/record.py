@@ -14,7 +14,7 @@ from sys import intern
 
 from repro.dns.constants import RRClass, RRType
 from repro.dns.message import Edns, Message, plain_query
-from repro.dns.name import Name
+from repro.dns.name import Name, text_labels
 
 PROTOCOLS = ("udp", "tcp", "tls", "quic")
 # Distinct questions whose encoded form is kept (see _query_tail): a
@@ -33,11 +33,12 @@ def _query_tail(qname: str, qtype: int, qclass: int, rd: bool, do: bool,
 
     A miss (B-Root's junk names are unique) assembles the bytes of
     ``QueryRecord.to_message().to_wire()`` directly
-    (:func:`repro.dns.message.plain_query`);
+    (:func:`repro.dns.message.plain_query`) from the labels
+    ``Name.from_text`` would hold, without building the ``Name``;
     ``InvariantChecker.on_query_wire`` holds the two equal under
     ``check=True``."""
     edns = (edns_payload or 4096, do) if edns_payload or do else None
-    return plain_query(Name.from_text(qname), qtype, qclass, rd, edns)
+    return plain_query(text_labels(qname), qtype, qclass, rd, edns)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,9 @@ _QTYPE_MIX = [
     (RRType.SRV, 0.02),
 ]
 
-ZIPF_ALPHA = 1.18  # tuned: top 1% of clients ~ 75% of load
+# Client load skew.  The top 1% of clients send 52.5% of queries here (Fig
+# 15c as measured in EXPERIMENTS.md; the paper has ~75%): ROADMAP item 4.
+ZIPF_ALPHA = 1.18
 
 
 @dataclass

@@ -251,10 +251,10 @@ def junk_trace():
                   for i, name in enumerate(names * 2)])
 
 
-def run(check):
+def run(check, trace=None):
     world = authoritative_world([signed(tricky_zone())], seed=6, check=check,
                                 client_instances=1, queriers_per_instance=2)
-    return world.run(junk_trace()).report
+    return world.run(trace or junk_trace()).report
 
 
 def test_checked_run_is_byte_identical_to_unchecked():
@@ -276,8 +276,25 @@ def test_planted_wrong_matched_suffix_is_a_violation(monkeypatch):
     real = answercache._Template
     monkeypatch.setattr(
         answercache, "_Template",
-        lambda head, end, tail, pointers, suffixes: real(
-            head, end, tail, pointers, frozenset()))
+        lambda *fields: real(*fields)._replace(suffixes=frozenset()))
     assert run(check=False).answered_fraction() == 1.0
     with pytest.raises(InvariantViolation, match="plain engine"):
         run(check=True)
+
+
+def test_planted_tail_memoised_for_another_end_is_a_violation(monkeypatch):
+    """A memo that serves whatever tail it kept first, whatever the
+    question end it was moved for: names of three lengths under one cut
+    with one set of flags meet one template at two ends past its own."""
+    real = answercache._Template.tail_behind
+
+    def stale(self, end):
+        kept = next(iter(self.shifted.values()), None)
+        return real(self, end) if kept is None else kept
+    monkeypatch.setattr(answercache._Template, "tail_behind", stale)
+    trace = Trace([QueryRecord(time=0.01 * i, src="172.16.0.1",
+                               qname=f"{'a' * i}.d.zone.test.")
+                   for i in range(1, 4)])
+    assert run(check=False, trace=trace).answered_fraction() == 1.0
+    with pytest.raises(InvariantViolation, match="plain engine"):
+        run(check=True, trace=trace)

@@ -3,10 +3,12 @@
 No timing: calls of the full codec are counted while a querier replays
 against a server made of canned bytes, which itself never touches the
 codec — so every counted call is the client's.  With cookies off the
-client encodes each distinct question once and decodes nothing; with
+client assembles each distinct question once, parses no ``Name`` (its
+labels come straight from the text, escaped or not) and decodes nothing; with
 cookies on it decodes every response; TC fallback and reconnect re-send
-stored bytes.  A change that quietly puts ``Message.from_wire`` or
-``record.to_message()`` back on the per-query path fails here.
+stored bytes.  A change that quietly puts ``Message.from_wire``,
+``Name.from_text`` or ``record.to_message()`` back on the per-query path
+fails here.
 """
 
 import inspect
@@ -106,10 +108,10 @@ def build(response, config=None, **server_kw):
     return sim, server, querier
 
 
-def replay(sim, querier, calls, protos):
+def replay(sim, querier, calls, protos, record=RECORD):
     calls.clear()       # building the canned response used the codec
     for i, proto in enumerate(protos):
-        querier.handle_record(RECORD.with_(time=0.01 * i, proto=proto))
+        querier.handle_record(record.with_(time=0.01 * i, proto=proto))
     sim.run_until_idle()
     return dict(calls)
 
@@ -117,16 +119,27 @@ def replay(sim, querier, calls, protos):
 def test_repeated_question_is_encoded_once_and_never_decoded(codec_calls):
     sim, server, querier = build(canned_response())
     counted = replay(sim, querier, codec_calls, ["udp"] * N)
-    assert counted == {"from_text": 1}
+    assert counted == {}
     assert len(server.datagrams) == N
     assert [r.rcode for r in querier.results] == [0] * N
     assert len({r.response_size for r in querier.results}) == 1
 
 
+def test_an_escaped_name_is_not_parsed_either(codec_calls):
+    sim, server, querier = build(canned_response())
+    record = RECORD.with_(qname="w\\.ww.example.com.")
+    counted = replay(sim, querier, codec_calls, ["udp"] * N, record)
+    assert counted == {}
+    assert len({wire[2:] for wire in server.datagrams}) == 1
+    first = server.datagrams[0]
+    assert first == record.with_(msg_id=int.from_bytes(
+        first[:2], "big")).to_message().to_wire()
+
+
 def test_stream_queries_share_the_memo(codec_calls):
     sim, server, querier = build(canned_response())
     counted = replay(sim, querier, codec_calls, ["udp", "tcp"] * (N // 2))
-    assert counted == {"from_text": 1}
+    assert counted == {}
     assert len(server.stream_queries) == N // 2
     assert all(r.answered for r in querier.results)
 
@@ -151,7 +164,7 @@ def test_tc_fallback_resends_the_stored_bytes(codec_calls):
         canned_response(), QuerierConfig(resilience=ResilienceConfig()),
         udp_tc=True)
     counted = replay(sim, querier, codec_calls, ["udp"] * N)
-    assert counted == {"from_text": 1}
+    assert counted == {}
     assert querier.tcp_fallbacks == N
     assert all(r.answered and r.fell_back for r in querier.results)
     assert server.stream_queries == server.datagrams
@@ -162,7 +175,7 @@ def test_reconnect_resends_the_stored_bytes(codec_calls):
         canned_response(), QuerierConfig(resilience=ResilienceConfig()),
         close_first=True)
     counted = replay(sim, querier, codec_calls, ["tcp"])
-    assert counted == {"from_text": 1}
+    assert counted == {}
     assert querier.reconnects == 1
     assert querier.results[0].answered
     assert len(server.stream_queries) == 2

@@ -273,3 +273,29 @@ def test_template_store_is_bounded_under_a_sweep(monkeypatch):
             assert len(cache.templates) <= 8
     assert len(cache.templates) == 8 < cache.template_builds
     assert cache.template_hits > asked // 2
+
+
+def test_shifted_tails_are_bounded_under_a_sweep_of_lengths():
+    """One template asked at every qname length: each question end's
+    moved tail is kept until the memo holds its constant, first-in
+    first-out beyond, and the bytes stay the plain engine's."""
+    zone = signed_root()
+    cut = a_cut(zone)
+    responder = DnsResponder(zones=[zone])
+    plain = DnsResponder(zones=[zone], answer_cache=False)
+    ends = set()
+    for pad in range(1, 250 - cut.wire_length()):
+        whole, rest = divmod(pad, 63)
+        labels = [b"p" * 63] * whole + ([b"p" * rest] if rest else [])
+        qname = Name(tuple(labels) + cut.labels)
+        ends.add(12 + qname.wire_length() + 4)
+        wire = query(qname, pad)
+        assert responder.reply_wire("tcp", wire, *CLIENT) == \
+            plain.reply_wire("tcp", wire, *CLIENT)
+    cache = responder.answer_cache
+    (template,) = cache.templates.values()
+    assert (cache.hits, cache.template_hits) == (0, pad - 1)
+    assert len(ends) > 200
+    assert len(template.shifted) == answercache.SHIFTED_TAILS
+    assert template.end not in template.shifted
+    assert 12 + qname.wire_length() + 4 in template.shifted

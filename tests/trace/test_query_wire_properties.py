@@ -1,12 +1,16 @@
 """``QueryRecord.query_wire`` assembles a query's bytes itself on a memo
-miss; the full encoder (``to_message().to_wire()``) is the reference it
-must equal, and ``Name.from_text`` decides which names are errors."""
+miss, from the text's labels without a ``Name``; the full encoder
+(``to_message().to_wire()``) and ``plain_query`` of the parsed name are
+the references it must equal, and ``Name.from_text`` decides which
+names are errors, and with which exception."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dns.name import Name
+from repro.dns.message import plain_query
+from repro.dns.name import Name, NameError_
+from repro.trace import record as record_module
 from repro.trace.record import QueryRecord
 
 # Every byte value, weighted toward the ones to_text() escapes and the
@@ -97,3 +101,87 @@ def test_escape_free_branch_agrees_with_the_escape_loop(text):
         assert isinstance(fast, Name) and fast.labels == slow.labels
     else:
         assert fast is ValueError
+
+
+# -- the direct path: escape-free text straight to labels ---------------------
+
+def raised(function, *args):
+    """*function*'s value, or the type of what it raised."""
+    try:
+        return function(*args)
+    except Exception as exc:        # the type is what is compared
+        return type(exc)
+
+
+# Labels at and around the limits, joined with and without the trailing
+# dot, sometimes with an escape or a character past latin-1 in them.
+_limit_labels = st.sampled_from(("", "a", "Z" * 62, "y" * 63, "x" * 64,
+                                 "\\.", "\\065", "ł", "\xe9"))
+limit_texts = st.builds(
+    lambda labels, dot: ".".join(labels) + dot,
+    st.lists(_limit_labels, max_size=6), st.sampled_from(("", ".")))
+
+# 250 label bytes + 4 length bytes + the root byte: 255 bytes, and one
+# more byte past it, each as text with and without the trailing dot.
+AT_LIMIT = ".".join(("a" * 63, "b" * 63, "c" * 63, "d" * 61))
+PAST_LIMIT = AT_LIMIT + "d"
+EDGES = [AT_LIMIT, AT_LIMIT + ".", PAST_LIMIT, PAST_LIMIT + ".",
+         "e" * 63 + ".", "e" * 64 + ".", "e" * 64, "", ".", "..", "a..b.",
+         ".a.", "a..", "ł.test.", "\U0001f600.", "\\.a.", "a\\.b.",
+         "\\097b.", "\\999.", "a\\", "é.test."]
+
+
+def direct(text, qtype=1, qclass=1, rd=False, edns=None):
+    """The memo's miss path, without the memo."""
+    do, payload = edns or (False, 0)
+    return raised(record_module._query_tail.__wrapped__, text, qtype, qclass,
+                  rd, do, payload)
+
+
+def via_name(text, qtype=1, qclass=1, rd=False, edns=None):
+    """The same bytes from a parsed Name: the reference."""
+    do, payload = edns or (False, 0)
+    name = raised(Name.from_text, text)
+    if not isinstance(name, Name):
+        return name
+    query_edns = (payload or 4096, do) if payload or do else None
+    return plain_query(name.labels, qtype, qclass, rd, query_edns)
+
+
+@pytest.mark.parametrize("text", EDGES)
+def test_direct_path_at_the_limits(text):
+    assert direct(text) == via_name(text)
+
+
+def test_limits_are_the_name_parser_s():
+    assert isinstance(direct(AT_LIMIT), bytes)
+    assert len(direct(AT_LIMIT)) == 10 + 255 + 4
+    assert direct(PAST_LIMIT) is NameError_
+    assert direct("e" * 64 + ".") is NameError_
+    assert direct("a..b.") is NameError_
+    assert direct("ł.test.") is UnicodeEncodeError
+    assert direct("") == direct(".") == via_name(".")
+
+
+@settings(deadline=None)
+@given(texts | limit_texts, st.integers(0, 0xFFFF), st.booleans(),
+       st.none() | st.tuples(st.booleans(),
+                             st.sampled_from((0, 512, 4096))))
+def test_direct_path_equals_plain_query_of_the_parsed_name(text, qtype, rd,
+                                                          edns):
+    assert direct(text, qtype, 1, rd, edns) == via_name(text, qtype, 1, rd,
+                                                        edns)
+
+
+def test_the_direct_path_builds_no_name(monkeypatch):
+    built = []
+    for constructor in ("from_text", "_trusted"):
+        real = getattr(Name, constructor)
+        monkeypatch.setattr(Name, constructor, staticmethod(
+            lambda *args, real=real: built.append(args) or real(*args)))
+    monkeypatch.setattr(Name, "__init__",
+                        lambda self, *args: built.append(args))
+    for text in ("www.example.com.", "www.example.com", "", ".", AT_LIMIT,
+                 "a\\.b.", "\\097b.", PAST_LIMIT, "a..b."):
+        direct(text)
+    assert built == []
