@@ -2,8 +2,9 @@
 
 This is LDplayer's actual operating mode — real sockets, real kernel,
 wall-clock time — where the simulator backend is the deterministic
-model of it.  One :class:`LiveDnsServer` binds a UDP datagram endpoint
-and a TCP stream server on the *same* port number (retrying across
+model of it.  One :class:`LiveDnsServer` binds a UDP endpoint (a raw
+socket drained per event-loop wake-up, :class:`_UdpEndpoint`) and a
+TCP stream server on the *same* port number (retrying across
 ephemeral ports until a pair is free) and serves the shared
 :class:`~repro.server.responder.DnsResponder` answering core — the
 same views, answer cache, and response-building rules the simulated
@@ -36,7 +37,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import socket
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.netsim.framing import LengthPrefixFramer, frame_message
@@ -50,26 +53,126 @@ from repro.server.responder import DnsResponder
 from repro.trace.pipeline import as_trace
 
 _READ_CHUNK = 65536
+_MAX_DATAGRAM = 65535   # the largest UDP payload: no read truncates
 _UDP_BUF = 1 << 22      # ask for 4 MiB; the kernel clamps to rmem_max
 _TCP_CONNECTION_CAP = 64    # open stream connections per querier
 _SHUTDOWN_GRACE = 1.0       # server drain window per connection at close
 BIND_ATTEMPTS = 8           # draws for a port free on both UDP and TCP
 
 
-def _grow_udp_buffers(transport) -> None:
+def _grow_udp_buffers(sock: socket.socket) -> None:
     """Time-compressed replays burst far above the default UDP socket
     buffer (a few hundred datagrams on stock Linux); ask for more so
     loopback loss starts at the kernel's ceiling, not the default."""
-    sock = transport.get_extra_info("socket")
-    if sock is None:
-        return
-    import socket as socketlib
     with contextlib.suppress(OSError):
-        sock.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_RCVBUF,
-                        _UDP_BUF)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _UDP_BUF)
     with contextlib.suppress(OSError):
-        sock.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_SNDBUF,
-                        _UDP_BUF)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _UDP_BUF)
+
+
+class _UdpEndpoint:
+    """One UDP socket on the event loop, behind the host seam's
+    datagram interface: ``sendto(payload, dst, dport)`` and an
+    ``on_datagram(payload, src, sport)`` slot.  The server binds one;
+    each querier's host connects one to the server, so the destination
+    its ``sendto`` is given is implied.
+
+    A raw non-blocking socket under ``loop.add_reader``: one wake-up
+    reads every datagram the kernel has queued, until ``EAGAIN``, where
+    an asyncio datagram transport spends a selector pass, a ``Handle``
+    and a protocol call on each.  That transport's contracts hold:
+
+    * a recv or send ``OSError`` counts once in the owner's
+      ``socket_errors`` (a connected socket reports an ICMP refusal as
+      ``ConnectionRefusedError``); the datagram is lost;
+    * a send that would block (``EAGAIN``) is queued and flushed in
+      order once the socket is writable (``loop.add_writer``), neither
+      dropped nor counted;
+    * after :meth:`close` a send is a silent no-op — a retransmit timer
+      may outlive the socket when the run deadline cuts a replay short.
+    """
+
+    def __init__(self, owner, *, local: tuple[str, int] | None = None,
+                 remote: tuple[str, int] | None = None):
+        # An address literal needs no getaddrinfo, whose resolver
+        # libraries alone add ~0.6 MB to the process.
+        address = local or remote
+        family = socket.AF_INET6 if ":" in address[0] else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            if local is not None:
+                sock.bind(address)
+            else:
+                sock.connect(address)
+        except OSError:
+            sock.close()
+            raise
+        _grow_udp_buffers(sock)
+        self.on_datagram = None     # set before the loop can deliver one
+        self.port: int = sock.getsockname()[1]
+        self._owner = owner
+        self._sock: socket.socket | None = sock
+        self._fd = sock.fileno()
+        self._connected = remote is not None
+        self._backlog: deque[tuple[bytes, str, int]] = deque()
+        self._loop = asyncio.get_running_loop()
+        self._loop.add_reader(self._fd, self._read_ready)
+
+    def _read_ready(self) -> None:
+        while self._sock is not None:      # on_datagram may close us
+            try:
+                data, addr = self._sock.recvfrom(_MAX_DATAGRAM)
+            except BlockingIOError:        # drained
+                return
+            except OSError:
+                self._owner.socket_errors += 1
+                return
+            self.on_datagram(data, addr[0], addr[1])
+
+    def sendto(self, payload: bytes, dst: str, dport: int) -> None:
+        if self._sock is None:
+            return
+        if not self._backlog:
+            try:
+                self._send(payload, dst, dport)
+                return
+            except BlockingIOError:
+                self._loop.add_writer(self._fd, self._write_ready)
+            except OSError:
+                self._owner.socket_errors += 1
+                return
+        self._backlog.append((payload, dst, dport))
+
+    def _send(self, payload: bytes, dst: str, dport: int) -> None:
+        if self._connected:
+            self._sock.send(payload)
+        else:
+            self._sock.sendto(payload, (dst, dport))
+
+    def _write_ready(self) -> None:
+        backlog = self._backlog
+        while backlog:
+            try:
+                self._send(*backlog[0])
+            except BlockingIOError:
+                return
+            except OSError:
+                self._owner.socket_errors += 1
+            backlog.popleft()
+        self._loop.remove_writer(self._fd)
+
+    def close(self) -> None:
+        """Take the socket off the loop and close it.  A datagram still
+        queued for send is dropped: only a run's teardown closes, once
+        every query has settled or the deadline has cut the run."""
+        if self._sock is None:
+            return
+        self._loop.remove_reader(self._fd)
+        self._loop.remove_writer(self._fd)
+        self._sock.close()
+        self._sock = None
+        self._backlog.clear()
 
 
 @dataclass(frozen=True)
@@ -90,34 +193,6 @@ class LiveReplayConfig:
     query_timeout: float = 5.0
     max_inflight: int = 256       # per querier
     run_deadline: float | None = None
-
-
-class _ServerDatagramProtocol(asyncio.DatagramProtocol):
-    """UDP side of :class:`LiveDnsServer`: one datagram, one answer."""
-
-    def __init__(self, server: "LiveDnsServer"):
-        self.server = server
-        self.transport = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        server = self.server
-        server.meter.count_in(server.now(), len(data))
-        if server.responder.admission_queue is not None:
-            # Graceful degradation (docs/RESILIENCE.md): arrival triage
-            # only; the full parse/lookup/encode cost is paid when the
-            # bounded queue drains between event-loop turns.
-            server.offer_admission(data, addr)
-            return
-        out = server.responder.reply_wire("udp", data, addr[0], addr[1])
-        if out is not None:
-            server.meter.count_out(server.now(), len(out))
-            self.transport.sendto(out, addr)
-
-    def error_received(self, exc) -> None:
-        self.server.socket_errors += 1
 
 
 class LiveDnsServer:
@@ -143,25 +218,42 @@ class LiveDnsServer:
         self.port: int | None = None
         self.established = 0          # TCP connections accepted
         zero_counters(self)
-        self._udp_transport = None
+        self._udp: _UdpEndpoint | None = None
         self._tcp_server = None
         self._writers: set[asyncio.StreamWriter] = set()
         # Admission drain (set when the responder has an overload
         # admission queue): one call_soon callback at a time pops one
         # queued query per event-loop turn, so arrivals — and their
         # cheap shed/refuse triage — interleave with the expensive
-        # full-service path instead of queueing behind it.
+        # full-service path instead of queueing behind it.  Each
+        # wake-up triages every datagram the kernel holds before the
+        # next pop, so a burst deeper than ``soft_limit`` is refused.
         self._drain_pending = False
+
+    def datagram_received(self, data: bytes, src: str, sport: int) -> None:
+        """One UDP query, one answer: called once per datagram the
+        endpoint drains."""
+        self.meter.count_in(self.now(), len(data))
+        if self.responder.admission_queue is not None:
+            # Graceful degradation (docs/RESILIENCE.md): arrival triage
+            # only; the full parse/lookup/encode cost is paid when the
+            # bounded queue drains between event-loop turns.
+            self.offer_admission(data, src, sport)
+            return
+        out = self.responder.reply_wire("udp", data, src, sport)
+        if out is not None:
+            self.meter.count_out(self.now(), len(out))
+            self._udp.sendto(out, src, sport)
 
     # -- admission control (responder overload config) ------------------
 
-    def offer_admission(self, data: bytes, addr) -> None:
+    def offer_admission(self, data: bytes, src: str, sport: int) -> None:
         status, refusal = self.responder.admission_offer(
-            data, (data, addr))
+            data, (data, src, sport))
         if status == "refused":
-            if refusal is not None and self._udp_transport is not None:
+            if refusal is not None:
                 self.meter.count_out(self.now(), len(refusal))
-                self._udp_transport.sendto(refusal, addr)
+                self._udp.sendto(refusal, src, sport)
             return
         self._schedule_drain()
 
@@ -175,43 +267,41 @@ class LiveDnsServer:
         self._drain_pending = False
         if not self.responder.admission_queue:
             return
-        data, addr = self.responder.admission_pop()
-        out = self.responder.reply_wire("udp", data, addr[0], addr[1])
-        if out is not None and self._udp_transport is not None:
+        data, src, sport = self.responder.admission_pop()
+        out = self.responder.reply_wire("udp", data, src, sport)
+        if out is not None:
             self.meter.count_out(self.now(), len(out))
-            self._udp_transport.sendto(out, addr)
+            self._udp.sendto(out, src, sport)
         self._schedule_drain()
 
     def now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
 
     async def start(self) -> "LiveDnsServer":
-        loop = asyncio.get_running_loop()
         last_exc: OSError | None = None
         for _ in range(BIND_ATTEMPTS):
             try:
-                transport, _ = await loop.create_datagram_endpoint(
-                    lambda: _ServerDatagramProtocol(self),
-                    local_addr=(self.host, self.requested_port))
+                udp = _UdpEndpoint(
+                    self, local=(self.host, self.requested_port))
             except OSError as exc:
                 if self.requested_port != 0:
                     raise
                 last_exc = exc
                 continue
-            _grow_udp_buffers(transport)
-            port = transport.get_extra_info("sockname")[1]
+            udp.on_datagram = self.datagram_received
+            port = udp.port
             try:
                 self._tcp_server = await asyncio.start_server(
                     self._serve_connection, self.host, port)
             except OSError as exc:
                 # The UDP-chosen ephemeral port is taken on TCP by
                 # someone else: release the pair and draw again.
-                transport.close()
+                udp.close()
                 if self.requested_port != 0:
                     raise
                 last_exc = exc
                 continue
-            self._udp_transport = transport
+            self._udp = udp
             self.port = port
             return self
         raise OSError(
@@ -269,9 +359,8 @@ class LiveDnsServer:
         for writer in list(self._writers):
             with contextlib.suppress(Exception):
                 await asyncio.wait_for(writer.wait_closed(), grace)
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            self._udp_transport = None
+        if self._udp is not None:
+            self._udp.close()
         self._tcp_server = None
 
 
@@ -296,31 +385,6 @@ class _LoopScheduler:
 
     def at(self, time: float, fn, *args):
         return self._loop.call_at(time + self.epoch, fn, *args)
-
-
-class _LoopUdpSocket(asyncio.DatagramProtocol):
-    """``host.udp_socket()``: a datagram endpoint connected to the
-    host's server, so the destination the seam passes is implied."""
-
-    def __init__(self, host: "_LoopHost"):
-        self.host = host
-        self.transport = None
-        self.on_datagram = None     # set by the querier before it sends
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def sendto(self, payload: bytes, dst: str, dport: int) -> None:
-        # A retransmit timer may outlive the socket when the run
-        # deadline cuts a replay short.
-        if not self.transport.is_closing():
-            self.transport.sendto(payload)
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.on_datagram(data, addr[0], addr[1])
-
-    def error_received(self, exc) -> None:
-        self.host.socket_errors += 1
 
 
 class _LoopTcpConnection(asyncio.Protocol):
@@ -411,16 +475,13 @@ class _LoopHost:
         self.socket_errors = 0
         self.streams: dict[_LoopTcpConnection, object] = {}  # LRU order
         self._server = server
-        self._udp: _LoopUdpSocket | None = None
+        self._udp: _UdpEndpoint | None = None
         self._handshakes: set[asyncio.Task] = set()
 
-    async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        transport, self._udp = await loop.create_datagram_endpoint(
-            lambda: _LoopUdpSocket(self), remote_addr=self._server)
-        _grow_udp_buffers(transport)
+    def start(self) -> None:
+        self._udp = _UdpEndpoint(self, remote=self._server)
 
-    def udp_socket(self) -> _LoopUdpSocket:
+    def udp_socket(self) -> _UdpEndpoint:
         return self._udp
 
     def tcp_connect(self, addr: str, port: int) -> _LoopTcpConnection:
@@ -434,7 +495,7 @@ class _LoopHost:
 
     async def aclose(self) -> None:
         if self._udp is not None:
-            self._udp.transport.close()
+            self._udp.close()
         for conn in list(self.streams):
             conn.evict()
         handshakes = list(self._handshakes)
@@ -481,7 +542,7 @@ class LiveQuerier(Querier):
         slots = asyncio.Semaphore(window)
         self.on_settled = lambda _result: slots.release()
         self.give_up_after = live.query_timeout
-        await self.host.start()
+        self.host.start()
         try:
             for record in records:
                 due = now = clock.now

@@ -1,26 +1,30 @@
 """The live asyncio backend: real loopback sockets behind the engine API.
 
-Three areas the sim cannot cover: TCP byte-stream reassembly on a real
+Four areas the sim cannot cover: TCP byte-stream reassembly on a real
 socket (split/coalesced segments, pipelined queries), the UDP+TCP
-same-port bind-retry dance, and graceful shutdown draining in-flight
-work.  Plus the config-surface rejections that keep sim-only features
+same-port bind-retry dance, graceful shutdown draining in-flight work,
+and the raw UDP endpoint's contracts (drain per wake-up, errors, EAGAIN,
+close).  Plus the config-surface rejections that keep sim-only features
 (checkpoints, faults, supervision) from silently no-opping live.
 """
 
 import asyncio
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.dns.constants import Rcode
 from repro.dns.message import Message
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.replay import ReplayConfig, ResilienceConfig
 from repro.replay.backends import (LiveBackend, LiveDnsServer,
                                    LiveReplayConfig, get_backend)
 from repro.replay.backends import live as live_module
+from repro.server.overload import AdmissionConfig, OverloadConfig
 from repro.server.responder import DnsResponder
 from repro.trace.record import QueryRecord, Trace
 
@@ -192,6 +196,227 @@ def test_shutdown_drains_queued_responses():
     assert len(wires) == 1
     assert Message.from_wire(wires[0]).msg_id == 3
     assert established == 0
+
+
+# -- the raw UDP endpoint -----------------------------------------------------
+
+
+def count_wakeups(monkeypatch) -> list:
+    """Patch the endpoint's reader to record, per wake-up, the owner of
+    the endpoint woken (the server or a querier's host)."""
+    woken = []
+    real = live_module._UdpEndpoint._read_ready
+
+    def counted(self):
+        woken.append(self._owner)
+        real(self)
+
+    monkeypatch.setattr(live_module._UdpEndpoint, "_read_ready", counted)
+    return woken
+
+
+def udp_client(port: int) -> socket.socket:
+    client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    client.connect(("127.0.0.1", port))
+    return client
+
+
+def loop_host(port: int):
+    loop = asyncio.get_running_loop()
+    host = live_module._LoopHost(
+        "probe", live_module._LoopScheduler(loop, None), ("127.0.0.1", port))
+    host.start()
+    return host
+
+
+def send_burst(client: socket.socket, count: int) -> None:
+    """*count* queries, written without yielding to the event loop: the
+    kernel holds them all before the server's reader can run."""
+    for i in range(count):
+        client.send(query_wire("www.example.com.", i + 1, "udp"))
+
+
+def drain_replies(client: socket.socket) -> list[Message]:
+    client.setblocking(False)
+    replies = []
+    with pytest.raises(BlockingIOError):
+        while True:
+            replies.append(Message.from_wire(client.recv(65535)))
+    return replies
+
+
+class SendBlocks:
+    """A socket whose first *times* sends would block (``EAGAIN``)."""
+
+    def __init__(self, sock: socket.socket, times: float):
+        self._sock = sock
+        self.left = times
+        self.blocked = 0
+
+    def _maybe_block(self) -> None:
+        if self.left > 0:
+            self.left -= 1
+            self.blocked += 1
+            raise BlockingIOError
+
+    def send(self, data):
+        self._maybe_block()
+        return self._sock.send(data)
+
+    def sendto(self, data, addr):
+        self._maybe_block()
+        return self._sock.sendto(data, addr)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_udp_burst_is_answered_from_one_wakeup_in_arrival_order(
+        monkeypatch):
+    woken = count_wakeups(monkeypatch)
+
+    async def go():
+        server = await make_server().start()
+        with udp_client(server.port) as client:
+            try:
+                send_burst(client, 24)
+                await asyncio.sleep(0.05)
+                return drain_replies(client), server
+            finally:
+                await server.aclose()
+
+    replies, server = asyncio.run(go())
+    assert [m.msg_id for m in replies] == list(range(1, 25))
+    assert all(m.answer for m in replies)
+    assert woken == [server]
+
+
+def test_refused_datagram_on_connected_socket_counts_once():
+    """The server's socket is gone: the kernel's ICMP refusal reaches
+    the querier's connected socket as ``ConnectionRefusedError``, which
+    is one socket error, not an exception or a stuck reader."""
+    async def go():
+        server = await make_server().start()
+        host = loop_host(server.port)
+        delivered = []
+        sock = host.udp_socket()
+        sock.on_datagram = lambda *args: delivered.append(args)
+        await server.aclose()
+        sock.sendto(query_wire("www.example.com.", 1, "udp"),
+                    "127.0.0.1", server.port)
+        await asyncio.sleep(0.1)
+        errors = host.socket_errors
+        await host.aclose()
+        return errors, delivered
+
+    errors, delivered = asyncio.run(go())
+    assert errors == 1
+    assert delivered == []
+
+
+def test_send_that_would_block_is_flushed_later_in_order():
+    """``EAGAIN`` on the server's reply, and again on the first flush:
+    that reply and the ones behind it wait for the socket to be
+    writable, then go out in order — nothing lost, nothing counted as
+    an error."""
+    async def go():
+        loop = asyncio.get_running_loop()
+        server = await make_server().start()
+        endpoint = server._udp
+        endpoint._sock = fake = SendBlocks(endpoint._sock, times=2)
+        with udp_client(server.port) as client:
+            try:
+                send_burst(client, 8)
+                await asyncio.sleep(0.05)
+                writer_left = loop.remove_writer(endpoint._fd)
+                return drain_replies(client), fake.blocked, writer_left, \
+                    server.socket_errors
+            finally:
+                await server.aclose()
+
+    replies, blocked, writer_left, errors = asyncio.run(go())
+    assert [m.msg_id for m in replies] == list(range(1, 9))
+    assert blocked == 2
+    assert not writer_left          # flushed: the writer took itself off
+    assert errors == 0
+
+
+def test_retransmit_timer_after_close_neither_raises_nor_sends():
+    async def go():
+        loop = asyncio.get_running_loop()
+        raised = []
+        loop.set_exception_handler(lambda _loop, context:
+                                   raised.append(context))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as listener:
+            listener.bind(("127.0.0.1", 0))
+            port = listener.getsockname()[1]
+            host = loop_host(port)
+            host.scheduler.after(0.01, host.udp_socket().sendto,
+                                 b"late retransmit", "127.0.0.1", port)
+            await host.aclose()
+            await asyncio.sleep(0.05)
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.recv(512)
+        return raised, host.socket_errors
+
+    raised, errors = asyncio.run(go())
+    assert raised == []
+    assert errors == 0
+
+
+@pytest.mark.parametrize("admission", [
+    AdmissionConfig(limit=4), AdmissionConfig(limit=8, soft_limit=4)])
+def test_burst_beyond_admission_limit_conserves_queries(monkeypatch,
+                                                        admission):
+    """A burst larger than the admission queue, all triaged in one
+    wake-up: every query is answered, shed or refused, exactly once."""
+    woken = count_wakeups(monkeypatch)
+    sent = 20
+
+    async def go():
+        responder = DnsResponder(zones=[make_example_zone()],
+                                 overload=OverloadConfig(admission=admission))
+        server = await LiveDnsServer(responder).start()
+        with udp_client(server.port) as client:
+            try:
+                send_burst(client, sent)
+                await asyncio.sleep(0.1)
+                return drain_replies(client), server
+            finally:
+                await server.aclose()
+
+    replies, server = asyncio.run(go())
+    responder = server.responder
+    refused = [m for m in replies if m.rcode == Rcode.REFUSED]
+    answered = [m for m in replies if m.rcode != Rcode.REFUSED]
+    assert woken == [server]
+    assert len(answered) == responder.admission_processed
+    assert len(refused) == responder.admission_refused
+    assert len(answered) + responder.admission_shed + len(refused) == sent
+    assert responder.admission_shed + responder.admission_refused > 0
+    assert not responder.admission_queue
+
+
+def test_aclose_leaves_no_reader_or_writer_on_either_udp_fd():
+    """Both endpoints closed with a send still queued (writer
+    registered): neither fd is left on the loop."""
+    async def go():
+        loop = asyncio.get_running_loop()
+        server = await make_server().start()
+        host = loop_host(server.port)
+        endpoints = [server._udp, host.udp_socket()]
+        for endpoint in endpoints:
+            endpoint._sock = SendBlocks(endpoint._sock, times=float("inf"))
+            endpoint.sendto(b"stuck", "127.0.0.1", server.port)
+            assert endpoint._backlog
+        fds = [endpoint._fd for endpoint in endpoints]
+        await host.aclose()
+        await server.aclose()
+        return [(loop.remove_reader(fd), loop.remove_writer(fd))
+                for fd in fds]
+
+    assert asyncio.run(go()) == [(False, False), (False, False)]
 
 
 # -- the backend end-to-end ---------------------------------------------------
@@ -380,13 +605,13 @@ def test_unresilient_reply_after_query_timeout_is_unanswered(monkeypatch):
     """Without a policy, ``query_timeout`` is the query's whole life: an
     answer that arrives later is ignored, not counted (the undefended
     cells of experiments/attack.py depend on it)."""
-    real = live_module._ServerDatagramProtocol.datagram_received
+    real = LiveDnsServer.datagram_received
 
-    def slow(self, data, addr):
-        asyncio.get_running_loop().call_later(0.3, real, self, data, addr)
+    def slow(self, data, src, sport):
+        asyncio.get_running_loop().call_later(0.3, real, self, data, src,
+                                              sport)
 
-    monkeypatch.setattr(live_module._ServerDatagramProtocol,
-                        "datagram_received", slow)
+    monkeypatch.setattr(LiveDnsServer, "datagram_received", slow)
     backend = LiveBackend([make_example_zone()], config=one_querier_config(
         query_timeout=0.1))
     # The first reply lands at 0.3 s, after its query was given up and
@@ -403,9 +628,8 @@ def test_unresilient_reply_after_query_timeout_is_unanswered(monkeypatch):
 def test_fast_mode_keeps_exactly_max_inflight_outstanding(monkeypatch):
     """Closed loop: against a server that never replies, each querier
     sends its window and blocks — no more, no fewer."""
-    monkeypatch.setattr(live_module._ServerDatagramProtocol,
-                        "datagram_received",
-                        lambda self, data, addr: None)
+    monkeypatch.setattr(LiveDnsServer, "datagram_received",
+                        lambda self, data, src, sport: None)
     backend = LiveBackend([make_example_zone()], config=one_querier_config(
         fast=True, queriers=2, max_inflight=4, run_deadline=0.5))
     backend.run(udp_trace(80, sources=8))
