@@ -26,14 +26,26 @@ class LengthPrefixFramer:
         self._on_message = on_message
 
     def feed(self, data: bytes) -> None:
-        self._buf += data
-        while len(self._buf) >= 2:
-            (length,) = struct.unpack_from("!H", self._buf)
-            if len(self._buf) < 2 + length:
-                return
-            message = bytes(self._buf[2:2 + length])
-            del self._buf[:2 + length]
-            self._on_message(message)
+        """Deliver every whole message in the stream so far; keep only
+        the incomplete tail.  A segment may carry many messages, so the
+        walk moves an offset instead of re-shifting the buffer."""
+        buf = self._buf
+        if buf:
+            buf += data
+            data = bytes(buf)
+            buf.clear()
+        elif type(data) is not bytes:
+            data = bytes(data)
+        end = len(data)
+        start = 0
+        while end - start >= 2:
+            stop = start + 2 + ((data[start] << 8) | data[start + 1])
+            if stop > end:
+                break
+            self._on_message(data[start + 2:stop])
+            start = stop
+        if start < end:
+            buf += data[start:]
 
     def pending_bytes(self) -> int:
         return len(self._buf)

@@ -19,10 +19,11 @@ TCP_OVERHEAD = ETHER_HEADER + IP_HEADER + TCP_HEADER
 OVERHEAD = {"udp": UDP_OVERHEAD, "tcp": TCP_OVERHEAD}
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TcpInfo:
     """Transport metadata for TCP segments (simplified: no seq numbers,
-    the simulated network is loss-free and in-order)."""
+    the simulated network is loss-free and in-order).  Frozen, so one
+    instance per flag combination serves every segment."""
 
     syn: bool = False
     ack: bool = False

@@ -39,6 +39,13 @@ LAST_ACK = "LAST_ACK"
 TIME_WAIT = "TIME_WAIT"
 CLOSED = "CLOSED"
 
+# Segment flags: TcpInfo is frozen, so every segment shares these.
+SEG_DATA = TcpInfo()
+SEG_ACK = TcpInfo(ack=True)
+SEG_SYN = TcpInfo(syn=True)
+SEG_SYN_ACK = TcpInfo(syn=True, ack=True)
+SEG_FIN_ACK = TcpInfo(fin=True, ack=True)
+
 
 class TcpConnection:
     """One endpoint of a TCP connection."""
@@ -58,7 +65,8 @@ class TcpConnection:
         self.on_data: Callable[[bytes], None] | None = None
         self.on_closed: Callable[[], None] | None = None
         self._send_buf = bytearray()
-        self._inflight = 0
+        self._inflight = 0              # bytes sent, not yet ACKed
+        self._small_in_flight = False   # one of them a sub-MSS segment
         self._recv_segs_unacked = 0
         self._delayed_ack_event = None
         self._idle_timeout: float | None = None
@@ -75,7 +83,7 @@ class TcpConnection:
         if obs is not None:
             obs.tcp_connects += 1
         self.host.meter.charge_cpu(self.host.meter.cost.tcp_handshake)
-        self._emit(TcpInfo(syn=True))
+        self._emit(SEG_SYN)
 
     def send(self, data: bytes) -> None:
         """Queue application bytes on the stream."""
@@ -97,7 +105,7 @@ class TcpConnection:
             self._transmit_data(bytes(self._send_buf), ack=False)
             self._send_buf.clear()
         self.state = FIN_WAIT
-        self._emit(TcpInfo(fin=True, ack=True))
+        self._emit_acking(SEG_FIN_ACK)
 
     def set_idle_timeout(self, timeout: float | None) -> None:
         """Close the connection after *timeout* seconds of inactivity
@@ -122,7 +130,7 @@ class TcpConnection:
     # -- segment handling -----------------------------------------------------
 
     def handle_segment(self, packet: Packet) -> None:
-        info = packet.tcp or TcpInfo()
+        info = packet.tcp or SEG_DATA
         host = self.host
         host.meter.cpu_busy += host.meter.cost.tcp_segment
         self._last_activity = host.scheduler.now
@@ -140,17 +148,21 @@ class TcpConnection:
                     obs.tcp_accepts += 1
                 self.host.meter.charge_cpu(
                     self.host.meter.cost.tcp_handshake)
-                self._emit(TcpInfo(syn=True, ack=True))
+                self._emit(SEG_SYN_ACK)
             return
 
         if info.syn and info.ack:
             # Client's handshake completes.
             if self.state == SYN_SENT:
+                # The SYN+ACK is owed an ACK.  It rides on the first
+                # segment out (what on_established sends, or data
+                # queued before the handshake) and goes bare only if
+                # there is none.
+                self._recv_segs_unacked = 1
                 self._become_established()
-                if self._send_buf:
-                    self._pump(force_ack=True)
-                else:
-                    self._emit(TcpInfo(ack=True))
+                self._pump()
+                if self._recv_segs_unacked:
+                    self._emit_acking(SEG_ACK)
             return
 
         if info.fin:
@@ -172,6 +184,7 @@ class TcpConnection:
             self._become_closed()
         elif self.state == ESTABLISHED:
             self._inflight = 0
+            self._small_in_flight = False
             self._pump()
         elif self.state == FIN_WAIT:
             # ACK of our FIN without their FIN yet: keep waiting.
@@ -188,9 +201,16 @@ class TcpConnection:
         obs = self.host.scheduler.obs
         if obs is not None:
             obs.tcp_bytes_in += len(payload)
-        self._schedule_ack()
+        self._recv_segs_unacked += 1
+        if self._recv_segs_unacked >= 2:
+            self._emit_acking(SEG_ACK)  # ACK every second segment
         if self.on_data is not None:
             self.on_data(payload)
+        # Arm the delayed ACK only if the application's reply (or a
+        # close) did not already carry it.
+        if self._recv_segs_unacked and self._delayed_ack_event is None:
+            self._delayed_ack_event = self.host.scheduler.after(
+                DELAYED_ACK, self._fire_delayed_ack)
 
     def _handle_fin(self, info: TcpInfo) -> None:
         if self.state == ESTABLISHED:
@@ -198,17 +218,17 @@ class TcpConnection:
             if info.ack:
                 self._inflight = 0
             self.state = LAST_ACK
-            self._emit(TcpInfo(fin=True, ack=True))
+            self._emit_acking(SEG_FIN_ACK)
             self._notify_closed_app()
         elif self.state == FIN_WAIT:
-            self._emit(TcpInfo(ack=True))
+            self._emit_acking(SEG_ACK)
             self._become_time_wait()
         elif self.state == TIME_WAIT:
             # Retransmitted FIN; re-ACK.
             obs = self.host.scheduler.obs
             if obs is not None:
                 obs.tcp_fin_retransmits_seen += 1
-            self._emit(TcpInfo(ack=True))
+            self._emit(SEG_ACK)
 
     # -- state transitions ------------------------------------------------------
 
@@ -275,34 +295,39 @@ class TcpConnection:
 
     # -- transmission ------------------------------------------------------------
 
-    def _pump(self, force_ack: bool = False) -> None:
+    def _pump(self) -> None:
         """Move bytes from the send buffer to the wire, honouring MSS
-        and (if enabled) Nagle's algorithm."""
-        sent_any = False
+        and (if enabled) Nagle's algorithm, in Minshall's form: a
+        partial segment waits only while an earlier partial segment is
+        unACKed, so the tail of a large write leaves with its body."""
         while self._send_buf:
             if len(self._send_buf) >= MSS:
                 chunk = bytes(self._send_buf[:MSS])
                 del self._send_buf[:MSS]
                 self._transmit_data(chunk, ack=True)
-                sent_any = True
                 continue
             # Partial segment.
-            if self.nagle and self._inflight > 0:
-                break  # hold until the outstanding data is ACKed
+            if self.nagle and self._small_in_flight:
+                break  # hold until the small segment is ACKed
             chunk = bytes(self._send_buf)
             self._send_buf.clear()
             self._transmit_data(chunk, ack=True)
-            sent_any = True
-        if force_ack and not sent_any:
-            self._emit(TcpInfo(ack=True))
 
     def _transmit_data(self, chunk: bytes, ack: bool) -> None:
         self._inflight += len(chunk)
+        if len(chunk) < MSS:
+            self._small_in_flight = True
         self._last_activity = self.host.scheduler.now
         # Data segments carry the ACK for anything we owe.
-        self._cancel_delayed_ack()
+        self._emit_acking(SEG_ACK if ack else SEG_DATA, chunk)
+
+    def _emit_acking(self, info: TcpInfo, payload: bytes = b"") -> None:
+        """Emit a segment that settles every ACK owed to the peer."""
+        if self._delayed_ack_event is not None:
+            self._delayed_ack_event.cancel()
+            self._delayed_ack_event = None
         self._recv_segs_unacked = 0
-        self._emit(TcpInfo(ack=ack), payload=chunk)
+        self._emit(info, payload)
 
     def _emit(self, info: TcpInfo, payload: bytes = b"") -> None:
         host = self.host
@@ -316,27 +341,12 @@ class TcpConnection:
 
     # -- delayed ACK ---------------------------------------------------------------
 
-    def _schedule_ack(self) -> None:
-        self._recv_segs_unacked += 1
-        if self._recv_segs_unacked >= 2:
-            self._cancel_delayed_ack()
-            self._recv_segs_unacked = 0
-            self._emit(TcpInfo(ack=True))
-        elif self._delayed_ack_event is None:
-            self._delayed_ack_event = self.host.scheduler.after(
-                DELAYED_ACK, self._fire_delayed_ack)
-
     def _fire_delayed_ack(self) -> None:
         self._delayed_ack_event = None
         if self._recv_segs_unacked > 0 and self.state in (ESTABLISHED,
                                                           FIN_WAIT):
             self._recv_segs_unacked = 0
-            self._emit(TcpInfo(ack=True))
-
-    def _cancel_delayed_ack(self) -> None:
-        if self._delayed_ack_event is not None:
-            self._delayed_ack_event.cancel()
-            self._delayed_ack_event = None
+            self._emit(SEG_ACK)
 
     def __repr__(self) -> str:
         return (f"TcpConnection({self.laddr}:{self.lport} -> "

@@ -19,6 +19,11 @@ controller's :class:`~repro.replay.supervisor.Pins` table gives its
 source.  Supervision (:mod:`repro.replay.supervisor`) adds two checks on
 that head — move a source whose distributor died, and stall while the
 target distributor sits at the high-water mark — and nothing else.
+
+The Postman writes like a buffered writer: a pass's frames collect per
+channel and leave in one ``conn.send`` each (:meth:`Controller.flush`),
+so a 512-record window goes out as MSS-sized segments, not one segment
+per record.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ class ControlChannel:
         self.conn.nagle = False  # control plane wants low latency
         self.sent = 0
         self.supervisor = None
+        self.pending = bytearray()  # this pass's frames, not yet written
 
     def enable_heartbeats(self, supervisor) -> None:
         """Listen for heartbeat frames coming back from the endpoint."""
@@ -209,9 +215,10 @@ class Controller:
             self._synced = True
             epoch = self._sync_time if self._sync_time is not None \
                 else batch[0].time
-            sync = bytes([SYNC_FRAME]) + struct.pack("!d", epoch)
+            sync = frame_message(bytes([SYNC_FRAME])
+                                 + struct.pack("!d", epoch))
             for channel in self.channels:
-                channel.conn.send(frame_message(sync))
+                channel.pending += sync
         self._backlog.extend(batch)
         self._drain_backlog()
 
@@ -240,17 +247,27 @@ class Controller:
                 if not self.paused:
                     self.paused = True
                     self.supervisor.on_stall(self)
-                return
+                break
             self.records_read += 1
             self.send_record(channel, backlog.popleft())
+        self.flush()
 
     def send_record(self, channel: ControlChannel,
                     record: QueryRecord) -> None:
-        """The one place a record frame is built and sent."""
-        frame = bytes([RECORD_FRAME]) + encode_record(record)
-        channel.conn.send(frame_message(frame))
+        """The one place a record frame is built.  It joins *channel*'s
+        pass and leaves with the next :meth:`flush`; the distributor
+        counts it en route from now on."""
+        channel.pending += frame_message(
+            bytes([RECORD_FRAME]) + encode_record(record))
         channel.sent += 1
         channel.distributor.enroute += 1
+
+    def flush(self) -> None:
+        """Write the pass: one ``conn.send`` per channel with frames."""
+        for channel in self.channels:
+            if channel.pending:
+                channel.conn.send(bytes(channel.pending))
+                channel.pending.clear()
 
     def try_resume(self) -> None:
         """A downstream queue drained: unstall if the head record's

@@ -420,8 +420,10 @@ class Supervisor:
             controller = self._controller_for(record.src)
             controller.send_record(controller.pins.live(record.src),
                                    record)
-        # Unstick Postmen stalled on the dead distributor's full queue.
+        # Write the re-dispatch as one pass, then unstick Postmen
+        # stalled on the dead distributor's full queue.
         for controller in self.engine.controllers:
+            controller.flush()
             controller.try_resume()
 
     def _controller_for(self, src: str):

@@ -1,11 +1,15 @@
 """Tests for the TCP model: handshake, data, Nagle, close, TIME_WAIT."""
 
+import dataclasses
+
 import pytest
 
 from repro.netsim import LinkParams, Simulator
 from repro.netsim.framing import LengthPrefixFramer, frame_message
-from repro.netsim.tcp import (DELAYED_ACK, ESTABLISHED, MSS,
-                              TIME_WAIT, TIME_WAIT_DURATION, CLOSED)
+from repro.netsim.tcp import (CLOSED, DELAYED_ACK, ESTABLISHED, LAST_ACK,
+                              MSS, SEG_ACK, SEG_DATA, SEG_FIN_ACK,
+                              SEG_SYN, SEG_SYN_ACK, TIME_WAIT,
+                              TIME_WAIT_DURATION)
 
 
 def build(delay=0.005):
@@ -289,3 +293,123 @@ def test_concurrent_connections_demux_correctly():
     assert len(replies) == 20
     for i in range(20):
         assert replies[i] == f"echo:msg{i}".encode()
+
+
+def segments_out(sim, host):
+    """(time, flags, payload length) of every TCP segment *host* sends."""
+    seen = []
+
+    def tap(packet):
+        if packet.proto == "tcp":
+            seen.append((sim.now, packet.tcp.flags(), len(packet.payload)))
+        return packet
+
+    host.egress_filters.append(tap)
+    return seen
+
+
+def test_handshake_ack_rides_on_data_sent_at_establishment():
+    """A client that sends from on_established (every TLS client, for
+    its ClientHello) puts its handshake ACK on that data segment and
+    sends no bare ACK next to it."""
+    sim, client, server = build(delay=0.010)
+    echo_server(server)
+    out = segments_out(sim, client)
+    conn = client.tcp_connect("10.0.0.2", 53)
+    conn.on_data = lambda data: None
+    conn.on_established = lambda: conn.send(frame_message(b"hi"))
+    sim.run(until=0.030)   # the handshake, up to before the reply
+    assert [(flags, size) for _, flags, size in out] == [
+        ("SYN", 0), ("ACK", 4)]
+
+
+def test_handshake_ack_goes_bare_when_nothing_is_sent():
+    sim, client, server = build(delay=0.010)
+    echo_server(server)
+    out = segments_out(sim, client)
+    client.tcp_connect("10.0.0.2", 53)
+    sim.run_until_idle()
+    assert [(flags, size) for _, flags, size in out] == [
+        ("SYN", 0), ("ACK", 0)]
+
+
+def test_close_from_on_data_sends_no_stray_ack_after_its_fin():
+    """At 200 ms RTT the reply's delayed ACK would fire 40 ms after the
+    FIN+ACK that already carried it; the peer in LAST_ACK would take
+    that stray ACK for the ACK of its own FIN and close a round trip
+    early."""
+    sim, client, server = build(delay=0.100)   # RTT = 200 ms
+    server_conns = echo_server(server)
+    out = segments_out(sim, client)
+    conn = client.tcp_connect("10.0.0.2", 53)
+    conn.on_established = lambda: conn.send(frame_message(b"q"))
+    conn.on_data = lambda data: conn.close()   # reply at 0.40 s
+    # Client FIN at 0.40 s -> server FIN+ACK at 0.50 s -> the client's
+    # ACK of it reaches the server at 0.70 s, not before.
+    sim.run(until=0.69)
+    assert server_conns[0].state == LAST_ACK
+    sim.run_until_idle()
+    assert server_conns[0].state == CLOSED
+    after_fin = [(t, flags) for t, flags, _ in out if t >= 0.4 - 1e-9]
+    assert after_fin == [(pytest.approx(0.4, abs=1e-3), "ACK+FIN"),
+                         (pytest.approx(0.6, abs=1e-3), "ACK")]
+
+
+def test_passive_close_settles_the_owed_ack():
+    """The FIN+ACK of a passive close acknowledges everything: no
+    delayed ACK is left armed behind it."""
+    sim, client, server = build(delay=0.010)
+    server_conns = []
+
+    def on_conn(conn):
+        server_conns.append(conn)
+        conn.on_data = lambda data: None   # owes an ACK, sends nothing
+
+    server.tcp_listen(53, on_conn)
+    conn = client.tcp_connect("10.0.0.2", 53)
+    conn.on_established = lambda: conn.send(b"data")
+    sim.run(until=0.0301)          # the data has just arrived
+    peer = server_conns[0]
+    assert peer._delayed_ack_event is not None
+    conn.close()
+    sim.run(until=0.0402)          # the FIN has arrived
+    assert peer.state == LAST_ACK
+    assert peer._delayed_ack_event is None
+    assert peer._recv_segs_unacked == 0
+
+
+def test_reply_inside_on_data_arms_no_delayed_ack():
+    """A server that answers from on_data carries the ACK on its reply,
+    so no delayed-ACK timer is armed and then cancelled in the same
+    event.  One query on a warm connection schedules exactly: the
+    query's and the reply's deliveries, the client's delayed-ACK timer
+    and that ACK's delivery."""
+    sim, client, server = build(delay=0.010)
+    echo_server(server)
+    conn = client.tcp_connect("10.0.0.2", 53)
+    conn.nagle = False
+    conn.on_data = lambda data: None
+    sim.run_until_idle()
+    scheduler = sim.scheduler
+    before = scheduler.heap_scheduled
+    conn.send(frame_message(b"q"))
+    sim.run_until_idle()
+    assert scheduler.heap_scheduled - before == 4
+
+
+def test_segment_flags_are_shared_frozen_constants():
+    for info in (SEG_DATA, SEG_ACK, SEG_SYN, SEG_SYN_ACK, SEG_FIN_ACK):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            info.ack = not info.ack
+    assert SEG_SYN_ACK.flags() == "SYN+ACK"
+    sim, client, server = build()
+    echo_server(server)
+    infos = []
+    client.egress_filters.append(
+        lambda packet: (infos.append(packet.tcp), packet)[1])
+    conn = client.tcp_connect("10.0.0.2", 53)
+    conn.on_established = lambda: conn.send(frame_message(b"q"))
+    sim.run_until_idle()
+    assert infos and all(
+        any(info is shared for shared in (SEG_ACK, SEG_SYN, SEG_FIN_ACK))
+        for info in infos)

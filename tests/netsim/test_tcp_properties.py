@@ -76,3 +76,35 @@ def test_memory_conserved_after_full_teardown(connections, who_closes):
     assert server.meter.established == 0
     assert client.meter.time_wait == 0
     assert server.meter.time_wait == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.binary(min_size=0, max_size=120), max_size=30),
+       st.binary(max_size=40), st.data())
+def test_framer_is_indifferent_to_chunking(messages, unfinished, data):
+    """Any chunking of a framed stream — 1-byte pieces up to many whole
+    frames per piece — yields the same messages in order, and after
+    every piece ``pending_bytes()`` is exactly the incomplete tail."""
+    frames = [frame_message(message) for message in messages]
+    # A trailing frame that never completes: its prefix stays pending.
+    tail = frame_message(unfinished)[:data.draw(
+        st.integers(0, len(unfinished) + 1), label="tail")]
+    stream = b"".join(frames) + tail
+    ends, end = [], 0
+    for frame in frames:
+        end += len(frame)
+        ends.append(end)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)),
+                                     max_size=40), label="cuts"))
+    out = []
+    framer = LengthPrefixFramer(out.append)
+    fed = 0
+    for cut in cuts + [len(stream)]:
+        if cut > fed:
+            framer.feed(stream[fed:cut])
+            fed = cut
+        whole = [e for e in ends if e <= fed]
+        assert out == messages[:len(whole)]
+        assert framer.pending_bytes() == fed - (whole[-1] if whole else 0)
+    assert out == messages
+    assert framer.pending_bytes() == len(tail)

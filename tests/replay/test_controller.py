@@ -1,13 +1,19 @@
 """Unit tests for the controller (Reader + Postman) and distributor."""
 
+import math
 from collections import Counter
 
 import pytest
 
 from repro.netsim import LinkParams, Simulator
-from repro.replay.controller import Controller, DistributorEndpoint
+from repro.netsim.framing import LengthPrefixFramer, frame_message
+from repro.netsim.tcp import MSS
+from repro.replay.controller import (RECORD_FRAME, SYNC_FRAME, Controller,
+                                     DistributorEndpoint)
 from repro.replay.distributor import Distributor
 from repro.replay.querier import Querier
+from repro.replay.supervisor import SupervisionConfig
+from repro.trace.binaryform import encode_record
 from repro.trace.record import QueryRecord
 
 
@@ -95,3 +101,72 @@ def test_empty_input_finishes_immediately():
     sim.run_until_idle()
     assert controller.finished
     assert controller.records_read == 0
+
+
+def control_segments(controller):
+    """Payloads of the data segments the controller host sends."""
+    payloads = []
+
+    def tap(packet):
+        if packet.proto == "tcp" and packet.payload:
+            payloads.append(packet.payload)
+        return packet
+
+    controller.host.egress_filters.append(tap)
+    return payloads
+
+
+def test_one_pass_leaves_as_mss_sized_segments():
+    """The Postman writes a pass the way a buffered writer would: one
+    write per channel, so the window leaves as ceil(bytes / MSS) data
+    segments, not one segment per record."""
+    n = 200
+    sim, controller, distributor, queriers = build(read_window=n)
+    sim.run_until_idle()           # the control connection is up
+    payloads = control_segments(controller)
+    batch = records(n)
+    controller.start(batch)
+    sim.run(max_events=1)          # the Reader's first pass
+    framed = len(frame_message(bytes([SYNC_FRAME]) + bytes(8))) + sum(
+        len(frame_message(bytes([RECORD_FRAME]) + encode_record(r)))
+        for r in batch)
+    assert sum(map(len, payloads)) == framed
+    assert len(payloads) == math.ceil(framed / MSS)
+    assert all(len(p) == MSS for p in payloads[:-1])
+
+
+class _StallingSupervisor:
+    """The two calls the Postman makes on a supervised stall."""
+
+    def __init__(self, high_water):
+        self.config = SupervisionConfig(high_water=high_water)
+        self.stalls = 0
+
+    def on_stall(self, controller):
+        self.stalls += 1
+
+    def on_resume(self, controller):
+        pass
+
+
+def test_stall_mid_pass_writes_exactly_the_frames_en_route():
+    """A pass cut short by the high-water mark still goes out: what is
+    on the wire is exactly the record frames the distributor counts
+    en route, no more (nothing sent past the mark) and no fewer
+    (nothing left behind in the channel's buffer)."""
+    high_water = 7
+    sim, controller, distributor, queriers = build(read_window=50)
+    sim.run_until_idle()
+    payloads = control_segments(controller)
+    controller.supervisor = _StallingSupervisor(high_water)
+    controller.start(records(50))
+    sim.run(max_events=1)
+    assert controller.paused and controller.supervisor.stalls == 1
+    kinds = []
+    framer = LengthPrefixFramer(lambda frame: kinds.append(frame[0]))
+    for payload in payloads:
+        framer.feed(payload)
+    assert framer.pending_bytes() == 0
+    assert kinds.count(SYNC_FRAME) == 1
+    assert kinds.count(RECORD_FRAME) == distributor.enroute == high_water
+    assert controller.channels[0].pending == b""
