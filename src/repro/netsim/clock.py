@@ -149,4 +149,17 @@ class Scheduler:
             obs.sim_wall_ratio = self.now / self.wall_time
 
     def run_until_idle(self, max_events: int = 50_000_000) -> None:
+        """Run until only daemon events remain.  *max_events* is a
+        runaway guard, not a budget: reaching it with live events still
+        pending raises :class:`RuntimeError` instead of returning as if
+        the simulation were done (use :meth:`run` for a budget)."""
         self.run(max_events=max_events)
+        if self._live:
+            pending = sum(1 for event in self._heap
+                          if not event[4] and event[2] is not None)
+            if pending:
+                raise RuntimeError(
+                    f"run_until_idle hit its max_events cap "
+                    f"({max_events:,}) with {pending:,} live events "
+                    "still pending; raise max_events to run a longer "
+                    "simulation to completion")

@@ -9,21 +9,32 @@ Distributor and querier processes live on the same client-instance host
 (Figure 4); the distributor hands records to queriers over a Unix
 socket, modelled as a small constant IPC delay.
 
-Every record takes one path: on arrival it is stamped with the time its
-hand-over falls due — the process serialises ``PER_RECORD_CPU ×
-lag_factor`` per record, the socket hop overlaps the next record's CPU —
-and joins the ingress queue; one armed event hands the head of the
-queue to its querier and re-arms for the next.  Supervision
-(``ReplayConfig(supervision=...)``) bounds that queue and adds nothing
-else to the path: at the high-water mark the hand-over holds until the
-querier's backlog drains (``stall``, which in turn stalls the Postman)
-or the oldest record is dropped (``shed``); a crashed distributor parks
-arrivals as orphans for the supervisor to re-dispatch (see
-:mod:`repro.replay.supervisor`).
+Records reach a distributor one of two ways.  In distributed mode each
+arrives as a control frame from the Postman (:meth:`handle_record`).  In
+direct mode the distributor reads the input stream itself — "a single
+distributor can read input query stream directly" (Figure 4): it holds
+a cursor over its share of the trace (:meth:`read_from`) and admits
+each record at the instant the reader makes it available, only when
+something looks — its next hand-over, a fault, or one arrival event
+armed while its queue is empty.  So the scheduler holds what is in
+flight, never the trace.
+
+Either way every record then takes one path: on arrival it is stamped
+with the time its hand-over falls due — the process serialises
+``PER_RECORD_CPU × lag_factor`` per record, the socket hop overlaps the
+next record's CPU — and joins the ingress queue; one armed event hands
+the head of the queue to its querier and re-arms for the next.
+Supervision (``ReplayConfig(supervision=...)``, distributed mode only)
+bounds that queue and adds nothing else to the path: at the high-water
+mark the hand-over holds until the querier's backlog drains (``stall``,
+which in turn stalls the Postman) or the oldest record is dropped
+(``shed``); a crashed distributor parks arrivals as orphans for the
+supervisor to re-dispatch (see :mod:`repro.replay.supervisor`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.netsim.host import Host
@@ -69,25 +80,33 @@ class Distributor:
         self.crashed = False
         self._orphans: list[QueryRecord] = []
         self._sync: tuple[float, float] | None = None
+        # Direct mode's cursor (read_from): the trace, this share's
+        # indices into it, and the position of the next unread one.
+        self._records: list[QueryRecord] = []
+        self._indices = range(0)        # or an array of ints
+        self._reader_cost = 0.0
+        self._opened = 0.0              # clock when the stream opened
+        self._next = 0
+        self._end = 0
 
-    def _ipc_time(self) -> float:
+    def _ipc_time(self, now: float) -> float:
         """Serialize forwarding through this process: when something
-        arriving now reaches the queriers' end of the Unix socket."""
-        now = self.host.scheduler.now
+        arriving at *now* reaches the queriers' end of the Unix
+        socket."""
         start = max(now, self._busy_until)
         cpu = PER_RECORD_CPU * self.lag_factor
         self._busy_until = start + cpu
         return start + cpu + UNIX_SOCKET_DELAY
 
     def handle_sync(self, trace_t1: float) -> None:
-        at = self._ipc_time()
+        at = self._ipc_time(self.host.scheduler.now)
         self._sync = (trace_t1, at)
         for querier in self.queriers:
             self.host.scheduler.at(at, querier.handle_sync, trace_t1)
 
     def handle_record(self, record: QueryRecord) -> None:
-        """A record arrives (control frame, or the direct feed): stamp
-        its hand-over time and queue it."""
+        """A record arrives as a control frame: stamp its hand-over
+        time and queue it."""
         if self.enroute:
             self.enroute -= 1
         if self.crashed:
@@ -95,7 +114,7 @@ class Distributor:
             return
         scheduler = self.host.scheduler
         now = scheduler.now
-        due = self._ipc_time()
+        due = self._ipc_time(now)
         obs = scheduler.obs
         if obs is not None:
             # Queue lag: how long the record waits for this process's
@@ -114,6 +133,87 @@ class Distributor:
         if depth == 1:
             scheduler.at(due, self._forward)
 
+    def read_from(self, records: list[QueryRecord], indices,
+                  reader_cost: float) -> None:
+        """Direct mode: read the share *indices* (ascending positions
+        in *records*, a ``range`` or an ``array``) of the input stream
+        itself.  The reader makes record ``i`` available at ``i ×
+        reader_cost`` — never before the clock stands now — exactly as
+        a real single reader's would; nothing is stored per record."""
+        if self._next < self._end:
+            raise RuntimeError(
+                f"{self.name} has not finished reading its previous "
+                "stream (a run cut by until= leaves records unread); "
+                "replay the next trace on a fresh engine")
+        self._records = records
+        self._indices = indices
+        self._reader_cost = reader_cost
+        self._opened = self.host.scheduler.now
+        self._next = 0
+        self._end = len(indices)
+        if indices:
+            self._arm_arrival()
+
+    def read(self, until: float) -> None:
+        """Admit, in order, every unread record of the stream available
+        by *until*, with the arithmetic a per-record arrival event would
+        have done at that instant: stamp its hand-over time from its
+        availability, queue it, or park it as an orphan once crashed."""
+        indices = self._indices
+        records = self._records
+        cost = self._reader_cost
+        opened = self._opened
+        position = self._next
+        end = self._end
+        queue = self._queue
+        crashed = self.crashed
+        obs = self.host.scheduler.obs
+        while position < end:
+            index = indices[position]
+            available = index * cost
+            if available < opened:
+                available = opened
+            if available > until:
+                break
+            position += 1
+            record = records[index]
+            if crashed:
+                self._orphans.append(record)
+                continue
+            due = self._ipc_time(available)
+            if obs is not None:
+                obs.distributor_queue_lag.record(
+                    max(0.0, due - available
+                        - PER_RECORD_CPU * self.lag_factor
+                        - UNIX_SOCKET_DELAY))
+            queue.append((record, due))
+            depth = len(queue)
+            if depth > self.peak_depth:
+                self.peak_depth = depth
+        self._next = position
+
+    def _read_before_now(self) -> None:
+        """Catch up before a fault takes effect.  The fault injector is
+        armed before the stream opens, so a fault at *t* wins the tie
+        with the record available at *t*: read strictly before it."""
+        if self._next < self._end:
+            self.read(math.nextafter(self.host.scheduler.now, -math.inf))
+
+    def _arm_arrival(self) -> None:
+        """Wake when the next unread record becomes available.  Armed
+        only while the queue is empty (or the process has crashed):
+        otherwise the next ``_forward`` reads it."""
+        available = self._indices[self._next] * self._reader_cost
+        self.host.scheduler.at(available, self._arrive)
+
+    def _arrive(self) -> None:
+        scheduler = self.host.scheduler
+        self.read(scheduler.now)
+        if self._queue:
+            scheduler.at(self._queue[0][1], self._forward)
+        elif self._next < self._end:
+            self._arm_arrival()     # crashed: arrivals become orphans
+
     def _forward(self) -> None:
         """Hand the head of the queue to its querier, then re-arm for
         the next head: the one place a record leaves the distributor."""
@@ -122,6 +222,8 @@ class Distributor:
             return      # crashed since arming: the queue was orphaned
         scheduler = self.host.scheduler
         now = scheduler.now
+        if self._next < self._end:
+            self.read(now)
         record, due = queue[0]
         if due > now:
             # The head this event was armed for was shed.
@@ -157,6 +259,8 @@ class Distributor:
             supervisor.on_queue_drain(self)
         if queue:
             scheduler.at(queue[0][1], self._forward)
+        elif self._next < self._end:
+            self._arm_arrival()
 
     def shed_oldest(self) -> None:
         """Drop-oldest at the high-water mark (``shed`` policy)."""
@@ -179,13 +283,20 @@ class Distributor:
         for the supervisor to re-dispatch through a survivor."""
         if self.crashed:
             return
+        self._read_before_now()
         self.crashed = True
+        queued = bool(self._queue)
         self._orphans.extend(record for record, _ in self._queue)
         self._queue.clear()
+        if queued and self._next < self._end:
+            # The stream keeps arriving, now as orphans; with the
+            # queue empty, no hand-over is left to read it.
+            self._arm_arrival()
 
     def set_lag(self, factor: float) -> None:
         """DistributorLag fault hook: scale the per-record CPU cost of
         records arriving from now on."""
+        self._read_before_now()
         self.lag_factor = factor
 
     def take_orphans(self) -> list[QueryRecord]:

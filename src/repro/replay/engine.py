@@ -10,14 +10,19 @@ Two distribution modes:
 
 * ``distributed`` — records flow Reader -> Postman -> TCP -> distributor
   -> querier, the full §3 prototype architecture;
-* ``direct`` — a single distributor consumes the input stream in-process
-  ("Optionally, a single distributor can read input query stream
-  directly", Figure 4), halving event count for large resource
-  experiments.
+* ``direct`` — each distributor reads its share of the input stream
+  itself ("Optionally, a single distributor can read input query stream
+  directly", Figure 4): no Reader, Postman or control channel, and no
+  event per record before the run — the scheduler holds what is in
+  flight, not the trace.  Scheduler events per record, seed 11, at the
+  performance ledger's ``--seconds 10`` scale: 3.91 on ``fig9_hot``
+  (direct, ``fast``), 5.90 on ``rec17_bounded`` (direct, ΔT-timed,
+  through the resolver), against 4.07 on ``broot_udp`` (distributed).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -489,6 +494,10 @@ class ReplayEngine:
                 self._direct_feed(records)
         if until is not None:
             self.sim.run(until=until)
+            # What the reader made available by the cut has arrived,
+            # whether or not a hand-over has looked since.
+            for distributor in self.distributors:
+                distributor.read(until)
         else:
             self.sim.run_until_idle()
             self.sim.run(until=self.sim.now + extra_time)
@@ -574,19 +583,33 @@ class ReplayEngine:
                 controller.finished = True
 
     def _direct_feed(self, records) -> None:
-        """Direct mode: one distributor-equivalent reads the stream."""
-        distributor_for = Pins(self.distributors, self.config.seed).member_for
-        if records:
-            for distributor in self.distributors:
-                self.sim.scheduler.after(0.0, distributor.handle_sync,
-                                         records[0].time)
-        for index, record in enumerate(records):
-            distributor = distributor_for(record.src)
-            # The reader costs CPU per record; availability time grows
-            # linearly exactly as a real single reader's would.
-            available = index * self.config.reader_cost
-            self.sim.scheduler.at(available, distributor.handle_record,
-                                  record)
+        """Direct mode: each distributor reads its share of the stream
+        itself (:meth:`Distributor.read_from`); sources are split over
+        the distributors up front by one local :class:`Pins` table."""
+        if not records:
+            return
+        distributors = self.distributors
+        for distributor in distributors:
+            self.sim.scheduler.after(0.0, distributor.handle_sync,
+                                     records[0].time)
+        if len(distributors) == 1:
+            shares = [range(len(records))]
+        else:
+            # Pinned over the distributors' positions (the same draws
+            # as over the distributors), so a draw names its share.
+            share_for = Pins(list(range(len(distributors))),
+                             self.config.seed,
+                             actor=distributors.__getitem__).member_for
+            shares = [array("q") for _ in distributors]
+            for index, record in enumerate(records):
+                shares[share_for(record.src)].append(index)
+        # Arrival events armed in stream order, so records available at
+        # the same instant are read in the order a single reader reads
+        # them.
+        for distributor, share in sorted(
+                zip(distributors, shares),
+                key=lambda pair: pair[1][0] if pair[1] else len(records)):
+            distributor.read_from(records, share, self.config.reader_cost)
 
     def report(self) -> ReplayReport:
         counted = [*self.queriers, *self.distributors, *self.controllers,

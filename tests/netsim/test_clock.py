@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,28 @@ def test_max_events_limit():
         sched.at(float(i), lambda: None)
     sched.run(max_events=3)
     assert sched.events_processed == 3
+
+
+def test_run_until_idle_raises_at_its_cap_with_work_pending():
+    # A cap reached with live events left is a truncated run, not an
+    # idle one: returning quietly would drop the tail of a long trace.
+    sched = Scheduler()
+    for i in range(20):
+        sched.at(float(i), lambda: None)
+    with pytest.raises(RuntimeError, match=r"max_events cap \(10\) "
+                       r"with 10 live events"):
+        sched.run_until_idle(max_events=10)
+    assert sched.events_processed == 10
+
+
+def test_run_until_idle_cap_ignores_daemon_and_cancelled_leftovers():
+    sched = Scheduler()
+    for i in range(10):
+        sched.at(float(i), lambda: None)
+    sched.at(20.0, lambda: None).cancel()
+    sched.at(30.0, lambda: None, daemon=True)
+    sched.run_until_idle(max_events=10)
+    assert sched.events_processed == 10
 
 
 def test_daemon_events_do_not_keep_loop_alive():
