@@ -74,7 +74,7 @@ from repro.trace.pipeline import (FilterRecords, MapRecords, PipelineOp,
                                   TracePipeline)
 from repro.trace.stats import StreamingStats
 
-__version__ = "1.14.4"
+__version__ = "1.14.5"
 
 __all__ = [
     "AdmissionConfig",

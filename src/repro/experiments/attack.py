@@ -163,7 +163,7 @@ def run_defense_cell(shape: str = "water-torture",
                      defended: bool = True, backend: str = "sim",
                      seed: int = 9) -> DefenseCell:
     """One cell of the sweep: a deliberately undersized server (one
-    slow worker in sim, the single-process loopback responder live)
+    slow worker in sim, the one-event-loop loopback responder live)
     against an attack that exceeds its capacity several times over."""
     from repro.core.experiment import (AuthoritativeExperiment,
                                        ExperimentConfig)
@@ -200,7 +200,7 @@ def run_defense_cell(shape: str = "water-torture",
         # than this has effectively not answered.  The large in-flight
         # window keeps the clients from self-throttling the flood, and
         # the modest speed-up keeps datagram *arrival* feasible for the
-        # single shared event loop — the overload must come from
+        # server's one event loop — the overload must come from
         # response *processing*, which is what admission control
         # triages away, not from the loopback transport itself.
         replay.live = LiveReplayConfig(speed=2.0, query_timeout=0.4,

@@ -70,6 +70,19 @@ class Tracer:
         return ([s for s in self._ring[self._next:] if s is not None]
                 + [s for s in self._ring[:self._next] if s is not None])
 
+    def merge(self, other: "Tracer") -> None:
+        """Fold *other*'s spans and counts in (a tracer another process
+        kept over the same run and time base): the retained spans of
+        both interleave by start time and the newest ``capacity`` stay;
+        ``emitted`` and the per-kind counts add, so they stay exact."""
+        spans = sorted(self.spans() + other.spans(),
+                       key=lambda span: span.start)[-self.capacity:]
+        self._ring = spans + [None] * (self.capacity - len(spans))
+        self._next = len(spans) % self.capacity
+        self.emitted += other.emitted
+        for kind, count in other._kind_counts.items():
+            self._kind_counts[kind] = self._kind_counts.get(kind, 0) + count
+
     def counts(self) -> dict[str, int]:
         """Exact emit counts per span kind (overflow-proof)."""
         return {kind: self._kind_counts[kind]

@@ -3,13 +3,19 @@
 This is LDplayer's actual operating mode — real sockets, real kernel,
 wall-clock time — where the simulator backend is the deterministic
 model of it.  One :class:`LiveDnsServer` binds a UDP endpoint (a raw
-socket drained per event-loop wake-up, :class:`_UdpEndpoint`) and a
-TCP stream server on the *same* port number (retrying across
-ephemeral ports until a pair is free) and serves the shared
-:class:`~repro.server.responder.DnsResponder` answering core — the
-same views, answer cache, and response-building rules the simulated
+socket drained in bounded batches per event-loop wake-up,
+:class:`_UdpEndpoint`) and a TCP stream server on the *same* port
+number (retrying across ephemeral ports until a pair is free) and
+serves the shared :class:`~repro.server.responder.DnsResponder`
+answering core — the same views, answer cache, and response-building
+rules the simulated
 :class:`~repro.server.authoritative.AuthoritativeServer` runs, so the
 two backends answer identically by construction.
+
+As in the paper's Figure 5, the server is not the client: each run
+forks the server into a process of its own (:class:`_ServerProcess`),
+which inherits the built responder whole and hands its books back when
+the run stops, so the replay client and the server each have a core.
 
 The client side is the simulator's own
 :class:`~repro.replay.querier.Querier` — message ids, retransmission,
@@ -37,15 +43,19 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import signal
 import socket
+import sys
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
 
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.jitter import NullSendPath
 from repro.netsim.resources import ResourceMeter
-from repro.obs import Observer, volatile, zero_counters
+from repro.obs import (Observer, counter_state, restore_counters, volatile,
+                       zero_counters)
 from repro.replay.backends.base import ReplayBackend
 from repro.replay.querier import Querier
 from repro.replay.supervisor import partition
@@ -54,6 +64,7 @@ from repro.trace.pipeline import as_trace
 
 _READ_CHUNK = 65536
 _MAX_DATAGRAM = 65535   # the largest UDP payload: no read truncates
+_DRAIN_BATCH = 64       # datagrams read per wake-up; the rest wait a turn
 _UDP_BUF = 1 << 22      # ask for 4 MiB; the kernel clamps to rmem_max
 _TCP_CONNECTION_CAP = 64    # open stream connections per querier
 _SHUTDOWN_GRACE = 1.0       # server drain window per connection at close
@@ -78,9 +89,10 @@ class _UdpEndpoint:
     its ``sendto`` is given is implied.
 
     A raw non-blocking socket under ``loop.add_reader``: one wake-up
-    reads every datagram the kernel has queued, until ``EAGAIN``, where
-    an asyncio datagram transport spends a selector pass, a ``Handle``
-    and a protocol call on each.  That transport's contracts hold:
+    reads what the kernel has queued, until ``EAGAIN`` or
+    :data:`_DRAIN_BATCH` datagrams, where an asyncio datagram transport
+    spends a selector pass, a ``Handle`` and a protocol call on each.
+    That transport's contracts hold:
 
     * a recv or send ``OSError`` counts once in the owner's
       ``socket_errors`` (a connected socket reports an ICMP refusal as
@@ -120,7 +132,13 @@ class _UdpEndpoint:
         self._loop.add_reader(self._fd, self._read_ready)
 
     def _read_ready(self) -> None:
-        while self._sock is not None:      # on_datagram may close us
+        # Bounded: a peer in another process can keep the socket
+        # non-empty, and an unbounded drain would then starve every
+        # other callback.  A socket left non-empty stays readable, so
+        # the loop calls back after one turn.
+        for _ in range(_DRAIN_BATCH):
+            if self._sock is None:         # on_datagram may close us
+                return
             try:
                 data, addr = self._sock.recvfrom(_MAX_DATAGRAM)
             except BlockingIOError:        # drained
@@ -226,8 +244,9 @@ class LiveDnsServer:
         # queued query per event-loop turn, so arrivals — and their
         # cheap shed/refuse triage — interleave with the expensive
         # full-service path instead of queueing behind it.  Each
-        # wake-up triages every datagram the kernel holds before the
-        # next pop, so a burst deeper than ``soft_limit`` is refused.
+        # wake-up triages up to a batch of the datagrams the kernel
+        # holds before the next pop, so a burst deeper than
+        # ``soft_limit`` is refused.
         self._drain_pending = False
 
     def datagram_received(self, data: bytes, src: str, sport: int) -> None:
@@ -582,8 +601,154 @@ class _LiveHost:
         self.meter = ResourceMeter(cores=os.cpu_count() or 1)
 
 
+def _readable(conn) -> asyncio.Future:
+    """A future done once *conn* has a message or end of file to read,
+    awaited on the running loop rather than blocking it.  The reader
+    goes at once, so the next call on the same pipe arms its own; one
+    cancelled before it fired stays until the next call replaces it."""
+    loop = asyncio.get_running_loop()
+    fd = conn.fileno()
+    ready = loop.create_future()
+
+    def on_ready() -> None:
+        loop.remove_reader(fd)
+        if not ready.done():
+            ready.set_result(None)
+    loop.add_reader(fd, on_ready)
+    return ready
+
+
+async def _receive(conn):
+    await _readable(conn)
+    return conn.recv()
+
+
+def _keep_violations(loop: asyncio.AbstractEventLoop) -> list:
+    """Collect each ``InvariantViolation`` raised in *loop*'s
+    callbacks.  A violation raised in a socket callback reaches the
+    loop, not the feed: keep it, so the run raises it after the drain."""
+    from repro.check.invariants import InvariantViolation
+    violations: list = []
+
+    def keep_violation(loop, context) -> None:
+        exc = context.get("exception")
+        if isinstance(exc, InvariantViolation):
+            violations.append(exc)
+        else:
+            loop.default_exception_handler(context)
+    loop.set_exception_handler(keep_violation)
+    return violations
+
+
+def _fold_observer(observer: Observer, served: Observer) -> None:
+    """Add what the server process recorded to the parent's observer.
+    The serving side writes counters and spans, no histogram."""
+    for attr in Observer.COUNTERS:
+        setattr(observer, attr,
+                getattr(observer, attr) + getattr(served, attr))
+    observer.tracer.merge(served.tracer)
+
+
+class _ServerProcess:
+    """The parent's handle on the forked server of one run.
+
+    The fork happens before the parent's event loop starts, so no loop
+    and no thread is copied; the child inherits the built backend —
+    responder, zones, views, answer cache, overload state, checker
+    hooks, and whatever a test patched — with nothing pickled in.  It
+    binds the backend's :class:`LiveDnsServer`, sends the port, takes
+    the parent's replay epoch (both loops read ``time.monotonic``), and
+    serves until told to stop; then it closes the server and sends its
+    books back (:meth:`LiveBackend._serve`).  The child leaves through
+    ``os._exit``, so it never runs the parent's ``atexit`` hooks or
+    test teardown.  Its end of the pipe closes when it dies, which is
+    how the parent learns of a crash mid-run."""
+
+    def __init__(self, backend: "LiveBackend"):
+        # Imported here: a process that never runs live pays nothing.
+        from multiprocessing.connection import Pipe
+        ours, theirs = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            ours.close()
+            self._child(backend, theirs)
+        theirs.close()
+        self.conn = ours
+        self.status: int | None = None
+        self.stopped = False
+        try:
+            reply = self.conn.recv()      # the port, or why binding failed
+        except EOFError:
+            raise self.died() from None
+        except BaseException:
+            self.reap()
+            raise
+        if isinstance(reply, OSError):
+            self.reap()
+            raise reply
+        self.port: int = reply
+
+    @staticmethod
+    def _child(backend: "LiveBackend", conn):
+        # The parent owns the run: an interrupt reaches it, and it
+        # stops this process.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        code = 0
+        try:
+            asyncio.run(backend._serve(conn))
+        except BaseException:       # never unwind into the parent's frames
+            traceback.print_exc()
+            code = 1
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+
+    async def ask(self, message):
+        """Send *message* and await the reply; a server process that is
+        gone by then raises :meth:`died`."""
+        try:
+            self.conn.send(message)
+            return await _receive(self.conn)
+        except (EOFError, OSError):
+            raise self.died() from None
+
+    async def stop(self) -> dict:
+        """Tell the server to close and take back its books.  Called
+        once the querier hosts are closed, so the server reads every
+        stream's end of file before it stops."""
+        state = await self.ask("stop")
+        self.stopped = True
+        return state
+
+    def died(self) -> RuntimeError:
+        code = self.reap()
+        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+               else f"exited with status {code}")
+        return RuntimeError(
+            f"the live server process (pid {self.pid}) {how} mid-run")
+
+    def reap(self) -> int:
+        """Wait for the child and return its exit code (negative: the
+        signal).  A child that has not handed its books back is on an
+        error path and is killed first."""
+        if self.status is None:
+            if not self.stopped:
+                os.kill(self.pid, signal.SIGKILL)   # a zombie ignores it
+            _, status = os.waitpid(self.pid, 0)
+            self.status = os.waitstatus_to_exitcode(status)
+            self.conn.close()
+        return self.status
+
+
 class LiveBackend(ReplayBackend):
-    """Replay a trace over real loopback sockets in wall-clock time."""
+    """Replay a trace over real loopback sockets in wall-clock time.
+
+    Each :meth:`run` serves from a forked process (:class:`_ServerProcess`)
+    and takes the server's books back when it stops, so after a run
+    ``responder``, ``server`` and ``host.meter`` read as an in-process
+    server's would: counters and the query log accumulate over runs,
+    while answer-cache entries and rate-limit buckets start each run
+    from this process's state, as on a restarted server."""
 
     name = "live"
     COUNTERS = {"deadline_hit": volatile("replay.deadline_hit")}
@@ -603,6 +768,7 @@ class LiveBackend(ReplayBackend):
             clock=self._wall_now, observer=self.observer,
             overload=overload)
         self.server: LiveDnsServer | None = None
+        self.server_pid: int | None = None
         self.queriers: list[LiveQuerier] = []
         self.deadline_hit = False     # a flag; reported as 0 or 1
 
@@ -626,19 +792,89 @@ class LiveBackend(ReplayBackend):
         if until is not None:
             records = [r for r in records if r.time <= until]
         _validate_run(self.config, records, resume_from)
-        return asyncio.run(self._replay(records))
+        live = self.live
+        self.server = LiveDnsServer(
+            self.responder, host=live.host, port=live.port,
+            meter=self.host.meter, clock=self._wall_now)
+        served = _ServerProcess(self)
+        try:
+            self.server_pid, self.server.port = served.pid, served.port
+            return asyncio.run(self._replay(records, served))
+        finally:
+            served.reap()
 
-    async def _replay(self, records):
+    async def _serve(self, conn) -> None:
+        """The server process's whole run (see :class:`_ServerProcess`)."""
+        loop = asyncio.get_running_loop()
+        self.clock = _LoopScheduler(loop, None)
+        server, responder = self.server, self.responder
+        try:
+            await server.start()
+        except OSError as exc:
+            conn.send(exc)
+            return
+        conn.send(server.port)
+        served = None
+        if self.observer is not None:
+            # What this process records is the server's share alone.
+            responder._observer = served = Observer()
+        violations = []
+        if self.config.check:
+            from repro.check.invariants import InvariantChecker
+            InvariantChecker((), [(self.host.name, responder)], self.config,
+                             self.clock).attach()
+            violations = _keep_violations(loop)
+        logged = len(responder.query_log)
+        try:
+            self.clock.epoch = await _receive(conn)
+            cpu_start = time.process_time()
+            conn.send(None)
+            await _receive(conn)            # stop
+        except EOFError:
+            return                          # the parent is gone
+        await server.aclose()
+        # Let the connection handlers finish: each settles its count in
+        # the meter on the way out.
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        if others:
+            await asyncio.wait(others, timeout=_SHUTDOWN_GRACE)
+        meter = self.host.meter
+        meter.charge_cpu(time.process_time() - cpu_start)
+        meter.memory = self._rss_bytes()
+        cache = responder.answer_cache
+        conn.send({
+            "responder": counter_state(responder),
+            "answer_cache": (counter_state(cache) if cache is not None
+                             else None),
+            "query_log": responder.query_log[logged:],
+            "admission_queue": responder.admission_queue,
+            "server": counter_state(server),
+            "established": server.established,
+            "meter": vars(meter),
+            "observer": served,
+            "violations": violations[:1],
+        })
+
+    def _restore(self, state: dict) -> None:
+        """Take the server process's books (:meth:`_serve`) as ours."""
+        responder, server = self.responder, self.server
+        restore_counters(responder, state["responder"])
+        if responder.answer_cache is not None:
+            restore_counters(responder.answer_cache, state["answer_cache"])
+        responder.query_log += state["query_log"]
+        responder.admission_queue = state["admission_queue"]
+        restore_counters(server, state["server"])
+        server.established = state["established"]
+        vars(self.host.meter).update(state["meter"])
+        if self.observer is not None:
+            _fold_observer(self.observer, state["observer"])
+
+    async def _replay(self, records, served: _ServerProcess):
         from repro.replay.engine import ReplayReport
         loop = asyncio.get_running_loop()
         self.clock = clock = _LoopScheduler(loop, self.observer)
-        meter = self.host.meter
         live = self.live
-        server = LiveDnsServer(
-            self.responder, host=live.host, port=live.port, meter=meter,
-            clock=self._wall_now)
-        await server.start()
-        self.server = server
+        server = self.server
         config = self.config
         n = config.client_instances * config.queriers_per_instance
         self.queriers = [
@@ -650,48 +886,49 @@ class LiveBackend(ReplayBackend):
             for i in range(n)]
         checker, violations = None, []
         if config.check:
-            from repro.check.invariants import (InvariantChecker,
-                                                InvariantViolation)
+            from repro.check.invariants import InvariantChecker
             checker = InvariantChecker(
                 self.queriers, [(self.host.name, self.responder)],
                 config, clock).attach()
-
-            def keep_violation(loop, context) -> None:
-                # A violation raised in a socket callback reaches the
-                # loop, not the feed: keep it, raise it after the drain.
-                exc = context.get("exception")
-                if isinstance(exc, InvariantViolation):
-                    violations.append(exc)
-                else:
-                    loop.default_exception_handler(context)
-            loop.set_exception_handler(keep_violation)
+            violations = _keep_violations(loop)
         # Same-source records stick to one querier, like the sim's
         # split input; unsticky, they are dealt round robin.
         parts = (partition(records, n) if config.sticky_sources
                  else [records[i::n] for i in range(n)])
-        cpu_start = time.process_time()
         clock.epoch = loop.time()
+        await served.ask(clock.epoch)       # the server's clock, too
+        feeds = asyncio.gather(*(
+            querier.replay(part, live)
+            for querier, part in zip(self.queriers, parts) if part))
+        lost = _readable(served.conn)       # only a dead server speaks now
         try:
-            await asyncio.wait_for(
-                asyncio.gather(*(
-                    querier.replay(part, live)
-                    for querier, part in zip(self.queriers, parts)
-                    if part)),
-                live.run_deadline)
-        except asyncio.TimeoutError:
-            self.deadline_hit = True
+            await asyncio.wait((feeds, lost), timeout=live.run_deadline,
+                               return_when=asyncio.FIRST_COMPLETED)
+            if feeds.done():
+                feeds.result()
+            else:
+                feeds.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await feeds
+                if lost.done():
+                    raise served.died()
+                self.deadline_hit = True
         finally:
-            await server.aclose()
+            lost.cancel()
+        # The hosts are closed; let their transports finish closing, so
+        # the server reads each stream's end before it is told to stop.
+        await asyncio.sleep(0)
+        state = await served.stop()
+        self._restore(state)
         elapsed = clock.now
-        meter.charge_cpu(time.process_time() - cpu_start)
-        meter.memory = self._rss_bytes()
-        meter.take_sample(elapsed)
+        self.host.meter.take_sample(elapsed)
         if self.observer is not None:
             # Wall-clock gauges: volatile, so the default snapshot keeps
             # the sim's shape.
             self.observer.wall_seconds = elapsed
             self.observer.wall_qps = (sum(q.sent for q in self.queriers)
                                       / elapsed if elapsed > 0 else 0.0)
+        violations += state["violations"]
         if violations:
             raise violations[0]
         if checker is not None and not self.deadline_hit:

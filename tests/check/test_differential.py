@@ -190,7 +190,7 @@ def test_answered_qname_counter_is_a_multiset():
 
 def test_tolerance_bands_are_gone():
     """1.10.0: sim = live is equality; there is no band to widen."""
-    assert repro.__version__ == "1.14.4"
+    assert repro.__version__ == "1.14.5"
     for module in (repro, repro.check, repro.check.differential):
         assert not hasattr(module, "ToleranceBands")
     with pytest.raises(TypeError):

@@ -230,7 +230,7 @@ def flip_rd_in_every_query(monkeypatch):
     monkeypatch.setattr(QueryRecord, "query_wire", flipped)
 
 
-def live_checked_run(query_timeout=5.0):
+def live_checked_run(query_timeout=5.0, qtype=RRType.A):
     from repro.replay.backends import LiveBackend, LiveReplayConfig
     backend = LiveBackend([example_zone()], config=ReplayConfig(
         backend="live", client_instances=1, queriers_per_instance=2,
@@ -238,7 +238,7 @@ def live_checked_run(query_timeout=5.0):
         live=LiveReplayConfig(speed=50.0, query_timeout=query_timeout,
                               run_deadline=60.0)))
     trace = Trace([QueryRecord(time=0.05 * i, src=f"172.16.1.{i % 3 + 1}",
-                               qname=f"lv{i}.example.com.")
+                               qname=f"lv{i}.example.com.", qtype=qtype)
                    for i in range(20)])
     return backend, backend.run(trace)
 
@@ -271,6 +271,22 @@ def test_live_violation_in_a_socket_callback_fails_the_run(monkeypatch):
                         lambda wire: real(wire)[:3] + (5,))
     with pytest.raises(InvariantViolation, match="header read"):
         live_checked_run(query_timeout=0.3)
+
+
+def test_live_violation_in_the_server_process_fails_the_run(monkeypatch):
+    """The live server runs in a process of its own: a miss-path
+    response the checker refuses there (a corrupted splice: the
+    wildcard's AAAA NODATA is one template for every name) must still
+    end the parent's run in that violation."""
+    from repro.server.answercache import AnswerCache
+    real = AnswerCache.spliced
+
+    def corrupted(self, *args):
+        wire = real(self, *args)
+        return wire if wire is None else wire[:-1] + bytes([wire[-1] ^ 1])
+    monkeypatch.setattr(AnswerCache, "spliced", corrupted)
+    with pytest.raises(InvariantViolation, match="plain engine"):
+        live_checked_run(query_timeout=0.3, qtype=RRType.AAAA)
 
 
 def test_unchecked_runs_attach_nothing():

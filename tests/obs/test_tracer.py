@@ -43,3 +43,27 @@ def test_snapshot_shape():
     snap = tracer.snapshot()
     assert snap == {"capacity": 4, "emitted": 6, "dropped": 2,
                     "kinds": {"x": 6}}
+
+
+def test_merge_interleaves_by_start_and_keeps_counts_exact():
+    ours, theirs = Tracer(capacity=4), Tracer(capacity=4)
+    for i in (0, 2, 4):
+        ours.emit("client", float(i))
+    for i in (1, 3, 5, 7, 9, 11):
+        theirs.emit("server", float(i))     # two dropped
+    ours.merge(theirs)
+    assert [s.start for s in ours.spans()] == [5.0, 7.0, 9.0, 11.0]
+    assert ours.counts() == {"client": 3, "server": 6}
+    assert (ours.emitted, ours.dropped) == (9, 5)
+    ours.emit("client", 12.0)               # still a ring, newest last
+    assert [s.start for s in ours.spans()] == [7.0, 9.0, 11.0, 12.0]
+
+
+def test_merge_below_capacity_keeps_every_span():
+    ours, theirs = Tracer(capacity=8), Tracer(capacity=8)
+    ours.emit("a", 2.0)
+    theirs.emit("b", 1.0)
+    ours.merge(theirs)
+    assert [(s.kind, s.start) for s in ours.spans()] == [("b", 1.0),
+                                                         ("a", 2.0)]
+    assert ours.dropped == 0

@@ -10,9 +10,11 @@ close).  Plus the config-surface rejections that keep sim-only features
 
 import asyncio
 import os
+import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from repro.dns.message import Message
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.replay import ReplayConfig, ResilienceConfig
 from repro.replay.backends import (LiveBackend, LiveDnsServer,
-                                   LiveReplayConfig, get_backend)
+                                   LiveQuerier, LiveReplayConfig, get_backend)
 from repro.replay.backends import live as live_module
 from repro.server.overload import AdmissionConfig, OverloadConfig
 from repro.server.responder import DnsResponder
@@ -291,6 +293,46 @@ def test_udp_burst_is_answered_from_one_wakeup_in_arrival_order(
     assert woken == [server]
 
 
+def test_udp_drain_yields_to_the_loop_after_a_batch():
+    """A peer in another process can keep the socket non-empty: one
+    wake-up reads at most ``_DRAIN_BATCH`` datagrams, so a callback
+    queued during the drain (the admission pop, a stream's wake-up)
+    runs before the next batch."""
+    batch = live_module._DRAIN_BATCH
+
+    class Flood:
+        """A socket that never runs dry."""
+        reads = 0
+
+        def recvfrom(self, size):
+            self.reads += 1
+            if self.reads > 10 * batch:     # the old drain never returns
+                raise AssertionError("the drain never yielded")
+            return b"query", ("127.0.0.1", 5353)
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        server = await make_server().start()
+        endpoint = server._udp
+        real, endpoint._sock = endpoint._sock, Flood()
+        ran = []
+
+        def on_datagram(data, src, sport):
+            if endpoint._sock.reads == 1:
+                loop.call_soon(lambda: ran.append(endpoint._sock.reads))
+        endpoint.on_datagram = on_datagram
+        try:
+            endpoint._read_ready()
+            returned_after = endpoint._sock.reads
+            await asyncio.sleep(0)
+        finally:
+            endpoint._sock = real
+            await server.aclose()
+        return returned_after, ran
+
+    assert asyncio.run(go()) == (batch, [batch])
+
+
 def test_refused_datagram_on_connected_socket_counts_once():
     """The server's socket is gone: the kernel's ICMP refusal reaches
     the querier's connected socket as ``ConnectionRefusedError``, which
@@ -457,6 +499,123 @@ def test_live_backend_replays_mixed_udp_tcp_trace():
     assert (server["queries_tcp"], server["queries_udp"]) == (10, 30)
 
 
+def unique_trace(n: int, gap: float = 0.01) -> Trace:
+    return Trace([QueryRecord(time=i * gap, src=f"10.9.0.{i % 4}",
+                              qname=f"u{i}.example.com.", proto="udp")
+                  for i in range(n)])
+
+
+def test_query_log_and_results_share_one_clock():
+    """The server process stamps its query log on the parent's replay
+    epoch: each query is logged between its send and its answer."""
+    backend = LiveBackend([make_example_zone()], config=live_config(),
+                          log_queries=True)
+    report = backend.run(unique_trace(40))
+    logged = {str(entry.qname): entry.time
+              for entry in backend.responder.query_log}
+    assert len(logged) == len(report.results) == 40
+    for result in report.results:
+        assert result.send_time <= logged[result.record.qname] \
+            <= result.response_time
+
+
+def test_observed_run_reports_the_server_process_counts():
+    """What the server process counts and records comes back whole:
+    the observer's server rows and spans, the answer cache's hits, the
+    responder's books."""
+    backend = LiveBackend([make_example_zone()], config=live_config())
+    report = backend.run(udp_trace(40, gap=0.005, sources=4))
+    answered = sum(r.answered for r in report.results)
+    metrics = report.metrics(include_volatile=True)
+    server = metrics["server"]
+    assert answered == 40
+    assert server["queries"] == server["responses_sent"] == answered
+    assert server["queries_udp"] == server["view_selections"] == answered
+    assert server["view_misses"] == 0
+    # Every query is one question from 127.0.0.1: one miss, then hits.
+    assert (server["answer_cache_misses"], server["answer_cache_hits"]) \
+        == (1, answered - 1)
+    assert metrics["trace"]["kinds"]["server.handle"] == answered
+    assert metrics["trace"]["kinds"]["querier.send"] == 40
+    meter = backend.host.meter
+    assert sum(meter.packets_in.values()) == answered
+    assert meter.memory > 0 and len(meter.samples) == 1
+
+
+def test_second_run_forks_again_from_this_process_state():
+    """Counters and the query log accumulate over runs; answer-cache
+    entries start from this process's (empty) cache, as on a restarted
+    server, so the one question (all from 127.0.0.1) misses once per
+    run."""
+    backend = LiveBackend([make_example_zone()], config=live_config(),
+                          log_queries=True)
+    pids = []
+    for _ in range(2):
+        report = backend.run(udp_trace(12, gap=0.005, sources=3))
+        assert report.answered_fraction() == 1.0
+        pids.append(backend.server_pid)
+    responder, cache = backend.responder, backend.responder.answer_cache
+    assert pids[0] != pids[1]
+    assert responder.queries_handled == len(responder.query_log) == 24
+    assert (cache.misses, cache.hits) == (2, 22)
+    assert len(cache) == 0
+    assert len(backend.host.meter.samples) == 2
+
+
+def spin(seconds: float) -> None:
+    """Burn *seconds* of this process's CPU."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+@pytest.mark.parametrize("side", ["server", "querier"])
+def test_meter_charges_the_server_process_cpu_alone(monkeypatch, side):
+    """2 ms of CPU per query on one side: the server host's meter sees
+    it when the server spends it, not when the replay client does."""
+    queries, cost = 40, 0.002
+    if side == "server":
+        real = DnsResponder.reply_wire
+        monkeypatch.setattr(DnsResponder, "reply_wire",
+                            lambda *args: spin(cost) or real(*args))
+    else:
+        real = LiveQuerier.send
+        monkeypatch.setattr(LiveQuerier, "send",
+                            lambda *args: spin(cost) or real(*args))
+    backend = LiveBackend([make_example_zone()], config=one_querier_config())
+    report = backend.run(udp_trace(queries))
+    assert report.answered_fraction() == 1.0
+    busy = backend.host.meter.cpu_busy
+    if side == "server":
+        assert busy >= queries * cost
+    else:
+        assert busy < queries * cost
+
+
+def test_killed_server_process_fails_the_run_promptly(monkeypatch):
+    """SIGKILL the server mid-run: the run ends in an error naming how
+    the process ended, at once rather than at the run deadline or after
+    every remaining query timed out, and the child is reaped."""
+    query_timeout = 1.0
+    backend = LiveBackend([make_example_zone()], config=one_querier_config(
+        query_timeout=query_timeout, run_deadline=60.0))
+    real = LiveQuerier.send
+
+    def send(self, record, due):
+        if self.sent == 5:
+            os.kill(backend.server_pid, signal.SIGKILL)
+        real(self, record, due)
+
+    monkeypatch.setattr(LiveQuerier, "send", send)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
+        backend.run(udp_trace(500, gap=0.01))       # five seconds of trace
+    assert time.monotonic() - start < \
+        query_timeout + live_module._SHUTDOWN_GRACE
+    with pytest.raises(ChildProcessError):
+        os.waitpid(backend.server_pid, os.WNOHANG)
+
+
 def test_report_repr_is_a_summary_and_teardown_formats_no_record(
         monkeypatch):
     """``asyncio.run`` reprs the main task's result at teardown (the
@@ -578,7 +737,7 @@ def test_server_close_with_query_outstanding_is_resent_once(monkeypatch):
     """The stream dies under a query: the same reconnect-and-resend the
     sim does (once, on a fresh connection), not only a retried write."""
     real = LiveDnsServer._answer_stream
-    seen = []
+    seen = []       # the server process's copy counts its queries
 
     def flaky(self, writer, wire, peer):
         seen.append(wire)
@@ -588,6 +747,12 @@ def test_server_close_with_query_outstanding_is_resent_once(monkeypatch):
             real(self, writer, wire, peer)
 
     monkeypatch.setattr(LiveDnsServer, "_answer_stream", flaky)
+    # What reaches the server is what the client wrote: record that here.
+    written = []
+    real_send = live_module._LoopTcpConnection.send
+    monkeypatch.setattr(live_module._LoopTcpConnection, "send",
+                        lambda conn, data: written.append(data)
+                        or real_send(conn, data))
     backend = LiveBackend([make_example_zone()], config=one_querier_config(
         resilience=ResilienceConfig(timeout=2.0, max_retries=1)))
     report = backend.run(Trace([QueryRecord(
@@ -597,7 +762,7 @@ def test_server_close_with_query_outstanding_is_resent_once(monkeypatch):
     assert report.answered_fraction() == 1.0
     assert querier.reconnects == 1
     assert report.results[0].attempts == 2
-    assert seen[0] == seen[1]
+    assert len(written) == 2 and written[0] == written[1]
     assert backend.server.established == 2
 
 
