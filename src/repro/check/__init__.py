@@ -6,7 +6,8 @@ Four parts behind the ``ldp-verify`` CLI
 * :mod:`repro.check.golden` — committed ReplayReport + wire-message
   snapshots with record/verify modes (cross-release byte-identity);
 * :mod:`repro.check.differential` — sim-vs-sim byte-identity across
-  the config matrix and sim-vs-live per-query outcome equality;
+  the config matrix and sim-vs-live per-query outcome and per-source
+  placement equality;
 * :mod:`repro.check.fuzzing` — shared hypothesis strategies for DNS
   wire messages and trace blobs plus a budgeted never-crash runner
   (imported lazily: it needs the ``hypothesis`` test dependency);

@@ -13,9 +13,11 @@ scope:
   the one ``DnsResponder``, so every query must have the **same
   outcome**: per-query equality of ``(answered, rcode, response_size,
   fell_back, timed_out)``, and of ``attempts`` when the kernel dropped
-  no datagram; and each report carries every group and key of the
-  declared report schema (:meth:`ReplayReport.schema`), so downstream
-  tooling reads either unchanged.
+  no datagram; every source must sit on the same querier positions
+  (``i.q``) on both, since both place it through the same pin tables;
+  and each report carries every group and key of the declared report
+  schema (:meth:`ReplayReport.schema`), so downstream tooling reads
+  either unchanged.
 
 Both reuse the backends registry's executors through the scenario
 fixtures in :mod:`repro.check.scenarios`.
@@ -80,6 +82,17 @@ def _outcomes(report, with_attempts: bool) -> dict:
     return by_record
 
 
+def _placement(report) -> dict:
+    """source -> the querier positions (``i.q`` of ``querier-i.q`` on
+    the sim, ``live-querier-i.q`` live) its results sit on."""
+    placed: dict = {}
+    for querier in report.queriers:
+        position = querier.name.rpartition("querier-")[2]
+        for result in querier.results:
+            placed.setdefault(result.record.src, set()).add(position)
+    return placed
+
+
 def compare_sim_live(sim_report, live_report) -> list[str]:
     """Compare two reports query by query; returns failure
     descriptions (unit-testable on fabricated reports, no sockets
@@ -109,6 +122,16 @@ def compare_sim_live(sim_report, live_report) -> list[str]:
     if len(differing) > MAX_LISTED:
         failures.append(f"... and {len(differing) - MAX_LISTED} more "
                         f"queries with differing outcomes")
+    sim, live = _placement(sim_report), _placement(live_report)
+    misplaced = sorted(src for src in {**sim, **live}
+                       if sim.get(src) != live.get(src))
+    for src in misplaced[:MAX_LISTED]:
+        failures.append(
+            f"source {src} sits on querier {sorted(sim.get(src, ()))} "
+            f"on sim vs {sorted(live.get(src, ()))} on live")
+    if len(misplaced) > MAX_LISTED:
+        failures.append(f"... and {len(misplaced) - MAX_LISTED} more "
+                        f"sources placed differently")
     from repro.replay.engine import ReplayReport
     schema = ReplayReport.schema()
     for side, report in (("sim", sim_report), ("live", live_report)):

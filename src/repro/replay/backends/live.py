@@ -24,11 +24,9 @@ TC fallback, reconnect, cookies and result accounting exist once, in
 host seam it talks through (:class:`_LoopHost`: a loop-clock scheduler,
 one shared UDP socket, LRU-capped stream connections).  What is
 live-only is what is about wall-clock I/O: the server's sockets, and
-:class:`LiveQuerier`'s feed loop, which paces records with the §2.6 ΔT
-rule (:class:`~repro.replay.timing.ReplayTimer`) against the event
-loop's monotonic clock and bounds the queries in flight.  Same-source
-records stick to one querier (``supervisor.partition``, the sim's
-split-input rule).
+the one reader, :meth:`LiveBackend._read` — the sim's direct mode
+(Figure 4) in wall-clock time, which places each source through the
+sim's own :class:`~repro.replay.supervisor.Pins` tiers.
 
 The report is the ordinary :class:`~repro.replay.engine.ReplayReport`
 with the same metric schema as the sim backend; what only wall-clock
@@ -50,6 +48,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.jitter import NullSendPath
@@ -58,7 +57,8 @@ from repro.obs import (Observer, counter_state, restore_counters, volatile,
                        zero_counters)
 from repro.replay.backends.base import ReplayBackend
 from repro.replay.querier import Querier
-from repro.replay.supervisor import partition
+from repro.replay.supervisor import Pins
+from repro.replay.timing import ReplayTimer
 from repro.server.responder import DnsResponder
 from repro.trace.pipeline import as_trace
 
@@ -209,7 +209,7 @@ class LiveReplayConfig:
     port: int = 0                 # 0 = ephemeral (with UDP/TCP pair retry)
     speed: float = 1.0
     query_timeout: float = 5.0
-    max_inflight: int = 256       # per querier
+    max_inflight: int = 256       # per querier, pooled over the run
     run_deadline: float | None = None
 
 
@@ -524,11 +524,10 @@ class _LoopHost:
 
 
 class LiveQuerier(Querier):
-    """The one :class:`~repro.replay.querier.Querier`, fed in wall-clock
-    time.  The protocol is inherited whole; what is added is what the
-    simulator's controller and distributor do on the DES: pace the
-    records (ΔT against the loop clock), bound the queries in flight,
-    and wait for the last one to settle."""
+    """The one :class:`~repro.replay.querier.Querier`, fed by the
+    backend's reader (:meth:`LiveBackend._read`).  The protocol is
+    inherited whole; what is added is the cap on its open stream
+    connections and its count of socket errors."""
 
     COUNTERS = {**Querier.COUNTERS,
                 "socket_errors": volatile("replay.socket_errors")}
@@ -543,7 +542,7 @@ class LiveQuerier(Querier):
         connection with a query outstanding is never closed for the
         cap — that query could only wait out ``query_timeout`` — so
         when the server is further behind than the cap a querier holds
-        up to ``max(_TCP_CONNECTION_CAP, max_inflight)`` connections."""
+        up to ``max(_TCP_CONNECTION_CAP, window)`` connections."""
         streams = self.host.streams
         excess = len(streams) + 1 - _TCP_CONNECTION_CAP
         if excess > 0:
@@ -555,42 +554,12 @@ class LiveQuerier(Querier):
         streams[channel.conn] = channel
         return channel
 
-    async def replay(self, records, live: LiveReplayConfig) -> None:
-        clock = self.host.scheduler
-        window = max(1, live.max_inflight)
-        slots = asyncio.Semaphore(window)
-        self.on_settled = lambda _result: slots.release()
-        self.give_up_after = live.query_timeout
-        self.host.start()
-        try:
-            for record in records:
-                due = now = clock.now
-                if not self.fast:
-                    scaled = record.time / live.speed
-                    if not self.timer.synchronized:
-                        self.timer.sync(scaled, now)
-                    delay = self.timer.delay_for(scaled, now)
-                    due = now + delay
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                # Bounding in-flight queries also backpressures pacing
-                # once the server falls behind, like the sim's bounded
-                # distributor->querier queues.  A free slot is taken
-                # without yielding to the loop, which keeps the window
-                # full in fast mode.
-                await slots.acquire()
-                self.send(record, due)
-            for _ in range(window):     # all slots back: all settled
-                await slots.acquire()
-        finally:
-            await self.host.aclose()
 
+class _InstancePins(Pins):
+    """Instance i's pin table over its queriers, seeded as the sim's
+    ``Distributor.pins``; live injects no faults, so it never crashes."""
 
-class _LiveClock:
-    """Duck-types the ``.now`` the report reads off the simulator."""
-
-    def __init__(self, now: float = 0.0):
-        self.now = now
+    crashed = False
 
 
 class _LiveHost:
@@ -876,14 +845,15 @@ class LiveBackend(ReplayBackend):
         live = self.live
         server = self.server
         config = self.config
-        n = config.client_instances * config.queriers_per_instance
-        self.queriers = [
-            LiveQuerier(
-                _LoopHost(f"live-client-{i}", clock,
-                          (live.host, server.port)),
-                live.host, name=f"live-querier-{i}",
-                config=config.querier_config(dns_port=server.port))
-            for i in range(n)]
+        tiers = [_InstancePins([
+            LiveQuerier(_LoopHost(f"live-client-{i}.{q}", clock,
+                                  (live.host, server.port)),
+                        live.host, name=f"live-querier-{i}.{q}",
+                        config=config.querier_config(dns_port=server.port))
+            for q in range(config.queriers_per_instance)],
+            config.seed + i, config.sticky_sources)
+            for i in range(config.client_instances)]
+        self.queriers = [querier for tier in tiers for querier in tier.members]
         checker, violations = None, []
         if config.check:
             from repro.check.invariants import InvariantChecker
@@ -891,25 +861,22 @@ class LiveBackend(ReplayBackend):
                 self.queriers, [(self.host.name, self.responder)],
                 config, clock).attach()
             violations = _keep_violations(loop)
-        # Same-source records stick to one querier, like the sim's
-        # split input; unsticky, they are dealt round robin.
-        parts = (partition(records, n) if config.sticky_sources
-                 else [records[i::n] for i in range(n)])
         clock.epoch = loop.time()
         await served.ask(clock.epoch)       # the server's clock, too
-        feeds = asyncio.gather(*(
-            querier.replay(part, live)
-            for querier, part in zip(self.queriers, parts) if part))
+        # Instances drawn with config.seed, as the sim's direct mode
+        # draws them: a source lands on querier i.q on both backends.
+        feed = asyncio.create_task(
+            self._read(records, Pins(tiers, config.seed).member_for))
         lost = _readable(served.conn)       # only a dead server speaks now
         try:
-            await asyncio.wait((feeds, lost), timeout=live.run_deadline,
+            await asyncio.wait((feed, lost), timeout=live.run_deadline,
                                return_when=asyncio.FIRST_COMPLETED)
-            if feeds.done():
-                feeds.result()
+            if feed.done():
+                feed.result()
             else:
-                feeds.cancel()
+                feed.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
-                    await feeds
+                    await feed
                 if lost.done():
                     raise served.died()
                 self.deadline_hit = True
@@ -932,19 +899,51 @@ class LiveBackend(ReplayBackend):
         if violations:
             raise violations[0]
         if checker is not None and not self.deadline_hit:
-            # A deadline hit cancels the feeds mid-flight, so accounting
+            # A deadline hit cancels the feed mid-flight, so accounting
             # is allowed to be incomplete then.
             checker.final(expected_results=len(records))
         return ReplayReport.gather(
-            self.queriers, _LiveClock(elapsed), self.host, self.observer,
-            [*self.queriers, self.responder, server, self])
+            self.queriers, SimpleNamespace(now=elapsed), self.host,
+            self.observer, [*self.queriers, self.responder, server, self])
+
+    async def _read(self, records, instance_for) -> None:
+        """The one reader, the sim's direct mode in wall-clock time: one
+        :class:`ReplayTimer` synced on the trace's first record (§2.6's
+        t̄₁) paces every record by ΔT against the loop clock, scaled by
+        ``speed``; *instance_for* places its source.  The window is the
+        run's, ``max_inflight`` per querier pooled, and holds pacing back
+        once the server falls behind."""
+        live, clock, fast = self.live, self.clock, self.config.fast
+        window = max(1, live.max_inflight) * len(self.queriers)
+        slots = asyncio.Semaphore(window)
+        timer = ReplayTimer()
+        try:
+            for querier in self.queriers:
+                querier.on_settled = lambda _result: slots.release()
+                querier.give_up_after = live.query_timeout
+                querier.host.start()
+            if records:
+                timer.sync(records[0].time / live.speed, clock.now)
+            for record in records:
+                due = now = clock.now
+                if not fast:
+                    delay = timer.delay_for(record.time / live.speed, now)
+                    due = now + delay
+                    if delay > 0:
+                        await asyncio.sleep(delay)
+                # A free slot is taken without yielding to the loop,
+                # which keeps the window full in fast mode.
+                await slots.acquire()
+                src = record.src
+                instance_for(src).member_for(src).send(record, due)
+            for _ in range(window):     # all slots back: all settled
+                await slots.acquire()
+        finally:
+            for querier in self.queriers:
+                await querier.host.aclose()
 
     @staticmethod
     def _rss_bytes() -> int:
-        try:
-            import resource
-            # Linux reports ru_maxrss in KiB.
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss \
-                * 1024
-        except Exception:
-            return 0
+        import resource     # POSIX, as the fork of the server is
+        # Linux reports ru_maxrss in KiB.
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024

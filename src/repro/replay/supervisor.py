@@ -122,9 +122,9 @@ def resume_tick(cut: float, interval: float) -> float:
 
 
 def shard(src: str, shards: int) -> int:
-    """Which of *shards* split-input partitions (controllers, or live
-    queriers) owns the source *src*, so its queries keep their socket
-    (§2.6).  CRC-32: builtin ``hash()`` is randomized per interpreter."""
+    """Which of *shards* split-input partitions (the sim's controllers)
+    owns the source *src*, so its queries keep their socket (§2.6).
+    CRC-32: builtin ``hash()`` is randomized per interpreter."""
     return zlib.crc32(src.encode()) % shards
 
 

@@ -110,7 +110,8 @@ def _verify_live(args, failures: list[str]) -> None:
         return
     for result in diff_sim_live(speed=args.live_speed):
         if result.ok:
-            print(f"ok {result.label}: every query's outcome equal")
+            print(f"ok {result.label}: every query's outcome and "
+                  f"every source's querier equal")
         for failure in result.failures:
             print(f"FAIL {result.label}: {failure}")
             failures.append(f"{result.label}: {failure}")

@@ -76,17 +76,18 @@ def _declared_schema(without_group=None, without_key=None):
 class _FakeReport:
     results: list = field(default_factory=list)
     schema: dict = field(default_factory=_declared_schema)
+    queriers: list = field(default_factory=list)
 
     def metrics(self):
         return self.schema
 
 
-def _result(qname, answered=True, **outcome):
+def _result(qname, answered=True, src="10.0.0.1", **outcome):
     """An answered NOERROR 60-byte result unless *outcome* says else."""
     outcome = {"rcode": 0, "response_size": 60, **outcome} \
         if answered else outcome
     return QueryResult(
-        record=QueryRecord(time=1.0, src="10.0.0.1", qname=qname),
+        record=QueryRecord(time=1.0, src=src, qname=qname),
         send_time=1.0, scheduled_time=1.0,
         response_time=1.5 if answered else None, **outcome)
 
@@ -170,6 +171,34 @@ def test_recorded_extras_of_an_observed_run_are_not_a_schema_failure():
     observed["scheduler"] = {"events_processed": 9.0}
     assert compare_sim_live(_report(["q1."], schema=observed),
                             _report(["q1."])) == []
+
+
+@dataclass
+class _FakeQuerier:
+    name: str
+    results: list
+
+
+def _placed(prefix, positions):
+    """One source per querier position, each with one answered query."""
+    results = [_result(f"q{i}.", src=f"10.0.0.{i}")
+               for i in range(len(positions))]
+    return _FakeReport(results, queriers=[
+        _FakeQuerier(f"{prefix}{position}", [result])
+        for position, result in zip(positions, results)])
+
+
+def test_source_on_another_querier_position_is_reported():
+    """Both backends place a source through the same pin tables, so a
+    source whose results sit on another querier position (``i.q``) is
+    named even when every outcome is equal."""
+    sim = _placed("querier-", ["0.0", "0.1", "1.0"])
+    assert compare_sim_live(
+        sim, _placed("live-querier-", ["0.0", "0.1", "1.0"])) == []
+    (failure,) = compare_sim_live(
+        sim, _placed("live-querier-", ["0.0", "1.1", "1.0"]))
+    assert "source 10.0.0.1" in failure
+    assert "['0.1'] on sim vs ['1.1'] on live" in failure
 
 
 def test_record_count_mismatch_reported():

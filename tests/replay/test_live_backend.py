@@ -15,6 +15,7 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -791,15 +792,16 @@ def test_unresilient_reply_after_query_timeout_is_unanswered(monkeypatch):
 
 
 def test_fast_mode_keeps_exactly_max_inflight_outstanding(monkeypatch):
-    """Closed loop: against a server that never replies, each querier
-    sends its window and blocks — no more, no fewer."""
+    """Closed loop: against a server that never replies, the run sends
+    its window and blocks — ``max_inflight`` per querier, pooled over
+    the one reader, no more and no fewer."""
     monkeypatch.setattr(LiveDnsServer, "datagram_received",
                         lambda self, data, src, sport: None)
     backend = LiveBackend([make_example_zone()], config=one_querier_config(
         fast=True, queriers=2, max_inflight=4, run_deadline=0.5))
     backend.run(udp_trace(80, sources=8))
     assert backend.deadline_hit
-    assert [q.sent for q in backend.queriers] == [4, 4]
+    assert sum(q.sent for q in backend.queriers) == 8
 
 
 def test_connection_with_a_query_pending_is_not_evicted(monkeypatch):
@@ -884,3 +886,63 @@ def test_tcp_sources_beyond_connection_cap_replay_cleanly():
     assert 200 <= int(established) <= 2000
     assert "Task was destroyed" not in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# -- the one reader: one time sync, the sim's pin tables ----------------------
+
+
+def test_source_first_seen_late_is_sent_at_its_trace_time():
+    """§2.6: one time sync, on the trace's first record, for every
+    querier.  Source B first appears 1 s into the trace, pinned to a
+    querier with nothing earlier: a querier synced on B's own first
+    record would send it at once, 1 s early, and call that on time."""
+    early, late, speed = "10.9.0.1", "10.9.0.4", 5.0
+    trace = Trace([QueryRecord(time=t, src=src, qname="www.example.com.",
+                               proto="udp")
+                   for t, src in [(0.0, early), (0.1, early), (0.2, early),
+                                  (1.0, late), (1.1, late)]])
+    backend = LiveBackend([make_example_zone()], config=replace(
+        one_querier_config(queriers=2, speed=speed), seed=4))
+    report = backend.run(trace)
+    assert report.answered_fraction() == 1.0
+    holders = {src: {q.name for q in backend.queriers for r in q.results
+                     if r.record.src == src} for src in (early, late)}
+    assert len(holders[early]) == len(holders[late]) == 1
+    assert holders[early] != holders[late]
+    first = min((r for r in report.results if r.record.src == late),
+                key=lambda r: r.record.time)
+    floor = 1.0 / speed - 0.01
+    assert first.scheduled_time >= floor
+    assert first.send_time >= floor
+
+
+def placements(backend: str, trace: Trace, sticky: bool) -> dict:
+    """Record time -> (source, querier position ``i.q``) in one run."""
+    from repro import authoritative_world
+    report = authoritative_world(
+        [make_example_zone()], backend=backend, client_instances=1,
+        queriers_per_instance=2, sticky_sources=sticky, check=True, seed=7,
+        live=LiveReplayConfig(speed=5.0, run_deadline=30.0)).run(
+            trace).report
+    return {result.record.time: (result.record.src,
+                                 querier.name.rpartition("querier-")[2])
+            for querier in report.queriers for result in querier.results}
+
+
+@pytest.mark.parametrize("sticky", [True, False])
+def test_each_record_reaches_the_querier_the_sim_draws(sticky):
+    """§2.6's same-source rule and its ablation, drawn from the sim's
+    pin tables: pinned (the default; ``check=True`` verifies it at the
+    end of the run), each source keeps one querier; unsticky, every
+    record draws, so one source reaches both.  Either way each record
+    reaches the querier it reaches on the sim."""
+    trace = udp_trace(40, gap=0.005, sources=8 if sticky else 1)
+    live = placements("live", trace, sticky)
+    assert len(live) == 40
+    assert live == placements("sim", trace, sticky)
+    held: dict = {}
+    for src, position in live.values():
+        held.setdefault(src, set()).add(position)
+    assert set().union(*held.values()) == {"0.0", "0.1"}
+    assert all(len(positions) == 1 for positions in held.values()) \
+        == sticky
