@@ -5,7 +5,8 @@ queries "to avoid falling behind real time"; the Postman distributes
 records to client instances over TCP, sticky by original source address
 so a source's queries always reach the same distributor (and from there
 the same querier).  Before the first record, the controller broadcasts a
-time-synchronization message carrying the first query's trace time.
+time-synchronization message carrying the input stream's first trace
+time, t̄₁, which every controller of a split stream shares.
 
 Control frames on the TCP connections: u8 type (0 = sync, 1 = record,
 2 = heartbeat), then the payload (binaryform-encoded record, packed
@@ -135,14 +136,15 @@ class Controller:
     # Counted per record sent (not per batch read), so a stalled
     # Postman's backlog is not in it.
     COUNTERS = {"records_read": "replay.controller_records"}
+    # What the readers' split (a Pins table over controllers) asks of a
+    # member: a controller is never failed over.
+    crashed = False
 
     def __init__(self, host: Host, distributors: list[Distributor],
-                 seed: int = 0, read_window: int = READ_WINDOW,
-                 control_port: int = 9053):
+                 seed: int = 0, control_port: int = 9053):
         if not distributors:
             raise ValueError("controller needs at least one distributor")
         self.host = host
-        self.read_window = read_window
         zero_counters(self)
         # Controllers may share distributors: each gets its own
         # listening endpoints, on its own control_port.
@@ -154,7 +156,8 @@ class Controller:
         self.pins = Pins(self.channels, seed,
                          actor=lambda channel: channel.distributor)
         self._input: Iterator[QueryRecord] | None = None
-        self._sync_time: float | None = None
+        self._trace_t1 = 0.0
+        self._reader_cost = 0.0
         self._synced = False
         self.finished = False
         self._backlog: deque = deque()  # read but not yet sent
@@ -170,16 +173,16 @@ class Controller:
 
     # -- the Reader process ---------------------------------------------------
 
-    def start(self, records: Iterable[QueryRecord],
-              sync_time: float | None = None) -> None:
+    def start(self, records: Iterable[QueryRecord], trace_t1: float,
+              reader_cost: float) -> None:
         """Begin replaying *records* (an iterable; consumed lazily in
-        windows, modelling the Reader's pre-load behaviour).
-
-        *sync_time* overrides the broadcast trace epoch; split-stream
-        setups pass the global trace start so every controller's
-        records share one baseline."""
+        windows, modelling the Reader's pre-load behaviour), each
+        costing the Reader *reader_cost* seconds.  *trace_t1* is the
+        stream's first trace time, the epoch the sync broadcasts: with
+        a split stream every controller's records share one baseline."""
         self._input = iter(records)
-        self._sync_time = sync_time
+        self._trace_t1 = trace_t1
+        self._reader_cost = reader_cost
         self.host.scheduler.after(0.0, self._read_pass)
 
     def _read_pass(self) -> None:
@@ -192,7 +195,7 @@ class Controller:
         batch: list[QueryRecord] = []
         for record in self._input:
             batch.append(record)
-            if len(batch) >= self.read_window:
+            if len(batch) >= READ_WINDOW:
                 break
         if not batch:
             self.finished = True
@@ -200,7 +203,7 @@ class Controller:
         self._postman_dispatch(batch)
         # Reader costs CPU per record; the next window becomes available
         # after that processing time.
-        self.host.scheduler.after(len(batch) * READER_PER_RECORD,
+        self.host.scheduler.after(len(batch) * self._reader_cost,
                                   self._read_pass)
 
     # -- the Postman process ------------------------------------------------------
@@ -213,10 +216,8 @@ class Controller:
                             detail=f"batch={len(batch)}")
         if not self._synced:
             self._synced = True
-            epoch = self._sync_time if self._sync_time is not None \
-                else batch[0].time
             sync = frame_message(bytes([SYNC_FRAME])
-                                 + struct.pack("!d", epoch))
+                                 + struct.pack("!d", self._trace_t1))
             for channel in self.channels:
                 channel.pending += sync
         self._backlog.extend(batch)
@@ -290,11 +291,9 @@ class Controller:
             "pins": self.pins.state(),
             "counters": counter_state(self),
             "synced": self._synced,
-            "sync_time": self._sync_time,
         }
 
     def load_state(self, state: dict) -> None:
         self.pins.load(state["pins"])
         restore_counters(self, state["counters"])
         self._synced = state["synced"]
-        self._sync_time = state["sync_time"]

@@ -19,17 +19,17 @@ something looks — its next hand-over, a fault, or one arrival event
 armed while its queue is empty.  So the scheduler holds what is in
 flight, never the trace.
 
-Either way every record then takes one path: on arrival it is stamped
-with the time its hand-over falls due — the process serialises
+Either way every record then takes one path, :meth:`_admit`: it is
+stamped with the time its hand-over falls due — the process serialises
 ``PER_RECORD_CPU × lag_factor`` per record, the socket hop overlaps the
-next record's CPU — and joins the ingress queue; one armed event hands
-the head of the queue to its querier and re-arms for the next.
-Supervision (``ReplayConfig(supervision=...)``, distributed mode only)
-bounds that queue and adds nothing else to the path: at the high-water
-mark the hand-over holds until the querier's backlog drains (``stall``,
-which in turn stalls the Postman) or the oldest record is dropped
-(``shed``); a crashed distributor parks arrivals as orphans for the
-supervisor to re-dispatch (see :mod:`repro.replay.supervisor`).
+next record's CPU — and joins the ingress queue, or, once the process
+has crashed, is parked as an orphan for the supervisor to re-dispatch
+(see :mod:`repro.replay.supervisor`).  One armed event hands the head
+of the queue to its querier and re-arms for the next.  Supervision
+(``ReplayConfig(supervision=...)``, distributed mode only) bounds that
+queue and adds nothing else to the path: at the high-water mark the
+hand-over holds until the querier's backlog drains (``stall``, which in
+turn stalls the Postman) or the oldest record is dropped (``shed``).
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class Distributor:
         """Serialize forwarding through this process: when something
         arriving at *now* reaches the queriers' end of the Unix
         socket."""
-        start = max(now, self._busy_until)
+        busy = self._busy_until
+        start = now if now > busy else busy
         cpu = PER_RECORD_CPU * self.lag_factor
         self._busy_until = start + cpu
         return start + cpu + UNIX_SOCKET_DELAY
@@ -104,34 +105,44 @@ class Distributor:
         for querier in self.queriers:
             self.host.scheduler.at(at, querier.handle_sync, trace_t1)
 
-    def handle_record(self, record: QueryRecord) -> None:
-        """A record arrives as a control frame: stamp its hand-over
-        time and queue it."""
-        if self.enroute:
-            self.enroute -= 1
+    def _admit(self, record: QueryRecord, available: float) -> int:
+        """The one way in, for a control frame and the direct cursor
+        alike: *record*, available at *available*, is parked as an
+        orphan once crashed, or stamped with its hand-over time and
+        queued.  Returns the queue's depth, 0 for an orphan."""
         if self.crashed:
             self._orphans.append(record)
-            return
-        scheduler = self.host.scheduler
-        now = scheduler.now
-        due = self._ipc_time(now)
-        obs = scheduler.obs
+            return 0
+        due = self._ipc_time(available)
+        obs = self.host.scheduler.obs
         if obs is not None:
             # Queue lag: how long the record waits for this process's
             # serialized forwarding loop before its own CPU slice.
             obs.distributor_queue_lag.record(
-                max(0.0, due - now - PER_RECORD_CPU * self.lag_factor
+                max(0.0, due - available
+                    - PER_RECORD_CPU * self.lag_factor
                     - UNIX_SOCKET_DELAY))
-        self._queue.append((record, due))
-        depth = len(self._queue)
+        queue = self._queue
+        queue.append((record, due))
+        depth = len(queue)
         if depth > self.peak_depth:
             self.peak_depth = depth
+        return depth
+
+    def handle_record(self, record: QueryRecord) -> None:
+        """A record arrives as a control frame: admit it now, and arm
+        the hand-over if it heads the queue."""
+        if self.enroute:
+            self.enroute -= 1
+        depth = self._admit(record, self.host.scheduler.now)
+        if not depth:
+            return
         if self.supervisor is not None:
             self.supervisor.on_queue_growth(self)
         # A deeper queue already has its event armed (shedding drops
         # only above the mark, so it never empties the queue).
         if depth == 1:
-            scheduler.at(due, self._forward)
+            self.host.scheduler.at(self._queue[0][1], self._forward)
 
     def read_from(self, records: list[QueryRecord], indices,
                   reader_cost: float) -> None:
@@ -156,18 +167,15 @@ class Distributor:
 
     def read(self, until: float) -> None:
         """Admit, in order, every unread record of the stream available
-        by *until*, with the arithmetic a per-record arrival event would
-        have done at that instant: stamp its hand-over time from its
-        availability, queue it, or park it as an orphan once crashed."""
+        by *until*, each as a per-record arrival event would have
+        admitted it at the instant it became available."""
         indices = self._indices
         records = self._records
         cost = self._reader_cost
         opened = self._opened
         position = self._next
         end = self._end
-        queue = self._queue
-        crashed = self.crashed
-        obs = self.host.scheduler.obs
+        admit = self._admit
         while position < end:
             index = indices[position]
             available = index * cost
@@ -176,20 +184,7 @@ class Distributor:
             if available > until:
                 break
             position += 1
-            record = records[index]
-            if crashed:
-                self._orphans.append(record)
-                continue
-            due = self._ipc_time(available)
-            if obs is not None:
-                obs.distributor_queue_lag.record(
-                    max(0.0, due - available
-                        - PER_RECORD_CPU * self.lag_factor
-                        - UNIX_SOCKET_DELAY))
-            queue.append((record, due))
-            depth = len(queue)
-            if depth > self.peak_depth:
-                self.peak_depth = depth
+            admit(records[index], available)
         self._next = position
 
     def _read_before_now(self) -> None:

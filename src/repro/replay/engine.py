@@ -41,7 +41,7 @@ from repro.replay.distributor import Distributor
 from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
                                   ResilienceConfig)
 from repro.replay.supervisor import (Pins, ReplayCheckpoint, Supervisor,
-                                     SupervisionConfig, partition)
+                                     SupervisionConfig)
 from repro.trace.pipeline import as_trace
 from repro.trace.record import PROTOCOLS
 
@@ -64,9 +64,10 @@ class ReplayConfig:
     timing_jitter: bool = True         # model OS timer/send-path jitter
     client_link: LinkParams = field(default_factory=LinkParams)
     seed: int = 0
-    # Per-record input-processing cost of the reader/generator process.
-    # §4.3's throughput experiment is bottlenecked by the generator; this
-    # is that knob (default matches the controller's reader).
+    # Per-record input-processing cost of every reader of the input
+    # stream: each controller's Reader, or each direct-mode distributor.
+    # §4.3's throughput experiment is bottlenecked by the generator;
+    # this is that knob.
     reader_cost: float = READER_PER_RECORD
     # Ablation switch: route same-source queries to the same querier
     # (§2.6).  False scatters records randomly, breaking per-source
@@ -74,7 +75,9 @@ class ReplayConfig:
     sticky_sources: bool = True
     # "If the input trace is extremely fast, the CPU of Controller may
     # become bottleneck ... we can split input stream to feed multiple
-    # controllers" (§2.6).  Sources are partitioned across controllers.
+    # controllers" (§2.6).  Several controllers split the sources by
+    # one seeded Pins draw per source, as direct mode splits them over
+    # distributors (ReplayEngine._open).
     controllers: int = 1
     # §5.2.1 varies client-server RTTs "0ms to 140ms or based on a
     # distribution": when set, client instance i gets the i-th RTT from
@@ -374,10 +377,9 @@ class ReplayEngine:
         self.distributors: list[Distributor] = []
         self.controllers: list[Controller] = []
         self.fault_injector: FaultInjector | None = None
-        # Per-controller record partitions of the current run; the
-        # checkpointer peeks at them to judge quiescence, and resume
-        # skips each controller's already-sent prefix.
-        self._feeds: list[list] = []
+        # The readers' split of the current run's sources (_open): a
+        # Pins table over reader positions, None with one reader.
+        self.split: Pins | None = None
         self._build()
         self.supervisor: Supervisor | None = \
             (Supervisor(self, config.supervision)
@@ -477,21 +479,7 @@ class ReplayEngine:
             self._arm_faults(None)
             if self.supervisor is not None:
                 self.supervisor.start()
-            if config.mode == "distributed":
-                assert self.controllers
-                self._feeds = partition(records, len(self.controllers))
-                epoch = records[0].time if records else None
-                for controller, feed in zip(self.controllers,
-                                            self._feeds):
-                    if feed:
-                        controller.start(
-                            feed,
-                            sync_time=epoch
-                            if len(self.controllers) > 1 else None)
-                    else:
-                        controller.finished = True
-            else:
-                self._direct_feed(records)
+            self._open(records)
         if until is not None:
             self.sim.run(until=until)
             # What the reader made available by the cut has arrived,
@@ -570,46 +558,57 @@ class ReplayEngine:
             actor["name"] for actor in (checkpoint.distributors
                                         + checkpoint.queriers)
             if actor["crashed"])
-        self._feeds = partition(records, len(self.controllers))
-        epoch = records[0].time if records else None
-        for controller, feed, state in zip(self.controllers,
-                                           self._feeds,
-                                           checkpoint.controllers):
+        for controller, state in zip(self.controllers,
+                                     checkpoint.controllers):
             controller.load_state(state)
-            remaining = feed[controller.records_read:]
-            if remaining:
-                controller.start(remaining, sync_time=epoch)
-            else:
-                controller.finished = True
+        self._open(records, resume_at=[controller.records_read
+                                       for controller in self.controllers])
 
-    def _direct_feed(self, records) -> None:
-        """Direct mode: each distributor reads its share of the stream
-        itself (:meth:`Distributor.read_from`); sources are split over
-        the distributors up front by one local :class:`Pins` table."""
-        if not records:
-            return
-        distributors = self.distributors
-        for distributor in distributors:
-            self.sim.scheduler.after(0.0, distributor.handle_sync,
-                                     records[0].time)
-        if len(distributors) == 1:
+    def _open(self, records, resume_at: list[int] | None = None) -> None:
+        """Open the input stream, once for either mode.  The readers
+        are the controllers (distributed) or the distributors (direct,
+        Figure 4); each is told t̄₁, the first record's trace time.  One
+        reader reads the whole stream; several split it by source —
+        §2.6's "split input stream to feed multiple controllers" — with
+        one :class:`Pins` draw per source over the readers' positions,
+        so a draw names a share and every record of a source reaches
+        the same reader.  *resume_at* is how many records of its share
+        each controller had read at a checkpoint."""
+        readers = self.controllers or self.distributors
+        n = len(readers)
+        if n == 1:
+            self.split = None
             shares = [range(len(records))]
         else:
-            # Pinned over the distributors' positions (the same draws
-            # as over the distributors), so a draw names its share.
-            share_for = Pins(list(range(len(distributors))),
-                             self.config.seed,
-                             actor=distributors.__getitem__).member_for
-            shares = [array("q") for _ in distributors]
+            self.split = split = Pins(list(range(n)),
+                                      self.config.seed,
+                                      actor=readers.__getitem__)
+            shares = [array("q") for _ in readers]
             for index, record in enumerate(records):
-                shares[share_for(record.src)].append(index)
+                shares[split.member_for(record.src)].append(index)
+        cost = self.config.reader_cost
+        if self.controllers:
+            for controller, share, read in zip(
+                    self.controllers, shares, resume_at or [0] * n):
+                share = share[read:]
+                if share:
+                    controller.start(map(records.__getitem__, share),
+                                     records[0].time, cost)
+                else:
+                    controller.finished = True
+            return
+        if not records:
+            return
+        for distributor in self.distributors:
+            self.sim.scheduler.after(0.0, distributor.handle_sync,
+                                     records[0].time)
         # Arrival events armed in stream order, so records available at
         # the same instant are read in the order a single reader reads
         # them.
         for distributor, share in sorted(
-                zip(distributors, shares),
+                zip(self.distributors, shares),
                 key=lambda pair: pair[1][0] if pair[1] else len(records)):
-            distributor.read_from(records, share, self.config.reader_cost)
+            distributor.read_from(records, share, cost)
 
     def report(self) -> ReplayReport:
         counted = [*self.queriers, *self.distributors, *self.controllers,

@@ -750,10 +750,10 @@ class Querier:
     def state_dict(self) -> dict:
         """Checkpointable state: message-id sequence, timing baseline,
         accounting counters, completed results, and the parked ΔT
-        backlog (records waiting on their send timers, serialized in
-        arrival order).  Only captured at a quiescent instant (nothing
-        on the wire, no open stream state), which the supervisor's
-        checkpointer enforces."""
+        backlog (records waiting on their send timers, in arrival
+        order, each with its timer's event time and ΔT target).  Only
+        captured at a quiescent instant (nothing on the wire, no open
+        stream state), which the supervisor's checkpointer enforces."""
         from repro.trace.binaryform import encode_record
         return {
             "name": self.name,
@@ -762,7 +762,8 @@ class Querier:
             "timer": {"trace_t1": self.timer.trace_t1,
                       "real_t1": self.timer.real_t1},
             "last_scheduled": self._last_scheduled,
-            "backlog": [encode_record(event.args[0]).hex()
+            "backlog": [{"record": encode_record(event.args[0]).hex(),
+                         "at": event.time, "target": event.args[1]}
                         for event in self._send_timers.values()],
             "counters": counter_state(self),
             "results": [_result_to_dict(r) for r in self.results],
@@ -775,11 +776,16 @@ class Querier:
         timer = state["timer"]
         if timer["trace_t1"] is not None:
             self.timer.sync(timer["trace_t1"], timer["real_t1"])
-        # Re-ingest the parked backlog: with the timing baseline
-        # restored, handle_record recomputes each record's absolute ΔT
-        # target, so the resumed run sends at the original instants.
-        for wire in state["backlog"]:
-            self.handle_record(decode_record(bytes.fromhex(wire)))
+        # Re-arm the parked backlog at the original event instants:
+        # recomputing them from the cut (handle_record) can land an ulp
+        # away from the timers armed at each record's arrival.
+        at = self.host.scheduler.at
+        for parked in state["backlog"]:
+            self._send_seq = seq = self._send_seq + 1
+            self._send_timers[seq] = at(
+                parked["at"], self._send_later,
+                decode_record(bytes.fromhex(parked["record"])),
+                parked["target"], seq)
         self._last_scheduled = state["last_scheduled"]
         restore_counters(self, state["counters"])
         self.results = [_result_from_dict(r) for r in state["results"]]

@@ -18,8 +18,8 @@ This module adds the supervision layer:
   the dead querier had queued but never sent are re-dispatched exactly
   once.  A failed distributor's sources are re-pinned across surviving
   control channels the same way.  Every pin lives in a :class:`Pins`
-  table: one per controller (over its channels), one per distributor
-  (over its queriers), one for direct mode's reader.
+  table: one for the readers' split, one per controller (over its
+  channels), one per distributor (over its queriers).
 * **Backpressure** — the queues every record already passes through
   (the Postman's backlog, the distributor's ingress queue, the
   querier's ΔT backlog) get a high-water mark.  Policy ``stall``
@@ -50,9 +50,10 @@ from dataclasses import dataclass, field, fields
 
 from repro.obs.report import counter_state, zero_counters
 
-# 3: each pin table is one ``Pins.state()`` (RNG state plus a member
-# index per source); an older payload is rejected, not patched up.
-CHECKPOINT_VERSION = 3
+# 4: each parked ΔT send stores its timer's absolute event time and its
+# ΔT target (3 stored the record alone); an older payload is rejected,
+# not patched up.
+CHECKPOINT_VERSION = 4
 
 _QUEUE_POLICIES = ("stall", "shed")
 
@@ -119,23 +120,6 @@ def resume_tick(cut: float, interval: float) -> float:
     while k * interval < cut:
         k += 1
     return k * interval
-
-
-def shard(src: str, shards: int) -> int:
-    """Which of *shards* split-input partitions (the sim's controllers)
-    owns the source *src*, so its queries keep their socket (§2.6).
-    CRC-32: builtin ``hash()`` is randomized per interpreter."""
-    return zlib.crc32(src.encode()) % shards
-
-
-def partition(records, shards: int) -> list[list]:
-    """*records* split by :func:`shard`, each part in input order."""
-    if shards == 1:
-        return [list(records)]
-    parts: list[list] = [[] for _ in range(shards)]
-    for record in records:
-        parts[shard(record.src, shards)].append(record)
-    return parts
 
 
 def rendezvous(key: str, candidates: list[str]) -> str:
@@ -427,9 +411,10 @@ class Supervisor:
             controller.try_resume()
 
     def _controller_for(self, src: str):
-        """The controller owning *src*'s partition."""
-        controllers = self.engine.controllers
-        return controllers[shard(src, len(controllers))]
+        """The controller that reads *src*: the engine's split says."""
+        engine = self.engine
+        split = engine.split
+        return engine.controllers[split.member_for(src) if split else 0]
 
     def _first_time(self, orphans):
         """The exactly-once gate of re-dispatch: yield each orphaned
@@ -499,8 +484,11 @@ class Checkpointer:
                      self._tick, daemon=True)
 
     def _tick(self) -> None:
-        if self.supervisor.stopped:
-            return  # replay drained: a post-completion snapshot is noise
+        if self.supervisor.stopped or self.supervisor._drained():
+            # Drained, whether or not the monitor has seen it yet: a
+            # run resumed from here would end extra_time after the cut,
+            # not after its last event.
+            return
         if self.quiescent():
             # Count first so the snapshot accounts for itself: a run
             # resumed from checkpoint N must report the same

@@ -92,14 +92,22 @@ def test_checkpoint_dict_round_trip():
     assert clone.to_dict() == ckpt.to_dict()
     assert clone.time == ckpt.time
     assert clone.seed == ckpt.seed
-    assert clone.to_dict()["version"] == CHECKPOINT_VERSION == 3
-    # Version 3: every pin table is one format, the RNG state plus a
-    # member index per source.
+    assert clone.to_dict()["version"] == CHECKPOINT_VERSION == 4
+    # Since version 3 every pin table is one format, the RNG state plus
+    # a member index per source.
     for actor in clone.controllers + clone.distributors:
         assert set(actor["pins"]) == {"rng", "pins"}
         assert all(isinstance(index, int)
                    for index in actor["pins"]["pins"].values())
     assert clone.controllers[0]["pins"]["pins"]
+    # Version 4: a parked send keeps its timer's event time and its ΔT
+    # target beside the record.
+    parked = [send for querier in clone.queriers
+              for send in querier["backlog"]]
+    assert parked
+    for send in parked:
+        assert set(send) == {"record", "at", "target"}
+        assert send["at"] >= clone.time
 
 
 def test_version_2_checkpoint_is_rejected():
@@ -110,6 +118,16 @@ def test_version_2_checkpoint_is_rejected():
     old = mid_run_checkpoint(checkpoints).to_dict()
     old["version"] = 2
     with pytest.raises(ValueError, match="version 2"):
+        ReplayCheckpoint.from_dict(old)
+
+
+def test_version_3_checkpoint_is_rejected():
+    """Version 3 stored a parked send as its record alone, re-armed
+    from the cut on resume; it is refused, not converted."""
+    _, checkpoints = run_full()
+    old = mid_run_checkpoint(checkpoints).to_dict()
+    old["version"] = 3
+    with pytest.raises(ValueError, match="version 3"):
         ReplayCheckpoint.from_dict(old)
 
 
@@ -162,6 +180,27 @@ def test_killed_and_resumed_run_is_byte_identical():
     resumed = engine.run(make_trace(),
                          resume_from=ckpt)
     assert resumed.to_json() == full_json
+
+
+@pytest.mark.parametrize("seed", [16, 37])
+def test_resume_rearms_parked_sends_at_their_original_instants(seed):
+    """Every checkpoint resumes byte-identically.  A parked ΔT send is
+    re-armed at its timer's own event time: re-ingested through
+    ``handle_record`` it was re-armed ``target - now`` after the cut,
+    an ulp away from the timer armed at its arrival (seed 16 resumed at
+    0.75 s read ``meta.sim_time`` 5.965045936 against
+    5.965045936000001).  And no checkpoint is taken once the replay has
+    drained: resumed from one, the run ended ``extra_time`` after the
+    cut instead of after its last event."""
+    engine = build_engine(seed=seed)
+    full_json = engine.run(make_trace()).to_json()
+    checkpoints = engine.supervisor.checkpointer.checkpoints
+    assert len(checkpoints) > 1
+    for checkpoint in checkpoints:
+        resumed = build_engine(seed=seed).run(
+            make_trace(), resume_from=ReplayCheckpoint.from_dict(
+                json.loads(json.dumps(checkpoint.to_dict()))))
+        assert resumed.to_json() == full_json, checkpoint.time
 
 
 def test_resumed_observed_run_reports_the_run_not_the_tail():

@@ -8,7 +8,9 @@ import pytest
 from repro.netsim import LinkParams, Simulator
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.tcp import MSS
-from repro.replay.controller import (RECORD_FRAME, SYNC_FRAME, Controller,
+from repro.replay import controller as controller_module
+from repro.replay.controller import (READER_PER_RECORD, RECORD_FRAME,
+                                     SYNC_FRAME, Controller,
                                      DistributorEndpoint)
 from repro.replay.distributor import Distributor
 from repro.replay.querier import Querier
@@ -17,7 +19,10 @@ from repro.trace.binaryform import encode_record
 from repro.trace.record import QueryRecord
 
 
-def build(read_window=8):
+def build(monkeypatch, read_window=8):
+    """One controller, distributor and two queriers; the Reader pulls
+    *read_window* records a pass."""
+    monkeypatch.setattr(controller_module, "READ_WINDOW", read_window)
     sim = Simulator()
     server = sim.add_host("server", ["10.0.0.9"], LinkParams())
     server.udp_socket(53).on_datagram = lambda *a: None
@@ -27,8 +32,7 @@ def build(read_window=8):
     distributor = Distributor(client_host, queriers, seed=1)
     controller_host = sim.add_host("controller", ["10.4.0.1"],
                                    LinkParams())
-    controller = Controller(controller_host, [distributor],
-                            read_window=read_window)
+    controller = Controller(controller_host, [distributor])
     return sim, controller, distributor, queriers
 
 
@@ -37,26 +41,31 @@ def records(n, clients=4):
                         qname=f"u{i}.example.com.") for i in range(n)]
 
 
-def test_reader_consumes_in_windows():
-    sim, controller, distributor, queriers = build(read_window=8)
-    controller.start(records(20))
+def start(controller, batch):
+    """Start the Reader on *batch*, whose first trace time is 0."""
+    controller.start(batch, 0.0, READER_PER_RECORD)
+
+
+def test_reader_consumes_in_windows(monkeypatch):
+    sim, controller, distributor, queriers = build(monkeypatch, 8)
+    start(controller, records(20))
     sim.run_until_idle()
     assert controller.records_read == 20
     assert controller.finished
     assert distributor.records_forwarded == 20
 
 
-def test_sync_broadcast_reaches_all_queriers():
-    sim, controller, distributor, queriers = build()
-    controller.start(records(5))
+def test_sync_broadcast_reaches_all_queriers(monkeypatch):
+    sim, controller, distributor, queriers = build(monkeypatch)
+    start(controller, records(5))
     sim.run_until_idle()
     for querier in queriers:
         assert querier.timer.synchronized
         assert querier.timer.trace_t1 == 0.0
 
 
-def test_lazy_input_consumption():
-    sim, controller, distributor, queriers = build(read_window=4)
+def test_lazy_input_consumption(monkeypatch):
+    sim, controller, distributor, queriers = build(monkeypatch, 4)
     pulled = []
 
     def source():
@@ -64,7 +73,7 @@ def test_lazy_input_consumption():
             pulled.append(record)
             yield record
 
-    controller.start(source())
+    start(controller, source())
     # After only the first event, at most one window was pulled.
     sim.run(max_events=1)
     assert len(pulled) <= 4
@@ -72,9 +81,9 @@ def test_lazy_input_consumption():
     assert len(pulled) == 12
 
 
-def test_all_records_delivered_to_queriers():
-    sim, controller, distributor, queriers = build()
-    controller.start(records(30))
+def test_all_records_delivered_to_queriers(monkeypatch):
+    sim, controller, distributor, queriers = build(monkeypatch)
+    start(controller, records(30))
     sim.run_until_idle()
     sim.run(until=sim.now + 2.0)
     total = sum(len(q.results) for q in queriers)
@@ -95,9 +104,9 @@ def test_distributor_balance_over_many_sources():
     assert min(counts.values()) > 20  # roughly balanced random spread
 
 
-def test_empty_input_finishes_immediately():
-    sim, controller, distributor, queriers = build()
-    controller.start([])
+def test_empty_input_finishes_immediately(monkeypatch):
+    sim, controller, distributor, queriers = build(monkeypatch)
+    start(controller, [])
     sim.run_until_idle()
     assert controller.finished
     assert controller.records_read == 0
@@ -116,16 +125,16 @@ def control_segments(controller):
     return payloads
 
 
-def test_one_pass_leaves_as_mss_sized_segments():
+def test_one_pass_leaves_as_mss_sized_segments(monkeypatch):
     """The Postman writes a pass the way a buffered writer would: one
     write per channel, so the window leaves as ceil(bytes / MSS) data
     segments, not one segment per record."""
     n = 200
-    sim, controller, distributor, queriers = build(read_window=n)
+    sim, controller, distributor, queriers = build(monkeypatch, n)
     sim.run_until_idle()           # the control connection is up
     payloads = control_segments(controller)
     batch = records(n)
-    controller.start(batch)
+    start(controller, batch)
     sim.run(max_events=1)          # the Reader's first pass
     framed = len(frame_message(bytes([SYNC_FRAME]) + bytes(8))) + sum(
         len(frame_message(bytes([RECORD_FRAME]) + encode_record(r)))
@@ -149,17 +158,17 @@ class _StallingSupervisor:
         pass
 
 
-def test_stall_mid_pass_writes_exactly_the_frames_en_route():
+def test_stall_mid_pass_writes_exactly_the_frames_en_route(monkeypatch):
     """A pass cut short by the high-water mark still goes out: what is
     on the wire is exactly the record frames the distributor counts
     en route, no more (nothing sent past the mark) and no fewer
     (nothing left behind in the channel's buffer)."""
     high_water = 7
-    sim, controller, distributor, queriers = build(read_window=50)
+    sim, controller, distributor, queriers = build(monkeypatch, 50)
     sim.run_until_idle()
     payloads = control_segments(controller)
     controller.supervisor = _StallingSupervisor(high_water)
-    controller.start(records(50))
+    start(controller, records(50))
     sim.run(max_events=1)
     assert controller.paused and controller.supervisor.stalls == 1
     kinds = []

@@ -58,13 +58,13 @@ def test_direct_mode_heap_and_events_follow_what_is_in_flight():
     engine = direct_engine(queriers_per_instance=3, seed=7)
     scheduler = engine.sim.scheduler
     depth_after_feed = []
-    feed = engine._direct_feed
+    feed = engine._open
 
     def measured_feed(records):
         feed(records)
         depth_after_feed.append(len(scheduler._heap))
 
-    engine._direct_feed = measured_feed
+    engine._open = measured_feed
     count = 2_000
     record = QueryRecord(time=0.0, src="172.16.0.1",
                          qname="www.example.com.")

@@ -78,6 +78,23 @@ def test_direct_mode_equivalent_coverage():
     assert report.answered_fraction() == 1.0
 
 
+@pytest.mark.parametrize("mode", ["distributed", "direct"])
+def test_reader_cost_paces_every_reader(mode):
+    """``reader_cost`` is what a record costs its reader, a controller's
+    Reader as much as a direct-mode distributor: at 1 ms a record,
+    record 600 is not read before 0.5 s.  (The Reader once charged a
+    fixed 1.5 µs whatever the knob said: 0.006 s.)"""
+    sim, server = build_world()
+    engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
+        client_instances=1, queriers_per_instance=2, mode=mode,
+        fast=True, reader_cost=1e-3, seed=1))
+    report = engine.run(Trace([
+        QueryRecord(time=0.0, src=f"172.16.0.{i % 8}",
+                    qname=f"u{i}.example.com.") for i in range(1024)]))
+    assert len(report.results) == 1024
+    assert report.send_times()["u600.example.com."] >= 0.5
+
+
 def test_same_source_stays_on_one_querier():
     sim, server = build_world()
     engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(

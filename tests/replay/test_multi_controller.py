@@ -1,13 +1,19 @@
 """Tests for split-input multi-controller replay (§2.6)."""
 
+import os
+
 import pytest
 
 from repro.netsim import LinkParams, Simulator
 from repro.replay import ReplayConfig, ReplayEngine
+from repro.replay.supervisor import Pins
 from repro.server import AuthoritativeServer
 from repro.trace.record import QueryRecord, Trace
 
 from tests.replay.test_engine import wildcard_example_zone
+
+# The CI chaos job sweeps this seed; locally the suite is fixed.
+SEED = int(os.environ.get("REPLAY_CHAOS_SEED", "21"))
 
 
 def build_engine(controllers):
@@ -18,7 +24,7 @@ def build_engine(controllers):
                                  log_queries=True)
     engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
         client_instances=2, queriers_per_instance=2,
-        controllers=controllers, seed=21))
+        controllers=controllers, seed=SEED))
     return sim, server, engine
 
 
@@ -72,14 +78,21 @@ def test_single_controller_alias_removed():
     assert engine.controllers[0] is not None
 
 
-def test_split_feed_partition_is_hash_seed_independent():
-    """_split_feed must use a stable hash (crc32), not builtin str hash
-    (randomized by PYTHONHASHSEED): same trace -> same partitions."""
-    import zlib
+def test_controllers_split_sources_by_the_pins_draw():
+    """The declared split: one ``Pins`` draw per source over the
+    controllers' positions, seeded ``config.seed`` -- the draw direct
+    mode makes over distributors.  (Identity across PYTHONHASHSEED is
+    test_observer's ``test_snapshot_byte_identical_across_hash_seeds``,
+    with three controllers.)"""
     sim, server, engine = build_engine(controllers=3)
     trace = make_trace(n=120, clients=10)
     engine.run(trace)
-    for src in trace.clients():
-        expected = zlib.crc32(src.encode()) % 3
-        holder = engine.controllers[expected]
-        assert src in holder.pins.table
+    draw = Pins(list(range(3)), engine.config.seed,
+                actor=engine.controllers.__getitem__).member_for
+    expected = {src: draw(src) for src in (r.src for r in trace)}
+    assert len(set(expected.values())) > 1
+    for src, position in expected.items():
+        for c, controller in enumerate(engine.controllers):
+            assert (src in controller.pins.table) == (c == position), src
+    assert engine.split.table == expected
+

@@ -143,16 +143,47 @@ def test_in_flight_queries_surface_as_failed_over():
                    if r.failed_over) == victim.failed_over
 
 
-def test_distributor_failover_repins_across_channels():
+@pytest.mark.parametrize("controllers", [1, 2, 3])
+def test_distributor_failover_repins_across_channels(controllers):
     sim, server, engine = build_engine(
-        supervision=SupervisionConfig(), instances=2)
+        supervision=SupervisionConfig(), instances=2,
+        controllers=controllers)
     trace = make_trace()
     victim = engine.distributors[0]
+    # Which controller each record frame left on, and whether it was
+    # the supervisor's re-dispatch that sent it.
+    sends = []
+    redispatching = []
+    fail_distributor = engine.supervisor._fail_distributor
+
+    def logged_failover(distributor):
+        redispatching.append(True)
+        fail_distributor(distributor)
+        redispatching.clear()
+
+    engine.supervisor._fail_distributor = logged_failover
+    for controller in engine.controllers:
+        def send_record(channel, record, controller=controller,
+                        send=controller.send_record):
+            sends.append((record.src, controller, bool(redispatching)))
+            send(channel, record)
+        controller.send_record = send_record
     # Kill the distributor process mid-replay; the supervisor must
     # notice via missing heartbeats (no fault-plan edge tells it).
     sim.scheduler.at(CRASH_AT, victim.crash)
     report = engine.run(trace)
     assert victim.name in engine.supervisor.failed
+    # Each re-dispatched record of a source went out on the controller
+    # that reads the source.
+    reader = {}
+    for src, controller, _ in sends:
+        reader.setdefault(src, controller)
+    redispatched = [(src, controller)
+                    for src, controller, again in sends if again]
+    # (>=: a Postman unstalled by the failover sends on its own.)
+    assert len(redispatched) >= engine.supervisor.redispatched > 0
+    for src, controller in redispatched:
+        assert controller is reader[src], src
     assert engine.supervisor.failovers >= 1
     answered = sum(1 for r in report.results if r.answered)
     assert answered / len(trace) >= 0.99
