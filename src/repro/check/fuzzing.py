@@ -290,16 +290,63 @@ def plain_queries():
 
 
 def _target_trace_binary(blob: bytes) -> None:
-    from repro.trace.binaryform import binary_to_trace, decode_record
+    """Every LDPB reader reads *blob* one way: ``binary_to_trace`` and
+    the pipeline's ``collect``/``stats``, at one-record chunks and at
+    the default, agree on the records, on the ``(index, offset)`` of
+    what ``skip_malformed`` drops and on the located error raised
+    without it.  Past the header every error carries an index."""
+    from repro.trace.binaryform import (binary_to_trace, check_header,
+                                        decode_record, encode_record)
     from repro.trace.errors import TraceFormatError
-    try:
-        binary_to_trace(blob)
-    except TraceFormatError:
-        pass
+    from repro.trace.pipeline import TracePipeline
+    from repro.trace.stats import StreamingStats
     try:
         decode_record(blob)
     except TraceFormatError:
         pass
+    try:
+        check_header(blob)
+        past_header = True
+    except TraceFormatError:
+        past_header = False
+
+    def reading(read, skip):
+        skipped: list = []
+        try:
+            out = read(skip_malformed=skip, skipped=skipped)
+        except TraceFormatError as error:
+            out, skipped = None, skipped + [error]
+        assert not past_header or all(e.index is not None
+                                      for e in skipped), skipped
+        return out, [(type(e), e.index, e.offset) for e in skipped]
+
+    def frames(records):
+        # Frames, not records: a NaN time is unequal to itself.
+        return None if records is None else [encode_record(r)
+                                             for r in records]
+
+    def tally(stats):
+        return (stats.records, stats.client_counts, stats.proto_counts,
+                stats.do_count)
+
+    for skip in (False, True):
+        records, errors = reading(
+            lambda **o: binary_to_trace(blob, **o).records, skip)
+        expected = None
+        if records is not None:
+            fed = StreamingStats()
+            for record in records:
+                fed.update(record)
+            expected = tally(fed)
+        for chunking in ({"chunk_records": 1}, {}):
+            def pipe(**o):
+                return TracePipeline.from_binary(blob, **chunking, **o)
+            got, got_errors = reading(
+                lambda **o: pipe(**o).collect().records, skip)
+            assert (frames(got), got_errors) == (frames(records), errors)
+            got, got_errors = reading(
+                lambda **o: tally(pipe(**o).stats()), skip)
+            assert (got, got_errors) == (expected, errors)
 
 
 def _target_trace_text(line: str) -> None:

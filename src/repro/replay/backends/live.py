@@ -752,14 +752,16 @@ class LiveBackend(ReplayBackend):
 
         *extra_time* has no live meaning (the run drains by waiting
         for every query to settle, each bounded by its timeout) and is
-        accepted for API parity.  *until* truncates the trace at that
-        timestamp, matching the sim's stop-the-clock semantics."""
+        accepted for API parity.  *until* keeps the records at most
+        that many seconds of trace time (not divided by ``speed``) after
+        the first one, t̄₁, from which the sim's clock counts too."""
         from repro.replay.engine import _validate_run
         del extra_time
         records = as_trace(trace, self.observer).sorted().records
         until = self.config.until if until is None else until
-        if until is not None:
-            records = [r for r in records if r.time <= until]
+        if until is not None and records:
+            first = records[0].time
+            records = [r for r in records if r.time - first <= until]
         _validate_run(self.config, records, resume_from)
         live = self.live
         self.server = LiveDnsServer(

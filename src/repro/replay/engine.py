@@ -474,8 +474,10 @@ class ReplayEngine:
             self.supervisor.start(resumed=True)
             self._arm_faults(resume_from)
         else:
-            # Legacy event order: injector armed before any feed event
-            # is scheduled (same-time events tie-break by insertion).
+            # The injector is armed before any feed event, so a fault
+            # armed at a record's availability instant wins the
+            # insertion-order tie and applies to that record;
+            # Distributor._read_before_now relies on it.
             self._arm_faults(None)
             if self.supervisor is not None:
                 self.supervisor.start()

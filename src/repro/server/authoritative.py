@@ -138,8 +138,6 @@ class AuthoritativeServer(DnsResponder):
         if self.answer_cache is not None:
             restore_counters(self.answer_cache, state["answer_cache"])
         if self.worker_pool is not None:
-            # Older checkpoints also carry "busiest_backlog", which
-            # nothing reads.
             self.worker_pool._free_at = list(state["worker_pool"]["free_at"])
 
     # -- transports -----------------------------------------------------

@@ -113,32 +113,66 @@ def check_header(data) -> None:
         raise BinaryFormatError(f"unsupported stream version {version}")
 
 
+def reject(message: str, index: int, offset: int | None,
+           skip_malformed: bool, skipped: list | None) -> None:
+    """The one rule for a malformed record, read or written: located at
+    its input *index* (and byte *offset*), it raises, or under
+    *skip_malformed* is noted in *skipped* for the caller to pass over."""
+    error = BinaryFormatError(message, index=index, offset=offset)
+    if not skip_malformed:
+        raise error
+    note_skipped(skipped, error)
+
+
 def scan_frames(data, start: int = HEADER_SIZE, end: int | None = None,
-                base_index: int = 0) -> Iterator[tuple[int, int]]:
+                base_index: int = 0, skip_malformed: bool = False,
+                skipped: list | None = None) -> Iterator[tuple[int, int]]:
     """Yield ``(offset, length)`` for every frame without decoding any.
 
     *offset* is the position of the u16 length prefix, *length* the blob
     size that follows it — so the blob spans
     ``[offset + 2, offset + 2 + length)``.  This is the zero-copy
     boundary scan the chunked pipeline splits work on: only the length
-    prefixes are read.  Structural errors (a truncated prefix or tail)
-    raise :class:`BinaryFormatError` with the global record index
-    (``base_index`` + frames seen) and byte offset."""
+    prefixes are read.  It holds the one truncation rule: a cut prefix
+    or record cannot be resynced, so :func:`reject` rules on it at its
+    global index (``base_index`` + frames seen) and byte offset, and
+    when it is skipped the stream ends there."""
     if end is None:
         end = len(data)
     pos = start
     index = base_index
     while pos < end:
         if pos + 2 > end:
-            raise BinaryFormatError("truncated length prefix",
-                                    index=index, offset=pos)
-        (length,) = struct.unpack_from("!H", data, pos)
+            reject("truncated length prefix", index, pos, skip_malformed,
+                   skipped)
+            return
+        (length,) = _U16.unpack_from(data, pos)
         if pos + 2 + length > end:
-            raise BinaryFormatError("truncated record", index=index,
-                                    offset=pos)
+            reject("truncated record", index, pos, skip_malformed,
+                   skipped)
+            return
         yield pos, length
         pos += 2 + length
         index += 1
+
+
+def walk(data, start: int = HEADER_SIZE, end: int | None = None,
+         base_index: int = 0, skip_malformed: bool = False,
+         skipped: list | None = None) -> Iterator[tuple[int, QueryRecord]]:
+    """The one LDPB decode walk: ``(global index, record)`` for every
+    frame of ``data[start:end]`` that decodes.  :func:`reject` rules on
+    a frame that does not at its index and offset (skipped, the walk
+    goes on at the next length prefix); a truncated tail is
+    :func:`scan_frames`' to rule on."""
+    for index, (offset, length) in enumerate(
+            scan_frames(data, start, end, base_index, skip_malformed,
+                        skipped), base_index):
+        try:
+            record = decode_record(data[offset + 2:offset + 2 + length])
+        except BinaryFormatError as exc:
+            reject(exc.message, index, offset, skip_malformed, skipped)
+        else:
+            yield index, record
 
 
 def frame_spans(blob) -> tuple[int, int, int, int, int, int]:
@@ -171,18 +205,14 @@ def frame_spans(blob) -> tuple[int, int, int, int, int, int]:
 def trace_to_binary(trace: Trace | Iterable[QueryRecord],
                     skip_malformed: bool = False,
                     skipped: list | None = None) -> bytes:
-    """The whole LDPB stream.  A record the format cannot hold raises
-    :class:`BinaryFormatError` with its index in *trace*; with
-    *skip_malformed* it is dropped (and collected into *skipped*)."""
+    """The whole LDPB stream.  :func:`reject` rules on a record the
+    format cannot hold at its index in *trace*."""
     out = bytearray(HEADER)
     for index, record in enumerate(trace):
         try:
             out += encode_frame(record)
         except BinaryFormatError as exc:
-            error = BinaryFormatError(exc.message, index=index)
-            if not skip_malformed:
-                raise error from exc
-            note_skipped(skipped, error)
+            reject(exc.message, index, None, skip_malformed, skipped)
     return bytes(out)
 
 
@@ -190,44 +220,12 @@ def iter_binary(data: bytes, skip_malformed: bool = False,
                 skipped: list | None = None) -> Iterator[QueryRecord]:
     """Stream records out of a binary trace without materializing all.
 
-    Structural errors (bad magic, truncated header) always raise; with
-    *skip_malformed*, per-record errors are dropped (collected into
-    *skipped* when given) and decoding continues at the next length
-    prefix.  A truncated tail cannot be resynced, so it ends the
-    stream."""
+    Structural errors (bad magic, truncated header) always raise; a
+    malformed record follows :func:`walk`'s rule."""
     check_header(data)
-    pos = HEADER_SIZE
-    index = 0
-    while pos < len(data):
-        start = pos
-        if pos + 2 > len(data):
-            error = BinaryFormatError("truncated length prefix",
-                                      index=index, offset=start)
-            if skip_malformed:
-                note_skipped(skipped, error)
-                return
-            raise error
-        (length,) = struct.unpack_from("!H", data, pos)
-        pos += 2
-        if pos + length > len(data):
-            error = BinaryFormatError("truncated record", index=index,
-                                      offset=start)
-            if skip_malformed:
-                note_skipped(skipped, error)
-                return
-            raise error
-        try:
-            record = decode_record(data[pos:pos + length])
-        except BinaryFormatError as exc:
-            error = BinaryFormatError(exc.message, index=index,
-                                      offset=start)
-            if not skip_malformed:
-                raise error from exc
-            note_skipped(skipped, error)
-        else:
-            yield record
-        pos += length
-        index += 1
+    for _, record in walk(data, skip_malformed=skip_malformed,
+                          skipped=skipped):
+        yield record
 
 
 def binary_to_trace(data: bytes, name: str = "",

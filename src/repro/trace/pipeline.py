@@ -69,9 +69,13 @@ modes.  Three design rules make that hold:
 
 A record blob that decodes successfully re-encodes to the same bytes
 (the format has no slack), which is why patching a field inside a frame
-equals re-encoding the patched record.  Malformed frames raise
-:class:`~repro.trace.errors.TraceFormatError` carrying the **global**
-record index and byte offset, no matter which worker hit them.
+equals re-encoding the patched record.  Every sink reads frames with
+:func:`~repro.trace.binaryform.walk` (record mode, ``stats``) or
+``scan_frames`` (frame mode), so a malformed record — a frame that does
+not decode, a truncated tail, an output record LDPB cannot hold — is
+raised or skipped by the one rule of
+:func:`~repro.trace.binaryform.reject`, with its **global** input
+index, no matter which worker hit it.
 """
 
 from __future__ import annotations
@@ -91,8 +95,8 @@ from repro.trace.binaryform import (FLAG_DO, FLAGS_OFFSET, HEADER,
                                     PROTO_OFFSET, SRC_OFFSET, TIME_OFFSET,
                                     BinaryFormatError, check_header,
                                     decode_record, encode_frame,
-                                    frame_spans, scan_frames,
-                                    trace_to_binary)
+                                    frame_spans, reject, scan_frames,
+                                    walk)
 from repro.trace.errors import TraceFormatError, note_skipped
 from repro.trace.record import PROTOCOLS, QueryRecord, Trace
 
@@ -390,16 +394,20 @@ class _CompiledChain:
         return (not self.skip_malformed
                 and all(op.frame_capable for op in self.ops))
 
-    def run_frames(self, buf, chunk: _Chunk) -> tuple[bytes, int, int]:
+    def run_frames(self, buf, chunk: _Chunk, decode: bool) -> list:
         """Frame mode: one buffer and one layout check per frame, the
-        ops patch it in place, no QueryRecord is ever built."""
-        out = bytearray()
+        ops patch it in place, no QueryRecord is built.  Returns each
+        frame after its u16 length prefix, or with *decode* each
+        patched frame's record, decoded where its index and offset are
+        known."""
+        out: list = []
+        append = out.append
         patches = [op.map_frame for op in self.ops]
         ctx = self.ctx
         pack_u16, pack_u16_into = _U16.pack, _U16.pack_into
-        index = chunk.base_index
-        for offset, length in scan_frames(buf, chunk.start, chunk.end,
-                                          base_index=chunk.base_index):
+        for index, (offset, length) in enumerate(
+                scan_frames(buf, chunk.start, chunk.end, chunk.base_index),
+                chunk.base_index):
             frame = bytearray(buf[offset + 2:offset + 2 + length])
             try:
                 qname_off = frame_spans(frame)[4]
@@ -411,61 +419,30 @@ class _CompiledChain:
                         "record too large for u16 framing")
                 # The qname is whatever now follows qname_off.
                 pack_u16_into(frame, qname_off - 2, size - qname_off)
+                if decode:
+                    append(decode_record(frame))
+                    continue
             except (BinaryFormatError, struct.error) as exc:
                 # struct.error: an op wrote a value its field cannot
                 # hold — what encode_record reports in record mode.
                 raise BinaryFormatError(
                     getattr(exc, "message", f"unencodable record: {exc}"),
                     index=index, offset=offset) from exc
-            out += pack_u16(size)
-            out += frame
-            index += 1
-        n = index - chunk.base_index
-        return bytes(out), n, n
+            append(pack_u16(size))
+            append(frame)
+        return out
 
-    def run_records(self, buf, chunk: _Chunk) \
-            -> tuple[bytes, int, int, list[TraceFormatError]]:
-        """Record mode: decode once, run the chain, encode once."""
-        out = bytearray()
-        skipped: list[TraceFormatError] = []
-        n_out = 0
-        for record, index in self.iter_records(buf, chunk, skipped):
-            if record is None:
-                continue
-            try:
-                out += encode_frame(record)
-            except BinaryFormatError as exc:
-                # The chain produced a record the format cannot hold.
-                error = BinaryFormatError(exc.message, index=index)
-                if not self.skip_malformed:
-                    raise error from exc
-                note_skipped(skipped, error)
-                continue
-            n_out += 1
-        return bytes(out), chunk.records, n_out, skipped
-
-    def iter_records(self, buf, chunk: _Chunk,
-                     skipped: list[TraceFormatError] | None) \
-            -> Iterator[tuple[QueryRecord | None, int]]:
-        """Decode + apply chain; yields ``(record_or_None, index)``
-        (``None`` = dropped by a filter).  Malformed frames raise with
-        their global index, or are collected when skipping."""
-        index = chunk.base_index
-        for offset, length in scan_frames(buf, chunk.start, chunk.end,
-                                          base_index=chunk.base_index):
-            try:
-                record = decode_record(bytes(
-                    buf[offset + 2:offset + 2 + length]))
-            except BinaryFormatError as exc:
-                error = BinaryFormatError(exc.message, index=index,
-                                          offset=offset)
-                if not self.skip_malformed:
-                    raise error from exc
-                note_skipped(skipped, error)
-                index += 1
-                continue
-            yield self.apply_record(record, index), index
-            index += 1
+    def records(self, buf, chunk: _Chunk, skipped: list) \
+            -> Iterator[tuple[int, QueryRecord]]:
+        """Record mode: the one decode walk, then the chain;
+        ``(index, record)`` for each record the chain keeps."""
+        apply = self.apply_record
+        for index, record in walk(buf, chunk.start, chunk.end,
+                                  chunk.base_index, self.skip_malformed,
+                                  skipped):
+            record = apply(record, index)
+            if record is not None:
+                yield index, record
 
     def apply_record(self, record: QueryRecord,
                      index: int) -> QueryRecord | None:
@@ -474,6 +451,18 @@ class _CompiledChain:
             if record is None:
                 return None
         return record
+
+
+def _encode(record: QueryRecord, index: int, skip_malformed: bool,
+            skipped: list | None) -> bytes | None:
+    """The LDPB frame of a record a chain kept, or None when the format
+    cannot hold it: :func:`reject` rules on it at its input *index*,
+    whatever the source."""
+    try:
+        return encode_frame(record)
+    except BinaryFormatError as exc:
+        reject(exc.message, index, None, skip_malformed, skipped)
+        return None
 
 
 # -- pool workers ----------------------------------------------------------
@@ -501,23 +490,33 @@ def _init_worker(source: tuple[str, object], chain_blob: bytes,
 def _process_chunk(buf, chain: _CompiledChain, mode: str, chunk: _Chunk):
     """One chunk's work, the same inline and in a pool worker:
     ``(payload, records_in, records_out, skipped, seconds)``, the
-    payload being frame bytes ("binary") or StreamingStats ("stats").
-    A malformed frame raises with its global index; the pool re-raises
-    it in the parent (trace errors pickle, attributes intact)."""
+    payload being frame bytes ("binary"), the output records
+    ("records") or StreamingStats ("stats").  A malformed frame raises
+    with its global index; the pool re-raises it in the parent (trace
+    errors pickle, attributes intact)."""
     started = _time.perf_counter()
     skipped: list[TraceFormatError] = []
     if mode == "stats":
         from repro.trace.stats import StreamingStats
         payload = StreamingStats()
-        for record, _ in chain.iter_records(buf, chunk, skipped):
-            if record is not None:
-                payload.update(record)
-        n_in, n_out = chunk.records, payload.records
-    elif chain.frame_mode:
-        payload, n_in, n_out = chain.run_frames(buf, chunk)
+        for _, record in chain.records(buf, chunk, skipped):
+            payload.update(record)
+        n_out = payload.records
     else:
-        payload, n_in, n_out, skipped = chain.run_records(buf, chunk)
-    return payload, n_in, n_out, skipped, _time.perf_counter() - started
+        if chain.frame_mode:
+            out = chain.run_frames(buf, chunk, decode=mode == "records")
+            n_out = chunk.records
+        else:
+            out = []
+            for index, record in chain.records(buf, chunk, skipped):
+                frame = _encode(record, index, chain.skip_malformed,
+                                skipped)
+                if frame is not None:
+                    out.append(frame if mode == "binary" else record)
+            n_out = len(out)
+        payload = b"".join(out) if mode == "binary" else out
+    return payload, chunk.records, n_out, skipped, \
+        _time.perf_counter() - started
 
 
 def _run_chunk(chunk: _Chunk):
@@ -709,24 +708,25 @@ class TracePipeline:
         return PipelineContext(first_time=t0)
 
     def _chunks(self, buf) -> list[_Chunk]:
+        """``chunk_records`` frames a chunk.  The last chunk runs to the
+        end of *buf*: a truncated tail is its walk's to rule on, after
+        every record before it."""
         chunks: list[_Chunk] = []
         start = None
-        count = 0
-        base = 0
-        total = 0
+        count = base = 0
         end = HEADER_SIZE
-        for offset, length in scan_frames(buf):
+        for offset, length in scan_frames(buf, skip_malformed=True):
             if start is None:
                 start = offset
             count += 1
-            total += 1
             end = offset + 2 + length
             if count == self.chunk_records:
                 chunks.append(_Chunk(start, end, base, count))
                 base += count
                 start, count = None, 0
-        if count:
-            chunks.append(_Chunk(start, end, base, count))
+        if count or end < len(buf):
+            chunks.append(_Chunk(end if start is None else start,
+                                 len(buf), base, count))
         return chunks
 
     def _run_chunked(self, mode: str):
@@ -738,8 +738,8 @@ class TracePipeline:
         try:
             check_header(buf)
             chunks = self._chunks(buf)
-            ctx = self._context(
-                buf, chunks[0].start if chunks else None)
+            ctx = self._context(buf, chunks[0].start
+                                if chunks and chunks[0].records else None)
             chain = _CompiledChain(self._ops, ctx, self.skip_malformed)
             if mode == "stats" or not chain.frame_mode:
                 self._check_picklable(chain)
@@ -783,8 +783,9 @@ class TracePipeline:
                 initargs=(source, pickle.dumps(chain), mode)) as pool:
             yield from pool.imap(_run_chunk, chunks, chunksize=1)
 
-    def _stream_records(self) -> Iterator[QueryRecord]:
-        """Serial path for record sources (Trace/iterator/text/pcap)."""
+    def _stream(self) -> Iterator[tuple[int, QueryRecord]]:
+        """Serial path for record sources (Trace/iterator/text/pcap):
+        ``(input index, record)`` for each record the chain keeps."""
         result = PipelineResult(chunks=0)
         started = _time.perf_counter()
         try:
@@ -808,7 +809,7 @@ class TracePipeline:
                 out = chain.apply_record(record, index)
                 if out is not None:
                     result.records_out += 1
-                    yield out
+                    yield index, out
         finally:
             result.worker_seconds = _time.perf_counter() - started
             self.last_result = result
@@ -819,19 +820,12 @@ class TracePipeline:
         return self.records()
 
     def records(self) -> Iterator[QueryRecord]:
-        """Iterate output records (decodes merged frames when the
-        chunked executor ran)."""
+        """Iterate output records.  On an LDPB source each is decoded
+        once, by the chunk that read it: frame mode decodes the patched
+        frame, record mode keeps the chain's records LDPB can hold."""
         if not self.chunkable:
-            return self._stream_records()
-
-        def decode_chunks():
-            for frames in self._run_chunked("binary"):
-                pos = 0
-                while pos < len(frames):
-                    (length,) = struct.unpack_from("!H", frames, pos)
-                    yield decode_record(frames[pos + 2:pos + 2 + length])
-                    pos += 2 + length
-        return decode_chunks()
+            return (record for _, record in self._stream())
+        return itertools.chain.from_iterable(self._run_chunked("records"))
 
     def collect(self) -> Trace:
         """Materialize the output as a :class:`Trace`."""
@@ -847,16 +841,19 @@ class TracePipeline:
         return self._encode_stream()
 
     def _encode_stream(self) -> bytes:
-        """LDPB from a record source; a record the format cannot hold
-        raises or is skipped like a line the text reader rejects."""
+        """LDPB from a record source; a record the format cannot hold is
+        malformed at its input index, as on an LDPB source."""
         dropped: list[TraceFormatError] = []
-        data = trace_to_binary(self._stream_records(),
-                               self.skip_malformed, dropped)
+        out = bytearray(HEADER)
+        for index, record in self._stream():
+            frame = _encode(record, index, self.skip_malformed, dropped)
+            if frame is not None:
+                out += frame
         for error in dropped:
             note_skipped(self._skipped, error)
         self.last_result.records_out -= len(dropped)
         self.last_result.skipped += len(dropped)
-        return data
+        return bytes(out)
 
     def to_file(self, path: str | Path) -> PipelineResult:
         """Run and write the output trace (format by extension).
@@ -901,7 +898,7 @@ class TracePipeline:
                 merged.merge(partial)
             return merged
         merged = StreamingStats(name=self.name)
-        for record in self._stream_records():
+        for _, record in self._stream():
             merged.update(record)
         return merged
 

@@ -646,6 +646,16 @@ def test_live_backend_until_truncates():
     assert len(report.results) == 11       # records at t <= 0.2
 
 
+def test_live_backend_until_counts_from_the_first_record():
+    """``until`` is trace time after the first record, as the sim's
+    clock counts it: a trace starting at t=100 keeps the same records
+    as one starting at t=0 (it used to keep none)."""
+    shifted = Trace([r.with_(time=r.time + 100.0) for r in mixed_trace()])
+    backend = LiveBackend([make_example_zone()], config=live_config())
+    report = backend.run(shifted, until=0.21)
+    assert len(report.results) == 11       # records at t - 100 <= 0.21
+
+
 def test_get_backend_constructs_live():
     backend = get_backend("live", [make_example_zone()],
                           config=live_config())

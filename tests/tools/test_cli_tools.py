@@ -205,3 +205,27 @@ def test_version_is_declared_once():
     assert repro.__version__ == version
     setup_py = (ROOT / "setup.py").read_text(encoding="utf-8")
     assert "version=" not in setup_py and "entry_points" not in setup_py
+
+
+def test_skip_malformed_drops_a_truncated_ldpb_tail(tmp_path, sample_trace,
+                                                    capsys):
+    """``--skip-malformed`` on a cut ``.ldpb``: both trace CLIs keep the
+    records before the tail and print the skip summary (they used to
+    exit 1 with a traceback)."""
+    from repro.tools.trace_stats import main as stats_main
+    trace, _ = sample_trace
+    trunc = tmp_path / "trunc.ldpb"
+    save_trace(trace, trunc)
+    trunc.write_bytes(trunc.read_bytes()[:-3])
+    summary = "skipped 1 malformed record(s); first: truncated record " \
+              "(record 39, byte offset "
+    assert stats_main(["--skip-malformed", str(trunc)]) == 0
+    captured = capsys.readouterr()
+    assert "records=        39" in captured.out
+    assert summary in captured.err
+    out = tmp_path / "out.txt"
+    assert convert_main([str(trunc), str(out), "--skip-malformed"]) == 0
+    captured = capsys.readouterr()
+    assert "39 records" in captured.out
+    assert summary in captured.err
+    assert load_trace(out).records == trace.records[:39]

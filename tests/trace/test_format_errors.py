@@ -8,16 +8,20 @@ dropped errors collectable for a summary.
 
 import pickle
 import struct
+from pathlib import Path
 
 import pytest
 
-from repro.trace.binaryform import (BinaryFormatError, binary_to_trace,
-                                    encode_record, trace_to_binary)
+from repro.trace.binaryform import (PROTO_OFFSET, BinaryFormatError,
+                                    binary_to_trace, encode_record,
+                                    scan_frames, trace_to_binary)
 from repro.trace.convert import pcap_to_trace
 from repro.trace.errors import TraceFormatError
 from repro.trace.pcaplib import (CapturedPacket, PcapError, read_pcap,
                                  write_pcap)
+from repro.trace.pipeline import TracePipeline
 from repro.trace.record import QueryRecord, Trace
+from repro.trace.stats import StreamingStats
 from repro.trace.textform import (TextFormatError, text_to_trace,
                                   trace_to_text)
 
@@ -76,13 +80,92 @@ def corrupt_middle_record(data: bytes) -> bytes:
             + data[second + 2 + length1:])
 
 
-def test_binary_error_carries_index_and_offset():
-    data = corrupt_middle_record(trace_to_binary(records()))
+# Every LDPB reader, with the jobs it runs at: binary_to_trace is one
+# pass; the pipeline sinks run on two-record chunks, inline and pooled.
+SINKS = ("collect", "stats", "to_binary", "to_file.ldpb", "to_file.txt")
+LDPB_READERS = [("binary_to_trace", 1)] + [
+    (sink, jobs) for sink in SINKS for jobs in (1, 2)]
+
+
+def run_sink(pipe, sink, tmp_path):
+    """Run one pipeline sink; what it put out."""
+    if sink.startswith("to_file"):
+        path = tmp_path / ("out" + sink[len("to_file"):])
+        pipe.to_file(path)
+        return path
+    return getattr(pipe, sink)()
+
+
+def read_ldpb(reader, jobs, data, tmp_path, **options):
+    if reader == "binary_to_trace":
+        return binary_to_trace(data, **options)
+    return run_sink(TracePipeline.from_binary(
+        data, jobs=jobs, chunk_records=2, **options), reader, tmp_path)
+
+
+def sources_of(out):
+    """The sources of the records a reader put out (stats: its clients,
+    which are the records here — one client each)."""
+    if isinstance(out, StreamingStats):
+        return list(out.client_counts)
+    if isinstance(out, bytes):
+        out = binary_to_trace(out)
+    elif isinstance(out, Path):
+        out = TracePipeline.from_file(out).collect()
+    return [r.src for r in out]
+
+
+def located(errors):
+    return [(e.index, e.offset) for e in errors]
+
+
+def sources(indices):
+    return [f"198.51.100.{i}" for i in indices]
+
+
+def set_protocol_byte(data: bytes, index: int, value: int) -> bytes:
+    bad = bytearray(data)
+    bad[list(scan_frames(data))[index][0] + 2 + PROTO_OFFSET] = value
+    return bytes(bad)
+
+
+def zero_frame_body(data: bytes, index: int) -> bytes:
+    """Keep record *index*'s length prefix, zero its body: its fields
+    no longer tile it, which the layout check sees."""
+    offset, length = list(scan_frames(data))[index]
+    return (data[:offset + 2] + bytes(length)
+            + data[offset + 2 + length:])
+
+
+# A frame whose layout is broken (every reader sees it), and two whose
+# layout is sound but whose qname is not UTF-8 or whose protocol byte is
+# 9: only readers that decode see those, as frame mode's LDPB output
+# copies a sound frame.
+CORRUPTIONS = {"layout": (lambda data: zero_frame_body(data, 1), 1),
+               "utf-8": (corrupt_middle_record, 1),
+               "protocol": (lambda data: set_protocol_byte(data, 2, 9), 2)}
+
+
+@pytest.mark.parametrize("reader, jobs, corruption", [
+    (reader, jobs, corruption) for reader, jobs in LDPB_READERS
+    for corruption in CORRUPTIONS
+    if corruption == "layout" or reader not in ("to_binary",
+                                                "to_file.ldpb")])
+def test_binary_error_carries_index_and_offset(reader, jobs, corruption,
+                                               tmp_path):
+    corrupt, index = CORRUPTIONS[corruption]
+    clean = trace_to_binary(records(5))
+    offset = list(scan_frames(clean))[index][0]
+    data = corrupt(clean)
     with pytest.raises(BinaryFormatError) as info:
-        binary_to_trace(data)
-    assert info.value.index == 1
-    assert info.value.offset is not None
-    assert "record 1" in str(info.value)
+        read_ldpb(reader, jobs, data, tmp_path)
+    assert (info.value.index, info.value.offset) == (index, offset)
+    assert f"record {index}" in str(info.value)
+    skipped: list = []
+    assert sources_of(read_ldpb(reader, jobs, data, tmp_path,
+                                skip_malformed=True, skipped=skipped)) == \
+        sources(i for i in range(5) if i != index)
+    assert located(skipped) == [(index, offset)]
 
 
 def test_binary_skip_malformed_drops_only_bad_record():
@@ -95,14 +178,24 @@ def test_binary_skip_malformed_drops_only_bad_record():
     assert skipped[0].index == 1
 
 
-def test_binary_truncated_tail_skips_and_stops():
-    data = trace_to_binary(records())[:-3]
+@pytest.mark.parametrize("reader, jobs", LDPB_READERS)
+def test_binary_truncated_tail_skips_and_stops(reader, jobs, tmp_path):
+    """A cut tail cannot be resynced.  Every LDPB reader keeps the
+    records before it and reports it once, at its index and offset and
+    after every error before it; without skipping, each raises it."""
+    clean = trace_to_binary(records(5))
+    tail = (4, list(scan_frames(clean))[4][0])
+    data = clean[:-3]
+    with pytest.raises(BinaryFormatError) as info:
+        read_ldpb(reader, jobs, data, tmp_path)
+    assert (info.value.message, info.value.index, info.value.offset) == \
+        ("truncated record", *tail)
     skipped: list = []
-    trace = binary_to_trace(data, skip_malformed=True, skipped=skipped)
-    assert len(trace) == 2
-    assert len(skipped) == 1
-    with pytest.raises(BinaryFormatError):
-        binary_to_trace(data)
+    assert sources_of(read_ldpb(reader, jobs, corrupt_middle_record(data),
+                                tmp_path, skip_malformed=True,
+                                skipped=skipped)) == sources((0, 2, 3))
+    assert located(skipped) == [(1, list(scan_frames(clean))[1][0]), tail]
+    assert skipped[-1].message == "truncated record"
 
 
 def test_binary_structural_errors_always_raise():
@@ -257,3 +350,44 @@ def test_record_mode_reports_a_record_its_chain_made_unencodable(jobs):
     result = skipping.last_result
     assert (result.records_in, result.records_out, result.skipped) == \
         (5, 4, 1)
+
+
+def drop_first_two(record):
+    return record.time >= 2.0
+
+
+def oversize_sport_of_4(record):
+    return record.with_(sport=70000) if record.time == 4.0 else record
+
+
+def unencodable_pipe(kind, jobs, **options):
+    trace = Trace(records(6))
+    pipe = (TracePipeline.from_binary(trace_to_binary(trace), jobs=jobs,
+                                      chunk_records=2, **options)
+            if kind == "ldpb" else TracePipeline.from_trace(trace,
+                                                            **options))
+    return pipe.filter(drop_first_two).map(oversize_sport_of_4)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind, sink", [
+    ("ldpb", sink) for sink in ("collect", "to_binary", "to_file.ldpb",
+                                "to_file.txt")] + [
+    ("trace", sink) for sink in ("to_binary", "to_file.ldpb")])
+def test_unencodable_output_is_located_at_its_input_index(kind, sink, jobs,
+                                                          tmp_path):
+    """Records 0-1 filtered out, record 4 made unencodable: every sink
+    that encodes reports input record 4, whatever the source — a
+    ``from_trace`` source used to count output positions (record 2).
+    (A record source's ``collect`` never encodes, so it keeps it.)"""
+    with pytest.raises(BinaryFormatError) as info:
+        run_sink(unencodable_pipe(kind, jobs), sink, tmp_path)
+    assert (info.value.index, info.value.offset) == (4, None)
+    skipped: list = []
+    pipe = unencodable_pipe(kind, jobs, skip_malformed=True,
+                            skipped=skipped)
+    assert sources_of(run_sink(pipe, sink, tmp_path)) == sources((2, 3, 5))
+    assert located(skipped) == [(4, None)]
+    result = pipe.last_result
+    assert (result.records_in, result.records_out, result.skipped) == \
+        (6, 3, 1)
