@@ -61,7 +61,7 @@ from repro.obs import Observer, Tracer
 from repro.replay.backends import LiveReplayConfig
 from repro.replay.engine import ReplayConfig, ReplayEngine, ReplayReport
 from repro.replay.querier import QuerierConfig, ResilienceConfig
-from repro.replay.supervisor import ReplayCheckpoint, SupervisionConfig
+from repro.replay.supervisor import SupervisionConfig
 from repro.server.cache import CacheConfig
 from repro.server.overload import (AdmissionConfig, CookieConfig,
                                    OverloadConfig, RrlConfig)
@@ -74,7 +74,7 @@ from repro.trace.pipeline import (FilterRecords, MapRecords, PipelineOp,
                                   TracePipeline)
 from repro.trace.stats import StreamingStats
 
-__version__ = "1.14.5"
+__version__ = "1.15.0"
 
 __all__ = [
     "AdmissionConfig",
@@ -88,7 +88,7 @@ __all__ = [
     "MapRecords", "Observer", "OverloadConfig",
     "PipelineOp",
     "PipelineResult", "PrependUnique", "QuerierConfig", "QuerierCrash",
-    "RebaseTime", "RecursiveExperiment", "ReplayCheckpoint",
+    "RebaseTime", "RecursiveExperiment",
     "ReplayConfig", "ReplayEngine", "ReplayReport", "ResilienceConfig",
     "RrlConfig",
     "ScaleTime", "ServerPause", "SetDoFraction", "SetProtocol",

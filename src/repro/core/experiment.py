@@ -154,12 +154,11 @@ class AuthoritativeExperiment:
         self.server_host = self.backend.host
 
     def run(self, trace: Trace, until: float | None = None,
-            extra_time: float | None = None,
-            resume_from=None) -> ExperimentResult:
+            extra_time: float | None = None) -> ExperimentResult:
         """Run the replay; *until*/*extra_time* as in
         :meth:`ReplayEngine.run`."""
         report = self.backend.run(trace, extra_time=extra_time,
-                                  until=until, resume_from=resume_from)
+                                  until=until)
         return ExperimentResult(report=report,
                                 samples=self.server_host.meter.samples,
                                 sim=self.sim if self.sim is not None

@@ -24,7 +24,7 @@ from repro.obs.metrics import Histogram
 from repro.obs.report import collect, volatile, zero_counters
 from repro.obs.tracer import Tracer
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class Observer:

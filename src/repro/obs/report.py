@@ -11,13 +11,14 @@ plain attribute and declares it once, next to the class::
 wrapped in :class:`volatile` is left out of default snapshots.  The
 declaration is the only list of those names: ``__init__`` zeroes it
 (:func:`zero_counters`), :func:`counter_state`/:func:`restore_counters`
-carry it through a checkpoint, and :func:`collect` sums it into a
-report — over a fixed tuple of declaring classes, so every declared
-counter is in every report, zero when idle, whatever the run's
-configuration or backend.  A component that owns another counting
-component names the attribute in ``COUNTING_PARTS`` (a responder its
-``answer_cache``, a resolver its ``cache``) and :func:`collect` follows
-it, so a run hands over its top-level objects only.
+carry it through the live server's hand-back to the client process, and
+:func:`collect` sums it into a report — over a fixed tuple of
+declaring classes, so every declared counter is in every report, zero
+when idle, whatever the run's configuration or backend.  A component
+that owns another counting component names the attribute in
+``COUNTING_PARTS`` (a responder its ``answer_cache``, a resolver its
+``cache``) and :func:`collect` follows it, so a run hands over its
+top-level objects only.
 What only an observed run records is declared the same way, on
 :class:`~repro.obs.observer.Observer`, and read with the same
 :func:`collect`.
@@ -63,8 +64,8 @@ def collect(classes, objects, include_volatile: bool = False) -> dict:
 
 def counter_state(obj) -> dict:
     """*obj*'s declared counters by attribute, as a fresh dict
-    (checkpoint payload, and the read-only views components offer:
-    ``resolver.stats``, ``cache.counters()``)."""
+    (the live server's hand-back, and the read-only views components
+    offer: ``resolver.stats``, ``cache.counters()``)."""
     return {attr: getattr(obj, attr) for attr in obj.COUNTERS}
 
 

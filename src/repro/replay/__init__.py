@@ -4,7 +4,7 @@ Controller (Reader + Postman) -> Distributors -> Queriers, with the ΔT
 timing rule, same-source stickiness, per-source sockets and connection
 reuse, plus a fast (no-timer) mode and a naive single-host baseline.
 Supervised runs (``ReplayConfig(supervision=...)``) add heartbeats,
-failover, bounded queues, and checkpoint/resume — docs/RESILIENCE.md.
+failover and bounded queues — docs/RESILIENCE.md.
 """
 
 from repro.replay.controller import Controller
@@ -13,13 +13,12 @@ from repro.replay.engine import ReplayConfig, ReplayEngine, ReplayReport
 from repro.replay.naive import NaiveReplayer
 from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
                                   ResilienceConfig)
-from repro.replay.supervisor import (ReplayCheckpoint,
-                                     SupervisionConfig, Supervisor)
+from repro.replay.supervisor import SupervisionConfig, Supervisor
 from repro.replay.timing import ReplayTimer
 
 __all__ = [
     "Controller", "Distributor", "NaiveReplayer", "Querier",
-    "QuerierConfig", "QueryResult", "ReplayCheckpoint", "ReplayConfig",
+    "QuerierConfig", "QueryResult", "ReplayConfig",
     "ReplayEngine", "ReplayReport", "ReplayTimer", "ResilienceConfig",
     "SupervisionConfig", "Supervisor",
 ]

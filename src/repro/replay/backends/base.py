@@ -38,11 +38,9 @@ class ReplayBackend(ABC):
 
     @abstractmethod
     def run(self, trace, *, extra_time: float | None = None,
-            until: float | None = None,
-            resume_from=None) -> "ReplayReport":
+            until: float | None = None) -> "ReplayReport":
         """Replay *trace* (a Trace, TracePipeline, or record iterable)
         to completion and return the report.
 
         *extra_time*/*until* override the values carried in
-        ``ReplayConfig`` for this run only; *resume_from* continues a
-        checkpointed replay (sim backend only)."""
+        ``ReplayConfig`` for this run only."""

@@ -746,8 +746,7 @@ class LiveBackend(ReplayBackend):
 
     # -- running ------------------------------------------------------------
 
-    def run(self, trace, *, extra_time=None, until=None,
-            resume_from=None):
+    def run(self, trace, *, extra_time=None, until=None):
         """Replay *trace* over loopback sockets and report.
 
         *extra_time* has no live meaning (the run drains by waiting
@@ -762,7 +761,7 @@ class LiveBackend(ReplayBackend):
         if until is not None and records:
             first = records[0].time
             records = [r for r in records if r.time - first <= until]
-        _validate_run(self.config, records, resume_from)
+        _validate_run(self.config, records)
         live = self.live
         self.server = LiveDnsServer(
             self.responder, host=live.host, port=live.port,

@@ -18,7 +18,5 @@ class SimBackend(ReplayBackend):
     def __init__(self, engine):
         self.engine = engine
 
-    def run(self, trace, *, extra_time=None, until=None,
-            resume_from=None):
-        return self.engine.run(trace, extra_time=extra_time, until=until,
-                               resume_from=resume_from)
+    def run(self, trace, *, extra_time=None, until=None):
+        return self.engine.run(trace, extra_time=extra_time, until=until)

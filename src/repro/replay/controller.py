@@ -35,8 +35,7 @@ from typing import Iterable, Iterator
 
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
-from repro.obs.report import (counter_state, restore_counters,
-                              zero_counters)
+from repro.obs.report import zero_counters
 from repro.replay.distributor import Distributor
 from repro.replay.supervisor import Pins, next_tick
 from repro.trace.binaryform import decode_record, encode_record
@@ -104,8 +103,8 @@ class DistributorEndpoint:
 
         One heartbeat frame per live actor per tick, sent back over
         every accepted control connection.  Beats fire at absolute
-        multiples of *interval* so a resumed run re-arms in phase with
-        the original."""
+        multiples of *interval* (:func:`next_tick`), the grid the
+        supervisor's monitor runs on."""
         self._hb_interval = interval
         self.distributor.host.scheduler.at(first, self._beat, daemon=True)
 
@@ -283,17 +282,3 @@ class Controller:
         if not self.paused and self._read_paused:
             self._read_paused = False
             self.host.scheduler.after(0.0, self._read_pass)
-
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "pins": self.pins.state(),
-            "counters": counter_state(self),
-            "synced": self._synced,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.pins.load(state["pins"])
-        restore_counters(self, state["counters"])
-        self._synced = state["synced"]

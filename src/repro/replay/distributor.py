@@ -38,8 +38,7 @@ import math
 from collections import deque
 
 from repro.netsim.host import Host
-from repro.obs.report import (counter_state, restore_counters,
-                              zero_counters)
+from repro.obs.report import zero_counters
 from repro.replay.querier import Querier
 from repro.replay.supervisor import Pins
 from repro.trace.record import QueryRecord
@@ -297,22 +296,3 @@ class Distributor:
     def take_orphans(self) -> list[QueryRecord]:
         orphans, self._orphans = self._orphans, []
         return orphans
-
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "crashed": self.crashed,
-            "pins": self.pins.state(),
-            "counters": counter_state(self),
-            "busy_until": self._busy_until,
-            "sync": list(self._sync) if self._sync else None,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.crashed = state["crashed"]
-        self.pins.load(state["pins"])
-        restore_counters(self, state["counters"])
-        self._busy_until = state["busy_until"]
-        self._sync = tuple(state["sync"]) if state["sync"] else None

@@ -34,14 +34,13 @@ from repro.netsim.host import Host
 from repro.netsim.network import LinkParams
 from repro.netsim.sim import Simulator
 from repro.obs import (Histogram, Observer, collect, group_metrics,
-                       restore_counters, to_canonical_json)
+                       to_canonical_json)
 from repro.obs.observer import SNAPSHOT_VERSION
 from repro.replay.controller import Controller, READER_PER_RECORD
 from repro.replay.distributor import Distributor
 from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
                                   ResilienceConfig)
-from repro.replay.supervisor import (Pins, ReplayCheckpoint, Supervisor,
-                                     SupervisionConfig)
+from repro.replay.supervisor import Pins, Supervisor, SupervisionConfig
 from repro.trace.pipeline import as_trace
 from repro.trace.record import PROTOCOLS
 
@@ -108,10 +107,10 @@ class ReplayConfig:
     # windows, server pauses, querier crashes, distributor lag) applied
     # to the fabric during the run.
     fault_plan: FaultPlan | None = None
-    # Control-plane supervision: heartbeats + failover, bounded queues
-    # with backpressure, and checkpoint/resume (distributed mode only;
-    # docs/RESILIENCE.md).  None builds no Supervisor: no heartbeat,
-    # monitor or checkpoint event, no bounded queue (and a fault-free
+    # Control-plane supervision: heartbeats + failover and bounded
+    # queues with backpressure (distributed mode only;
+    # docs/RESILIENCE.md).  None builds no Supervisor: no heartbeat or
+    # monitor event, no bounded queue (and a fault-free
     # supervised run forwards at the same pace: test_supervision.py::
     # test_fault_free_supervision_leaves_the_forwarding_pace_alone);
     # the report carries the supervision counters all the same, at zero.
@@ -286,7 +285,7 @@ _EXECUTORS = {
 # backend refuses it rather than silently replaying without it.
 SIM_ONLY = (
     (lambda c: c.supervision is not None, "supervision is sim-only: "
-     "heartbeats/checkpoints ride the simulated control plane"),
+     "heartbeats ride the simulated control plane"),
     (lambda c: c.fault_plan is not None, "fault injection is sim-only: "
      "faults are applied to the simulated fabric"),
     (lambda c: c.client_link.loss > 0, "client loss is sim-only: the "
@@ -341,14 +340,10 @@ def _validate_config(config: ReplayConfig, executor: str) -> None:
                 raise ValueError(f"{why} (docs/BACKENDS.md)")
 
 
-def _validate_run(config: ReplayConfig, records, resume_from) -> None:
+def _validate_run(config: ReplayConfig, records) -> None:
     """The capability table's run-time half: what a run brings."""
     if config.backend == "sim":
         return
-    if resume_from is not None:
-        raise ValueError(
-            "checkpoint/resume requires backend='sim': checkpoints "
-            "capture simulator state (docs/BACKENDS.md)")
     for record in records:
         if record.proto not in LIVE_PROTOCOLS:
             raise ValueError(
@@ -433,8 +428,7 @@ class ReplayEngine:
     # -- running ------------------------------------------------------------
 
     def run(self, trace, *, extra_time: float | None = None,
-            until: float | None = None,
-            resume_from: ReplayCheckpoint | None = None) -> ReplayReport:
+            until: float | None = None) -> ReplayReport:
         """Replay *trace* to completion (plus a drain window).
 
         *trace* may be a :class:`Trace`, a
@@ -444,20 +438,14 @@ class ReplayEngine:
 
         The drain window and stop time are *extra_time* / *until*,
         falling back to ``ReplayConfig.extra_time`` /
-        ``ReplayConfig.until``.
-
-        *resume_from* continues a previously checkpointed replay of the
-        same trace/config on this freshly built engine: completed
-        results, pin tables, RNG and message-id state are restored, and
-        each controller starts at its recorded trace offset.  See
-        docs/RESILIENCE.md for the determinism guarantee."""
+        ``ReplayConfig.until``."""
         config = self.config
         extra_time = config.extra_time if extra_time is None else extra_time
         until = config.until if until is None else until
         records = as_trace(
             trace, self.sim.observer if config.observe else None
         ).sorted().records
-        _validate_run(config, records, resume_from)
+        _validate_run(config, records)
         checker = None
         if config.check:
             from repro.check.invariants import InvariantChecker
@@ -466,22 +454,14 @@ class ReplayEngine:
                                 for host in self.sim.hosts.values()
                                 for app in host.apps],
                 config, self.sim).attach()
-        if resume_from is not None:
-            # Restore first (it drains construction handshakes and
-            # jumps the clock), so the supervisor's and injector's
-            # absolute-tick events arm at post-cut times.
-            self._restore(resume_from, records)
-            self.supervisor.start(resumed=True)
-            self._arm_faults(resume_from)
-        else:
-            # The injector is armed before any feed event, so a fault
-            # armed at a record's availability instant wins the
-            # insertion-order tie and applies to that record;
-            # Distributor._read_before_now relies on it.
-            self._arm_faults(None)
-            if self.supervisor is not None:
-                self.supervisor.start()
-            self._open(records)
+        # The injector is armed before any feed event, so a fault armed
+        # at a record's availability instant wins the insertion-order
+        # tie and applies to that record; Distributor._read_before_now
+        # relies on it.
+        self._arm_faults()
+        if self.supervisor is not None:
+            self.supervisor.start()
+        self._open(records)
         if until is not None:
             self.sim.run(until=until)
             # What the reader made available by the cut has arrived,
@@ -496,77 +476,20 @@ class ReplayEngine:
             # holds when nothing may legitimately drop or re-home
             # records: no early stop, no injected faults, no failover.
             expected = None
-            if (until is None and resume_from is None
-                    and config.fault_plan is None
+            if (until is None and config.fault_plan is None
                     and config.supervision is None):
                 expected = len(records)
             checker.final(expected_results=expected)
         return self.report()
 
-    def _arm_faults(self,
-                    resume_from: ReplayCheckpoint | None) -> None:
+    def _arm_faults(self) -> None:
         if self.config.fault_plan is None \
                 or self.fault_injector is not None:
             return
-        plan = self.config.fault_plan
-        if resume_from is not None:
-            # Events whose window closed before the cut already left
-            # their marks in the checkpointed state; re-firing them
-            # would double-apply.  Windows straddling the cut re-begin
-            # at the restored clock (scheduler.at clamps past times).
-            plan = FaultPlan([
-                event for event in plan.events
-                if event.start + event.duration > resume_from.time
-                and not (getattr(event, "terminal", False)
-                         and event.start <= resume_from.time)])
-        self.fault_injector = FaultInjector(self.sim, plan)
+        self.fault_injector = FaultInjector(self.sim, self.config.fault_plan)
         self.fault_injector.arm()
 
-    def _restore(self, checkpoint: ReplayCheckpoint, records) -> None:
-        """Rebuild the replay plane from *checkpoint* and continue."""
-        if self.supervisor is None:
-            raise ValueError(
-                "resume_from requires ReplayConfig(supervision=...): "
-                "checkpoints are written by the supervision layer")
-        if checkpoint.seed != self.config.seed:
-            raise ValueError(
-                f"checkpoint was taken with seed {checkpoint.seed}, "
-                f"this engine is configured with seed "
-                f"{self.config.seed}")
-        # Drain construction-time control-channel handshakes at t~0
-        # before jumping the clock to the cut; then every restored
-        # component continues from the checkpointed instant.
-        self.sim.run_until_idle()
-        self.sim.scheduler.now = checkpoint.time
-        for querier, state in zip(self.queriers, checkpoint.queriers):
-            querier.load_state(state)
-        for distributor, state in zip(self.distributors,
-                                      checkpoint.distributors):
-            distributor.load_state(state)
-        server_host = self.sim.network.host_for(self.server_addr)
-        meter = server_host.meter
-        server = checkpoint.server
-        meter.memory = server["memory"]
-        meter.cpu_busy = server["cpu_busy"]
-        meter.established = server["established"]
-        meter.time_wait = server["time_wait"]
-        stateful = [app for app in server_host.apps
-                    if hasattr(app, "load_state")]
-        for app, state in zip(stateful, server["apps"]):
-            app.load_state(state)
-        restore_counters(self.supervisor, checkpoint.counters)
-        restore_counters(self.sim.network, checkpoint.network)
-        self.supervisor.failed.update(
-            actor["name"] for actor in (checkpoint.distributors
-                                        + checkpoint.queriers)
-            if actor["crashed"])
-        for controller, state in zip(self.controllers,
-                                     checkpoint.controllers):
-            controller.load_state(state)
-        self._open(records, resume_at=[controller.records_read
-                                       for controller in self.controllers])
-
-    def _open(self, records, resume_at: list[int] | None = None) -> None:
+    def _open(self, records) -> None:
         """Open the input stream, once for either mode.  The readers
         are the controllers (distributed) or the distributors (direct,
         Figure 4); each is told t̄₁, the first record's trace time.  One
@@ -574,8 +497,7 @@ class ReplayEngine:
         §2.6's "split input stream to feed multiple controllers" — with
         one :class:`Pins` draw per source over the readers' positions,
         so a draw names a share and every record of a source reaches
-        the same reader.  *resume_at* is how many records of its share
-        each controller had read at a checkpoint."""
+        the same reader."""
         readers = self.controllers or self.distributors
         n = len(readers)
         if n == 1:
@@ -590,9 +512,7 @@ class ReplayEngine:
                 shares[split.member_for(record.src)].append(index)
         cost = self.config.reader_cost
         if self.controllers:
-            for controller, share, read in zip(
-                    self.controllers, shares, resume_at or [0] * n):
-                share = share[read:]
+            for controller, share in zip(self.controllers, shares):
                 if share:
                     controller.start(map(records.__getitem__, share),
                                      records[0].time, cost)

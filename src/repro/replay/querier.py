@@ -61,8 +61,7 @@ from repro.netsim.host import Host
 from repro.netsim.jitter import SendPathModel
 from repro.netsim.quic import QuicClient
 from repro.netsim.tls import TlsConnection
-from repro.obs.report import (counter_state, restore_counters,
-                              zero_counters)
+from repro.obs.report import zero_counters
 from repro.replay.timing import ReplayTimer
 from repro.server.overload import client_cookie
 from repro.trace.record import QueryRecord
@@ -198,20 +197,6 @@ def learn_cookie(message, src: str,
         server_cookies[src] = data[8:]
 
 
-def _result_to_dict(result: QueryResult) -> dict:
-    """Round-trippable form of one result (checkpoint payload)."""
-    from dataclasses import asdict
-    out = asdict(result)
-    out["record"] = asdict(result.record)
-    return out
-
-
-def _result_from_dict(data: dict) -> QueryResult:
-    data = dict(data)
-    data["record"] = QueryRecord(**data["record"])
-    return QueryResult(**data)
-
-
 class Querier:
     """One querier process on a client-instance host."""
 
@@ -243,9 +228,9 @@ class Querier:
         self.resilience = config.resilience
         self.cookies = config.cookies
         self.fast = config.fast
-        # Server cookies learned per emulated source (RFC 7873 §5.2);
-        # like the answer cache, deliberately not checkpointed — a
-        # resumed run re-learns on first contact.
+        # Server cookies learned per emulated source (RFC 7873 §5.2),
+        # one per source for the querier's lifetime: a source's first
+        # query carries its client cookie alone.
         self._server_cookies: dict[str, bytes] = {}
         self.timer = ReplayTimer()
         self.sendpath = (SendPathModel(seed=config.jitter_seed)
@@ -745,51 +730,6 @@ class Querier:
                 fresh.backlog.append(inflight.wire)
         channel.pending.clear()
 
-    # -- checkpointing (repro.replay.supervisor) -------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Checkpointable state: message-id sequence, timing baseline,
-        accounting counters, completed results, and the parked ΔT
-        backlog (records waiting on their send timers, in arrival
-        order, each with its timer's event time and ΔT target).  Only
-        captured at a quiescent instant (nothing on the wire, no open
-        stream state), which the supervisor's checkpointer enforces."""
-        from repro.trace.binaryform import encode_record
-        return {
-            "name": self.name,
-            "crashed": self.crashed,
-            "msg_seq": self._msg_seq,
-            "timer": {"trace_t1": self.timer.trace_t1,
-                      "real_t1": self.timer.real_t1},
-            "last_scheduled": self._last_scheduled,
-            "backlog": [{"record": encode_record(event.args[0]).hex(),
-                         "at": event.time, "target": event.args[1]}
-                        for event in self._send_timers.values()],
-            "counters": counter_state(self),
-            "results": [_result_to_dict(r) for r in self.results],
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.trace.binaryform import decode_record
-        self.crashed = state["crashed"]
-        self._msg_seq = state["msg_seq"]
-        timer = state["timer"]
-        if timer["trace_t1"] is not None:
-            self.timer.sync(timer["trace_t1"], timer["real_t1"])
-        # Re-arm the parked backlog at the original event instants:
-        # recomputing them from the cut (handle_record) can land an ulp
-        # away from the timers armed at each record's arrival.
-        at = self.host.scheduler.at
-        for parked in state["backlog"]:
-            self._send_seq = seq = self._send_seq + 1
-            self._send_timers[seq] = at(
-                parked["at"], self._send_later,
-                decode_record(bytes.fromhex(parked["record"])),
-                parked["target"], seq)
-        self._last_scheduled = state["last_scheduled"]
-        restore_counters(self, state["counters"])
-        self.results = [_result_from_dict(r) for r in state["results"]]
-
     # -- stats -----------------------------------------------------------------------------------
 
     def latencies(self) -> list[float]:
@@ -815,8 +755,3 @@ class Querier:
         transport — zero after a drained resilient run (nothing may
         strand)."""
         return sum(len(channel.pending) for channel in self._channels())
-
-    def has_open_streams(self) -> bool:
-        """Whether any stream connection state exists (it cannot be
-        captured in a checkpoint)."""
-        return bool(self._streams)

@@ -1,5 +1,4 @@
-"""Control-plane supervision: heartbeats, failover, backpressure,
-checkpoint/resume.
+"""Control-plane supervision: heartbeats, failover, backpressure.
 
 LDplayer's distributed replay (§2.6) strands a source's queries when
 the querier pinned to it dies, and its unbounded Controller→Distributor
@@ -27,33 +26,20 @@ This module adds the supervision layer:
   queue is full, bounding peak depth at the mark; policy ``shed``
   drops the oldest queued record instead, for fast-mode replays where
   staying current beats completeness.
-* **Checkpoint/resume** — a :class:`Checkpointer` snapshots replay
-  state (trace offsets, pin tables, message-id sequences, RNG states,
-  completed results, server meters) at quiescent instants into a
-  :class:`ReplayCheckpoint`; ``ReplayEngine.run(resume_from=ckpt)``
-  continues a killed replay.  A fault-free UDP replay without timing
-  jitter resumes byte-identically (docs/RESILIENCE.md spells out the
-  exact guarantee).
 
 Everything here is opt-in via ``ReplayConfig(supervision=...)``;
-``supervision=None`` schedules no heartbeat, monitor or checkpoint
-event (the report carries the supervision counters all the same, at
-zero), and a fault-free supervised run forwards records at the
-unsupervised pace.
+``supervision=None`` schedules no heartbeat or monitor event (the
+report carries the supervision counters all the same, at zero), and a
+fault-free supervised run forwards records at the unsupervised pace.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
-from repro.obs.report import counter_state, zero_counters
-
-# 4: each parked ΔT send stores its timer's absolute event time and its
-# ΔT target (3 stored the record alone); an older payload is rejected,
-# not patched up.
-CHECKPOINT_VERSION = 4
+from repro.obs.report import zero_counters
 
 _QUEUE_POLICIES = ("stall", "shed")
 
@@ -62,9 +48,6 @@ _QUEUE_POLICIES = ("stall", "shed")
 # control-channel latency).
 HEARTBEAT_INTERVAL = 0.05
 DETECTION_TIMEOUT = 0.25
-# Slack a checkpoint needs before the next scheduled send: clear of the
-# µs-scale send-path limbo around each timer's target.
-CHECKPOINT_GUARD = 0.01
 
 
 @dataclass(frozen=True)
@@ -73,12 +56,10 @@ class SupervisionConfig:
 
     ``high_water`` bounds every Controller→Distributor and
     Distributor→Querier queue; ``queue_policy`` picks what happens at
-    the mark.  ``checkpoint_interval`` (None = off) snapshots state at
-    quiescent instants aligned to absolute multiples of the interval."""
+    the mark."""
 
     high_water: int = 512
     queue_policy: str = "stall"
-    checkpoint_interval: float | None = None
 
     def __post_init__(self) -> None:
         if self.high_water < 1:
@@ -88,38 +69,18 @@ class SupervisionConfig:
             raise ValueError(
                 f"queue_policy must be one of {_QUEUE_POLICIES}, "
                 f"got {self.queue_policy!r}")
-        if self.checkpoint_interval is not None \
-                and self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be > 0, got "
-                             f"{self.checkpoint_interval}")
 
 
 def next_tick(now: float, interval: float) -> float:
     """The first absolute multiple of *interval* strictly after *now*.
 
-    Absolute alignment lets a resumed run re-arm its periodic loops in
-    phase with the original; the strictness guard matters because
-    ``int(now / interval) + 1`` can land back on *now* when the
-    division rounds down a hair (e.g. 2.15 / 0.05), which would spin
-    the loop at a frozen clock."""
+    The strictness guard matters because ``int(now / interval) + 1``
+    can land back on *now* when the division rounds down a hair (e.g.
+    2.15 / 0.05), which would spin the loop at a frozen clock."""
     tick = (int(now / interval) + 1) * interval
     while tick <= now:
         tick += interval
     return tick
-
-
-def resume_tick(cut: float, interval: float) -> float:
-    """The first absolute multiple of *interval* at or after *cut*:
-    where a run resumed from a checkpoint taken at *cut* re-arms its
-    heartbeat and monitor loops.  A pass due at the cut itself had not
-    run when the snapshot was taken (a beat leaves bytes in flight, and
-    :meth:`Checkpointer.quiescent` refuses those), so the resumed run
-    owes it; the checkpoint tick at the cut had, so that loop re-arms
-    with :func:`next_tick`."""
-    k = int(cut / interval)
-    while k * interval < cut:
-        k += 1
-    return k * interval
 
 
 def rendezvous(key: str, candidates: list[str]) -> str:
@@ -203,53 +164,6 @@ class Pins:
             if self.actor(member) is dead:
                 table[src] = surviving(src, self.members, self.actor)
 
-    def state(self) -> dict:
-        """JSON-safe: the RNG state and a member index per source."""
-        version, internal, gauss_next = self.rng.getstate()
-        return {"rng": [version, list(internal), gauss_next],
-                "pins": {src: self.members.index(member)
-                         for src, member in self.table.items()}}
-
-    def load(self, state: dict) -> None:
-        version, internal, gauss_next = state["rng"]
-        self.rng.setstate((version, tuple(internal), gauss_next))
-        self.table = {src: self.members[index]
-                      for src, index in state["pins"].items()}
-
-
-@dataclass
-class ReplayCheckpoint:
-    """A quiescent-instant snapshot of a supervised distributed replay.
-
-    Round-trips through plain dicts like :class:`FaultPlan`, so
-    checkpoints can live in scenario files next to traces.  The
-    snapshot holds replay-plane state only — the trace itself is not
-    embedded; resume re-reads it and skips ``records_read`` per
-    controller."""
-
-    time: float
-    seed: int
-    controllers: list[dict] = field(default_factory=list)
-    distributors: list[dict] = field(default_factory=list)
-    queriers: list[dict] = field(default_factory=list)
-    server: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-    network: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"version": CHECKPOINT_VERSION,
-                **{f.name: getattr(self, f.name) for f in fields(self)}}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReplayCheckpoint":
-        version = data.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {version!r} "
-                f"(expected {CHECKPOINT_VERSION})")
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
-
-
 class Supervisor:
     """Watches a supervised replay: liveness, failover, backpressure.
 
@@ -258,14 +172,12 @@ class Supervisor:
     All state lives on this object."""
 
     # Declared counters (repro.obs.report): attribute -> report name.
-    # Limited to counters that are stable across checkpoint/resume
-    # (queue-depth peaks and dispatch lag depend on pipeline phase).
+    # Event counts only; the worst dispatch lag is a gauge (lag_peak).
     COUNTERS = {
         "failovers": "replay.failovers",            # actors declared dead
         "redispatched": "replay.redispatched",      # orphans re-sent once
         "stalls": "replay.backpressure_stalls",     # Postman stall episodes
         "sheds": "replay.shed",                     # dropped at high water
-        "checkpoints_written": "replay.checkpoints_written",
         "dropped_after_refailover": "replay.dropped_after_refailover",
     }
 
@@ -277,33 +189,25 @@ class Supervisor:
         zero_counters(self)
         self.lag_peak = 0.0           # worst dispatch lag seen (gauge)
         self._last_beat: dict[str, float] = {}
-        self._paused_controllers: set = set()
         self._redispatched: dict[int, object] = {}   # id -> record
+        # Stalled controllers in stall order (a dict, not a set: a set
+        # of controllers iterates by address, so they would resume in
+        # an order that changes from run to run).
+        self._paused_controllers: dict = {}
         self._started = False
         self.stopped = False
-        self.checkpointer: Checkpointer | None = None
-        if config.checkpoint_interval is not None:
-            self.checkpointer = Checkpointer(
-                engine, self, config.checkpoint_interval)
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self, resumed: bool = False) -> None:
-        """Arm heartbeats, the monitor and the checkpointer.  *resumed*
-        says the clock stands at a checkpoint's cut: the first beat and
-        monitor pass are then due at :func:`resume_tick`, so the run
-        puts the same packets on the control channels as the
-        uninterrupted one."""
+    def start(self) -> None:
+        """Arm the heartbeats and the monitor on the first tick after
+        now."""
         if self._started:
             return
         self._started = True
         now = self.sim.scheduler.now
         interval = HEARTBEAT_INTERVAL
-        first = (resume_tick if resumed else next_tick)(now, interval)
-        # Armed first, so a checkpoint tick runs before a beat due at
-        # the same instant and finds the control channels idle.
-        if self.checkpointer is not None:
-            self.checkpointer.start()
+        first = next_tick(now, interval)
         for controller in self.engine.controllers:
             controller.enable_supervision(self)
             for endpoint in controller._endpoints:
@@ -435,10 +339,10 @@ class Supervisor:
 
     def on_stall(self, controller) -> None:
         self.stalls += 1
-        self._paused_controllers.add(controller)
+        self._paused_controllers[controller] = None
 
     def on_resume(self, controller) -> None:
-        self._paused_controllers.discard(controller)
+        self._paused_controllers.pop(controller, None)
 
     def on_queue_growth(self, distributor) -> None:
         if self.config.queue_policy == "shed" \
@@ -457,108 +361,3 @@ class Supervisor:
         if obs is not None:
             obs.dispatch_lag = lag
 
-
-class Checkpointer:
-    """Periodically snapshots a supervised replay at quiescent instants.
-
-    A tick fires at every absolute multiple of the interval (so a
-    resumed run re-arms in phase with the original); the snapshot is
-    taken only when the replay plane is quiescent — nothing queued, in
-    flight, or pending anywhere, no open stream connection, and the
-    next scheduled send at least :data:`CHECKPOINT_GUARD` seconds away.
-    Non-quiescent ticks are skipped, not deferred."""
-
-    def __init__(self, engine, supervisor, interval: float):
-        self.engine = engine
-        self.supervisor = supervisor
-        self.interval = interval
-        self.checkpoints: list[ReplayCheckpoint] = []
-        self.on_checkpoint = None   # optional callback(ckpt)
-
-    def start(self) -> None:
-        self._schedule()
-
-    def _schedule(self) -> None:
-        scheduler = self.engine.sim.scheduler
-        scheduler.at(next_tick(scheduler.now, self.interval),
-                     self._tick, daemon=True)
-
-    def _tick(self) -> None:
-        if self.supervisor.stopped or self.supervisor._drained():
-            # Drained, whether or not the monitor has seen it yet: a
-            # run resumed from here would end extra_time after the cut,
-            # not after its last event.
-            return
-        if self.quiescent():
-            # Count first so the snapshot accounts for itself: a run
-            # resumed from checkpoint N must report the same
-            # checkpoints_written as the uninterrupted run.
-            self.supervisor.checkpoints_written += 1
-            checkpoint = self.capture()
-            self.checkpoints.append(checkpoint)
-            if self.on_checkpoint is not None:
-                self.on_checkpoint(checkpoint)
-        self._schedule()
-
-    def quiescent(self) -> bool:
-        """Nothing on the wire or queued upstream, and every parked ΔT
-        send timer at least :data:`CHECKPOINT_GUARD` away.
-
-        The querier backlogs themselves may be non-empty — the Reader
-        pre-loads the whole trace within milliseconds, so the steady
-        state of a paced replay is "records parked on querier timers";
-        those are serialized into the checkpoint and re-armed on
-        resume.  What can't be captured is in-flight wire state, so the
-        cut waits for empty pending sets, idle control channels and
-        closed stream connections, with the guard keeping it clear
-        of the µs-scale send-path limbo around each timer's target."""
-        engine = self.engine
-        now = engine.sim.scheduler.now
-        for controller in engine.controllers:
-            if controller.paused or controller._backlog:
-                return False
-            # A frame or heartbeat not yet acknowledged is on the wire.
-            conns = [channel.conn for channel in controller.channels]
-            for endpoint in controller._endpoints:
-                conns += endpoint._conns
-            if any(conn._inflight for conn in conns):
-                return False
-        for distributor in engine.distributors:
-            if distributor.queue_depth() or distributor.enroute \
-                    or distributor._orphans:
-                return False
-        for querier in engine.queriers:
-            if querier.pending_count() or querier._orphans:
-                return False
-            if querier.has_open_streams():
-                return False   # open stream state is not capturable
-            for event in querier._send_timers.values():
-                if event.time < now + CHECKPOINT_GUARD:
-                    return False
-        return True
-
-    def capture(self) -> ReplayCheckpoint:
-        engine = self.engine
-        server_host = engine.sim.network.host_for(engine.server_addr)
-        meter = server_host.meter
-        apps = [app.state_dict() for app in server_host.apps
-                if hasattr(app, "state_dict")]
-        return ReplayCheckpoint(
-            time=engine.sim.scheduler.now,
-            seed=engine.config.seed,
-            controllers=[c.state_dict() for c in engine.controllers],
-            distributors=[d.state_dict()
-                          for d in engine.distributors],
-            queriers=[q.state_dict() for q in engine.queriers],
-            server={"memory": meter.memory,
-                    "cpu_busy": meter.cpu_busy,
-                    "established": meter.established,
-                    "time_wait": meter.time_wait,
-                    "apps": apps},
-            counters=counter_state(self.supervisor),
-            network=counter_state(engine.sim.network),
-        )
-
-    @property
-    def latest(self) -> ReplayCheckpoint | None:
-        return self.checkpoints[-1] if self.checkpoints else None

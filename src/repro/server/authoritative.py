@@ -32,7 +32,6 @@ from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.host import Host
 from repro.netsim.quic import QuicServer
 from repro.netsim.tls import TlsConnection
-from repro.obs.report import counter_state, restore_counters
 from repro.server.responder import DnsResponder, QueryLogEntry
 from repro.server.views import ViewSelector
 
@@ -113,32 +112,6 @@ class AuthoritativeServer(DnsResponder):
 
     def _obs(self):
         return self.host.scheduler.obs
-
-    # -- checkpointing (repro.replay.supervisor) ------------------------
-
-    def state_dict(self) -> dict:
-        """Resumable process counters for a replay checkpoint.
-
-        Answer-cache *entries* and RRL bucket contents are deliberately
-        not captured: a resumed run re-fills the cache and restarts the
-        buckets full, which only matters for traces that repeat a
-        byte-identical query, or hold a flood, across the cut (see
-        docs/RESILIENCE.md for the determinism scope)."""
-        cache, pool = self.answer_cache, self.worker_pool
-        return {
-            "counters": counter_state(self),
-            "answer_cache": (counter_state(cache)
-                             if cache is not None else None),
-            "worker_pool": ({"free_at": list(pool._free_at)}
-                            if pool is not None else None),
-        }
-
-    def load_state(self, state: dict) -> None:
-        restore_counters(self, state["counters"])
-        if self.answer_cache is not None:
-            restore_counters(self.answer_cache, state["answer_cache"])
-        if self.worker_pool is not None:
-            self.worker_pool._free_at = list(state["worker_pool"]["free_at"])
 
     # -- transports -----------------------------------------------------
 

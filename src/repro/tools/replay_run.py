@@ -85,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                              default="stall",
                              help="behavior at the high-water mark "
                                   "(with --supervise)")
-    supervision.add_argument("--checkpoint-interval", type=float,
-                             default=None, metavar="SECONDS",
-                             help="write quiescent checkpoints at this "
-                                  "interval (with --supervise)")
     faults.add_argument("--loss", type=float, default=0.0,
                         help="symmetric client-uplink packet loss "
                              "fraction")
@@ -187,15 +183,20 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         from repro.netsim.faults import FaultPlan
-        fault_plan = FaultPlan.from_dict(
-            json.loads(Path(args.fault_plan).read_text()))
+        try:
+            fault_plan = FaultPlan.from_dict(
+                json.loads(Path(args.fault_plan).read_text()))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            parser.error(f"--fault-plan {args.fault_plan}: {exc}")
     supervision = None
     if args.supervise:
         from repro.replay.supervisor import SupervisionConfig
-        supervision = SupervisionConfig(
-            high_water=args.high_water,
-            queue_policy=args.queue_policy,
-            checkpoint_interval=args.checkpoint_interval)
+        try:
+            supervision = SupervisionConfig(
+                high_water=args.high_water,
+                queue_policy=args.queue_policy)
+        except ValueError as exc:
+            parser.error(f"--high-water: {exc}")
     live_config = None
     if args.backend == "live":
         from repro.replay.backends import LiveReplayConfig
@@ -253,8 +254,7 @@ def main(argv: list[str] | None = None) -> int:
               "tcp_fallbacks", "recovered", "still_pending")
     if supervision is not None:
         block("supervision", "replay", "failovers", "redispatched",
-              "failed_over", "backpressure_stalls", "shed",
-              "checkpoints_written")
+              "failed_over", "backpressure_stalls", "shed")
     if overload is not None:
         block("overload", "server", "rrl_dropped", "rrl_slipped",
               "cookies_validated", "admission_shed", "refused_overload")

@@ -219,7 +219,7 @@ def test_answered_qname_counter_is_a_multiset():
 
 def test_tolerance_bands_are_gone():
     """1.10.0: sim = live is equality; there is no band to widen."""
-    assert repro.__version__ == "1.14.5"
+    assert repro.__version__ == "1.15.0"
     for module in (repro, repro.check, repro.check.differential):
         assert not hasattr(module, "ToleranceBands")
     with pytest.raises(TypeError):

@@ -13,7 +13,6 @@ Both are drawn over crash orders on a bare :class:`Pins`; one
 engine-level case of each goes through ``Supervisor.fail``.
 """
 
-import json
 import random
 from collections import Counter
 
@@ -147,19 +146,6 @@ def test_actor_names_who_dies_for_a_member():
     assert pins.table
     assert all(channel.distributor is not victim
                for channel in pins.table.values())
-
-
-def test_state_round_trip_continues_the_draw_sequence():
-    srcs = sources(60, 8)
-    pins = Pins(members(4), seed=8)
-    for src in srcs[:30]:
-        pins.member_for(src)
-    clone = Pins(members(4), seed=0)
-    clone.load(json.loads(json.dumps(pins.state())))
-    names = {src: member.name for src, member in pins.table.items()}
-    assert {src: m.name for src, m in clone.table.items()} == names
-    for src in srcs[30:]:
-        assert clone.member_for(src).name == pins.member_for(src).name
 
 
 # -- one engine-level case of each property ---------------------------------

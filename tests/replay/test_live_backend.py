@@ -5,7 +5,7 @@ socket (split/coalesced segments, pipelined queries), the UDP+TCP
 same-port bind-retry dance, graceful shutdown draining in-flight work,
 and the raw UDP endpoint's contracts (drain per wake-up, errors, EAGAIN,
 close).  Plus the config-surface rejections that keep sim-only features
-(checkpoints, faults, supervision) from silently no-opping live.
+(faults, supervision) from silently no-opping live.
 """
 
 import asyncio
@@ -665,12 +665,6 @@ def test_get_backend_constructs_live():
 
 
 # -- sim-only features are rejected, not ignored ------------------------------
-
-
-def test_live_rejects_resume_from():
-    backend = LiveBackend([make_example_zone()], config=live_config())
-    with pytest.raises(ValueError, match="backend='sim'"):
-        backend.run(mixed_trace(), resume_from=object())
 
 
 def test_live_rejects_supervision_and_faults():

@@ -154,18 +154,3 @@ def test_crash_orphans_every_parked_send_of_a_repeated_record():
     sim.run_until_idle()
     assert querier.take_orphans() == []
     assert querier.sent == 0
-
-
-def test_checkpoint_keeps_every_parked_send_of_a_repeated_record():
-    sim, querier, server = build()
-    record = rec(1.0)
-    querier.handle_record(record)
-    querier.handle_record(record)
-    state = querier.state_dict()
-    assert len(state["backlog"]) == 2
-    sim, resumed, server = build()
-    resumed.load_state(state)
-    assert resumed.backlog_depth() == 2
-    sim.run_until_idle()
-    assert [r.answered for r in resumed.results] == [True, True]
-    assert resumed.backlog_depth() == 0

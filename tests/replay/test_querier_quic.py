@@ -158,7 +158,7 @@ def test_crash_keeps_each_transports_close(proto):
     [result] = querier.results
     assert result.failed_over and not result.answered
     assert querier.failed_over == 1
-    assert not querier.has_open_streams()
+    assert not querier._streams
     server_host = server.host
     if proto == "quic":
         assert server.quic_server.connection_count() == 1

@@ -457,5 +457,3 @@ def test_supervision_config_validates_knobs():
         SupervisionConfig(high_water=0)
     with pytest.raises(ValueError, match="queue_policy"):
         SupervisionConfig(queue_policy="panic")
-    with pytest.raises(ValueError, match="checkpoint_interval"):
-        SupervisionConfig(checkpoint_interval=-1.0)

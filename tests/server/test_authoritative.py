@@ -259,26 +259,6 @@ def test_worker_pool_overload_queues_responses():
     assert got[-1] - got[0] > 0.008
 
 
-def test_worker_pool_state_loads_older_checkpoints():
-    """The worker pool checkpoints its free-at times; a checkpoint from
-    before ``busiest_backlog`` was dropped still loads."""
-    from repro.server.authoritative import WorkerPool
-
-    def server(sim):
-        host = sim.add_host("server", ["10.0.0.2"], LinkParams())
-        return AuthoritativeServer(host, zones=[make_example_zone()],
-                                   worker_pool=WorkerPool(workers=2))
-
-    old = server(Simulator())
-    old.worker_pool._free_at = [1.5, 2.5]
-    state = old.state_dict()
-    assert state["worker_pool"] == {"free_at": [1.5, 2.5]}
-    state["worker_pool"]["busiest_backlog"] = 0.25
-    resumed = server(Simulator())
-    resumed.load_state(state)
-    assert resumed.worker_pool._free_at == [1.5, 2.5]
-
-
 def test_no_worker_pool_responses_immediate():
     sim = Simulator()
     server_host = sim.add_host("server", ["10.0.0.2"], LinkParams())

@@ -138,6 +138,60 @@ def test_replay_run_rejects_a_zero_query_timeout(tmp_path, sample_trace,
     assert "answered" not in captured.out
 
 
+def build_zones(tmp_path, path, capsys):
+    outdir = tmp_path / "zones"
+    zone_build_main([str(path), str(outdir), "--tlds", "2",
+                     "--slds", "3", "--seed", "1"])
+    capsys.readouterr()
+    return outdir
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--fault-plan", "plan.json"],
+     "unknown fault event kind 'querier_crsh'"),
+    (["--mode", "distributed", "--supervise", "--high-water", "0"],
+     "high_water must be >= 1, got 0"),
+])
+def test_replay_run_rejects_a_bad_fault_plan_or_high_water(
+        tmp_path, sample_trace, capsys, monkeypatch, flags, message):
+    """A bad plan or mark exits 2 with the message, not a traceback."""
+    _, path = sample_trace
+    outdir = build_zones(tmp_path, path, capsys)
+    monkeypatch.chdir(tmp_path)
+    Path("plan.json").write_text(
+        '{"events":[{"kind":"querier_crsh","start":1.0,'
+        '"target":"querier-0.1"}]}')
+    with pytest.raises(SystemExit) as exit_info:
+        replay_main([str(path), "--zones", str(outdir), *flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_replay_run_supervised_fault_plan_fails_over(tmp_path, sample_trace,
+                                                     capsys):
+    """The supervised CLI path reads a FaultPlan file, fails the
+    crashed querier over and answers every query."""
+    _, path = sample_trace
+    outdir = build_zones(tmp_path, path, capsys)
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"events":[{"kind":"querier_crash","start":1.0,'
+                    '"target":"querier-0.1"}]}')
+    assert replay_main([str(path), "--zones", str(outdir),
+                        "--instances", "1", "--queriers", "2",
+                        "--mode", "distributed", "--supervise",
+                        "--fault-plan", str(plan)]) == 0
+    out = capsys.readouterr().out
+    assert "answered: 100.00%" in out
+    [line] = [line for line in out.splitlines()
+              if line.startswith("supervision: ")]
+    counts = dict(item.split("=") for item in line.split()[1:])
+    assert counts["failovers"] == "1"
+    assert int(counts["redispatched"]) > 0
+    assert "checkpoints_written" not in counts
+
+
 def test_trace_stats_tool(tmp_path, sample_trace, capsys):
     from repro.tools.trace_stats import main as stats_main
     _, path = sample_trace
