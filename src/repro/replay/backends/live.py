@@ -41,6 +41,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import select
+import selectors
 import signal
 import socket
 import sys
@@ -69,6 +71,63 @@ _UDP_BUF = 1 << 22      # ask for 4 MiB; the kernel clamps to rmem_max
 _TCP_CONNECTION_CAP = 64    # open stream connections per querier
 _SHUTDOWN_GRACE = 1.0       # server drain window per connection at close
 BIND_ATTEMPTS = 8           # draws for a port free on both UDP and TCP
+_FD_SETSIZE = 1024          # select() takes no fd at or above this
+
+
+if getattr(selectors, "EpollSelector", None) is selectors.DefaultSelector:
+    class _EpollSelector(selectors.EpollSelector):
+        """epoll with a microsecond wait.  ``epoll_wait`` takes whole
+        milliseconds, and CPython rounds every timeout up to one, so a
+        0.3 ms ΔT timer would sleep 1 ms.  A positive timeout instead
+        blocks in ``select()`` on the epoll fd, which is readable once
+        any registered fd is ready, and takes a microsecond
+        ``timeval``; epoll then collects without waiting.  An epoll fd
+        beyond ``select()``'s reach keeps the rounded epoll wait."""
+
+        def __init__(self):
+            super().__init__()
+            fd = self.fileno()
+            self._waitable = [fd] if fd < _FD_SETSIZE else None
+
+        def select(self, timeout=None):
+            if timeout is not None and timeout > 0 \
+                    and self._waitable is not None:
+                try:
+                    ready, _, _ = select.select(self._waitable, [], [],
+                                                timeout)
+                except InterruptedError:
+                    return []
+                if not ready:
+                    return []
+                timeout = 0
+            return super().select(timeout)
+
+    _Selector = _EpollSelector
+else:       # kqueue, say, already takes a timespec
+    _Selector = selectors.DefaultSelector
+
+
+def _run_loop(main):
+    """Run coroutine *main* on a fresh event loop over :data:`_Selector`
+    and tear the loop down as ``asyncio.run`` does: cancel what is
+    left, shut down async generators and the default executor, close.
+    (``asyncio.Runner(loop_factory=)`` would do this from Python 3.11.)
+    The replay client and the forked server both run on it."""
+    loop = asyncio.SelectorEventLoop(_Selector())
+    try:
+        return loop.run_until_complete(main)
+    finally:
+        try:
+            left = asyncio.all_tasks(loop)
+            if left:
+                for task in left:
+                    task.cancel()
+                loop.run_until_complete(
+                    asyncio.gather(*left, return_exceptions=True))
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            loop.close()
 
 
 def _grow_udp_buffers(sock: socket.socket) -> None:
@@ -664,7 +723,7 @@ class _ServerProcess:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         code = 0
         try:
-            asyncio.run(backend._serve(conn))
+            _run_loop(backend._serve(conn))
         except BaseException:       # never unwind into the parent's frames
             traceback.print_exc()
             code = 1
@@ -707,6 +766,92 @@ class _ServerProcess:
             self.status = os.waitstatus_to_exitcode(status)
             self.conn.close()
         return self.status
+
+
+class _Pacer:
+    """The reader's clock: one ``loop.call_at`` handle.  Each time it
+    fires it sends every record that is due and that the window admits,
+    then arms itself for the next record, so a paced record costs one
+    loop turn.
+
+    A record's ``scheduled_time`` is its ΔT instant, or the instant the
+    pacer reaches it when that is later (the record is behind
+    schedule); a late wake-up never moves it.  *due* maps a record and
+    the clock's now to that time (now itself in fast mode).  The window
+    counts sends against :meth:`settled`; a settle that frees the
+    window under a blocked pacer resumes it on the next loop turn,
+    never from inside the settle, so responses are read between
+    refills.  :attr:`done` resolves once every record is sent and
+    settled."""
+
+    def __init__(self, records, send, due, window: int,
+                 clock: _LoopScheduler):
+        self._records = records
+        self._send = send
+        self._due = due
+        self._window = window
+        self._clock = clock
+        self._loop = asyncio.get_running_loop()
+        self._next = 0                  # index of the next record to send
+        self._scheduled: float | None = None    # its time, once reached
+        self._inflight = 0
+        self._blocked = False           # waiting for the window
+        self._handle: asyncio.Handle | None = None
+        self.done = self._loop.create_future()
+
+    def start(self) -> None:
+        self._pace()
+
+    def settled(self, _result) -> None:
+        self._inflight -= 1
+        if self._blocked:
+            self._blocked = False
+            self._handle = self._loop.call_soon(self._resume)
+        elif self._next == len(self._records):
+            self._finish()
+
+    def stop(self) -> None:
+        """Send nothing more: the hosts are about to close."""
+        if self._handle is not None:
+            self._handle.cancel()
+        self._handle = None
+        self._blocked = False
+        self._next = len(self._records)
+
+    def _resume(self) -> None:
+        try:
+            self._pace()
+        except Exception as exc:        # fail the run, not the loop
+            if not self.done.done():
+                self.done.set_exception(exc)
+
+    def _pace(self) -> None:
+        self._handle = None
+        records, clock = self._records, self._clock
+        while self._next < len(records):
+            record = records[self._next]
+            scheduled = self._scheduled
+            if scheduled is None:
+                now = clock.now
+                scheduled = self._due(record, now)
+                if scheduled > now:
+                    self._scheduled = scheduled
+                    self._handle = self._loop.call_at(
+                        clock.epoch + scheduled, self._resume)
+                    return
+            if self._inflight >= self._window:
+                self._scheduled = scheduled
+                self._blocked = True
+                return
+            self._next += 1
+            self._scheduled = None
+            self._inflight += 1
+            self._send(record, scheduled)
+        self._finish()
+
+    def _finish(self) -> None:
+        if not self._inflight and not self.done.done():
+            self.done.set_result(None)
 
 
 class LiveBackend(ReplayBackend):
@@ -769,7 +914,7 @@ class LiveBackend(ReplayBackend):
         served = _ServerProcess(self)
         try:
             self.server_pid, self.server.port = served.pid, served.port
-            return asyncio.run(self._replay(records, served))
+            return _run_loop(self._replay(records, served))
         finally:
             served.reap()
 
@@ -911,35 +1056,33 @@ class LiveBackend(ReplayBackend):
         """The one reader, the sim's direct mode in wall-clock time: one
         :class:`ReplayTimer` synced on the trace's first record (§2.6's
         t̄₁) paces every record by ΔT against the loop clock, scaled by
-        ``speed``; *instance_for* places its source.  The window is the
-        run's, ``max_inflight`` per querier pooled, and holds pacing back
-        once the server falls behind."""
+        ``speed``, through one :class:`_Pacer`; *instance_for* places its
+        source.  The window is the run's, ``max_inflight`` per querier
+        pooled, and holds pacing back once the server falls behind."""
         live, clock, fast = self.live, self.clock, self.config.fast
-        window = max(1, live.max_inflight) * len(self.queriers)
-        slots = asyncio.Semaphore(window)
         timer = ReplayTimer()
+
+        def due(record, now: float) -> float:
+            return now if fast \
+                else now + timer.delay_for(record.time / live.speed, now)
+
+        def send(record, scheduled: float) -> None:
+            src = record.src
+            instance_for(src).member_for(src).send(record, scheduled)
+
+        pacer = _Pacer(records, send, due,
+                       max(1, live.max_inflight) * len(self.queriers), clock)
         try:
             for querier in self.queriers:
-                querier.on_settled = lambda _result: slots.release()
+                querier.on_settled = pacer.settled
                 querier.give_up_after = live.query_timeout
                 querier.host.start()
             if records:
                 timer.sync(records[0].time / live.speed, clock.now)
-            for record in records:
-                due = now = clock.now
-                if not fast:
-                    delay = timer.delay_for(record.time / live.speed, now)
-                    due = now + delay
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                # A free slot is taken without yielding to the loop,
-                # which keeps the window full in fast mode.
-                await slots.acquire()
-                src = record.src
-                instance_for(src).member_for(src).send(record, due)
-            for _ in range(window):     # all slots back: all settled
-                await slots.acquire()
+            pacer.start()
+            await pacer.done
         finally:
+            pacer.stop()
             for querier in self.queriers:
                 await querier.host.aclose()
 

@@ -1,11 +1,12 @@
 """The live asyncio backend: real loopback sockets behind the engine API.
 
-Four areas the sim cannot cover: TCP byte-stream reassembly on a real
+Five areas the sim cannot cover: TCP byte-stream reassembly on a real
 socket (split/coalesced segments, pipelined queries), the UDP+TCP
 same-port bind-retry dance, graceful shutdown draining in-flight work,
-and the raw UDP endpoint's contracts (drain per wake-up, errors, EAGAIN,
-close).  Plus the config-surface rejections that keep sim-only features
-(faults, supervision) from silently no-opping live.
+the raw UDP endpoint's contracts (drain per wake-up, errors, EAGAIN,
+close), and the event loop's wall-clock timers (the microsecond wait,
+ΔT pacing).  Plus the config-surface rejections that keep sim-only
+features (faults, supervision) from silently no-opping live.
 """
 
 import asyncio
@@ -460,6 +461,95 @@ def test_aclose_leaves_no_reader_or_writer_on_either_udp_fd():
                 for fd in fds]
 
     assert asyncio.run(go()) == [(False, False), (False, False)]
+
+
+# -- the live event loop's wait -----------------------------------------------
+
+
+def test_live_loop_wakes_inside_the_millisecond():
+    """Idle 0.3 ms timers on the loop both live processes run: epoll
+    rounds every wait up to a whole millisecond, so each would fire at
+    least 0.7 ms late.  The minimum is asserted, so a load spike on
+    some wake-ups cannot fail the test."""
+    async def lateness() -> list[float]:
+        loop = asyncio.get_running_loop()
+        late = []
+        for _ in range(20):
+            fired = loop.create_future()
+            due = loop.time() + 0.0003
+            loop.call_at(due, lambda: fired.set_result(loop.time()))
+            late.append(await fired - due)
+        return late
+
+    assert min(live_module._run_loop(lateness())) < 0.0005
+
+
+class RecordingEpoll:
+    """Stands in for the selector's epoll object, recording each
+    timeout its ``poll`` is given."""
+
+    def __init__(self, epoll):
+        self._epoll = epoll
+        self.timeouts: list = []
+
+    def poll(self, timeout, maxevents):
+        self.timeouts.append(timeout)
+        return self._epoll.poll(timeout, maxevents)
+
+    def __getattr__(self, name):
+        return getattr(self._epoll, name)
+
+
+@pytest.mark.skipif(not hasattr(live_module, "_EpollSelector"),
+                    reason="the µs wait is for epoll only")
+@pytest.mark.parametrize("fd_setsize", [live_module._FD_SETSIZE, 0])
+def test_selector_waits_in_microseconds_below_the_fd_limit(monkeypatch,
+                                                            fd_setsize):
+    """A positive timeout reaches ``select()`` unrounded and epoll then
+    collects without waiting; ``0`` and ``None`` go straight to epoll.
+    An epoll fd at or above the limit (``fd_setsize=0`` puts every fd
+    there) keeps epoll's own wait, rounded up to a millisecond."""
+    waits = []
+
+    def wait(rlist, wlist, xlist, timeout):
+        waits.append(timeout)
+        return rlist, [], []                # the epoll fd is readable
+
+    monkeypatch.setattr(live_module, "_FD_SETSIZE", fd_setsize)
+    monkeypatch.setattr(live_module.select, "select", wait)
+    a, b = socket.socketpair()
+    selector = live_module._Selector()
+    try:
+        selector._selector = epoll = RecordingEpoll(selector._selector)
+        selector.register(a, live_module.selectors.EVENT_READ)
+        b.send(b"x")                        # None returns at once
+        for timeout in (0.0003, 0, None):
+            (key, _), = selector.select(timeout)
+            assert key.fileobj is a
+    finally:
+        selector.close()
+        a.close()
+        b.close()
+    if fd_setsize:
+        assert waits == [0.0003]
+        assert epoll.timeouts == [0, 0, -1]
+    else:
+        assert waits == []
+        assert epoll.timeouts == [0.001, 0, -1]
+
+
+@pytest.mark.skipif(not hasattr(live_module, "_EpollSelector"),
+                    reason="the µs wait is for epoll only")
+def test_selector_wait_that_times_out_returns_nothing(monkeypatch):
+    monkeypatch.setattr(live_module.select, "select",
+                        lambda rlist, wlist, xlist, timeout: ([], [], []))
+    selector = live_module._Selector()
+    try:
+        selector._selector = epoll = RecordingEpoll(selector._selector)
+        assert selector.select(0.0003) == []
+    finally:
+        selector.close()
+    assert epoll.timeouts == []
 
 
 # -- the backend end-to-end ---------------------------------------------------
@@ -950,3 +1040,42 @@ def test_each_record_reaches_the_querier_the_sim_draws(sticky):
     assert set().union(*held.values()) == {"0.0", "0.1"}
     assert all(len(positions) == 1 for positions in held.values()) \
         == sticky
+
+
+def test_paced_replay_never_sends_early_nor_schedules_off_its_instant(
+        monkeypatch):
+    """§2.6's ΔT rule on the loop clock, gaps from 0.2 ms to 50 ms of
+    trace time at ``speed=5``.  Each query is sent no earlier than it
+    is scheduled, and scheduled no earlier than its ΔT instant (t̄₁
+    synced on the first record, trace time divided by ``speed``).  A
+    record reached 10 ms before its instant is scheduled at the instant
+    itself, however late the wake-up: lateness is charged to the
+    send, never folded into the schedule."""
+    syncs = []
+
+    class Timer(live_module.ReplayTimer):
+        def sync(self, trace_t1, real_t1):
+            syncs.append((trace_t1, real_t1))
+            super().sync(trace_t1, real_t1)
+
+    monkeypatch.setattr(live_module, "ReplayTimer", Timer)
+    speed, gaps = 5.0, (0.0002, 0.001, 0.005, 0.05)
+    times = [0.0]
+    for i in range(39):
+        times.append(times[-1] + gaps[i % len(gaps)])
+    backend = LiveBackend([make_example_zone()], config=one_querier_config(
+        queriers=2, speed=speed))
+    report = backend.run(Trace([
+        QueryRecord(time=t, src=f"10.9.0.{i % 4}", qname="www.example.com.",
+                    proto="udp") for i, t in enumerate(times)]))
+    assert report.answered_fraction() == 1.0
+    (trace_t1, real_t1), = syncs
+    after_long_gap = {round(times[i + 1], 9) for i in range(len(times) - 1)
+                      if gaps[i % len(gaps)] == gaps[-1]}
+    assert len(after_long_gap) == 9
+    for result in report.results:
+        instant = real_t1 + result.record.time / speed - trace_t1
+        assert result.send_time >= result.scheduled_time - 1e-6
+        assert result.scheduled_time >= instant - 1e-6
+        if round(result.record.time, 9) in after_long_gap:
+            assert result.scheduled_time == pytest.approx(instant, abs=1e-6)
