@@ -294,11 +294,17 @@ def _target_trace_binary(blob: bytes) -> None:
     the pipeline's ``collect``/``stats``, at one-record chunks and at
     the default, agree on the records, on the ``(index, offset)`` of
     what ``skip_malformed`` drops and on the located error raised
-    without it.  Past the header every error carries an index."""
+    without it.  Through a chain of frame ops, ``to_binary`` gives the
+    frames of the same chain's ``collect`` and its errors, with the
+    chain alone and with a keep-all filter after it.  Past the header
+    every error carries an index."""
     from repro.trace.binaryform import (binary_to_trace, check_header,
-                                        decode_record, encode_record)
+                                        decode_record, encode_record,
+                                        trace_to_binary)
     from repro.trace.errors import TraceFormatError
-    from repro.trace.pipeline import TracePipeline
+    from repro.trace.pipeline import (FilterRecords, PrependUnique,
+                                      RebaseTime, SetDoFraction,
+                                      SetProtocol, TracePipeline)
     from repro.trace.stats import StreamingStats
     try:
         decode_record(blob)
@@ -347,6 +353,18 @@ def _target_trace_binary(blob: bytes) -> None:
             got, got_errors = reading(
                 lambda **o: tally(pipe(**o).stats()), skip)
             assert (got, got_errors) == (expected, errors)
+            chain = (SetProtocol("tls"), SetDoFraction(1.0),
+                     PrependUnique("q"), RebaseTime())
+            got, chain_errors = reading(
+                lambda **o: pipe(**o).pipe(*chain).collect().records, skip)
+            framed = None if got is None else trace_to_binary(got)
+            for ops in (chain, chain + (FilterRecords(_keep_all),)):
+                assert reading(lambda **o: pipe(**o).pipe(*ops).to_binary(),
+                               skip) == (framed, chain_errors)
+
+
+def _keep_all(record) -> bool:
+    return True
 
 
 def _target_trace_text(line: str) -> None:

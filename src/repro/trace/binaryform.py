@@ -26,8 +26,12 @@ HEADER_SIZE = len(HEADER)
 
 _FLAG_DO = 0x01
 _FLAG_RD = 0x02
+# No other flag bit is defined: a frame that sets one is malformed, so a
+# frame that decodes re-encodes to the same bytes.
+_FLAGS = _FLAG_DO | _FLAG_RD
 
 _FIXED = struct.Struct("!dBBHHHHH")  # time proto flags sport id payload qtype qclass
+_HEAD = struct.Struct("!dBBHHHHHB")  # the fixed fields and the src length
 _U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
 _PROTO_INDEX = {proto: index for index, proto in enumerate(PROTOCOLS)}
@@ -60,13 +64,12 @@ def encode_record(record: QueryRecord) -> bytes:
     qname = record.qname.encode()
     try:
         return b"".join((
-            _FIXED.pack(record.time, _PROTO_INDEX[record.proto],
-                        (_FLAG_DO if record.do else 0)
-                        | (_FLAG_RD if record.rd else 0),
-                        record.sport, record.msg_id, record.edns_payload,
-                        record.qtype, record.qclass),
-            _U8.pack(len(src)), src, _U8.pack(len(dst)), dst,
-            _U16.pack(len(qname)), qname))
+            _HEAD.pack(record.time, _PROTO_INDEX[record.proto],
+                       (_FLAG_DO if record.do else 0)
+                       | (_FLAG_RD if record.rd else 0),
+                       record.sport, record.msg_id, record.edns_payload,
+                       record.qtype, record.qclass, len(src)),
+            src, _U8.pack(len(dst)), dst, _U16.pack(len(qname)), qname))
     except struct.error as exc:
         raise BinaryFormatError(f"unencodable record: {exc}") from exc
 
@@ -81,12 +84,12 @@ def encode_frame(record: QueryRecord) -> bytes:
 
 def decode_record(blob: bytes) -> QueryRecord:
     try:
-        (time, proto_idx, flags, sport, msg_id, payload, qtype,
-         qclass) = _FIXED.unpack_from(blob)
-        pos = FIXED_SIZE
-        src_len = blob[pos]
-        src = blob[pos + 1:pos + 1 + src_len].decode()
-        pos += 1 + src_len
+        (time, proto_idx, flags, sport, msg_id, payload, qtype, qclass,
+         src_len) = _HEAD.unpack_from(blob)
+        if flags & ~_FLAGS:
+            raise BinaryFormatError(f"malformed record: flags {flags:#04x}")
+        pos = _HEAD.size + src_len
+        src = blob[_HEAD.size:pos].decode()
         dst_len = blob[pos]
         dst = blob[pos + 1:pos + 1 + dst_len].decode()
         pos += 1 + dst_len
@@ -175,31 +178,42 @@ def walk(data, start: int = HEADER_SIZE, end: int | None = None,
             yield index, record
 
 
-def frame_spans(blob) -> tuple[int, int, int, int, int, int]:
-    """Structural layout of one record blob without decoding it:
-    ``(src_off, src_len, dst_off, dst_len, qname_off, qname_len)``.
-
-    Validates that the variable-length fields tile the blob exactly —
-    the same check :func:`decode_record` performs — but skips struct
-    unpacking and text decoding, so compiled frame ops can read or
-    splice a single field in O(field) instead of O(record)."""
+def check_frame(blob) -> int:
+    """The one malformed-frame rule for a frame as read, before any op
+    touches it: its variable-length fields tile it exactly, its
+    protocol byte names a protocol, it sets no undefined flag, and its
+    addresses and qname are UTF-8 — what :func:`decode_record`
+    accepts, without unpacking a field or building the record.  Returns
+    the qname's offset, from which compiled frame ops read or splice
+    the name."""
     size = len(blob)
-    if size < FIXED_SIZE + 2:
-        raise BinaryFormatError("record too short for fixed fields")
     try:
-        src_off = FIXED_SIZE + 1
-        src_len = blob[FIXED_SIZE]
-        dst_len_off = src_off + src_len
-        dst_len = blob[dst_len_off]
-        dst_off = dst_len_off + 1
-        qname_len_off = dst_off + dst_len
-        (qname_len,) = struct.unpack_from("!H", blob, qname_len_off)
-        qname_off = qname_len_off + 2
-    except (IndexError, struct.error) as exc:
+        src_len = blob[SRC_OFFSET]
+        dst_off = SRC_OFFSET + 2 + src_len
+        dst_len = blob[dst_off - 1]
+        qname_off = dst_off + dst_len + 2
+        qname_len = blob[qname_off - 2] << 8 | blob[qname_off - 1]
+    except IndexError as exc:
         raise BinaryFormatError(f"malformed record: {exc}") from exc
     if qname_off + qname_len != size:
         raise BinaryFormatError("trailing bytes in record")
-    return src_off, src_len, dst_off, dst_len, qname_off, qname_len
+    if blob[PROTO_OFFSET] >= len(PROTOCOLS):
+        raise BinaryFormatError(
+            f"malformed record: protocol {blob[PROTO_OFFSET]}")
+    if blob[FLAGS_OFFSET] & ~_FLAGS:
+        raise BinaryFormatError(
+            f"malformed record: flags {blob[FLAGS_OFFSET]:#04x}")
+    # ASCII is UTF-8.  The length bytes between the fields are ASCII too
+    # unless a field is long, which only sends the frame the slow way.
+    if not blob[SRC_OFFSET + 1:].isascii():
+        for start, length in ((SRC_OFFSET + 1, src_len),
+                              (dst_off, dst_len), (qname_off, qname_len)):
+            try:
+                str(blob[start:start + length], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise BinaryFormatError(f"malformed record: {exc}") \
+                    from exc
+    return qname_off
 
 
 def trace_to_binary(trace: Trace | Iterable[QueryRecord],

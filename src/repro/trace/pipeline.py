@@ -28,34 +28,35 @@ A pipeline is lazy: building one does no I/O.  Running a sink
   the open file (:func:`repro.trace.textform.iter_text`), so neither
   the file nor its records are ever held whole.
 
-Within the chunked executor there are two modes:
+Within the chunked executor one runner serves every chain and sink:
 
-* **frame mode** — every op in the chain knows how to rewrite a raw
-  LDPB frame in place (patch the protocol byte, the DO flag, the
-  timestamp; splice the qname), so records are never decoded at all.
-  Each frame is copied into one ``bytearray`` and its layout validated
-  once; the ops then patch that buffer in turn, and because the qname
-  is the tail of the record a splice is a slice assignment
-  (:class:`PipelineOp` states the contract).  This is the hot path: it
-  is what makes trace preparation fast even single-threaded, and it is
-  automatically selected when all ops support it and malformed records
-  are set to raise (the default).
-* **record mode** — frames are decoded once, the whole chain applies to
-  the :class:`~repro.trace.record.QueryRecord`, and the result is
-  re-encoded once.  Used for predicate/map ops and whenever
-  ``skip_malformed`` is on (skipping requires decoding).  A rewrite
-  costs what it changes here too: ``QueryRecord.with_`` is one shallow
-  copy plus the changed fields, and the codec builds a record in one
-  step.  A record the chain made unencodable (a field wider than the
-  format's) is malformed like any other: raised with its global index,
-  or skipped and reported.
+* each frame is judged as read, before any op, by the one
+  malformed-frame rule (:func:`~repro.trace.binaryform.check_frame`:
+  layout, protocol byte, flags, UTF-8 of the addresses and qname);
+* an op that knows how to rewrite a raw LDPB frame (patch the protocol
+  byte, the DO flag, the timestamp; splice the qname) patches one
+  ``bytearray`` copy of it in place, and because the qname is the tail
+  of the record a splice is a slice assignment (:class:`PipelineOp`
+  states the contract).  A chain of such ops never builds a
+  :class:`~repro.trace.record.QueryRecord`: this is what makes trace
+  preparation fast even single-threaded;
+* at a record-only op (``FilterRecords``, ``MapRecords``) the runner
+  writes the qname length, decodes the patched frame once and applies
+  the op.  A record the op keeps as it is leaves as its frame, with no
+  re-encode; only a record the op replaced is encoded again, and later
+  frame ops patch that new frame.  A record an op made unencodable (a
+  field wider than the format's) is malformed like any other: raised
+  with its global index, or skipped and reported;
+* the ``records()``/``collect()`` and ``stats()`` sinks decode each
+  output frame once, at the end (or take the record a record op left).
 
 Determinism contract
 ====================
 
 For an input that decodes cleanly, the output byte stream is identical
-across ``jobs`` and ``chunk_records`` settings and across frame/record
-modes.  Three design rules make that hold:
+across ``jobs`` and ``chunk_records`` settings, and equal to the
+streaming executor's over the decoded records.  Three design rules make
+that hold:
 
 * ops see the **global input index** of each record (chunks carry their
   base index), so index-derived rewrites (``PrependUnique``) do not
@@ -68,13 +69,13 @@ modes.  Three design rules make that hold:
 * merged chunk outputs are concatenated strictly in input order.
 
 A record blob that decodes successfully re-encodes to the same bytes
-(the format has no slack), which is why patching a field inside a frame
-equals re-encoding the patched record.  Every sink reads frames with
-:func:`~repro.trace.binaryform.walk` (record mode, ``stats``) or
-``scan_frames`` (frame mode), so a malformed record — a frame that does
-not decode, a truncated tail, an output record LDPB cannot hold — is
-raised or skipped by the one rule of
-:func:`~repro.trace.binaryform.reject`, with its **global** input
+(the format has no slack: an undefined flag bit is malformed), which is
+why patching a field inside a frame equals re-encoding the patched
+record, and a record an op kept may leave as the frame it came in.
+Every sink reads frames with ``scan_frames`` and ``check_frame``, so a
+malformed record — a frame that does not decode, a truncated tail, an
+output record LDPB cannot hold — is raised or skipped by the one rule
+of :func:`~repro.trace.binaryform.reject`, with its **global** input
 index, no matter which worker hit it.
 """
 
@@ -93,10 +94,10 @@ from typing import Callable, Iterable, Iterator
 from repro.trace.binaryform import (FLAG_DO, FLAGS_OFFSET, HEADER,
                                     HEADER_SIZE, PAYLOAD_OFFSET,
                                     PROTO_OFFSET, SRC_OFFSET, TIME_OFFSET,
-                                    BinaryFormatError, check_header,
-                                    decode_record, encode_frame,
-                                    frame_spans, reject, scan_frames,
-                                    walk)
+                                    BinaryFormatError, check_frame,
+                                    check_header, decode_record,
+                                    encode_frame, encode_record,
+                                    reject, scan_frames)
 from repro.trace.errors import TraceFormatError, note_skipped
 from repro.trace.record import PROTOCOLS, QueryRecord, Trace
 
@@ -154,16 +155,16 @@ class PipelineOp:
     closures unless noted (predicate/map ops require picklable
     callables for ``jobs > 1``).
 
-    The frame contract: the executor copies each frame into one
-    ``bytearray``, validates its layout once
-    (:func:`~repro.trace.binaryform.frame_spans`) and hands that buffer
-    to every op of the chain in turn; an op patches it **in place** and
-    returns nothing.  The fixed fields and the addresses sit at format
-    offsets that no op moves, and the qname is the tail of the buffer
-    from ``qname_off`` — so a qname rewrite is a slice assignment
+    The frame contract: the executor judges each frame once
+    (:func:`~repro.trace.binaryform.check_frame`), copies it into one
+    ``bytearray`` and hands that buffer to every frame op of the chain
+    in turn; an op patches it **in place** and returns nothing.  The
+    fixed fields and the addresses sit at format offsets that no op
+    moves, and the qname is the tail of the buffer from ``qname_off``
+    — so a qname rewrite is a slice assignment
     (``frame[qname_off:] = new``), whatever an earlier op did to the
     name.  The qname's u16 length prefix is the executor's to write,
-    once, after the chain.
+    before a record op decodes the frame and after the chain.
     """
 
     #: op reads ``ctx.first_time`` (forces decoding the first frame's
@@ -387,62 +388,83 @@ class _CompiledChain:
     ctx: PipelineContext
     skip_malformed: bool = False
 
-    @property
-    def frame_mode(self) -> bool:
-        # Skipping malformed records requires decoding them, so the
-        # frame fast path only runs under raise-on-malformed semantics.
-        return (not self.skip_malformed
-                and all(op.frame_capable for op in self.ops))
-
-    def run_frames(self, buf, chunk: _Chunk, decode: bool) -> list:
-        """Frame mode: one buffer and one layout check per frame, the
-        ops patch it in place, no QueryRecord is built.  Returns each
-        frame after its u16 length prefix, or with *decode* each
-        patched frame's record, decoded where its index and offset are
-        known."""
+    def run(self, buf, chunk: _Chunk, decode: bool, skipped: list) -> list:
+        """The one chunk runner.  Each frame is judged as read
+        (:func:`check_frame`), then the ops run in order: a frame op
+        patches one ``bytearray`` copy of it in place; at a record-only
+        op the frame is decoded once and the op rewrites the record.  A
+        record the op keeps as it is stays its frame; one it replaces is
+        re-encoded before the next frame op, or at the end.  Returns
+        each kept frame with its u16 length prefix, or with *decode*
+        each kept record.  :func:`reject` rules on a malformed frame or
+        output record at its global index — and at the frame's offset
+        until an op has replaced its record."""
+        # (frame ops in a row, None) or ((), one record op)
+        steps: list[tuple[list, Callable | None]] = []
+        for op in self.ops:
+            if not op.frame_capable:
+                steps.append(((), op.map_record))
+            elif steps and steps[-1][1] is None:
+                steps[-1][0].append(op.map_frame)
+            else:
+                steps.append(([op.map_frame], None))
+        patching = any(op.frame_capable for op in self.ops)
+        ctx, skip = self.ctx, self.skip_malformed
         out: list = []
         append = out.append
-        patches = [op.map_frame for op in self.ops]
-        ctx = self.ctx
-        pack_u16, pack_u16_into = _U16.pack, _U16.pack_into
         for index, (offset, length) in enumerate(
-                scan_frames(buf, chunk.start, chunk.end, chunk.base_index),
-                chunk.base_index):
-            frame = bytearray(buf[offset + 2:offset + 2 + length])
+                scan_frames(buf, chunk.start, chunk.end, chunk.base_index,
+                            skip, skipped), chunk.base_index):
+            end = offset + 2 + length
+            frame = buf[offset + 2:end]
+            at = offset
+            record = None           # the frame's record, once decoded
+            stale = False           # record replaced: frame behind it
             try:
-                qname_off = frame_spans(frame)[4]
-                for patch in patches:
-                    patch(frame, qname_off, index, ctx)
-                size = len(frame)
-                if size > 0xFFFF:
-                    raise BinaryFormatError(
-                        "record too large for u16 framing")
-                # The qname is whatever now follows qname_off.
-                pack_u16_into(frame, qname_off - 2, size - qname_off)
-                if decode:
-                    append(decode_record(frame))
-                    continue
+                qname_off = check_frame(frame)
+                if patching:
+                    frame = bytearray(frame)
+                for patches, rewrite in steps:
+                    if rewrite is None:
+                        if stale:
+                            frame = bytearray(encode_record(record))
+                            qname_off = check_frame(frame)
+                            at, stale = None, False
+                        for patch in patches:
+                            patch(frame, qname_off, index, ctx)
+                        record = None
+                        continue
+                    if record is None:
+                        if patching:
+                            _seal(frame, qname_off)
+                        record = decode_record(frame)
+                    new = rewrite(record, index, ctx)
+                    if new is None:
+                        break
+                    if new is not record:
+                        record, stale = new, True
+                else:
+                    if stale:
+                        at = None
+                        framed = encode_frame(record)
+                    elif patching:
+                        _seal(frame, qname_off)
+                    if decode:
+                        append(record if record is not None
+                               else decode_record(frame))
+                    elif stale:
+                        append(framed)
+                    elif patching:
+                        append(_U16.pack(len(frame)) + frame)
+                    else:
+                        append(buf[offset:end])
             except (BinaryFormatError, struct.error) as exc:
-                # struct.error: an op wrote a value its field cannot
-                # hold — what encode_record reports in record mode.
-                raise BinaryFormatError(
-                    getattr(exc, "message", f"unencodable record: {exc}"),
-                    index=index, offset=offset) from exc
-            append(pack_u16(size))
-            append(frame)
+                # struct.error: a frame op wrote a value its field
+                # cannot hold — what encode_record reports for a record.
+                reject(getattr(exc, "message",
+                               f"unencodable record: {exc}"),
+                       index, at, skip, skipped)
         return out
-
-    def records(self, buf, chunk: _Chunk, skipped: list) \
-            -> Iterator[tuple[int, QueryRecord]]:
-        """Record mode: the one decode walk, then the chain;
-        ``(index, record)`` for each record the chain keeps."""
-        apply = self.apply_record
-        for index, record in walk(buf, chunk.start, chunk.end,
-                                  chunk.base_index, self.skip_malformed,
-                                  skipped):
-            record = apply(record, index)
-            if record is not None:
-                yield index, record
 
     def apply_record(self, record: QueryRecord,
                      index: int) -> QueryRecord | None:
@@ -453,16 +475,13 @@ class _CompiledChain:
         return record
 
 
-def _encode(record: QueryRecord, index: int, skip_malformed: bool,
-            skipped: list | None) -> bytes | None:
-    """The LDPB frame of a record a chain kept, or None when the format
-    cannot hold it: :func:`reject` rules on it at its input *index*,
-    whatever the source."""
-    try:
-        return encode_frame(record)
-    except BinaryFormatError as exc:
-        reject(exc.message, index, None, skip_malformed, skipped)
-        return None
+def _seal(frame: bytearray, qname_off: int) -> None:
+    """Write a patched frame's qname length: the name is whatever now
+    follows *qname_off*."""
+    size = len(frame)
+    if size > 0xFFFF:
+        raise BinaryFormatError("record too large for u16 framing")
+    _U16.pack_into(frame, qname_off - 2, size - qname_off)
 
 
 # -- pool workers ----------------------------------------------------------
@@ -496,26 +515,17 @@ def _process_chunk(buf, chain: _CompiledChain, mode: str, chunk: _Chunk):
     errors pickle, attributes intact)."""
     started = _time.perf_counter()
     skipped: list[TraceFormatError] = []
-    if mode == "stats":
+    out = chain.run(buf, chunk, mode != "binary", skipped)
+    if mode == "binary":
+        payload = b"".join(out)
+    elif mode == "stats":
         from repro.trace.stats import StreamingStats
         payload = StreamingStats()
-        for _, record in chain.records(buf, chunk, skipped):
+        for record in out:
             payload.update(record)
-        n_out = payload.records
     else:
-        if chain.frame_mode:
-            out = chain.run_frames(buf, chunk, decode=mode == "records")
-            n_out = chunk.records
-        else:
-            out = []
-            for index, record in chain.records(buf, chunk, skipped):
-                frame = _encode(record, index, chain.skip_malformed,
-                                skipped)
-                if frame is not None:
-                    out.append(frame if mode == "binary" else record)
-            n_out = len(out)
-        payload = b"".join(out) if mode == "binary" else out
-    return payload, chunk.records, n_out, skipped, \
+        payload = out
+    return payload, chunk.records, len(out), skipped, \
         _time.perf_counter() - started
 
 
@@ -698,14 +708,22 @@ class TracePipeline:
             return buf, lambda: (buf.close(), handle.close())
         return self._source.data, lambda: None
 
-    def _context(self, buf, first_offset: int | None) -> PipelineContext:
+    def _context(self, buf) -> PipelineContext:
+        """The first record's time, when an op reads it: that of the
+        first frame :func:`check_frame` accepts, the record a streaming
+        read keeps first.  (A malformed frame before it is raised before
+        any op runs, or skipped.)"""
         if not any(op.needs_first_time for op in self._ops):
             return PipelineContext()
-        if first_offset is None:
-            return PipelineContext()
-        (t0,) = struct.unpack_from("!d", buf,
-                                   first_offset + 2 + TIME_OFFSET)
-        return PipelineContext(first_time=t0)
+        for offset, length in scan_frames(buf, skip_malformed=True):
+            frame = buf[offset + 2:offset + 2 + length]
+            try:
+                check_frame(frame)
+            except BinaryFormatError:
+                continue
+            return PipelineContext(
+                first_time=_F64.unpack_from(frame, TIME_OFFSET)[0])
+        return PipelineContext()
 
     def _chunks(self, buf) -> list[_Chunk]:
         """``chunk_records`` frames a chunk.  The last chunk runs to the
@@ -731,18 +749,16 @@ class TracePipeline:
 
     def _run_chunked(self, mode: str):
         """Run the chunked executor; yields per-chunk payloads in input
-        order.  ``mode`` is "binary" (payload: frame bytes) or "stats"
-        (payload: StreamingStats)."""
+        order.  ``mode`` is "binary" (payload: frame bytes), "records"
+        (the output records) or "stats" (payload: StreamingStats)."""
         buf, cleanup = self._open_buffer()
         result = PipelineResult()
         try:
             check_header(buf)
             chunks = self._chunks(buf)
-            ctx = self._context(buf, chunks[0].start
-                                if chunks and chunks[0].records else None)
+            ctx = self._context(buf)
             chain = _CompiledChain(self._ops, ctx, self.skip_malformed)
-            if mode == "stats" or not chain.frame_mode:
-                self._check_picklable(chain)
+            self._check_picklable(chain)
             result.chunks = len(chunks)
             if self.jobs == 1 or len(chunks) <= 1:
                 outcomes = (_process_chunk(buf, chain, mode, chunk)
@@ -821,8 +837,8 @@ class TracePipeline:
 
     def records(self) -> Iterator[QueryRecord]:
         """Iterate output records.  On an LDPB source each is decoded
-        once, by the chunk that read it: frame mode decodes the patched
-        frame, record mode keeps the chain's records LDPB can hold."""
+        once, by the chunk that read it: the patched frame, or the
+        record the chain's last record op left, if LDPB can hold it."""
         if not self.chunkable:
             return (record for _, record in self._stream())
         return itertools.chain.from_iterable(self._run_chunked("records"))
@@ -846,9 +862,11 @@ class TracePipeline:
         dropped: list[TraceFormatError] = []
         out = bytearray(HEADER)
         for index, record in self._stream():
-            frame = _encode(record, index, self.skip_malformed, dropped)
-            if frame is not None:
-                out += frame
+            try:
+                out += encode_frame(record)
+            except BinaryFormatError as exc:
+                reject(exc.message, index, None, self.skip_malformed,
+                       dropped)
         for error in dropped:
             note_skipped(self._skipped, error)
         self.last_result.records_out -= len(dropped)

@@ -58,6 +58,23 @@ def record_to_line(record: QueryRecord) -> str:
     ])
 
 
+# The spellings the reader meets, looked up once per line; any other
+# goes the general way (RRType.from_text and friends), which accepts
+# and returns the same.
+_TYPES = dict(RRType.__members__)
+_CLASSES = dict(RRClass.__members__)
+_FLAGS = {"-": (False, False), "RD": (True, False), "DO": (False, True),
+          "DO,RD": (True, True), "RD,DO": (True, True)}   # (rd, do)
+
+
+def _flags(text: str) -> tuple[bool, bool]:
+    flag_set = set(text.split(","))
+    unknown = flag_set - {"DO", "RD"}
+    if unknown:
+        raise ValueError(f"unknown flags {sorted(unknown)}")
+    return "RD" in flag_set, "DO" in flag_set
+
+
 def line_to_record(line: str, lineno: int = 0) -> QueryRecord:
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 11:
@@ -66,14 +83,14 @@ def line_to_record(line: str, lineno: int = 0) -> QueryRecord:
     (time_s, src, sport, dst, proto, qname, qclass, qtype, flags,
      payload, msg_id) = fields
     try:
-        flag_set = set() if flags == "-" else set(flags.split(","))
-        unknown = flag_set - {"DO", "RD"}
-        if unknown:
-            raise ValueError(f"unknown flags {sorted(unknown)}")
+        rd, do = _FLAGS.get(flags) or _flags(flags)
+        # Every member is non-zero, so ``or`` only falls through on a
+        # miss; the arguments are parsed in the order they are listed.
         return make_record(
-            float(time_s), src, qname, RRType.from_text(qtype),
-            RRClass.from_text(qclass), proto, int(sport), int(msg_id),
-            "RD" in flag_set, "DO" in flag_set, int(payload),
+            float(time_s), src, qname,
+            _TYPES.get(qtype) or RRType.from_text(qtype),
+            _CLASSES.get(qclass) or RRClass.from_text(qclass), proto,
+            int(sport), int(msg_id), rd, do, int(payload),
             "" if dst == "-" else dst)
     except ValueError as exc:
         raise TextFormatError(str(exc), lineno) from exc

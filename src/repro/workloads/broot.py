@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.dns.constants import RRType
@@ -78,8 +79,7 @@ def _cumulative(weights: list[float]) -> list[float]:
 
 
 def _pick(cum: list[float], u: float) -> int:
-    import bisect
-    return min(bisect.bisect_left(cum, u), len(cum) - 1)
+    return min(bisect_left(cum, u), len(cum) - 1)
 
 
 def generate_broot_trace(internet: ModelInternet,
@@ -124,7 +124,7 @@ def generate_broot_trace(internet: ModelInternet,
         if qtype in (RRType.DNSKEY, RRType.SOA) and rng.random() < 0.8:
             qname = "."
         elif qtype == RRType.DS:
-            qname = rng.choice(internet.domains).name.to_text()
+            qname = rng.choice(internet.domains).text
         else:
             qname = internet.random_qname(rng, params.junk_fraction)
         do = rng.random() < params.do_fraction

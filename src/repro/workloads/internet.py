@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.dns.constants import RRType
 from repro.dns.dnssec import make_ds, make_dnskey, sign_zone, KSK_FLAGS
@@ -58,6 +59,12 @@ class Domain:
     name: Name
     zone: Zone
     ns_addrs: list[str] = field(default_factory=list)
+
+    @cached_property
+    def text(self) -> str:
+        """``name.to_text()``, rendered once: the trace generators
+        write it, or a host label and it, into every query they make."""
+        return self.name.to_text()
 
 
 class ModelInternet:
@@ -225,19 +232,20 @@ class ModelInternet:
                      junk_probability: float = 0.0) -> str:
         """A plausible query name: a host under a random SLD, or junk."""
         if rng.random() < junk_probability:
-            label = "".join(rng.choice("abcdefghijklmnop")
-                            for _ in range(10))
+            label = "".join([rng.choice("abcdefghijklmnop")
+                             for _ in range(10)])
             return f"{label}.invalid{rng.randrange(1000)}."
-        domain = rng.choice(self.domains)
+        # An SLD is never the root, so a host label joins its text with
+        # one dot, as Name.prepend(label).to_text() would render it.
+        text = rng.choice(self.domains).text
         kind = rng.random()
         if kind < 0.35:
-            return domain.name.prepend(b"www").to_text()
+            return "www." + text
         if kind < 0.55:
-            return domain.name.to_text()
+            return text
         if kind < 0.7:
-            return domain.name.prepend(b"mail").to_text()
-        return domain.name.prepend(
-            f"host{rng.randrange(4)}".encode()).to_text()
+            return "mail." + text
+        return f"host{rng.randrange(4)}.{text}"
 
     def zone_count(self) -> int:
         return len(self.zones)

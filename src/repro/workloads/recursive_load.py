@@ -64,8 +64,7 @@ def generate_recursive_trace(internet: ModelInternet,
         for _ in range(burst):
             domain = pick_domain()
             label = rng.choice(["www", "mail", "", "host0", "host1"])
-            qname = (domain.name.prepend(label.encode()).to_text()
-                     if label else domain.name.to_text())
+            qname = f"{label}.{domain.text}" if label else domain.text
             qtype = rng.choices(
                 [RRType.A, RRType.AAAA, RRType.MX, RRType.TXT],
                 weights=[0.6, 0.25, 0.1, 0.05])[0]

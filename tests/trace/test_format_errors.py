@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.trace.binaryform import (PROTO_OFFSET, BinaryFormatError,
-                                    binary_to_trace, encode_record,
-                                    scan_frames, trace_to_binary)
+from repro.trace.binaryform import (FLAGS_OFFSET, PROTO_OFFSET,
+                                    BinaryFormatError, binary_to_trace,
+                                    encode_record, scan_frames,
+                                    trace_to_binary)
 from repro.trace.convert import pcap_to_trace
 from repro.trace.errors import TraceFormatError
 from repro.trace.pcaplib import (CapturedPacket, PcapError, read_pcap,
@@ -123,9 +124,10 @@ def sources(indices):
     return [f"198.51.100.{i}" for i in indices]
 
 
-def set_protocol_byte(data: bytes, index: int, value: int) -> bytes:
+def set_byte(data: bytes, index: int, field: int, value: int) -> bytes:
+    """Record *index* with the byte at *field* (a format offset) set."""
     bad = bytearray(data)
-    bad[list(scan_frames(data))[index][0] + 2 + PROTO_OFFSET] = value
+    bad[list(scan_frames(data))[index][0] + 2 + field] = value
     return bytes(bad)
 
 
@@ -137,20 +139,20 @@ def zero_frame_body(data: bytes, index: int) -> bytes:
             + data[offset + 2 + length:])
 
 
-# A frame whose layout is broken (every reader sees it), and two whose
-# layout is sound but whose qname is not UTF-8 or whose protocol byte is
-# 9: only readers that decode see those, as frame mode's LDPB output
-# copies a sound frame.
-CORRUPTIONS = {"layout": (lambda data: zero_frame_body(data, 1), 1),
-               "utf-8": (corrupt_middle_record, 1),
-               "protocol": (lambda data: set_protocol_byte(data, 2, 9), 2)}
+# A frame whose layout is broken, and three whose layout is sound but
+# whose qname is not UTF-8, whose protocol byte is 9 or which sets an
+# undefined flag bit: every reader judges a frame as read, so each sees
+# all four, also where its output is the frames themselves.
+CORRUPTIONS = {
+    "layout": (lambda data: zero_frame_body(data, 1), 1),
+    "utf-8": (corrupt_middle_record, 1),
+    "protocol": (lambda data: set_byte(data, 2, PROTO_OFFSET, 9), 2),
+    "flags": (lambda data: set_byte(data, 3, FLAGS_OFFSET, 0x04), 3)}
 
 
 @pytest.mark.parametrize("reader, jobs, corruption", [
     (reader, jobs, corruption) for reader, jobs in LDPB_READERS
-    for corruption in CORRUPTIONS
-    if corruption == "layout" or reader not in ("to_binary",
-                                                "to_file.ldpb")])
+    for corruption in CORRUPTIONS])
 def test_binary_error_carries_index_and_offset(reader, jobs, corruption,
                                                tmp_path):
     corrupt, index = CORRUPTIONS[corruption]
@@ -391,3 +393,49 @@ def test_unencodable_output_is_located_at_its_input_index(kind, sink, jobs,
     result = pipe.last_result
     assert (result.records_in, result.records_out, result.skipped) == \
         (6, 3, 1)
+
+
+def keep_every_record(record):
+    return True
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sink", ["collect", "stats", "to_binary"])
+def test_a_frame_is_judged_before_any_op_patches_it(sink, jobs, tmp_path):
+    """A protocol byte of 9 is malformed as read, even where a
+    ``SetProtocol`` ahead of a record op writes a valid one over it
+    before the record is decoded."""
+    from repro.trace.pipeline import FilterRecords, SetProtocol
+    clean = trace_to_binary(records(5))
+    located_at = (2, list(scan_frames(clean))[2][0])
+    pipe = TracePipeline.from_binary(
+        set_byte(clean, 2, PROTO_OFFSET, 9), jobs=jobs, chunk_records=2).pipe(
+            SetProtocol("tcp"), FilterRecords(keep_every_record))
+    with pytest.raises(BinaryFormatError) as info:
+        run_sink(pipe, sink, tmp_path)
+    assert (info.value.index, info.value.offset) == located_at
+    skipped: list = []
+    out = run_sink(pipe.with_options(skip_malformed=True, skipped=skipped),
+                   sink, tmp_path)
+    assert sources_of(out) == sources((0, 1, 3, 4))
+    assert located(skipped) == [located_at]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_first_time_is_read_from_the_first_sound_frame(jobs):
+    """``RebaseTime`` reads the first record's time.  A first frame too
+    short to hold one used to escape as a bare ``struct.error``; now it
+    is rejected at index 0 like any malformed frame, and when skipped
+    the time is the first kept record's, as on a streaming read."""
+    from repro.trace.pipeline import RebaseTime
+    clean = trace_to_binary(records(4)[1:])
+    data = clean[:8] + b"\x00\x01\x00" + clean[8:]
+    pipe = TracePipeline.from_binary(data, jobs=jobs, chunk_records=2)
+    with pytest.raises(BinaryFormatError) as info:
+        pipe.pipe(RebaseTime()).to_binary()
+    assert (info.value.index, info.value.offset) == (0, 8)
+    skipping = pipe.with_options(skip_malformed=True).pipe(RebaseTime())
+    assert [r.time for r in skipping.collect()] == [0.0, 1.0, 2.0]
+    assert skipping.to_binary() == TracePipeline.from_records(
+        binary_to_trace(data, skip_malformed=True)).pipe(
+            RebaseTime()).to_binary()

@@ -199,3 +199,74 @@ def test_property_text_round_trip(pairs):
     for orig, parsed in zip(trace, back):
         assert parsed.qname == orig.qname
         assert parsed.time == pytest.approx(orig.time, abs=1e-6)
+
+
+def set_based_line_to_record(line, lineno=0):
+    """``line_to_record`` as it read before its lookup tables: a flag
+    set and ``RRType``/``RRClass.from_text`` on every line."""
+    from repro.dns.constants import RRClass
+    from repro.trace.record import make_record
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) != 11:
+        raise TextFormatError(f"expected 11 columns, got {len(fields)}",
+                              lineno)
+    (time_s, src, sport, dst, proto, qname, qclass, qtype, flags,
+     payload, msg_id) = fields
+    try:
+        flag_set = set() if flags == "-" else set(flags.split(","))
+        unknown = flag_set - {"DO", "RD"}
+        if unknown:
+            raise ValueError(f"unknown flags {sorted(unknown)}")
+        return make_record(
+            float(time_s), src, qname, RRType.from_text(qtype),
+            RRClass.from_text(qclass), proto, int(sport), int(msg_id),
+            "RD" in flag_set, "DO" in flag_set, int(payload),
+            "" if dst == "-" else dst)
+    except ValueError as exc:
+        raise TextFormatError(str(exc), lineno) from exc
+
+
+# Per column, spellings the tables hit, miss and fall through on:
+# case, padding, TYPEnnn/CLASSnnn (non-ASCII digits too), repeats,
+# empties and junk.
+_COLUMN_VARIANTS = {
+    0: ("1.5", "nan", "-inf", "1_0.5", "x", " 2 "),
+    2: ("0", "65535", "70000", "١٢", "-1", "x"),
+    4: ("udp", "tcp", "quic", "UDP", ""),
+    6: ("IN", "in", " CH", "CLASS3", "CLASS", "CLASS٣", "NONE", "XX"),
+    7: ("A", "a", "AAAA ", "TYPE65", "type1", "TYPE²", "TYPE", "ANY",
+        "CAA", "_member_map_", ""),
+    8: ("-", "DO", "RD", "DO,RD", "RD,DO", "DO,DO", "do", "DO,", "",
+        "X,RD"),
+    9: ("0", "4096", "x"),
+    10: ("7", "", "0x1f"),
+}
+
+
+def outcome(parse, line):
+    """What *parse* made of *line*: the error, or the record's repr
+    (NaN equals itself there, and an enum member shows as one)."""
+    try:
+        record = parse(line, 5)
+    except TextFormatError as error:
+        return "error", str(error), error.line
+    return repr(record)
+
+
+@given(st.builds(QueryRecord, time=st.floats(0, 1e9),
+                 src=st.just("10.0.0.1"),
+                 qname=st.sampled_from((".", "example.com."))),
+       st.dictionaries(st.sampled_from(sorted(_COLUMN_VARIANTS)),
+                       st.integers(0, 10), max_size=3))
+def test_line_reader_equals_the_set_based_one(record, changes):
+    """The table-driven reader accepts exactly the lines the set-based
+    one did and returns the same record (``qtype``/``qclass`` of the
+    same type), or the same error text at the same line."""
+    from repro.trace.textform import line_to_record, record_to_line
+    fields = record_to_line(record).split("\t")
+    for column, pick in changes.items():
+        variants = _COLUMN_VARIANTS[column]
+        fields[column] = variants[pick % len(variants)]
+    line = "\t".join(fields) + "\n"
+    assert outcome(line_to_record, line) == \
+        outcome(set_based_line_to_record, line)

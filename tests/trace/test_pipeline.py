@@ -19,7 +19,7 @@ from repro.obs import Observer
 from repro.trace.binaryform import (HEADER_SIZE, scan_frames,
                                     trace_to_binary)
 from repro.trace.errors import TraceFormatError
-from repro.trace.pipeline import (FilterRecords, PrependUnique,
+from repro.trace.pipeline import (FilterRecords, MapRecords, PrependUnique,
                                   RebaseTime, ScaleTime, SetDoFraction,
                                   SetProtocol, SetQnameSuffix,
                                   TracePipeline, as_trace, client_unit,
@@ -111,22 +111,41 @@ def test_chunk_boundaries_land_on_frames(records, chunk_records):
 @given(st.lists(record_strategy, min_size=0, max_size=40))
 @settings(max_examples=30, deadline=None)
 def test_frame_mode_matches_record_mode(records):
-    """The compiled frame-patching fast path produces the same bytes
-    as decode-apply-encode (serial, in-process — no pools under
-    hypothesis)."""
-    from repro.trace.pipeline import PipelineContext, _CompiledChain
+    """A chain of frame ops alone, the same chain with a keep-all
+    filter (which decodes every record and keeps each as its frame) and
+    the streaming executor's decode-apply-encode give the same bytes
+    (serial, in-process — no pools under hypothesis)."""
     data = trace_to_binary(Trace(records))
-    keep_all = FilterRecords(always_true)
-    assert _CompiledChain(CHAIN, PipelineContext(), False).frame_mode
-    assert not _CompiledChain(CHAIN + (keep_all,), PipelineContext(),
-                              False).frame_mode
-    frame = TracePipeline.from_binary(data).pipe(*CHAIN)
-    record = TracePipeline.from_binary(data).pipe(*CHAIN, keep_all)
-    assert frame.to_binary() == record.to_binary()
+    frame = TracePipeline.from_binary(data).pipe(*CHAIN).to_binary()
+    filtered = TracePipeline.from_binary(data).pipe(
+        *CHAIN, FilterRecords(always_true)).to_binary()
+    streaming = TracePipeline.from_records(records).pipe(
+        *CHAIN).to_binary()
+    assert frame == filtered == streaming
 
 
 def always_true(record):
     return True
+
+
+def keep_odd_name_lengths(record):
+    return len(record.qname) % 2 == 1
+
+
+def keep_do(record):
+    return record.do
+
+
+def same_record(record):
+    return record
+
+
+def next_msg_id(record):
+    return record.with_(msg_id=(record.msg_id + 1) & 0xFFFF)
+
+
+def prefixed_name(record):
+    return record.with_(qname="m." + record.qname)
 
 
 _fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -142,23 +161,45 @@ drawn_chains = st.tuples(
     st.builds(SetQnameSuffix, st.sampled_from((".", "example.", "com.")),
               st.sampled_from((".", "test.", "a.longer.example.org."))),
 ).flatmap(st.permutations)
+# Filters that drop some records, a map that keeps each record as it is
+# and maps that replace it (a field after the qname, and the qname).
+record_ops = st.sampled_from((
+    FilterRecords(keep_odd_name_lengths), FilterRecords(keep_do),
+    MapRecords(same_record), MapRecords(next_msg_id),
+    MapRecords(prefixed_name)))
+
+
+@st.composite
+def chains_with_record_ops(draw):
+    """The six frame ops in a drawn order, with up to three record ops
+    put in at drawn positions."""
+    chain = list(draw(drawn_chains))
+    for _ in range(draw(st.integers(0, 3))):
+        chain.insert(draw(st.integers(0, len(chain))), draw(record_ops))
+    return tuple(chain)
 
 
 @given(st.lists(query_records() | record_strategy, max_size=25),
-       drawn_chains)
+       chains_with_record_ops(), st.integers(1, 30))
 @settings(max_examples=60, deadline=None)
-def test_three_executors_agree_on_drawn_chains(records, chain):
-    """Any order of the six frame-capable ops, with drawn parameters:
-    frames patched in place, records decoded-rewritten-encoded, and the
-    streaming executor over the records themselves give the same
-    bytes."""
+def test_three_executors_agree_on_drawn_chains(records, chain,
+                                               chunk_records):
+    """Any order of the six frame-capable ops, with drawn parameters
+    and record ops at drawn positions: the chunked runner over LDPB
+    (at a drawn chunk size, with and without a trailing keep-all
+    filter) gives the bytes and the records of the streaming executor
+    over the records themselves, which is the reference."""
     data = trace_to_binary(records)
-    frame = TracePipeline.from_binary(data).pipe(*chain).to_binary()
-    record = TracePipeline.from_binary(data).pipe(
-        *chain, FilterRecords(always_true)).to_binary()
-    streaming = TracePipeline.from_records(records).pipe(
-        *chain).to_binary()
-    assert frame == record == streaming
+    streaming = TracePipeline.from_records(records).pipe(*chain)
+    expected = streaming.to_binary()
+    chunked = TracePipeline.from_binary(
+        data, chunk_records=chunk_records).pipe(*chain)
+    assert chunked.to_binary() == expected
+    assert chunked.filter(always_true).to_binary() == expected
+    assert trace_to_binary(chunked.collect()) == \
+        trace_to_binary(streaming.collect()) == expected
+    assert chunked.last_result.records_out == \
+        streaming.last_result.records_out
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])

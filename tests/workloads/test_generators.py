@@ -135,3 +135,49 @@ def test_broot_junk_fraction_controls_nxdomain_candidates(internet):
         return sum(1 for r in trace if "invalid" in r.qname) / len(trace)
     assert junk_share(clean) == 0.0
     assert junk_share(junky) > 0.5
+
+
+def name_rendered_qname(self, rng, junk_probability=0.0):
+    """``ModelInternet.random_qname`` as it read when every query built
+    a ``Name`` and rendered it: the same draws, in the same order."""
+    if rng.random() < junk_probability:
+        label = "".join(rng.choice("abcdefghijklmnop") for _ in range(10))
+        return f"{label}.invalid{rng.randrange(1000)}."
+    domain = rng.choice(self.domains)
+    kind = rng.random()
+    if kind < 0.35:
+        return domain.name.prepend(b"www").to_text()
+    if kind < 0.55:
+        return domain.name.to_text()
+    if kind < 0.7:
+        return domain.name.prepend(b"mail").to_text()
+    return domain.name.prepend(
+        f"host{rng.randrange(4)}".encode()).to_text()
+
+
+@pytest.mark.parametrize("seed", [3, 11, 23])
+def test_generated_names_equal_the_name_rendered_ones(seed, monkeypatch):
+    """Each domain's name is rendered once and joined to its host
+    label as text: the B-Root and recursive traces equal those built by
+    rendering a ``Name`` for every query."""
+    from repro.workloads.internet import Domain
+    internet = ModelInternet(tlds=4, slds_per_tld=6, seed=seed)
+    params = BRootParams(duration=4.0, mean_rate=800.0, clients=300,
+                         junk_fraction=0.3, seed=seed)
+    recursive = RecursiveParams(duration=30.0, seed=seed)
+    fast = (generate_broot_trace(internet, params).records,
+            generate_recursive_trace(internet, recursive).records)
+    for domain in internet.domains:
+        for label in ("www", "mail", "host0", "host1", "host3"):
+            assert f"{label}.{domain.text}" == \
+                domain.name.prepend(label.encode()).to_text()
+    monkeypatch.setattr(ModelInternet, "random_qname", name_rendered_qname)
+    monkeypatch.setattr(Domain, "text",
+                        property(lambda domain: domain.name.to_text()),
+                        raising=True)
+    # Nothing the fast run cached may answer for the rendered one.
+    internet = ModelInternet(tlds=4, slds_per_tld=6, seed=seed)
+    rendered = (generate_broot_trace(internet, params).records,
+                generate_recursive_trace(internet, recursive).records)
+    assert fast == rendered
+    assert len(fast[0]) > 1000 and len(fast[1]) > 100
