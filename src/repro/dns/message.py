@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from repro.dns.constants import (DEFAULT_EDNS_PAYLOAD, EDNS_DO, MAX_LABEL,
                                  MAX_NAME_WIRE, Flag, Opcode, Rcode, RRClass,
                                  RRType)
-from repro.dns.name import Name
+from repro.dns.name import Name, fold
 from repro.dns.rdata import Rdata
 from repro.dns.rrset import RRset
 from repro.dns.wire import WireError, WireReader, WireWriter
@@ -146,7 +146,7 @@ def read_question(wire: bytes):
     elif opt or wire[10:12] != b"\x00\x00":
         return None
     labels = tuple(labels)
-    qname = Name._trusted(labels, tuple(map(bytes.lower, labels)))
+    qname = Name._trusted(labels, fold(labels))
     return (bool(wire[2] & 0x01), qname, wire[pos + 1] << 8 | wire[pos + 2],
             wire[pos + 3] << 8 | wire[pos + 4], end, edns)
 

@@ -37,6 +37,13 @@ def _validate_labels(labels: tuple[bytes, ...]) -> None:
         raise NameError_(f"name too long ({wire_len} > {MAX_NAME_WIRE})")
 
 
+def fold(labels: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """The lower-cased *labels*: *labels* itself when they are lower-case
+    already (nearly every name), so a name keeps one tuple, not two."""
+    folded = tuple(map(bytes.lower, labels))
+    return labels if folded == labels else folded
+
+
 def text_labels(text: str) -> tuple[bytes, ...]:
     """The validated labels of presentation-format *text*: what
     :meth:`Name.from_text` builds its name from, for callers that want
@@ -102,15 +109,15 @@ class Name:
     __slots__ = ("labels", "folded", "_hash")
 
     labels: tuple[bytes, ...]
-    # Lower-cased labels: what equality, hashing and compression match on.
+    # Lower-cased labels: what equality, hashing and compression match on;
+    # the labels tuple itself when they are lower-case (see fold()).
     folded: tuple[bytes, ...]
 
     def __init__(self, labels: Iterable[bytes] = ()):
         labels = tuple(bytes(label) for label in labels)
         _validate_labels(labels)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "folded",
-                            tuple(label.lower() for label in labels))
+        object.__setattr__(self, "folded", fold(labels))
         object.__setattr__(self, "_hash", hash(self.folded))
 
     @classmethod
@@ -123,6 +130,13 @@ class Name:
         object.__setattr__(name, "folded", key)
         object.__setattr__(name, "_hash", hash(key))
         return name
+
+    def _suffix(self, cut: int) -> "Name":
+        """The name of the labels from *cut* on, sharing one tuple for
+        labels and key when this name does."""
+        labels = self.labels[cut:]
+        return Name._trusted(labels, labels if self.folded is self.labels
+                             else self.folded[cut:])
 
     def __setattr__(self, *_args):  # pragma: no cover - defensive
         raise AttributeError("Name is immutable")
@@ -138,7 +152,7 @@ class Name:
         """Parse presentation format, e.g. ``"www.example.com."``, by
         :func:`text_labels`'s rules."""
         labels = text_labels(text)
-        return cls._trusted(labels, tuple(label.lower() for label in labels))
+        return cls._trusted(labels, fold(labels))
 
     @classmethod
     def root(cls) -> "Name":
@@ -178,7 +192,7 @@ class Name:
         """The name with the leftmost label removed; root's parent errors."""
         if not self.labels:
             raise NameError_("root has no parent")
-        return Name._trusted(self.labels[1:], self.folded[1:])
+        return self._suffix(1)
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if *self* equals or is below *other*."""
@@ -208,13 +222,12 @@ class Name:
         """The suffix of *self* keeping the last *depth* labels."""
         if depth > len(self.labels):
             raise NameError_(f"depth {depth} exceeds {len(self.labels)} labels")
-        cut = len(self.labels) - depth
-        return Name._trusted(self.labels[cut:], self.folded[cut:])
+        return self._suffix(len(self.labels) - depth)
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield self, then each parent up to and including the root."""
         for cut in range(len(self.labels) + 1):
-            yield Name._trusted(self.labels[cut:], self.folded[cut:])
+            yield self._suffix(cut)
 
     def is_wild(self) -> bool:
         return bool(self.labels) and self.labels[0] == b"*"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 
 from repro.dns.constants import MAX_NAME_WIRE
-from repro.dns.name import Name
+from repro.dns.name import Name, fold
 
 _HEADER = struct.Struct("!6H")      # id, flags word, four section counts
 _RR_FIXED = struct.Struct("!HHIH")  # type, class, ttl, rdlength
@@ -242,14 +242,15 @@ class WireReader:
         else:
             # The limits _validate_labels checks are enforced above.
             labels = tuple(labels)
-            name = Name._trusted(
-                labels + tail.labels,
-                tuple(map(bytes.lower, labels)) + tail.folded)
+            full, folded = labels + tail.labels, fold(labels)
+            name = Name._trusted(full, full if folded is labels
+                                 and tail.folded is tail.labels
+                                 else folded + tail.folded)
         for mark, before in marks:
             if before == 0:
                 names[mark] = (name, size)
             else:
                 names[mark] = (
-                    Name._trusted(name.labels[before:], name.folded[before:]),
+                    name._suffix(before),
                     size - before - sum(map(len, labels[:before])))
         return name

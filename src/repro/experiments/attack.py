@@ -73,11 +73,11 @@ def run(duration: float = 45.0, baseline_rate: float = 400.0,
 
     log = world.server.query_log
     def nxd_fraction(lo, hi):
-        entries = [e for e in log if lo <= e.time < hi]
-        if not entries:
+        rcodes = [rcode for time, rcode in zip(log.times, log.rcodes)
+                  if lo <= time < hi]
+        if not rcodes:
             return 0.0
-        return sum(1 for e in entries
-                   if e.rcode == Rcode.NXDOMAIN) / len(entries)
+        return rcodes.count(Rcode.NXDOMAIN) / len(rcodes)
 
     samples = result.samples
     def cpu(lo, hi):

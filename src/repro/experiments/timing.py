@@ -145,7 +145,7 @@ def figure8(trials: int = 5, duration: float = 20.0,
         world.run(tagged)
         original = _per_second(tagged[0].time,
                                [r.time for r in tagged])
-        arrivals = sorted(e.time for e in world.server.query_log)
+        arrivals = sorted(world.server.query_log.times)
         replayed = _per_second(arrivals[0], arrivals)
         diffs = []
         for second in range(1, min(len(original), len(replayed)) - 1):

@@ -289,6 +289,10 @@ class TcpConnection:
         self._notify_closed_app()
 
     def _notify_closed_app(self) -> None:
+        # Past ESTABLISHED no data is delivered: drop the application's
+        # callbacks, which close a cycle back to this connection, so a
+        # closed connection is freed by reference counting.
+        self.on_data = self.on_established = None
         if self.on_closed is not None:
             callback, self.on_closed = self.on_closed, None
             callback()

@@ -162,8 +162,12 @@ class TlsConnection:
             self._release()
             if previous is not None:
                 previous()
-            if self.on_closed is not None:
-                self.on_closed()
+            # The session is over: drop the application's callbacks (a
+            # cycle back to this session) as the TCP connection does.
+            on_closed = self.on_closed
+            self.on_data = self.on_established = self.on_closed = None
+            if on_closed is not None:
+                on_closed()
 
         tcp.on_closed = closed
 

@@ -961,6 +961,7 @@ class LiveBackend(ReplayBackend):
             "responder": counter_state(responder),
             "answer_cache": (counter_state(cache) if cache is not None
                              else None),
+            # A sliced QueryLog: the pipe carries its columns.
             "query_log": responder.query_log[logged:],
             "admission_queue": responder.admission_queue,
             "server": counter_state(server),

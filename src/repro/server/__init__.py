@@ -15,14 +15,15 @@ from repro.server.cache import CacheConfig, DnsCache
 from repro.server.metacluster import MetaDnsCluster, RoutingProxy
 from repro.server.metadns import MetaDnsServer, nameserver_addresses
 from repro.server.recursive import RecursiveResolver, RootHint
-from repro.server.responder import DnsResponder, QueryLogEntry
+from repro.server.responder import DnsResponder, QueryLog, QueryLogEntry
 from repro.server.views import (View, ViewSelector, catch_all_view,
                                 prefix_match)
 
 __all__ = [
     "AuthoritativeServer", "CacheConfig", "DnsCache", "DnsResponder",
     "MetaDnsCluster",
-    "MetaDnsServer", "QueryLogEntry", "RecursiveResolver", "RootHint",
+    "MetaDnsServer", "QueryLog", "QueryLogEntry", "RecursiveResolver",
+    "RootHint",
     "RoutingProxy", "View", "ViewSelector", "catch_all_view",
     "nameserver_addresses", "prefix_match",
 ]

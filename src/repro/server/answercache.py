@@ -2,20 +2,34 @@
 
 The paper's server sustains its query rates because NSD precompiles
 response packets; our Python server used to re-run zone lookup and
-re-encode every response from scratch.  This cache stores the encoded
-response bytes for each distinct query the server has answered, keyed
-by everything the response depends on:
+re-encode every response from scratch.  Precompiled answers here take
+two forms, each stored once per thing the answer depends on, never once
+per query:
 
-* the raw query wire bytes *after* the 2-byte message id — qname,
-  qtype, qclass, flags (RD), and the whole EDNS OPT record (DO bit,
-  advertised payload size) are all in there, so two queries share an
-  entry exactly when their responses are byte-identical modulo id;
-* the query source address (split-horizon views select the zone by
-  source, §2.4);
-* the transport class — ``udp`` entries store the size-limited
-  (possibly TC-truncated) datagram, ``stream`` entries the full
-  message.  The UDP size limit is itself a function of the query's
-  EDNS payload field, which is part of the key bytes.
+* **Section templates** (below) for referrals and denials, per shared
+  zone datum — the cut or the covering NSEC pair — as NSD precompiles
+  them.  On a B-Root mix nearly every answer is one of these, to a name
+  asked once; a template makes the response to every such name, so none
+  of them is stored.
+* **Answer entries** for every other response (positive answers, NODATA
+  with DNSSEC, REFUSED, cookie replies), keyed by everything the
+  response depends on:
+
+  * the raw query wire bytes *after* the 2-byte message id — qname,
+    qtype, qclass, flags (RD), and the whole EDNS OPT record (DO bit,
+    advertised payload size) are all in there, so two queries share an
+    entry exactly when their responses are byte-identical modulo id;
+  * the query source address (split-horizon views select the zone by
+    source, §2.4);
+  * the transport class — ``udp`` entries store the size-limited
+    (possibly TC-truncated) datagram, ``stream`` entries the full
+    message.  The UDP size limit is itself a function of the query's
+    EDNS payload field, which is part of the key bytes.
+
+  A response a template makes or has just been learned from is not an
+  entry: a repeat is spliced again, which costs a zone lookup and a
+  splice instead of a dictionary hit, and keeps the server's memory per
+  query a small constant.
 
 On a hit the server sends ``query[:2] + entry.body`` — the 2-byte id
 patch NSD does — and replays the bookkeeping side effects (query log,
@@ -25,7 +39,8 @@ uncached one.
 Invalidation is O(1) per lookup: the cache remembers the view
 selector's ``generation`` (any view/zone-set change flushes everything)
 and each entry carries the answering zone's ``version`` (any mutation
-of that zone drops its entries lazily).
+of that zone drops its entries lazily).  The entries are FIFO-bounded
+at :data:`ANSWER_STORE`.
 
 **Section templates** are the same idea one level down, for names seen
 once.  A referral or a denial depends not on the qname but on the zone's
@@ -60,6 +75,8 @@ from repro.dns.name import Name
 from repro.dns.wire import MAX_POINTER_OFFSET
 from repro.obs.report import volatile, zero_counters
 
+# Answer entries kept per AnswerCache, FIFO beyond.
+ANSWER_STORE = 100_000
 # Templates kept per AnswerCache, FIFO beyond: a sweep of hostile qnames
 # cannot grow the store past this.
 TEMPLATE_STORE = 1024
@@ -137,7 +154,6 @@ class AnswerCache:
         self._views = views
         self._generation = views.generation
         self._entries: dict[tuple, CachedAnswer] = {}
-        self.max_entries = 100_000
         # (result, rd, do, matched suffix) -> what was encoded for it.
         self.templates: dict[tuple, _Template] = {}
         zero_counters(self)
@@ -177,7 +193,7 @@ class AnswerCache:
     def put(self, src: str, stream: bool, wire: bytes,
             entry: CachedAnswer) -> None:
         entries = self._entries
-        if len(entries) >= self.max_entries:
+        if len(entries) >= ANSWER_STORE:
             # Deterministic FIFO eviction: drop the oldest insertion.
             del entries[next(iter(entries))]
         entries[(src, stream, wire[2:])] = entry
@@ -211,10 +227,11 @@ class AnswerCache:
         return template.head + wire[12:end] + template.tail_behind(end)
 
     def learn(self, result, plain: tuple, wire: bytes, full: bytes,
-              notes: list) -> None:
+              notes: list) -> bool:
         """Keep *full*, the untruncated reference encoding of the
         response to *wire* with the writer's *notes*, as a template —
-        unless one is kept or the shift argument does not hold here."""
+        unless one is kept or the shift argument does not hold here.
+        True when this kept one."""
         rd, qname, _, _, end, edns = plain
         body = [note for note in notes if note[0] >= end]
         suffixes = frozenset({name[i:] for _, name, _ in body
@@ -236,9 +253,10 @@ class AnswerCache:
         if (store_key in store or len(full) > MAX_POINTER_OFFSET
                 or full[12:end] != wire[12:end]
                 or any([t < floor or end - 5 <= t < end for t in targets])):
-            return
+            return False
         if len(store) >= TEMPLATE_STORE:
             del store[next(iter(store))]
         store[store_key] = _Template(full[2:12], end, full[end:], pointers,
                                      suffixes, {})
         self.template_builds += 1
+        return True

@@ -178,21 +178,21 @@ class AuthoritativeServer(DnsResponder):
         if self.tcp_idle_timeout is not None:
             conn.set_idle_timeout(self.tcp_idle_timeout)
         session = TlsConnection.server(conn) if proto == "tls" else conn
-        meter = self.host.meter
-        cost = meter.cost.tls_query if proto == "tls" \
-            else meter.cost.tcp_query
-        send = session.send
+        cost = self.host.meter.cost
+        session.on_data = LengthPrefixFramer(partial(
+            self._on_stream_message, proto, conn, session.send,
+            cost.tls_query if proto == "tls" else cost.tcp_query)).feed
 
-        def on_message(wire: bytes) -> None:
-            if self.paused:
-                self._buffer_while_paused(lambda: on_message(wire))
-                return
-            meter.charge_cpu(cost)
-            out = self.reply_wire(proto, wire, conn.raddr, conn.rport)
-            if out is not None and conn.state == "ESTABLISHED":
-                send(frame_message(out))
-
-        session.on_data = LengthPrefixFramer(on_message).feed
+    def _on_stream_message(self, proto: str, conn, send, cost: float,
+                           wire: bytes) -> None:
+        if self.paused:
+            self._buffer_while_paused(partial(
+                self._on_stream_message, proto, conn, send, cost, wire))
+            return
+        self.host.meter.charge_cpu(cost)
+        out = self.reply_wire(proto, wire, conn.raddr, conn.rport)
+        if out is not None and conn.state == "ESTABLISHED":
+            send(frame_message(out))
 
     def _on_quic_connection(self, conn) -> None:
         def on_stream(stream_id: int, framed: bytes) -> None:

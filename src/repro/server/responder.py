@@ -22,14 +22,17 @@ each backend supplies its own notion of "now" and its own observer.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from sys import intern
 from typing import Callable
 
 from repro.dns.constants import Flag, Opcode, Rcode
-from repro.dns.message import Edns, Message, Question, encode, read_question
+from repro.dns.message import (HEADER_SIZE, Edns, Message, Question, encode,
+                               read_question)
 from repro.dns.name import Name
-from repro.dns.wire import WireError
+from repro.dns.wire import WireError, WireReader
 from repro.dns.zone import LookupStatus, Zone
 from repro.obs.report import zero_counters
 from repro.server.answercache import AnswerCache, CachedAnswer
@@ -55,6 +58,8 @@ _RESPONSE_EDNS = {do: Edns(do=do) for do in (False, True)}
 
 @dataclass(slots=True)
 class QueryLogEntry:
+    """One row of a :class:`QueryLog`, as it reads."""
+
     time: float
     qname: Name
     qtype: int
@@ -63,6 +68,99 @@ class QueryLogEntry:
     proto: str
     rcode: int
     response_size: int
+
+
+_PROTOS = ("udp", "tcp", "tls", "quic")
+_PROTO_CODES = {proto: code for code, proto in enumerate(_PROTOS)}
+
+
+def _question_name(wire: bytes) -> Name:
+    """The qname of the query *wire*, read again as the decoder read it."""
+    reader = WireReader(wire)
+    reader.pos = HEADER_SIZE
+    return reader.name()
+
+
+class QueryLog:
+    """The server's query log, one row per handled query, kept in
+    columns: typed arrays for the numbers, the source strings interned,
+    and per row one reference to what its qname reads back from — the
+    cached entry's shared :class:`Name` when the answer cache holds one,
+    otherwise the query bytes.  So a row costs a few dozen bytes and no
+    per-query ``Name``.  It reads as a list of :class:`QueryLogEntry`
+    (``len``, iteration, indexing, slicing, ``+=``, ``==``, pickling),
+    each row built on access."""
+
+    # One column per QueryLogEntry field, in its order.
+    __slots__ = ("times", "_qnames", "qtypes", "srcs", "sports", "protos",
+                 "rcodes", "sizes")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self._qnames: list = []       # Name, or the query bytes
+        self.qtypes = array("H")
+        self.srcs: list[str] = []
+        self.sports = array("H")
+        self.protos = array("B")      # index into _PROTOS
+        self.rcodes = array("H")
+        self.sizes = array("I")       # untruncated size, 0 when dropped
+
+    def append(self, time: float, qname, qtype: int, src: str, sport: int,
+               proto: str, rcode: int, size: int) -> None:
+        """Log one query; *qname* is a :class:`Name` or the query wire."""
+        self.times.append(time)
+        self._qnames.append(qname)
+        self.qtypes.append(qtype)
+        self.srcs.append(intern(src))
+        self.sports.append(sport)
+        self.protos.append(_PROTO_CODES[proto])
+        self.rcodes.append(rcode)
+        self.sizes.append(size)
+
+    def _columns(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    @staticmethod
+    def _row(time, qname, qtype, src, sport, proto, rcode,
+             size) -> QueryLogEntry:
+        if type(qname) is not Name:
+            qname = _question_name(qname)
+        return QueryLogEntry(time, qname, qtype, src, sport, _PROTOS[proto],
+                             rcode, size)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self):
+        row = self._row
+        for fields in zip(*self._columns()):
+            yield row(*fields)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = QueryLog.__new__(QueryLog)
+            part.__setstate__([column[index] for column in self._columns()])
+            return part
+        return self._row(*[column[index] for column in self._columns()])
+
+    def __iadd__(self, other: "QueryLog") -> "QueryLog":
+        for mine, theirs in zip(self._columns(), other._columns()):
+            mine += theirs
+        return self
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QueryLog):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __getstate__(self) -> list:
+        return self._columns()
+
+    def __setstate__(self, state: list) -> None:
+        for name, column in zip(self.__slots__, state):
+            setattr(self, name, column)
 
 
 class DnsResponder:
@@ -100,7 +198,7 @@ class DnsResponder:
         # response bytes with only the 2-byte message id patched.
         self.answer_cache = AnswerCache(views) if answer_cache else None
         self.log_queries = log_queries
-        self.query_log: list[QueryLogEntry] = []
+        self.query_log = QueryLog()
         zero_counters(self)
         self._clock = clock
         self._observer = observer
@@ -153,13 +251,16 @@ class DnsResponder:
         obs = self._obs()
         start = self._now() if obs is not None else 0.0
         entry = cache.get(src, stream, wire) if cache is not None else None
-        hit = entry is not None
+        hit = kept = entry is not None
         cacheable = True
         if not hit:
             made = self._compile(wire, src, stream, cache)
             if made is None:
                 return None
-            entry, cacheable = made
+            entry, cacheable, templated = made
+            # Stored only when no section template makes it: a referral
+            # or denial is spliced again from its template on a repeat.
+            kept = cacheable and not templated and cache is not None
             if self.check is not None and cache is not None:
                 self.check.on_server_response(self, wire, src, stream,
                                               entry)
@@ -188,10 +289,13 @@ class DnsResponder:
                                   entry.qtype, entry.zone,
                                   entry.cookie_verified, stream)
         if self.log_queries:
-            self.query_log.append(QueryLogEntry(
-                self._now(), entry.qname, entry.qtype, src, sport, proto,
-                entry.rcode, 0 if decision == "drop" else entry.full_size))
-        if not hit and cacheable and cache is not None:
+            # The row reads its qname back from the cached entry's shared
+            # Name, or from the query bytes: no per-query Name is kept.
+            self.query_log.append(
+                self._now(), entry.qname if kept else wire, entry.qtype,
+                src, sport, proto, entry.rcode,
+                0 if decision == "drop" else entry.full_size)
+        if kept and not hit:
             # Cached regardless of the RRL outcome: the cache stores
             # the *answer*, and RRL re-decides on every hit.
             cache.put(src, stream, wire, entry)
@@ -200,9 +304,11 @@ class DnsResponder:
 
     def _compile(self, wire: bytes, src: str, stream: bool,
                  cache: AnswerCache | None) \
-            -> tuple[CachedAnswer, bool] | None:
-        """``(entry, cacheable)`` for the query *wire*, None when no
-        response is due; no counter, span or log side effect.
+            -> tuple[CachedAnswer, bool, bool] | None:
+        """``(entry, cacheable, templated)`` for the query *wire*, None
+        when no response is due; no counter, span or log side effect.
+        *templated*: a section template of *cache* made the response, or
+        was learned from it and makes it from now on.
         With *cache* the first and last step take their wire-level forms
         where they apply (docs/BACKENDS.md): a plain query's question is
         read off the wire, and its response is a shared lookup result
@@ -235,6 +341,7 @@ class DnsResponder:
             limit = min(UDP_PAYLOAD_LIMIT, max(512, edns[0]))
         shared = plain is not None and result is not None and result.shared
         body = cache.spliced(result, plain, wire, limit) if shared else None
+        templated = body is not None
         verified = False
         if body is not None:
             rcode, full_size = body[1] & 0xF, 2 + len(body)
@@ -262,7 +369,7 @@ class DnsResponder:
                 out = encode(0, word | _TC, question, (), (), (), opt, 0,
                              None)
             elif shared:
-                cache.learn(result, plain, wire, full, notes)
+                templated = cache.learn(result, plain, wire, full, notes)
             body, rcode, full_size = out[2:], word & 0xF, len(full)
         else:
             response = self._fill(query.make_response(), result, cacheable)
@@ -278,7 +385,7 @@ class DnsResponder:
         return CachedAnswer(
             body, rcode, full_size, qname, qtype, view_selected,
             cacheable and refused, zone, 0 if refused else zone.version,
-            verified), cacheable
+            verified), cacheable, templated
 
     # -- overload control -------------------------------------------------
 
@@ -381,4 +488,4 @@ class DnsResponder:
     # -- instrumentation --------------------------------------------------
 
     def response_sizes(self) -> list[int]:
-        return [entry.response_size for entry in self.query_log]
+        return self.query_log.sizes.tolist()

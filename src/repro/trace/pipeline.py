@@ -87,6 +87,7 @@ import pickle
 import struct
 import time as _time
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -374,10 +375,24 @@ class MapRecords(PipelineOp):
 
 @dataclass(frozen=True)
 class _Chunk:
-    start: int          # byte offset of the first frame's length prefix
-    end: int            # byte offset one past the last frame
+    """A run of frames as the one frame walk cut it
+    (:meth:`TracePipeline._chunks`): the runner reads each frame at its
+    noted offset and walks nothing again."""
+
+    frames: array       # each frame's length-prefix offset, then the end
+    #                     of the last frame (frames tile the chunk)
     base_index: int     # global index of the first record
-    records: int
+    end: int            # byte offset one past the chunk
+    tail: tuple | None = None   # (message, index, offset): the walk's
+    #                             ruling on a truncated tail after it
+
+    @property
+    def start(self) -> int:
+        return self.frames[0]
+
+    @property
+    def records(self) -> int:
+        return len(self.frames) - 1
 
 
 @dataclass(frozen=True)
@@ -412,10 +427,9 @@ class _CompiledChain:
         ctx, skip = self.ctx, self.skip_malformed
         out: list = []
         append = out.append
-        for index, (offset, length) in enumerate(
-                scan_frames(buf, chunk.start, chunk.end, chunk.base_index,
-                            skip, skipped), chunk.base_index):
-            end = offset + 2 + length
+        frames = chunk.frames
+        for index, offset, end in zip(itertools.count(chunk.base_index),
+                                      frames, frames[1:]):
             frame = buf[offset + 2:end]
             at = offset
             record = None           # the frame's record, once decoded
@@ -464,6 +478,8 @@ class _CompiledChain:
                 reject(getattr(exc, "message",
                                f"unencodable record: {exc}"),
                        index, at, skip, skipped)
+        if chunk.tail is not None:
+            reject(*chunk.tail, skip, skipped)
         return out
 
     def apply_record(self, record: QueryRecord,
@@ -725,27 +741,27 @@ class TracePipeline:
                 first_time=_F64.unpack_from(frame, TIME_OFFSET)[0])
         return PipelineContext()
 
-    def _chunks(self, buf) -> list[_Chunk]:
-        """``chunk_records`` frames a chunk.  The last chunk runs to the
-        end of *buf*: a truncated tail is its walk's to rule on, after
-        every record before it."""
-        chunks: list[_Chunk] = []
-        start = None
-        count = base = 0
-        end = HEADER_SIZE
-        for offset, length in scan_frames(buf, skip_malformed=True):
-            if start is None:
-                start = offset
-            count += 1
+    def _chunks(self, buf) -> Iterator[_Chunk]:
+        """The one frame walk: ``chunk_records`` frames a chunk, each
+        frame's offset noted for the runner.  The last chunk runs to the
+        end of *buf* and carries the walk's ruling on a truncated tail,
+        which its runner applies after every record before it."""
+        tails: list[TraceFormatError] = []
+        frames = array("q")
+        base, end = 0, HEADER_SIZE
+        for offset, length in scan_frames(buf, skip_malformed=True,
+                                          skipped=tails):
+            frames.append(offset)
             end = offset + 2 + length
-            if count == self.chunk_records:
-                chunks.append(_Chunk(start, end, base, count))
-                base += count
-                start, count = None, 0
-        if count or end < len(buf):
-            chunks.append(_Chunk(end if start is None else start,
-                                 len(buf), base, count))
-        return chunks
+            if len(frames) == self.chunk_records:
+                frames.append(end)
+                yield _Chunk(frames, base, end)
+                base += self.chunk_records
+                frames = array("q")
+        if frames or end < len(buf):
+            frames.append(end)
+            yield _Chunk(frames, base, len(buf), next(
+                ((e.message, e.index, e.offset) for e in tails), None))
 
     def _run_chunked(self, mode: str):
         """Run the chunked executor; yields per-chunk payloads in input
@@ -759,13 +775,16 @@ class TracePipeline:
             ctx = self._context(buf)
             chain = _CompiledChain(self._ops, ctx, self.skip_malformed)
             self._check_picklable(chain)
-            result.chunks = len(chunks)
+            if self.jobs > 1:
+                chunks = list(chunks)
             if self.jobs == 1 or len(chunks) <= 1:
+                # Each chunk is cut just before it runs.
                 outcomes = (_process_chunk(buf, chain, mode, chunk)
                             for chunk in chunks)
             else:
                 outcomes = self._pool_outcomes(chunks, chain, mode)
             for payload, n_in, n_out, skipped, elapsed in outcomes:
+                result.chunks += 1
                 result.worker_seconds += elapsed
                 result.records_in += n_in
                 result.records_out += n_out

@@ -146,3 +146,55 @@ def test_property_binary_labels_round_trip(labels):
     name = Name(labels)
     assert Name.from_text(name.to_text()) == name
     assert name.wire_length() <= 255
+
+
+# -- a lower-case name is its own folded key --------------------------------
+
+_CASED_LABEL = st.lists(st.sampled_from(b"aAbBzZ09-\xe9"), min_size=1,
+                        max_size=8).map(bytes)
+_LABELS = st.lists(_CASED_LABEL, max_size=5).map(tuple)
+
+
+def _lower(labels):
+    return tuple(label.lower() for label in labels)
+
+
+def _every_form(labels):
+    """The name of *labels* from each constructor that folds: the class,
+    the text parser, the question reader and the wire reader, the last
+    also behind a compression pointer."""
+    from repro.dns.constants import RRType
+    from repro.dns.message import Message, read_question
+    from repro.dns.wire import WireReader, WireWriter
+    name = Name(labels)
+    writer = WireWriter()
+    writer.name(name)
+    writer.name(name.prepend(b"x"))
+    reader = WireReader(writer.getvalue())
+    read, behind = reader.name(), reader.name()
+    return [name, Name.from_text(name.to_text()),
+            read_question(Message.make_query(name, RRType.A).to_wire())[1],
+            read, behind.parent()]
+
+
+@given(_LABELS)
+def test_property_lower_case_name_is_its_own_key(labels):
+    lower = labels == _lower(labels)
+    for name in _every_form(labels):
+        assert name.labels == labels and name.folded == _lower(labels)
+        assert (name.folded is name.labels) == lower
+        for suffix in name.ancestors():
+            assert suffix.folded == _lower(suffix.labels)
+            assert suffix.folded is suffix.labels or not lower
+
+
+@given(_LABELS, _LABELS)
+def test_property_folding_keeps_equality_hash_and_order(a, b):
+    mixed = Name(tuple(label.swapcase() for label in a))
+    lower = Name(_lower(a))
+    assert lower.folded is lower.labels
+    assert mixed == lower == Name(a) and hash(mixed) == hash(lower)
+    other = Name(b)
+    expected = tuple(reversed(_lower(a))) < tuple(reversed(_lower(b)))
+    assert (mixed < other) == (lower < other) == expected
+    assert (mixed == other) == (lower == other) == (_lower(a) == _lower(b))

@@ -11,10 +11,10 @@ import pytest
 from repro.dns.constants import Flag, Opcode, Rcode, RRType
 from repro.dns.message import Edns, Message
 from repro.dns.name import Name
-from repro.dns.rdata import TXT
+from repro.dns.rdata import TXT, A
 from repro.dns.rrset import RRset
 from repro.netsim import LinkParams, Simulator
-from repro.server import AuthoritativeServer
+from repro.server import AuthoritativeServer, answercache
 
 from tests.server.helpers import make_example_zone
 
@@ -56,24 +56,32 @@ def test_hit_patches_message_id_only(rig):
 
 
 def test_distinct_questions_get_distinct_entries(rig):
+    """Each distinct positive answer is an entry of its own; a denial a
+    section template makes is no entry, however often it is asked."""
     sim, client, server, zone = rig
-    udp_ask(sim, client, Message.make_query("www.example.com.",
-                                            RRType.A))
-    udp_ask(sim, client, Message.make_query("www.example.com.",
-                                            RRType.AAAA))
-    udp_ask(sim, client, Message.make_query("mail.example.com.",
-                                            RRType.A))
-    assert server.answer_cache.hits == 0
-    assert len(server.answer_cache) == 3
+    for qname in ("www.example.com.", "mail.example.com.",
+                  "alias.example.com."):
+        udp_ask(sim, client, Message.make_query(qname, RRType.A))
+    cache = server.answer_cache
+    assert cache.hits == 0
+    assert len(cache) == 3
+    for _ in range(2):
+        udp_ask(sim, client, Message.make_query("www.example.com.",
+                                                RRType.AAAA))
+        udp_ask(sim, client, Message.make_query("nx.example.com.",
+                                                RRType.A))
+    assert cache.hits == 0
+    assert len(cache) == 3
+    assert (cache.template_builds, cache.template_hits) == (2, 2)
 
 
 def test_edns_payload_is_part_of_the_key(rig):
     """Two queries differing only in advertised EDNS size must not
     share an entry: the UDP truncation limit depends on it."""
     sim, client, server, zone = rig
-    big = Message.make_query("txt.example.com.", RRType.TXT)
+    big = Message.make_query("www.example.com.", RRType.A)
     big.edns = Edns(payload=4096)
-    small = Message.make_query("txt.example.com.", RRType.TXT)
+    small = Message.make_query("www.example.com.", RRType.A)
     small.edns = Edns(payload=512)
     udp_ask(sim, client, big)
     udp_ask(sim, client, small)
@@ -149,9 +157,12 @@ def test_non_query_opcodes_are_not_cached(rig):
     assert server.answer_cache.hits == 0
 
 
-def test_fifo_eviction_is_bounded(rig):
+def test_fifo_eviction_is_bounded(rig, monkeypatch):
     sim, client, server, zone = rig
-    server.answer_cache.max_entries = 4
+    monkeypatch.setattr(answercache, "ANSWER_STORE", 4)
+    for i in range(8):
+        zone.add(RRset(N(f"h{i}.example.com."), RRType.A, 300,
+                       [A(f"192.0.2.{i}")]))
     for i in range(8):
         udp_ask(sim, client, Message.make_query(
             f"h{i}.example.com.", RRType.A))

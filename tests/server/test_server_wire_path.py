@@ -113,10 +113,11 @@ def test_unseen_names_cost_one_lookup_and_no_codec(make, calls):
     assert counted == {"lookup": N, "encode": 1}
     cache = responder.answer_cache
     assert (cache.template_builds, cache.template_hits) == (1, N - 1)
-    assert (cache.hits, cache.misses, len(cache)) == (0, N, N)
-    # A second pass is all full-question hits: nothing at all.
-    assert answer(responder, make(zone), calls) == {}
-    assert cache.hits == N
+    assert (cache.hits, cache.misses, len(cache)) == (0, N, 0)
+    # A template-made answer is not stored: a second pass splices every
+    # response again, one lookup each and still no codec.
+    assert answer(responder, make(zone), calls) == {"lookup": N}
+    assert (cache.hits, cache.template_hits, len(cache)) == (0, 2 * N - 1, 0)
 
 
 def test_unsigned_nodata_shares_one_template(calls):

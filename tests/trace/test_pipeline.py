@@ -106,6 +106,30 @@ def test_chunk_boundaries_land_on_frames(records, chunk_records):
     assert all(c.records <= chunk_records for c in chunks)
 
 
+def test_one_frame_walk_per_chunked_run(monkeypatch):
+    """The walk that cuts the chunks is the only one: the runner reads
+    each frame at its noted offset, in frame mode and in record mode."""
+    from repro.trace import pipeline
+    visited = []
+
+    def counting(*args, **kwargs):
+        for frame in scan_frames(*args, **kwargs):
+            visited.append(frame)
+            yield frame
+    monkeypatch.setattr(pipeline, "scan_frames", counting)
+    trace = make_trace(30)
+    pipe = TracePipeline.from_binary(trace_to_binary(trace),
+                                     chunk_records=10)
+    for chain in (pipe.pipe(SetDoFraction(0.5, seed=3)),
+                  pipe.filter(keep_all)):
+        for sink in (chain.to_binary, chain.collect):
+            visited.clear()
+            sink()
+            result = chain.last_result
+            assert result.chunks == 3
+            assert len(visited) == len(trace) == result.records_in
+
+
 # -- byte-identity across jobs x chunk sizes ----------------------------------
 
 @given(st.lists(record_strategy, min_size=0, max_size=40))
