@@ -11,9 +11,11 @@ scope:
 * **sim vs live** (:func:`diff_sim_live`) — real sockets cannot
   promise times, but both substrates run the one ``Querier`` against
   the one ``DnsResponder``, so every query must have the **same
-  outcome**: per-query equality of ``(answered, rcode, response_size,
-  fell_back, timed_out)``, and of ``attempts`` when the kernel dropped
-  no datagram; every source must sit on the same querier positions
+  outcome**: per-query equality, keyed by the record's input index, of
+  ``(answered, rcode, response_size, fell_back, timed_out)``, and of
+  ``attempts`` when the kernel dropped no datagram — a divergence
+  prints both sides' send and response times, rcode and size; every
+  source must sit on the same querier positions
   (``i.q``) on both, since both place it through the same pin tables;
   and each report carries every group and key of the declared report
   schema (:meth:`ReplayReport.schema`), so downstream tooling reads
@@ -69,17 +71,30 @@ def diff_sim_matrix(golden: str | None = None) -> list[DiffResult]:
 
 # -- sim vs live --------------------------------------------------------------
 
-def _outcomes(report, with_attempts: bool) -> dict:
-    """record -> the sorted outcomes of its queries (a trace may repeat
-    a record): what became of each, times left out."""
-    by_record: dict = {}
+def _outcomes(report, with_attempts: bool) -> tuple[dict, dict]:
+    """input index -> the outcomes of its sends (one, unless failover
+    re-sent it), times left out; and input index -> (record, the
+    ``(send_time, response_time, rcode, response_size)`` of each send),
+    to print a divergence by."""
+    outcomes: dict = {}
+    timelines: dict = {}
     for r in report.results:
         outcome = (r.answered, r.rcode, r.response_size, r.fell_back,
                    r.timed_out) + ((r.attempts,) if with_attempts else ())
-        by_record.setdefault(r.record, []).append(outcome)
-    for outcomes in by_record.values():
-        outcomes.sort(key=repr)
-    return by_record
+        outcomes.setdefault(r.index, []).append(outcome)
+        timelines.setdefault(r.index, (r.record, []))[1].append(
+            (r.send_time, r.response_time, r.rcode, r.response_size))
+    for sends in outcomes.values():
+        sends.sort(key=repr)
+    return outcomes, timelines
+
+
+def _timeline(sends: list) -> str:
+    return "; ".join(
+        f"sent {send:.6f}, " + (
+            f"answered {response:.6f}" if response is not None
+            else "no answer") + f", rcode {rcode}, {size} bytes"
+        for send, response, rcode, size in sends) or "not sent"
 
 
 def _placement(report) -> dict:
@@ -107,18 +122,22 @@ def compare_sim_live(sim_report, live_report) -> list[str]:
     # only a live run without retransmits owes the sim's attempts.
     with_attempts = \
         live_report.metrics().get("replay", {}).get("retransmits") == 0
-    sim = _outcomes(sim_report, with_attempts)
-    live = _outcomes(live_report, with_attempts)
-    differing = [record for record in {**sim, **live}
-                 if sim.get(record) != live.get(record)]
+    sim, sim_times = _outcomes(sim_report, with_attempts)
+    live, live_times = _outcomes(live_report, with_attempts)
+    differing = sorted(index for index in {**sim, **live}
+                       if sim.get(index) != live.get(index))
     fields = "answered, rcode, response_size, fell_back, timed_out" \
         + (", attempts" if with_attempts else "")
-    for record in differing[:MAX_LISTED]:
+    for index in differing[:MAX_LISTED]:
+        record, sim_sends = sim_times.get(index, (None, []))
+        live_record, live_sends = live_times.get(index, (None, []))
+        record = record or live_record
         failures.append(
-            f"outcome differs for {record.qname} type {record.qtype} "
-            f"from {record.src} over {record.proto} at {record.time} "
-            f"({fields}): sim {sim.get(record, [])} vs live "
-            f"{live.get(record, [])}")
+            f"outcome differs for input {index}, {record.qname} type "
+            f"{record.qtype} from {record.src} over {record.proto} at "
+            f"{record.time} ({fields}): sim {sim.get(index, [])} vs "
+            f"live {live.get(index, [])}; sim {_timeline(sim_sends)}; "
+            f"live {_timeline(live_sends)}")
     if len(differing) > MAX_LISTED:
         failures.append(f"... and {len(differing) - MAX_LISTED} more "
                         f"queries with differing outcomes")

@@ -12,6 +12,11 @@ turns the promises into machine-checked invariants:
 * **same-source pinning** — with ``sticky_sources`` every emulated
   source's queries come from one querier (§2.6's connection-reuse
   rule), unless supervision failover legitimately moved it;
+* **read horizon** — every record a reader held back until its ΔT
+  instant was within :data:`~repro.replay.timing.READ_HORIZON` is read
+  at least half a horizon before the instant its querier schedules, so
+  no record reaches its querier after its instant because of the
+  horizon;
 * **message-id uniqueness** — a freshly allocated id never collides
   with an id pending on the same socket/channel (a collision would
   complete the wrong :class:`QueryResult`);
@@ -30,8 +35,10 @@ turns the promises into machine-checked invariants:
 
 Enable with ``ReplayConfig(check=True)`` (shaped like ``observe=``):
 either backend then verifies each message-id allocation and message
-inline, rescans full querier state every :data:`SCAN_EVERY` sends, and
-runs a final verification before the report.  The checker only
+inline, rescans full querier state every :data:`SCAN_EVERY` sends — or
+every :data:`SCAN_SHARE`-th of the sends so far, once that is more, so
+the rescans of a long replay cost O(n log n), not O(n²) — and runs a
+final verification before the report.  The checker only
 *reads* state — it schedules no events of its own — so a checked run
 is byte-identical to an unchecked one, scheduler accounting included.
 Violations raise :class:`InvariantViolation` listing every failure.
@@ -43,25 +50,33 @@ from repro.dns.constants import Flag
 from repro.dns.message import Edns, Message
 from repro.dns.wire import WireError
 from repro.obs.report import counter_state
+from repro.replay.querier import FAILED_OVER, TIMED_OUT
+from repro.replay.timing import READ_HORIZON
 
 # How often (in message-id allocations, i.e. sends) the attached
-# checker rescans full querier state mid-run.
+# checker rescans full querier state mid-run: every SCAN_EVERY sends,
+# or every 1/SCAN_SHARE of the sends so far when that is more.
 SCAN_EVERY = 256
+SCAN_SHARE = 16
+_TERMINAL = TIMED_OUT | FAILED_OVER
 
 
 class InvariantViolation(AssertionError):
     """A replay-engine invariant did not hold."""
 
 
-def _terminal_states(result) -> list[str]:
-    states = []
-    if result.response_time is not None:
-        states.append("answered")
-    if result.timed_out:
+def _states(answered: bool, flags: int) -> list[str]:
+    states = ["answered"] if answered else []
+    if flags & TIMED_OUT:
         states.append("timed_out")
-    if result.failed_over:
+    if flags & FAILED_OVER:
         states.append("failed_over")
     return states
+
+
+def _terminal_states(result) -> list[str]:
+    return _states(result.response_time is not None,
+                   result.columns.flags[result.row])
 
 
 def _check_counters(obj, errors: list[str], prefix: str = "") -> None:
@@ -88,17 +103,26 @@ def _check_querier(querier, errors: list[str]) -> None:
             f"{name}: sent={querier.sent} but {len(results)} results "
             "(every send must create exactly one result)")
     answered = timed_out = failed_over = open_ = 0
-    for result in results:
-        states = _terminal_states(result)
-        if len(states) > 1:
-            errors.append(
-                f"{name}: result for {result.record.qname!r} is in "
-                f"multiple terminal states {states}")
-        elif not states:
-            open_ += 1
-        elif states[0] == "answered":
+    # Read off the columns: a row is answered when its response time is
+    # not NaN, and the flags carry the other two terminal states.
+    for row, (time, flags) in enumerate(zip(results.response,
+                                            results.flags)):
+        if time == time:
+            if flags & _TERMINAL:
+                errors.append(
+                    f"{name}: result for "
+                    f"{results.inputs[results.index[row]].qname!r} is in "
+                    f"multiple terminal states {_states(True, flags)}")
+                continue
             answered += 1
-        elif states[0] == "timed_out":
+        elif not flags & _TERMINAL:
+            open_ += 1
+        elif flags & _TERMINAL == _TERMINAL:
+            errors.append(
+                f"{name}: result for "
+                f"{results.inputs[results.index[row]].qname!r} is in "
+                f"multiple terminal states {_states(False, flags)}")
+        elif flags & TIMED_OUT:
             timed_out += 1
         else:
             failed_over += 1
@@ -132,8 +156,9 @@ def _check_pinning(queriers, errors: list[str]) -> None:
     owner: dict[str, str] = {}
     for querier in queriers:
         name = querier.name
-        for result in querier.results:
-            src = result.record.src
+        inputs = querier.results.inputs
+        for index in querier.results.index:
+            src = inputs[index].src
             first = owner.setdefault(src, name)
             if first != name:
                 errors.append(
@@ -274,6 +299,10 @@ class InvariantChecker:
         self.clock = clock
         self.scans = 0
         self.id_checks = 0
+        self._next_scan = SCAN_EVERY
+        # Input index -> when a reader let it past the read horizon, for
+        # the records still on their way to a querier.
+        self._held: dict[int, float] = {}
 
     def attach(self) -> "InvariantChecker":
         for checked in (*self.queriers, *(app for _, app in self.servers)):
@@ -290,7 +319,9 @@ class InvariantChecker:
         fallback re-ids a query while it is between pending maps), so
         only the id check runs there."""
         self.id_checks += 1
-        if scan and self.id_checks % SCAN_EVERY == 0:
+        if scan and self.id_checks >= self._next_scan:
+            self._next_scan = self.id_checks + max(
+                SCAN_EVERY, self.id_checks // SCAN_SHARE)
             self.scan()
         if not 0 <= msg_id <= 0xFFFF:
             raise InvariantViolation(
@@ -301,6 +332,27 @@ class InvariantChecker:
                 f"{querier.name}: message id {msg_id} allocated for "
                 f"{record.qname!r} collides with a query pending on "
                 f"the same {record.proto} socket")
+
+    # -- the read horizon ---------------------------------------------------
+
+    def on_held(self, index: int, released: float) -> None:
+        """A reader held input *index* back at the read horizon and let
+        it go at *released*."""
+        self._held[index] = released
+
+    def on_arrival(self, querier, index: int, instant: float) -> None:
+        """Input *index* reached *querier*, which schedules it at its ΔT
+        *instant*: if the horizon held it, it was let go with at least
+        half a horizon to spare (so only the path after the reader can
+        make it late)."""
+        released = self._held.pop(index, None)
+        if released is not None \
+                and released > instant - READ_HORIZON / 2 + 1e-9:
+            raise InvariantViolation(
+                f"{querier.name}: record {index} was held at the read "
+                f"horizon until {released:.6f}, less than "
+                f"READ_HORIZON/2 = {READ_HORIZON / 2} before its ΔT "
+                f"instant {instant:.6f}")
 
     # -- wire fast path vs full codec ---------------------------------------
 

@@ -113,13 +113,25 @@ LIVE_MATRIX: list[tuple[str, dict]] = [
 ]
 
 
+# Seconds of a query's first wait per unit of live replay speed.
+WAIT_PER_SPEED = 0.1
+
+
 def run_for_live(backend: str, zone, trace, *, speed: float = 20.0,
                  proto: str | None = None, signed: bool = False, **knobs):
     """One side of a sim-vs-live comparison: *zone* and *trace* in one
     shape through *backend*, unobserved so the schemas align key for
     key, under the standard retry policy — on the live side it recovers
     kernel-buffer datagram drops under time compression, on the
-    loss-free sim side it only enables the TC fallback both need."""
+    loss-free sim side it only enables the TC fallback both need.
+
+    The policy's first wait scales with *speed* (:data:`WAIT_PER_SPEED`
+    seconds per unit, 2 s at the default 20): the live side replays
+    *speed* times faster than the trace, so the host is that much
+    busier, and a stream query gets this one wait (``max_retries``
+    counts datagram resends only).  It outlasts a 0.6 s stall of
+    either process, which at a flat 0.5 s marked a TCP query timed out
+    where the sim answered it."""
     from repro.dns.dnssec import sign_zone
     from repro.replay.backends import LiveReplayConfig
     from repro.replay.querier import ResilienceConfig
@@ -136,8 +148,8 @@ def run_for_live(backend: str, zone, trace, *, speed: float = 20.0,
         [zone], backend=backend, client_instances=INSTANCES,
         queriers_per_instance=QUERIERS, observe=False, seed=SEED,
         check=True,
-        resilience=ResilienceConfig(timeout=0.5, max_retries=4,
-                                    backoff=2.0),
+        resilience=ResilienceConfig(timeout=WAIT_PER_SPEED * speed,
+                                    max_retries=4, backoff=2.0),
         live=LiveReplayConfig(speed=speed, query_timeout=10.0,
                               run_deadline=120.0), **knobs)
     return world.run(trace, extra_time=EXTRA_TIME).report

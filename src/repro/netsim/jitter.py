@@ -39,14 +39,27 @@ class SendPathModel:
     """Per-process timing imperfections, deterministic under a seed."""
 
     def __init__(self, seed: int = 0, send_cost_mean: float = 11e-6):
-        self.rng = random.Random(seed)
+        # Timer slop and send service times draw from streams of their
+        # own, so neither kind of draw shifts the other: a record's slop
+        # depends only on its place among the process's timers, not on
+        # how many sends happened before its timer was armed (a reader
+        # hands records over as they fall due).  The seed's own stream
+        # goes to the kind of draw the process makes first — its timers
+        # in a timed replay, its sends in a fast one — and the other
+        # kind to a stream derived from the seed, so a process that
+        # draws one kind only draws what a single stream gave it.
+        self._seeds = iter((seed, f"{seed}/second"))
+        self._timers: random.Random | None = None
+        self._sends: random.Random | None = None
         self.send_cost_mean = send_cost_mean
         self._busy_until = 0.0
 
     # -- timers ------------------------------------------------------------
 
     def _laplace(self, scale: float) -> float:
-        u = self.rng.random() - 0.5
+        if self._timers is None:
+            self._timers = random.Random(next(self._seeds))
+        u = self._timers.random() - 0.5
         return -scale * math.copysign(math.log1p(-2 * abs(u)), u)
 
     def timer_slop(self, requested_delay: float,
@@ -69,7 +82,9 @@ class SendPathModel:
 
     def send_service_time(self) -> float:
         """Random per-send processing time (syscall, copy, checksum)."""
-        return self.rng.expovariate(1.0 / self.send_cost_mean)
+        if self._sends is None:
+            self._sends = random.Random(next(self._seeds))
+        return self._sends.expovariate(1.0 / self.send_cost_mean)
 
     def occupy(self, now: float) -> float:
         """Serialize a send through this process: returns the actual time

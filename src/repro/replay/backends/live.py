@@ -843,10 +843,11 @@ class _Pacer:
                 self._scheduled = scheduled
                 self._blocked = True
                 return
-            self._next += 1
+            index = self._next
+            self._next = index + 1
             self._scheduled = None
             self._inflight += 1
-            self._send(record, scheduled)
+            self._send(record, scheduled, index)
         self._finish()
 
     def _finish(self) -> None:
@@ -1001,6 +1002,8 @@ class LiveBackend(ReplayBackend):
             config.seed + i, config.sticky_sources)
             for i in range(config.client_instances)]
         self.queriers = [querier for tier in tiers for querier in tier.members]
+        for querier in self.queriers:
+            querier.results.inputs = records
         checker, violations = None, []
         if config.check:
             from repro.check.invariants import InvariantChecker
@@ -1064,12 +1067,14 @@ class LiveBackend(ReplayBackend):
         timer = ReplayTimer()
 
         def due(record, now: float) -> float:
-            return now if fast \
-                else now + timer.delay_for(record.time / live.speed, now)
+            if fast:
+                return now
+            instant = timer.instant(record.time / live.speed)
+            return instant if instant > now else now
 
-        def send(record, scheduled: float) -> None:
+        def send(record, scheduled: float, index: int) -> None:
             src = record.src
-            instance_for(src).member_for(src).send(record, scheduled)
+            instance_for(src).member_for(src).send(record, scheduled, index)
 
         pacer = _Pacer(records, send, due,
                        max(1, live.max_inflight) * len(self.queriers), clock)

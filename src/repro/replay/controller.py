@@ -1,7 +1,10 @@
 """The controller: Reader + Postman processes (§2.6, Figure 4).
 
 The Reader consumes the internal binary stream, pre-loading a window of
-queries "to avoid falling behind real time"; the Postman distributes
+queries "to avoid falling behind real time" — in a timed replay only
+what falls due within the read horizon
+(:data:`~repro.replay.timing.READ_HORIZON`), so the queriers' ΔT timers
+hold a horizon of the trace, not all of it; the Postman distributes
 records to client instances over TCP, sticky by original source address
 so a source's queries always reach the same distributor (and from there
 the same querier).  Before the first record, the controller broadcasts a
@@ -9,8 +12,10 @@ time-synchronization message carrying the input stream's first trace
 time, t̄₁, which every controller of a split stream shares.
 
 Control frames on the TCP connections: u8 type (0 = sync, 1 = record,
-2 = heartbeat), then the payload (binaryform-encoded record, packed
-trace epoch, or utf-8 actor name), all length-prefix framed.
+2 = heartbeat), then the payload (the record's u32 input index and its
+binaryform encoding, packed trace epoch, or utf-8 actor name), all
+length-prefix framed.  The index travels with the record to its
+querier, whose result row names the record by it.
 Heartbeats flow the other way — distributor side back to the
 controller — and only when supervision is enabled.
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from itertools import count
 from typing import Iterable, Iterator
 
 from repro.netsim.framing import LengthPrefixFramer, frame_message
@@ -38,6 +44,7 @@ from repro.netsim.host import Host
 from repro.obs.report import zero_counters
 from repro.replay.distributor import Distributor
 from repro.replay.supervisor import Pins, next_tick
+from repro.replay.timing import READ_HORIZON, horizon_wake
 from repro.trace.binaryform import decode_record, encode_record
 from repro.trace.record import QueryRecord
 
@@ -47,6 +54,13 @@ HEARTBEAT_FRAME = 2
 
 READER_PER_RECORD = 1.5e-6   # input parse cost, seconds
 READ_WINDOW = 512            # records pre-loaded per reader pass
+_RECORD_HEAD = struct.Struct("!BI")  # RECORD_FRAME, the input index
+
+
+def record_frame(record: QueryRecord, index: int) -> bytes:
+    """The control frame carrying *record*, input *index*."""
+    return frame_message(_RECORD_HEAD.pack(RECORD_FRAME, index)
+                         + encode_record(record))
 
 
 class ControlChannel:
@@ -93,7 +107,9 @@ class DistributorEndpoint:
             (trace_t1,) = struct.unpack("!d", frame[1:9])
             self.distributor.handle_sync(trace_t1)
         elif kind == RECORD_FRAME:
-            self.distributor.handle_record(decode_record(frame[1:]))
+            _, index = _RECORD_HEAD.unpack_from(frame)
+            self.distributor.handle_record(
+                decode_record(frame[_RECORD_HEAD.size:]), index)
 
     # -- heartbeats (supervised mode only) ---------------------------------
 
@@ -154,12 +170,20 @@ class Controller:
         # Same source -> same channel, hence same distributor.
         self.pins = Pins(self.channels, seed,
                          actor=lambda channel: channel.distributor)
-        self._input: Iterator[QueryRecord] | None = None
+        self._input: Iterator[tuple[int, QueryRecord]] | None = None
+        self._peeked: tuple[int, QueryRecord] | None = None  # read, held
         self._trace_t1 = 0.0
         self._reader_cost = 0.0
+        self._opened = 0.0           # clock when the stream opened
+        self._timed = True           # ΔT replay: the horizon applies
+        self._held_pass = False      # this pass was timed by the horizon
         self._synced = False
         self.finished = False
-        self._backlog: deque = deque()  # read but not yet sent
+        # (index, record) pairs read but not yet sent.
+        self._backlog: deque = deque()
+        # InvariantChecker under ReplayConfig(check=True): told of each
+        # record the read horizon held back.
+        self.check = None
         # Supervision state (repro.replay.supervisor).
         self.supervisor = None
         self.paused = False          # Postman stalled on a full queue
@@ -173,41 +197,78 @@ class Controller:
     # -- the Reader process ---------------------------------------------------
 
     def start(self, records: Iterable[QueryRecord], trace_t1: float,
-              reader_cost: float) -> None:
+              reader_cost: float, indices: Iterable[int] | None = None,
+              timed: bool = True) -> None:
         """Begin replaying *records* (an iterable; consumed lazily in
         windows, modelling the Reader's pre-load behaviour), each
-        costing the Reader *reader_cost* seconds.  *trace_t1* is the
+        costing the Reader *reader_cost* seconds; *indices* are their
+        input indices (0, 1, ... by default).  *trace_t1* is the
         stream's first trace time, the epoch the sync broadcasts: with
-        a split stream every controller's records share one baseline."""
-        self._input = iter(records)
+        a split stream every controller's records share one baseline.
+        A *timed* (not ``fast``) replay reads within the read horizon
+        of each record's ΔT instant."""
+        self._input = zip(count() if indices is None else indices,
+                          records)
         self._trace_t1 = trace_t1
         self._reader_cost = reader_cost
+        self._opened = self.host.scheduler.now
+        self._timed = timed
         self.host.scheduler.after(0.0, self._read_pass)
 
+    def _instant(self, record: QueryRecord) -> float:
+        """*record*'s ΔT instant on this Reader's clock."""
+        return self._opened + (record.time - self._trace_t1)
+
     def _read_pass(self) -> None:
+        """Read a window: up to :data:`READ_WINDOW` records, in a timed
+        replay only those due within the horizon.  A full window reads
+        on after its reading cost; a window the horizon cut short reads
+        on once the read-ahead has fallen to half the horizon."""
         assert self._input is not None
         if self.paused:
             # Backpressure: the Postman is stalled, so the Reader stops
-            # pre-loading; resume_reading() re-arms this pass.
+            # pre-loading; try_resume() re-arms this pass, which the
+            # stall, not the horizon, then holds back.
             self._read_paused = True
+            self._held_pass = False
             return
-        batch: list[QueryRecord] = []
-        for record in self._input:
-            batch.append(record)
-            if len(batch) >= READ_WINDOW:
+        scheduler = self.host.scheduler
+        now = scheduler.now
+        edge = now + READ_HORIZON
+        batch: list[tuple[int, QueryRecord]] = []
+        item = self._peeked
+        while len(batch) < READ_WINDOW:
+            if item is None:
+                item = next(self._input, None)
+                if item is None:
+                    break
+            if self._timed and self._instant(item[1]) > edge:
                 break
-        if not batch:
-            self.finished = True
-            return
-        self._postman_dispatch(batch)
+            batch.append(item)
+            item = None
+        self._peeked = item
+        if batch:
+            if self._held_pass and self.check is not None:
+                for index, _ in batch:
+                    self.check.on_held(index, now)
+            self._postman_dispatch(batch)
         # Reader costs CPU per record; the next window becomes available
         # after that processing time.
-        self.host.scheduler.after(len(batch) * self._reader_cost,
-                                  self._read_pass)
+        resume = now + len(batch) * self._reader_cost
+        self._held_pass = False
+        if len(batch) < READ_WINDOW:
+            if item is None:
+                self.finished = True
+                return
+            wake = horizon_wake(self._instant(item[1]))
+            if wake > resume:
+                resume, self._held_pass = wake, True
+        scheduler.at(resume, self._read_pass)
 
     # -- the Postman process ------------------------------------------------------
 
-    def _postman_dispatch(self, batch: list[QueryRecord]) -> None:
+    def _postman_dispatch(self, batch: list[tuple[int, QueryRecord]]) \
+            -> None:
         obs = self.host.scheduler.obs
         if obs is not None:
             obs.tracer.emit("controller.dispatch",
@@ -242,23 +303,24 @@ class Controller:
     def _drain_backlog(self) -> None:
         backlog = self._backlog
         while backlog:
-            channel = self._room_for(backlog[0])
+            channel = self._room_for(backlog[0][1])
             if channel is None:
                 if not self.paused:
                     self.paused = True
                     self.supervisor.on_stall(self)
                 break
             self.records_read += 1
-            self.send_record(channel, backlog.popleft())
+            index, record = backlog.popleft()
+            self.send_record(channel, record, index)
         self.flush()
 
-    def send_record(self, channel: ControlChannel,
-                    record: QueryRecord) -> None:
-        """The one place a record frame is built.  It joins *channel*'s
-        pass and leaves with the next :meth:`flush`; the distributor
-        counts it en route from now on."""
-        channel.pending += frame_message(
-            bytes([RECORD_FRAME]) + encode_record(record))
+    def send_record(self, channel: ControlChannel, record: QueryRecord,
+                    index: int) -> None:
+        """The one place a record joins a channel: its frame
+        (:func:`record_frame`) joins *channel*'s pass and leaves with
+        the next :meth:`flush`; the distributor counts it en route from
+        now on."""
+        channel.pending += record_frame(record, index)
         channel.sent += 1
         channel.distributor.enroute += 1
 
@@ -274,7 +336,7 @@ class Controller:
         distributor now has room."""
         if not self.paused:
             return
-        if self._backlog and self._room_for(self._backlog[0]) is None:
+        if self._backlog and self._room_for(self._backlog[0][1]) is None:
             return  # still no room; stay stalled
         self.paused = False
         self.supervisor.on_resume(self)

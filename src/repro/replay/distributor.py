@@ -16,8 +16,11 @@ distributor can read input query stream directly" (Figure 4): it holds
 a cursor over its share of the trace (:meth:`read_from`) and admits
 each record at the instant the reader makes it available, only when
 something looks — its next hand-over, a fault, or one arrival event
-armed while its queue is empty.  So the scheduler holds what is in
-flight, never the trace.
+armed while its queue is empty.  In a timed replay the reader makes a
+record available no earlier than the read horizon allows
+(:data:`~repro.replay.timing.READ_HORIZON`), so the scheduler holds what
+is in flight, never the trace.  A record travels with its input index,
+which its querier's result row keeps in its place.
 
 Either way every record then takes one path, :meth:`_admit`: it is
 stamped with the time its hand-over falls due — the process serialises
@@ -41,6 +44,7 @@ from repro.netsim.host import Host
 from repro.obs.report import zero_counters
 from repro.replay.querier import Querier
 from repro.replay.supervisor import Pins
+from repro.replay.timing import READ_HORIZON, horizon_wake
 from repro.trace.record import QueryRecord
 
 UNIX_SOCKET_DELAY = 15e-6   # local IPC hop
@@ -69,24 +73,30 @@ class Distributor:
         self.pins = Pins(queriers, seed, sticky)
         zero_counters(self)
         self._busy_until = 0.0
-        # (record, due) in arrival order; one _forward event is armed
-        # for the head while the queue is non-empty.
+        # (index, record, due) in arrival order; one _forward event is
+        # armed for the head while the queue is non-empty.
         self._queue: deque = deque()
         self.peak_depth = 0             # high-water observed on _queue
         self.enroute = 0                # postman frames still in flight
         self.lag_factor = 1.0           # DistributorLag fault multiplier
         self.supervisor = None          # set by Supervisor.start
         self.crashed = False
-        self._orphans: list[QueryRecord] = []
+        self._orphans: list[tuple[int, QueryRecord]] = []
         self._sync: tuple[float, float] | None = None
         # Direct mode's cursor (read_from): the trace, this share's
         # indices into it, and the position of the next unread one.
         self._records: list[QueryRecord] = []
         self._indices = range(0)        # or an array of ints
+        self._base = 0                  # input index of records[0]
         self._reader_cost = 0.0
         self._opened = 0.0              # clock when the stream opened
+        self._epoch: float | None = None    # t̄₁; None: no ΔT, no horizon
+        self._refill = 0.0              # the reader's latest refill
         self._next = 0
         self._end = 0
+        # InvariantChecker under ReplayConfig(check=True): told of each
+        # record the read horizon held back.
+        self.check = None
 
     def _ipc_time(self, now: float) -> float:
         """Serialize forwarding through this process: when something
@@ -104,13 +114,14 @@ class Distributor:
         for querier in self.queriers:
             self.host.scheduler.at(at, querier.handle_sync, trace_t1)
 
-    def _admit(self, record: QueryRecord, available: float) -> int:
+    def _admit(self, index: int, record: QueryRecord,
+               available: float) -> int:
         """The one way in, for a control frame and the direct cursor
-        alike: *record*, available at *available*, is parked as an
-        orphan once crashed, or stamped with its hand-over time and
-        queued.  Returns the queue's depth, 0 for an orphan."""
+        alike: *record*, input *index*, available at *available*, is
+        parked as an orphan once crashed, or stamped with its hand-over
+        time and queued.  Returns the queue's depth, 0 for an orphan."""
         if self.crashed:
-            self._orphans.append(record)
+            self._orphans.append((index, record))
             return 0
         due = self._ipc_time(available)
         obs = self.host.scheduler.obs
@@ -122,18 +133,18 @@ class Distributor:
                     - PER_RECORD_CPU * self.lag_factor
                     - UNIX_SOCKET_DELAY))
         queue = self._queue
-        queue.append((record, due))
+        queue.append((index, record, due))
         depth = len(queue)
         if depth > self.peak_depth:
             self.peak_depth = depth
         return depth
 
-    def handle_record(self, record: QueryRecord) -> None:
-        """A record arrives as a control frame: admit it now, and arm
-        the hand-over if it heads the queue."""
+    def handle_record(self, record: QueryRecord, index: int) -> None:
+        """A record, input *index*, arrives as a control frame: admit it
+        now, and arm the hand-over if it heads the queue."""
         if self.enroute:
             self.enroute -= 1
-        depth = self._admit(record, self.host.scheduler.now)
+        depth = self._admit(index, record, self.host.scheduler.now)
         if not depth:
             return
         if self.supervisor is not None:
@@ -141,15 +152,20 @@ class Distributor:
         # A deeper queue already has its event armed (shedding drops
         # only above the mark, so it never empties the queue).
         if depth == 1:
-            self.host.scheduler.at(self._queue[0][1], self._forward)
+            self.host.scheduler.at(self._queue[0][2], self._forward)
 
     def read_from(self, records: list[QueryRecord], indices,
-                  reader_cost: float) -> None:
+                  reader_cost: float, epoch: float | None,
+                  base: int) -> None:
         """Direct mode: read the share *indices* (ascending positions
         in *records*, a ``range`` or an ``array``) of the input stream
-        itself.  The reader makes record ``i`` available at ``i ×
-        reader_cost`` — never before the clock stands now — exactly as
-        a real single reader's would; nothing is stored per record."""
+        itself; ``records[i]`` is input index ``base + i``.  The reader
+        makes record ``i`` available at ``i × reader_cost`` — never
+        before the clock stands now — exactly as a real single reader's
+        would; nothing is stored per record.  With *epoch*, the
+        stream's t̄₁ in a timed replay, it also holds each record back
+        until its ΔT instant is within the read horizon
+        (:meth:`_availability`)."""
         if self._next < self._end:
             raise RuntimeError(
                 f"{self.name} has not finished reading its previous "
@@ -157,12 +173,41 @@ class Distributor:
                 "replay the next trace on a fresh engine")
         self._records = records
         self._indices = indices
+        self._base = base
         self._reader_cost = reader_cost
         self._opened = self.host.scheduler.now
+        self._epoch = epoch
+        self._refill = self._opened
         self._next = 0
         self._end = len(indices)
         if indices:
             self._arm_arrival()
+
+    def _availability(self, position: int, refill: float) \
+            -> tuple[float, float, bool]:
+        """When the reader makes the share's *position*-th record
+        available, the reader's latest refill from then on, and whether
+        the read horizon held the record back.  A refill at *refill*
+        reads, at the reader's pace, the records whose ΔT instant is
+        within a horizon of it; the first one past that waits until the
+        read-ahead has fallen to half the horizon
+        (:func:`~repro.replay.timing.horizon_wake`), where the next
+        refill starts.  A pure function of the stream, so a run cut
+        anywhere reads on identically."""
+        index = self._indices[position]
+        available = index * self._reader_cost
+        if available < refill:
+            available = refill
+        held = False
+        if self._epoch is not None:
+            instant = self._opened + (self._records[index].time
+                                      - self._epoch)
+            if instant > refill + READ_HORIZON:
+                wake = horizon_wake(instant)
+                if wake > available:
+                    available, held = wake, True
+                refill = available
+        return available, refill, held
 
     def read(self, until: float) -> None:
         """Admit, in order, every unread record of the stream available
@@ -170,21 +215,24 @@ class Distributor:
         admitted it at the instant it became available."""
         indices = self._indices
         records = self._records
-        cost = self._reader_cost
-        opened = self._opened
+        base = self._base
         position = self._next
         end = self._end
+        refill = self._refill
         admit = self._admit
+        availability = self._availability
         while position < end:
-            index = indices[position]
-            available = index * cost
-            if available < opened:
-                available = opened
+            available, next_refill, held = availability(position, refill)
             if available > until:
                 break
+            refill = next_refill
+            index = indices[position]
             position += 1
-            admit(records[index], available)
+            if held and self.check is not None:
+                self.check.on_held(base + index, available)
+            admit(base + index, records[index], available)
         self._next = position
+        self._refill = refill
 
     def _read_before_now(self) -> None:
         """Catch up before a fault takes effect.  The fault injector is
@@ -197,14 +245,14 @@ class Distributor:
         """Wake when the next unread record becomes available.  Armed
         only while the queue is empty (or the process has crashed):
         otherwise the next ``_forward`` reads it."""
-        available = self._indices[self._next] * self._reader_cost
+        available, _, _ = self._availability(self._next, self._refill)
         self.host.scheduler.at(available, self._arrive)
 
     def _arrive(self) -> None:
         scheduler = self.host.scheduler
         self.read(scheduler.now)
         if self._queue:
-            scheduler.at(self._queue[0][1], self._forward)
+            scheduler.at(self._queue[0][2], self._forward)
         elif self._next < self._end:
             self._arm_arrival()     # crashed: arrivals become orphans
 
@@ -218,7 +266,7 @@ class Distributor:
         now = scheduler.now
         if self._next < self._end:
             self.read(now)
-        record, due = queue[0]
+        index, record, due = queue[0]
         if due > now:
             # The head this event was armed for was shed.
             scheduler.at(due, self._forward)
@@ -248,11 +296,11 @@ class Distributor:
             trace_t1, real_t1 = self._sync
             supervisor.note_lag(self,
                                 now - (real_t1 + record.time - trace_t1))
-        querier.handle_record(record)
+        querier.handle_record(record, index)
         if supervisor is not None:
             supervisor.on_queue_drain(self)
         if queue:
-            scheduler.at(queue[0][1], self._forward)
+            scheduler.at(queue[0][2], self._forward)
         elif self._next < self._end:
             self._arm_arrival()
 
@@ -280,7 +328,8 @@ class Distributor:
         self._read_before_now()
         self.crashed = True
         queued = bool(self._queue)
-        self._orphans.extend(record for record, _ in self._queue)
+        self._orphans.extend((index, record)
+                             for index, record, _ in self._queue)
         self._queue.clear()
         if queued and self._next < self._end:
             # The stream keeps arriving, now as orphans; with the
@@ -293,6 +342,7 @@ class Distributor:
         self._read_before_now()
         self.lag_factor = factor
 
-    def take_orphans(self) -> list[QueryRecord]:
+    def take_orphans(self) -> list[tuple[int, QueryRecord]]:
+        """Drain the (input index, record) pairs parked by a crash."""
         orphans, self._orphans = self._orphans, []
         return orphans

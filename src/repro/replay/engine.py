@@ -22,7 +22,10 @@ Two distribution modes:
 
 from __future__ import annotations
 
+import heapq
 from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,7 +42,7 @@ from repro.obs.observer import SNAPSHOT_VERSION
 from repro.replay.controller import Controller, READER_PER_RECORD
 from repro.replay.distributor import Distributor
 from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
-                                  ResilienceConfig)
+                                  ResilienceConfig, Results)
 from repro.replay.supervisor import Pins, Supervisor, SupervisionConfig
 from repro.trace.pipeline import as_trace
 from repro.trace.record import PROTOCOLS
@@ -142,9 +145,51 @@ class ReplayConfig:
                              **per_querier)
 
 
+class SendOrder(Sequence):
+    """Every querier's :class:`~repro.replay.querier.Results`, read as
+    one sequence of :class:`QueryResult` rows in send-time order (ties
+    in querier order, then each querier's own).  A querier appends its
+    rows in send order, so the order is a k-way merge of the columns,
+    kept as one ``array`` of positions: 8 bytes a result, and no row
+    object until one is read."""
+
+    def __init__(self, columns: list[Results]):
+        self._columns = columns
+        self._starts = starts = []
+        base = 0
+        for results in columns:
+            starts.append(base)
+            base += len(results)
+        self._order = array("q", (position for _, position in heapq.merge(
+            *(zip(results.send, range(start, start + len(results)))
+              for results, start in zip(columns, starts)))))
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def _at(self, position: int) -> QueryResult:
+        which = bisect_right(self._starts, position) - 1
+        return self._columns[which][position - self._starts[which]]
+
+    def __getitem__(self, i: int) -> QueryResult:
+        return self._at(self._order[i])
+
+    def __iter__(self):
+        at = self._at
+        for position in self._order:
+            yield at(position)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, SendOrder)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class ReplayReport:
-    results: list[QueryResult]
+    # In send order; each row's .record is read from the replayed input
+    # by its index (querier.Results).
+    results: Sequence[QueryResult]
     queriers: list[Querier]
     sim: Simulator
     server_host: Host
@@ -260,10 +305,8 @@ class ReplayReport:
                observer: Observer | None, counted: list) -> "ReplayReport":
         """A run's report, on either backend: every querier's results in
         send-time order; *clock* gives ``.now`` at report time."""
-        results = [result for querier in queriers
-                   for result in querier.results]
-        results.sort(key=lambda r: r.send_time)
-        return cls(results=results, queriers=queriers, sim=clock,
+        return cls(results=SendOrder([q.results for q in queriers]),
+                   queriers=queriers, sim=clock,
                    server_host=server_host, observer=observer,
                    counted=counted)
 
@@ -369,6 +412,9 @@ class ReplayEngine:
         self.config = config = config or ReplayConfig()
         _validate_config(config, "ReplayEngine")
         self.queriers: list[Querier] = []
+        # Every record this engine has replayed, in input-index order:
+        # what the queriers' result rows name by index.
+        self.inputs: list = []
         self.distributors: list[Distributor] = []
         self.controllers: list[Controller] = []
         self.fault_injector: FaultInjector | None = None
@@ -408,6 +454,7 @@ class ReplayEngine:
                     config=config.querier_config(jitter_seed=seed)))
             self.queriers.extend(queriers)
             for querier in queriers:
+                querier.results.inputs = self.inputs
                 self.sim.actors[querier.name] = querier
             distributor = Distributor(host, queriers,
                                       seed=config.seed + i,
@@ -454,6 +501,8 @@ class ReplayEngine:
                                 for host in self.sim.hosts.values()
                                 for app in host.apps],
                 config, self.sim).attach()
+            for reader in (*self.controllers, *self.distributors):
+                reader.check = checker
         # The injector is armed before any feed event, so a fault armed
         # at a record's availability instant wins the insertion-order
         # tie and applies to that record; Distributor._read_before_now
@@ -490,14 +539,18 @@ class ReplayEngine:
         self.fault_injector.arm()
 
     def _open(self, records) -> None:
-        """Open the input stream, once for either mode.  The readers
-        are the controllers (distributed) or the distributors (direct,
-        Figure 4); each is told t̄₁, the first record's trace time.  One
-        reader reads the whole stream; several split it by source —
-        §2.6's "split input stream to feed multiple controllers" — with
-        one :class:`Pins` draw per source over the readers' positions,
-        so a draw names a share and every record of a source reaches
-        the same reader."""
+        """Open the input stream, once for either mode: *records* join
+        :attr:`inputs`, ``records[i]`` as input index ``base + i``.  The
+        readers are the controllers (distributed) or the distributors
+        (direct, Figure 4); each is told t̄₁, the first record's trace
+        time, and reads within the read horizon unless the replay is
+        ``fast``.  One reader reads the whole stream; several split it
+        by source — §2.6's "split input stream to feed multiple
+        controllers" — with one :class:`Pins` draw per source over the
+        readers' positions, so a draw names a share and every record of
+        a source reaches the same reader."""
+        base = len(self.inputs)
+        self.inputs += records
         readers = self.controllers or self.distributors
         n = len(readers)
         if n == 1:
@@ -511,11 +564,13 @@ class ReplayEngine:
             for index, record in enumerate(records):
                 shares[split.member_for(record.src)].append(index)
         cost = self.config.reader_cost
+        timed = not self.config.fast
         if self.controllers:
             for controller, share in zip(self.controllers, shares):
                 if share:
                     controller.start(map(records.__getitem__, share),
-                                     records[0].time, cost)
+                                     records[0].time, cost,
+                                     map(base.__add__, share), timed)
                 else:
                     controller.finished = True
             return
@@ -530,7 +585,8 @@ class ReplayEngine:
         for distributor, share in sorted(
                 zip(self.distributors, shares),
                 key=lambda pair: pair[1][0] if pair[1] else len(records)):
-            distributor.read_from(records, share, cost)
+            distributor.read_from(records, share, cost,
+                                  records[0].time if timed else None, base)
 
     def report(self) -> ReplayReport:
         counted = [*self.queriers, *self.distributors, *self.controllers,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.netsim.host import Host
 from repro.netsim.jitter import SendPathModel
-from repro.replay.querier import Querier, QueryResult
+from repro.replay.querier import Querier, Results
 from repro.trace.pipeline import as_trace
 
 PER_RECORD_INPUT_DELAY = 40e-6  # unpipelined parse+build per record
@@ -48,10 +48,10 @@ class NaiveReplayer:
                                name=f"naive@{host.name}")
 
     @property
-    def results(self) -> list[QueryResult]:
+    def results(self) -> Results:
         return self.querier.results
 
-    def run(self, trace) -> list[QueryResult]:
+    def run(self, trace) -> Results:
         """*trace* may be a Trace, a TracePipeline, or any iterable of
         records.  Every record goes out over the one UDP socket,
         whatever its original transport."""

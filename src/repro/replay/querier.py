@@ -46,6 +46,7 @@ Supervision hooks (see :mod:`repro.replay.supervisor`): a querier can
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -113,19 +114,158 @@ class QuerierConfig:
     fast: bool = False
 
 
-@dataclass(slots=True)
+NO_RESPONSE = float("nan")     # the response column of an open query
+NO_RCODE = -1                   # the rcode column of an open query
+# Bits of the flags column.
+TIMED_OUT, FELL_BACK, FAILED_OVER = 1, 2, 4
+
+
+class Results:
+    """One querier's results as typed ``array`` columns, one row per
+    send, appended in send order: the input index of the record sent,
+    send, scheduled and response times (NaN while unanswered), response
+    size, rcode (-1 while unanswered), attempts and the
+    ``TIMED_OUT``/``FELL_BACK``/``FAILED_OVER`` flags: 41 bytes a
+    query, and no copy of its record.
+
+    Read it as a sequence of :class:`QueryResult` rows.  A row names its
+    record by index into :attr:`inputs`, the replayed input, which the
+    feeder owns; a record handed over without an index is appended to
+    :attr:`inputs` (:meth:`adopt`)."""
+
+    __slots__ = ("index", "send", "scheduled", "response", "size",
+                 "rcode", "attempts", "flags", "inputs")
+
+    def __init__(self, inputs=None):
+        self.index = array("q")
+        self.send = array("d")
+        self.scheduled = array("d")
+        self.response = array("d")
+        self.size = array("i")
+        self.rcode = array("h")
+        self.attempts = array("H")
+        self.flags = array("B")
+        self.inputs = [] if inputs is None else inputs
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, row: int) -> "QueryResult":
+        if row < 0:
+            row += len(self.index)
+        if not 0 <= row < len(self.index):
+            raise IndexError("result row out of range")
+        return _row(self, row)
+
+    def __iter__(self):
+        for row in range(len(self.index)):
+            yield _row(self, row)
+
+    def adopt(self, record: QueryRecord) -> int:
+        """Take *record* into :attr:`inputs`; returns its index."""
+        self.inputs.append(record)
+        return len(self.inputs) - 1
+
+    def add(self, index: int, send: float, scheduled: float) -> int:
+        """A new open row for input *index*; returns its row number."""
+        row = len(self.index)
+        self.index.append(index)
+        self.send.append(send)
+        self.scheduled.append(scheduled)
+        self.response.append(NO_RESPONSE)
+        self.size.append(0)
+        self.rcode.append(NO_RCODE)
+        self.attempts.append(1)
+        self.flags.append(0)
+        return row
+
+    def append(self, result: "QueryResult") -> None:
+        """Copy *result*'s row in; its index is read against
+        :attr:`inputs` from then on."""
+        source, at = result.columns, result.row
+        for name in Results.__slots__[:-1]:
+            getattr(self, name).append(getattr(source, name)[at])
+
+
+def _column(name: str, doc: str) -> property:
+    def get(self):
+        return getattr(self.columns, name)[self.row]
+
+    def put(self, value):
+        getattr(self.columns, name)[self.row] = value
+    return property(get, put, doc=doc)
+
+
+def _flag(bit: int, doc: str) -> property:
+    def get(self) -> bool:
+        return bool(self.columns.flags[self.row] & bit)
+
+    def put(self, value: bool) -> None:
+        flags = self.columns.flags
+        flags[self.row] = (flags[self.row] | bit if value
+                           else flags[self.row] & ~bit)
+    return property(get, put, doc=doc)
+
+
 class QueryResult:
-    record: QueryRecord
-    send_time: float
-    scheduled_time: float
-    response_time: float | None = None
-    response_size: int = 0
-    rcode: int | None = None
-    attempts: int = 1             # sends performed (retransmits included)
-    timed_out: bool = False       # gave up after exhausting the policy
-    fell_back: bool = False       # TC bit moved the query from UDP to TCP
-    failed_over: bool = False     # was awaiting a response when its
-    #                               querier crashed (answer lost)
+    """One query's result: row :attr:`row` of a :class:`Results`, read
+    and written through its columns.  ``QueryResult(record, send_time,
+    scheduled_time, ...)`` builds a row of its own, over an input that
+    holds *record* at *index*."""
+
+    __slots__ = ("columns", "row")
+
+    def __init__(self, record: QueryRecord, send_time: float,
+                 scheduled_time: float, response_time: float | None = None,
+                 response_size: int = 0, rcode: int | None = None,
+                 attempts: int = 1, timed_out: bool = False,
+                 fell_back: bool = False, failed_over: bool = False,
+                 index: int = 0):
+        self.columns = Results({index: record})
+        self.row = self.columns.add(index, send_time, scheduled_time)
+        self.response_time = response_time
+        self.response_size = response_size
+        self.rcode = rcode
+        self.attempts = attempts
+        self.timed_out = timed_out
+        self.fell_back = fell_back
+        self.failed_over = failed_over
+
+    index = property(lambda self: self.columns.index[self.row],
+                     doc="The record's position in the replayed input.")
+    send_time = _column("send", "When the first attempt left.")
+    scheduled_time = _column("scheduled", "When the send was due.")
+    response_size = _column("size", "Bytes of the response.")
+    attempts = _column("attempts",
+                       "Sends performed (retransmits included).")
+    timed_out = _flag(TIMED_OUT, "Gave up after exhausting the policy.")
+    fell_back = _flag(FELL_BACK, "TC bit moved the query from UDP to TCP.")
+    failed_over = _flag(FAILED_OVER, "Was awaiting a response when its "
+                        "querier crashed (answer lost).")
+
+    @property
+    def record(self) -> QueryRecord:
+        columns = self.columns
+        return columns.inputs[columns.index[self.row]]
+
+    @property
+    def response_time(self) -> float | None:
+        time = self.columns.response[self.row]
+        return None if time != time else time
+
+    @response_time.setter
+    def response_time(self, value: float | None) -> None:
+        self.columns.response[self.row] = (NO_RESPONSE if value is None
+                                           else value)
+
+    @property
+    def rcode(self) -> int | None:
+        rcode = self.columns.rcode[self.row]
+        return None if rcode == NO_RCODE else rcode
+
+    @rcode.setter
+    def rcode(self, value: int | None) -> None:
+        self.columns.rcode[self.row] = NO_RCODE if value is None else value
 
     @property
     def latency(self) -> float | None:
@@ -136,6 +276,36 @@ class QueryResult:
     @property
     def answered(self) -> bool:
         return self.response_time is not None
+
+    def _values(self) -> tuple:
+        return (self.record, self.send_time, self.scheduled_time,
+                self.response_time, self.response_size, self.rcode,
+                self.attempts, self.timed_out, self.fell_back,
+                self.failed_over)
+
+    def __eq__(self, other):
+        if other.__class__ is not QueryResult:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "QueryResult(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(
+                ("record", "send_time", "scheduled_time", "response_time",
+                 "response_size", "rcode", "attempts", "timed_out",
+                 "fell_back", "failed_over"), self._values())) + ")"
+
+
+_new_result = object.__new__
+
+
+def _row(columns: Results, row: int) -> QueryResult:
+    result = _new_result(QueryResult)
+    result.columns = columns
+    result.row = row
+    return result
 
 
 @dataclass(slots=True)
@@ -236,13 +406,13 @@ class Querier:
         self.sendpath = (SendPathModel(seed=config.jitter_seed)
                          if config.jitter_seed is not None
                          else host.sendpath)
-        self.results: list[QueryResult] = []
+        self.results = Results()
         zero_counters(self)
         # Supervision state (repro.replay.supervisor): orphans are
-        # records routed here after (or scheduled before) the crash,
-        # awaiting re-dispatch.
+        # (input index, record) pairs routed here after (or scheduled
+        # before) the crash, awaiting re-dispatch.
         self.crashed = False
-        self._orphans: list[QueryRecord] = []
+        self._orphans: list[tuple[int, QueryRecord]] = []
         # Timer events of the records handed over by the distributor
         # whose ΔT send has not fired yet — the D->Q queue bounded by
         # supervision — in arrival order, so crash() can cancel and
@@ -287,31 +457,41 @@ class Querier:
         if not self.timer.synchronized:
             self.timer.sync(trace_t1, self.host.scheduler.now)
 
-    def handle_record(self, record: QueryRecord) -> None:
-        """A record arrives from the distributor: schedule its send
-        by the ΔT rule — or, in fast mode, send it at once."""
+    def handle_record(self, record: QueryRecord,
+                      index: int | None = None) -> None:
+        """*record*, input *index*, arrives from the distributor:
+        schedule its send by the ΔT rule — or, in fast mode, send it at
+        once.  A record without an index is adopted into
+        ``results.inputs``."""
+        if index is None:
+            index = self.results.adopt(record)
         if self.crashed:
-            self._orphans.append(record)
+            self._orphans.append((index, record))
             return
         now = self.host.scheduler.now
         if self.fast:
-            self.send(record, scheduled=now)
+            self.send(record, now, index)
             return
-        if not self.timer.synchronized:
+        timer = self.timer
+        if not timer.synchronized:
             # Defensive: sync on first record if the broadcast was lost.
-            self.timer.sync(record.time, now)
-        delay = self.timer.delay_for(record.time, now)
-        target = now + delay
+            timer.sync(record.time, now)
+        # The send is scheduled at the record's absolute ΔT instant, so
+        # when the record arrives cannot move it, not even by an ulp.
+        instant = timer.instant(record.time)
+        if self.check is not None:
+            self.check.on_arrival(self, index, instant)
+        target = instant if instant > now else now
         interval = (target - self._last_scheduled
                     if self._last_scheduled is not None else None)
         self._last_scheduled = target
-        if delay <= 0.0:
-            self.send(record, scheduled=now)
+        if target == now:
+            self.send(record, now, index)
             return
-        slop = self.sendpath.timer_slop(delay, interval=interval)
+        slop = self.sendpath.timer_slop(target - now, interval=interval)
         self._send_seq = seq = self._send_seq + 1
-        self._send_timers[seq] = self.host.scheduler.after(
-            max(0.0, delay + slop), self._send_later, record, target, seq)
+        self._send_timers[seq] = self.host.scheduler.at(
+            target + slop, self._send_later, index, record, target, seq)
 
     def backlog_depth(self) -> int:
         """Records delivered by the distributor whose ΔT-scheduled
@@ -320,27 +500,31 @@ class Querier:
 
     # -- sending ------------------------------------------------------------------
 
-    def _send_later(self, record: QueryRecord, scheduled: float,
-                    seq: int) -> None:
+    def _send_later(self, index: int, record: QueryRecord,
+                    scheduled: float, seq: int) -> None:
         """A ΔT timer fired: leave the backlog, send."""
         del self._send_timers[seq]
-        self.send(record, scheduled)
+        self.send(record, scheduled, index)
 
-    def send(self, record: QueryRecord, scheduled: float) -> None:
-        """Send *record* now (through the send path's occupancy);
-        *scheduled* is when it was due.  Entry point for a feeder that
-        paces the trace itself."""
+    def send(self, record: QueryRecord, scheduled: float,
+             index: int | None = None) -> None:
+        """Send *record*, input *index*, now (through the send path's
+        occupancy); *scheduled* is when it was due.  Entry point for a
+        feeder that paces the trace itself; without an index the record
+        is adopted into ``results.inputs``."""
+        if index is None:
+            index = self.results.adopt(record)
         if self.crashed:
             # A send scheduled before the crash: the record was never
             # on the wire, so it is re-dispatchable, not failed_over.
-            self._orphans.append(record)
+            self._orphans.append((index, record))
             return
         actual = self.sendpath.occupy(self.host.scheduler.now)
         if actual > self.host.scheduler.now:
-            self.host.scheduler.at(actual, self._send_now, record,
+            self.host.scheduler.at(actual, self._send_now, index, record,
                                    scheduled)
         else:
-            self._send_now(record, scheduled)
+            self._send_now(index, record, scheduled)
 
     def _next_msg_id(self, taken) -> int:
         """Advance the id sequence, skipping ids still pending for the
@@ -373,9 +557,12 @@ class Querier:
         attach_cookie(message, record.src, self._server_cookies)
         return message.to_wire()
 
-    def _send_now(self, record: QueryRecord, scheduled: float) -> None:
+    def _send_now(self, index: int, record: QueryRecord,
+                  scheduled: float) -> None:
+        """The one place a query is sent and its result row opened; the
+        record is not kept past here."""
         if self.crashed:
-            self._orphans.append(record)
+            self._orphans.append((index, record))
             return
         # A datagram's channel is resolved once, here, for the id
         # scan and the send alike.
@@ -388,8 +575,8 @@ class Querier:
             self.check.on_msg_id(self, record, msg_id)
             self.check.on_query_wire(self, record, msg_id, wire)
         now = self.host.scheduler.now
-        result = QueryResult(record, now, scheduled)
-        self.results.append(result)
+        results = self.results
+        result = _row(results, results.add(index, now, scheduled))
         self.sent += 1
         obs = self.host.scheduler.obs
         if obs is not None:
@@ -423,7 +610,7 @@ class Querier:
         # late to re-dispatch.
         for event in self._send_timers.values():
             event.cancel()
-            self._orphans.append(event.args[0])
+            self._orphans.append(event.args[:2])
         self._send_timers.clear()
         for channel in self._channels():
             for result in channel.pending.values():
@@ -446,8 +633,9 @@ class Querier:
         result.failed_over = True
         self.failed_over += 1
 
-    def take_orphans(self) -> list[QueryRecord]:
-        """Drain the records stranded by a crash (for re-dispatch)."""
+    def take_orphans(self) -> list[tuple[int, QueryRecord]]:
+        """Drain the records stranded by a crash (for re-dispatch), as
+        (input index, record) pairs."""
         orphans, self._orphans = self._orphans, []
         return orphans
 
@@ -459,7 +647,8 @@ class Querier:
         anything bounds its wait, start the clock: *on_timeout* fires
         with *args* unless the entry is resolved first."""
         channel.pending[msg_id] = result
-        wait = (self.resilience.wait_for(result.attempts)
+        wait = (self.resilience.wait_for(
+                    result.columns.attempts[result.row])
                 if self.resilience is not None else self.give_up_after)
         if wait is not None:
             inflight = channel.inflight[msg_id] = _Inflight(wire=wire)
@@ -484,18 +673,19 @@ class Querier:
         exhausted, unanswered at close when there is none.  Either way
         it never strands."""
         if rcode is not None:
-            if result.attempts > 1 or result.fell_back:
+            columns, row = result.columns, result.row
+            if columns.attempts[row] > 1 or columns.flags[row] & FELL_BACK:
                 self.recovered += 1
-            result.response_time = self.host.scheduler.now
-            result.response_size = size
-            result.rcode = rcode
+            now = self.host.scheduler.now
+            columns.response[row] = now
+            columns.size[row] = size
+            columns.rcode[row] = rcode
             self.responses += 1
             if body is not None:
                 learn_cookie(body, result.record.src, self._server_cookies)
             obs = self.host.scheduler.obs
             if obs is not None:
-                obs.tracer.emit("querier.response", result.send_time,
-                                result.response_time,
+                obs.tracer.emit("querier.response", columns.send[row], now,
                                 detail=result.record.proto)
         elif self.resilience is not None:
             result.timed_out = True
@@ -733,13 +923,16 @@ class Querier:
     # -- stats -----------------------------------------------------------------------------------
 
     def latencies(self) -> list[float]:
-        return [r.latency for r in self.results if r.latency is not None]
+        results = self.results
+        return [response - send for response, send
+                in zip(results.response, results.send)
+                if response == response]
 
     def answered_fraction(self) -> float:
-        if not self.results:
+        response = self.results.response
+        if not response:
             return 0.0
-        return sum(1 for r in self.results if r.answered) \
-            / len(self.results)
+        return sum(1 for time in response if time == time) / len(response)
 
     def _channels(self):
         return chain(self._udp_by_socket.values(),

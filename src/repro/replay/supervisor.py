@@ -288,8 +288,8 @@ class Supervisor:
         # to a survivor keeps its querier (the invariant the property
         # tests pin down).
         pins.repin(querier)
-        for record in self._first_time(querier.take_orphans()):
-            pins.member_for(record.src).handle_record(record)
+        for index, record in self._first_time(querier.take_orphans()):
+            pins.member_for(record.src).handle_record(record, index)
 
     def _fail_distributor(self, distributor) -> None:
         for controller in self.engine.controllers:
@@ -304,10 +304,10 @@ class Supervisor:
             self.failed.add(querier.name)
             querier.crash()
             orphans.extend(querier.take_orphans())
-        for record in self._first_time(orphans):
+        for index, record in self._first_time(orphans):
             controller = self._controller_for(record.src)
             controller.send_record(controller.pins.live(record.src),
-                                   record)
+                                   record, index)
         # Write the re-dispatch as one pass, then unstick Postmen
         # stalled on the dead distributor's full queue.
         for controller in self.engine.controllers:
@@ -322,18 +322,20 @@ class Supervisor:
 
     def _first_time(self, orphans):
         """The exactly-once gate of re-dispatch: yield each orphaned
-        record the first time it is met, count and drop it after.  The
-        gate keeps every record it let through alive: a record
-        re-dispatched over a control channel is decoded anew on the far
-        side, and the freed original's ``id()`` would otherwise pass
-        for a fresh orphan allocated at the same address."""
-        for record in orphans:
+        (input index, record) pair the first time its record is met,
+        count and drop it after.  The gate keeps every record it let
+        through alive: a record re-dispatched over a control channel is
+        decoded anew on the far side, and the freed original's ``id()``
+        would otherwise pass for a fresh orphan allocated at the same
+        address."""
+        for orphan in orphans:
+            record = orphan[1]
             if id(record) in self._redispatched:
                 self.dropped_after_refailover += 1
                 continue
             self._redispatched[id(record)] = record
             self.redispatched += 1
-            yield record
+            yield orphan
 
     # -- backpressure ------------------------------------------------------
 

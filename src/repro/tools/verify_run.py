@@ -5,6 +5,7 @@ Usage::
     python -m repro.tools.verify_run --tier conformance
     python -m repro.tools.verify_run --tier golden
     python -m repro.tools.verify_run --tier fuzz --fuzz-examples 40000
+    python -m repro.tools.verify_run --tier scale
     python -m repro.tools.verify_run --record
 
 Tiers:
@@ -19,7 +20,12 @@ Tiers:
   equality over real loopback sockets (six shapes), and a seeded fuzz
   run with zero responder/parser crashes;
 * ``fuzz`` — only the seeded never-crash fuzz targets (for the
-  time-boxed CI fuzz job; raise ``--fuzz-examples`` to dig deeper).
+  time-boxed CI fuzz job; raise ``--fuzz-examples`` to dig deeper);
+* ``scale`` — one replay of :data:`SCALE_RECORDS` records of the
+  ledger's ``broot_udp`` analogue under ``check=True``: fails unless
+  every record is answered and the process's peak RSS stays within
+  :data:`SCALE_PEAK_RSS_MB` (a replay's memory must follow what is in
+  flight, not the trace; minutes, for CI's ``scale`` job).
 
 ``--record`` rewrites the golden files instead of checking them, and
 prints for each how it moved by key path (added / changed / removed) —
@@ -31,7 +37,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
+
+# The scale tier: a B-Root hour is ~144M queries; a million records
+# replays in minutes and shows memory that grows with the trace.
+SCALE_RECORDS = 1_000_000
+SCALE_RATE = 2000.0             # queries/s, the ledger's broot_udp rate
+SCALE_SEED = 11
+# 1.25 x the peak RSS this replay measured (507.7 MiB on CPython 3.11,
+# x86-64 Linux; 1,001,491 records, 262 s on a 2-core host).
+SCALE_PEAK_RSS_MB = 1.25 * 507.7
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "contracts: golden byte-identity, sim-vs-sim and "
                     "sim-vs-live differential runs, seeded fuzzing.")
     parser.add_argument("--tier", choices=("golden", "conformance",
-                                           "fuzz"),
+                                           "fuzz", "scale"),
                         default="conformance",
                         help="how much to verify (default: "
                              "conformance, the full bar)")
@@ -138,6 +154,42 @@ def _verify_fuzz(args, failures: list[str]) -> None:
           f"{report.elapsed:.1f}s, zero crashes")
 
 
+def _verify_scale(args, failures: list[str]) -> None:
+    import resource
+
+    from repro.core import AuthoritativeExperiment, ExperimentConfig
+    from repro.experiments.harness import root_zone_world
+    from repro.replay.engine import ReplayConfig
+    from repro.workloads.broot import BRootParams, generate_broot_trace
+    _section(f"scale: {SCALE_RECORDS:,} broot_udp records, check=True")
+    start = time.perf_counter()
+    internet = root_zone_world(tlds=20, slds_per_tld=20, seed=SCALE_SEED)
+    internet.sign_all(root_only=True)
+    trace = generate_broot_trace(internet, BRootParams(
+        duration=SCALE_RECORDS / SCALE_RATE, mean_rate=SCALE_RATE,
+        clients=5000, do_fraction=0.723, tcp_fraction=0.0,
+        junk_fraction=0.30, seed=SCALE_SEED))
+    experiment = AuthoritativeExperiment(
+        [internet.root_zone], ExperimentConfig(replay=ReplayConfig(
+            seed=SCALE_SEED, check=True)))
+    report = experiment.run(trace).report
+    records = len(trace)
+    answered = sum(1 for result in report.results if result.answered)
+    # Linux reports ru_maxrss in KiB.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"   {records:,} records, {answered:,} answered, peak RSS "
+          f"{peak:.1f} MiB (bound {SCALE_PEAK_RSS_MB:.1f}), "
+          f"{time.perf_counter() - start:.0f} s")
+    if answered != records:
+        failures.append(f"scale: {records - answered} of {records} "
+                        "records unanswered")
+    if peak > SCALE_PEAK_RSS_MB:
+        failures.append(f"scale: peak RSS {peak:.1f} MiB over "
+                        f"{SCALE_PEAK_RSS_MB:.1f}")
+    if not failures:
+        print("ok every record answered, peak RSS within bound")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.record:
@@ -158,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         _verify_golden(args, failures)
     elif args.tier == "fuzz":
         _verify_fuzz(args, failures)
+    elif args.tier == "scale":
+        _verify_scale(args, failures)
     else:
         _verify_golden(args, failures)
         _verify_matrix(args, failures)

@@ -8,7 +8,8 @@ back into a wire-format query by a querier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import _tuplegetter
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache
 from sys import intern
 
@@ -42,8 +43,10 @@ def _query_tail(qname: str, qtype: int, qclass: int, rd: bool, do: bool,
 
 
 @dataclass(frozen=True)
-class QueryRecord:
-    """One query in a trace."""
+class _Fields:
+    """The record's fields, declared once: :class:`QueryRecord` takes
+    its dataclass contract (``dataclasses.fields``/``replace``/
+    ``astuple``) from this declaration."""
 
     time: float                 # absolute timestamp, seconds
     src: str                    # client source address
@@ -58,23 +61,71 @@ class QueryRecord:
     edns_payload: int = 0       # 0: no EDNS
     dst: str = ""               # original destination (server) address
 
-    def __post_init__(self):
-        if self.proto not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.proto!r}")
+
+_FIELD_NAMES = tuple(f.name for f in fields(_Fields))
+_new = tuple.__new__
+
+
+class QueryRecord(tuple):
+    """One query in a trace: an immutable frozen-dataclass record stored
+    as a tuple of its twelve fields, so it has no per-instance
+    ``__dict__`` and a decode builds it in one C-level step
+    (:func:`make_record`).  Fields read by position through
+    ``_tuplegetter``; equality, hashing, repr, pickling and the
+    ``dataclasses`` functions behave as for ``@dataclass(frozen=True)``
+    over the same fields."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _Fields.__dataclass_fields__
+    __dataclass_params__ = _Fields.__dataclass_params__
+    __match_args__ = _FIELD_NAMES
+
+    def __new__(cls, time: float, src: str, qname: str,
+                qtype: int = RRType.A, qclass: int = RRClass.IN,
+                proto: str = "udp", sport: int = 0, msg_id: int = 0,
+                rd: bool = False, do: bool = False, edns_payload: int = 0,
+                dst: str = "") -> "QueryRecord":
+        if proto not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {proto!r}")
+        return _new(cls, (time, src, qname, qtype, qclass, proto, sport,
+                          msg_id, rd, do, edns_payload, dst))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return NotImplemented
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return "QueryRecord(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(_FIELD_NAMES, self)) + ")"
 
     def with_(self, **changes) -> "QueryRecord":
         """``dataclasses.replace(self, **changes)`` at the cost of what
-        changes: one shallow copy of the fields plus the new values,
-        instead of a 12-field ``__init__`` per call (§2.5 rewrites call
-        this several times per record)."""
-        if not _FIELD_NAMES.issuperset(changes):
-            unknown = min(set(changes) - _FIELD_NAMES)
-            raise TypeError(f"QueryRecord has no field {unknown!r}")
-        new = _new(type(self))
-        new.__dict__.update(self.__dict__, **changes)
-        if "proto" in changes:
-            new.__post_init__()
-        return new
+        changes: one tuple built from the old values and the new ones
+        (§2.5 rewrites call this several times per record)."""
+        values = _new(QueryRecord, map(changes.pop, _FIELD_NAMES, self))
+        if changes:
+            raise TypeError(f"QueryRecord has no field {min(changes)!r}")
+        if values[5] not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {values[5]!r}")
+        return values
 
     def to_message(self) -> Message:
         """Build the wire query this record describes."""
@@ -108,38 +159,24 @@ class QueryRecord:
                    edns_payload=message.edns.payload if message.edns else 0)
 
 
-_new = object.__new__
-_FIELD_NAMES = frozenset(f.name for f in fields(QueryRecord))
+for _position, _name in enumerate(_FIELD_NAMES):
+    setattr(QueryRecord, _name, _tuplegetter(_position, None))
+del _position, _name
 
 
 def make_record(time: float, src: str, qname: str, qtype: int, qclass: int,
                 proto: str, sport: int, msg_id: int, rd: bool, do: bool,
                 edns_payload: int, dst: str) -> QueryRecord:
     """``QueryRecord(...)`` with every field given, built in one step
-    for the trace codecs, which construct one record per line or frame:
-    the fields are stored directly instead of through the frozen
-    ``__init__``'s twelve ``object.__setattr__`` calls.  Item stores (not
-    one ``update(**fields)``) keep the instance dict key-sharing, and
-    the addresses are interned: a trace has few clients next to its
+    for the trace codecs, which construct one record per line or frame.
+    The addresses are interned: a trace has few clients next to its
     records, so they share one ``str`` per address for as long as any
     record holds it."""
     if proto not in PROTOCOLS:
         raise ValueError(f"unknown protocol {proto!r}")
-    record = _new(QueryRecord)
-    state = record.__dict__
-    state["time"] = time
-    state["src"] = intern(src)
-    state["qname"] = qname
-    state["qtype"] = qtype
-    state["qclass"] = qclass
-    state["proto"] = proto
-    state["sport"] = sport
-    state["msg_id"] = msg_id
-    state["rd"] = rd
-    state["do"] = do
-    state["edns_payload"] = edns_payload
-    state["dst"] = intern(dst)
-    return record
+    return _new(QueryRecord, (time, intern(src), qname, qtype, qclass,
+                              proto, sport, msg_id, rd, do, edns_payload,
+                              intern(dst)))
 
 
 @dataclass

@@ -82,18 +82,20 @@ class _FakeReport:
         return self.schema
 
 
-def _result(qname, answered=True, src="10.0.0.1", **outcome):
-    """An answered NOERROR 60-byte result unless *outcome* says else."""
+def _result(qname, answered=True, src="10.0.0.1", index=0, **outcome):
+    """An answered NOERROR 60-byte result for input *index* unless
+    *outcome* says else."""
     outcome = {"rcode": 0, "response_size": 60, **outcome} \
         if answered else outcome
     return QueryResult(
         record=QueryRecord(time=1.0, src=src, qname=qname),
         send_time=1.0, scheduled_time=1.0,
-        response_time=1.5 if answered else None, **outcome)
+        response_time=1.5 if answered else None, index=index, **outcome)
 
 
 def _report(qnames, answered=True, schema=None):
-    report = _FakeReport([_result(q, answered) for q in qnames])
+    report = _FakeReport([_result(q, answered, index=i)
+                          for i, q in enumerate(qnames)])
     if schema is not None:
         report.schema = schema
     return report
@@ -109,9 +111,10 @@ def test_identical_reports_pass_all_bands():
 
 def test_unanswered_queries_are_reported_one_by_one():
     sim = _report(["q1.", "q2.", "q3.", "q4."])
-    live = _FakeReport([_result("q1."), _result("q2.", False),
-                        _result("q3.", False, timed_out=True),
-                        _result("q4.")])
+    live = _FakeReport([_result("q1.", index=0),
+                        _result("q2.", False, index=1),
+                        _result("q3.", False, index=2, timed_out=True),
+                        _result("q4.", index=3)])
     failures = compare_sim_live(sim, live)
     assert len(failures) == 2
     assert "q2." in failures[0] and "q3." in failures[1]
@@ -181,7 +184,7 @@ class _FakeQuerier:
 
 def _placed(prefix, positions):
     """One source per querier position, each with one answered query."""
-    results = [_result(f"q{i}.", src=f"10.0.0.{i}")
+    results = [_result(f"q{i}.", src=f"10.0.0.{i}", index=i)
                for i in range(len(positions))]
     return _FakeReport(results, queriers=[
         _FakeQuerier(f"{prefix}{position}", [result])
@@ -208,11 +211,12 @@ def test_record_count_mismatch_reported():
 
 
 def test_answered_qname_counter_is_a_multiset():
-    """A trace may repeat a record: outcomes are compared as a multiset
-    per record, so one answer too few for a repeated query shows."""
+    """A trace may repeat a record: outcomes are compared per input
+    index, so one answer too few for a repeated query shows."""
     sim = _report(["dup.", "dup.", "q."])
-    live = _FakeReport([_result("dup."), _result("dup.", False),
-                        _result("q.")])
+    live = _FakeReport([_result("dup.", index=0),
+                        _result("dup.", False, index=1),
+                        _result("q.", index=2)])
     (failure,) = compare_sim_live(sim, live)
     assert "dup." in failure
 

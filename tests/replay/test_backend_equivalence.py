@@ -11,15 +11,22 @@ pinned here too: it is the regression bar the live backend is validated
 against.
 """
 
+import asyncio
+import os
+import signal
+
 from repro.check import compare_sim_live
 from repro.check.scenarios import LIVE_MATRIX, run_for_live
 from repro.experiments.harness import root_zone_world, wildcard_root_zone
+from repro.replay.backends import live as live_module
+from repro.replay.backends.live import LiveQuerier
 from repro.workloads.broot import broot16
 
 TLDS = 4
 SLDS = 4
 WORLD_SEED = 3
 TRACE_KW = dict(duration=2.0, mean_rate=500.0, clients=60)
+STALL = 0.6     # seconds the server process is stopped for
 
 
 def build_zone_and_trace():
@@ -65,3 +72,34 @@ def test_sim_backend_remains_byte_identical_per_seed():
     first = run_for_live("sim", *build_zone_and_trace()).to_json()
     second = run_for_live("sim", *build_zone_and_trace()).to_json()
     assert first == second
+
+
+def test_a_stalled_server_process_costs_no_stream_query(monkeypatch):
+    """The load flake, made deterministic: the forked server process is
+    stopped for 0.6 s (SIGSTOP, then SIGCONT on its pid) in the middle
+    of the all-TCP replay.  A stream query gets one wait, so the
+    harness's wait must outlast the stall: every query still gets the
+    sim's outcome."""
+    pids, stalled = [], []
+    real_init = live_module._ServerProcess.__init__
+
+    def init(self, backend):
+        real_init(self, backend)
+        pids.append(self.pid)
+
+    real_send = LiveQuerier.send
+
+    def send(self, *args):
+        if self.sent == 100 and not stalled:
+            stalled.append(pids[-1])
+            os.kill(pids[-1], signal.SIGSTOP)
+            asyncio.get_running_loop().call_later(
+                STALL, os.kill, pids[-1], signal.SIGCONT)
+        real_send(self, *args)
+
+    monkeypatch.setattr(live_module._ServerProcess, "__init__", init)
+    monkeypatch.setattr(LiveQuerier, "send", send)
+    sim_report = run_for_live("sim", *build_zone_and_trace(), proto="tcp")
+    live_report = run_for_live("live", *build_zone_and_trace(), proto="tcp")
+    assert stalled
+    assert compare_sim_live(sim_report, live_report) == []

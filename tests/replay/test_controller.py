@@ -11,11 +11,10 @@ from repro.netsim.tcp import MSS
 from repro.replay import controller as controller_module
 from repro.replay.controller import (READER_PER_RECORD, RECORD_FRAME,
                                      SYNC_FRAME, Controller,
-                                     DistributorEndpoint)
+                                     DistributorEndpoint, record_frame)
 from repro.replay.distributor import Distributor
 from repro.replay.querier import Querier
 from repro.replay.supervisor import SupervisionConfig
-from repro.trace.binaryform import encode_record
 from repro.trace.record import QueryRecord
 
 
@@ -36,8 +35,8 @@ def build(monkeypatch, read_window=8):
     return sim, controller, distributor, queriers
 
 
-def records(n, clients=4):
-    return [QueryRecord(time=i * 0.01, src=f"s{i % clients}",
+def records(n, clients=4, gap=0.01):
+    return [QueryRecord(time=i * gap, src=f"s{i % clients}",
                         qname=f"u{i}.example.com.") for i in range(n)]
 
 
@@ -128,17 +127,17 @@ def control_segments(controller):
 def test_one_pass_leaves_as_mss_sized_segments(monkeypatch):
     """The Postman writes a pass the way a buffered writer would: one
     write per channel, so the window leaves as ceil(bytes / MSS) data
-    segments, not one segment per record."""
+    segments, not one segment per record.  (The window falls due
+    within the read horizon, so the first pass reads all of it.)"""
     n = 200
     sim, controller, distributor, queriers = build(monkeypatch, n)
     sim.run_until_idle()           # the control connection is up
     payloads = control_segments(controller)
-    batch = records(n)
+    batch = records(n, gap=0.001)
     start(controller, batch)
     sim.run(max_events=1)          # the Reader's first pass
     framed = len(frame_message(bytes([SYNC_FRAME]) + bytes(8))) + sum(
-        len(frame_message(bytes([RECORD_FRAME]) + encode_record(r)))
-        for r in batch)
+        len(record_frame(r, i)) for i, r in enumerate(batch))
     assert sum(map(len, payloads)) == framed
     assert len(payloads) == math.ceil(framed / MSS)
     assert all(len(p) == MSS for p in payloads[:-1])

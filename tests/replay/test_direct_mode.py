@@ -31,9 +31,9 @@ def forward_log(engine) -> list:
     log = []
     scheduler = engine.sim.scheduler
     for querier in engine.queriers:
-        def handle(record, handle=querier.handle_record):
+        def handle(record, index, handle=querier.handle_record):
             log.append((round(scheduler.now * 1e6, 3), record.qname))
-            handle(record)
+            handle(record, index)
         querier.handle_record = handle
     return log
 
@@ -133,7 +133,7 @@ def test_crash_at_an_availability_time_orphans_that_record():
     distributor = engine.distributors[0]
     assert distributor.peak_depth == 1
     assert distributor.records_forwarded == 3
-    assert [r.qname for r in distributor.take_orphans()] == \
+    assert [r.qname for _, r in distributor.take_orphans()] == \
         names(3, 4, 5, 6, 7)
 
 
@@ -149,7 +149,7 @@ def test_crash_with_records_queued_orphans_them_in_stream_order():
     distributor = engine.distributors[0]
     assert log == []
     assert distributor.peak_depth == 3
-    assert [r.qname for r in distributor.take_orphans()] == \
+    assert [r.qname for _, r in distributor.take_orphans()] == \
         names(*range(8))
 
 
@@ -187,9 +187,9 @@ def test_until_cut_after_a_crash_orphans_only_what_was_read():
         QuerierCrash(start=3e-3, target="distributor0")]))
     engine.run(eight_records(), until=5.5e-3)
     distributor = engine.distributors[0]
-    assert [r.qname for r in distributor.take_orphans()] == names(3, 4, 5)
+    assert [r.qname for _, r in distributor.take_orphans()] == names(3, 4, 5)
     engine.sim.run_until_idle()
-    assert [r.qname for r in distributor.take_orphans()] == names(6, 7)
+    assert [r.qname for _, r in distributor.take_orphans()] == names(6, 7)
     assert distributor.records_forwarded == 3
 
 

@@ -692,10 +692,10 @@ def test_killed_server_process_fails_the_run_promptly(monkeypatch):
         query_timeout=query_timeout, run_deadline=60.0))
     real = LiveQuerier.send
 
-    def send(self, record, due):
+    def send(self, record, due, index):
         if self.sent == 5:
             os.kill(backend.server_pid, signal.SIGKILL)
-        real(self, record, due)
+        real(self, record, due, index)
 
     monkeypatch.setattr(LiveQuerier, "send", send)
     start = time.monotonic()

@@ -149,7 +149,7 @@ def test_crash_orphans_every_parked_send_of_a_repeated_record():
     querier.crash()
     # Both at crash time, while the supervisor can still re-dispatch
     # them — not one now and one when its timer fires.
-    assert querier.take_orphans() == [record, record]
+    assert querier.take_orphans() == [(0, record), (1, record)]
     assert querier.backlog_depth() == 0
     sim.run_until_idle()
     assert querier.take_orphans() == []

@@ -124,7 +124,7 @@ def test_resilient_querier_conserves_queries(script, protos):
     assert querier.pending_count() == 0
     assert not list(querier.pending_results())
     assert all(r.answered or r.timed_out for r in querier.results)
-    assert sorted(map(id, settled)) == sorted(map(id, querier.results))
+    assert sorted(r.row for r in settled) == list(range(len(querier.results)))
     assert querier.unanswered_at_close == 0
 
 

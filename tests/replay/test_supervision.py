@@ -163,10 +163,10 @@ def test_distributor_failover_repins_across_channels(controllers):
 
     engine.supervisor._fail_distributor = logged_failover
     for controller in engine.controllers:
-        def send_record(channel, record, controller=controller,
+        def send_record(channel, record, index, controller=controller,
                         send=controller.send_record):
             sends.append((record.src, controller, bool(redispatching)))
-            send(channel, record)
+            send(channel, record, index)
         controller.send_record = send_record
     # Kill the distributor process mid-replay; the supervisor must
     # notice via missing heartbeats (no fault-plan edge tells it).
@@ -206,8 +206,8 @@ def test_redispatch_gate_tells_a_fresh_record_from_a_freed_one():
     supervisor = engine.supervisor
 
     def orphan(i):
-        return QueryRecord(time=1.0, src="172.16.0.1",
-                           qname=f"u{i}.example.com.")
+        return i, QueryRecord(time=1.0, src="172.16.0.1",
+                              qname=f"u{i}.example.com.")
 
     # No assert on the first pass: its temporaries would keep the
     # record alive.
@@ -336,9 +336,10 @@ def test_distributor_lag_delays_handover_on_bare_runs():
     engine, report = lagged_run(supervised=False, lagged=False)
     on_time = max(r.send_time for r in report.results)
     assert on_time == pytest.approx(2.0, abs=0.01)
-    # The Reader pre-loads the trace; the queue holds what the busy
-    # chain has not handed over yet — tracked without supervision too.
-    assert engine.distributors[0].peak_depth == 325
+    # The Reader's first pass hands over the read horizon's first
+    # second of trace at once; the queue holds what the busy chain has
+    # not handed over yet — tracked without supervision too.
+    assert engine.distributors[0].peak_depth == 168
     # 400 records x 2 us x 5000 = 4 s of serialized CPU.
     engine, report = lagged_run(supervised=False)
     bare = max(r.send_time for r in report.results)
@@ -346,9 +347,11 @@ def test_distributor_lag_delays_handover_on_bare_runs():
     engine, report = lagged_run(supervised=True, observe=True)
     assert max(r.send_time for r in report.results) \
         == pytest.approx(bare, abs=1e-3)
-    # The wait for the busy chain is recorded under supervision too.
+    # The wait for the busy chain is recorded under supervision too:
+    # the last record, read once its instant is within the read
+    # horizon (about 1 s in), waits about 3 s of the chain's 4.
     lag = report.metrics()["replay"]["distributor_queue_lag"]
-    assert lag["count"] == 400 and lag["max"] > 3.9
+    assert lag["count"] == 400 and lag["max"] > 2.9
 
 
 def fast_broot_last_send(mean_rate, supervised):
