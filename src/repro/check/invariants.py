@@ -58,7 +58,6 @@ from repro.replay.timing import READ_HORIZON
 # or every 1/SCAN_SHARE of the sends so far when that is more.
 SCAN_EVERY = 256
 SCAN_SHARE = 16
-_TERMINAL = TIMED_OUT | FAILED_OVER
 
 
 class InvariantViolation(AssertionError):
@@ -75,8 +74,7 @@ def _states(answered: bool, flags: int) -> list[str]:
 
 
 def _terminal_states(result) -> list[str]:
-    return _states(result.response_time is not None,
-                   result.columns.flags[result.row])
+    return _states(result.response_time is not None, result.flags)
 
 
 def _check_counters(obj, errors: list[str], prefix: str = "") -> None:
@@ -102,30 +100,19 @@ def _check_querier(querier, errors: list[str]) -> None:
         errors.append(
             f"{name}: sent={querier.sent} but {len(results)} results "
             "(every send must create exactly one result)")
-    answered = timed_out = failed_over = open_ = 0
+    tally = dict.fromkeys(("answered", "timed_out", "failed_over", "open"), 0)
     # Read off the columns: a row is answered when its response time is
     # not NaN, and the flags carry the other two terminal states.
-    for row, (time, flags) in enumerate(zip(results.response,
-                                            results.flags)):
-        if time == time:
-            if flags & _TERMINAL:
-                errors.append(
-                    f"{name}: result for "
-                    f"{results.inputs[results.index[row]].qname!r} is in "
-                    f"multiple terminal states {_states(True, flags)}")
-                continue
-            answered += 1
-        elif not flags & _TERMINAL:
-            open_ += 1
-        elif flags & _TERMINAL == _TERMINAL:
+    for row, (time, flags) in enumerate(zip(results.column("response"),
+                                            results.column("flags"))):
+        states = _states(time == time, flags) or ["open"]
+        if len(states) > 1:
             errors.append(
-                f"{name}: result for "
-                f"{results.inputs[results.index[row]].qname!r} is in "
-                f"multiple terminal states {_states(False, flags)}")
-        elif flags & TIMED_OUT:
-            timed_out += 1
+                f"{name}: result for {results[row].record.qname!r} is in "
+                f"multiple terminal states {states}")
         else:
-            failed_over += 1
+            tally[states[0]] += 1
+    answered, timed_out, failed_over, open_ = tally.values()
     total = answered + timed_out + failed_over + open_
     if total != querier.sent:
         errors.append(
@@ -157,7 +144,7 @@ def _check_pinning(queriers, errors: list[str]) -> None:
     for querier in queriers:
         name = querier.name
         inputs = querier.results.inputs
-        for index in querier.results.index:
+        for index in querier.results.column("index"):
             src = inputs[index].src
             first = owner.setdefault(src, name)
             if first != name:

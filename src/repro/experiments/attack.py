@@ -73,7 +73,8 @@ def run(duration: float = 45.0, baseline_rate: float = 400.0,
 
     log = world.server.query_log
     def nxd_fraction(lo, hi):
-        rcodes = [rcode for time, rcode in zip(log.times, log.rcodes)
+        rcodes = [rcode for time, rcode in zip(log.column("time"),
+                                               log.column("rcode"))
                   if lo <= time < hi]
         if not rcodes:
             return 0.0

@@ -29,6 +29,7 @@ class TimingRun:
     errors: list[float]                  # seconds, per matched query
     original_gaps: list[float]
     replayed_gaps: list[float]
+    opened: list[bool]                   # opened its TCP connection
 
     def error_summary_ms(self) -> Summary:
         return summarize([e * 1000 for e in self.errors])
@@ -63,27 +64,31 @@ def replay_and_match(trace: Trace, zone, seed: int = 0,
                                 queriers_per_instance=queriers_per_instance,
                                 timing_jitter=True)
     world.run(tagged)
-    arrivals = {entry.qname.to_text(): entry.time
-                for entry in world.server.query_log}
+    arrivals, first = {}, {}
+    for entry in world.server.query_log:
+        arrivals[entry.qname.to_text()] = entry.time
+        if entry.proto != "udp":
+            first.setdefault((entry.src, entry.sport), entry.qname.to_text())
+    opened = set(first.values())
     duration = tagged.duration()
     warmup = tagged[0].time + duration * warmup_fraction
-    matched = [(record.time, arrivals[record.qname])
+    matched = [(record.time, arrivals[record.qname], record.qname)
                for record in tagged
                if record.qname in arrivals and record.time >= warmup]
     if not matched:
-        return TimingRun(trace.name, [], [], [])
+        return TimingRun(trace.name, [], [], [], [])
     # Align the two clocks on the median offset: anchoring on a single
     # query (as literally stated in §4.2) would add that one query's
     # jitter to every error.
-    offsets = sorted(replay - orig for orig, replay in matched)
+    offsets = sorted(replay - orig for orig, replay, _ in matched)
     base = offsets[len(offsets) // 2]
-    errors = [(replay - orig) - base for orig, replay in matched]
-    replay_times = sorted(replay for _, replay in matched)
+    errors = [(replay - orig) - base for orig, replay, _ in matched]
+    replay_times = sorted(replay for _, replay, _ in matched)
     replayed_gaps = [b - a for a, b in zip(replay_times,
                                            replay_times[1:])]
-    original_gaps = [b - a for (a, _), (b, _) in zip(matched,
-                                                     matched[1:])]
-    return TimingRun(trace.name, errors, original_gaps, replayed_gaps)
+    original_gaps = [b[0] - a[0] for a, b in zip(matched, matched[1:])]
+    return TimingRun(trace.name, errors, original_gaps, replayed_gaps,
+                     [qname in opened for _, _, qname in matched])
 
 
 # -- Figure 6 -----------------------------------------------------------------
@@ -145,7 +150,7 @@ def figure8(trials: int = 5, duration: float = 20.0,
         world.run(tagged)
         original = _per_second(tagged[0].time,
                                [r.time for r in tagged])
-        arrivals = sorted(world.server.query_log.times)
+        arrivals = sorted(world.server.query_log.column("time"))
         replayed = _per_second(arrivals[0], arrivals)
         diffs = []
         for second in range(1, min(len(original), len(replayed)) - 1):

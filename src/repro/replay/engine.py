@@ -27,6 +27,9 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, count
+from operator import itemgetter
+from struct import Struct
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -46,6 +49,7 @@ from repro.replay.querier import (Querier, QuerierConfig, QueryResult,
 from repro.replay.supervisor import Pins, Supervisor, SupervisionConfig
 from repro.trace.pipeline import as_trace
 from repro.trace.record import PROTOCOLS
+from repro.util.rows import Rows
 
 # What a report derives rather than collects (ReplayReport.metrics).
 DERIVED = ("meta.version", "meta.results", "meta.answered_fraction",
@@ -145,44 +149,29 @@ class ReplayConfig:
                              **per_querier)
 
 
-class SendOrder(Sequence):
+class SendOrder(Rows):
     """Every querier's :class:`~repro.replay.querier.Results`, read as
     one sequence of :class:`QueryResult` rows in send-time order (ties
-    in querier order, then each querier's own).  A querier appends its
-    rows in send order, so the order is a k-way merge of the columns,
-    kept as one ``array`` of positions: 8 bytes a result, and no row
-    object until one is read."""
+    in querier order, then each querier's own): a k-way merge of their
+    send columns, kept as each result's position in the queriers' rows
+    laid end to end, 8 bytes a result."""
+
+    ROW = Struct("=q")              # native, as the array it is made from
+
+    __slots__ = ("_columns", "_starts")
 
     def __init__(self, columns: list[Results]):
+        super().__init__()
         self._columns = columns
-        self._starts = starts = []
-        base = 0
-        for results in columns:
-            starts.append(base)
-            base += len(results)
-        self._order = array("q", (position for _, position in heapq.merge(
-            *(zip(results.send, range(start, start + len(results)))
-              for results, start in zip(columns, starts)))))
+        self._starts = [0, *accumulate(map(len, columns))]
+        self.data = bytearray(array("q", map(itemgetter(1), heapq.merge(
+            *map(zip, (results.column("send") for results in columns),
+                 map(count, self._starts))))))
 
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def _at(self, position: int) -> QueryResult:
+    def _read(self, row: int) -> QueryResult:
+        (position,) = self.ROW.unpack_from(self.data, row * self.ROW.size)
         which = bisect_right(self._starts, position) - 1
-        return self._columns[which][position - self._starts[which]]
-
-    def __getitem__(self, i: int) -> QueryResult:
-        return self._at(self._order[i])
-
-    def __iter__(self):
-        at = self._at
-        for position in self._order:
-            yield at(position)
-
-    def __eq__(self, other):
-        if isinstance(other, (list, SendOrder)):
-            return list(self) == list(other)
-        return NotImplemented
+        return self._columns[which]._read(position - self._starts[which])
 
 
 @dataclass

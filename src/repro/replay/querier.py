@@ -46,11 +46,11 @@ Supervision hooks (see :mod:`repro.replay.supervisor`): a querier can
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
+from struct import Struct
 
 from repro.dns.constants import (DNS_PORT, EDNS_COOKIE, QUIC_PORT,
                                  TLS_PORT)
@@ -66,6 +66,7 @@ from repro.obs.report import zero_counters
 from repro.replay.timing import ReplayTimer
 from repro.server.overload import client_cookie
 from repro.trace.record import QueryRecord
+from repro.util.rows import Rows
 
 
 @dataclass(frozen=True)
@@ -114,106 +115,62 @@ class QuerierConfig:
     fast: bool = False
 
 
-NO_RESPONSE = float("nan")     # the response column of an open query
-NO_RCODE = -1                   # the rcode column of an open query
-# Bits of the flags column.
+NO_RESPONSE = float("nan")     # the response field of an open query
+NO_RCODE = -1                   # the rcode field of an open query
+# Bits of the flags field.
 TIMED_OUT, FELL_BACK, FAILED_OVER = 1, 2, 4
 
 
-class Results:
-    """One querier's results as typed ``array`` columns, one row per
-    send, appended in send order: the input index of the record sent,
-    send, scheduled and response times (NaN while unanswered), response
-    size, rcode (-1 while unanswered), attempts and the
-    ``TIMED_OUT``/``FELL_BACK``/``FAILED_OVER`` flags: 41 bytes a
-    query, and no copy of its record.
+class Results(Rows):
+    """One querier's results, one 41-byte row per send in send order
+    (NaN and -1 stand for no response time and no rcode yet), read as
+    :class:`QueryResult` views.  A row names its record by index into
+    :attr:`inputs`, the replayed input, which the feeder owns; a record
+    handed over without an index is appended to it (:meth:`adopt`)."""
 
-    Read it as a sequence of :class:`QueryResult` rows.  A row names its
-    record by index into :attr:`inputs`, the replayed input, which the
-    feeder owns; a record handed over without an index is appended to
-    :attr:`inputs` (:meth:`adopt`)."""
+    ROW = Struct("<qdddihHB")
+    FIELDS = ("index", "send", "scheduled", "response", "size", "rcode",
+              "attempts", "flags")
 
-    __slots__ = ("index", "send", "scheduled", "response", "size",
-                 "rcode", "attempts", "flags", "inputs")
+    __slots__ = ("inputs",)
 
     def __init__(self, inputs=None):
-        self.index = array("q")
-        self.send = array("d")
-        self.scheduled = array("d")
-        self.response = array("d")
-        self.size = array("i")
-        self.rcode = array("h")
-        self.attempts = array("H")
-        self.flags = array("B")
+        super().__init__()
         self.inputs = [] if inputs is None else inputs
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, row: int) -> "QueryResult":
-        if row < 0:
-            row += len(self.index)
-        if not 0 <= row < len(self.index):
-            raise IndexError("result row out of range")
-        return _row(self, row)
-
-    def __iter__(self):
-        for row in range(len(self.index)):
-            yield _row(self, row)
 
     def adopt(self, record: QueryRecord) -> int:
         """Take *record* into :attr:`inputs`; returns its index."""
         self.inputs.append(record)
         return len(self.inputs) - 1
 
-    def add(self, index: int, send: float, scheduled: float) -> int:
-        """A new open row for input *index*; returns its row number."""
-        row = len(self.index)
-        self.index.append(index)
-        self.send.append(send)
-        self.scheduled.append(scheduled)
-        self.response.append(NO_RESPONSE)
-        self.size.append(0)
-        self.rcode.append(NO_RCODE)
-        self.attempts.append(1)
-        self.flags.append(0)
-        return row
-
-    def append(self, result: "QueryResult") -> None:
-        """Copy *result*'s row in; its index is read against
-        :attr:`inputs` from then on."""
-        source, at = result.columns, result.row
-        for name in Results.__slots__[:-1]:
-            getattr(self, name).append(getattr(source, name)[at])
+    def add(self, index: int, send: float,
+            scheduled: float) -> "QueryResult":
+        """A new open row for input *index*, as its view."""
+        self.data += _ROW.pack(index, send, scheduled, NO_RESPONSE, 0,
+                               NO_RCODE, 1, 0)
+        return self._read(len(self.data) // _ROW.size - 1)
 
 
-def _column(name: str, doc: str) -> property:
-    def get(self):
-        return getattr(self.columns, name)[self.row]
-
-    def put(self, value):
-        getattr(self.columns, name)[self.row] = value
-    return property(get, put, doc=doc)
+_ROW = Results.ROW
+# A settle reads attempts and flags, and writes response, size and
+# rcode: adjacent fields, one call each.
+_RETRIED, _RETRIED_AT = Results.span("attempts", "flags")
+_ANSWER, _ANSWER_AT = Results.span("response", "rcode")
 
 
 def _flag(bit: int, doc: str) -> property:
-    def get(self) -> bool:
-        return bool(self.columns.flags[self.row] & bit)
-
     def put(self, value: bool) -> None:
-        flags = self.columns.flags
-        flags[self.row] = (flags[self.row] | bit if value
-                           else flags[self.row] & ~bit)
-    return property(get, put, doc=doc)
+        self.flags = self.flags | bit if value else self.flags & ~bit
+    return property(lambda self: bool(self.flags & bit), put, doc=doc)
 
 
 class QueryResult:
-    """One query's result: row :attr:`row` of a :class:`Results`, read
-    and written through its columns.  ``QueryResult(record, send_time,
-    scheduled_time, ...)`` builds a row of its own, over an input that
-    holds *record* at *index*."""
+    """One query's result: row :attr:`row` of the :class:`Results`
+    :attr:`rows`, read and written in place.  ``QueryResult(record,
+    send_time, scheduled_time, ...)`` builds a row of its own, over an
+    input that holds *record* at *index*."""
 
-    __slots__ = ("columns", "row")
+    __slots__ = ("rows", "row")
 
     def __init__(self, record: QueryRecord, send_time: float,
                  scheduled_time: float, response_time: float | None = None,
@@ -221,67 +178,42 @@ class QueryResult:
                  attempts: int = 1, timed_out: bool = False,
                  fell_back: bool = False, failed_over: bool = False,
                  index: int = 0):
-        self.columns = Results({index: record})
-        self.row = self.columns.add(index, send_time, scheduled_time)
-        self.response_time = response_time
-        self.response_size = response_size
-        self.rcode = rcode
-        self.attempts = attempts
-        self.timed_out = timed_out
-        self.fell_back = fell_back
+        self.rows, self.row = Results({index: record}), 0
+        self.rows.data += _ROW.pack(index, send_time, scheduled_time, 0,
+                                    response_size, 0, attempts, 0)
+        self.response_time, self.rcode = response_time, rcode
+        self.timed_out, self.fell_back = timed_out, fell_back
         self.failed_over = failed_over
 
-    index = property(lambda self: self.columns.index[self.row],
+    index = property(Results.field("index").fget,
                      doc="The record's position in the replayed input.")
-    send_time = _column("send", "When the first attempt left.")
-    scheduled_time = _column("scheduled", "When the send was due.")
-    response_size = _column("size", "Bytes of the response.")
-    attempts = _column("attempts",
-                       "Sends performed (retransmits included).")
+    send_time = Results.field("send", "When the first attempt left.")
+    scheduled_time = Results.field("scheduled", "When the send was due.")
+    response_size = Results.field("size", "Bytes of the response.")
+    attempts = Results.field("attempts", "Sends, retransmits included.")
+    flags = Results.field("flags", "TIMED_OUT, FELL_BACK, FAILED_OVER.")
     timed_out = _flag(TIMED_OUT, "Gave up after exhausting the policy.")
     fell_back = _flag(FELL_BACK, "TC bit moved the query from UDP to TCP.")
     failed_over = _flag(FAILED_OVER, "Was awaiting a response when its "
                         "querier crashed (answer lost).")
+    response_time = Results.field("response", "When the answer came, or "
+                                  "None.", NO_RESPONSE)
+    rcode = Results.field("rcode", "The answer's rcode, or None.", NO_RCODE)
 
     @property
     def record(self) -> QueryRecord:
-        columns = self.columns
-        return columns.inputs[columns.index[self.row]]
+        return self.rows.inputs[self.index]
 
-    @property
-    def response_time(self) -> float | None:
-        time = self.columns.response[self.row]
-        return None if time != time else time
+    latency = property(lambda self: None if self.response_time is None
+                       else self.response_time - self.send_time)
+    answered = property(lambda self: self.response_time is not None)
 
-    @response_time.setter
-    def response_time(self, value: float | None) -> None:
-        self.columns.response[self.row] = (NO_RESPONSE if value is None
-                                           else value)
-
-    @property
-    def rcode(self) -> int | None:
-        rcode = self.columns.rcode[self.row]
-        return None if rcode == NO_RCODE else rcode
-
-    @rcode.setter
-    def rcode(self, value: int | None) -> None:
-        self.columns.rcode[self.row] = NO_RCODE if value is None else value
-
-    @property
-    def latency(self) -> float | None:
-        if self.response_time is None:
-            return None
-        return self.response_time - self.send_time
-
-    @property
-    def answered(self) -> bool:
-        return self.response_time is not None
+    _SHOWN = ("record", "send_time", "scheduled_time", "response_time",
+              "response_size", "rcode", "attempts", "timed_out",
+              "fell_back", "failed_over")
 
     def _values(self) -> tuple:
-        return (self.record, self.send_time, self.scheduled_time,
-                self.response_time, self.response_size, self.rcode,
-                self.attempts, self.timed_out, self.fell_back,
-                self.failed_over)
+        return tuple(getattr(self, name) for name in self._SHOWN)
 
     def __eq__(self, other):
         if other.__class__ is not QueryResult:
@@ -292,20 +224,11 @@ class QueryResult:
 
     def __repr__(self) -> str:
         return "QueryResult(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(
-                ("record", "send_time", "scheduled_time", "response_time",
-                 "response_size", "rcode", "attempts", "timed_out",
-                 "fell_back", "failed_over"), self._values())) + ")"
+            f"{name}={value!r}"
+            for name, value in zip(self._SHOWN, self._values())) + ")"
 
 
-_new_result = object.__new__
-
-
-def _row(columns: Results, row: int) -> QueryResult:
-    result = _new_result(QueryResult)
-    result.columns = columns
-    result.row = row
-    return result
+Results.VIEW = QueryResult
 
 
 @dataclass(slots=True)
@@ -576,7 +499,7 @@ class Querier:
             self.check.on_query_wire(self, record, msg_id, wire)
         now = self.host.scheduler.now
         results = self.results
-        result = _row(results, results.add(index, now, scheduled))
+        result = results.add(index, now, scheduled)
         self.sent += 1
         obs = self.host.scheduler.obs
         if obs is not None:
@@ -647,8 +570,7 @@ class Querier:
         anything bounds its wait, start the clock: *on_timeout* fires
         with *args* unless the entry is resolved first."""
         channel.pending[msg_id] = result
-        wait = (self.resilience.wait_for(
-                    result.columns.attempts[result.row])
+        wait = (self.resilience.wait_for(result.attempts)
                 if self.resilience is not None else self.give_up_after)
         if wait is not None:
             inflight = channel.inflight[msg_id] = _Inflight(wire=wire)
@@ -673,19 +595,18 @@ class Querier:
         exhausted, unanswered at close when there is none.  Either way
         it never strands."""
         if rcode is not None:
-            columns, row = result.columns, result.row
-            if columns.attempts[row] > 1 or columns.flags[row] & FELL_BACK:
+            data, at = result.rows.data, result.row * _ROW.size
+            attempts, flags = _RETRIED.unpack_from(data, at + _RETRIED_AT)
+            if attempts > 1 or flags & FELL_BACK:
                 self.recovered += 1
             now = self.host.scheduler.now
-            columns.response[row] = now
-            columns.size[row] = size
-            columns.rcode[row] = rcode
+            _ANSWER.pack_into(data, at + _ANSWER_AT, now, size, rcode)
             self.responses += 1
             if body is not None:
                 learn_cookie(body, result.record.src, self._server_cookies)
             obs = self.host.scheduler.obs
             if obs is not None:
-                obs.tracer.emit("querier.response", columns.send[row], now,
+                obs.tracer.emit("querier.response", result.send_time, now,
                                 detail=result.record.proto)
         elif self.resilience is not None:
             result.timed_out = True
@@ -923,16 +844,13 @@ class Querier:
     # -- stats -----------------------------------------------------------------------------------
 
     def latencies(self) -> list[float]:
-        results = self.results
-        return [response - send for response, send
-                in zip(results.response, results.send)
-                if response == response]
+        return [r.latency for r in self.results if r.answered]
 
     def answered_fraction(self) -> float:
-        response = self.results.response
-        if not response:
+        if not self.results:
             return 0.0
-        return sum(1 for time in response if time == time) / len(response)
+        return sum(1 for r in self.results if r.answered) \
+            / len(self.results)
 
     def _channels(self):
         return chain(self._udp_by_socket.values(),

@@ -22,9 +22,9 @@ each backend supplies its own notion of "now" and its own observer.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
+from struct import Struct
 from sys import intern
 from typing import Callable
 
@@ -40,6 +40,7 @@ from repro.server.overload import (OverloadConfig, ResponseRateLimiter,
                                    ServerCookies, minimal_response,
                                    response_key)
 from repro.server.views import ViewSelector, catch_all_view
+from repro.util.rows import Rows
 
 # The largest UDP response sent, whatever the client's EDNS advertises.
 UDP_PAYLOAD_LIMIT = 4096
@@ -74,93 +75,41 @@ _PROTOS = ("udp", "tcp", "tls", "quic")
 _PROTO_CODES = {proto: code for code, proto in enumerate(_PROTOS)}
 
 
-def _question_name(wire: bytes) -> Name:
-    """The qname of the query *wire*, read again as the decoder read it."""
-    reader = WireReader(wire)
-    reader.pos = HEADER_SIZE
-    return reader.name()
+class QueryLog(Rows):
+    """The server's query log, one packed row per handled query and two
+    references beside it: the interned source, and what the qname reads
+    back from — the cached entry's shared :class:`Name` when the answer
+    cache holds one, otherwise the query bytes, never a per-query
+    ``Name``.  It reads as a list of :class:`QueryLogEntry`."""
 
+    # time, qtype, sport, protocol (index into _PROTOS), rcode and the
+    # untruncated response size (0 when dropped).
+    ROW = Struct("<dHHBHI")
+    FIELDS = ("time", "qtype", "sport", "proto", "rcode", "size")
+    OBJECTS = 2                 # qname (Name or query bytes), src
 
-class QueryLog:
-    """The server's query log, one row per handled query, kept in
-    columns: typed arrays for the numbers, the source strings interned,
-    and per row one reference to what its qname reads back from — the
-    cached entry's shared :class:`Name` when the answer cache holds one,
-    otherwise the query bytes.  So a row costs a few dozen bytes and no
-    per-query ``Name``.  It reads as a list of :class:`QueryLogEntry`
-    (``len``, iteration, indexing, slicing, ``+=``, ``==``, pickling),
-    each row built on access."""
-
-    # One column per QueryLogEntry field, in its order.
-    __slots__ = ("times", "_qnames", "qtypes", "srcs", "sports", "protos",
-                 "rcodes", "sizes")
-
-    def __init__(self) -> None:
-        self.times = array("d")
-        self._qnames: list = []       # Name, or the query bytes
-        self.qtypes = array("H")
-        self.srcs: list[str] = []
-        self.sports = array("H")
-        self.protos = array("B")      # index into _PROTOS
-        self.rcodes = array("H")
-        self.sizes = array("I")       # untruncated size, 0 when dropped
+    __slots__ = ()
 
     def append(self, time: float, qname, qtype: int, src: str, sport: int,
                proto: str, rcode: int, size: int) -> None:
         """Log one query; *qname* is a :class:`Name` or the query wire."""
-        self.times.append(time)
-        self._qnames.append(qname)
-        self.qtypes.append(qtype)
-        self.srcs.append(intern(src))
-        self.sports.append(sport)
-        self.protos.append(_PROTO_CODES[proto])
-        self.rcodes.append(rcode)
-        self.sizes.append(size)
+        self.data += _LOG_ROW.pack(time, qtype, sport, _PROTO_CODES[proto],
+                                   rcode, size)
+        self.objects += (qname, intern(src))
 
-    def _columns(self) -> list:
-        return [getattr(self, name) for name in self.__slots__]
-
-    @staticmethod
-    def _row(time, qname, qtype, src, sport, proto, rcode,
-             size) -> QueryLogEntry:
-        if type(qname) is not Name:
-            qname = _question_name(qname)
+    def _read(self, row: int) -> QueryLogEntry:
+        time, qtype, sport, proto, rcode, size = _LOG_ROW.unpack_from(
+            self.data, row * _LOG_ROW.size)
+        qname, src = self.objects[2 * row:2 * row + 2]
+        if type(qname) is not Name:     # the query: read it again
+            reader = WireReader(qname)
+            reader.pos = HEADER_SIZE
+            qname = reader.name()
         return QueryLogEntry(time, qname, qtype, src, sport, _PROTOS[proto],
                              rcode, size)
 
-    def __len__(self) -> int:
-        return len(self.times)
 
-    def __iter__(self):
-        row = self._row
-        for fields in zip(*self._columns()):
-            yield row(*fields)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            part = QueryLog.__new__(QueryLog)
-            part.__setstate__([column[index] for column in self._columns()])
-            return part
-        return self._row(*[column[index] for column in self._columns()])
-
-    def __iadd__(self, other: "QueryLog") -> "QueryLog":
-        for mine, theirs in zip(self._columns(), other._columns()):
-            mine += theirs
-        return self
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QueryLog):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    __hash__ = None
-
-    def __getstate__(self) -> list:
-        return self._columns()
-
-    def __setstate__(self, state: list) -> None:
-        for name, column in zip(self.__slots__, state):
-            setattr(self, name, column)
+_LOG_ROW = QueryLog.ROW
 
 
 class DnsResponder:
@@ -488,4 +437,4 @@ class DnsResponder:
     # -- instrumentation --------------------------------------------------
 
     def response_sizes(self) -> list[int]:
-        return self.query_log.sizes.tolist()
+        return list(self.query_log.column("size"))

@@ -170,7 +170,7 @@ def test_detects_broken_source_pinning():
     assert donor is not receiver
     moved = next(r for r in donor.results
                  if r.record.src != receiver.results[0].record.src)
-    receiver.results.append(moved)
+    receiver.results += donor.results[moved.row:moved.row + 1]
     receiver.sent += 1
     with pytest.raises(InvariantViolation, match="split across"):
         verify_queriers(engine.queriers)
@@ -181,7 +181,7 @@ def test_pinning_skipped_when_not_sticky():
     donor, receiver = engine.queriers[0], engine.queriers[-1]
     moved = next(r for r in donor.results
                  if r.record.src != receiver.results[0].record.src)
-    receiver.results.append(moved)
+    receiver.results += donor.results[moved.row:moved.row + 1]
     receiver.sent += 1
     verify_queriers(engine.queriers, sticky=False)      # no raise
 

@@ -288,3 +288,24 @@ def test_run_unknown_kwarg_is_a_type_error():
         client_instances=1, queriers_per_instance=1, seed=1))
     with pytest.raises(TypeError, match="nonsense"):
         engine.run(Trace([]), nonsense=1)
+
+
+def test_results_slice_as_the_lists_they_read_as():
+    """``ReplayReport.results`` and a querier's ``Results`` index and
+    slice like the list of their rows, steps and negative bounds
+    included; a slice keeps its rows' records."""
+    sim, server = build_world()
+    engine = ReplayEngine(sim, "10.0.0.2", ReplayConfig(
+        client_instances=1, queriers_per_instance=2, seed=7))
+    report = engine.run(synthetic_trace(0.05, duration=1.0, seed=7))
+    for rows in (report.results, report.queriers[0].results):
+        listed = list(rows)
+        assert len(listed) > 4
+        assert list(rows[0:2]) == listed[0:2] and rows[0:2] == listed[0:2]
+        assert list(rows[-3:]) == listed[-3:]
+        assert list(rows[::-2]) == listed[::-2]
+        assert [r.record for r in rows[1:3]] == [r.record
+                                                 for r in listed[1:3]]
+        assert rows[-1] == listed[-1] and rows[0:0] == []
+        with pytest.raises(IndexError):
+            rows[len(listed)]

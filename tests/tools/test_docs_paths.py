@@ -72,8 +72,8 @@ def test_design_module_map_lists_exactly_the_source_files():
         else:
             listed.add(package + (subdir if depth == 6 else "") + name)
             prose_only.discard(package)
-    # tools/ and util/ are described in a sentence, not file by file.
-    assert prose_only == {"tools/", "util/"}
+    # tools/ is described in a sentence, not file by file.
+    assert prose_only == {"tools/"}
     source = ROOT / "src" / "repro"
     actual = {path.relative_to(source).as_posix()
               for path in source.rglob("*.py")
